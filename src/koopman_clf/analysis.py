@@ -475,10 +475,17 @@ def analyze_family(
                     "diagonal-dominance inequalities fail at "
                     f"xi={xi_val:.6g} (need xi > {detail['xi_min']:.6g})"
                 )
-            else:
+            elif detail["same_degree_sup"] >= 1.0:
                 msg = (
                     "same-degree coupling ratio reaches "
                     f"{detail['same_degree_sup']:.6g} >= 1"
+                )
+            else:
+                msg = (
+                    "coupling ratios are not finite: same-degree sup "
+                    f"{detail['same_degree_sup']:.6g}, cross-degree sup "
+                    f"{detail['cross_sup']:.6g}, extrapolated "
+                    f"{detail['extrapolated']:.6g}"
                 )
             report.failure = {"stage": "scheme", "message": msg}
             return report

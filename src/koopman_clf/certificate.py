@@ -19,6 +19,7 @@ fields (``polynomial``) and a sum-proportional one for analytic fields
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -77,6 +78,14 @@ class SubsystemOperator:
     row_sums: np.ndarray  # sum_j |entry(k, j)| out of row k (tail aware)
 
 
+def _stored_entries(kmat):
+    """Stored entries as arrays (k, j, value) in row order, then column order."""
+    k = np.repeat(np.arange(1, kmat.size + 1), [len(cols) for cols, _ in kmat.rows])
+    j = np.concatenate([cols for cols, _ in kmat.rows])
+    v = np.concatenate([vals for _, vals in kmat.rows])
+    return k, j, v
+
+
 def build_operator(field_hat, basis):
     kmat = build_matrix(field_hat, basis)
     if not kmat.verify_triangular(0.0):
@@ -90,11 +99,13 @@ def build_operator(field_hat, basis):
     re_decay[1:] = -diag.real
     if np.any(re_decay[1:] <= 0):
         raise ValueError("generator diagonal must have negative real part")
+    # accumulated in row order, the order in which kmat.col_abs_sum adds up a column
+    _, j, v = _stored_entries(kmat)
     col_sums = np.zeros(M + 1)
+    np.add.at(col_sums, j, np.hypot(v.real, v.imag))
     row_sums = np.zeros(M + 1)
     for k in range(1, M + 1):
-        col_sums[k] = kmat.row_abs_sum(k)
-        row_sums[k] = kmat.col_abs_sum(k)
+        row_sums[k] = kmat.row_abs_sum(k)
     return SubsystemOperator(
         kmat=kmat,
         coupling_count=field_hat.term_count(exclude_linear_diag=True),
@@ -102,48 +113,6 @@ def build_operator(field_hat, basis):
         col_sums=col_sums,
         row_sums=row_sums,
     )
-
-
-def _pair_degrees(basis, j, k):
-    return basis.degree(j), basis.degree(k)
-
-
-def weights(scheme, op, j, k):
-    """Weight b_jk of the scheme for basis positions j, k (may be equal)."""
-    basis = op.kmat.basis
-    n = basis.dimension
-    if j == k:
-        if scheme.kind == "polynomial":
-            return 1.0 - scheme.xi
-        return 1.0 - scheme.xi - scheme.kappa
-    coupled = op.kmat.entry(k, j) != 0 or op.kmat.entry(j, k) != 0
-    if not coupled:
-        return 0.0
-    if scheme.kind == "polynomial":
-        return scheme.xi / (2.0 * op.coupling_count)
-    dj, dk = _pair_degrees(basis, j, k)
-    if dj == dk:
-        return scheme.xi / float(n * n - n)
-    if dk < dj:
-        # incoming coupling: share of the absolute sum feeding position j
-        e = abs(op.kmat.entry(k, j))
-        return 0.5 * scheme.kappa * e / op.col_sums[j]
-    # outgoing coupling toward higher degree
-    e = abs(op.kmat.entry(j, k))
-    return 0.5 * scheme.kappa * e / op.row_sums[j]
-
-
-def weight_row_sum(scheme, op, j):
-    """sum_k b_jk over the realized support of row j (k inside the basis)."""
-    total = weights(scheme, op, j, j)
-    kmat = op.kmat
-    partners = set()
-    cols, _ = kmat.rows[j - 1]
-    partners.update(int(c) for c in cols if c != j)
-    partners.update(k for k, _ in kmat.column_support(j) if k != j)
-    for k in sorted(partners):
-        total += weights(scheme, op, j, k)
-    return total
 
 
 def q_value(op, scheme, j, k, include_scheme_factor=True):
@@ -163,7 +132,7 @@ def q_value(op, scheme, j, k, include_scheme_factor=True):
     denom = op.re_decay[j] * op.re_decay[k]
     if denom <= 0:
         raise ValueError("coupling ratio undefined: vanishing Re decay")
-    dj, dk = _pair_degrees(basis, j, k)
+    dj, dk = basis.degree(j), basis.degree(k)
     n = basis.dimension
     if scheme.kind == "polynomial":
         q = (op.coupling_count * e) ** 2 / denom
@@ -176,31 +145,64 @@ def q_value(op, scheme, j, k, include_scheme_factor=True):
     return q / scheme.kappa**2 if include_scheme_factor else q
 
 
-def _scan_pairs(op):
-    """Yield coupled pairs (k, j, |entry|) with k < j from stored rows."""
-    for k in range(1, op.kmat.size + 1):
-        cols, vals = op.kmat.rows[k - 1]
-        for c, v in zip(cols, vals):
-            j = int(c)
-            if j > k and v != 0:
-                yield k, j, abs(complex(v))
-
-
-def _by_degree_max(ops, basis, value_fn):
-    """Per-degree maxima of a pair functional, keyed by the target degree."""
-    sup = 0.0
-    arg = None
-    by_degree = {}
+def _coupled_pairs(ops, basis):
+    """Coupled pairs k < j of every operator as arrays, with the inputs of
+    their ratios, ordered by subsystem, then row k, then column j: a sup is
+    attributed to the first pair that reaches it in this order."""
+    coo = []
     for i, op in enumerate(ops):
-        for k, j, e in _scan_pairs(op):
-            q = value_fn(i, op, k, j, e)
-            d = basis.degree(j)
-            if q > by_degree.get(d, 0.0):
-                by_degree[d] = q
-            if q > sup:
-                sup = q
-                arg = {"subsystem": i, "k": k, "j": j}
-    return sup, arg, dict(sorted(by_degree.items()))
+        k, j, v = _stored_entries(op.kmat)
+        keep = (j > k) & (v != 0)
+        coo.append((np.full(keep.sum(), i), k[keep], j[keep], v[keep]))
+    i, k, j, v = (np.concatenate(a) for a in zip(*coo))
+    decay = np.array([op.re_decay for op in ops])
+    col_sums = np.array([op.col_sums for op in ops])
+    row_sums = np.array([op.row_sums for op in ops])
+    degree = basis.exponents.sum(axis=1)
+    return SimpleNamespace(
+        i=i, k=k, j=j, e=np.hypot(v.real, v.imag),
+        count=np.array([op.coupling_count for op in ops])[i],
+        decay_j=decay[i, j], decay_k=decay[i, k],
+        sums=col_sums[i, j] * row_sums[i, k],
+        degree=degree[j], same=degree[j] == degree[k],
+    )
+
+
+def _square(x):
+    """``x ** 2`` elementwise with Python's float power, which differs from
+    ``x * x`` in the last bit for about one value in a thousand."""
+    return np.fromiter((t**2 for t in x.tolist()), float, len(x))
+
+
+def _poly_ratios(p):
+    """xi-free polynomial-scheme ratio of every pair."""
+    return _square(p.count * p.e) / (p.decay_j * p.decay_k)
+
+
+def _scheme_ratios(p, n, scheme):
+    """``q_value`` of every pair under ``scheme``."""
+    if scheme.kind == "polynomial":
+        return _poly_ratios(p) / scheme.xi**2
+    D = (n * n - n) / 2.0
+    s, c = p.same, ~p.same
+    q = np.empty(len(s))
+    q[s] = _square(D * p.e[s]) / (p.decay_j[s] * p.decay_k[s]) / scheme.xi**2
+    q[c] = p.sums[c] / (p.decay_j[c] * p.decay_k[c]) / scheme.kappa**2
+    return q
+
+
+def _sup_by_degree(p, q, basis):
+    """Sup, its first pair, and per-degree maxima keyed by target degree;
+    all-zero degrees are left out, and a NaN ratio propagates to both."""
+    top = np.zeros(basis.max_degree + 1)
+    with np.errstate(invalid="ignore"):
+        np.maximum.at(top, p.degree, q)
+    by_degree = {int(d): float(top[d]) for d in np.flatnonzero(top)}
+    m = int(np.argmax(q)) if q.size else None
+    if m is None or q[m] == 0.0:
+        return 0.0, None, by_degree
+    arg = {"subsystem": int(p.i[m]), "k": int(p.k[m]), "j": int(p.j[m])}
+    return float(q[m]), arg, by_degree
 
 
 def _extrapolate(by_degree):
@@ -208,9 +210,12 @@ def _extrapolate(by_degree):
 
     Fits value = a + b / degree on the trailing window and keeps the fit
     only when it exceeds the computed maximum; returns (estimate, source)
-    with source either "computed" or "extrapolated".
+    with source either "computed" or "extrapolated".  The estimate is NaN
+    when some maximum is not finite.
     """
     items = [(d, v) for d, v in sorted(by_degree.items()) if d >= 2]
+    if not all(math.isfinite(v) for _, v in items):
+        return math.nan, "computed"
     computed = max((v for _, v in items), default=0.0)
     window = items[-8:]
     if len(window) < 3:
@@ -233,11 +238,8 @@ def check_poly_condition(ops, basis):
     The certificate condition of the uniform scheme holds (with radius 1)
     exactly when the supremum stays strictly below one.
     """
-
-    def value(i, op, k, j, e):
-        return (op.coupling_count * e) ** 2 / (op.re_decay[j] * op.re_decay[k])
-
-    sup, arg, by_degree = _by_degree_max(ops, basis, value)
+    p = _coupled_pairs(ops, basis)
+    sup, arg, by_degree = _sup_by_degree(p, _poly_ratios(p), basis)
     est, source = _extrapolate(by_degree)
     return {
         "q_sup": sup,
@@ -246,6 +248,7 @@ def check_poly_condition(ops, basis):
         "extrapolated": est,
         "source": source,
         "pass": bool(sup < 1.0),
+        "slack": 1.0 - sup,
     }
 
 
@@ -276,87 +279,95 @@ def dominance_xi_min(jacobians):
     return worst
 
 
+def _dd_ratios(p, n, xi, kappa):
+    """Same-degree and cross-degree dominance ratios of every pair, each
+    0.0 at the pairs of the other kind."""
+    D = (n * n - n) / 2.0
+    s, c = p.same, ~p.same
+    same, cross = np.zeros(len(s)), np.zeros(len(s))
+    same[s] = _square(D * p.e[s] / xi) / (p.decay_j[s] * p.decay_k[s])
+    cross[c] = p.sums[c] / (kappa**2 * p.decay_j[c] * p.decay_k[c])
+    return same, cross
+
+
 def check_dd_condition(ops, basis, jacobians, xi, kappa, rho):
     """Diagonal-dominance scheme test at radius ``rho``.
 
     Verifies the two Jacobian dominance inequalities at ``xi``, that every
     same-degree ratio is below one, and that the cross-degree ratio
     supremum (extrapolated past the truncation when increasing) stays
-    below 1 / rho^2.
+    below 1 / rho^2.  Any non-finite ratio fails the test.
     """
-    scheme = WeightScheme("diagonal_dominance", xi, kappa)
-    n = basis.dimension
+    WeightScheme("diagonal_dominance", xi, kappa)  # validates xi and kappa
     xi_min = dominance_xi_min(jacobians)
     dominance_ok = xi > xi_min or xi_min == 0.0
-    D = (n * n - n) / 2.0
-
-    def same_value(i, op, k, j, e):
-        if basis.degree(j) != basis.degree(k):
-            return 0.0
-        return (D * e / xi) ** 2 / (op.re_decay[j] * op.re_decay[k])
-
-    def cross_value(i, op, k, j, e):
-        if basis.degree(j) == basis.degree(k):
-            return 0.0
-        return (
-            op.col_sums[j]
-            * op.row_sums[k]
-            / (kappa**2 * op.re_decay[j] * op.re_decay[k])
-        )
-
-    same_sup, _, _ = _by_degree_max(ops, basis, same_value)
-    cross_sup, arg, by_degree = _by_degree_max(ops, basis, cross_value)
+    p = _coupled_pairs(ops, basis)
+    same, cross = _dd_ratios(p, basis.dimension, xi, kappa)
+    same_sup, _, _ = _sup_by_degree(p, same, basis)
+    cross_sup, arg, by_degree = _sup_by_degree(p, cross, basis)
     est, source = _extrapolate(by_degree)
-    lhs_sup = max(same_sup, est)
-    ok = (
-        dominance_ok
-        and same_sup < 1.0
-        and est * rho * rho < 1.0
-    )
-    return {
-        "pass": bool(ok),
+    record = {
         "dominance_ok": bool(dominance_ok),
         "xi_min": xi_min,
         "same_degree_sup": same_sup,
+        "same_degree_slack": 1.0 - same_sup,
         "cross_sup": cross_sup,
         "extrapolated": est,
         "source": source,
-        "lhs_sup": lhs_sup,
+        "lhs_sup": max(same_sup, est),
         "argmax": arg,
         "by_degree": by_degree,
     }
+    return _dd_at_radius(record, rho)
 
 
-def certified_radius_dd(ops, basis, jacobians, xi, kappa, iterations=40):
-    """Largest radius accepted by the dominance scheme, found by bisection.
+def _dd_at_radius(record, rho):
+    """The dominance record with its verdict and slack at radius ``rho``.
 
-    Returns (rho, detail) with detail the condition record at rho; rho is
-    0.0 when even arbitrarily small radii are rejected (dominance failure).
+    A non-finite sup or estimate fails its clause.  The slack
+    1/rho^2 - est is computed as (1 - est rho^2) / rho^2, whose sign
+    always agrees with the verdict of est rho^2 < 1.
+    """
+    if not 0 < rho <= 1:
+        raise ValueError("rho must lie in (0, 1]")
+    est = record["extrapolated"]
+    ok = (
+        record["dominance_ok"]
+        and record["same_degree_sup"] < 1.0
+        and est * rho * rho < 1.0
+    )
+    return {**record, "pass": bool(ok), "rho_slack": (1.0 - est * rho * rho) / rho**2}
+
+
+def certified_radius_dd(ops, basis, jacobians, xi, kappa):
+    """Largest radius accepted by the dominance scheme, and its record.
+
+    Only the clause est * rho^2 < 1 depends on rho, so one scan at rho = 1
+    settles the others and rho is the largest float r <= 1 with
+    est * r * r < 1.  When another clause fails or a ratio is not finite,
+    rho is 0.0 and the record is the failing one at rho = 1.
     """
     detail = check_dd_condition(ops, basis, jacobians, xi, kappa, 1.0)
     if detail["pass"]:
         return 1.0, detail
-    if not detail["dominance_ok"] or detail["same_degree_sup"] >= 1.0:
+    est = detail["extrapolated"]
+    if not (math.isfinite(est) and est >= 1.0):
         return 0.0, detail
-    lo, hi = 0.0, 1.0
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if check_dd_condition(ops, basis, jacobians, xi, kappa, mid)["pass"]:
-            lo = mid
-        else:
-            hi = mid
-    if lo == 0.0:
+    r = 1.0 / math.sqrt(est)
+    while est * r * r >= 1.0:
+        r = math.nextafter(r, 0.0)
+    while est * (up := math.nextafter(r, 2.0)) * up < 1.0:
+        r = up
+    at_r = _dd_at_radius(detail, r)
+    if not at_r["pass"]:
         return 0.0, detail
-    return lo, check_dd_condition(ops, basis, jacobians, xi, kappa, lo)
+    return r, at_r
 
 
 def scheme_ratio_scan(ops, basis, scheme):
     """Computed sup and per-degree maxima of the scheme-weighted ratio."""
-
-    def value(i, op, k, j, e):
-        return q_value(op, scheme, j, k)
-
-    return _by_degree_max(ops, basis, value)
+    p = _coupled_pairs(ops, basis)
+    return _sup_by_degree(p, _scheme_ratios(p, basis.dimension, scheme), basis)
 
 
 def epsilon_sequence(ops, basis, scheme, eta=0.5, rho=1.0):
@@ -530,16 +541,3 @@ class CommonLyapunovFunction:
                 break
             d += 1
         return tail
-
-
-def clf_evaluate(epsilon, P_inv, basis, z):
-    """Value and truncation-tail estimate of the certificate at ``z``.
-
-    Requires the flag coordinates of z to lie inside the open unit
-    polydisk, where the monomial series makes sense.
-    """
-    clf = CommonLyapunovFunction(epsilon, P_inv, basis)
-    zh = clf.hat(np.asarray(z, dtype=complex))
-    if np.max(np.abs(zh)) >= 1.0:
-        raise ValueError("point lies outside the unit polydisk in flag coordinates")
-    return clf.value(z), clf.tail_estimate(z)

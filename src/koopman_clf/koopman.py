@@ -98,15 +98,7 @@ class KoopmanMatrix:
                 return False
         return True
 
-    def row_abs_sum(self, j):
-        """Absolute column sum sum_l |entry(l, j)| feeding basis position j.
-
-        Exact under truncation: contributors satisfy |alpha(l)| <= |alpha(j)|
-        and therefore all lie inside the basis.
-        """
-        return float(sum(abs(v) for _, v in self.column_support(j)))
-
-    def col_abs_sum(self, k):
+    def row_abs_sum(self, k):
         """Absolute row sum over the full infinite basis,
 
             sum_j |entry(k, j)| <= sum_l alpha_l(k) * ||F_l||_{l1},
@@ -123,6 +115,14 @@ class KoopmanMatrix:
                 if ak[l]
             )
         )
+
+    def col_abs_sum(self, j):
+        """Absolute column sum sum_l |entry(l, j)| feeding basis position j.
+
+        Exact under truncation: contributors satisfy |alpha(l)| <= |alpha(j)|
+        and therefore all lie inside the basis.
+        """
+        return float(sum(abs(v) for _, v in self.column_support(j)))
 
 
 def build_matrix(field_, basis):

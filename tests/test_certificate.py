@@ -12,7 +12,6 @@ from koopman_clf.certificate import (
     certified_radius_dd,
     check_dd_condition,
     check_poly_condition,
-    clf_evaluate,
     convergence_check,
     decay_ratio,
     degree_maxima,
@@ -20,8 +19,6 @@ from koopman_clf.certificate import (
     epsilon_sequence,
     q_value,
     scheme_ratio_scan,
-    weight_row_sum,
-    weights,
 )
 from koopman_clf.koopman import entry
 from koopman_clf.multiindex import build_basis
@@ -99,6 +96,48 @@ def test_build_operator_rejects_bad_fields():
 # weights --------------------------------------------------------------------
 
 
+def weights(scheme, op, j, k):
+    """Weight b_jk of the scheme for basis positions j, k (may be equal).
+
+    The b-split behind ``q_value``: Q_jk = |entry|^2 / (4 |Re lam_j|
+    |Re lam_k| b_jk b_kj).
+    """
+    basis = op.kmat.basis
+    n = basis.dimension
+    if j == k:
+        if scheme.kind == "polynomial":
+            return 1.0 - scheme.xi
+        return 1.0 - scheme.xi - scheme.kappa
+    coupled = op.kmat.entry(k, j) != 0 or op.kmat.entry(j, k) != 0
+    if not coupled:
+        return 0.0
+    if scheme.kind == "polynomial":
+        return scheme.xi / (2.0 * op.coupling_count)
+    dj, dk = basis.degree(j), basis.degree(k)
+    if dj == dk:
+        return scheme.xi / float(n * n - n)
+    if dk < dj:
+        # incoming coupling: share of the absolute sum feeding position j
+        e = abs(op.kmat.entry(k, j))
+        return 0.5 * scheme.kappa * e / op.col_sums[j]
+    # outgoing coupling toward higher degree
+    e = abs(op.kmat.entry(j, k))
+    return 0.5 * scheme.kappa * e / op.row_sums[j]
+
+
+def weight_row_sum(scheme, op, j):
+    """sum_k b_jk over the realized support of row j (k inside the basis)."""
+    total = weights(scheme, op, j, j)
+    kmat = op.kmat
+    partners = set()
+    cols, _ = kmat.rows[j - 1]
+    partners.update(int(c) for c in cols if c != j)
+    partners.update(k for k, _ in kmat.column_support(j) if k != j)
+    for k in sorted(partners):
+        total += weights(scheme, op, j, k)
+    return total
+
+
 def test_polynomial_weights_split_the_budget_uniformly():
     basis = build_basis(2, 6)
     ops = polynomial_pair_ops(basis)
@@ -173,6 +212,7 @@ def test_poly_condition_value_and_per_degree_profile():
     cond = check_poly_condition(polynomial_pair_ops(basis, a, b), basis)
     assert cond["pass"]
     assert cond["q_sup"] == pytest.approx(9 * b * b * (N - 1) / (a * a * N), abs=1e-10)
+    assert cond["slack"] == 1.0 - cond["q_sup"]
     for d, v in cond["by_degree"].items():
         if d >= 2:
             assert v == pytest.approx(9 * b * b * (d - 1) / (a * a * d), abs=1e-10)
@@ -186,6 +226,7 @@ def test_poly_condition_fails_for_strong_coupling():
     cond = check_poly_condition(polynomial_pair_ops(basis, 1.0, 0.5), basis)
     assert not cond["pass"]
     assert cond["q_sup"] == pytest.approx(2.0625, abs=1e-10)
+    assert cond["slack"] < 0.0
 
 
 def test_poly_condition_sup_matches_bruteforce_scan():
@@ -234,7 +275,9 @@ def test_dd_on_linear_family_certifies_full_disk():
     assert detail["pass"]
     # same-degree ratio is flat in the degree: (0.6 / 0.9)^2
     assert detail["same_degree_sup"] == pytest.approx((0.6 / 0.9) ** 2)
+    assert detail["same_degree_slack"] == 1.0 - detail["same_degree_sup"]
     assert detail["cross_sup"] == 0.0
+    assert detail["rho_slack"] == 1.0 - detail["extrapolated"]
 
 
 def test_dd_dominance_failure_gives_zero_radius():
@@ -270,6 +313,56 @@ def test_dd_radius_is_the_transition_point():
     assert 0.0 < rho < 1.0
     assert check_dd_condition(ops, basis, jacs, 1e-6, 0.97, rho * 0.999)["pass"]
     assert not check_dd_condition(ops, basis, jacs, 1e-6, 0.97, rho * 1.001)["pass"]
+
+
+@pytest.mark.parametrize("mu, degree", [(2.4, 16), (3.0, 12)])
+def test_dd_radius_is_the_last_float_that_passes(mu, degree):
+    basis = build_basis(2, degree)
+    f1, f2 = analytic_pair(mu, degree)
+    ops = [build_operator(f1, basis), build_operator(f2, basis)]
+    jacs = [f.jacobian_at_origin() for f in (f1, f2)]
+    xi, kappa = 1e-6, 0.98 * (1 - 1e-6)
+    rho, detail = certified_radius_dd(ops, basis, jacs, xi, kappa)
+    assert 0.0 < rho < 1.0
+    assert detail == check_dd_condition(ops, basis, jacs, xi, kappa, rho)
+    assert detail["pass"]
+    assert detail["rho_slack"] > 0.0
+    above = check_dd_condition(ops, basis, jacs, xi, kappa, math.nextafter(rho, 2.0))
+    assert not above["pass"]
+    assert above["rho_slack"] <= 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_dd_radius_fails_closed_on_non_finite_ratios(bad):
+    # a stored same-degree coupling entry feeds the same-degree ratio
+    basis = build_basis(2, 6)
+    ops, jacs = linear_nonnormal_ops(basis)
+    assert certified_radius_dd(ops, basis, jacs, 0.9, 0.05)[0] == 1.0
+    k = basis.index_of((1, 1))
+    cols, vals = ops[0].kmat.rows[k - 1]
+    vals[np.searchsorted(cols, basis.index_of((0, 2)))] = bad
+    rho, detail = certified_radius_dd(ops, basis, jacs, 0.9, 0.05)
+    assert rho == 0.0
+    assert not detail["pass"]
+    assert not check_poly_condition(ops, basis)["pass"]
+    # a column sum feeds the cross-degree ratios and their extrapolation
+    basis = build_basis(2, 12)
+    f1, f2 = analytic_pair(3.0, 12)
+    ops = [build_operator(f1, basis), build_operator(f2, basis)]
+    jacs = [f.jacobian_at_origin() for f in (f1, f2)]
+    assert certified_radius_dd(ops, basis, jacs, 1e-6, 0.97)[0] > 0.0
+    ops[1].col_sums[basis.index_of((3, 1))] = bad
+    rho, detail = certified_radius_dd(ops, basis, jacs, 1e-6, 0.97)
+    assert rho == 0.0
+    assert not detail["pass"]
+
+
+def test_dd_condition_rejects_radius_outside_unit_interval():
+    basis = build_basis(2, 4)
+    ops, jacs = linear_nonnormal_ops(basis)
+    for rho in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError):
+            check_dd_condition(ops, basis, jacs, 0.9, 0.05, rho)
 
 
 # extrapolation --------------------------------------------------------------
@@ -437,6 +530,19 @@ def test_convergence_check_validates_input():
 
 
 # evaluation of the certificate ----------------------------------------------
+
+
+def clf_evaluate(epsilon, P_inv, basis, z):
+    """Value and truncation-tail estimate of the certificate at ``z``.
+
+    Requires the flag coordinates of z to lie inside the open unit
+    polydisk, where the monomial series makes sense.
+    """
+    clf = CommonLyapunovFunction(epsilon, P_inv, basis)
+    zh = clf.hat(np.asarray(z, dtype=complex))
+    if np.max(np.abs(zh)) >= 1.0:
+        raise ValueError("point lies outside the unit polydisk in flag coordinates")
+    return clf.value(z), clf.tail_estimate(z)
 
 
 def test_clf_value_matches_direct_series_sum():

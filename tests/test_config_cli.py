@@ -124,6 +124,32 @@ def test_cli_example1_analyze_certifies(tmp_path, capsys):
     assert data["epsilon"][0] == 1.0
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token} in JSON")
+
+
+@pytest.mark.parametrize("example", ["example1", "example2"])
+def test_cli_analyze_reports_finite_condition_slack(tmp_path, example):
+    cfg = tmp_path / "sys.json"
+    rpt = tmp_path / "report.json"
+    assert main([example, "--out", str(cfg)]) == 0
+    assert main(
+        ["analyze", "--config", str(cfg), "--degree", "12", "--out", str(rpt)]
+    ) == 0
+    data = json.loads(rpt.read_text(), parse_constant=_reject_constant)
+    if example == "example1":
+        cond = data["poly_condition"]
+        assert cond["slack"] == 1.0 - cond["q_sup"] > 0.0
+    else:
+        cond = data["dd_condition"]
+        rho = data["rho_certified"]
+        assert cond["same_degree_slack"] == 1.0 - cond["same_degree_sup"] > 0.0
+        assert cond["rho_slack"] == pytest.approx(
+            1.0 / rho**2 - cond["extrapolated"], abs=1e-12
+        )
+        assert cond["rho_slack"] > 0.0
+
+
 def test_cli_analyze_reports_scheme_failure(tmp_path, capsys):
     cfg = tmp_path / "sys.json"
     assert main(["example1", "--b", "0.5", "--out", str(cfg)]) == 0

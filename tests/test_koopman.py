@@ -199,7 +199,7 @@ def test_column_sum_collects_entries_feeding_a_position():
     want = sum(
         abs(entry(f2, basis, k, j)) for k in range(1, basis.size + 1)
     )
-    assert abs(kmat.row_abs_sum(j) - want) < 1e-14
+    assert abs(kmat.col_abs_sum(j) - want) < 1e-14
 
 
 def test_row_sum_uses_exact_tail_norms():
@@ -218,7 +218,7 @@ def test_row_sum_uses_exact_tail_norms():
     for k in (1, 5, basis.size):
         ak = basis.alpha(k)
         want = ak[0] * (1.0 + c_minus / mu) + ak[1] * 1.0
-        assert abs(kmat.col_abs_sum(k) - want) < 1e-14
+        assert abs(kmat.row_abs_sum(k) - want) < 1e-14
 
 
 def test_diagonal_eigenvalues_match_exponent_weighted_spectrum():
