@@ -33,6 +33,10 @@ print("audit of the polynomial pair certificate:")
 print(f"  signals x points: {summary.signals} x {summary.points}")
 print(f"  sample radius:    {summary.sample_radius}")
 print(f"  max relative V increase: {summary.max_v_increase!r}")
+at = summary.worst_decay_at
+print(f"  slowest decay of V: {summary.worst_decay_rate:.3f} per unit time "
+      f"(signal {at['signal']}, point {at['point']}, t = {at['time']:.2f}, "
+      f"subsystem {at['subsystem'] + 1})")
 print(f"  escapes: {summary.escapes},  converged: "
       f"{100 * summary.fraction_converged:.0f}%  -> passed: {summary.passed}")
 

@@ -41,7 +41,6 @@ from .vectorfield import (
     PolyVectorField,
     SwitchedFamily,
     boundary_invariance_check,
-    integrate_flow,
     lie_bracket,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "epsilon_sequence",
     "example1_config",
     "example2_config",
-    "integrate_flow",
     "integrate_switched",
     "is_solvable",
     "lie_bracket",

@@ -492,10 +492,11 @@ class CommonLyapunovFunction:
         self.P_inv = np.asarray(P_inv, dtype=complex)
         self.basis = basis
         self.ratio = decay_ratio(self.epsilon, basis) if ratio is None else ratio
-        self._exps = basis.exponents[1:]
-        self._max_pow = int(self._exps.max())
-        m = degree_maxima(self.epsilon, basis)
+        # degree grid: G[alpha] = eps_k at alpha = alpha(k), zero elsewhere
         N = basis.max_degree
+        self._grid = np.zeros((N + 1,) * basis.dimension)
+        self._grid[tuple(basis.exponents[1:].T)] = self.epsilon
+        m = degree_maxima(self.epsilon, basis)
         self._m_ref = float(max(m[N - 1], m[N - 2] if N >= 2 else m[N - 1]))
 
     def hat(self, z):
@@ -506,18 +507,28 @@ class CommonLyapunovFunction:
 
     def value_batch(self, Z, hat=False):
         """V at a batch of points (B, n); set hat=True when Z is already
-        in flag coordinates."""
+        in flag coordinates.
+
+        The weight grid is contracted with the power tables |z_c|^(2p),
+        p = 0..N, one coordinate axis at a time; for n = 2 this is
+        rowsum((X_1 @ G) * X_2).  The tables are laid out (power, coord,
+        point) so every operation runs over contiguous rows of points.
+        """
         Z = np.asarray(Z, dtype=complex)
-        W = np.abs(Z if hat else self.hat(Z)) ** 2  # (B, n) real
-        B, n = W.shape
-        acc = np.ones((B, self._exps.shape[0]))
-        for c in range(n):
-            t = np.empty((B, self._max_pow + 1))
-            t[:, 0] = 1.0
-            for p in range(1, self._max_pow + 1):
-                t[:, p] = t[:, p - 1] * W[:, c]
-            acc *= t[:, self._exps[:, c]]
-        return acc @ self.epsilon
+        W = (np.abs(Z if hat else self.hat(Z)) ** 2).T  # (n, B) real
+        n, B = W.shape
+        G = self._grid
+        X = np.empty((G.shape[0], n, B))
+        X[0] = 1.0
+        X[1] = W
+        for p in range(2, G.shape[0]):
+            np.multiply(X[p - 1], W, out=X[p])
+        acc = G.reshape(G.shape[0], -1).T @ X[:, 0]
+        for c in range(1, n):
+            acc = acc.reshape(G.shape[0], -1, B)
+            acc *= X[:, c, None]
+            acc = acc.sum(axis=0)
+        return acc[0]
 
     def value(self, z):
         return float(self.value_batch(np.asarray(z, dtype=complex)[None, :])[0])

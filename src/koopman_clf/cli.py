@@ -9,14 +9,19 @@ Subcommands: ``analyze`` (run the certificate pipeline on a config),
 Exit codes: analyze returns 0 on a certificate, 2 when the Jacobian
 algebra is unsolvable, 3 when the scheme condition (or the stability
 assumption) fails, 4 when the weight series diverges.  simulate returns
-5 when the audit flags a violation.  selftest returns 1 on failure.
-Usage and config errors exit with 2 via the argument parser.
+5 when the audit flags a violation, including a state or a value of V
+that stops being finite (one line on stderr, no summary); its summary is
+strict JSON.  selftest returns 1 on failure.  Usage and config errors,
+non-finite simulation parameters among them, exit with 2 via the
+argument parser.
 """
 
 import argparse
 import json
 import math
 import sys
+
+import numpy as np
 
 from . import koopman
 from .analysis import (
@@ -36,6 +41,7 @@ from .switchsim import (
     random_signal,
     sample_initial_points,
 )
+from .vectorfield import NonFiniteStateError
 
 
 def _write_text(path, text):
@@ -114,20 +120,30 @@ def cmd_simulate(parser, args):
     if signals < 1:
         parser.error("trials must be >= 1")
     family = cfg.build_family()
-    summary = audit_certificate(
-        family,
-        report,
-        signals=signals,
-        points=args.points if args.points is not None else sim.points,
-        seed=seed,
-        dt=dt,
-        horizon=sim.horizon,
-        min_dwell=sim.min_dwell,
-        max_dwell=sim.max_dwell,
-    )
+    # overflow ends in NonFiniteStateError; numpy's warnings would only
+    # repeat it
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary = audit_certificate(
+                family,
+                report,
+                signals=signals,
+                points=args.points if args.points is not None else sim.points,
+                seed=seed,
+                dt=dt,
+                horizon=sim.horizon,
+                min_dwell=sim.min_dwell,
+                max_dwell=sim.max_dwell,
+            )
+    except ValueError as exc:
+        parser.error(str(exc))
+    except NonFiniteStateError as exc:
+        sys.stderr.write(f"audit failed: {exc}\n")
+        return 5
     _write_text(
         args.out,
-        json.dumps(summary.to_json_dict(), sort_keys=True, indent=2) + "\n",
+        json.dumps(summary.to_json_dict(), sort_keys=True, indent=2, allow_nan=False)
+        + "\n",
     )
     if args.trace is not None:
         basis = build_basis(report.dimension, report.truncation_degree)
@@ -143,7 +159,14 @@ def cmd_simulate(parser, args):
         sig = random_signal(
             len(family), sim.horizon, sim.min_dwell, sim.max_dwell, seed=seed
         )
-        run = integrate_switched(family, sig, (report.P @ pts[0]), dt=dt, clf=clf)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                run = integrate_switched(
+                    family, sig, (report.P @ pts[0]), dt=dt, clf=clf
+                )
+        except NonFiniteStateError as exc:
+            sys.stderr.write(f"trace failed: {exc}\n")
+            return 5
         with open(args.trace, "w") as fh:
             export_run_csv(run, fh)
     return 0 if summary.passed else 5

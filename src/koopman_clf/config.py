@@ -25,6 +25,9 @@ class SimulationParams:
     max_dwell: float = 1.0
 
     def __post_init__(self):
+        for name in ("dt", "horizon", "min_dwell", "max_dwell"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"simulation.{name} must be finite")
         if self.dt <= 0 or self.horizon < 0:
             raise ValueError("need dt > 0 and horizon >= 0")
         if self.trials < 1 or self.points < 1:

@@ -3,30 +3,29 @@
 Switching signals are piecewise-constant subsystem selections with dwell
 times drawn from a seeded generator.  Integration uses fixed-step RK4,
 shortening the last step of each segment so switch instants are hit
-exactly.  The audit drives batches of trajectories and checks that the
-certified function never increases along any of them.
+exactly.  One kernel integrates every signal from every initial point as
+a single batch; the audit runs it over many signals and checks that the
+certified function never increases along any trajectory, and a single
+recorded trajectory is the same kernel with one signal and one point.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .certificate import CommonLyapunovFunction
 from .multiindex import build_basis
-from .vectorfield import flow_step, halton, _PRIMES
+from .vectorfield import NonFiniteStateError, flow_step, halton, _PRIMES
 
 ESCAPE_TOL = 1e-12
 
 
-def thread_count():
-    """Worker cap from KOOPMAN_CLF_THREADS; defaults to sequential."""
-    try:
-        return max(1, int(os.environ.get("KOOPMAN_CLF_THREADS", "1")))
-    except ValueError:
-        return 1
+def _require_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +63,7 @@ def random_signal(num_subsystems, horizon, min_dwell=0.05, max_dwell=1.0, seed=0
     """
     if num_subsystems < 1:
         raise ValueError("need at least one subsystem")
+    _require_finite(horizon=horizon, min_dwell=min_dwell, max_dwell=max_dwell)
     if min_dwell <= 0:
         raise ValueError("min_dwell must be positive")
     if max_dwell < min_dwell:
@@ -98,6 +98,88 @@ def _segment_steps(duration, dt):
     return n_full, rem
 
 
+def _step_plan(signal, dt):
+    """RK4 steps of ``signal`` as arrays: h, subsystem, time at step end."""
+    _require_finite(dt=dt)
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    plan, t_start = [(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))], 0.0
+    for dur, sub, end in zip(signal.durations, signal.subsystems, signal.boundaries):
+        n_full, rem = _segment_steps(dur, dt)
+        h = np.array([dt] * n_full + ([rem] if rem else []))
+        t = t_start + np.arange(1, len(h) + 1) * dt
+        t[-1:] = end  # the last step lands on the switch
+        plan.append((h, np.full(len(h), sub), t))
+        t_start = float(end)
+    return tuple(np.concatenate(column) for column in zip(*plan))
+
+
+def _integrate(family, plans, points, clf=None, record=False):
+    """Integrate every point under every step plan as one (S*P, n) batch.
+
+    Row s*P + p follows plans[s] from points[p] while that plan has steps
+    left.  A step gives each subsystem active on a live row one
+    ``flow_step`` over its rows; V and the escape test then run once.
+    Returns the final states, escape flags and times, the largest relative
+    one-step V increase, the largest rate (V_next - V) / (h V) with where
+    it occurs, and with ``record`` the states and V after every step.
+    """
+    S, P = len(plans), len(points)
+    counts = np.array([len(plan[0]) for plan in plans])
+    L, all_live = int(counts.max()), int(counts.min())
+    H, SUB, T = (  # each (L, S), padded with zeros
+        np.stack([np.pad(c, (0, L - len(c))) for c in column], axis=1)
+        for column in zip(*plans)
+    )
+    one_h = (H == H[:, :1]).all(axis=1).tolist()
+    # the rows of each subsystem change only at a switch or where a plan ends
+    regroup = np.r_[True, (SUB[1:] != SUB[:-1]).any(axis=1)]
+    regroup[counts[counts < L]] = True
+    Z = np.tile(np.asarray(points, dtype=complex), (S, 1))
+    Zh = Z if clf is None else clf.hat(Z)
+    v = None if clf is None else clf.value_batch(Zh, hat=True)
+    escape_time = np.where(np.abs(Zh).max(axis=1) >= 1.0 - ESCAPE_TOL, 0.0, np.nan)
+    max_rel, worst, worst_at = 0.0, None, None
+    states, values = [Z.copy()], [v]
+    for l in range(L):
+        if regroup[l]:
+            live = np.flatnonzero(np.repeat(counts > l, P))
+            rows = slice(None) if l < all_live else live
+            sub = SUB[l, live // P]
+            subs = np.unique(sub)  # a lone subsystem takes ``rows``, maybe a slice
+            groups = [(i, rows if len(subs) == 1 else live[sub == i]) for i in subs]
+        h = float(H[l, 0]) if one_h[l] else np.repeat(H[l], P)
+        for i, idx in groups:
+            Z[idx] = flow_step(family[i], Z[idx], h if one_h[l] else h[idx, None])
+        Zh = Z if clf is None else clf.hat(Z)
+        if np.abs(Zh).max() >= 1.0 - ESCAPE_TOL:
+            out = np.abs(Zh[rows]).max(axis=1) >= 1.0 - ESCAPE_TOL
+            new = live[out & np.isnan(escape_time[rows])]
+            escape_time[new] = T[l, new // P]
+        if clf is not None:
+            v, v_prev = clf.value_batch(Zh, hat=True), v
+            rel = (v[rows] - v_prev[rows]) / np.maximum(v_prev[rows], 1e-300)
+            rate = rel / (h if one_h[l] else h[rows])
+            i = int(rate.argmax())  # argmax stops at the first NaN
+            s, p = divmod(int(live[i]), P)
+            if not math.isfinite(rate[i]):
+                raise NonFiniteStateError(f"non-finite V at t={float(T[l, s])!r}")
+            max_rel = max(max_rel, float(rel.max()))
+            if worst is None or rate[i] > worst:
+                worst, worst_at = float(rate[i]), dict(
+                    signal=s, point=p, time=float(T[l, s]), subsystem=int(SUB[l, s])
+                )
+        if record:
+            states.append(Z.copy())
+            values.append(v)
+    return SimpleNamespace(
+        Z=Z, escaped=~np.isnan(escape_time), escape_time=escape_time, max_rel=max_rel,
+        worst_rate=worst, worst_at=worst_at,
+        states=np.array(states) if record else None,
+        values=np.array(values) if record and clf is not None else None,
+    )
+
+
 @dataclass
 class SwitchedRun:
     """One integrated trajectory with optional certificate values."""
@@ -126,52 +208,20 @@ def integrate_switched(family, signal, z0, dt=1e-3, clf=None):
     flag coordinates when the certificate provides them) sets ``escaped``
     instead of raising.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     z = np.asarray(z0, dtype=complex).reshape(1, -1)
     if z.shape[1] != family.dimension:
         raise ValueError("initial point dimension mismatch")
-    hat = (lambda Z: clf.hat(Z)) if clf is not None else (lambda Z: Z)
-    times = [0.0]
-    states = [z[0].copy()]
-    active = [signal.subsystems[0] if len(signal) else 0]
-    v_values = [float(clf.value_batch(z)[0])] if clf is not None else None
-    max_rel = 0.0 if clf is not None else None
-    escaped = bool(np.max(np.abs(hat(z))) >= 1.0 - ESCAPE_TOL)
-    escape_time = 0.0 if escaped else None
-    boundaries = signal.boundaries
-    t_start = 0.0
-    for seg in range(len(signal)):
-        fld = family[signal.subsystems[seg]]
-        dur = signal.durations[seg]
-        end = float(boundaries[seg])
-        n_full, rem = _segment_steps(dur, dt)
-        plan = [dt] * n_full + ([rem] if rem else [])
-        for s, h in enumerate(plan):
-            z = flow_step(fld, z, h)
-            is_last = s == len(plan) - 1
-            t = end if is_last else t_start + (s + 1) * dt
-            times.append(t)
-            states.append(z[0].copy())
-            active.append(signal.subsystems[seg])
-            if clf is not None:
-                v = float(clf.value_batch(z)[0])
-                rel = (v - v_values[-1]) / max(v_values[-1], 1e-300)
-                max_rel = max(max_rel, rel)
-                v_values.append(v)
-            if not escaped and np.max(np.abs(hat(z))) >= 1.0 - ESCAPE_TOL:
-                escaped = True
-                escape_time = t
-        t_start = end
+    _, sub, t = plan = _step_plan(signal, dt)
+    run = _integrate(family, [plan], z, clf, record=True)
     return SwitchedRun(
         signal=signal,
-        times=np.array(times),
-        states=np.array(states),
-        active=np.array(active, dtype=int),
-        v_values=None if v_values is None else np.array(v_values),
-        max_v_increase=max_rel,
-        escaped=escaped,
-        escape_time=escape_time,
+        times=np.concatenate(([0.0], t)),
+        states=run.states[:, 0],
+        active=np.concatenate(([signal.subsystems[0] if len(signal) else 0], sub)),
+        v_values=None if clf is None else run.values[:, 0],
+        max_v_increase=None if clf is None else run.max_rel,
+        escaped=bool(run.escaped[0]),
+        escape_time=float(run.escape_time[0]) if run.escaped[0] else None,
     )
 
 
@@ -222,7 +272,14 @@ def sample_initial_points(dimension, radius, count, seed):
 
 @dataclass(frozen=True)
 class AuditSummary:
-    """Aggregate outcome of a simulation audit of one certificate."""
+    """Aggregate outcome of a simulation audit of one certificate.
+
+    ``worst_decay_rate`` is the largest (V_next - V) / (h V) over all
+    steps, so a negative value is the margin by which V decreased even at
+    its slowest; ``worst_decay_at`` gives the signal index, point index,
+    time at the end of that step and its subsystem.  Both are None when
+    the audit took no step.
+    """
 
     signals: int
     points: int
@@ -232,6 +289,8 @@ class AuditSummary:
     rho: float
     sample_radius: float
     max_v_increase: float
+    worst_decay_rate: float
+    worst_decay_at: dict
     final_norm_max: float
     fraction_converged: float
     escapes: int
@@ -240,6 +299,7 @@ class AuditSummary:
     passed: bool
 
     def to_json_dict(self):
+        at = self.worst_decay_at
         return {
             "kind": "audit_summary",
             "signals": int(self.signals),
@@ -250,6 +310,16 @@ class AuditSummary:
             "rho": float(self.rho),
             "sample_radius": float(self.sample_radius),
             "max_v_increase": float(self.max_v_increase),
+            "worst_decay_rate": (
+                None if self.worst_decay_rate is None
+                else float(self.worst_decay_rate)
+            ),
+            "worst_decay_at": None if at is None else {
+                "signal": int(at["signal"]),
+                "point": int(at["point"]),
+                "time": float(at["time"]),
+                "subsystem": int(at["subsystem"]),
+            },
             "final_norm_max": float(self.final_norm_max),
             "fraction_converged": float(self.fraction_converged),
             "escapes": int(self.escapes),
@@ -257,28 +327,6 @@ class AuditSummary:
             "convergence_tol": float(self.convergence_tol),
             "passed": bool(self.passed),
         }
-
-
-def _audit_one_signal(family, clf, P, signal, points, dt):
-    Z = points @ P.T  # flag samples back to original coordinates
-    Zh = clf.hat(Z)
-    v_prev = clf.value_batch(Zh, hat=True)
-    max_rel = 0.0
-    escaped = np.abs(Zh).max(axis=1) >= 1.0 - ESCAPE_TOL
-    for seg in range(len(signal)):
-        fld = family[signal.subsystems[seg]]
-        n_full, rem = _segment_steps(signal.durations[seg], dt)
-        plan = [dt] * n_full + ([rem] if rem else [])
-        for h in plan:
-            Z = flow_step(fld, Z, h)
-            Zh = clf.hat(Z)
-            v = clf.value_batch(Zh, hat=True)
-            rel = np.max((v - v_prev) / np.maximum(v_prev, 1e-300))
-            max_rel = max(max_rel, float(rel))
-            v_prev = v
-            escaped |= np.abs(Zh).max(axis=1) >= 1.0 - ESCAPE_TOL
-    final_norms = np.abs(Z).max(axis=1)
-    return max_rel, int(np.sum(escaped)), final_norms
 
 
 def audit_certificate(
@@ -293,7 +341,6 @@ def audit_certificate(
     max_dwell=1.0,
     slack=1e-9,
     convergence_tol=1e-3,
-    threads=None,
 ):
     """Simulation audit of a certificate over seeded switching signals.
 
@@ -301,7 +348,8 @@ def audit_certificate(
     initial states inside the polydisk of radius 0.95 * rho (flag
     coordinates), monitoring the certified function at every step.  The
     audit passes when V never increases beyond ``slack`` (relative) and no
-    trajectory leaves the unit polydisk.
+    trajectory leaves the unit polydisk.  Raises NonFiniteStateError when
+    a state or a value of V stops being finite.
     """
     if signals < 1 or points < 1:
         raise ValueError("signals and points must be >= 1")
@@ -318,24 +366,19 @@ def audit_certificate(
     rho = float(report.rho_certified)
     radius = 0.95 * rho
     pts = sample_initial_points(n, radius, points, seed)
-    sigs = [
-        random_signal(len(family), horizon, min_dwell, max_dwell, seed=seed + 7919 * s)
+    plans = [
+        _step_plan(
+            random_signal(
+                len(family), horizon, min_dwell, max_dwell, seed=seed + 7919 * s
+            ),
+            dt,
+        )
         for s in range(signals)
     ]
-    workers = thread_count() if threads is None else max(1, int(threads))
-
-    def job(s):
-        return _audit_one_signal(family, clf, P, sigs[s], pts, dt)
-
-    if workers == 1:
-        results = [job(s) for s in range(signals)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, range(signals)))
-    max_rel = max(r[0] for r in results)
-    escapes = sum(r[1] for r in results)
-    final_norms = np.concatenate([r[2] for r in results])
-    fraction = float(np.mean(final_norms < convergence_tol))
+    # flag samples back to original coordinates
+    run = _integrate(family, plans, pts @ P.T, clf)
+    escapes = int(run.escaped.sum())
+    final_norms = np.abs(run.Z).max(axis=1)
     return AuditSummary(
         signals=signals,
         points=points,
@@ -344,11 +387,13 @@ def audit_certificate(
         seed=int(seed),
         rho=rho,
         sample_radius=radius,
-        max_v_increase=max_rel,
+        max_v_increase=run.max_rel,
+        worst_decay_rate=run.worst_rate,
+        worst_decay_at=run.worst_at,
         final_norm_max=float(final_norms.max()),
-        fraction_converged=fraction,
+        fraction_converged=float(np.mean(final_norms < convergence_tol)),
         escapes=escapes,
         slack=float(slack),
         convergence_tol=float(convergence_tol),
-        passed=bool(max_rel <= slack and escapes == 0),
+        passed=bool(run.max_rel <= slack and escapes == 0),
     )

@@ -244,7 +244,10 @@ def lie_bracket(F, G):
 
 
 def flow_step(field, z, dt):
-    """One classical Runge-Kutta step of z' = F(z); works on batches."""
+    """One classical Runge-Kutta step of z' = F(z); works on batches.
+
+    ``dt`` is a scalar or a (B, 1) array of per-row steps.
+    """
     z = np.asarray(z, dtype=complex)
     k1 = field.evaluate(z)
     k2 = field.evaluate(z + 0.5 * dt * k1)
@@ -252,21 +255,10 @@ def flow_step(field, z, dt):
     k4 = field.evaluate(z + dt * k3)
     out = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out.view(float))):
-        raise NonFiniteStateError(f"non-finite state after step dt={dt}")
+        raise NonFiniteStateError(
+            f"non-finite state after an RK4 step (dt up to {float(np.max(dt))!r})"
+        )
     return out
-
-
-def integrate_flow(field, z0, t_final, dt=1e-3):
-    """Integrate a single field to t_final; the last step is shortened."""
-    if t_final < 0 or dt <= 0:
-        raise ValueError("need t_final >= 0 and dt > 0")
-    z = np.asarray(z0, dtype=complex)
-    t = 0.0
-    while t < t_final - 1e-15:
-        h = min(dt, t_final - t)
-        z = flow_step(field, z, h)
-        t += h
-    return z
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -604,3 +604,34 @@ def test_clf_batch_matches_scalar_values():
     batch = clf.value_batch(Z)
     for i in range(9):
         assert batch[i] == pytest.approx(clf.value(Z[i]), rel=1e-12)
+
+
+def gathered_power_values(clf, Z):
+    """V as a product of gathered power-table columns per monomial."""
+    W = np.abs(clf.hat(Z)) ** 2
+    exps = clf.basis.exponents[1:]
+    top = int(exps.max())
+    acc = np.ones((W.shape[0], exps.shape[0]))
+    for c in range(W.shape[1]):
+        t = np.empty((W.shape[0], top + 1))
+        t[:, 0] = 1.0
+        for p in range(1, top + 1):
+            t[:, p] = t[:, p - 1] * W[:, c]
+        acc *= t[:, exps[:, c]]
+    return acc @ clf.epsilon
+
+
+@pytest.mark.parametrize("n,N", [(1, 12), (2, 12), (2, 30), (3, 7)])
+def test_clf_degree_grid_matches_gathered_powers(n, N):
+    basis = build_basis(n, N)
+    rng = np.random.default_rng(n * 100 + N)
+    eps = rng.uniform(0.01, 1.0, basis.size)
+    P_inv = np.eye(n) + np.triu(0.3 * rng.normal(size=(n, n)), 1)
+    clf = CommonLyapunovFunction(eps, P_inv, basis)
+    Z = 0.45 * (rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n)))
+    want = gathered_power_values(clf, Z)
+    got = clf.value_batch(Z)
+    assert got.shape == (40,)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-13)
+    assert np.array_equal(clf.value_batch(clf.hat(Z), hat=True), got)

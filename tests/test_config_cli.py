@@ -333,3 +333,74 @@ def test_module_entry_point_runs_selftest():
     )
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") == 4
+
+
+def _simulate_with(tmp_path, simulation, extra=()):
+    """Analyze the linear pair, then run simulate with the given
+    simulation block (written as JSON, NaN and Infinity allowed)."""
+    cfg = linear_nonnormal_config()
+    cfg_path = tmp_path / "sys.json"
+    cfg_path.write_text(cfg.to_json())
+    rpt = tmp_path / "report.json"
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(rpt)]) == 0
+    data = cfg.to_json_dict()
+    data["simulation"].update(simulation)
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "audit.json"
+    argv = ["simulate", "--config", str(cfg_path), "--report", str(rpt),
+            "--out", str(out), *extra]
+    return main(argv), out
+
+
+@pytest.mark.parametrize("name", ["dt", "horizon", "min_dwell", "max_dwell"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_cli_simulate_rejects_non_finite_simulation_values(
+    tmp_path, capsys, name, value
+):
+    with pytest.raises(SystemExit) as exc:
+        _simulate_with(tmp_path, {"trials": 1, "points": 1, name: value})
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"simulation.{name} must be finite" in err
+    assert "Traceback" not in err
+    with pytest.raises(ValueError):
+        SimulationParams(**{name: value})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_simulate_rejects_non_finite_dt_override(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        _simulate_with(tmp_path, {"trials": 1, "points": 1}, ["--dt", value])
+    assert exc.value.code == 2
+    assert "dt must be finite" in capsys.readouterr().err
+
+
+def test_cli_simulate_blowup_exits_5_with_one_line(tmp_path):
+    # one RK4 step per 1000-long segment: the linear pair blows up
+    code, out = _simulate_with(
+        tmp_path,
+        {"trials": 1, "points": 1, "dt": 1000.0, "horizon": 1e5,
+         "min_dwell": 1000.0, "max_dwell": 1000.0},
+    )
+    assert code == 5
+    assert not out.exists()
+    argv = [sys.executable, "-m", "koopman_clf", "simulate",
+            "--config", str(tmp_path / "sys.json"),
+            "--report", str(tmp_path / "report.json"), "--out", str(out)]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 5
+    assert proc.stderr.startswith("audit failed: non-finite")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_simulate_summary_is_strict_json_with_worst_decay(tmp_path):
+    code, out = _simulate_with(tmp_path, {})
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(token)
+
+    summary = json.loads(out.read_text(), parse_constant=reject)
+    assert summary["worst_decay_rate"] < 0
+    assert set(summary["worst_decay_at"]) == {"signal", "point", "time", "subsystem"}

@@ -1,22 +1,28 @@
 import io
+import json
+import math
 
 import numpy as np
 import pytest
 
 from koopman_clf.analysis import analyze_family
 from koopman_clf.certificate import CommonLyapunovFunction
+from koopman_clf.config import example1_config
 from koopman_clf.multiindex import build_basis
 from koopman_clf.switchsim import (
+    ESCAPE_TOL,
+    AuditSummary,
+    SwitchedRun,
     SwitchingSignal,
     _segment_steps,
+    _step_plan,
     audit_certificate,
     export_run_csv,
     integrate_switched,
     random_signal,
     sample_initial_points,
-    thread_count,
 )
-from koopman_clf.vectorfield import PolyVectorField, SwitchedFamily
+from koopman_clf.vectorfield import PolyVectorField, SwitchedFamily, flow_step
 
 
 def contraction_family(rates=(-1.0, -2.0)):
@@ -219,14 +225,6 @@ def test_audit_passes_and_is_deterministic():
     assert s1.to_json_dict() == s2.to_json_dict()
 
 
-def test_audit_threaded_reduction_matches_sequential():
-    fam, rep = certified_linear_report()
-    kw = dict(signals=6, points=4, seed=2, dt=0.01, horizon=2.0)
-    seq = audit_certificate(fam, rep, threads=1, **kw)
-    par = audit_certificate(fam, rep, threads=3, **kw)
-    assert seq.to_json_dict() == par.to_json_dict()
-
-
 def test_audit_flags_weight_tampering():
     fam, rep = certified_linear_report()
     basis = build_basis(2, 4)
@@ -237,6 +235,7 @@ def test_audit_flags_weight_tampering():
     )
     assert not bad.passed
     assert bad.max_v_increase > 1e-9
+    assert math.isfinite(bad.worst_decay_rate) and bad.worst_decay_rate > 0
 
 
 def test_audit_validates_inputs():
@@ -248,12 +247,273 @@ def test_audit_validates_inputs():
         audit_certificate(fam, rep)
 
 
-def test_thread_count_env_parsing(monkeypatch):
-    monkeypatch.delenv("KOOPMAN_CLF_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("KOOPMAN_CLF_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("KOOPMAN_CLF_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("KOOPMAN_CLF_THREADS", "junk")
-    assert thread_count() == 1
+@pytest.mark.parametrize("name", ["dt", "horizon", "min_dwell", "max_dwell"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_audit_rejects_non_finite_parameters(name, value):
+    fam, rep = certified_linear_report()
+    kw = dict(signals=1, points=1, dt=0.01, horizon=1.0)
+    kw[name] = value
+    with pytest.raises(ValueError, match=name):
+        audit_certificate(fam, rep, **kw)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_integrate_and_signals_reject_non_finite_values(value):
+    fam = contraction_family()
+    sig = SwitchingSignal((1.0,), (0,), 1.0)
+    with pytest.raises(ValueError, match="dt"):
+        integrate_switched(fam, sig, np.array([0.1, 0.1]), dt=value)
+    with pytest.raises(ValueError, match="horizon"):
+        random_signal(2, value)
+    with pytest.raises(ValueError, match="max_dwell"):
+        random_signal(2, 1.0, max_dwell=value)
+
+
+# worst decay rate -----------------------------------------------------------
+
+
+def example1_report():
+    fam = example1_config().build_family()
+    rep = analyze_family(fam, 12, scheme_kind="polynomial")
+    assert rep.certified
+    return fam, rep
+
+
+def test_worst_decay_rate_is_negative_for_the_example1_certificate():
+    fam, rep = example1_report()
+    s = audit_certificate(fam, rep, signals=2, points=8, seed=4, dt=0.01, horizon=4.0)
+    assert s.passed
+    assert math.isfinite(s.worst_decay_rate) and s.worst_decay_rate < 0
+    at = s.worst_decay_at
+    assert 0 <= at["signal"] < 2 and 0 <= at["point"] < 8
+    assert 0 < at["time"] <= 4.0 and at["subsystem"] in (0, 1)
+    data = s.to_json_dict()
+    assert json.loads(json.dumps(data, allow_nan=False)) == data
+
+
+def test_audit_without_steps_reports_no_worst_decay():
+    fam, rep = certified_linear_report()
+    s = audit_certificate(fam, rep, signals=2, points=3, horizon=0.0)
+    assert s.passed and s.max_v_increase == 0.0
+    assert s.worst_decay_rate is None and s.worst_decay_at is None
+    data = json.loads(json.dumps(s.to_json_dict(), allow_nan=False))
+    assert data["worst_decay_rate"] is None and data["worst_decay_at"] is None
+
+
+# batched kernel against the sequential loops --------------------------------
+
+
+def sequential_integrate(family, signal, z0, dt=1e-3, clf=None):
+    """Reference for integrate_switched: one RK4 step and one sample at a time."""
+    z = np.asarray(z0, dtype=complex).reshape(1, -1)
+    hat = (lambda Z: clf.hat(Z)) if clf is not None else (lambda Z: Z)
+    times = [0.0]
+    states = [z[0].copy()]
+    active = [signal.subsystems[0] if len(signal) else 0]
+    v_values = [float(clf.value_batch(z)[0])] if clf is not None else None
+    max_rel = 0.0 if clf is not None else None
+    escaped = bool(np.max(np.abs(hat(z))) >= 1.0 - ESCAPE_TOL)
+    escape_time = 0.0 if escaped else None
+    boundaries = signal.boundaries
+    t_start = 0.0
+    for seg in range(len(signal)):
+        fld = family[signal.subsystems[seg]]
+        end = float(boundaries[seg])
+        n_full, rem = _segment_steps(signal.durations[seg], dt)
+        plan = [dt] * n_full + ([rem] if rem else [])
+        for s, h in enumerate(plan):
+            z = flow_step(fld, z, h)
+            t = end if s == len(plan) - 1 else t_start + (s + 1) * dt
+            times.append(t)
+            states.append(z[0].copy())
+            active.append(signal.subsystems[seg])
+            if clf is not None:
+                v = float(clf.value_batch(z)[0])
+                rel = (v - v_values[-1]) / max(v_values[-1], 1e-300)
+                max_rel = max(max_rel, rel)
+                v_values.append(v)
+            if not escaped and np.max(np.abs(hat(z))) >= 1.0 - ESCAPE_TOL:
+                escaped = True
+                escape_time = t
+        t_start = end
+    return SwitchedRun(
+        signal=signal,
+        times=np.array(times),
+        states=np.array(states),
+        active=np.array(active, dtype=int),
+        v_values=None if v_values is None else np.array(v_values),
+        max_v_increase=max_rel,
+        escaped=escaped,
+        escape_time=escape_time,
+    )
+
+
+def sequential_audit_one_signal(family, clf, P, signal, points, dt):
+    """One signal on all points, step by step.
+
+    Returns the largest relative V increase, the escape count, the final
+    norms, and the worst decay rate as (rate, step, point, time,
+    subsystem); among equal rates the earliest step and the lowest point
+    win.
+    """
+    Z = points @ P.T
+    Zh = clf.hat(Z)
+    v_prev = clf.value_batch(Zh, hat=True)
+    max_rel, worst = 0.0, None
+    escaped = np.abs(Zh).max(axis=1) >= 1.0 - ESCAPE_TOL
+    step, t_start = 0, 0.0
+    for seg in range(len(signal)):
+        fld = family[signal.subsystems[seg]]
+        end = float(signal.boundaries[seg])
+        n_full, rem = _segment_steps(signal.durations[seg], dt)
+        plan = [dt] * n_full + ([rem] if rem else [])
+        for s, h in enumerate(plan):
+            Z = flow_step(fld, Z, h)
+            Zh = clf.hat(Z)
+            v = clf.value_batch(Zh, hat=True)
+            rel = (v - v_prev) / np.maximum(v_prev, 1e-300)
+            max_rel = max(max_rel, float(np.max(rel)))
+            rate = rel / h
+            p = int(np.argmax(rate))
+            if worst is None or rate[p] > worst[0]:
+                t = end if s == len(plan) - 1 else t_start + (s + 1) * dt
+                worst = (float(rate[p]), step, p, t, signal.subsystems[seg])
+            v_prev = v
+            escaped |= np.abs(Zh).max(axis=1) >= 1.0 - ESCAPE_TOL
+            step += 1
+        t_start = end
+    return max_rel, int(np.sum(escaped)), np.abs(Z).max(axis=1), worst
+
+
+def sequential_audit(family, report, signals, points, seed, dt, horizon,
+                     min_dwell=0.05, max_dwell=1.0, slack=1e-9,
+                     convergence_tol=1e-3):
+    """Reference for audit_certificate: the signals one after another."""
+    n = report.dimension
+    basis = build_basis(n, report.truncation_degree)
+    clf = CommonLyapunovFunction(
+        report.epsilon, report.P_inv, basis, ratio=report.convergence.get("ratio")
+    )
+    rho = float(report.rho_certified)
+    pts = sample_initial_points(n, 0.95 * rho, points, seed)
+    results = [
+        sequential_audit_one_signal(
+            family,
+            clf,
+            report.P,
+            random_signal(len(family), horizon, min_dwell, max_dwell,
+                          seed=seed + 7919 * s),
+            pts,
+            dt,
+        )
+        for s in range(signals)
+    ]
+    max_rel = max(r[0] for r in results)
+    escapes = sum(r[1] for r in results)
+    final_norms = np.concatenate([r[2] for r in results])
+    # the largest rate; among equal rates the earliest step, then the lowest signal
+    best = min(range(signals), key=lambda s: (-results[s][3][0], results[s][3][1], s))
+    rate, _, point, time, sub = results[best][3]
+    return AuditSummary(
+        signals=signals,
+        points=points,
+        dt=float(dt),
+        horizon=float(horizon),
+        seed=int(seed),
+        rho=rho,
+        sample_radius=0.95 * rho,
+        max_v_increase=max_rel,
+        worst_decay_rate=rate,
+        worst_decay_at={"signal": best, "point": point, "time": time,
+                        "subsystem": sub},
+        final_norm_max=float(final_norms.max()),
+        fraction_converged=float(np.mean(final_norms < convergence_tol)),
+        escapes=escapes,
+        slack=float(slack),
+        convergence_tol=float(convergence_tol),
+        passed=bool(max_rel <= slack and escapes == 0),
+    )
+
+
+def three_subsystem_report():
+    fam = SwitchedFamily(
+        [
+            PolyVectorField([{(1, 0): -1.0, (1, 1): 0.2}, {(0, 1): -2.0}]),
+            PolyVectorField([{(1, 0): -1.5}, {(0, 1): -0.5, (2, 0): 0.3}]),
+            PolyVectorField([{(1, 0): -0.7}, {(0, 1): -1.2, (1, 1): -0.1}]),
+        ]
+    )
+    rep = analyze_family(fam, 6, scheme_kind="polynomial")
+    assert rep.certified
+    return fam, rep
+
+
+def plans_of(family, signals, seed, dt, horizon):
+    return [
+        _step_plan(random_signal(len(family), horizon, seed=seed + 7919 * s), dt)
+        for s in range(signals)
+    ]
+
+
+def test_batched_audit_matches_sequential_audit_with_padding():
+    fam, rep = example1_report()
+    kw = dict(signals=3, points=5, seed=0, dt=0.01, horizon=3.0)
+    counts = {len(p[0]) for p in plans_of(fam, 3, 0, 0.01, 3.0)}
+    assert len(counts) == 3  # plans of three lengths: rows go idle at different steps
+    got = audit_certificate(fam, rep, **kw)
+    assert got.passed
+    assert got.to_json_dict() == sequential_audit(fam, rep, **kw).to_json_dict()
+
+
+def test_batched_audit_matches_sequential_audit_on_tampered_weight():
+    fam, rep = certified_linear_report()
+    rep.epsilon = rep.epsilon.copy()
+    rep.epsilon[build_basis(2, 4).index_of((0, 1)) - 1] = 1e-12
+    kw = dict(signals=4, points=6, seed=11, dt=0.01, horizon=3.0)
+    got = audit_certificate(fam, rep, **kw)
+    assert not got.passed
+    assert got.to_json_dict() == sequential_audit(fam, rep, **kw).to_json_dict()
+
+
+def test_batched_audit_matches_sequential_audit_on_three_subsystems():
+    fam, rep = three_subsystem_report()
+    kw = dict(signals=6, points=4, seed=0, dt=0.01, horizon=4.0)
+    plans = plans_of(fam, 6, 0, 0.01, 4.0)
+    shortest = min(len(p[0]) for p in plans)
+    assert any(len({int(p[1][l]) for p in plans}) == 3 for l in range(shortest))
+    got = audit_certificate(fam, rep, **kw)
+    assert got.passed
+    assert got.to_json_dict() == sequential_audit(fam, rep, **kw).to_json_dict()
+
+
+def assert_runs_equal(got, want):
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.states, want.states)
+    assert np.array_equal(got.active, want.active)
+    if want.v_values is None:
+        assert got.v_values is None
+    else:
+        assert np.array_equal(got.v_values, want.v_values)
+    assert got.max_v_increase == want.max_v_increase
+    assert got.escaped == want.escaped
+    assert got.escape_time == want.escape_time
+
+
+def test_integrate_switched_matches_sequential_rk4():
+    fam, rep = example1_report()
+    clf = CommonLyapunovFunction(rep.epsilon, rep.P_inv, build_basis(2, 12))
+    sig = random_signal(2, 3.0, seed=5)
+    z0 = rep.P @ sample_initial_points(2, 0.9, 3, seed=5)[2]
+    for c in (clf, None):
+        assert_runs_equal(
+            integrate_switched(fam, sig, z0, dt=0.013, clf=c),
+            sequential_integrate(fam, sig, z0, dt=0.013, clf=c),
+        )
+    # an escaping run, and a step longer than every segment
+    grow = SwitchedFamily([PolyVectorField([{(1, 0): 1.0}, {(0, 1): 0.5}])] * 2)
+    sig = SwitchingSignal((0.03, 0.2, 0.07), (0, 1, 0), 0.3)
+    for dt in (1e-3, 0.5):
+        assert_runs_equal(
+            integrate_switched(grow, sig, np.array([0.9, 0.1]), dt=dt),
+            sequential_integrate(grow, sig, np.array([0.9, 0.1]), dt=dt),
+        )

