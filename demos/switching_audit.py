@@ -42,9 +42,7 @@ print(f"  escapes: {summary.escapes},  converged: "
 
 # one schedule in detail
 basis = build_basis(2, 12)
-clf = CommonLyapunovFunction(
-    report.epsilon, report.P_inv, basis, ratio=report.convergence["ratio"]
-)
+clf = CommonLyapunovFunction(report.epsilon, report.P_inv, basis)
 sig = random_signal(len(family), 6.0, 0.05, 1.0, seed=42)
 z0 = sample_initial_points(2, 0.9, 8, seed=42)[5]
 run = integrate_switched(family, sig, z0, dt=0.01, clf=clf)

@@ -522,6 +522,19 @@ def analyze_family(
             ),
         }
         return report
+    totals = (conv.partial_sum, conv.tail_bound, conv.ratio)
+    finite = np.all(np.isfinite(eps)) and np.all(np.isfinite(totals))
+    if not (finite and np.all(eps > 0)):
+        report.failure = {
+            "stage": "convergence",
+            "message": (
+                "weights or convergence numbers are not finite and positive: "
+                f"smallest weight {np.min(eps):.6g}, partial sum "
+                f"{conv.partial_sum:.6g}, tail bound {conv.tail_bound:.6g}, "
+                f"ratio {conv.ratio:.6g}"
+            ),
+        }
+        return report
 
     report.rho_certified = float(rho)
     for i, h in enumerate(hats):

@@ -18,20 +18,12 @@ fields (``polynomial``) and a sum-proportional one for analytic fields
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from .koopman import build_matrix
-from .liealg import (
-    NotSimultaneouslyTriangularizable,
-    close_under_bracket,
-    is_solvable,
-    simultaneous_triangularize,
-)
-from .multiindex import build_basis
-from .vectorfield import PolyVectorField, boundary_invariance_check
 
 EPSILON_FLOOR = 1e-12
 ETA_FLOOR = 1e-9
@@ -382,8 +374,8 @@ def epsilon_sequence(ops, basis, scheme, eta=0.5, rho=1.0):
 
     Returns (epsilon, eta_effective, q_sup, q_by_degree).
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and positive, got {eta!r}")
     M = basis.size
     q_sup, _, q_by_degree = scheme_ratio_scan(ops, basis, scheme)
     q_est, _ = _extrapolate(q_by_degree)
@@ -468,7 +460,7 @@ def convergence_check(epsilon, basis, rho):
     m = degree_maxima(epsilon, basis)
     m_ref = float(max(m[N - 1], m[N - 2] if N >= 2 else m[N - 1]))
     x = r * rho * rho
-    if x >= 1.0:
+    if not x < 1.0:
         return ConvergenceResult(partial, float("inf"), r, False)
     tail = 0.0
     scale = max(1.0, partial)
@@ -485,19 +477,16 @@ def convergence_check(epsilon, basis, rho):
 class CommonLyapunovFunction:
     """Evaluator of V(z) = sum_k eps_k |(P^{-1} z)^{alpha(k)}|^2."""
 
-    def __init__(self, epsilon, P_inv, basis, ratio=None):
+    def __init__(self, epsilon, P_inv, basis):
         self.epsilon = np.asarray(epsilon, dtype=float)
         if self.epsilon.shape[0] != basis.size:
             raise ValueError("weight vector does not match the basis")
         self.P_inv = np.asarray(P_inv, dtype=complex)
         self.basis = basis
-        self.ratio = decay_ratio(self.epsilon, basis) if ratio is None else ratio
         # degree grid: G[alpha] = eps_k at alpha = alpha(k), zero elsewhere
         N = basis.max_degree
         self._grid = np.zeros((N + 1,) * basis.dimension)
         self._grid[tuple(basis.exponents[1:].T)] = self.epsilon
-        m = degree_maxima(self.epsilon, basis)
-        self._m_ref = float(max(m[N - 1], m[N - 2] if N >= 2 else m[N - 1]))
 
     def hat(self, z):
         z = np.asarray(z, dtype=complex)
@@ -532,23 +521,3 @@ class CommonLyapunovFunction:
 
     def value(self, z):
         return float(self.value_batch(np.asarray(z, dtype=complex)[None, :])[0])
-
-    def tail_estimate(self, z):
-        """Geometric estimate of the truncated part of the series at z."""
-        s = float(np.max(np.abs(self.hat(z))) ** 2)
-        x = self.ratio * s
-        if s == 0.0:
-            return 0.0
-        if x >= 1.0:
-            return float("inf")
-        N = self.basis.max_degree
-        tail, d = 0.0, N + 1
-        while d < N + 200000:
-            term = self.basis.count_of_degree(d) * self._m_ref * self.ratio ** (
-                d - N
-            ) * s**d
-            tail += term
-            if term < 1e-22 and d > N + 4:
-                break
-            d += 1
-        return tail

@@ -147,12 +147,7 @@ def cmd_simulate(parser, args):
     )
     if args.trace is not None:
         basis = build_basis(report.dimension, report.truncation_degree)
-        clf = CommonLyapunovFunction(
-            report.epsilon,
-            report.P_inv,
-            basis,
-            ratio=(report.convergence or {}).get("ratio"),
-        )
+        clf = CommonLyapunovFunction(report.epsilon, report.P_inv, basis)
         pts = sample_initial_points(
             report.dimension, 0.95 * report.rho_certified, 1, seed
         )

@@ -25,6 +25,12 @@ class SimulationParams:
     max_dwell: float = 1.0
 
     def __post_init__(self):
+        for name in ("trials", "points", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(
+                    f"simulation.{name} must be an integer, got {value!r}"
+                )
         for name in ("dt", "horizon", "min_dwell", "max_dwell"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"simulation.{name} must be finite")
@@ -134,6 +140,9 @@ class SystemConfig:
             if tail is not None:
                 tail = [float(t) for t in tail]
             subsystems.append((comps, tail))
+        eta = float(data.get("eta", 0.5))
+        if not (math.isfinite(eta) and eta > 0):
+            raise ValueError(f"eta must be finite and positive, got {eta!r}")
         scheme = data.get("scheme", {}) or {}
         sim_raw = data.get("simulation", {}) or {}
         sim = SimulationParams(
@@ -158,7 +167,7 @@ class SystemConfig:
             scheme_kind=scheme.get("kind", "polynomial"),
             xi=scheme.get("xi"),
             kappa=scheme.get("kappa"),
-            eta=float(data.get("eta", 0.5)),
+            eta=eta,
             rho_request=data.get("rho_request"),
             simulation=sim,
         )

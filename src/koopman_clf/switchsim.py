@@ -357,12 +357,9 @@ def audit_certificate(
         raise ValueError("report does not contain a usable certificate")
     n = report.dimension
     basis = build_basis(n, report.truncation_degree)
-    ratio = None
-    if report.convergence is not None:
-        ratio = report.convergence.get("ratio")
     P_inv = report.P_inv if report.P_inv is not None else np.eye(n, dtype=complex)
     P = report.P if report.P is not None else np.eye(n, dtype=complex)
-    clf = CommonLyapunovFunction(report.epsilon, P_inv, basis, ratio=ratio)
+    clf = CommonLyapunovFunction(report.epsilon, P_inv, basis)
     rho = float(report.rho_certified)
     radius = 0.95 * rho
     pts = sample_initial_points(n, radius, points, seed)

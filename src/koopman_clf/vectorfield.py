@@ -4,6 +4,16 @@ Fields vanish at the origin and are stored sparsely, one coefficient table
 per component.  Components may carry an optional exact l1 norm
 (``tail_l1``) covering coefficients beyond the stored truncation, which
 downstream absolute-sum operations use instead of the truncated sum.
+
+Each field is compiled once, at construction, into an evaluation plan
+over the K stored terms of all components together: an (n, K) index of
+the power-table columns whose product is each term's monomial, and a
+(K, n) coefficient matrix holding each component's coefficients in its
+own column.  Evaluating a batch of B points fills one (B, n (P + 1))
+table of coordinate powers up to the largest exponent P, gathers all K
+monomials from it at once and multiplies them by the coefficient matrix.
+``flow_step`` calls this evaluator directly on its four Runge-Kutta
+stages.
 """
 
 import warnings
@@ -75,18 +85,21 @@ class PolyVectorField:
         self.degree = max(
             (sum(a) for c in self.components for a in c), default=1
         )
-        # dense per-component arrays, deterministic order, for evaluation
-        self._exps = []
-        self._coeffs = []
-        for c in self.components:
-            keys = sorted(c, key=order_key)
-            self._exps.append(
-                np.array(keys, dtype=np.int64).reshape(len(keys), n)
-            )
-            self._coeffs.append(np.array([c[a] for a in keys], dtype=complex))
-        self._max_pow = max(
-            (int(e.max()) for e in self._exps if e.size), default=0
-        )
+        # evaluation plan: the stored terms of all components in one list;
+        # term t is the product over coordinates c of the power-table
+        # columns _gather[c, t], and _C[t] holds its coefficient in the
+        # column of its component
+        terms = [
+            (l, alpha, c[alpha])
+            for l, c in enumerate(self.components)
+            for alpha in sorted(c, key=order_key)
+        ]
+        exps = np.array([a for _, a, _ in terms], dtype=np.int64).reshape(-1, n)
+        self._max_pow = int(exps.max()) if terms else 0
+        self._gather = (exps * n + np.arange(n)).T
+        self._C = np.zeros((len(terms), n), dtype=complex)
+        for t, (l, _, v) in enumerate(terms):
+            self._C[t, l] = v
 
     @classmethod
     def from_linear(cls, matrix):
@@ -156,19 +169,23 @@ class PolyVectorField:
         return out[0] if single else out
 
     def _evaluate_batch(self, zb):
-        B = zb.shape[0]
-        pows = _power_tables(zb, self._max_pow)
-        out = np.empty((B, self.dimension), dtype=complex)
-        for l in range(self.dimension):
-            exps, coeffs = self._exps[l], self._coeffs[l]
-            if coeffs.size == 0:
-                out[:, l] = 0
-                continue
-            mono = pows[0][:, exps[:, 0]]
-            for c in range(1, self.dimension):
-                mono = mono * pows[c][:, exps[:, c]]
-            out[:, l] = mono @ coeffs
-        return out
+        """F at a (B, n) complex batch, by the plan built in ``__init__``.
+
+        One power table holds zb[:, c] ** p at column p * n + c, filled
+        one power at a time for all coordinates; the monomials of every
+        term of every component are gathered from it at once and
+        contracted with the coefficient matrix.
+        """
+        B, n = zb.shape
+        pows = np.empty((B, self._max_pow + 1, n), dtype=complex)
+        pows[:, 0] = 1
+        for p in range(1, self._max_pow + 1):
+            np.multiply(pows[:, p - 1], zb, out=pows[:, p])
+        pows = pows.reshape(B, -1)
+        mono = pows[:, self._gather[0]]
+        for c in range(1, n):
+            mono *= pows[:, self._gather[c]]
+        return mono @ self._C
 
     def __repr__(self):
         terms = sum(len(c) for c in self.components)
@@ -176,19 +193,6 @@ class PolyVectorField:
             f"PolyVectorField(n={self.dimension}, degree={self.degree}, "
             f"terms={terms}, tail_l1={'yes' if self.tail_l1 else 'no'})"
         )
-
-
-def _power_tables(zb, max_pow):
-    """Per-coordinate tables zb[:, c] ** p for p = 0..max_pow."""
-    B, n = zb.shape
-    tables = []
-    for c in range(n):
-        t = np.empty((B, max_pow + 1), dtype=complex)
-        t[:, 0] = 1
-        for p in range(1, max_pow + 1):
-            t[:, p] = t[:, p - 1] * zb[:, c]
-        tables.append(t)
-    return tables
 
 
 def _poly_mul(a, b):
@@ -246,19 +250,25 @@ def lie_bracket(F, G):
 def flow_step(field, z, dt):
     """One classical Runge-Kutta step of z' = F(z); works on batches.
 
-    ``dt`` is a scalar or a (B, 1) array of per-row steps.
+    ``z`` is one point (n,) or a batch (B, n); ``dt`` is a scalar or a
+    (B, 1) array of per-row steps.  The shape is checked once and the four
+    stages call the field's batch evaluator directly.
     """
     z = np.asarray(z, dtype=complex)
-    k1 = field.evaluate(z)
-    k2 = field.evaluate(z + 0.5 * dt * k1)
-    k3 = field.evaluate(z + 0.5 * dt * k2)
-    k4 = field.evaluate(z + dt * k3)
-    out = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if z.ndim not in (1, 2) or z.shape[-1] != field.dimension:
+        raise ValueError("point dimension mismatch")
+    zb = z.reshape(-1, field.dimension)
+    F = field._evaluate_batch
+    k1 = F(zb)
+    k2 = F(zb + 0.5 * dt * k1)
+    k3 = F(zb + 0.5 * dt * k2)
+    k4 = F(zb + dt * k3)
+    out = zb + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out.view(float))):
         raise NonFiniteStateError(
             f"non-finite state after an RK4 step (dt up to {float(np.max(dt))!r})"
         )
-    return out
+    return out.reshape(z.shape)
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

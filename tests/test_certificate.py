@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from koopman_clf import analysis
 from koopman_clf.certificate import (
     EPSILON_FLOOR,
     CommonLyapunovFunction,
@@ -520,6 +521,41 @@ def test_decay_ratio_uses_even_window_for_alternating_chains():
     assert got == pytest.approx(r, rel=1e-12)
 
 
+def test_convergence_check_fails_closed_on_non_finite_weights():
+    basis = build_basis(2, 6)
+    conv = convergence_check(np.full(basis.size, np.nan), basis, 0.9)
+    assert not conv.convergent
+    assert conv.tail_bound == math.inf
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -1.0])
+def test_epsilon_sequence_rejects_non_finite_or_non_positive_eta(eta):
+    basis = build_basis(2, 4)
+    ops = polynomial_pair_ops(basis)
+    with pytest.raises(ValueError, match="eta must be finite and positive"):
+        epsilon_sequence(ops, basis, WeightScheme("polynomial", 0.99), eta=eta)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
+def test_report_is_certified_only_with_finite_positive_weights(monkeypatch, bad):
+    real = analysis.epsilon_sequence
+
+    def spoiled(*args, **kwargs):
+        eps, eta_eff, q_sup, q_by_degree = real(*args, **kwargs)
+        eps = eps.copy()
+        eps[3] = bad
+        return eps, eta_eff, q_sup, q_by_degree
+
+    monkeypatch.setattr(analysis, "epsilon_sequence", spoiled)
+    f1 = PolyVectorField([{(1, 0): -1.0}, {(0, 1): -1.0}])
+    f2 = PolyVectorField([{(1, 0): -1.0, (2, 0): 0.3}, {(0, 1): -1.0}])
+    report = analysis.analyze_family([f1, f2], 6)
+    assert not report.certified
+    assert report.failure["stage"] == "convergence"
+    assert report.exit_code == 4
+    assert report.rho_certified is None
+
+
 def test_convergence_check_validates_input():
     basis = build_basis(2, 4)
     eps = np.ones(basis.size)
@@ -542,7 +578,30 @@ def clf_evaluate(epsilon, P_inv, basis, z):
     zh = clf.hat(np.asarray(z, dtype=complex))
     if np.max(np.abs(zh)) >= 1.0:
         raise ValueError("point lies outside the unit polydisk in flag coordinates")
-    return clf.value(z), clf.tail_estimate(z)
+    return clf.value(z), tail_estimate(clf, z)
+
+
+def tail_estimate(clf, z):
+    """Geometric estimate of the truncated part of the series at z."""
+    basis = clf.basis
+    ratio = decay_ratio(clf.epsilon, basis)
+    N = basis.max_degree
+    m = degree_maxima(clf.epsilon, basis)
+    m_ref = float(max(m[N - 1], m[N - 2] if N >= 2 else m[N - 1]))
+    s = float(np.max(np.abs(clf.hat(z))) ** 2)
+    x = ratio * s
+    if s == 0.0:
+        return 0.0
+    if x >= 1.0:
+        return float("inf")
+    tail, d = 0.0, N + 1
+    while d < N + 200000:
+        term = basis.count_of_degree(d) * m_ref * ratio ** (d - N) * s**d
+        tail += term
+        if term < 1e-22 and d > N + 4:
+            break
+        d += 1
+    return tail
 
 
 def test_clf_value_matches_direct_series_sum():

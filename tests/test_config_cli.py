@@ -150,6 +150,21 @@ def test_cli_analyze_reports_finite_condition_slack(tmp_path, example):
         assert cond["rho_slack"] > 0.0
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -0.5])
+def test_cli_analyze_rejects_non_finite_or_non_positive_eta(tmp_path, capsys, eta):
+    data = example1_config(degree=6).to_json_dict()
+    data["eta"] = eta
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "eta must be finite and positive" in err
+    assert "certified" not in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_analyze_reports_scheme_failure(tmp_path, capsys):
     cfg = tmp_path / "sys.json"
     assert main(["example1", "--b", "0.5", "--out", str(cfg)]) == 0
@@ -362,6 +377,19 @@ def test_cli_simulate_rejects_non_finite_simulation_values(
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"simulation.{name} must be finite" in err
+    assert "Traceback" not in err
+    with pytest.raises(ValueError):
+        SimulationParams(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["trials", "points", "seed"])
+@pytest.mark.parametrize("value", [2.5, math.nan, "3", 3.0, True])
+def test_cli_simulate_rejects_non_integer_counts(tmp_path, capsys, name, value):
+    with pytest.raises(SystemExit) as exc:
+        _simulate_with(tmp_path, {"trials": 1, "points": 1, name: value})
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"simulation.{name} must be an integer" in err
     assert "Traceback" not in err
     with pytest.raises(ValueError):
         SimulationParams(**{name: value})

@@ -391,9 +391,7 @@ def sequential_audit(family, report, signals, points, seed, dt, horizon,
     """Reference for audit_certificate: the signals one after another."""
     n = report.dimension
     basis = build_basis(n, report.truncation_degree)
-    clf = CommonLyapunovFunction(
-        report.epsilon, report.P_inv, basis, ratio=report.convergence.get("ratio")
-    )
+    clf = CommonLyapunovFunction(report.epsilon, report.P_inv, basis)
     rho = float(report.rho_certified)
     pts = sample_initial_points(n, 0.95 * rho, points, seed)
     results = [

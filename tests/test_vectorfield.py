@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from koopman_clf.analysis import analyze_family
+from koopman_clf.config import example1_config, example2_config
+from koopman_clf.multiindex import order_key
+from koopman_clf.switchsim import sample_initial_points
 from koopman_clf.vectorfield import (
     NonFiniteStateError,
     PolyVectorField,
@@ -112,6 +116,126 @@ def test_evaluate_rejects_wrong_dimension():
     f = PolyVectorField([{(1, 0): -1.0}, {(0, 1): -1.0}])
     with pytest.raises(ValueError):
         f.evaluate(np.zeros(3))
+
+
+# compiled evaluator against the per-component reference ---------------------
+
+
+def _power_tables(zb, max_pow):
+    """Per-coordinate tables zb[:, c] ** p for p = 0..max_pow."""
+    B, n = zb.shape
+    tables = []
+    for c in range(n):
+        t = np.empty((B, max_pow + 1), dtype=complex)
+        t[:, 0] = 1
+        for p in range(1, max_pow + 1):
+            t[:, p] = t[:, p - 1] * zb[:, c]
+        tables.append(t)
+    return tables
+
+
+def reference_evaluate(field, zb):
+    """F at a (B, n) batch, one component at a time: per-coordinate power
+    tables, each component's monomials gathered and contracted alone."""
+    B, n = zb.shape
+    keys = [sorted(c, key=order_key) for c in field.components]
+    exps_l = [np.array(k, dtype=np.int64).reshape(len(k), n) for k in keys]
+    coeffs_l = [
+        np.array([c[a] for a in k], dtype=complex)
+        for c, k in zip(field.components, keys)
+    ]
+    max_pow = max((int(e.max()) for e in exps_l if e.size), default=0)
+    pows = _power_tables(zb, max_pow)
+    out = np.empty((B, n), dtype=complex)
+    for l in range(n):
+        exps, coeffs = exps_l[l], coeffs_l[l]
+        if coeffs.size == 0:
+            out[:, l] = 0
+            continue
+        mono = pows[0][:, exps[:, 0]]
+        for c in range(1, n):
+            mono = mono * pows[c][:, exps[:, c]]
+        out[:, l] = mono @ coeffs
+    return out
+
+
+def random_complex_field(rng, n, degree, linear_only=False):
+    """Seeded complex field; components may be empty."""
+    comps = []
+    for _ in range(n):
+        table = {}
+        for _ in range(int(rng.integers(0, 13))):
+            d = 1 if linear_only else int(rng.integers(1, degree + 1))
+            alpha = tuple(int(a) for a in rng.multinomial(d, np.ones(n) / n))
+            table[alpha] = complex(rng.normal(), rng.normal())
+        comps.append(table)
+    return PolyVectorField(comps)
+
+
+def assert_matches_reference(f, Z, rtol):
+    """Compiled and reference values agree to ``rtol`` times the sum of the
+    absolute terms, so cancellation in a component can neither hide nor
+    fake a difference."""
+    got, want = f._evaluate_batch(Z), reference_evaluate(f, Z)
+    assert got.shape == want.shape == Z.shape
+    absf = PolyVectorField([{a: abs(v) for a, v in c.items()} for c in f.components])
+    scale = reference_evaluate(absf, np.abs(Z).astype(complex)).real
+    assert np.all(np.abs(got - want) <= rtol * scale)
+    assert np.array_equal(f.evaluate(Z), got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_compiled_evaluator_matches_reference_on_random_fields(n):
+    rng = np.random.default_rng(1000 + n)
+    fields = [PolyVectorField([{}] * n), random_complex_field(rng, n, 1, True)]
+    for degree in (1, 2, 3, 5, 8, 12, 16, 20):
+        fields += [random_complex_field(rng, n, degree) for _ in range(4)]
+    for f in fields:
+        B = int(rng.integers(1, 160))
+        Z = (rng.normal(size=(B, n)) + 1j * rng.normal(size=(B, n))) / np.sqrt(n)
+        assert_matches_reference(f, Z, 1e-13)
+
+
+@pytest.mark.parametrize("seed", [1, 2026, 7])
+def test_compiled_evaluator_matches_reference_on_the_example_fields(seed):
+    # batches like the audit's: up to 3 signals x 50 points, states
+    # decaying.  Bitwise equality does not hold: BLAS rounds the one
+    # (B, K) @ (K, n) product differently from per-component dot products,
+    # in about 1% of the values for example1 and 13% for example2.  1e-14
+    # covers the rounding of both sides' dot products of up to 21 terms.
+    pts = sample_initial_points(2, 0.95, 150, seed)
+    fields = [
+        *example1_config(degree=12).build_family(),
+        *example2_config(degree=20).build_family(),
+        *example2_config(degree=40).build_family(),
+    ]
+    for f in fields:
+        for radius in (1.0, 0.3, 1e-3):
+            for B in (1, 50, 100, 150):
+                assert_matches_reference(f, radius * pts[:B], 1e-14)
+
+
+@pytest.mark.parametrize(
+    "config,kind,rel",
+    [
+        (example1_config(degree=12), "polynomial", 0.0),
+        (example2_config(degree=20), "diagonal_dominance", 1e-14),
+    ],
+)
+def test_boundary_check_matches_the_reference_evaluator(
+    config, kind, rel, monkeypatch
+):
+    family = config.build_family()
+    rho = analyze_family(family, config.truncation_degree, kind).rho_certified
+    got = [boundary_invariance_check(f, rho) for f in family]
+    monkeypatch.setattr(PolyVectorField, "_evaluate_batch", reference_evaluate)
+    want = [boundary_invariance_check(f, rho) for f in family]
+    for g, w in zip(got, want):
+        assert (g.holds, g.samples, g.margin, g.rho) == (
+            w.holds, w.samples, w.margin, w.rho
+        )
+        assert np.array_equal(g.worst_point, w.worst_point)
+        assert g.worst_value == pytest.approx(w.worst_value, rel=rel, abs=0.0)
 
 
 # bracket --------------------------------------------------------------------
@@ -262,6 +386,17 @@ def test_flow_step_per_row_steps_match_scalar_steps():
     got = flow_step(f, Z, h[:, None])
     for i in range(7):
         assert np.array_equal(got[i], flow_step(f, Z, float(h[i]))[i])
+
+
+def test_flow_step_checks_the_point_dimension():
+    f = PolyVectorField([{(1, 0): -1.0}, {(0, 1): -1.0, (1, 1): 0.5}])
+    for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2)), np.zeros(())):
+        with pytest.raises(ValueError, match="dimension"):
+            flow_step(f, bad, 0.01)
+    z = np.array([0.3 + 0.1j, -0.2j])
+    one = flow_step(f, z, 0.01)
+    assert one.shape == (2,)
+    assert np.array_equal(one, flow_step(f, z[None, :], 0.01)[0])
 
 
 def test_flow_step_raises_on_blowup():
