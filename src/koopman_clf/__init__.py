@@ -18,10 +18,9 @@ from .certificate import (
     check_poly_condition,
     convergence_check,
     epsilon_sequence,
-    q_value,
 )
 from .config import SimulationParams, SystemConfig, example1_config, example2_config
-from .koopman import KoopmanMatrix, build_matrix, entry
+from .koopman import KoopmanMatrix, build_matrix
 from .liealg import (
     NotSimultaneouslyTriangularizable,
     close_under_bracket,
@@ -29,7 +28,7 @@ from .liealg import (
     linear_clf,
     simultaneous_triangularize,
 )
-from .multiindex import MultiIndexBasis, build_basis, order_key, shift_index
+from .multiindex import MultiIndexBasis, build_basis, order_key
 from .switchsim import (
     AuditSummary,
     SwitchingSignal,
@@ -70,7 +69,6 @@ __all__ = [
     "check_poly_condition",
     "close_under_bracket",
     "convergence_check",
-    "entry",
     "epsilon_sequence",
     "example1_config",
     "example2_config",
@@ -80,8 +78,6 @@ __all__ = [
     "linear_clf",
     "load_report",
     "order_key",
-    "q_value",
     "random_signal",
-    "shift_index",
     "simultaneous_triangularize",
 ]

@@ -29,8 +29,8 @@ from .multiindex import build_basis
 from .vectorfield import (
     PolyVectorField,
     SwitchedFamily,
-    _poly_mul,
     boundary_invariance_check,
+    poly_mul,
 )
 
 STAGE_EXIT = {"solvability": 2, "stability": 3, "scheme": 3, "convergence": 4}
@@ -69,7 +69,7 @@ def substitute_linear(field_, P, P_inv):
             return {zero: 1.0 + 0j}
         got = pow_cache.get((s, p))
         if got is None:
-            got = _poly_mul(lin_pow(s, p - 1), lin[s])
+            got = poly_mul(lin_pow(s, p - 1), lin[s])
             pow_cache[(s, p)] = got
         return got
 
@@ -80,7 +80,7 @@ def substitute_linear(field_, P, P_inv):
             term = {zero: a}
             for s in range(n):
                 if beta[s]:
-                    term = _poly_mul(term, lin_pow(s, beta[s]))
+                    term = poly_mul(term, lin_pow(s, beta[s]))
             for key, v in term.items():
                 tot = acc.get(key, 0) + v
                 if tot == 0:

@@ -79,25 +79,33 @@ def _stored_entries(kmat):
 
 
 def build_operator(field_hat, basis):
+    """Generator matrix of one subsystem with the decay rates and absolute
+    sums the schemes read, all from one array set of its stored entries.
+
+    The row sum of position k over the full infinite basis is
+    sum_l alpha_l(k) ||F_l||_{l1}, with exact component norms (tail_l1
+    aware); it equals sum_j |entry(k, j)| when no two coefficients of one
+    component land on the same target, as for the families treated here.
+    """
     kmat = build_matrix(field_hat, basis)
-    if not kmat.verify_triangular(0.0):
+    k, j, v = _stored_entries(kmat)
+    if np.any(v[j < k] != 0):
         raise ValueError(
             "generator matrix has entries below the diagonal; the field's "
             "Jacobian is not upper triangular"
         )
     M = basis.size
-    diag = kmat.diagonal()
     re_decay = np.zeros(M + 1)
-    re_decay[1:] = -diag.real
+    on = j == k
+    re_decay[k[on]] = -v[on].real
     if np.any(re_decay[1:] <= 0):
         raise ValueError("generator diagonal must have negative real part")
-    # accumulated in row order, the order in which kmat.col_abs_sum adds up a column
-    _, j, v = _stored_entries(kmat)
+    # each column adds up its entries in row order
     col_sums = np.zeros(M + 1)
     np.add.at(col_sums, j, np.hypot(v.real, v.imag))
     row_sums = np.zeros(M + 1)
-    for k in range(1, M + 1):
-        row_sums[k] = kmat.row_abs_sum(k)
+    for l in range(basis.dimension):
+        row_sums += basis.exponents[:, l] * field_hat.l1_norm(l)
     return SubsystemOperator(
         kmat=kmat,
         coupling_count=field_hat.term_count(exclude_linear_diag=True),
@@ -105,36 +113,6 @@ def build_operator(field_hat, basis):
         col_sums=col_sums,
         row_sums=row_sums,
     )
-
-
-def q_value(op, scheme, j, k, include_scheme_factor=True):
-    """Coupling ratio Q_jk for a pair k < j of one subsystem.
-
-    With ``include_scheme_factor`` the scheme parameters enter (this is
-    the quantity bounded by the certificate condition); without it the
-    polynomial-scheme value is returned with the xi^2 factor removed,
-    which is the scan quantity whose sup must stay below one.
-    """
-    if not 1 <= k < j <= op.kmat.size:
-        raise ValueError("need basis positions 1 <= k < j <= size")
-    e = abs(op.kmat.entry(k, j))
-    if e == 0.0:
-        return 0.0
-    basis = op.kmat.basis
-    denom = op.re_decay[j] * op.re_decay[k]
-    if denom <= 0:
-        raise ValueError("coupling ratio undefined: vanishing Re decay")
-    dj, dk = basis.degree(j), basis.degree(k)
-    n = basis.dimension
-    if scheme.kind == "polynomial":
-        q = (op.coupling_count * e) ** 2 / denom
-        return q / scheme.xi**2 if include_scheme_factor else q
-    if dj == dk:
-        D = (n * n - n) / 2.0
-        q = (D * e) ** 2 / denom
-        return q / scheme.xi**2 if include_scheme_factor else q
-    q = op.col_sums[j] * op.row_sums[k] / denom
-    return q / scheme.kappa**2 if include_scheme_factor else q
 
 
 def _coupled_pairs(ops, basis):
@@ -172,7 +150,11 @@ def _poly_ratios(p):
 
 
 def _scheme_ratios(p, n, scheme):
-    """``q_value`` of every pair under ``scheme``."""
+    """Scheme-weighted ratio Q_jk of every pair: the polynomial ratio over
+    xi^2, or under the dominance scheme (D e)^2 / (decay_j decay_k) over
+    xi^2 for a same-degree pair, D = (n^2 - n) / 2, and
+    col_sums[j] row_sums[k] / (decay_j decay_k) over kappa^2 across
+    degrees."""
     if scheme.kind == "polynomial":
         return _poly_ratios(p) / scheme.xi**2
     D = (n * n - n) / 2.0
@@ -356,12 +338,6 @@ def certified_radius_dd(ops, basis, jacobians, xi, kappa):
     return r, at_r
 
 
-def scheme_ratio_scan(ops, basis, scheme):
-    """Computed sup and per-degree maxima of the scheme-weighted ratio."""
-    p = _coupled_pairs(ops, basis)
-    return _sup_by_degree(p, _scheme_ratios(p, basis.dimension, scheme), basis)
-
-
 def epsilon_sequence(ops, basis, scheme, eta=0.5, rho=1.0):
     """Monomial weights satisfying the strict coupling recursion.
 
@@ -372,29 +348,36 @@ def epsilon_sequence(ops, basis, scheme, eta=0.5, rho=1.0):
     positions with no incoming coupling receive a small positive floor
     tied to the previous degree's largest weight.
 
+    The ratios come from one scan of the coupled pairs, grouped by target
+    column j; a maximum is exact in any order, and a NaN ratio reaches
+    its weight.
+
     Returns (epsilon, eta_effective, q_sup, q_by_degree).
     """
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be finite and positive, got {eta!r}")
     M = basis.size
-    q_sup, _, q_by_degree = scheme_ratio_scan(ops, basis, scheme)
+    p = _coupled_pairs(ops, basis)
+    q = _scheme_ratios(p, basis.dimension, scheme)
+    q_sup, _, q_by_degree = _sup_by_degree(p, q, basis)
     q_est, _ = _extrapolate(q_by_degree)
     bound = max(q_sup, q_est) * rho * rho
     if bound > 0:
         eta_eff = min(eta, max(ETA_FLOOR, 0.5 * (1.0 / bound - 1.0)))
     else:
         eta_eff = eta
+    order = np.argsort(p.j, kind="stable")
+    source, q = p.k[order], q[order]
+    # pairs into column j sit at positions end[j - 1] .. end[j] - 1
+    end = np.searchsorted(p.j[order], np.arange(M + 1), side="right")
+    degree = basis.exponents.sum(axis=1)
     eps = np.zeros(M + 1)
     eps[0] = np.nan  # index 0 is the constant monomial, never weighted
     degree_max = {0: 1.0}
     for j in range(1, M + 1):
-        d = basis.degree(j)
-        best = 0.0
-        for op in ops:
-            for k, v in op.kmat.column_support(j):
-                if k >= j or v == 0:
-                    continue
-                best = max(best, eps[k] * q_value(op, scheme, j, k))
+        d = int(degree[j])
+        col = slice(end[j - 1], end[j])
+        best = np.max(eps[source[col]] * q[col], initial=0.0)
         if j == 1:
             eps[j] = 1.0  # first weight anchors the recursion
         else:

@@ -11,9 +11,10 @@ algebra is unsolvable, 3 when the scheme condition (or the stability
 assumption) fails, 4 when the weight series diverges.  simulate returns
 5 when the audit flags a violation, including a state or a value of V
 that stops being finite (one line on stderr, no summary); its summary is
-strict JSON.  selftest returns 1 on failure.  Usage and config errors,
-non-finite simulation parameters among them, exit with 2 via the
-argument parser.
+strict JSON.  selftest returns 1 on failure.  Usage and config errors
+exit with 2 via the argument parser; these include non-finite
+coefficients, tail norms or simulation parameters, repeated coefficients
+and values of the wrong JSON type.
 """
 
 import argparse
@@ -23,7 +24,6 @@ import sys
 
 import numpy as np
 
-from . import koopman
 from .analysis import (
     analyze_family,
     export_epsilon_csv,
@@ -58,7 +58,7 @@ def _load_config(parser, path):
             return SystemConfig.from_json(fh.read())
     except OSError as exc:
         parser.error(f"cannot read config: {exc}")
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         parser.error(f"invalid config: {exc}")
 
 
@@ -193,14 +193,7 @@ def cmd_figure_rho(parser, args):
 
 
 def cmd_selftest(parser, args):
-    entry_fn = koopman.entry
-    if args.break_entry_sign:
-
-        def entry_fn(field_, basis, k, j):
-            v = koopman.entry(field_, basis, k, j)
-            return -v if k != j else v
-
-    return run_selftest(entry_fn=entry_fn, out=sys.stdout)
+    return run_selftest(out=sys.stdout)
 
 
 def cmd_example(parser, args, which):
@@ -256,12 +249,7 @@ def build_parser():
                    help="also run the pipeline at each mu")
     p.add_argument("--out", default="-")
 
-    p = sub.add_parser("selftest", help="internal consistency checks")
-    p.add_argument(
-        "--break-entry-sign",
-        action="store_true",
-        help=argparse.SUPPRESS,
-    )
+    sub.add_parser("selftest", help="internal consistency checks")
 
     p = sub.add_parser("example1", help="write the polynomial pair config")
     p.add_argument("--a", type=float, default=1.0)

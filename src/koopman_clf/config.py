@@ -135,6 +135,11 @@ class SystemConfig:
                     raise ValueError(
                         f"subsystem {s}: exponent list {alpha} has wrong length"
                     )
+                if alpha in comps[l]:
+                    raise ValueError(
+                        f"subsystem {s}: component {l + 1} lists exponents "
+                        f"{list(alpha)} twice"
+                    )
                 comps[l][alpha] = complex(float(c["re"]), float(c.get("im", 0.0)))
             tail = raw.get("tail_l1")
             if tail is not None:

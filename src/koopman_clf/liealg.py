@@ -201,7 +201,7 @@ class TriangularizationResult:
     flag_basis: np.ndarray
 
 
-def simultaneous_triangularize(matrices, tol=1e-10, require_hurwitz=False):
+def simultaneous_triangularize(matrices, tol=1e-10):
     """Common upper-triangularization of a family of matrices.
 
     Works by iterated common-eigenvector extraction and unitary deflation.
@@ -246,13 +246,6 @@ def simultaneous_triangularize(matrices, tol=1e-10, require_hurwitz=False):
             f"(matrix scale {scale:.3e}); flag construction is inconsistent"
         )
     eigs = tuple(np.diag(T).copy() for T in T_list)
-    if require_hurwitz:
-        for lam in eigs:
-            if np.any(lam.real >= 0):
-                raise ValueError(
-                    "triangularized family is not Hurwitz: "
-                    f"eigenvalue with Re >= 0 found in {lam}"
-                )
     flag = U_total
     c = float(np.linalg.norm(flag.conj().T, np.inf))  # = ||flag^{-1}||_inf
     P = c * flag

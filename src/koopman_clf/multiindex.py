@@ -89,20 +89,3 @@ def build_basis(dimension, max_degree):
     inverse = {alpha: k for k, alpha in enumerate(rows)}
     return MultiIndexBasis(dimension, max_degree, exps, inverse, np.array(starts))
 
-
-def shift_index(alpha, component, gamma):
-    """The coefficient exponent gamma - alpha + e_component, or None.
-
-    Returns the multi-index beta such that a monomial of exponent alpha,
-    hit by the coefficient beta in slot ``component`` of a vector field,
-    lands on exponent gamma.  None when some slot would go negative.
-    """
-    if len(alpha) != len(gamma):
-        raise ValueError("alpha and gamma must have the same length")
-    if not 0 <= component < len(alpha):
-        raise ValueError(f"component {component} out of range")
-    beta = list(g - a for g, a in zip(gamma, alpha))
-    beta[component] += 1
-    if any(b < 0 for b in beta):
-        return None
-    return tuple(beta)

@@ -1,24 +1,15 @@
 """Built-in consistency checks runnable from the command line.
 
-Each check exercises a structural identity of the generator matrix
-machinery; the entry function is injectable so the harness itself can be
-validated against a deliberately broken implementation.
+Each check exercises a structural identity of the generator matrices
+that ``analyze`` builds; the matrix builder is injectable so the harness
+itself can be validated against a deliberately broken implementation.
 """
 
 import numpy as np
 
-from . import koopman
+from .koopman import build_matrix
 from .multiindex import build_basis, order_key
 from .vectorfield import PolyVectorField, lie_bracket
-
-
-def _matrix_via(entry_fn, field_, basis):
-    M = basis.size
-    out = np.zeros((M, M), dtype=complex)
-    for k in range(1, M + 1):
-        for j in range(1, M + 1):
-            out[k - 1, j - 1] = entry_fn(field_, basis, k, j)
-    return out
 
 
 def _random_field(rng, n=2, degree=2):
@@ -56,7 +47,7 @@ def check_basis_order():
     return True, "basis order matches the comparator sort"
 
 
-def check_bracket_identity(entry_fn=koopman.entry):
+def check_bracket_identity(build=build_matrix):
     """Matrix commutator equals the matrix of the field bracket.
 
     For the generator matrices built from F and G, the identity
@@ -68,9 +59,9 @@ def check_bracket_identity(entry_fn=koopman.entry):
     for trial in range(5):
         F = _random_field(rng, degree=2)
         G = _random_field(rng, degree=2)
-        LF = _matrix_via(entry_fn, F, basis)
-        LG = _matrix_via(entry_fn, G, basis)
-        LB = _matrix_via(entry_fn, lie_bracket(F, G), basis)
+        LF = build(F, basis).to_dense()
+        LG = build(G, basis).to_dense()
+        LB = build(lie_bracket(F, G), basis).to_dense()
         # restrict to columns of degree <= 5: bracket degree is <= 3, so
         # entries there involve only rows/targets inside the basis
         cols = [j - 1 for j in range(1, basis.size + 1) if basis.degree(j) <= 5]
@@ -82,7 +73,7 @@ def check_bracket_identity(entry_fn=koopman.entry):
     return True, "commutator of generator matrices matches the bracket field"
 
 
-def check_triangularity(entry_fn=koopman.entry):
+def check_triangularity(build=build_matrix):
     """Jacobian-triangular fields give exactly upper-triangular matrices."""
     rng = np.random.default_rng(999)
     basis = build_basis(2, 5)
@@ -98,32 +89,33 @@ def check_triangularity(entry_fn=koopman.entry):
             t[tuple(1 if c == l else 0 for c in range(2))] = -2.0 + 0j
             comps.append(t)
         tri_field = PolyVectorField(comps)
-        M = _matrix_via(entry_fn, tri_field, basis)
+        M = build(tri_field, basis).to_dense()
         if np.any(np.tril(M, -1) != 0):
             return False, f"sub-diagonal entry appeared (trial {trial})"
     return True, "triangular Jacobians give triangular generator matrices"
 
 
-def check_diagonal(entry_fn=koopman.entry):
+def check_diagonal(build=build_matrix):
     """Diagonal entries are the exponent-weighted linear diagonals."""
     basis = build_basis(2, 5)
     F = PolyVectorField([{(1, 0): -1.5 + 0.5j, (2, 1): 2.0}, {(0, 1): -2.0 - 1j}])
     lam = np.array([-1.5 + 0.5j, -2.0 - 1j])
+    diagonal = np.diag(build(F, basis).to_dense())
     for k in range(1, basis.size + 1):
         alpha = basis.alpha(k)
         expected = alpha[0] * lam[0] + alpha[1] * lam[1]
-        if abs(entry_fn(F, basis, k, k) - expected) > 1e-12:
+        if abs(diagonal[k - 1] - expected) > 1e-12:
             return False, f"diagonal mismatch at {alpha}"
     return True, "diagonal entries match the exponent-weighted eigenvalues"
 
 
-def run_selftest(entry_fn=koopman.entry, out=None):
+def run_selftest(build=build_matrix, out=None):
     """Run all checks; returns 0 when everything passes, 1 otherwise."""
     checks = [
         ("basis-order", check_basis_order),
-        ("bracket-identity", lambda: check_bracket_identity(entry_fn)),
-        ("triangularity", lambda: check_triangularity(entry_fn)),
-        ("diagonal-eigenvalues", lambda: check_diagonal(entry_fn)),
+        ("bracket-identity", lambda: check_bracket_identity(build)),
+        ("triangularity", lambda: check_triangularity(build)),
+        ("diagonal-eigenvalues", lambda: check_diagonal(build)),
     ]
     failed = 0
     for name, fn in checks:

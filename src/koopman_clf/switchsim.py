@@ -257,14 +257,13 @@ def sample_initial_points(dimension, radius, count, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     pts = np.zeros((count, dimension), dtype=complex)
     n_real = (count + 1) // 2
-    for p in range(n_real):
-        for c in range(dimension):
-            h = halton(p + 1, _PRIMES[c % len(_PRIMES)])
-            pts[p, c] = radius * (2.0 * h - 1.0)
+    index = np.arange(1, n_real + 1)
+    h = [halton(index, _PRIMES[c % len(_PRIMES)]) for c in range(dimension)]
+    for c in range(dimension):
+        pts[:n_real, c] = radius * (2.0 * h[c] - 1.0)
     for p in range(n_real, count):
         for c in range(dimension):
-            h = halton(p + 1 - n_real, _PRIMES[c % len(_PRIMES)])
-            pts[p, c] = radius * math.sqrt(h) * np.exp(
+            pts[p, c] = radius * math.sqrt(h[c][p - n_real]) * np.exp(
                 2j * np.pi * rng.random()
             )
     return pts

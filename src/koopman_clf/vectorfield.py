@@ -16,6 +16,8 @@ monomials from it at once and multiplies them by the coefficient matrix.
 stages.
 """
 
+import cmath
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -39,6 +41,8 @@ def _validate_component(table, dimension):
         if sum(alpha) == 0:
             raise ValueError("constant terms are not allowed; fields fix the origin")
         value = complex(value)
+        if not cmath.isfinite(value):
+            raise ValueError(f"coefficient {value!r} of {alpha} is not finite")
         if value != 0:
             clean[alpha] = clean.get(alpha, 0) + value
     return {a: v for a, v in clean.items() if v != 0}
@@ -76,6 +80,8 @@ class PolyVectorField:
             if len(tail_l1) != n:
                 raise ValueError("tail_l1 must have one entry per component")
             for l, t in enumerate(tail_l1):
+                if not math.isfinite(t):
+                    raise ValueError(f"tail_l1[{l}]={t} is not finite")
                 stored = sum(abs(v) for v in self.components[l].values())
                 if t < stored - 1e-12 * max(1.0, stored):
                     raise ValueError(
@@ -195,7 +201,8 @@ class PolyVectorField:
         )
 
 
-def _poly_mul(a, b):
+def poly_mul(a, b):
+    """Product of two polynomials stored as exponent -> coefficient dicts."""
     out = {}
     for ka, va in a.items():
         for kb, vb in b.items():
@@ -229,10 +236,10 @@ def lie_bracket(F, G):
         acc = {}
         for s in range(n):
             for table in (
-                _poly_mul(_poly_diff(G.components[l], s), F.components[s]),
+                poly_mul(_poly_diff(G.components[l], s), F.components[s]),
                 {
                     k: -v
-                    for k, v in _poly_mul(
+                    for k, v in poly_mul(
                         _poly_diff(F.components[l], s), G.components[s]
                     ).items()
                 },
@@ -275,10 +282,12 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def halton(index, base):
-    """Radical-inverse (van der Corput) value of ``index`` in ``base``."""
-    result, f = 0.0, 1.0
-    i = index
-    while i > 0:
+    """Radical-inverse (van der Corput) values of an array of indices in
+    ``base``; every index runs through the same digit steps as the scalar
+    recursion, so the values do not depend on the batch."""
+    i = np.array(index, dtype=np.int64)
+    result, f = np.zeros(i.shape), 1.0
+    while np.any(i > 0):
         f /= base
         result += f * (i % base)
         i //= base
@@ -314,6 +323,13 @@ def boundary_invariance_check(field, rho, samples=8, margin=0.0):
         raise ValueError("margin must be >= 0")
     n = field.dimension
     count = 64 * samples
+    # the fill of the k-th other coordinate is the same on every face
+    index = np.arange(1, count + 1)
+    fill = []
+    for slot in range(n - 1):
+        h_mod = halton(index, _PRIMES[(2 * slot) % len(_PRIMES)])
+        h_arg = halton(index, _PRIMES[(2 * slot + 1) % len(_PRIMES)])
+        fill.append(rho * np.sqrt(h_mod) * np.exp(2j * np.pi * h_arg))
     worst = -np.inf
     worst_point = None
     for face in range(n):
@@ -321,12 +337,8 @@ def boundary_invariance_check(field, rho, samples=8, margin=0.0):
         phases = 2.0 * np.pi * np.arange(count) / count
         z[:, face] = rho * np.exp(1j * phases)
         others = [c for c in range(n) if c != face]
-        for slot, c in enumerate(others):
-            b_mod = _PRIMES[(2 * slot) % len(_PRIMES)]
-            b_arg = _PRIMES[(2 * slot + 1) % len(_PRIMES)]
-            h_mod = np.array([halton(p + 1, b_mod) for p in range(count)])
-            h_arg = np.array([halton(p + 1, b_arg) for p in range(count)])
-            z[:, c] = rho * np.sqrt(h_mod) * np.exp(2j * np.pi * h_arg)
+        for values, c in zip(fill, others):
+            z[:, c] = values
         vals = np.real(field.evaluate(z)[:, face] * np.conj(z[:, face]))
         i = int(np.argmax(vals))
         if vals[i] > worst:

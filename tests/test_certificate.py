@@ -8,7 +8,10 @@ from koopman_clf.certificate import (
     EPSILON_FLOOR,
     CommonLyapunovFunction,
     WeightScheme,
+    _coupled_pairs,
     _extrapolate,
+    _scheme_ratios,
+    _sup_by_degree,
     build_operator,
     certified_radius_dd,
     check_dd_condition,
@@ -18,12 +21,10 @@ from koopman_clf.certificate import (
     degree_maxima,
     dominance_xi_min,
     epsilon_sequence,
-    q_value,
-    scheme_ratio_scan,
 )
-from koopman_clf.koopman import entry
 from koopman_clf.multiindex import build_basis
 from koopman_clf.vectorfield import PolyVectorField
+from oracles import column_support, entry, q_value, stored_entry
 
 
 def polynomial_pair_ops(basis, a=1.0, b=0.3):
@@ -109,7 +110,7 @@ def weights(scheme, op, j, k):
         if scheme.kind == "polynomial":
             return 1.0 - scheme.xi
         return 1.0 - scheme.xi - scheme.kappa
-    coupled = op.kmat.entry(k, j) != 0 or op.kmat.entry(j, k) != 0
+    coupled = stored_entry(op.kmat, k, j) != 0 or stored_entry(op.kmat, j, k) != 0
     if not coupled:
         return 0.0
     if scheme.kind == "polynomial":
@@ -119,10 +120,10 @@ def weights(scheme, op, j, k):
         return scheme.xi / float(n * n - n)
     if dk < dj:
         # incoming coupling: share of the absolute sum feeding position j
-        e = abs(op.kmat.entry(k, j))
+        e = abs(stored_entry(op.kmat, k, j))
         return 0.5 * scheme.kappa * e / op.col_sums[j]
     # outgoing coupling toward higher degree
-    e = abs(op.kmat.entry(j, k))
+    e = abs(stored_entry(op.kmat, j, k))
     return 0.5 * scheme.kappa * e / op.row_sums[j]
 
 
@@ -133,7 +134,7 @@ def weight_row_sum(scheme, op, j):
     partners = set()
     cols, _ = kmat.rows[j - 1]
     partners.update(int(c) for c in cols if c != j)
-    partners.update(k for k, _ in kmat.column_support(j) if k != j)
+    partners.update(k for k, _ in column_support(kmat).get(j, []) if k != j)
     for k in sorted(partners):
         total += weights(scheme, op, j, k)
     return total
@@ -172,9 +173,10 @@ def test_q_value_equals_entry_ratio_over_weight_product():
     ops = polynomial_pair_ops(basis)
     scheme = WeightScheme("polynomial", 0.99)
     op = ops[1]
+    columns = column_support(op.kmat)
     checked = 0
     for j in range(2, basis.size + 1):
-        for k, v in op.kmat.column_support(j):
+        for k, v in columns.get(j, []):
             if k >= j:
                 continue
             direct = q_value(op, scheme, j, k)
@@ -435,11 +437,25 @@ def test_epsilon_recursion_strictness_across_subsystems():
     assert eta_eff > 0
     full = np.concatenate([[np.nan], eps])
     for op in ops:
+        columns = column_support(op.kmat)
         for j in range(2, basis.size + 1):
-            for k, v in op.kmat.column_support(j):
+            for k, v in columns.get(j, []):
                 if k >= j or v == 0:
                     continue
                 assert full[j] > full[k] * q_value(op, scheme, j, k)
+
+
+def test_epsilon_sequence_carries_a_nan_ratio_into_its_weight():
+    # (1,0) -> (2,0) is the only coupling into (2,0); a running Python max
+    # started at 0.0 would drop its NaN ratio and leave the floor there
+    basis = build_basis(2, 6)
+    ops = polynomial_pair_ops(basis)
+    k, j = basis.index_of((1, 0)), basis.index_of((2, 0))
+    cols, vals = ops[1].kmat.rows[k - 1]
+    vals[np.searchsorted(cols, j)] = math.nan
+    eps, _, q_sup, _ = epsilon_sequence(ops, basis, WeightScheme("polynomial", 0.99))
+    assert math.isnan(q_sup)
+    assert math.isnan(eps[j - 1])
 
 
 def test_epsilon_eta_capped_when_growth_would_diverge():
@@ -467,11 +483,15 @@ def test_scheme_ratio_scan_matches_per_pair_maximum():
     basis = build_basis(2, 6)
     ops = polynomial_pair_ops(basis)
     scheme = WeightScheme("polynomial", 0.99)
-    sup, arg, by_degree = scheme_ratio_scan(ops, basis, scheme)
+    pairs = _coupled_pairs(ops, basis)
+    q = _scheme_ratios(pairs, basis.dimension, scheme)
+    sup, arg, by_degree = _sup_by_degree(pairs, q, basis)
+    assert epsilon_sequence(ops, basis, scheme)[2:] == (sup, by_degree)
     brute = 0.0
     for op in ops:
+        columns = column_support(op.kmat)
         for j in range(2, basis.size + 1):
-            for k, v in op.kmat.column_support(j):
+            for k, v in columns.get(j, []):
                 if k < j and v != 0:
                     brute = max(brute, q_value(op, scheme, j, k))
     assert sup == pytest.approx(brute, rel=1e-12)

@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import json
 import math
 import subprocess
@@ -13,6 +15,8 @@ from koopman_clf.config import (
     example1_config,
     example2_config,
 )
+from koopman_clf.koopman import build_matrix
+from koopman_clf.selftest import run_selftest
 
 
 def linear_nonnormal_config(degree=6):
@@ -95,6 +99,14 @@ def test_config_validation_names_the_problem():
         SystemConfig.from_json_dict(bad)
 
 
+def test_config_rejects_a_repeated_coefficient():
+    data = example1_config().to_json_dict()
+    coeffs = data["subsystems"][1]["coefficients"]
+    coeffs.append({**coeffs[2], "re": 5.0})
+    with pytest.raises(ValueError, match="twice"):
+        SystemConfig.from_json_dict(data)
+
+
 def test_simulation_params_validation():
     with pytest.raises(ValueError):
         SimulationParams(dt=0.0)
@@ -162,6 +174,53 @@ def test_cli_analyze_rejects_non_finite_or_non_positive_eta(tmp_path, capsys, et
     err = capsys.readouterr().err
     assert "eta must be finite and positive" in err
     assert "certified" not in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def _analyze_exit(tmp_path, data):
+    """Exit code of analyze on a config written as JSON (NaN allowed)."""
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "r.json"
+    try:
+        return main(["analyze", "--config", str(cfg), "--out", str(out)])
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("case", ["dt-string", "re-null"])
+def test_cli_analyze_rejects_config_values_of_the_wrong_type(tmp_path, capsys, case):
+    data = example1_config(degree=6).to_json_dict()
+    if case == "dt-string":
+        data["simulation"]["dt"] = "0.01"
+    else:
+        data["subsystems"][1]["coefficients"][2]["re"] = None
+    assert _analyze_exit(tmp_path, data) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "case", ["re-nan", "im-inf", "tail-nan", "tail-inf", "repeated"]
+)
+def test_cli_analyze_rejects_non_finite_or_repeated_coefficients(
+    tmp_path, capsys, case
+):
+    data = example1_config(degree=6).to_json_dict()
+    sub = data["subsystems"][1]
+    if case == "re-nan":
+        sub["coefficients"][2]["re"] = math.nan
+    elif case == "im-inf":
+        sub["coefficients"][2]["im"] = math.inf
+    elif case == "tail-nan":
+        sub["tail_l1"] = [math.nan, 2.0]
+    elif case == "tail-inf":
+        sub["tail_l1"] = [math.inf, 2.0]
+    else:
+        sub["coefficients"].append({**sub["coefficients"][2], "re": 5.0})
+    assert _analyze_exit(tmp_path, data) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and "certified" not in err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -325,9 +384,19 @@ def test_cli_selftest_passes_and_detects_mutation(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
     assert "FAIL" not in out
-    assert main(["selftest", "--break-entry-sign"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL bracket-identity" in out
+
+    def sign_flipped(field_, basis):
+        # every off-diagonal entry with the wrong sign
+        kmat = build_matrix(field_, basis)
+        rows = tuple(
+            (cols, np.where(cols == k, vals, -vals))
+            for k, (cols, vals) in enumerate(kmat.rows, start=1)
+        )
+        return dataclasses.replace(kmat, rows=rows)
+
+    out = io.StringIO()
+    assert run_selftest(build=sign_flipped, out=out) == 1
+    assert "FAIL bracket-identity" in out.getvalue()
 
 
 def test_cli_example2_round_trips(tmp_path):

@@ -4,14 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from koopman_clf.koopman import (
-    build_matrix,
-    diagonal_eigenvalues,
-    entry,
-    export_dense_csv,
-)
+from koopman_clf.certificate import build_operator
+from koopman_clf.koopman import build_matrix
 from koopman_clf.multiindex import build_basis
 from koopman_clf.vectorfield import PolyVectorField, lie_bracket
+from oracles import col_abs_sum, column_support, entry, row_abs_sum, stored_entry
 
 
 def polynomial_pair(a=1.0, b=0.3):
@@ -32,6 +29,51 @@ def dense_oracle(field_, basis):
         for j in range(1, M + 1):
             out[k - 1, j - 1] = entry(field_, basis, k, j)
     return out
+
+
+def is_upper_triangular(kmat):
+    return not np.any(np.tril(kmat.to_dense(), -1) != 0)
+
+
+def diagonal_eigenvalues(kmat, linear_diag):
+    """Eigenvalues sum_l alpha_l(k) * lambda_l of the triangular generator.
+
+    ``linear_diag`` holds the diagonal linear coefficients lambda_l of the
+    field.  The result is cross-checked against the stored diagonal; a
+    mismatch beyond 1e-12 (relative) means the matrix was not built from a
+    Jacobian-triangular field.
+    """
+    lam = np.asarray(linear_diag, dtype=complex)
+    values = kmat.basis.exponents[1:] @ lam
+    stored = np.diag(kmat.to_dense())
+    scale = max(1.0, float(np.max(np.abs(values))))
+    err = float(np.max(np.abs(values - stored)))
+    if err > 1e-12 * scale:
+        raise ValueError(
+            f"diagonal mismatch {err:.3e}: generator matrix is not the "
+            "triangular form implied by the supplied linear diagonal"
+        )
+    return values
+
+
+def _fmt_complex(z):
+    re, im = float(z.real), float(z.imag)
+    sign = "+" if im >= 0 else "-"
+    return f"{re!r}{sign}{abs(im)!r}i"
+
+
+def export_dense_csv(kmat, fh):
+    """Write the dense matrix as CSV with entries formatted 're+imi'."""
+    dense = kmat.to_dense()
+    M = kmat.size
+    header = ["row_index"] + [
+        "m" + "_".join(str(a) for a in kmat.basis.alpha(j))
+        for j in range(1, M + 1)
+    ]
+    fh.write(",".join(header) + "\n")
+    for k in range(1, M + 1):
+        cells = [str(k)] + [_fmt_complex(dense[k - 1, j]) for j in range(M)]
+        fh.write(",".join(cells) + "\n")
 
 
 def random_int_field(rng, n=2, degree=2):
@@ -121,10 +163,12 @@ def test_matrix_entry_lookup_and_column_support():
     basis = build_basis(2, 6)
     kmat = build_matrix(f2, basis)
     j = basis.index_of((2, 1))
-    support = dict(kmat.column_support(j))
+    support = dict(column_support(kmat)[j])
     assert set(support) == {basis.index_of((1, 1)), j}
-    assert kmat.entry(basis.index_of((1, 1)), j) == support[basis.index_of((1, 1))]
-    assert kmat.entry(j, j) == -3.0
+    k = basis.index_of((1, 1))
+    assert stored_entry(kmat, k, j) == support[k]
+    assert stored_entry(kmat, j, j) == -3.0
+    assert kmat.to_dense()[k - 1, j - 1] == support[k]
 
 
 def test_triangularity_is_exact_for_triangular_jacobians():
@@ -145,13 +189,13 @@ def test_triangularity_is_exact_for_triangular_jacobians():
             comps[l][tuple(1 if s == l else 0 for s in range(2))] = -2.0
         g = PolyVectorField(comps)
         kmat = build_matrix(g, basis)
-        assert kmat.verify_triangular(0.0)
+        assert is_upper_triangular(kmat)
 
 
 def test_lower_triangular_jacobian_breaks_matrix_triangularity():
     f = PolyVectorField([{(1, 0): -1.0}, {(1, 0): 0.5, (0, 1): -1.0}])
     kmat = build_matrix(f, build_basis(2, 4))
-    assert not kmat.verify_triangular(0.0)
+    assert not is_upper_triangular(kmat)
 
 
 def test_matrix_commutator_represents_bracket_field():
@@ -199,7 +243,8 @@ def test_column_sum_collects_entries_feeding_a_position():
     want = sum(
         abs(entry(f2, basis, k, j)) for k in range(1, basis.size + 1)
     )
-    assert abs(kmat.col_abs_sum(j) - want) < 1e-14
+    assert abs(col_abs_sum(column_support(kmat), j) - want) < 1e-14
+    assert abs(build_operator(f2, basis).col_sums[j] - want) < 1e-14
 
 
 def test_row_sum_uses_exact_tail_norms():
@@ -214,11 +259,12 @@ def test_row_sum_uses_exact_tail_norms():
         p += 1
     f = PolyVectorField(comps, tail_l1=[1.0 + c_minus / mu, 1.0])
     basis = build_basis(2, 14)
-    kmat = build_matrix(f, basis)
+    op = build_operator(f, basis)
     for k in (1, 5, basis.size):
         ak = basis.alpha(k)
         want = ak[0] * (1.0 + c_minus / mu) + ak[1] * 1.0
-        assert abs(kmat.row_abs_sum(k) - want) < 1e-14
+        assert abs(op.row_sums[k] - want) < 1e-14
+        assert abs(row_abs_sum(op.kmat, k) - want) < 1e-14
 
 
 def test_diagonal_eigenvalues_match_exponent_weighted_spectrum():
@@ -263,4 +309,4 @@ def test_dense_csv_roundtrips_every_value():
         cells = lines[k].split(",")
         assert cells[0] == str(k)
         for j in range(1, basis.size + 1):
-            assert parse_cell(cells[j]) == kmat.entry(k, j)
+            assert parse_cell(cells[j]) == stored_entry(kmat, k, j)

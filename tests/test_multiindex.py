@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from koopman_clf.multiindex import build_basis, order_key, shift_index
+from koopman_clf.multiindex import build_basis, order_key
+from oracles import shift_index
 
 
 def brute_order(dimension, max_degree):

@@ -4,28 +4,32 @@ The reference below walks the stored rows of every operator one pair at
 a time and keeps a running maximum, with each ratio written as a scalar
 formula.  The array scans in ``koopman_clf.certificate`` must reproduce
 it exactly: every ratio, the sup, the pair it is attributed to, and the
-per-degree maxima.
+per-degree maxima.  The operator set-up and the weight recursion, which
+run on the same arrays, must equal their per-row and per-column forms.
 """
 
 import numpy as np
 import pytest
 
 from koopman_clf.certificate import (
+    ETA_FLOOR,
+    EPSILON_FLOOR,
     WeightScheme,
     _coupled_pairs,
     _dd_ratios,
+    _extrapolate,
     _poly_ratios,
     _scheme_ratios,
     _sup_by_degree,
     build_operator,
     check_dd_condition,
     check_poly_condition,
-    q_value,
-    scheme_ratio_scan,
+    epsilon_sequence,
 )
 from koopman_clf.config import example1_config, example2_config
 from koopman_clf.multiindex import build_basis
 from koopman_clf.vectorfield import PolyVectorField
+from oracles import col_abs_sum, column_support, q_value, row_abs_sum, stored_entry
 
 XI, KAPPA = 0.3, 0.6
 
@@ -91,6 +95,41 @@ def dd_values(basis, xi, kappa):
         )
 
     return same_value, cross_value
+
+
+def column_walk_weights(ops, basis, scheme, eta, rho):
+    """The weight recursion as a walk over the columns of every operator
+    with a scalar ratio per pair; returns what ``epsilon_sequence`` does."""
+
+    def value(i, op, k, j, e):
+        return q_value(op, scheme, j, k)
+
+    q_sup, _, q_by_degree = by_degree_max(ops, basis, value)
+    q_est, _ = _extrapolate(q_by_degree)
+    bound = max(q_sup, q_est) * rho * rho
+    if bound > 0:
+        eta_eff = min(eta, max(ETA_FLOOR, 0.5 * (1.0 / bound - 1.0)))
+    else:
+        eta_eff = eta
+    columns = [column_support(op.kmat) for op in ops]
+    eps = np.zeros(basis.size + 1)
+    eps[0] = np.nan
+    degree_max = {0: 1.0}
+    for j in range(1, basis.size + 1):
+        d = basis.degree(j)
+        best = 0.0
+        for op, cols in zip(ops, columns):
+            for k, v in cols.get(j, []):
+                if k >= j or v == 0:
+                    continue
+                best = max(best, eps[k] * q_value(op, scheme, j, k))
+        if j == 1:
+            eps[j] = 1.0
+        else:
+            floor = EPSILON_FLOOR * degree_max.get(d - 1, 1.0)
+            eps[j] = max((1.0 + eta_eff) * best, floor)
+        degree_max[d] = max(degree_max.get(d, 0.0), eps[j])
+    return eps[1:], eta_eff, q_sup, q_by_degree
 
 
 # families -------------------------------------------------------------------
@@ -196,11 +235,39 @@ def test_scheme_ratio_scan_matches_reference_scan(family, scheme):
     pairs = _coupled_pairs(ops, basis)
     q = _scheme_ratios(pairs, basis.dimension, scheme)
     assert q.tolist() == pair_values(ops, value)
-    assert scheme_ratio_scan(ops, basis, scheme) == by_degree_max(ops, basis, value)
+    assert _sup_by_degree(pairs, q, basis) == by_degree_max(ops, basis, value)
 
 
 def test_column_sums_match_the_per_column_sum(family):
     ops, basis, _ = family
     for op in ops:
-        want = [op.kmat.col_abs_sum(j) for j in range(1, basis.size + 1)]
+        columns = column_support(op.kmat)
+        want = [col_abs_sum(columns, j) for j in range(1, basis.size + 1)]
         assert op.col_sums[1:].tolist() == want
+
+
+def test_operator_set_up_matches_the_per_row_formulas(family):
+    ops, basis, _ = family
+    positions = range(1, basis.size + 1)
+    for op in ops:
+        decay = [-stored_entry(op.kmat, k, k).real for k in positions]
+        assert op.re_decay[1:].tolist() == decay
+        assert op.row_sums[1:].tolist() == [row_abs_sum(op.kmat, k) for k in positions]
+
+
+@pytest.mark.parametrize(
+    "scheme, rho",
+    [
+        (WeightScheme("polynomial", 0.99), 1.0),
+        (WeightScheme("diagonal_dominance", XI, KAPPA), 0.5),
+    ],
+    ids=["polynomial", "diagonal_dominance"],
+)
+def test_epsilon_sequence_matches_the_column_walk(family, scheme, rho):
+    ops, basis, _ = family
+    eps, eta_eff, q_sup, q_by_degree = epsilon_sequence(
+        ops, basis, scheme, eta=0.5, rho=rho
+    )
+    want = column_walk_weights(ops, basis, scheme, 0.5, rho)
+    assert eps.tolist() == want[0].tolist()
+    assert (eta_eff, q_sup, q_by_degree) == want[1:]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -63,6 +65,20 @@ def test_tail_l1_must_dominate_stored_sum():
     f = PolyVectorField([{(1,): -1.0, (3,): 0.5}], tail_l1=[1.5])
     assert f.l1_norm(0) == 1.5
     assert f.truncated
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, complex(0.0, math.nan), complex(-math.inf, 1.0)]
+)
+def test_non_finite_coefficients_are_rejected(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        PolyVectorField([{(1, 0): -1.0, (2, 0): bad}, {(0, 1): -1.0}])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_tail_l1_is_rejected(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        PolyVectorField([{(1,): -1.0, (3,): 0.5}], tail_l1=[bad])
 
 
 def test_truncated_without_tail_warns_on_l1_query():
@@ -413,6 +429,24 @@ def test_halton_base2_and_base3_prefixes():
     assert np.allclose(
         [halton(i, 3) for i in (1, 2, 3)], [1 / 3, 2 / 3, 1 / 9]
     )
+
+
+def scalar_halton(index, base):
+    result, f = 0.0, 1.0
+    i = index
+    while i > 0:
+        f /= base
+        result += f * (i % base)
+        i //= base
+    return result
+
+
+@pytest.mark.parametrize("base", [2, 3, 5, 7, 37])
+def test_halton_batch_matches_the_scalar_recursion(base):
+    index = np.arange(0, 3000)
+    want = [scalar_halton(int(i), base) for i in index]
+    assert halton(index, base).tolist() == want
+    assert halton(index[::-7], base).tolist() == want[::-7]
 
 
 # boundary test --------------------------------------------------------------
