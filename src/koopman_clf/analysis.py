@@ -6,6 +6,7 @@ condition, weight recursion, series convergence, boundary evidence.
 """
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -29,6 +30,7 @@ from .multiindex import build_basis
 from .vectorfield import (
     PolyVectorField,
     SwitchedFamily,
+    add_terms,
     boundary_invariance_check,
     poly_mul,
 )
@@ -81,12 +83,7 @@ def substitute_linear(field_, P, P_inv):
             for s in range(n):
                 if beta[s]:
                     term = poly_mul(term, lin_pow(s, beta[s]))
-            for key, v in term.items():
-                tot = acc.get(key, 0) + v
-                if tot == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = tot
+            add_terms(acc, term.items())
         composed.append(acc)
     comps = []
     for l in range(n):
@@ -95,12 +92,7 @@ def substitute_linear(field_, P, P_inv):
             c = P_inv[l, j]
             if c == 0:
                 continue
-            for key, v in composed[j].items():
-                tot = acc.get(key, 0) + c * v
-                if tot == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = tot
+            add_terms(acc, ((key, c * v) for key, v in composed[j].items()))
         comps.append(acc)
     return PolyVectorField(comps, truncated=field_.truncated)
 
@@ -226,7 +218,20 @@ class CertificateReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        """Strict JSON of ``to_json_dict``; a non-finite float, which only
+        a failed report holds, is written as null."""
+        doc = _finite_or_none(self.to_json_dict())
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _finite_or_none(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_none(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_none(v) for v in obj]
+    return obj
 
 
 def _opt_float(x):

@@ -70,17 +70,9 @@ class SubsystemOperator:
     row_sums: np.ndarray  # sum_j |entry(k, j)| out of row k (tail aware)
 
 
-def _stored_entries(kmat):
-    """Stored entries as arrays (k, j, value) in row order, then column order."""
-    k = np.repeat(np.arange(1, kmat.size + 1), [len(cols) for cols, _ in kmat.rows])
-    j = np.concatenate([cols for cols, _ in kmat.rows])
-    v = np.concatenate([vals for _, vals in kmat.rows])
-    return k, j, v
-
-
 def build_operator(field_hat, basis):
     """Generator matrix of one subsystem with the decay rates and absolute
-    sums the schemes read, all from one array set of its stored entries.
+    sums the schemes read, all from the matrix's (k, j, v) arrays.
 
     The row sum of position k over the full infinite basis is
     sum_l alpha_l(k) ||F_l||_{l1}, with exact component norms (tail_l1
@@ -88,7 +80,7 @@ def build_operator(field_hat, basis):
     component land on the same target, as for the families treated here.
     """
     kmat = build_matrix(field_hat, basis)
-    k, j, v = _stored_entries(kmat)
+    k, j, v = kmat.k, kmat.j, kmat.v
     if np.any(v[j < k] != 0):
         raise ValueError(
             "generator matrix has entries below the diagonal; the field's "
@@ -121,7 +113,7 @@ def _coupled_pairs(ops, basis):
     attributed to the first pair that reaches it in this order."""
     coo = []
     for i, op in enumerate(ops):
-        k, j, v = _stored_entries(op.kmat)
+        k, j, v = op.kmat.k, op.kmat.j, op.kmat.v
         keep = (j > k) & (v != 0)
         coo.append((np.full(keep.sum(), i), k[keep], j[keep], v[keep]))
     i, k, j, v = (np.concatenate(a) for a in zip(*coo))
@@ -140,8 +132,16 @@ def _coupled_pairs(ops, basis):
 
 def _square(x):
     """``x ** 2`` elementwise with Python's float power, which differs from
-    ``x * x`` in the last bit for about one value in a thousand."""
-    return np.fromiter((t**2 for t in x.tolist()), float, len(x))
+    ``x * x`` in the last bit for about one value in a thousand; inf where
+    that power overflows."""
+
+    def square(t):
+        try:
+            return t**2
+        except OverflowError:
+            return math.inf
+
+    return np.fromiter(map(square, x.tolist()), float, len(x))
 
 
 def _poly_ratios(p):

@@ -10,8 +10,9 @@ Exit codes: analyze returns 0 on a certificate, 2 when the Jacobian
 algebra is unsolvable, 3 when the scheme condition (or the stability
 assumption) fails, 4 when the weight series diverges.  simulate returns
 5 when the audit flags a violation, including a state or a value of V
-that stops being finite (one line on stderr, no summary); its summary is
-strict JSON.  selftest returns 1 on failure.  Usage and config errors
+that stops being finite (one line on stderr, no summary).  Reports and
+summaries are strict JSON; a non-finite number in a failed report is
+written as null.  selftest returns 1 on failure.  Usage and config errors
 exit with 2 via the argument parser; these include non-finite
 coefficients, tail norms or simulation parameters, repeated coefficients
 and values of the wrong JSON type.
@@ -69,16 +70,19 @@ def cmd_analyze(parser, args):
     xi = args.xi if args.xi is not None else cfg.xi
     kappa = args.kappa if args.kappa is not None else cfg.kappa
     rho_request = args.rho if args.rho is not None else cfg.rho_request
+    # an overflowing ratio ends as inf and fails the scheme; numpy's
+    # warnings would only repeat it
     try:
-        report = analyze_family(
-            cfg.build_family(),
-            degree,
-            scheme_kind=scheme,
-            xi=xi,
-            kappa=kappa,
-            eta=cfg.eta,
-            rho_request=rho_request,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = analyze_family(
+                cfg.build_family(),
+                degree,
+                scheme_kind=scheme,
+                xi=xi,
+                kappa=kappa,
+                eta=cfg.eta,
+                rho_request=rho_request,
+            )
     except ValueError as exc:
         parser.error(str(exc))
     if args.format == "json":

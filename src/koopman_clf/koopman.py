@@ -10,6 +10,9 @@ column) is
 and vanishes whenever |alpha(j)| < |alpha(k)|: the generator never lowers
 total degree, so the matrix is block upper triangular by degree.  Entries
 are exact sums of products of stored coefficients.
+
+The matrix is held as one set of coordinate arrays (k, j, v) with 1-based
+basis positions, built for every stored term of the field at once.
 """
 
 from dataclasses import dataclass
@@ -19,59 +22,77 @@ import numpy as np
 
 @dataclass
 class KoopmanMatrix:
-    """Sparse-by-rows truncated generator matrix.
+    """Truncated generator matrix as coordinate arrays.
 
-    ``rows[k - 1]`` holds ``(columns, values)`` for source monomial k; the
-    stored support covers every (k, j) pair inside the basis exactly.
-    ``exact_degree`` is the largest d such that rows of total degree <= d
-    lose no entries to basis truncation.
+    Entry ``v[t]`` sits at row ``k[t]``, column ``j[t]`` (basis positions
+    1..size), sorted by (k, j); the stored support covers every (k, j)
+    pair inside the basis exactly, without exact zeros.  ``exact_degree``
+    is the largest d such that rows of total degree <= d lose no entries
+    to basis truncation.
+
+    ``rows`` remains only as a read-only split of the arrays into per-row
+    views, for readers outside the package that walk the matrix row by
+    row with 1-based columns (``benchmarks/tracer.py`` counts entries
+    through it).
     """
 
     basis: object
     field_ref: object
-    rows: tuple
+    k: np.ndarray
+    j: np.ndarray
+    v: np.ndarray
     exact_degree: int
 
     @property
     def size(self):
         return self.basis.size
 
+    @property
+    def rows(self):
+        """``rows[k - 1]`` is the pair (columns, values) of row k, as views."""
+        cuts = np.searchsorted(self.k, np.arange(2, self.size + 1))
+        return tuple(zip(np.split(self.j, cuts), np.split(self.v, cuts)))
+
     def to_dense(self):
-        M = self.size
-        out = np.zeros((M, M), dtype=complex)
-        for k in range(1, M + 1):
-            cols, vals = self.rows[k - 1]
-            out[k - 1, cols - 1] = vals
+        out = np.zeros((self.size, self.size), dtype=complex)
+        out[self.k - 1, self.j - 1] = self.v
         return out
 
 
 def build_matrix(field_, basis):
-    """Assemble the truncated generator matrix of ``field_`` on ``basis``."""
+    """Assemble the truncated generator matrix of ``field_`` on ``basis``.
+
+    A stored term a z^beta of component l takes every source k with
+    alpha_l(k) > 0 to the target alpha(k) + beta - e_l, kept while its
+    degree stays within the basis, and contributes alpha_l(k) a there.
+    The contributions are laid out term after term, so those that meet at
+    one (k, j) come in the order of l, then of the component's stored
+    terms; ``np.add.at`` sums them from 0j in that order.  Exact-zero sums
+    are dropped.
+    """
     if field_.dimension != basis.dimension:
         raise ValueError("field and basis dimensions differ")
-    M = basis.size
-    rows = []
-    for k in range(1, M + 1):
-        ak = basis.alpha(k)
-        acc = {}
-        for l in range(basis.dimension):
-            if ak[l] == 0:
-                continue
-            for beta, a in field_.components[l].items():
-                gamma = tuple(
-                    g + b - (1 if s == l else 0)
-                    for s, (g, b) in enumerate(zip(ak, beta))
-                )
-                if sum(gamma) > basis.max_degree:
-                    continue
-                j = basis.index_of(gamma)
-                val = acc.get(j, 0j) + ak[l] * a
-                if val == 0:
-                    acc.pop(j, None)
-                else:
-                    acc[j] = val
-        cols = np.array(sorted(acc), dtype=np.int64)
-        vals = np.array([acc[int(c)] for c in cols], dtype=complex)
-        rows.append((cols, vals))
+    exps = basis.exponents
+    degree = exps.sum(axis=1)
+    # seeded with empty arrays: a field without terms gives an empty matrix
+    empty = np.zeros(0, np.int64)
+    ks, js, vs = [empty], [empty], [np.zeros(0, complex)]
+    for l in range(basis.dimension):
+        sources = np.flatnonzero(exps[:, l])
+        for beta, a in field_.components[l].items():
+            shift = np.array(beta, dtype=np.int64)
+            shift[l] -= 1
+            k = sources[degree[sources] + shift.sum() <= basis.max_degree]
+            ks.append(k)
+            js.append(basis.positions(exps[k] + shift))
+            vs.append(exps[k, l] * a)
+    width = basis.size + 1
+    keys, slot = np.unique(
+        np.concatenate(ks) * width + np.concatenate(js), return_inverse=True
+    )
+    v = np.zeros(len(keys), dtype=complex)
+    np.add.at(v, slot, np.concatenate(vs))
+    keep = v != 0
+    k, j = np.divmod(keys[keep], width)
     exact = max(0, basis.max_degree - field_.degree + 1)
-    return KoopmanMatrix(basis, field_, tuple(rows), exact)
+    return KoopmanMatrix(basis, field_, k, j, v[keep], exact)

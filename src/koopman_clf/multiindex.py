@@ -4,6 +4,15 @@ Multi-indices are plain tuples of non-negative ints.  The basis over n
 variables up to total degree N is ordered degree first; within a degree,
 the index whose exponent is larger at the smallest differing slot comes
 first, so for n = 2, degree 2 the order is (2,0), (1,1), (0,2).
+
+Positions have a closed form in the combinatorial number system: with S_i
+the sum of the last i exponents of alpha,
+
+    position(alpha) = sum_{i=1..n} C(S_i + i - 1, i).
+
+The term i = n counts the indices of lower total degree; the term i < n
+counts those of the same degree and the same leading slots that come
+first because their exponent at slot n - i - 1 is larger.
 """
 
 import math
@@ -38,7 +47,7 @@ class MultiIndexBasis:
     dimension: int
     max_degree: int
     exponents: np.ndarray
-    _inverse: dict = field(repr=False)
+    _binomial: np.ndarray = field(repr=False)  # C(m, i), m < N + n, i <= n
     degree_start: np.ndarray
 
     @property
@@ -63,7 +72,14 @@ class MultiIndexBasis:
             raise ValueError(f"negative exponent in {alpha}")
         if sum(alpha) > self.max_degree:
             return None
-        return self._inverse[alpha]
+        return int(self.positions(np.array([alpha]))[0])
+
+    def positions(self, alphas):
+        """Basis positions of an (m, n) integer array of multi-indices,
+        each of total degree at most max_degree."""
+        suffix = np.cumsum(alphas[:, ::-1], axis=1)
+        i = np.arange(1, self.dimension + 1)
+        return self._binomial[suffix + i - 1, i].sum(axis=1)
 
     def indices_of_degree(self, d):
         """range of basis positions whose total degree equals d."""
@@ -86,6 +102,10 @@ def build_basis(dimension, max_degree):
         rows.extend(_compositions(dimension, d))
         starts.append(len(rows))
     exps = np.array(rows, dtype=np.int64)
-    inverse = {alpha: k for k, alpha in enumerate(rows)}
-    return MultiIndexBasis(dimension, max_degree, exps, inverse, np.array(starts))
+    binomial = np.array(
+        [[math.comb(m, i) for i in range(dimension + 1)]
+         for m in range(max_degree + dimension)],
+        dtype=np.int64,
+    )
+    return MultiIndexBasis(dimension, max_degree, exps, binomial, np.array(starts))
 

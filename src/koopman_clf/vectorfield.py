@@ -201,18 +201,28 @@ class PolyVectorField:
         )
 
 
+def add_terms(acc, terms):
+    """Add (exponent, coefficient) pairs into the dict ``acc`` in order; an
+    exponent whose sum becomes exactly zero is removed.  Returns ``acc``."""
+    for key, v in terms:
+        s = acc.get(key, 0) + v
+        if s == 0:
+            acc.pop(key, None)
+        else:
+            acc[key] = s
+    return acc
+
+
 def poly_mul(a, b):
     """Product of two polynomials stored as exponent -> coefficient dicts."""
-    out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            s = out.get(key, 0) + va * vb
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
+    return add_terms(
+        {},
+        (
+            (tuple(x + y for x, y in zip(ka, kb)), va * vb)
+            for ka, va in a.items()
+            for kb, vb in b.items()
+        ),
+    )
 
 
 def _poly_diff(table, slot):
@@ -235,21 +245,10 @@ def lie_bracket(F, G):
     for l in range(n):
         acc = {}
         for s in range(n):
-            for table in (
-                poly_mul(_poly_diff(G.components[l], s), F.components[s]),
-                {
-                    k: -v
-                    for k, v in poly_mul(
-                        _poly_diff(F.components[l], s), G.components[s]
-                    ).items()
-                },
-            ):
-                for key, v in table.items():
-                    tot = acc.get(key, 0) + v
-                    if tot == 0:
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = tot
+            plus = poly_mul(_poly_diff(G.components[l], s), F.components[s])
+            minus = poly_mul(_poly_diff(F.components[l], s), G.components[s])
+            add_terms(acc, plus.items())
+            add_terms(acc, ((k, -v) for k, v in minus.items()))
         comps.append(acc)
     return PolyVectorField(comps)
 

@@ -1,10 +1,10 @@
 """Per-entry reference formulas for the generator matrix and the coupling
 ratios.
 
-The library builds each truncated generator matrix once, row by row, and
-runs the certificate on arrays of its stored entries.  The functions here
-compute the same quantities one entry, one column or one pair at a time,
-as scalar formulas; the tests hold the library to them.
+The library builds each truncated generator matrix once, as arrays
+(k, j, v) of its stored entries, and runs the certificate on them.  The
+functions here compute the same quantities one entry, one column or one
+pair at a time, as scalar formulas; the tests hold the library to them.
 """
 
 import numpy as np
@@ -52,20 +52,18 @@ def entry(field_, basis, k, j):
 
 def stored_entry(kmat, k, j):
     """Stored element (k, j) of a built matrix, 0j when not stored."""
-    cols, vals = kmat.rows[k - 1]
-    pos = np.searchsorted(cols, j)
-    if pos < len(cols) and cols[pos] == j:
-        return complex(vals[pos])
+    lo, hi = np.searchsorted(kmat.k, [k, k + 1])
+    pos = lo + np.searchsorted(kmat.j[lo:hi], j)
+    if pos < hi and kmat.j[pos] == j:
+        return complex(kmat.v[pos])
     return 0j
 
 
 def column_support(kmat):
     """Column j -> pairs (k, value) of its stored entries, k ascending."""
     columns = {}
-    for k in range(1, kmat.size + 1):
-        cols, vals = kmat.rows[k - 1]
-        for c, v in zip(cols, vals):
-            columns.setdefault(int(c), []).append((k, complex(v)))
+    for k, j, v in zip(kmat.k.tolist(), kmat.j.tolist(), kmat.v.tolist()):
+        columns.setdefault(j, []).append((k, v))
     return columns
 
 

@@ -132,8 +132,7 @@ def weight_row_sum(scheme, op, j):
     total = weights(scheme, op, j, j)
     kmat = op.kmat
     partners = set()
-    cols, _ = kmat.rows[j - 1]
-    partners.update(int(c) for c in cols if c != j)
+    partners.update(int(c) for c in kmat.j[kmat.k == j] if c != j)
     partners.update(k for k, _ in column_support(kmat).get(j, []) if k != j)
     for k in sorted(partners):
         total += weights(scheme, op, j, k)
@@ -341,9 +340,10 @@ def test_dd_radius_fails_closed_on_non_finite_ratios(bad):
     basis = build_basis(2, 6)
     ops, jacs = linear_nonnormal_ops(basis)
     assert certified_radius_dd(ops, basis, jacs, 0.9, 0.05)[0] == 1.0
-    k = basis.index_of((1, 1))
-    cols, vals = ops[0].kmat.rows[k - 1]
-    vals[np.searchsorted(cols, basis.index_of((0, 2)))] = bad
+    kmat = ops[0].kmat
+    hit = (kmat.k == basis.index_of((1, 1))) & (kmat.j == basis.index_of((0, 2)))
+    assert hit.sum() == 1
+    kmat.v[hit] = bad
     rho, detail = certified_radius_dd(ops, basis, jacs, 0.9, 0.05)
     assert rho == 0.0
     assert not detail["pass"]
@@ -451,8 +451,10 @@ def test_epsilon_sequence_carries_a_nan_ratio_into_its_weight():
     basis = build_basis(2, 6)
     ops = polynomial_pair_ops(basis)
     k, j = basis.index_of((1, 0)), basis.index_of((2, 0))
-    cols, vals = ops[1].kmat.rows[k - 1]
-    vals[np.searchsorted(cols, j)] = math.nan
+    kmat = ops[1].kmat
+    hit = (kmat.k == k) & (kmat.j == j)
+    assert hit.sum() == 1
+    kmat.v[hit] = math.nan
     eps, _, q_sup, _ = epsilon_sequence(ops, basis, WeightScheme("polynomial", 0.99))
     assert math.isnan(q_sup)
     assert math.isnan(eps[j - 1])

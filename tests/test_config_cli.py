@@ -224,6 +224,26 @@ def test_cli_analyze_rejects_non_finite_or_repeated_coefficients(
     assert not (tmp_path / "r.json").exists()
 
 
+def test_cli_analyze_fails_closed_on_an_overflowing_coefficient(tmp_path):
+    # a finite coefficient whose squared coupling overflows a float
+    data = example1_config().to_json_dict()
+    coeff = data["subsystems"][1]["coefficients"][1]
+    assert coeff["exponents"] == [1, 2]
+    coeff["re"] = -1e160
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "r.json"
+    argv = [sys.executable, "-m", "koopman_clf", "analyze",
+            "--config", str(cfg), "--out", str(out)]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("not certified:")
+    assert proc.stderr.count("\n") == 1
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["certified"] is False
+    assert report["poly_condition"]["q_sup"] is None
+
+
 def test_cli_analyze_reports_scheme_failure(tmp_path, capsys):
     cfg = tmp_path / "sys.json"
     assert main(["example1", "--b", "0.5", "--out", str(cfg)]) == 0
@@ -388,11 +408,9 @@ def test_cli_selftest_passes_and_detects_mutation(capsys):
     def sign_flipped(field_, basis):
         # every off-diagonal entry with the wrong sign
         kmat = build_matrix(field_, basis)
-        rows = tuple(
-            (cols, np.where(cols == k, vals, -vals))
-            for k, (cols, vals) in enumerate(kmat.rows, start=1)
+        return dataclasses.replace(
+            kmat, v=np.where(kmat.j == kmat.k, kmat.v, -kmat.v)
         )
-        return dataclasses.replace(kmat, rows=rows)
 
     out = io.StringIO()
     assert run_selftest(build=sign_flipped, out=out) == 1

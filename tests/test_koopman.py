@@ -158,6 +158,32 @@ def test_build_matrix_agrees_with_entry_function():
         assert np.array_equal(kmat.to_dense(), dense_oracle(f, basis))
 
 
+def test_build_matrix_drops_contributions_that_cancel():
+    # at row (1, 1) the terms z1^2 of component 1 and z1 z2 of component 2
+    # both land on (2, 1), with 1 * 1 + 1 * (-1) = 0
+    f = PolyVectorField(
+        [{(1, 0): -1.0, (2, 0): 1.0}, {(0, 1): -1.0, (1, 1): -1.0}]
+    )
+    basis = build_basis(2, 5)
+    kmat = build_matrix(f, basis)
+    k, j = basis.index_of((1, 1)), basis.index_of((2, 1))
+    assert entry(f, basis, k, j) == 0
+    assert not np.any((kmat.k == k) & (kmat.j == j))
+    assert np.all(kmat.v != 0)
+    assert np.array_equal(kmat.to_dense(), dense_oracle(f, basis))
+
+
+def test_rows_split_the_arrays_by_source_position():
+    _, f2 = polynomial_pair()
+    basis = build_basis(2, 6)
+    kmat = build_matrix(f2, basis)
+    rows = kmat.rows
+    assert len(rows) == basis.size
+    for k, (cols, vals) in enumerate(rows, start=1):
+        assert np.array_equal(cols, kmat.j[kmat.k == k])
+        assert np.array_equal(vals, kmat.v[kmat.k == k])
+
+
 def test_matrix_entry_lookup_and_column_support():
     _, f2 = polynomial_pair()
     basis = build_basis(2, 6)
@@ -221,15 +247,13 @@ def test_exact_degree_accounts_for_field_degree():
     kmat = build_matrix(f2, basis)
     assert kmat.exact_degree == 8 - 3 + 1
     # rows at or below exact_degree keep every infinite-matrix entry:
-    # check against a larger basis
-    big = build_matrix(f2, build_basis(2, 12))
-    for k in range(1, basis.size + 1):
-        if basis.degree(k) > kmat.exact_degree:
-            continue
-        cols, vals = kmat.rows[k - 1]
-        cols_big, vals_big = big.rows[k - 1]
-        assert np.array_equal(cols, cols_big)
-        assert np.array_equal(vals, vals_big)
+    # check against a larger basis, where the same positions hold
+    big = build_matrix(f2, big_basis := build_basis(2, 12))
+    low = basis.exponents.sum(axis=1)[kmat.k] <= kmat.exact_degree
+    low_big = big_basis.exponents.sum(axis=1)[big.k] <= kmat.exact_degree
+    assert low.any()
+    for mine, theirs in ((kmat.k, big.k), (kmat.j, big.j), (kmat.v, big.v)):
+        assert np.array_equal(mine[low], theirs[low_big])
 
 
 # absolute sums --------------------------------------------------------------

@@ -67,8 +67,17 @@ def test_index_of_roundtrip_and_specific_position():
     b = build_basis(2, 4)
     assert b.index_of((1, 1)) == 4
     assert b.index_of((0, 0)) == 0
-    for k in range(b.size + 1):
-        assert b.index_of(b.alpha(k)) == k
+    assert build_basis(3, 2).index_of((0, 1, 1)) == 8
+    # the batched closed-form rank against the sorted enumeration
+    for n in (1, 2, 3, 4):
+        for N in (1, 2, 5, 8):
+            b = build_basis(n, N)
+            expect = brute_order(n, N)
+            assert np.array_equal(
+                b.positions(np.array(expect)), np.arange(len(expect))
+            )
+            for k, alpha in enumerate(expect):
+                assert b.index_of(alpha) == k
 
 
 def test_index_of_beyond_truncation_is_none():

@@ -1,7 +1,7 @@
 """Array scans of the coupled pairs against a per-pair Python scan.
 
-The reference below walks the stored rows of every operator one pair at
-a time and keeps a running maximum, with each ratio written as a scalar
+The reference below walks the stored entries of every operator one pair
+at a time and keeps a running maximum, with each ratio written as a scalar
 formula.  The array scans in ``koopman_clf.certificate`` must reproduce
 it exactly: every ratio, the sup, the pair it is attributed to, and the
 per-degree maxima.  The operator set-up and the weight recursion, which
@@ -38,13 +38,11 @@ XI, KAPPA = 0.3, 0.6
 
 
 def scan_pairs(op):
-    """Yield coupled pairs (k, j, |entry|) with k < j from stored rows."""
-    for k in range(1, op.kmat.size + 1):
-        cols, vals = op.kmat.rows[k - 1]
-        for c, v in zip(cols, vals):
-            j = int(c)
-            if j > k and v != 0:
-                yield k, j, abs(complex(v))
+    """Yield coupled pairs (k, j, |entry|) with k < j from stored entries."""
+    kmat = op.kmat
+    for k, j, v in zip(kmat.k.tolist(), kmat.j.tolist(), kmat.v.tolist()):
+        if j > k and v != 0:
+            yield k, j, abs(v)
 
 
 def by_degree_max(ops, basis, value_fn):

@@ -16,6 +16,7 @@ from koopman_clf.vectorfield import (
     flow_step,
     halton,
     lie_bracket,
+    poly_mul,
 )
 
 
@@ -255,6 +256,13 @@ def test_boundary_check_matches_the_reference_evaluator(
 
 
 # bracket --------------------------------------------------------------------
+
+
+def test_poly_mul_drops_terms_that_cancel_exactly():
+    # (x + y)(x - y) = x^2 - y^2: the two xy products cancel
+    got = poly_mul({(1, 0): 1.0, (0, 1): 1.0}, {(1, 0): 1.0, (0, 1): -1.0})
+    assert got == {(2, 0): 1.0, (0, 2): -1.0}
+    assert list(got) == [(2, 0), (0, 2)]
 
 
 def test_bracket_of_scaling_and_quadratic_pair():
