@@ -288,7 +288,7 @@ def check_dd_condition(ops, basis, jacobians, xi, kappa, rho):
         "cross_sup": cross_sup,
         "extrapolated": est,
         "source": source,
-        "lhs_sup": max(same_sup, est),
+        "lhs_sup": float(np.maximum(same_sup, est)),  # NaN if either is
         "argmax": arg,
         "by_degree": by_degree,
     }
@@ -348,9 +348,18 @@ def epsilon_sequence(ops, basis, scheme, eta=0.5, rho=1.0):
     positions with no incoming coupling receive a small positive floor
     tied to the previous degree's largest weight.
 
-    The ratios come from one scan of the coupled pairs, grouped by target
-    column j; a maximum is exact in any order, and a NaN ratio reaches
-    its weight.
+    The recursion runs one dependency level at a time, levels ordered by
+    degree, then by the length of the longest chain of same-degree pairs
+    that ends at a position.  Every coupled pair has k < j, so deg k <=
+    deg j and each source lies in an earlier level; the floors of degree
+    d read only the finished weights of degree d - 1.  A level takes the
+    grouped max of eps_k Q_jk over its pairs with one
+    ``np.maximum.reduceat`` and sets all its weights in one assignment.
+    The weights are exact, equal to a walk over the positions one at a
+    time: a maximum does not depend on the order of its terms, and a
+    degree is complete before its successor's floors are taken.  A NaN
+    ratio reaches its weight through ``np.maximum``, while the degree
+    maxima behind the floors skip NaN weights.
 
     Returns (epsilon, eta_effective, q_sup, q_by_degree).
     """
@@ -366,34 +375,72 @@ def epsilon_sequence(ops, basis, scheme, eta=0.5, rho=1.0):
         eta_eff = min(eta, max(ETA_FLOOR, 0.5 * (1.0 / bound - 1.0)))
     else:
         eta_eff = eta
-    order = np.argsort(p.j, kind="stable")
-    source, q = p.k[order], q[order]
-    # pairs into column j sit at positions end[j - 1] .. end[j] - 1
-    end = np.searchsorted(p.j[order], np.arange(M + 1), side="right")
     degree = basis.exponents.sum(axis=1)
+    depth = np.zeros(M + 1, dtype=np.int64)
+    ks, js = p.k[p.same], p.j[p.same]
+    while True:  # longest same-degree chain of pairs ending at each position
+        reach = np.zeros_like(depth)
+        np.maximum.at(reach, js, depth[ks] + 1)
+        if np.array_equal(reach, depth):
+            break
+        depth = reach
+    level = degree * (int(depth.max()) + 1) + depth
+    # each position j >= 2 also gets a zero-ratio pair from slot 0, which
+    # holds 0.0: the max's initial value, and no group is left empty
+    src = np.concatenate([p.k, np.zeros(M - 1, dtype=np.int64)])
+    dst = np.concatenate([p.j, np.arange(2, M + 1)])
+    order = np.lexsort((dst, level[dst]))
+    src, dst = src[order], dst[order]
+    q = np.concatenate([q, np.zeros(M - 1)])[order]
+    group = np.flatnonzero(np.diff(dst, prepend=-1))  # first pair of each j
+    targets = dst[group]  # positions 2..M in level order
+    first = np.flatnonzero(np.diff(level[targets], prepend=-1))
+    # group starts relative to the first pair of their level
+    rel = group - np.repeat(group[first], np.diff(first, append=len(targets)))
+    lo = first.tolist()
+    a = group[first].tolist()
+    levels = zip(lo, lo[1:] + [len(targets)], a, a[1:] + [len(dst)],
+                 degree[targets[first]].tolist())
+    grow = 1.0 + eta_eff
     eps = np.zeros(M + 1)
-    eps[0] = np.nan  # index 0 is the constant monomial, never weighted
-    degree_max = {0: 1.0}
-    for j in range(1, M + 1):
-        d = int(degree[j])
-        col = slice(end[j - 1], end[j])
-        best = np.max(eps[source[col]] * q[col], initial=0.0)
-        if j == 1:
-            eps[j] = 1.0  # first weight anchors the recursion
-        else:
-            floor = EPSILON_FLOOR * degree_max.get(d - 1, 1.0)
-            eps[j] = max((1.0 + eta_eff) * best, floor)
-        degree_max[d] = max(degree_max.get(d, 0.0), eps[j])
+    eps[1] = 1.0  # first weight anchors the recursion
+    start = basis.degree_start
+    floor_degree = 0
+    for l0, l1, a0, a1, d in levels:
+        if d != floor_degree:  # degree d - 1 is complete
+            below = eps[start[d - 1]:start[d]]
+            top = 1.0 if d == 1 else np.fmax.reduce(below, initial=0.0)
+            floor, floor_degree = EPSILON_FLOOR * top, d
+        best = np.maximum.reduceat(eps[src[a0:a1]] * q[a0:a1], rel[l0:l1])
+        eps[targets[l0:l1]] = np.maximum(best * grow, floor)
     return eps[1:], eta_eff, q_sup, q_by_degree
 
 
 def degree_maxima(epsilon, basis):
-    """Largest weight at each total degree 1..max_degree."""
-    out = np.zeros(basis.max_degree + 1)
-    for d in range(1, basis.max_degree + 1):
-        idx = basis.indices_of_degree(d)
-        out[d] = max(epsilon[k - 1] for k in idx)
-    return out[1:]
+    """Largest weight at each total degree 1..max_degree, as one grouped
+    reduction over the graded basis.
+
+    A NaN weight is skipped unless it is the first of its degree, which
+    makes the maximum NaN: the rule of a running Python max seeded with
+    that first weight.
+    """
+    epsilon = np.asarray(epsilon, dtype=float)
+    first = basis.degree_start[1:-1] - 1  # weight index of each degree's first
+    out = np.fmax.reduceat(epsilon, first)
+    out[np.isnan(epsilon[first])] = np.nan
+    return out
+
+
+def _maxima_ratio(m):
+    """Geometric-mean decay rate of the per-degree maxima ``m`` (degrees
+    1..N) over a trailing window of even length."""
+    N = len(m)
+    if N < 2:
+        return 1.0
+    w = min(6, N - 1)
+    if w >= 2 and w % 2 == 1:
+        w -= 1
+    return float((m[N - 1] / m[N - 1 - w]) ** (1.0 / w))
 
 
 def decay_ratio(epsilon, basis):
@@ -402,14 +449,7 @@ def decay_ratio(epsilon, basis):
     Uses the geometric-mean ratio over a trailing window of even length,
     which is insensitive to parity alternation of the coupling chains.
     """
-    m = degree_maxima(epsilon, basis)
-    N = basis.max_degree
-    if N < 2:
-        return 1.0
-    w = min(6, N - 1)
-    if w >= 2 and w % 2 == 1:
-        w -= 1
-    return float((m[N - 1] / m[N - 1 - w]) ** (1.0 / w))
+    return _maxima_ratio(degree_maxima(epsilon, basis))
 
 
 @dataclass(frozen=True)
@@ -438,9 +478,9 @@ def convergence_check(epsilon, basis, rho):
         raise ValueError("weight vector does not match the basis")
     degrees = basis.exponents[1:].sum(axis=1)
     partial = float(np.sum(degrees * epsilon * rho ** (2.0 * degrees)))
-    r = decay_ratio(epsilon, basis)
-    N = basis.max_degree
     m = degree_maxima(epsilon, basis)
+    r = _maxima_ratio(m)
+    N = basis.max_degree
     m_ref = float(max(m[N - 1], m[N - 2] if N >= 2 else m[N - 1]))
     x = r * rho * rho
     if not x < 1.0:

@@ -1,13 +1,22 @@
-"""Per-entry reference formulas for the generator matrix and the coupling
-ratios.
+"""Per-entry reference formulas for the generator matrix, the coupling
+ratios and the weight recursion.
 
 The library builds each truncated generator matrix once, as arrays
 (k, j, v) of its stored entries, and runs the certificate on them.  The
-functions here compute the same quantities one entry, one column or one
-pair at a time, as scalar formulas; the tests hold the library to them.
+functions here compute the same quantities one entry, one column, one
+pair or one basis position at a time; the tests hold the library to them.
 """
 
 import numpy as np
+
+from koopman_clf.certificate import (
+    EPSILON_FLOOR,
+    ETA_FLOOR,
+    _coupled_pairs,
+    _extrapolate,
+    _scheme_ratios,
+    _sup_by_degree,
+)
 
 
 def shift_index(alpha, component, gamma):
@@ -113,3 +122,48 @@ def q_value(op, scheme, j, k, include_scheme_factor=True):
         return q / scheme.xi**2 if include_scheme_factor else q
     q = op.col_sums[j] * op.row_sums[k] / denom
     return q / scheme.kappa**2 if include_scheme_factor else q
+
+
+def epsilon_walk(ops, basis, scheme, eta=0.5, rho=1.0):
+    """The weight recursion of ``epsilon_sequence`` walked one basis
+    position at a time, with a running Python max per degree; returns what
+    ``epsilon_sequence`` does."""
+    M = basis.size
+    p = _coupled_pairs(ops, basis)
+    q = _scheme_ratios(p, basis.dimension, scheme)
+    q_sup, _, q_by_degree = _sup_by_degree(p, q, basis)
+    q_est, _ = _extrapolate(q_by_degree)
+    bound = max(q_sup, q_est) * rho * rho
+    if bound > 0:
+        eta_eff = min(eta, max(ETA_FLOOR, 0.5 * (1.0 / bound - 1.0)))
+    else:
+        eta_eff = eta
+    order = np.argsort(p.j, kind="stable")
+    source, q = p.k[order], q[order]
+    # pairs into column j sit at positions end[j - 1] .. end[j] - 1
+    end = np.searchsorted(p.j[order], np.arange(M + 1), side="right")
+    degree = basis.exponents.sum(axis=1)
+    eps = np.zeros(M + 1)
+    eps[0] = np.nan  # index 0 is the constant monomial, never weighted
+    degree_max = {0: 1.0}
+    for j in range(1, M + 1):
+        d = int(degree[j])
+        col = slice(end[j - 1], end[j])
+        best = np.max(eps[source[col]] * q[col], initial=0.0)
+        if j == 1:
+            eps[j] = 1.0  # first weight anchors the recursion
+        else:
+            floor = EPSILON_FLOOR * degree_max.get(d - 1, 1.0)
+            eps[j] = max((1.0 + eta_eff) * best, floor)
+        degree_max[d] = max(degree_max.get(d, 0.0), eps[j])
+    return eps[1:], eta_eff, q_sup, q_by_degree
+
+
+def degree_maxima_walk(epsilon, basis):
+    """Largest weight at each total degree 1..max_degree, by a Python max
+    over each degree's weights in basis order."""
+    out = np.zeros(basis.max_degree + 1)
+    for d in range(1, basis.max_degree + 1):
+        idx = basis.indices_of_degree(d)
+        out[d] = max(epsilon[k - 1] for k in idx)
+    return out[1:]

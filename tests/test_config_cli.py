@@ -244,6 +244,25 @@ def test_cli_analyze_fails_closed_on_an_overflowing_coefficient(tmp_path):
     assert report["poly_condition"]["q_sup"] is None
 
 
+def test_cli_analyze_dd_reports_a_nan_lhs_sup_for_an_overflowing_coefficient(tmp_path):
+    # the cross-degree ratios overflow, so the extrapolated limit is NaN
+    # and the summary lhs_sup must not read as a finite 0.0
+    data = example1_config().to_json_dict()
+    coeff = data["subsystems"][1]["coefficients"][1]
+    assert coeff["exponents"] == [1, 2]
+    coeff["re"] = -1e160
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "r.json"
+    argv = [sys.executable, "-m", "koopman_clf", "analyze", "--config", str(cfg),
+            "--scheme", "dd", "--out", str(out)]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 3
+    dd = json.loads(out.read_text(), parse_constant=_reject_constant)["dd_condition"]
+    assert dd["extrapolated"] is None
+    assert dd["lhs_sup"] is None
+
+
 def test_cli_analyze_reports_scheme_failure(tmp_path, capsys):
     cfg = tmp_path / "sys.json"
     assert main(["example1", "--b", "0.5", "--out", str(cfg)]) == 0
