@@ -5,9 +5,9 @@ change to flag coordinates, truncated generator matrices, scheme
 condition, weight recursion, series convergence, boundary evidence.
 """
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -220,18 +220,64 @@ class CertificateReport:
     def to_json(self):
         """Strict JSON of ``to_json_dict``; a non-finite float, which only
         a failed report holds, is written as null."""
-        doc = _finite_or_none(self.to_json_dict())
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        chunks = []
+        _encode_json(self.to_json_dict(), "\n", chunks.append)
+        chunks.append("\n")
+        return "".join(chunks)
 
 
-def _finite_or_none(obj):
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _finite_or_none(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_finite_or_none(v) for v in obj]
-    return obj
+def _encode_json(obj, newline, emit):
+    """Emit the text of ``json.dumps(obj, sort_keys=True, indent=2)`` in one
+    pass, with every non-finite float written as null.  ``newline`` is a
+    line break followed by the indent of ``obj``'s own line.  A list of
+    floats is joined in one call unless it holds a non-finite value (only
+    the reprs 'nan' and 'inf' contain an 'n')."""
+    if isinstance(obj, str):
+        emit(encode_basestring_ascii(obj))
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif isinstance(obj, int):
+        emit(int.__repr__(obj))
+    elif isinstance(obj, float):
+        emit(float.__repr__(obj) if math.isfinite(obj) else "null")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + "  "
+        emit("[" + inner)
+        try:
+            text = ("," + inner).join(map(float.__repr__, obj))
+        except TypeError:  # not all floats
+            text = None
+        if text is not None and "n" not in text:
+            emit(text)
+        else:
+            for i, value in enumerate(obj):
+                if i:
+                    emit("," + inner)
+                _encode_json(value, inner, emit)
+        emit(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = newline + "  "
+        emit("{" + inner)
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            if i:
+                emit("," + inner)
+            emit(encode_basestring_ascii(key) + ": ")
+            _encode_json(value, inner, emit)
+        emit(newline + "}")
+    else:
+        raise TypeError(
+            f"Object of type {type(obj).__name__} is not JSON serializable"
+        )
 
 
 def _opt_float(x):
@@ -320,6 +366,13 @@ def _mat_from(rows):
     )
 
 
+def _linalg_failure(exc):
+    return {
+        "stage": "solvability",
+        "message": f"linear algebra failed in the solvability analysis: {exc}",
+    }
+
+
 def analyze_family(
     family,
     truncation_degree,
@@ -336,7 +389,8 @@ def analyze_family(
     Returns a CertificateReport; certification failures are recorded in
     ``report.failure`` (stage: solvability, stability, scheme, or
     convergence) rather than raised, so the report always documents how
-    far the analysis got.
+    far the analysis got.  A ``LinAlgError`` from the Lie closure, the
+    solvability test or the triangularization is a solvability failure.
     """
     if isinstance(family, (list, tuple)):
         family = SwitchedFamily(family)
@@ -359,8 +413,12 @@ def analyze_family(
     )
 
     jac = family.jacobians_at_origin()
-    algebra = close_under_bracket(jac, tol)
-    solvable, dims = is_solvable(algebra, tol)
+    try:
+        algebra = close_under_bracket(jac, tol)
+        solvable, dims = is_solvable(algebra, tol)
+    except np.linalg.LinAlgError as exc:
+        report.failure = _linalg_failure(exc)
+        return report
     report.solvable = bool(solvable)
     report.derived_series_dims = [int(d) for d in dims]
     report.closure_dim = int(algebra.dim)
@@ -383,6 +441,9 @@ def analyze_family(
                 f"found: {exc}"
             ),
         }
+        return report
+    except np.linalg.LinAlgError as exc:
+        report.failure = _linalg_failure(exc)
         return report
     report.P = tri.P
     report.P_inv = tri.P_inv

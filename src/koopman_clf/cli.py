@@ -7,15 +7,16 @@ Subcommands: ``analyze`` (run the certificate pipeline on a config),
 (write ready-made configs).
 
 Exit codes: analyze returns 0 on a certificate, 2 when the Jacobian
-algebra is unsolvable, 3 when the scheme condition (or the stability
-assumption) fails, 4 when the weight series diverges.  simulate returns
-5 when the audit flags a violation, including a state or a value of V
-that stops being finite (one line on stderr, no summary).  Reports and
-summaries are strict JSON; a non-finite number in a failed report is
-written as null.  selftest returns 1 on failure.  Usage and config errors
-exit with 2 via the argument parser; these include non-finite
-coefficients, tail norms or simulation parameters, repeated coefficients
-and values of the wrong JSON type.
+algebra is unsolvable or its linear algebra fails, 3 when the scheme
+condition (or the stability assumption) fails, 4 when the weight series
+diverges.  simulate returns 5 when the audit flags a violation,
+including a state or a value of V that stops being finite (one line on
+stderr, no summary).  Reports and summaries are strict JSON; a
+non-finite number in a failed report is written as null.  selftest
+returns 1 on failure.  Usage and config errors exit with 2 via the
+argument parser; these include non-finite coefficients, tail norms or
+simulation parameters, repeated coefficients and values of the wrong
+JSON type.
 """
 
 import argparse

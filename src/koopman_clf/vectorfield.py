@@ -7,11 +7,14 @@ downstream absolute-sum operations use instead of the truncated sum.
 
 Each field is compiled once, at construction, into an evaluation plan
 over the K stored terms of all components together: an (n, K) index of
-the power-table columns whose product is each term's monomial, and a
+the power-table rows whose product is each term's monomial, and a
 (K, n) coefficient matrix holding each component's coefficients in its
-own column.  Evaluating a batch of B points fills one (B, n (P + 1))
-table of coordinate powers up to the largest exponent P, gathers all K
-monomials from it at once and multiplies them by the coefficient matrix.
+own column.  Evaluating a batch of B points fills one power-major
+(P + 1, n, B) table of coordinate powers up to the largest exponent P.
+Points run along the last axis, so each power is one contiguous multiply
+of the previous power by the transposed batch, and each coordinate's
+factor of all K monomials is one gather of whole contiguous rows; the
+(B, K) monomials are then multiplied by the coefficient matrix.
 ``flow_step`` calls this evaluator directly on its four Runge-Kutta
 stages.
 """
@@ -93,8 +96,8 @@ class PolyVectorField:
         )
         # evaluation plan: the stored terms of all components in one list;
         # term t is the product over coordinates c of the power-table
-        # columns _gather[c, t], and _C[t] holds its coefficient in the
-        # column of its component
+        # rows _gather[c, t] (row p * n + c holds z_c ** p), and _C[t]
+        # holds its coefficient in the column of its component
         terms = [
             (l, alpha, c[alpha])
             for l, c in enumerate(self.components)
@@ -177,21 +180,25 @@ class PolyVectorField:
     def _evaluate_batch(self, zb):
         """F at a (B, n) complex batch, by the plan built in ``__init__``.
 
-        One power table holds zb[:, c] ** p at column p * n + c, filled
-        one power at a time for all coordinates; the monomials of every
-        term of every component are gathered from it at once and
-        contracted with the coefficient matrix.
+        The batch is copied once into a contiguous (n, B) array and the
+        power table is power-major, (P + 1, n, B): each power is one
+        contiguous multiply of the previous one by that copy, for all
+        coordinates and points at once.  Viewed as ((P + 1) n, B), row
+        p * n + c holds z_c ** p, so each coordinate's factor of all K
+        monomials is one gather of whole rows; the (K, B) product is
+        turned to (B, K) and contracted with the coefficient matrix.
         """
         B, n = zb.shape
-        pows = np.empty((B, self._max_pow + 1, n), dtype=complex)
-        pows[:, 0] = 1
+        zT = np.ascontiguousarray(zb.T)
+        pows = np.empty((self._max_pow + 1, n, B), dtype=complex)
+        pows[0] = 1
         for p in range(1, self._max_pow + 1):
-            np.multiply(pows[:, p - 1], zb, out=pows[:, p])
-        pows = pows.reshape(B, -1)
-        mono = pows[:, self._gather[0]]
+            np.multiply(pows[p - 1], zT, out=pows[p])
+        pows = pows.reshape(-1, B)
+        mono = pows[self._gather[0]]
         for c in range(1, n):
-            mono *= pows[:, self._gather[c]]
-        return mono @ self._C
+            mono *= pows[self._gather[c]]
+        return np.ascontiguousarray(mono.T) @ self._C
 
     def __repr__(self):
         terms = sum(len(c) for c in self.components)

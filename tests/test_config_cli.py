@@ -263,6 +263,31 @@ def test_cli_analyze_dd_reports_a_nan_lhs_sup_for_an_overflowing_coefficient(tmp
     assert dd["lhs_sup"] is None
 
 
+@pytest.mark.parametrize(
+    "name", ["close_under_bracket", "is_solvable", "simultaneous_triangularize"]
+)
+def test_cli_analyze_maps_a_linalg_error_to_a_solvability_failure(
+    tmp_path, capsys, monkeypatch, name
+):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(f"koopman_clf.analysis.{name}", fail)
+    cfg = tmp_path / "sys.json"
+    out = tmp_path / "r.json"
+    assert main(["example1", "--degree", "6", "--out", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("not certified:") and err.count("\n") == 1
+    assert "SVD did not converge" in err
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["certified"] is False
+    assert report["failure"]["stage"] == "solvability"
+    assert report["failure"]["message"].endswith("SVD did not converge")
+    assert report["epsilon"] is None
+
+
 def test_cli_analyze_reports_scheme_failure(tmp_path, capsys):
     cfg = tmp_path / "sys.json"
     assert main(["example1", "--b", "0.5", "--out", str(cfg)]) == 0

@@ -124,9 +124,10 @@ def test_evaluate_batch_matches_single_points():
     rng = np.random.default_rng(5)
     f = random_int_field(rng, n=3)
     Z = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
-    batch = f.evaluate(Z)
+    assert_matches_reference(f, Z, 1e-13)
     for i in range(7):
-        assert np.allclose(batch[i], f.evaluate(Z[i]))
+        assert_matches_reference(f, Z[i : i + 1], 1e-13)
+        assert np.array_equal(f.evaluate(Z[i]), f.evaluate(Z[i : i + 1])[0])
 
 
 def test_evaluate_rejects_wrong_dimension():
@@ -207,10 +208,18 @@ def test_compiled_evaluator_matches_reference_on_random_fields(n):
     fields = [PolyVectorField([{}] * n), random_complex_field(rng, n, 1, True)]
     for degree in (1, 2, 3, 5, 8, 12, 16, 20):
         fields += [random_complex_field(rng, n, degree) for _ in range(4)]
+
+    def points(B):
+        return (rng.normal(size=(B, n)) + 1j * rng.normal(size=(B, n))) / np.sqrt(n)
+
+    # 512 rows is one face of the boundary check, 2500 one subsystem's
+    # share of a criterion-8 audit
     for f in fields:
-        B = int(rng.integers(1, 160))
-        Z = (rng.normal(size=(B, n)) + 1j * rng.normal(size=(B, n))) / np.sqrt(n)
-        assert_matches_reference(f, Z, 1e-13)
+        for B in (1, 2, 3, 7, 512, 2500, int(rng.integers(1, 160))):
+            assert_matches_reference(f, points(B), 1e-13)
+        Z = points(int(rng.integers(2, 160)))
+        for view in (Z[::2], np.asfortranarray(Z), Z[:, ::-1]):
+            assert_matches_reference(f, view, 1e-13)
 
 
 @pytest.mark.parametrize("seed", [1, 2026, 7])
@@ -410,6 +419,17 @@ def test_flow_step_per_row_steps_match_scalar_steps():
     got = flow_step(f, Z, h[:, None])
     for i in range(7):
         assert np.array_equal(got[i], flow_step(f, Z, float(h[i]))[i])
+
+
+def test_flow_step_does_not_depend_on_the_memory_layout():
+    rng = np.random.default_rng(11)
+    f = random_complex_field(rng, 3, 5)
+    Z = 0.3 * (rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3)))
+    h = rng.uniform(0.001, 0.1, size=(40, 1))
+    F = np.asfortranarray(Z)
+    assert not F.flags.c_contiguous
+    for dt in (0.01, h):
+        assert np.array_equal(flow_step(f, F, dt), flow_step(f, Z, dt))
 
 
 def test_flow_step_checks_the_point_dimension():
