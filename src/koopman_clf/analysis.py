@@ -17,6 +17,7 @@ from .certificate import (
     certified_radius_dd,
     check_poly_condition,
     convergence_check,
+    coupling_scan,
     dominance_xi_min,
     epsilon_sequence,
 )
@@ -333,7 +334,8 @@ def load_report(data):
     """Rebuild the fields of a serialized report needed downstream.
 
     Accepts the dict form of ``to_json_dict``; returns a CertificateReport
-    with numeric arrays restored (epsilon, P, P_inv).
+    with numeric arrays restored (epsilon, P, P_inv).  A report without a
+    triangularization gets the identity for P and P_inv.
     """
     rep = CertificateReport(
         dimension=data["dimension"],
@@ -352,7 +354,9 @@ def load_report(data):
     if data.get("epsilon") is not None:
         rep.epsilon = np.array(data["epsilon"], dtype=float)
     tri = data.get("triangularization")
-    if tri is not None:
+    if tri is None:
+        rep.P = rep.P_inv = np.eye(rep.dimension, dtype=complex)
+    else:
         rep.P = _mat_from(tri["P"])
         rep.P_inv = _mat_from(tri["P_inv"])
         rep.residual = tri["residual"]
@@ -494,7 +498,8 @@ def analyze_family(
         xi_val = 0.99 if xi is None else float(xi)
         scheme = WeightScheme("polynomial", xi_val)
         report.xi = xi_val
-        cond = check_poly_condition(ops, basis)
+        scan = coupling_scan(ops, basis, scheme)
+        cond = check_poly_condition(scan, basis)
         report.poly_condition = cond
         if cond["pass"] and cond["extrapolated"] >= 1.0:
             report.warnings.append(
@@ -533,7 +538,8 @@ def analyze_family(
         scheme = WeightScheme("diagonal_dominance", xi_val, kappa_val)
         report.xi = xi_val
         report.kappa = kappa_val
-        rho_star, detail = certified_radius_dd(ops, basis, jac_hat, xi_val, kappa_val)
+        scan = coupling_scan(ops, basis, scheme)
+        rho_star, detail = certified_radius_dd(scan, basis, xi_min)
         report.dd_condition = detail
         if rho_star <= 0.0:
             if not detail["dominance_ok"]:
@@ -560,7 +566,7 @@ def analyze_family(
         rho = min(rho, float(rho_request))
 
     eps, eta_eff, q_sup, q_by_degree = epsilon_sequence(
-        ops, basis, scheme, eta=eta, rho=rho
+        scan, basis, eta=eta, rho=rho
     )
     report.epsilon = eps
     report.eta_effective = float(eta_eff)

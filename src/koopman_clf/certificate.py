@@ -15,6 +15,10 @@ where the b-weights split each diagonal decay budget across its couplings.
 Two splitting schemes are implemented: a uniform one for polynomial
 fields (``polynomial``) and a sum-proportional one for analytic fields
 (``diagonal_dominance``).
+
+One analysis scans the coupled pairs once: ``coupling_scan`` computes
+every pair's ratio with its scheme's one formula, and the scheme
+condition, the certified radius and the weight recursion all read it.
 """
 
 import math
@@ -144,25 +148,26 @@ def _square(x):
     return np.fromiter(map(square, x.tolist()), float, len(x))
 
 
-def _poly_ratios(p):
-    """xi-free polynomial-scheme ratio of every pair."""
-    return _square(p.count * p.e) / (p.decay_j * p.decay_k)
-
-
-def _scheme_ratios(p, n, scheme):
-    """Scheme-weighted ratio Q_jk of every pair: the polynomial ratio over
-    xi^2, or under the dominance scheme (D e)^2 / (decay_j decay_k) over
-    xi^2 for a same-degree pair, D = (n^2 - n) / 2, and
-    col_sums[j] row_sums[k] / (decay_j decay_k) over kappa^2 across
-    degrees."""
+def coupling_scan(ops, basis, scheme):
+    """The coupled pairs of ``ops`` with their ``scheme`` and the ratio
+    Q_jk of every pair as ``q``: under the polynomial scheme r / xi^2 with
+    the xi-free r = (K e)^2 / (decay_j decay_k), kept as ``r``; under the
+    dominance scheme (D e / xi)^2 / (decay_j decay_k) for a same-degree
+    pair, D = (n^2 - n) / 2, and col_sums[j] row_sums[k] /
+    (kappa^2 decay_j decay_k) across degrees."""
+    p = _coupled_pairs(ops, basis)
+    p.scheme = scheme
     if scheme.kind == "polynomial":
-        return _poly_ratios(p) / scheme.xi**2
+        p.r = _square(p.count * p.e) / (p.decay_j * p.decay_k)
+        p.q = p.r / scheme.xi**2
+        return p
+    n = basis.dimension
     D = (n * n - n) / 2.0
     s, c = p.same, ~p.same
-    q = np.empty(len(s))
-    q[s] = _square(D * p.e[s]) / (p.decay_j[s] * p.decay_k[s]) / scheme.xi**2
-    q[c] = p.sums[c] / (p.decay_j[c] * p.decay_k[c]) / scheme.kappa**2
-    return q
+    p.q = np.empty(len(s))
+    p.q[s] = _square(D * p.e[s] / scheme.xi) / (p.decay_j[s] * p.decay_k[s])
+    p.q[c] = p.sums[c] / (scheme.kappa**2 * p.decay_j[c] * p.decay_k[c])
+    return p
 
 
 def _sup_by_degree(p, q, basis):
@@ -206,14 +211,15 @@ def _extrapolate(by_degree):
     return computed, "computed"
 
 
-def check_poly_condition(ops, basis):
-    """Scan of the xi-free polynomial-scheme ratio over all exact pairs.
+def check_poly_condition(scan, basis):
+    """Sup of the xi-free polynomial-scheme ratio over a polynomial scan.
 
     The certificate condition of the uniform scheme holds (with radius 1)
     exactly when the supremum stays strictly below one.
     """
-    p = _coupled_pairs(ops, basis)
-    sup, arg, by_degree = _sup_by_degree(p, _poly_ratios(p), basis)
+    if scan.scheme.kind != "polynomial":
+        raise ValueError("the polynomial condition needs a polynomial scan")
+    sup, arg, by_degree = _sup_by_degree(scan, scan.r, basis)
     est, source = _extrapolate(by_degree)
     return {
         "q_sup": sup,
@@ -253,32 +259,22 @@ def dominance_xi_min(jacobians):
     return worst
 
 
-def _dd_ratios(p, n, xi, kappa):
-    """Same-degree and cross-degree dominance ratios of every pair, each
-    0.0 at the pairs of the other kind."""
-    D = (n * n - n) / 2.0
-    s, c = p.same, ~p.same
-    same, cross = np.zeros(len(s)), np.zeros(len(s))
-    same[s] = _square(D * p.e[s] / xi) / (p.decay_j[s] * p.decay_k[s])
-    cross[c] = p.sums[c] / (kappa**2 * p.decay_j[c] * p.decay_k[c])
-    return same, cross
+def check_dd_condition(scan, basis, xi_min, rho):
+    """Diagonal-dominance scheme test of a dominance scan at radius ``rho``.
 
-
-def check_dd_condition(ops, basis, jacobians, xi, kappa, rho):
-    """Diagonal-dominance scheme test at radius ``rho``.
-
-    Verifies the two Jacobian dominance inequalities at ``xi``, that every
-    same-degree ratio is below one, and that the cross-degree ratio
-    supremum (extrapolated past the truncation when increasing) stays
-    below 1 / rho^2.  Any non-finite ratio fails the test.
+    Verifies the two Jacobian dominance inequalities, that is the scan's
+    xi above ``xi_min`` (see ``dominance_xi_min``), that every same-degree
+    ratio is below one, and that the cross-degree ratio supremum
+    (extrapolated past the truncation when increasing) stays below
+    1 / rho^2.  Any non-finite ratio fails the test.
     """
-    WeightScheme("diagonal_dominance", xi, kappa)  # validates xi and kappa
-    xi_min = dominance_xi_min(jacobians)
-    dominance_ok = xi > xi_min or xi_min == 0.0
-    p = _coupled_pairs(ops, basis)
-    same, cross = _dd_ratios(p, basis.dimension, xi, kappa)
-    same_sup, _, _ = _sup_by_degree(p, same, basis)
-    cross_sup, arg, by_degree = _sup_by_degree(p, cross, basis)
+    if scan.scheme.kind != "diagonal_dominance":
+        raise ValueError("the dominance condition needs a dominance scan")
+    dominance_ok = scan.scheme.xi > xi_min or xi_min == 0.0
+    same_sup, _, _ = _sup_by_degree(scan, np.where(scan.same, scan.q, 0.0), basis)
+    cross_sup, arg, by_degree = _sup_by_degree(
+        scan, np.where(scan.same, 0.0, scan.q), basis
+    )
     est, source = _extrapolate(by_degree)
     record = {
         "dominance_ok": bool(dominance_ok),
@@ -313,7 +309,7 @@ def _dd_at_radius(record, rho):
     return {**record, "pass": bool(ok), "rho_slack": (1.0 - est * rho * rho) / rho**2}
 
 
-def certified_radius_dd(ops, basis, jacobians, xi, kappa):
+def certified_radius_dd(scan, basis, xi_min):
     """Largest radius accepted by the dominance scheme, and its record.
 
     Only the clause est * rho^2 < 1 depends on rho, so one scan at rho = 1
@@ -321,7 +317,7 @@ def certified_radius_dd(ops, basis, jacobians, xi, kappa):
     est * r * r < 1.  When another clause fails or a ratio is not finite,
     rho is 0.0 and the record is the failing one at rho = 1.
     """
-    detail = check_dd_condition(ops, basis, jacobians, xi, kappa, 1.0)
+    detail = check_dd_condition(scan, basis, xi_min, 1.0)
     if detail["pass"]:
         return 1.0, detail
     est = detail["extrapolated"]
@@ -338,7 +334,7 @@ def certified_radius_dd(ops, basis, jacobians, xi, kappa):
     return r, at_r
 
 
-def epsilon_sequence(ops, basis, scheme, eta=0.5, rho=1.0):
+def epsilon_sequence(scan, basis, eta=0.5, rho=1.0):
     """Monomial weights satisfying the strict coupling recursion.
 
     Each weight exceeds ``max_i max_k eps_k Q_jk`` by the headroom factor
@@ -361,14 +357,13 @@ def epsilon_sequence(ops, basis, scheme, eta=0.5, rho=1.0):
     ratio reaches its weight through ``np.maximum``, while the degree
     maxima behind the floors skip NaN weights.
 
+    The ratios Q_jk are those of ``scan`` (see ``coupling_scan``).
     Returns (epsilon, eta_effective, q_sup, q_by_degree).
     """
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be finite and positive, got {eta!r}")
     M = basis.size
-    p = _coupled_pairs(ops, basis)
-    q = _scheme_ratios(p, basis.dimension, scheme)
-    q_sup, _, q_by_degree = _sup_by_degree(p, q, basis)
+    q_sup, _, q_by_degree = _sup_by_degree(scan, scan.q, basis)
     q_est, _ = _extrapolate(q_by_degree)
     bound = max(q_sup, q_est) * rho * rho
     if bound > 0:
@@ -377,7 +372,7 @@ def epsilon_sequence(ops, basis, scheme, eta=0.5, rho=1.0):
         eta_eff = eta
     degree = basis.exponents.sum(axis=1)
     depth = np.zeros(M + 1, dtype=np.int64)
-    ks, js = p.k[p.same], p.j[p.same]
+    ks, js = scan.k[scan.same], scan.j[scan.same]
     while True:  # longest same-degree chain of pairs ending at each position
         reach = np.zeros_like(depth)
         np.maximum.at(reach, js, depth[ks] + 1)
@@ -387,11 +382,11 @@ def epsilon_sequence(ops, basis, scheme, eta=0.5, rho=1.0):
     level = degree * (int(depth.max()) + 1) + depth
     # each position j >= 2 also gets a zero-ratio pair from slot 0, which
     # holds 0.0: the max's initial value, and no group is left empty
-    src = np.concatenate([p.k, np.zeros(M - 1, dtype=np.int64)])
-    dst = np.concatenate([p.j, np.arange(2, M + 1)])
+    src = np.concatenate([scan.k, np.zeros(M - 1, dtype=np.int64)])
+    dst = np.concatenate([scan.j, np.arange(2, M + 1)])
     order = np.lexsort((dst, level[dst]))
     src, dst = src[order], dst[order]
-    q = np.concatenate([q, np.zeros(M - 1)])[order]
+    q = np.concatenate([scan.q, np.zeros(M - 1)])[order]
     group = np.flatnonzero(np.diff(dst, prepend=-1))  # first pair of each j
     targets = dst[group]  # positions 2..M in level order
     first = np.flatnonzero(np.diff(level[targets], prepend=-1))
@@ -441,15 +436,6 @@ def _maxima_ratio(m):
     if w >= 2 and w % 2 == 1:
         w -= 1
     return float((m[N - 1] / m[N - 1 - w]) ** (1.0 / w))
-
-
-def decay_ratio(epsilon, basis):
-    """Observed per-degree decay rate of the weight maxima.
-
-    Uses the geometric-mean ratio over a trailing window of even length,
-    which is insensitive to parity alternation of the coupling chains.
-    """
-    return _maxima_ratio(degree_maxima(epsilon, basis))
 
 
 @dataclass(frozen=True)

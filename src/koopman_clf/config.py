@@ -14,6 +14,18 @@ from dataclasses import dataclass, field as dc_field
 from .vectorfield import PolyVectorField, SwitchedFamily
 
 
+def _json_typed(name, value, types, what):
+    """``value`` if it has one of the JSON ``types``; a bool is neither an
+    integer nor a number."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _optional_number(name, value):
+    return _json_typed(name, value, (int, float, type(None)), "a number or null")
+
+
 @dataclass(frozen=True)
 class SimulationParams:
     dt: float = 1e-3
@@ -26,11 +38,7 @@ class SimulationParams:
 
     def __post_init__(self):
         for name in ("trials", "points", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(
-                    f"simulation.{name} must be an integer, got {value!r}"
-                )
+            _json_typed(f"simulation.{name}", getattr(self, name), int, "an integer")
         for name in ("dt", "horizon", "min_dwell", "max_dwell"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"simulation.{name} must be finite")
@@ -110,8 +118,10 @@ class SystemConfig:
     @classmethod
     def from_json_dict(cls, data):
         try:
-            n = int(data["dimension"])
-            degree = int(data["truncation_degree"])
+            n, degree = (
+                _json_typed(key, data[key], int, "an integer")
+                for key in ("dimension", "truncation_degree")
+            )
             raw_subs = data["subsystems"]
         except KeyError as exc:
             raise ValueError(f"config is missing required key {exc}") from None
@@ -145,10 +155,13 @@ class SystemConfig:
             if tail is not None:
                 tail = [float(t) for t in tail]
             subsystems.append((comps, tail))
-        eta = float(data.get("eta", 0.5))
+        eta = _json_typed("eta", data.get("eta", 0.5), (int, float), "a number")
         if not (math.isfinite(eta) and eta > 0):
             raise ValueError(f"eta must be finite and positive, got {eta!r}")
-        scheme = data.get("scheme", {}) or {}
+        scheme = _json_typed("scheme", data.get("scheme") or {}, dict, "an object")
+        kind = _json_typed(
+            "scheme.kind", scheme.get("kind", "polynomial"), str, "a string"
+        )
         sim_raw = data.get("simulation", {}) or {}
         sim = SimulationParams(
             **{
@@ -169,11 +182,11 @@ class SystemConfig:
             dimension=n,
             truncation_degree=degree,
             subsystems=subsystems,
-            scheme_kind=scheme.get("kind", "polynomial"),
-            xi=scheme.get("xi"),
-            kappa=scheme.get("kappa"),
-            eta=eta,
-            rho_request=data.get("rho_request"),
+            scheme_kind=kind,
+            xi=_optional_number("scheme.xi", scheme.get("xi")),
+            kappa=_optional_number("scheme.kappa", scheme.get("kappa")),
+            eta=float(eta),
+            rho_request=_optional_number("rho_request", data.get("rho_request")),
             simulation=sim,
         )
         cfg.build_family()  # validate coefficients eagerly

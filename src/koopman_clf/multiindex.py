@@ -81,10 +81,6 @@ class MultiIndexBasis:
         i = np.arange(1, self.dimension + 1)
         return self._binomial[suffix + i - 1, i].sum(axis=1)
 
-    def indices_of_degree(self, d):
-        """range of basis positions whose total degree equals d."""
-        return range(int(self.degree_start[d]), int(self.degree_start[d + 1]))
-
     def count_of_degree(self, d):
         """Number of monomials of exact total degree d (any d >= 0)."""
         return math.comb(d + self.dimension - 1, self.dimension - 1)

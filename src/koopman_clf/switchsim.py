@@ -348,17 +348,17 @@ def audit_certificate(
     coordinates), monitoring the certified function at every step.  The
     audit passes when V never increases beyond ``slack`` (relative) and no
     trajectory leaves the unit polydisk.  Raises NonFiniteStateError when
-    a state or a value of V stops being finite.
+    a state or a value of V stops being finite.  The report's P and P_inv
+    map between flag and original coordinates (``load_report`` supplies
+    the identity when a stored report has none).
     """
     if signals < 1 or points < 1:
         raise ValueError("signals and points must be >= 1")
-    if report.epsilon is None or report.rho_certified is None:
+    if report.epsilon is None or report.rho_certified is None or report.P is None:
         raise ValueError("report does not contain a usable certificate")
     n = report.dimension
     basis = build_basis(n, report.truncation_degree)
-    P_inv = report.P_inv if report.P_inv is not None else np.eye(n, dtype=complex)
-    P = report.P if report.P is not None else np.eye(n, dtype=complex)
-    clf = CommonLyapunovFunction(report.epsilon, P_inv, basis)
+    clf = CommonLyapunovFunction(report.epsilon, report.P_inv, basis)
     rho = float(report.rho_certified)
     radius = 0.95 * rho
     pts = sample_initial_points(n, radius, points, seed)
@@ -372,7 +372,7 @@ def audit_certificate(
         for s in range(signals)
     ]
     # flag samples back to original coordinates
-    run = _integrate(family, plans, pts @ P.T, clf)
+    run = _integrate(family, plans, pts @ report.P.T, clf)
     escapes = int(run.escaped.sum())
     final_norms = np.abs(run.Z).max(axis=1)
     return AuditSummary(

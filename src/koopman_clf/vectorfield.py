@@ -110,24 +110,6 @@ class PolyVectorField:
         for t, (l, _, v) in enumerate(terms):
             self._C[t, l] = v
 
-    @classmethod
-    def from_linear(cls, matrix):
-        """Field z -> A z."""
-        A = np.asarray(matrix, dtype=complex)
-        n = A.shape[0]
-        comps = []
-        for l in range(n):
-            table = {}
-            for r in range(n):
-                if A[l, r] != 0:
-                    alpha = tuple(1 if s == r else 0 for s in range(n))
-                    table[alpha] = A[l, r]
-            comps.append(table)
-        return cls(comps)
-
-    def coefficient(self, component, alpha):
-        return self.components[component].get(tuple(alpha), 0j)
-
     def stored_abs_sum(self, component):
         return float(sum(abs(v) for v in self.components[component].values()))
 

@@ -5,6 +5,7 @@ The library builds each truncated generator matrix once, as arrays
 (k, j, v) of its stored entries, and runs the certificate on them.  The
 functions here compute the same quantities one entry, one column, one
 pair or one basis position at a time; the tests hold the library to them.
+The small constructors and lookups at the top are used only by tests.
 """
 
 import numpy as np
@@ -12,11 +13,45 @@ import numpy as np
 from koopman_clf.certificate import (
     EPSILON_FLOOR,
     ETA_FLOOR,
-    _coupled_pairs,
     _extrapolate,
-    _scheme_ratios,
+    _maxima_ratio,
     _sup_by_degree,
+    coupling_scan,
+    degree_maxima,
 )
+from koopman_clf.vectorfield import PolyVectorField
+
+
+def field_from_linear(matrix):
+    """Field z -> A z."""
+    A = np.asarray(matrix, dtype=complex)
+    n = A.shape[0]
+    comps = []
+    for l in range(n):
+        table = {}
+        for r in range(n):
+            if A[l, r] != 0:
+                alpha = tuple(1 if s == r else 0 for s in range(n))
+                table[alpha] = A[l, r]
+        comps.append(table)
+    return PolyVectorField(comps)
+
+
+def coefficient(field_, component, alpha):
+    """Stored coefficient of ``alpha`` in one component, 0j when absent."""
+    return field_.components[component].get(tuple(alpha), 0j)
+
+
+def indices_of_degree(basis, d):
+    """range of basis positions whose total degree equals d."""
+    return range(int(basis.degree_start[d]), int(basis.degree_start[d + 1]))
+
+
+def decay_ratio(epsilon, basis):
+    """Observed per-degree decay rate of the weight maxima: the
+    geometric-mean ratio over a trailing window of even length, which is
+    insensitive to parity alternation of the coupling chains."""
+    return _maxima_ratio(degree_maxima(epsilon, basis))
 
 
 def shift_index(alpha, component, gamma):
@@ -100,7 +135,9 @@ def q_value(op, scheme, j, k, include_scheme_factor=True):
     With ``include_scheme_factor`` the scheme parameters enter (this is
     the quantity bounded by the certificate condition); without it the
     polynomial-scheme value is returned with the xi^2 factor removed,
-    which is the scan quantity whose sup must stay below one.
+    which is the scan quantity whose sup must stay below one.  The
+    dominance forms are written as the condition rounds them: xi divides
+    the entry before squaring, and kappa^2 multiplies the decay product.
     """
     if not 1 <= k < j <= op.kmat.size:
         raise ValueError("need basis positions 1 <= k < j <= size")
@@ -118,10 +155,13 @@ def q_value(op, scheme, j, k, include_scheme_factor=True):
         return q / scheme.xi**2 if include_scheme_factor else q
     if dj == dk:
         D = (n * n - n) / 2.0
-        q = (D * e) ** 2 / denom
-        return q / scheme.xi**2 if include_scheme_factor else q
-    q = op.col_sums[j] * op.row_sums[k] / denom
-    return q / scheme.kappa**2 if include_scheme_factor else q
+        if include_scheme_factor:
+            return (D * e / scheme.xi) ** 2 / denom
+        return (D * e) ** 2 / denom
+    sums = op.col_sums[j] * op.row_sums[k]
+    if include_scheme_factor:
+        return sums / (scheme.kappa**2 * op.re_decay[j] * op.re_decay[k])
+    return sums / denom
 
 
 def epsilon_walk(ops, basis, scheme, eta=0.5, rho=1.0):
@@ -129,9 +169,8 @@ def epsilon_walk(ops, basis, scheme, eta=0.5, rho=1.0):
     position at a time, with a running Python max per degree; returns what
     ``epsilon_sequence`` does."""
     M = basis.size
-    p = _coupled_pairs(ops, basis)
-    q = _scheme_ratios(p, basis.dimension, scheme)
-    q_sup, _, q_by_degree = _sup_by_degree(p, q, basis)
+    p = coupling_scan(ops, basis, scheme)
+    q_sup, _, q_by_degree = _sup_by_degree(p, p.q, basis)
     q_est, _ = _extrapolate(q_by_degree)
     bound = max(q_sup, q_est) * rho * rho
     if bound > 0:
@@ -139,7 +178,7 @@ def epsilon_walk(ops, basis, scheme, eta=0.5, rho=1.0):
     else:
         eta_eff = eta
     order = np.argsort(p.j, kind="stable")
-    source, q = p.k[order], q[order]
+    source, q = p.k[order], p.q[order]
     # pairs into column j sit at positions end[j - 1] .. end[j] - 1
     end = np.searchsorted(p.j[order], np.arange(M + 1), side="right")
     degree = basis.exponents.sum(axis=1)
@@ -164,6 +203,6 @@ def degree_maxima_walk(epsilon, basis):
     over each degree's weights in basis order."""
     out = np.zeros(basis.max_degree + 1)
     for d in range(1, basis.max_degree + 1):
-        idx = basis.indices_of_degree(d)
+        idx = indices_of_degree(basis, d)
         out[d] = max(epsilon[k - 1] for k in idx)
     return out[1:]

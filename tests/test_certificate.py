@@ -8,23 +8,51 @@ from koopman_clf.certificate import (
     EPSILON_FLOOR,
     CommonLyapunovFunction,
     WeightScheme,
-    _coupled_pairs,
     _extrapolate,
-    _scheme_ratios,
     _sup_by_degree,
     build_operator,
     certified_radius_dd,
     check_dd_condition,
     check_poly_condition,
     convergence_check,
-    decay_ratio,
+    coupling_scan,
     degree_maxima,
     dominance_xi_min,
     epsilon_sequence,
 )
 from koopman_clf.multiindex import build_basis
 from koopman_clf.vectorfield import PolyVectorField
-from oracles import column_support, entry, q_value, stored_entry
+from oracles import (
+    column_support,
+    decay_ratio,
+    entry,
+    field_from_linear,
+    indices_of_degree,
+    q_value,
+    stored_entry,
+)
+
+POLY = WeightScheme("polynomial", 0.99)
+
+
+def poly_scan(ops, basis, scheme=POLY):
+    return coupling_scan(ops, basis, scheme)
+
+
+def dd_scan(ops, basis, xi, kappa):
+    return coupling_scan(ops, basis, WeightScheme("diagonal_dominance", xi, kappa))
+
+
+def dd_radius(ops, basis, jacs, xi, kappa):
+    """certified_radius_dd on a fresh dominance scan of ``ops``."""
+    scan = dd_scan(ops, basis, xi, kappa)
+    return certified_radius_dd(scan, basis, dominance_xi_min(jacs))
+
+
+def dd_check(ops, basis, jacs, xi, kappa, rho):
+    """check_dd_condition on a fresh dominance scan of ``ops``."""
+    scan = dd_scan(ops, basis, xi, kappa)
+    return check_dd_condition(scan, basis, dominance_xi_min(jacs), rho)
 
 
 def polynomial_pair_ops(basis, a=1.0, b=0.3):
@@ -62,7 +90,7 @@ def linear_nonnormal_ops(basis):
     A1 = np.array([[-1.0, 0.6], [0.0, -1.0]])
     A2 = np.diag([-1.0, -1.5])
     ops = [
-        build_operator(PolyVectorField.from_linear(A), basis) for A in (A1, A2)
+        build_operator(field_from_linear(A), basis) for A in (A1, A2)
     ]
     return ops, [A1, A2]
 
@@ -211,7 +239,8 @@ def test_poly_condition_value_and_per_degree_profile():
     N = 12
     a, b = 1.0, 0.3
     basis = build_basis(2, N)
-    cond = check_poly_condition(polynomial_pair_ops(basis, a, b), basis)
+    ops = polynomial_pair_ops(basis, a, b)
+    cond = check_poly_condition(poly_scan(ops, basis), basis)
     assert cond["pass"]
     assert cond["q_sup"] == pytest.approx(9 * b * b * (N - 1) / (a * a * N), abs=1e-10)
     assert cond["slack"] == 1.0 - cond["q_sup"]
@@ -225,7 +254,8 @@ def test_poly_condition_value_and_per_degree_profile():
 
 def test_poly_condition_fails_for_strong_coupling():
     basis = build_basis(2, 12)
-    cond = check_poly_condition(polynomial_pair_ops(basis, 1.0, 0.5), basis)
+    ops = polynomial_pair_ops(basis, 1.0, 0.5)
+    cond = check_poly_condition(poly_scan(ops, basis), basis)
     assert not cond["pass"]
     assert cond["q_sup"] == pytest.approx(2.0625, abs=1e-10)
     assert cond["slack"] < 0.0
@@ -242,7 +272,7 @@ def test_poly_condition_sup_matches_bruteforce_scan():
         ]
     )
     ops = [build_operator(f1, basis), build_operator(f2, basis)]
-    cond = check_poly_condition(ops, basis)
+    cond = check_poly_condition(poly_scan(ops, basis), basis)
     brute = 0.0
     for f in (f1, f2):
         K = f.term_count(exclude_linear_diag=True)
@@ -272,7 +302,7 @@ def test_dominance_xi_min_hand_values():
 def test_dd_on_linear_family_certifies_full_disk():
     basis = build_basis(2, 8)
     ops, jacs = linear_nonnormal_ops(basis)
-    rho, detail = certified_radius_dd(ops, basis, jacs, 0.9, 0.05)
+    rho, detail = dd_radius(ops, basis, jacs, 0.9, 0.05)
     assert rho == 1.0
     assert detail["pass"]
     # same-degree ratio is flat in the degree: (0.6 / 0.9)^2
@@ -285,7 +315,7 @@ def test_dd_on_linear_family_certifies_full_disk():
 def test_dd_dominance_failure_gives_zero_radius():
     basis = build_basis(2, 6)
     ops, jacs = linear_nonnormal_ops(basis)
-    rho, detail = certified_radius_dd(ops, basis, jacs, 0.5, 0.05)
+    rho, detail = dd_radius(ops, basis, jacs, 0.5, 0.05)
     assert rho == 0.0
     assert not detail["dominance_ok"]
     assert detail["xi_min"] == pytest.approx(0.6)
@@ -300,7 +330,7 @@ def test_dd_radius_of_analytic_pair_tracks_closed_form():
     jacs = [f.jacobian_at_origin() for f in (f1, f2)]
     xi = 1e-6
     kappa = 0.98 * (1 - xi)
-    rho, detail = certified_radius_dd(ops, basis, jacs, xi, kappa)
+    rho, detail = dd_radius(ops, basis, jacs, xi, kappa)
     closed = 1.0 / (1.0 + (math.cosh(2.0) + 1.0) / (2.0 * mu))
     assert 0.95 * closed <= rho <= closed + 1e-6
     assert detail["pass"]
@@ -311,10 +341,10 @@ def test_dd_radius_is_the_transition_point():
     f1, f2 = analytic_pair(2.4, 16)
     ops = [build_operator(f1, basis), build_operator(f2, basis)]
     jacs = [f.jacobian_at_origin() for f in (f1, f2)]
-    rho, _ = certified_radius_dd(ops, basis, jacs, 1e-6, 0.97)
+    rho, _ = dd_radius(ops, basis, jacs, 1e-6, 0.97)
     assert 0.0 < rho < 1.0
-    assert check_dd_condition(ops, basis, jacs, 1e-6, 0.97, rho * 0.999)["pass"]
-    assert not check_dd_condition(ops, basis, jacs, 1e-6, 0.97, rho * 1.001)["pass"]
+    assert dd_check(ops, basis, jacs, 1e-6, 0.97, rho * 0.999)["pass"]
+    assert not dd_check(ops, basis, jacs, 1e-6, 0.97, rho * 1.001)["pass"]
 
 
 @pytest.mark.parametrize("mu, degree", [(2.4, 16), (3.0, 12)])
@@ -324,12 +354,12 @@ def test_dd_radius_is_the_last_float_that_passes(mu, degree):
     ops = [build_operator(f1, basis), build_operator(f2, basis)]
     jacs = [f.jacobian_at_origin() for f in (f1, f2)]
     xi, kappa = 1e-6, 0.98 * (1 - 1e-6)
-    rho, detail = certified_radius_dd(ops, basis, jacs, xi, kappa)
+    rho, detail = dd_radius(ops, basis, jacs, xi, kappa)
     assert 0.0 < rho < 1.0
-    assert detail == check_dd_condition(ops, basis, jacs, xi, kappa, rho)
+    assert detail == dd_check(ops, basis, jacs, xi, kappa, rho)
     assert detail["pass"]
     assert detail["rho_slack"] > 0.0
-    above = check_dd_condition(ops, basis, jacs, xi, kappa, math.nextafter(rho, 2.0))
+    above = dd_check(ops, basis, jacs, xi, kappa, math.nextafter(rho, 2.0))
     assert not above["pass"]
     assert above["rho_slack"] <= 0.0
 
@@ -339,23 +369,23 @@ def test_dd_radius_fails_closed_on_non_finite_ratios(bad):
     # a stored same-degree coupling entry feeds the same-degree ratio
     basis = build_basis(2, 6)
     ops, jacs = linear_nonnormal_ops(basis)
-    assert certified_radius_dd(ops, basis, jacs, 0.9, 0.05)[0] == 1.0
+    assert dd_radius(ops, basis, jacs, 0.9, 0.05)[0] == 1.0
     kmat = ops[0].kmat
     hit = (kmat.k == basis.index_of((1, 1))) & (kmat.j == basis.index_of((0, 2)))
     assert hit.sum() == 1
     kmat.v[hit] = bad
-    rho, detail = certified_radius_dd(ops, basis, jacs, 0.9, 0.05)
+    rho, detail = dd_radius(ops, basis, jacs, 0.9, 0.05)
     assert rho == 0.0
     assert not detail["pass"]
-    assert not check_poly_condition(ops, basis)["pass"]
+    assert not check_poly_condition(poly_scan(ops, basis), basis)["pass"]
     # a column sum feeds the cross-degree ratios and their extrapolation
     basis = build_basis(2, 12)
     f1, f2 = analytic_pair(3.0, 12)
     ops = [build_operator(f1, basis), build_operator(f2, basis)]
     jacs = [f.jacobian_at_origin() for f in (f1, f2)]
-    assert certified_radius_dd(ops, basis, jacs, 1e-6, 0.97)[0] > 0.0
+    assert dd_radius(ops, basis, jacs, 1e-6, 0.97)[0] > 0.0
     ops[1].col_sums[basis.index_of((3, 1))] = bad
-    rho, detail = certified_radius_dd(ops, basis, jacs, 1e-6, 0.97)
+    rho, detail = dd_radius(ops, basis, jacs, 1e-6, 0.97)
     assert rho == 0.0
     assert not detail["pass"]
 
@@ -365,7 +395,7 @@ def test_dd_condition_rejects_radius_outside_unit_interval():
     ops, jacs = linear_nonnormal_ops(basis)
     for rho in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
-            check_dd_condition(ops, basis, jacs, 0.9, 0.05, rho)
+            dd_check(ops, basis, jacs, 0.9, 0.05, rho)
 
 
 # extrapolation --------------------------------------------------------------
@@ -400,7 +430,7 @@ def test_epsilon_recursion_closed_form_on_single_chain():
     basis = build_basis(1, 8)
     op = build_operator(PolyVectorField([{(1,): -1.0, (2,): c}]), basis)
     eps, eta_eff, _, _ = epsilon_sequence(
-        [op], basis, WeightScheme("polynomial", xi), eta=eta
+        poly_scan([op], basis, WeightScheme("polynomial", xi)), basis, eta=eta
     )
     assert eta_eff == eta
     want = [1.0]
@@ -415,16 +445,14 @@ def test_epsilon_first_weight_is_one_and_floors_are_tiny():
     # single coupling (1,0) -> (2,0); everything else is uncoupled
     f = PolyVectorField([{(1, 0): -1.0, (2, 0): 0.4}, {(0, 1): -1.0}])
     op = build_operator(f, basis)
-    eps, _, _, _ = epsilon_sequence(
-        [op], basis, WeightScheme("polynomial", 0.99)
-    )
+    eps, _, _, _ = epsilon_sequence(poly_scan([op], basis), basis)
     assert eps[0] == 1.0
     assert eps[basis.index_of((0, 1)) - 1] == EPSILON_FLOOR
     assert eps[basis.index_of((2, 0)) - 1] > EPSILON_FLOOR
     # floor follows the previous degree's largest weight downward
     m = degree_maxima(eps, basis)
     for d in (2, 3, 4):
-        idx = basis.indices_of_degree(d)
+        idx = indices_of_degree(basis, d)
         floor = EPSILON_FLOOR * m[d - 2]
         assert min(eps[k - 1] for k in idx) == pytest.approx(floor)
 
@@ -433,7 +461,7 @@ def test_epsilon_recursion_strictness_across_subsystems():
     basis = build_basis(2, 10)
     ops = polynomial_pair_ops(basis)
     scheme = WeightScheme("polynomial", 0.99)
-    eps, eta_eff, _, _ = epsilon_sequence(ops, basis, scheme)
+    eps, eta_eff, _, _ = epsilon_sequence(poly_scan(ops, basis, scheme), basis)
     assert eta_eff > 0
     full = np.concatenate([[np.nan], eps])
     for op in ops:
@@ -455,7 +483,7 @@ def test_epsilon_sequence_carries_a_nan_ratio_into_its_weight():
     hit = (kmat.k == k) & (kmat.j == j)
     assert hit.sum() == 1
     kmat.v[hit] = math.nan
-    eps, _, q_sup, _ = epsilon_sequence(ops, basis, WeightScheme("polynomial", 0.99))
+    eps, _, q_sup, _ = epsilon_sequence(poly_scan(ops, basis), basis)
     assert math.isnan(q_sup)
     assert math.isnan(eps[j - 1])
 
@@ -463,9 +491,7 @@ def test_epsilon_sequence_carries_a_nan_ratio_into_its_weight():
 def test_epsilon_eta_capped_when_growth_would_diverge():
     basis = build_basis(2, 12)
     ops = polynomial_pair_ops(basis)
-    eps, eta_eff, _, _ = epsilon_sequence(
-        ops, basis, WeightScheme("polynomial", 0.99), eta=0.5
-    )
+    eps, eta_eff, _, _ = epsilon_sequence(poly_scan(ops, basis), basis, eta=0.5)
     # xi-free limit 0.81 over xi^2 leaves less than 0.5 of headroom
     s = 0.81 / 0.99**2
     assert eta_eff == pytest.approx(0.5 * (1.0 / s - 1.0))
@@ -478,17 +504,16 @@ def test_epsilon_sequence_validates_eta():
     basis = build_basis(1, 4)
     op = build_operator(PolyVectorField([{(1,): -1.0}]), basis)
     with pytest.raises(ValueError):
-        epsilon_sequence([op], basis, WeightScheme("polynomial", 0.9), eta=0.0)
+        epsilon_sequence(poly_scan([op], basis), basis, eta=0.0)
 
 
 def test_scheme_ratio_scan_matches_per_pair_maximum():
     basis = build_basis(2, 6)
     ops = polynomial_pair_ops(basis)
     scheme = WeightScheme("polynomial", 0.99)
-    pairs = _coupled_pairs(ops, basis)
-    q = _scheme_ratios(pairs, basis.dimension, scheme)
-    sup, arg, by_degree = _sup_by_degree(pairs, q, basis)
-    assert epsilon_sequence(ops, basis, scheme)[2:] == (sup, by_degree)
+    scan = coupling_scan(ops, basis, scheme)
+    sup, arg, by_degree = _sup_by_degree(scan, scan.q, basis)
+    assert epsilon_sequence(scan, basis)[2:] == (sup, by_degree)
     brute = 0.0
     for op in ops:
         columns = column_support(op.kmat)
@@ -555,7 +580,7 @@ def test_epsilon_sequence_rejects_non_finite_or_non_positive_eta(eta):
     basis = build_basis(2, 4)
     ops = polynomial_pair_ops(basis)
     with pytest.raises(ValueError, match="eta must be finite and positive"):
-        epsilon_sequence(ops, basis, WeightScheme("polynomial", 0.99), eta=eta)
+        epsilon_sequence(poly_scan(ops, basis), basis, eta=eta)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])

@@ -188,16 +188,34 @@ def _analyze_exit(tmp_path, data):
         return exc.code
 
 
-@pytest.mark.parametrize("case", ["dt-string", "re-null"])
+WRONG_TYPES = {
+    "dimension-string": ("dimension", "2"),
+    "degree-float": ("truncation_degree", 2.7),
+    "degree-bool": ("truncation_degree", True),
+    "kind-number": ("scheme.kind", 1),
+    "xi-string": ("scheme.xi", "0.9"),
+    "kappa-bool": ("scheme.kappa", False),
+    "rho-string": ("rho_request", "0.5"),
+    "eta-string": ("eta", "0.5"),
+}
+
+
+@pytest.mark.parametrize("case", ["dt-string", "re-null", *WRONG_TYPES])
 def test_cli_analyze_rejects_config_values_of_the_wrong_type(tmp_path, capsys, case):
     data = example1_config(degree=6).to_json_dict()
     if case == "dt-string":
         data["simulation"]["dt"] = "0.01"
-    else:
+    elif case == "re-null":
         data["subsystems"][1]["coefficients"][2]["re"] = None
+    else:
+        key, value = WRONG_TYPES[case]
+        owner = data["scheme"] if key.startswith("scheme.") else data
+        owner[key.removeprefix("scheme.")] = value
     assert _analyze_exit(tmp_path, data) == 2
     err = capsys.readouterr().err
     assert "invalid config" in err and "Traceback" not in err
+    if case in WRONG_TYPES:
+        assert f"{WRONG_TYPES[case][0]} must be" in err
 
 
 @pytest.mark.parametrize(
@@ -361,6 +379,23 @@ def test_cli_simulate_audits_and_traces(tmp_path):
     assert summary["kind"] == "audit_summary"
     assert summary["passed"] is True
     assert summary["max_v_increase"] == 0.0
+    lines = trace.read_text().strip().split("\n")
+    assert lines[0] == "t,re_z1,im_z1,re_z2,im_z2,V,active_subsystem"
+    assert len(lines) > 10
+
+
+def test_cli_simulate_traces_a_report_without_a_triangularization(tmp_path):
+    cfg_path = tmp_path / "sys.json"
+    cfg_path.write_text(linear_nonnormal_config().to_json())
+    rpt = tmp_path / "report.json"
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(rpt)]) == 0
+    data = json.loads(rpt.read_text())
+    data["triangularization"] = None  # P is the identity
+    rpt.write_text(json.dumps(data))
+    trace = tmp_path / "trace.csv"
+    argv = ["simulate", "--config", str(cfg_path), "--report", str(rpt),
+            "--out", str(tmp_path / "audit.json"), "--trace", str(trace)]
+    assert main(argv) == 0
     lines = trace.read_text().strip().split("\n")
     assert lines[0] == "t,re_z1,im_z1,re_z2,im_z2,V,active_subsystem"
     assert len(lines) > 10

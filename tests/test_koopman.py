@@ -8,7 +8,14 @@ from koopman_clf.certificate import build_operator
 from koopman_clf.koopman import build_matrix
 from koopman_clf.multiindex import build_basis
 from koopman_clf.vectorfield import PolyVectorField, lie_bracket
-from oracles import col_abs_sum, column_support, entry, row_abs_sum, stored_entry
+from oracles import (
+    col_abs_sum,
+    column_support,
+    entry,
+    field_from_linear,
+    row_abs_sum,
+    stored_entry,
+)
 
 
 def polynomial_pair(a=1.0, b=0.3):
@@ -297,7 +304,7 @@ def test_diagonal_eigenvalues_match_exponent_weighted_spectrum():
     lam = -rng.uniform(0.5, 2.0, 3) + 1j * rng.normal(size=3)
     T = np.triu(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)), 1)
     T += np.diag(lam)
-    f = PolyVectorField.from_linear(T)
+    f = field_from_linear(T)
     kmat = build_matrix(f, basis)
     values = diagonal_eigenvalues(kmat, lam)
     for k in range(1, basis.size + 1):

@@ -2,28 +2,31 @@
 
 The reference below walks the stored entries of every operator one pair
 at a time and keeps a running maximum, with each ratio written as a scalar
-formula.  The array scans in ``koopman_clf.certificate`` must reproduce
+formula.  The array scan in ``koopman_clf.certificate`` must reproduce
 it exactly: every ratio, the sup, the pair it is attributed to, and the
 per-degree maxima.  The operator set-up and the weight recursion, which
 run on the same arrays, must equal their per-row and per-column forms.
+One scan feeds both the scheme condition and the weights, so the report
+states each sup as one number.
 """
 
 import numpy as np
 import pytest
 
+from koopman_clf import analysis, certificate
 from koopman_clf.certificate import (
     ETA_FLOOR,
     EPSILON_FLOOR,
     WeightScheme,
     _coupled_pairs,
-    _dd_ratios,
     _extrapolate,
-    _poly_ratios,
-    _scheme_ratios,
     _sup_by_degree,
     build_operator,
+    certified_radius_dd,
     check_dd_condition,
     check_poly_condition,
+    coupling_scan,
+    dominance_xi_min,
     epsilon_sequence,
 )
 from koopman_clf.config import example1_config, example2_config
@@ -194,9 +197,9 @@ def test_coupled_pairs_follow_the_reference_scan_order(family):
 
 def test_poly_condition_matches_reference_scan(family):
     ops, basis, _ = family
-    pairs = _coupled_pairs(ops, basis)
-    assert _poly_ratios(pairs).tolist() == pair_values(ops, poly_value)
-    cond = check_poly_condition(ops, basis)
+    scan = coupling_scan(ops, basis, WeightScheme("polynomial", 0.99))
+    assert scan.r.tolist() == pair_values(ops, poly_value)
+    cond = check_poly_condition(scan, basis)
     sup, arg, by_degree = by_degree_max(ops, basis, poly_value)
     assert cond["q_sup"] == sup
     assert cond["argmax"] == arg
@@ -206,15 +209,15 @@ def test_poly_condition_matches_reference_scan(family):
 def test_dd_ratios_match_reference_scan(family):
     ops, basis, jacs = family
     same_value, cross_value = dd_values(basis, XI, KAPPA)
-    pairs = _coupled_pairs(ops, basis)
-    same, cross = _dd_ratios(pairs, basis.dimension, XI, KAPPA)
-    assert same.tolist() == pair_values(ops, same_value)
-    assert cross.tolist() == pair_values(ops, cross_value)
+
+    def value(i, op, k, j, e):
+        return same_value(i, op, k, j, e) + cross_value(i, op, k, j, e)
+
+    scan = coupling_scan(ops, basis, WeightScheme("diagonal_dominance", XI, KAPPA))
+    assert scan.q.tolist() == pair_values(ops, value)
     same_ref = by_degree_max(ops, basis, same_value)
     cross_ref = by_degree_max(ops, basis, cross_value)
-    assert _sup_by_degree(pairs, same, basis) == same_ref
-    assert _sup_by_degree(pairs, cross, basis) == cross_ref
-    record = check_dd_condition(ops, basis, jacs, XI, KAPPA, 1.0)
+    record = check_dd_condition(scan, basis, dominance_xi_min(jacs), 1.0)
     assert record["same_degree_sup"] == same_ref[0]
     assert (record["cross_sup"], record["argmax"], record["by_degree"]) == cross_ref
 
@@ -230,10 +233,9 @@ def test_scheme_ratio_scan_matches_reference_scan(family, scheme):
     def value(i, op, k, j, e):
         return q_value(op, scheme, j, k)
 
-    pairs = _coupled_pairs(ops, basis)
-    q = _scheme_ratios(pairs, basis.dimension, scheme)
-    assert q.tolist() == pair_values(ops, value)
-    assert _sup_by_degree(pairs, q, basis) == by_degree_max(ops, basis, value)
+    scan = coupling_scan(ops, basis, scheme)
+    assert scan.q.tolist() == pair_values(ops, value)
+    assert _sup_by_degree(scan, scan.q, basis) == by_degree_max(ops, basis, value)
 
 
 def test_column_sums_match_the_per_column_sum(family):
@@ -264,8 +266,91 @@ def test_operator_set_up_matches_the_per_row_formulas(family):
 def test_epsilon_sequence_matches_the_column_walk(family, scheme, rho):
     ops, basis, _ = family
     eps, eta_eff, q_sup, q_by_degree = epsilon_sequence(
-        ops, basis, scheme, eta=0.5, rho=rho
+        coupling_scan(ops, basis, scheme), basis, eta=0.5, rho=rho
     )
     want = column_walk_weights(ops, basis, scheme, 0.5, rho)
     assert eps.tolist() == want[0].tolist()
     assert (eta_eff, q_sup, q_by_degree) == want[1:]
+
+
+# one scan per analysis -------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [example1_config, example2_config])
+def test_analyze_family_scans_the_coupled_pairs_once(monkeypatch, make):
+    calls = []
+    real = certificate._coupled_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(certificate, "_coupled_pairs", counted)
+    cfg = make(degree=12)
+    report = analysis.analyze_family(
+        cfg.build_family(), 12, scheme_kind=cfg.scheme_kind
+    )
+    assert report.certified
+    assert len(calls) == 1
+
+
+def test_each_condition_refuses_a_scan_of_the_other_scheme(family):
+    ops, basis, _ = family
+    poly = coupling_scan(ops, basis, WeightScheme("polynomial", 0.99))
+    dd = coupling_scan(ops, basis, WeightScheme("diagonal_dominance", XI, KAPPA))
+    with pytest.raises(ValueError, match="polynomial scan"):
+        check_poly_condition(dd, basis)
+    with pytest.raises(ValueError, match="dominance scan"):
+        check_dd_condition(poly, basis, 0.0, 1.0)
+
+
+def assert_one_sup(kind, q_sup, cond, xi):
+    """The weights' sup against the condition's, exactly: the polynomial
+    condition is xi-free, the dominance one splits by degree."""
+    if kind == "polynomial":
+        assert q_sup == cond["q_sup"] / xi**2
+    else:
+        assert q_sup == max(cond["same_degree_sup"], cond["cross_sup"])
+
+
+@pytest.mark.parametrize(
+    "make, degree",
+    [
+        (example1_config, 12),
+        (example1_config, 30),
+        (example2_config, 12),
+        (example2_config, 20),
+    ],
+)
+def test_report_states_each_sup_as_one_number(make, degree):
+    cfg = make(degree=degree)
+    report = analysis.analyze_family(
+        cfg.build_family(), degree, scheme_kind=cfg.scheme_kind
+    )
+    assert report.certified
+    cond = report.poly_condition or report.dd_condition
+    assert_one_sup(report.scheme_kind, report.q_sup, cond, report.xi)
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [WeightScheme("polynomial", 0.99), WeightScheme("diagonal_dominance", XI, KAPPA)],
+    ids=["polynomial", "diagonal_dominance"],
+)
+def test_scan_states_each_sup_as_one_number_across_pair_kinds(scheme):
+    # no report of the complex family carries weights: it fails the
+    # polynomial condition, and its dominance run overflows later in
+    # convergence_check; so the pipeline steps run on its scan directly
+    fields = complex_family()
+    basis = build_basis(2, 40)
+    ops = [build_operator(f, basis) for f in fields]
+    scan = coupling_scan(ops, basis, scheme)
+    assert scan.same.any() and not scan.same.all()
+    if scheme.kind == "polynomial":
+        cond = check_poly_condition(scan, basis)
+    else:
+        xi_min = dominance_xi_min([f.jacobian_at_origin() for f in fields])
+        _, cond = certified_radius_dd(scan, basis, xi_min)
+        assert cond["same_degree_sup"] > 0.0
+    q_sup = epsilon_sequence(scan, basis, rho=0.5)[2]
+    assert_one_sup(scheme.kind, q_sup, cond, scheme.xi)

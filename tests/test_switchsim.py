@@ -23,6 +23,7 @@ from koopman_clf.switchsim import (
     sample_initial_points,
 )
 from koopman_clf.vectorfield import PolyVectorField, SwitchedFamily, flow_step
+from oracles import field_from_linear
 
 
 def contraction_family(rates=(-1.0, -2.0)):
@@ -35,7 +36,7 @@ def contraction_family(rates=(-1.0, -2.0)):
 def linear_nonnormal_family():
     A1 = np.array([[-1.0, 0.6], [0.0, -1.0]])
     A2 = np.diag([-1.0, -1.5])
-    return SwitchedFamily([PolyVectorField.from_linear(A) for A in (A1, A2)])
+    return SwitchedFamily([field_from_linear(A) for A in (A1, A2)])
 
 
 # signals --------------------------------------------------------------------

@@ -18,6 +18,7 @@ from koopman_clf.vectorfield import (
     lie_bracket,
     poly_mul,
 )
+from oracles import coefficient, field_from_linear
 
 
 def random_int_field(rng, n=2, degree=3, span=3):
@@ -56,8 +57,8 @@ def test_constant_terms_rejected():
 def test_zero_coefficients_dropped_and_merged():
     f = PolyVectorField([{(1, 0): 0.0, (2, 0): 1.0}, {(0, 1): 2.0, (0, 1): 2.0}])
     assert f.components[0] == {(2, 0): 1.0}
-    assert f.coefficient(1, (0, 1)) == 2.0
-    assert f.coefficient(0, (1, 0)) == 0j
+    assert coefficient(f, 1, (0, 1)) == 2.0
+    assert coefficient(f, 0, (1, 0)) == 0j
 
 
 def test_tail_l1_must_dominate_stored_sum():
@@ -90,7 +91,7 @@ def test_truncated_without_tail_warns_on_l1_query():
 
 def test_from_linear_and_jacobian_roundtrip():
     A = np.array([[-1.0, 0.5 + 0.25j], [0.0, -2.0]])
-    f = PolyVectorField.from_linear(A)
+    f = field_from_linear(A)
     assert np.allclose(f.jacobian_at_origin(), A)
     z = np.array([0.3, -0.2 + 0.1j])
     assert np.allclose(f.evaluate(z), A @ z)
@@ -353,7 +354,7 @@ def test_bracket_of_linear_fields_is_matrix_commutator():
     for _ in range(10):
         A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         B = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        br = lie_bracket(PolyVectorField.from_linear(A), PolyVectorField.from_linear(B))
+        br = lie_bracket(field_from_linear(A), field_from_linear(B))
         assert np.allclose(br.jacobian_at_origin(), B @ A - A @ B, atol=1e-12)
 
 
@@ -390,7 +391,7 @@ def test_rk4_order_via_step_halving():
 def test_flow_matches_matrix_exponential():
     rng = np.random.default_rng(3)
     A = -np.eye(2) + 0.4 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    f = PolyVectorField.from_linear(A)
+    f = field_from_linear(A)
     z0 = np.array([0.5, -0.3 + 0.2j])
     got = integrate_flow(f, z0, 2.0, dt=1e-3)
     want = expm(2.0 * A) @ z0

@@ -18,6 +18,7 @@ from koopman_clf.certificate import (
     build_operator,
     certified_radius_dd,
     convergence_check,
+    coupling_scan,
     degree_maxima,
     dominance_xi_min,
     epsilon_sequence,
@@ -46,7 +47,7 @@ def off_diagonal_pair():
 
 def assert_same_recursion(ops, basis, scheme, eta=0.5, rho=1.0):
     eps, eta_eff, q_sup, q_by_degree = epsilon_sequence(
-        ops, basis, scheme, eta=eta, rho=rho
+        coupling_scan(ops, basis, scheme), basis, eta=eta, rho=rho
     )
     want = epsilon_walk(ops, basis, scheme, eta=eta, rho=rho)
     assert np.array_equal(eps, want[0], equal_nan=True)
@@ -73,9 +74,10 @@ def test_level_recursion_matches_the_walk_on_example2():
     jacs = [f.jacobian_at_origin() for f in fields]
     xi = max(1.01 * dominance_xi_min(jacs), 1e-6)
     kappa = 0.98 * (1.0 - xi)
-    rho, _ = certified_radius_dd(ops, basis, jacs, xi, kappa)
-    assert 0 < rho < 1
     scheme = WeightScheme("diagonal_dominance", xi, kappa)
+    scan = coupling_scan(ops, basis, scheme)
+    rho, _ = certified_radius_dd(scan, basis, dominance_xi_min(jacs))
+    assert 0 < rho < 1
     assert_same_recursion(ops, basis, scheme, rho=rho)
 
 
