@@ -22,6 +22,7 @@ condition, the certified radius and the weight recursion all read it.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -455,7 +456,11 @@ def convergence_check(epsilon, basis, rho):
 
     The truncated part is summed exactly; the tail is bounded by carrying
     the observed per-degree decay of the weight maxima past the
-    truncation degree.
+    truncation degree.  A tail term is the direct product
+    count * d * m_N * r^(d-N) * rho^(2d) while its powers are normal
+    floats, and the same term regrouped as m_N rho^(2N) (r rho^2)^(d-N)
+    once r^(d-N) would overflow or rho^(2d) underflow (fast-growing weights
+    on a small radius); since r rho^2 < 1 that form stays finite.
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
@@ -471,11 +476,21 @@ def convergence_check(epsilon, basis, rho):
     x = r * rho * rho
     if not x < 1.0:
         return ConvergenceResult(partial, float("inf"), r, False)
+    base = m_ref * rho ** (2 * N)  # the degree-N maximum, weighted at rho
     tail = 0.0
     scale = max(1.0, partial)
     d = N + 1
     while d < N + 200000:
-        term = basis.count_of_degree(d) * d * m_ref * r ** (d - N) * rho ** (2 * d)
+        count = basis.count_of_degree(d)
+        shrink = rho ** (2 * d)
+        try:
+            term = count * d * m_ref * r ** (d - N) * shrink
+        except OverflowError:
+            term = math.inf
+        if not (shrink >= sys.float_info.min and term < math.inf):
+            # r^(d-N) overflows, or rho^(2d) underflows, before the term
+            # does: take it as base * (r rho^2)^(d-N), which stays finite
+            term = count * d * base * x ** (d - N)
         tail += term
         if term < 1e-22 * scale and d > N + 4:
             break

@@ -22,8 +22,20 @@ def _json_typed(name, value, types, what):
     return value
 
 
+def _json_float(name, value):
+    """``value`` as a float if it is a JSON number that fits one."""
+    value = _json_typed(name, value, (int, float), "a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{name} must be a number that fits a float, got an integer of "
+            f"{len(str(abs(value)))} digits"
+        ) from None
+
+
 def _optional_number(name, value):
-    return _json_typed(name, value, (int, float, type(None)), "a number or null")
+    return None if value is None else _json_float(name, value)
 
 
 @dataclass(frozen=True)
@@ -40,7 +52,8 @@ class SimulationParams:
         for name in ("trials", "points", "seed"):
             _json_typed(f"simulation.{name}", getattr(self, name), int, "an integer")
         for name in ("dt", "horizon", "min_dwell", "max_dwell"):
-            if not math.isfinite(getattr(self, name)):
+            value = _json_float(f"simulation.{name}", getattr(self, name))
+            if not math.isfinite(value):
                 raise ValueError(f"simulation.{name} must be finite")
         if self.dt <= 0 or self.horizon < 0:
             raise ValueError("need dt > 0 and horizon >= 0")
@@ -134,13 +147,23 @@ class SystemConfig:
         subsystems = []
         for s, raw in enumerate(raw_subs):
             comps = [dict() for _ in range(n)]
-            for c in raw.get("coefficients", []):
-                l = int(c["component"]) - 1
+            for i, c in enumerate(raw.get("coefficients", [])):
+                where = f"subsystems[{s}].coefficients[{i}]"
+                component = _json_typed(
+                    f"{where}.component", c["component"], int, "an integer"
+                )
+                l = component - 1
                 if not 0 <= l < n:
                     raise ValueError(
-                        f"subsystem {s}: component {c['component']} out of range"
+                        f"subsystem {s}: component {component} out of range"
                     )
-                alpha = tuple(int(a) for a in c["exponents"])
+                exponents = _json_typed(
+                    f"{where}.exponents", c["exponents"], list, "a list"
+                )
+                alpha = tuple(
+                    _json_typed(f"{where}.exponents", a, int, "a list of integers")
+                    for a in exponents
+                )
                 if len(alpha) != n:
                     raise ValueError(
                         f"subsystem {s}: exponent list {alpha} has wrong length"
@@ -150,12 +173,19 @@ class SystemConfig:
                         f"subsystem {s}: component {l + 1} lists exponents "
                         f"{list(alpha)} twice"
                     )
-                comps[l][alpha] = complex(float(c["re"]), float(c.get("im", 0.0)))
+                comps[l][alpha] = complex(
+                    _json_float(f"{where}.re", c["re"]),
+                    _json_float(f"{where}.im", c.get("im", 0.0)),
+                )
             tail = raw.get("tail_l1")
             if tail is not None:
-                tail = [float(t) for t in tail]
+                name = f"subsystems[{s}].tail_l1"
+                tail = [
+                    _json_float(name, t)
+                    for t in _json_typed(name, tail, list, "a list or null")
+                ]
             subsystems.append((comps, tail))
-        eta = _json_typed("eta", data.get("eta", 0.5), (int, float), "a number")
+        eta = _json_float("eta", data.get("eta", 0.5))
         if not (math.isfinite(eta) and eta > 0):
             raise ValueError(f"eta must be finite and positive, got {eta!r}")
         scheme = _json_typed("scheme", data.get("scheme") or {}, dict, "an object")
@@ -185,7 +215,7 @@ class SystemConfig:
             scheme_kind=kind,
             xi=_optional_number("scheme.xi", scheme.get("xi")),
             kappa=_optional_number("scheme.kappa", scheme.get("kappa")),
-            eta=float(eta),
+            eta=eta,
             rho_request=_optional_number("rho_request", data.get("rho_request")),
             simulation=sim,
         )

@@ -7,6 +7,14 @@ exactly.  One kernel integrates every signal from every initial point as
 a single batch; the audit runs it over many signals and checks that the
 certified function never increases along any trajectory, and a single
 recorded trajectory is the same kernel with one signal and one point.
+
+The kernel keeps the states points-last, as one contiguous (n, R) array
+``ZT`` of R = signals x points columns, and hands ``flow_step`` and the
+certificate the (R, n) view ``ZT.T``.  Each integration makes one
+``FieldScratch`` per subsystem and owns it: every step of that subsystem
+reuses its arrays, the rows of a subsystem that holds only some of the
+states are gathered into it and scattered back, and so the step loop
+allocates no batch-sized array.
 """
 
 import math
@@ -17,7 +25,13 @@ import numpy as np
 
 from .certificate import CommonLyapunovFunction
 from .multiindex import build_basis
-from .vectorfield import NonFiniteStateError, flow_step, halton, _PRIMES
+from .vectorfield import (
+    FieldScratch,
+    NonFiniteStateError,
+    flow_step,
+    halton,
+    _PRIMES,
+)
 
 ESCAPE_TOL = 1e-12
 
@@ -118,8 +132,11 @@ def _integrate(family, plans, points, clf=None, record=False):
     """Integrate every point under every step plan as one (S*P, n) batch.
 
     Row s*P + p follows plans[s] from points[p] while that plan has steps
-    left.  A step gives each subsystem active on a live row one
-    ``flow_step`` over its rows; V and the escape test then run once.
+    left.  The states are stored points-last, ``Z`` being the view
+    ``ZT.T``.  A step gives each subsystem active on a live row one
+    ``flow_step`` over its rows, in place when it holds every row and
+    through its scratch's gather buffer otherwise; V and the escape test
+    then run once.
     Returns the final states, escape flags and times, the largest relative
     one-step V increase, the largest rate (V_next - V) / (h V) with where
     it occurs, and with ``record`` the states and V after every step.
@@ -135,7 +152,9 @@ def _integrate(family, plans, points, clf=None, record=False):
     # the rows of each subsystem change only at a switch or where a plan ends
     regroup = np.r_[True, (SUB[1:] != SUB[:-1]).any(axis=1)]
     regroup[counts[counts < L]] = True
-    Z = np.tile(np.asarray(points, dtype=complex), (S, 1))
+    ZT = np.tile(np.asarray(points, dtype=complex).T, (1, S))
+    Z = ZT.T
+    scratch = [FieldScratch(field, len(Z)) for field in family]
     Zh = Z if clf is None else clf.hat(Z)
     v = None if clf is None else clf.value_batch(Zh, hat=True)
     escape_time = np.where(np.abs(Zh).max(axis=1) >= 1.0 - ESCAPE_TOL, 0.0, np.nan)
@@ -150,7 +169,13 @@ def _integrate(family, plans, points, clf=None, record=False):
             groups = [(i, rows if len(subs) == 1 else live[sub == i]) for i in subs]
         h = float(H[l, 0]) if one_h[l] else np.repeat(H[l], P)
         for i, idx in groups:
-            Z[idx] = flow_step(family[i], Z[idx], h if one_h[l] else h[idx, None])
+            dt = h if one_h[l] else h[idx, None]
+            if isinstance(idx, slice):
+                flow_step(family[i], Z, dt, scratch[i], out=Z)
+            else:
+                zg = ZT.take(idx, 1, scratch[i].shape_for(len(idx)).z, "wrap")
+                flow_step(family[i], zg.T, dt, scratch[i], out=zg.T)
+                ZT[:, idx] = zg
         Zh = Z if clf is None else clf.hat(Z)
         if np.abs(Zh).max() >= 1.0 - ESCAPE_TOL:
             out = np.abs(Zh[rows]).max(axis=1) >= 1.0 - ESCAPE_TOL

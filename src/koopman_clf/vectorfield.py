@@ -7,16 +7,23 @@ downstream absolute-sum operations use instead of the truncated sum.
 
 Each field is compiled once, at construction, into an evaluation plan
 over the K stored terms of all components together: an (n, K) index of
-the power-table rows whose product is each term's monomial, and a
-(K, n) coefficient matrix holding each component's coefficients in its
-own column.  Evaluating a batch of B points fills one power-major
-(P + 1, n, B) table of coordinate powers up to the largest exponent P.
-Points run along the last axis, so each power is one contiguous multiply
-of the previous power by the transposed batch, and each coordinate's
-factor of all K monomials is one gather of whole contiguous rows; the
-(B, K) monomials are then multiplied by the coefficient matrix.
-``flow_step`` calls this evaluator directly on its four Runge-Kutta
-stages.
+the power-table rows whose product is each term's monomial, and an
+(n, K) coefficient matrix holding each component's coefficients in its
+own row.
+
+Evaluation is points-last: a batch of B points is read as its (n, B)
+transpose, and every intermediate keeps the points along the last axis.
+The kernel fills one power-major (P + 1, n, B) table of coordinate powers
+up to the largest exponent P, one contiguous multiply per power; gathers
+each coordinate's factor of all K monomials as whole rows of that table;
+and contracts the (K, B) monomials with the coefficient matrix into the
+(n, B) values.  Every array it writes lives in a ``FieldScratch``, which
+also holds the stage input and the running sum of ``flow_step``'s four
+Runge-Kutta stages.  A scratch belongs to whoever made it, never to the
+field: ``evaluate`` and a plain ``flow_step`` call make their own, and an
+integration makes one per subsystem and reuses it every step, so a step
+allocates no batch-sized array and concurrent integrations of one field
+never share one.
 """
 
 import cmath
@@ -96,19 +103,19 @@ class PolyVectorField:
         )
         # evaluation plan: the stored terms of all components in one list;
         # term t is the product over coordinates c of the power-table
-        # rows _gather[c, t] (row p * n + c holds z_c ** p), and _C[t]
-        # holds its coefficient in the column of its component
+        # rows _gather[c, t] (row p * n + c holds z_c ** p), and
+        # _coeffs[:, t] holds its coefficient in the row of its component
         terms = [
             (l, alpha, c[alpha])
             for l, c in enumerate(self.components)
             for alpha in sorted(c, key=order_key)
         ]
-        exps = np.array([a for _, a, _ in terms], dtype=np.int64).reshape(-1, n)
+        exps = np.array([a for _, a, _ in terms], dtype=np.intp).reshape(-1, n)
         self._max_pow = int(exps.max()) if terms else 0
-        self._gather = (exps * n + np.arange(n)).T
-        self._C = np.zeros((len(terms), n), dtype=complex)
+        self._gather = np.ascontiguousarray((exps * n + np.arange(n)).T)
+        self._coeffs = np.zeros((n, len(terms)), dtype=complex)
         for t, (l, _, v) in enumerate(terms):
-            self._C[t, l] = v
+            self._coeffs[l, t] = v
 
     def stored_abs_sum(self, component):
         return float(sum(abs(v) for v in self.components[component].values()))
@@ -151,36 +158,9 @@ class PolyVectorField:
 
     def evaluate(self, z):
         """Evaluate at one point (n,) or a batch (B, n)."""
-        z = np.asarray(z, dtype=complex)
-        single = z.ndim == 1
-        zb = z.reshape(1, -1) if single else z
-        if zb.shape[1] != self.dimension:
-            raise ValueError("point dimension mismatch")
-        out = self._evaluate_batch(zb)
-        return out[0] if single else out
-
-    def _evaluate_batch(self, zb):
-        """F at a (B, n) complex batch, by the plan built in ``__init__``.
-
-        The batch is copied once into a contiguous (n, B) array and the
-        power table is power-major, (P + 1, n, B): each power is one
-        contiguous multiply of the previous one by that copy, for all
-        coordinates and points at once.  Viewed as ((P + 1) n, B), row
-        p * n + c holds z_c ** p, so each coordinate's factor of all K
-        monomials is one gather of whole rows; the (K, B) product is
-        turned to (B, K) and contracted with the coefficient matrix.
-        """
-        B, n = zb.shape
-        zT = np.ascontiguousarray(zb.T)
-        pows = np.empty((self._max_pow + 1, n, B), dtype=complex)
-        pows[0] = 1
-        for p in range(1, self._max_pow + 1):
-            np.multiply(pows[p - 1], zT, out=pows[p])
-        pows = pows.reshape(-1, B)
-        mono = pows[self._gather[0]]
-        for c in range(1, n):
-            mono *= pows[self._gather[c]]
-        return np.ascontiguousarray(mono.T) @ self._C
+        z, zT = _points_last(self, z)
+        scratch = FieldScratch(self, zT.shape[1])
+        return scratch.evaluate(scratch.load(zT)).T.reshape(z.shape).copy()
 
     def __repr__(self):
         terms = sum(len(c) for c in self.components)
@@ -242,28 +222,134 @@ def lie_bracket(F, G):
     return PolyVectorField(comps)
 
 
-def flow_step(field, z, dt):
+def _points_last(field, z):
+    """``z`` as a complex array and its points-last (n, B) view ``z.T``,
+    after checking that it is one point (n,) or a batch (B, n)."""
+    z = np.asarray(z, dtype=complex)
+    n = field.dimension
+    if z.ndim not in (1, 2) or z.shape[-1] != n:
+        raise ValueError("point dimension mismatch")
+    return z, z.reshape(-1, n).T
+
+
+class FieldScratch:
+    """Work arrays of one field's points-last evaluations and RK4 steps.
+
+    For a batch of B points it holds the (P + 1, n, B) power table, the
+    (K, B) monomials and one coordinate's factors of them, the (n, B)
+    field values ``k`` and three more (n, B) arrays: a stage input, the
+    running Runge-Kutta sum and a contiguous copy of the points.  The
+    arrays are views into one store that grows to the largest batch seen;
+    ``shape_for`` re-cuts them when the batch size changes.  Whoever makes
+    a scratch owns it: every evaluation overwrites it.
+    """
+
+    def __init__(self, field, rows):
+        self.field = field
+        self.rows = None
+        self._store = np.empty(0, dtype=complex)
+        self.shape_for(rows)
+
+    def shape_for(self, rows):
+        """Cut the arrays for ``rows`` points; returns the scratch."""
+        if rows != self.rows:
+            n, K = self.field._gather.shape
+            shapes = [(self.field._max_pow + 1, n, rows)] + [(K, rows)] * 2
+            shapes += [(n, rows)] * 4
+            sizes = [math.prod(shape) for shape in shapes]
+            if sum(sizes) > self._store.size:
+                self._store = np.empty(sum(sizes), dtype=complex)
+            ends = np.cumsum(sizes).tolist()
+            (self.pows, self.mono, self.factor, self.k, self.stage, self.acc,
+             self.z) = (
+                self._store[end - size:end].reshape(shape)
+                for shape, size, end in zip(shapes, sizes, ends)
+            )
+            self.pows[0] = 1
+            self.table = self.pows.reshape(len(self.pows) * n, rows)
+            self.rows = rows
+        return self
+
+    def load(self, zT):
+        """``zT`` when it is contiguous, else its copy in ``self.z``."""
+        if zT.flags.c_contiguous:
+            return zT
+        np.copyto(self.z, zT)
+        return self.z
+
+    def evaluate(self, zT):
+        """F at the contiguous points-last batch ``zT`` (n, rows), written
+        to and returned as ``self.k``.
+
+        Row p * n + c of the power table holds z_c ** p, so each
+        coordinate's factor of all K monomials is one gather of whole
+        rows.  The gathers use mode "wrap": it changes nothing for these
+        in-range indices, and unlike the default mode it writes straight
+        into ``out`` instead of through a temporary copy.
+        """
+        field, pows, table, mono, factor = (
+            self.field, self.pows, self.table, self.mono, self.factor
+        )
+        for p in range(1, field._max_pow + 1):
+            np.multiply(pows[p - 1], zT, out=pows[p])
+        gather = field._gather
+        table.take(gather[0], 0, mono, "wrap")
+        for c in range(1, len(gather)):
+            table.take(gather[c], 0, factor, "wrap")
+            mono *= factor
+        return np.matmul(field._coeffs, mono, out=self.k)
+
+
+def flow_step(field, z, dt, scratch=None, out=None):
     """One classical Runge-Kutta step of z' = F(z); works on batches.
 
     ``z`` is one point (n,) or a batch (B, n); ``dt`` is a scalar or a
-    (B, 1) array of per-row steps.  The shape is checked once and the four
-    stages call the field's batch evaluator directly.
+    (B, 1) array of per-row steps.  The step runs points-last on ``z.T``
+    (copied once when it is not contiguous) inside ``scratch``, a
+    ``FieldScratch`` of ``field`` that is made for the call when none is
+    given: the four stages, their inputs and the weighted sum
+    ((k1 + 2 k2) + 2 k3 + k4) * (dt / 6) + z are all computed in place.
+    The new state is written to ``out`` (any array of z's shape, z itself
+    included) or to a new array, and returned; it never shares memory with
+    the scratch, and ``z`` is read only.  Raises NonFiniteStateError,
+    before anything is written to ``out``, when the new state is not
+    finite.
     """
-    z = np.asarray(z, dtype=complex)
-    if z.ndim not in (1, 2) or z.shape[-1] != field.dimension:
-        raise ValueError("point dimension mismatch")
-    zb = z.reshape(-1, field.dimension)
-    F = field._evaluate_batch
-    k1 = F(zb)
-    k2 = F(zb + 0.5 * dt * k1)
-    k3 = F(zb + 0.5 * dt * k2)
-    k4 = F(zb + dt * k3)
-    out = zb + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out.view(float))):
+    z, zT = _points_last(field, z)
+    if scratch is None:
+        scratch = FieldScratch(field, zT.shape[1])
+    elif scratch.field is not field:
+        raise ValueError("scratch belongs to another field")
+    zT = scratch.shape_for(zT.shape[1]).load(zT)
+    if isinstance(dt, np.ndarray):
+        dt = dt.T  # per-row steps run along the points axis
+    F, k, st, acc = scratch.evaluate, scratch.k, scratch.stage, scratch.acc
+    half = 0.5 * dt
+    np.copyto(acc, F(zT))
+    np.multiply(k, half, out=st)
+    st += zT
+    F(st)
+    np.multiply(k, half, out=st)
+    st += zT
+    k *= 2.0
+    acc += k
+    F(st)
+    np.multiply(k, dt, out=st)
+    st += zT
+    k *= 2.0
+    acc += k
+    acc += F(st)
+    acc *= dt / 6.0
+    acc += zT
+    if not np.isfinite(acc.view(float)).all():
         raise NonFiniteStateError(
             f"non-finite state after an RK4 step (dt up to {float(np.max(dt))!r})"
         )
-    return out.reshape(z.shape)
+    new = acc.T.reshape(z.shape)
+    if out is None:
+        return new.copy()
+    np.copyto(out, new)
+    return out
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

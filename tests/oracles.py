@@ -6,6 +6,8 @@ The library builds each truncated generator matrix once, as arrays
 functions here compute the same quantities one entry, one column, one
 pair or one basis position at a time; the tests hold the library to them.
 The small constructors and lookups at the top are used only by tests.
+``evaluate_batch`` is the field evaluator the library had before its
+points-last kernel, kept as that kernel's bit-exact reference.
 """
 
 import numpy as np
@@ -35,6 +37,25 @@ def field_from_linear(matrix):
                 table[alpha] = A[l, r]
         comps.append(table)
     return PolyVectorField(comps)
+
+
+def evaluate_batch(field_, zb):
+    """F at a (B, n) complex batch by the field's compiled plan, points
+    first: the batch is copied once into a contiguous (n, B) array, a
+    power-major (P + 1, n, B) table is filled from it, the (K, B)
+    monomials are gathered by fancy indexing, copied to (B, K) and
+    contracted as (B, K) @ (K, n) with the coefficient matrix."""
+    B, n = zb.shape
+    zT = np.ascontiguousarray(zb.T)
+    pows = np.empty((field_._max_pow + 1, n, B), dtype=complex)
+    pows[0] = 1
+    for p in range(1, field_._max_pow + 1):
+        np.multiply(pows[p - 1], zT, out=pows[p])
+    pows = pows.reshape(-1, B)
+    mono = pows[field_._gather[0]]
+    for c in range(1, n):
+        mono *= pows[field_._gather[c]]
+    return np.ascontiguousarray(mono.T) @ np.ascontiguousarray(field_._coeffs.T)
 
 
 def coefficient(field_, component, alpha):

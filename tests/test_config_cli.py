@@ -196,26 +196,77 @@ WRONG_TYPES = {
     "xi-string": ("scheme.xi", "0.9"),
     "kappa-bool": ("scheme.kappa", False),
     "rho-string": ("rho_request", "0.5"),
+    "xi-huge-integer": ("scheme.xi", 10**400),
+    "kappa-huge-integer": ("scheme.kappa", 10**400),
     "eta-string": ("eta", "0.5"),
 }
 
 
-@pytest.mark.parametrize("case", ["dt-string", "re-null", *WRONG_TYPES])
+# wrong JSON types inside a subsystem's coefficient list or the simulation
+# block: (key path from the config root, value, field named in the message)
+WRONG_TYPES_INSIDE = {
+    "dt-string": (("simulation", "dt"), "0.01", "simulation.dt"),
+    "horizon-bool": (("simulation", "horizon"), True, "simulation.horizon"),
+    "re-null": (
+        ("subsystems", 1, "coefficients", 2, "re"), None,
+        "subsystems[1].coefficients[2].re",
+    ),
+    "re-string": (
+        ("subsystems", 1, "coefficients", 2, "re"), "0.3",
+        "subsystems[1].coefficients[2].re",
+    ),
+    "im-string": (
+        ("subsystems", 0, "coefficients", 0, "im"), "0",
+        "subsystems[0].coefficients[0].im",
+    ),
+    "component-float": (
+        ("subsystems", 1, "coefficients", 2, "component"), 1.7,
+        "subsystems[1].coefficients[2].component",
+    ),
+    "component-bool": (
+        ("subsystems", 0, "coefficients", 0, "component"), True,
+        "subsystems[0].coefficients[0].component",
+    ),
+    "exponent-float": (
+        ("subsystems", 1, "coefficients", 2, "exponents"), [2.9, 0.0],
+        "subsystems[1].coefficients[2].exponents",
+    ),
+    "exponents-string": (
+        ("subsystems", 1, "coefficients", 2, "exponents"), "20",
+        "subsystems[1].coefficients[2].exponents",
+    ),
+    "tail-strings": (("subsystems", 1, "tail_l1"), ["1", "1"], "subsystems[1].tail_l1"),
+    "tail-bool": (("subsystems", 1, "tail_l1"), [True, 1], "subsystems[1].tail_l1"),
+    "tail-number": (("subsystems", 1, "tail_l1"), 2.0, "subsystems[1].tail_l1"),
+    "re-huge-integer": (
+        ("subsystems", 1, "coefficients", 2, "re"), 10**400,
+        "subsystems[1].coefficients[2].re",
+    ),
+    "tail-huge-integer": (("subsystems", 1, "tail_l1"), [10**400, 1],
+                          "subsystems[1].tail_l1"),
+    "dt-huge-integer": (("simulation", "dt"), 10**400, "simulation.dt"),
+}
+
+
+@pytest.mark.parametrize("case", [*WRONG_TYPES_INSIDE, *WRONG_TYPES])
 def test_cli_analyze_rejects_config_values_of_the_wrong_type(tmp_path, capsys, case):
     data = example1_config(degree=6).to_json_dict()
-    if case == "dt-string":
-        data["simulation"]["dt"] = "0.01"
-    elif case == "re-null":
-        data["subsystems"][1]["coefficients"][2]["re"] = None
+    if case in WRONG_TYPES_INSIDE:
+        path, value, field = WRONG_TYPES_INSIDE[case]
+        owner = data
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
     else:
         key, value = WRONG_TYPES[case]
         owner = data["scheme"] if key.startswith("scheme.") else data
         owner[key.removeprefix("scheme.")] = value
+        field = key
     assert _analyze_exit(tmp_path, data) == 2
     err = capsys.readouterr().err
     assert "invalid config" in err and "Traceback" not in err
-    if case in WRONG_TYPES:
-        assert f"{WRONG_TYPES[case][0]} must be" in err
+    assert f"{field} must be" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,9 @@ One scan feeds both the scheme condition and the weights, so the report
 states each sup as one number.
 """
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -26,10 +29,12 @@ from koopman_clf.certificate import (
     check_dd_condition,
     check_poly_condition,
     coupling_scan,
+    degree_maxima,
     dominance_xi_min,
     epsilon_sequence,
 )
-from koopman_clf.config import example1_config, example2_config
+from koopman_clf.cli import main
+from koopman_clf.config import SystemConfig, example1_config, example2_config
 from koopman_clf.multiindex import build_basis
 from koopman_clf.vectorfield import PolyVectorField
 from oracles import col_abs_sum, column_support, q_value, row_abs_sum, stored_entry
@@ -354,3 +359,52 @@ def test_scan_states_each_sup_as_one_number_across_pair_kinds(scheme):
         assert cond["same_degree_sup"] > 0.0
     q_sup = epsilon_sequence(scan, basis, rho=0.5)[2]
     assert_one_sup(scheme.kind, q_sup, cond, scheme.xi)
+
+
+# the complex family through the whole pipeline ------------------------------
+
+
+def log_tail(report, basis):
+    """The convergence tail of a report summed in logarithms, term by term
+    to the cut-off ``convergence_check`` uses, so no power can overflow."""
+    N = basis.max_degree
+    conv = report.convergence
+    m = degree_maxima(report.epsilon, basis)
+    log_ref = math.log(max(m[N - 1], m[N - 2]))
+    log_r, log_rho = math.log(conv["ratio"]), math.log(report.rho_certified)
+    tail, d = 0.0, N + 1
+    while True:
+        term = basis.count_of_degree(d) * d * math.exp(
+            log_ref + (d - N) * log_r + 2 * d * log_rho
+        )
+        tail += term
+        if term < 1e-22 * max(1.0, conv["partial_sum"]) and d > N + 4:
+            return tail
+        d += 1
+
+
+@pytest.mark.parametrize("degree", [6, 12, 40])
+def test_fast_growing_weights_on_a_small_radius_keep_a_finite_tail(tmp_path, capsys,
+                                                                   degree):
+    # the weights grow by a ratio of 3000-4700 a degree and the radius is
+    # 0.013-0.016, so r ** (d - N) alone overflows a float long before
+    # the terms, which shrink by r * rho**2 < 1, get small
+    family = complex_family()
+    report = analysis.analyze_family(family, degree, scheme_kind="diagonal_dominance")
+    conv = report.convergence
+    assert report.certified and conv["convergent"]
+    assert conv["ratio"] > 1e3 and conv["ratio"] * report.rho_certified**2 < 1
+    basis = build_basis(2, degree)
+    assert conv["tail_bound"] == pytest.approx(log_tail(report, basis), rel=1e-9)
+    cfg = SystemConfig(
+        dimension=2,
+        truncation_degree=degree,
+        subsystems=[(list(f.components), None) for f in family],
+        scheme_kind="diagonal_dominance",
+    )
+    path, out = tmp_path / "sys.json", tmp_path / "r.json"
+    path.write_text(cfg.to_json())
+    assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("certified: ") and "Traceback" not in err
+    assert json.loads(out.read_text()) == json.loads(report.to_json())

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from koopman_clf.analysis import analyze_family
 from koopman_clf.certificate import CommonLyapunovFunction
@@ -516,3 +518,62 @@ def test_integrate_switched_matches_sequential_rk4():
             integrate_switched(grow, sig, np.array([0.9, 0.1]), dt=dt),
             sequential_integrate(grow, sig, np.array([0.9, 0.1]), dt=dt),
         )
+
+
+def test_interleaved_audits_and_runs_match_each_alone():
+    # each integration owns its scratch, so runs sharing the family's
+    # fields cannot see each other's work arrays
+    fam, rep = three_subsystem_report()
+    clf = CommonLyapunovFunction(rep.epsilon, rep.P_inv, build_basis(2, 6))
+    kw = dict(signals=3, points=4, seed=2, dt=0.01, horizon=2.0)
+    sig = random_signal(3, 2.0, seed=8)
+    z0 = sample_initial_points(2, 0.5, 1, seed=1)[0]
+    alone_audit = audit_certificate(fam, rep, **kw).to_json_dict()
+    alone_run = integrate_switched(fam, sig, z0, dt=0.01, clf=clf)
+    for _ in range(2):
+        assert audit_certificate(fam, rep, **kw).to_json_dict() == alone_audit
+        assert_runs_equal(integrate_switched(fam, sig, z0, dt=0.01, clf=clf), alone_run)
+
+
+# property: the batched audit is the sequential one ---------------------------
+
+
+@st.composite
+def triangular_families(draw):
+    """2-3 planar fields with negative diagonal linear parts and small
+    upper-triangular terms of degree at most 3."""
+    coeff = st.floats(-0.3, 0.3)
+    fields = []
+    for _ in range(draw(st.integers(2, 3))):
+        first = {(1, 0): -draw(st.floats(0.5, 2.0))}
+        second = {(0, 1): -draw(st.floats(0.5, 2.0))}
+        for alpha in draw(st.sets(st.sampled_from([(0, 1), (1, 1), (0, 2), (1, 2)]))):
+            first[alpha] = complex(draw(coeff), draw(coeff))
+        for alpha in draw(st.sets(st.sampled_from([(0, 2), (0, 3)]))):
+            second[alpha] = draw(coeff)
+        fields.append(PolyVectorField([first, second]))
+    return SwitchedFamily(fields)
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(
+    fam=triangular_families(),
+    degree=st.integers(4, 6),
+    signals=st.integers(2, 4),
+    points=st.integers(2, 5),
+    seed=st.integers(0, 1000),
+    horizon=st.floats(0.2, 2.0),
+)
+def test_batched_audit_is_the_sequential_audit(fam, degree, signals, points, seed,
+                                               horizon):
+    rep = analyze_family(fam, degree, scheme_kind="polynomial")
+    assume(rep.certified)
+    kw = dict(signals=signals, points=points, seed=seed, dt=0.01, horizon=horizon)
+    got = audit_certificate(fam, rep, **kw)
+    assert got.to_json_dict() == sequential_audit(fam, rep, **kw).to_json_dict()

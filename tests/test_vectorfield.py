@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from koopman_clf.config import example1_config, example2_config
 from koopman_clf.multiindex import order_key
 from koopman_clf.switchsim import sample_initial_points
 from koopman_clf.vectorfield import (
+    FieldScratch,
     NonFiniteStateError,
     PolyVectorField,
     SwitchedFamily,
@@ -18,7 +20,7 @@ from koopman_clf.vectorfield import (
     lie_bracket,
     poly_mul,
 )
-from oracles import coefficient, field_from_linear
+from oracles import coefficient, evaluate_batch, field_from_linear
 
 
 def random_int_field(rng, n=2, degree=3, span=3):
@@ -195,12 +197,11 @@ def assert_matches_reference(f, Z, rtol):
     """Compiled and reference values agree to ``rtol`` times the sum of the
     absolute terms, so cancellation in a component can neither hide nor
     fake a difference."""
-    got, want = f._evaluate_batch(Z), reference_evaluate(f, Z)
+    got, want = f.evaluate(Z), reference_evaluate(f, Z)
     assert got.shape == want.shape == Z.shape
     absf = PolyVectorField([{a: abs(v) for a, v in c.items()} for c in f.components])
     scale = reference_evaluate(absf, np.abs(Z).astype(complex)).real
     assert np.all(np.abs(got - want) <= rtol * scale)
-    assert np.array_equal(f.evaluate(Z), got)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -227,7 +228,7 @@ def test_compiled_evaluator_matches_reference_on_random_fields(n):
 def test_compiled_evaluator_matches_reference_on_the_example_fields(seed):
     # batches like the audit's: up to 3 signals x 50 points, states
     # decaying.  Bitwise equality does not hold: BLAS rounds the one
-    # (B, K) @ (K, n) product differently from per-component dot products,
+    # (n, K) @ (K, B) product differently from per-component dot products,
     # in about 1% of the values for example1 and 13% for example2.  1e-14
     # covers the rounding of both sides' dot products of up to 21 terms.
     pts = sample_initial_points(2, 0.95, 150, seed)
@@ -255,7 +256,7 @@ def test_boundary_check_matches_the_reference_evaluator(
     family = config.build_family()
     rho = analyze_family(family, config.truncation_degree, kind).rho_certified
     got = [boundary_invariance_check(f, rho) for f in family]
-    monkeypatch.setattr(PolyVectorField, "_evaluate_batch", reference_evaluate)
+    monkeypatch.setattr(PolyVectorField, "evaluate", reference_evaluate)
     want = [boundary_invariance_check(f, rho) for f in family]
     for g, w in zip(got, want):
         assert (g.holds, g.samples, g.margin, g.rho) == (
@@ -263,6 +264,172 @@ def test_boundary_check_matches_the_reference_evaluator(
         )
         assert np.array_equal(g.worst_point, w.worst_point)
         assert g.worst_value == pytest.approx(w.worst_value, rel=rel, abs=0.0)
+
+
+# points-last kernel against the evaluator it replaced ----------------------
+
+
+def polydisk_points(rng, n, B, radius):
+    """B seeded points with moduli up to ``radius`` and arbitrary phases."""
+    mod = radius * np.sqrt(rng.uniform(size=(B, n)))
+    return mod * np.exp(2j * np.pi * rng.uniform(size=(B, n)))
+
+
+def example_fields():
+    return [
+        *example1_config(degree=20).build_family(),
+        *example2_config(degree=20).build_family(),
+        *example2_config(degree=40).build_family(),
+    ]
+
+
+def random_fields(n):
+    """The fields of test_compiled_evaluator_matches_reference_on_random_fields."""
+    rng = np.random.default_rng(1000 + n)
+    fields = [PolyVectorField([{}] * n), random_complex_field(rng, n, 1, True)]
+    for degree in (1, 2, 3, 5, 8, 12, 16, 20):
+        fields += [random_complex_field(rng, n, degree) for _ in range(4)]
+    return fields
+
+
+def layouts(Z):
+    """Strided, Fortran-ordered and column-reversed views of a batch."""
+    return Z[::2], np.asfortranarray(Z), Z[:, ::-1]
+
+
+@pytest.mark.parametrize("seed", [1, 2026])
+def test_kernel_matches_the_old_evaluator_bitwise_on_the_example_fields(seed):
+    rng = np.random.default_rng(seed)
+    for f in example_fields():
+        for radius in (1.0, 0.3, 1e-3):
+            Z = polydisk_points(rng, 2, 2500, radius)
+            for B in (2, 3, 7, 50, 150, 512, 2500):
+                assert np.array_equal(f.evaluate(Z[:B]), evaluate_batch(f, Z[:B]))
+            for view in layouts(Z[:150]):
+                assert np.array_equal(f.evaluate(view), evaluate_batch(f, view))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_matches_the_old_evaluator_on_random_fields(n):
+    # The power table and the monomials are the old evaluator's, operation
+    # for operation; only the contraction differs, (n, K) @ (K, B) against
+    # (B, K) @ (K, n).  BLAS sums both in the same order when the
+    # coefficients are real, n >= 2 and B >= 2, so those values are equal
+    # bit for bit.  Complex coefficients change the order in which it adds
+    # the real and imaginary partial products, and n = 1 or B = 1 is a
+    # matrix-vector product in another orientation; those agree within
+    # the rounding of a K-term sum.
+    rng = np.random.default_rng(2000 + n)
+    for f in random_fields(n):
+        real = PolyVectorField(
+            [{a: v.real for a, v in c.items()} for c in f.components]
+        )
+        absf = PolyVectorField(
+            [{a: abs(v) for a, v in c.items()} for c in f.components]
+        )
+        for B in (1, 2, 3, 7, 512, 2500, int(rng.integers(2, 160))):
+            Z = polydisk_points(rng, n, B, 1.0)
+            scale = evaluate_batch(absf, np.abs(Z).astype(complex)).real
+            assert np.all(np.abs(f.evaluate(Z) - evaluate_batch(f, Z)) <= 1e-13 * scale)
+            if n >= 2 and B >= 2:
+                assert np.array_equal(real.evaluate(Z), evaluate_batch(real, Z))
+        Z = polydisk_points(rng, n, 150, 1.0)
+        for g in (f, real):
+            for view in layouts(Z):
+                assert np.array_equal(g.evaluate(view), g.evaluate(view.copy()))
+                assert np.array_equal(
+                    flow_step(g, view, 0.01), flow_step(g, view.copy(), 0.01)
+                )
+
+
+def test_flow_step_on_one_point_is_the_batch_of_one():
+    rng = np.random.default_rng(9)
+    fields = example_fields() + random_fields(2)[::5] + random_fields(3)[::5]
+    for f in fields:
+        z = polydisk_points(rng, f.dimension, 1, 0.9)[0]
+        assert np.array_equal(flow_step(f, z, 0.01), flow_step(f, z[None], 0.01)[0])
+        assert np.array_equal(f.evaluate(z), f.evaluate(z[None])[0])
+
+
+# scratch ownership ----------------------------------------------------------
+
+
+def test_flow_step_results_do_not_alias_the_scratch():
+    rng = np.random.default_rng(13)
+    f = example2_config(degree=20).build_family()[1]
+    scratch = FieldScratch(f, 64)
+    Z1, Z2 = polydisk_points(rng, 2, 64, 0.5), polydisk_points(rng, 2, 40, 0.5)
+    first = flow_step(f, Z1, 0.01, scratch)
+    kept = first.copy()
+    second = flow_step(f, Z2, 0.02, scratch)  # a smaller batch re-cuts the arrays
+    flow_step(f, Z1[:7], 0.03, scratch)
+    assert np.array_equal(first, kept)
+    for out in (first, second):
+        assert not np.shares_memory(out, scratch._store)
+    assert np.array_equal(first, flow_step(f, Z1, 0.01))
+    assert np.array_equal(second, flow_step(f, Z2, 0.02))
+
+
+def test_flow_step_never_writes_its_input():
+    rng = np.random.default_rng(17)
+    f = example1_config().build_family()[1]
+    ZT = np.ascontiguousarray(polydisk_points(rng, 2, 50, 0.9).T)
+    for Z in (ZT.T, np.ascontiguousarray(ZT.T), ZT.T[::3]):
+        before = Z.copy()
+        for scratch in (None, FieldScratch(f, 50)):
+            flow_step(f, Z, 0.01, scratch)
+            flow_step(f, Z, np.full((len(Z), 1), 0.01), scratch)
+            assert np.array_equal(Z, before)
+
+
+def test_flow_step_writes_out_in_place_and_keeps_it_on_blowup():
+    rng = np.random.default_rng(19)
+    f = example1_config().build_family()[1]
+    ZT = np.ascontiguousarray(polydisk_points(rng, 2, 30, 0.9).T)
+    want = flow_step(f, ZT.T, 0.01)
+    got = flow_step(f, ZT.T, 0.01, FieldScratch(f, 30), out=ZT.T)
+    assert np.shares_memory(got, ZT) and np.array_equal(ZT.T, want)
+    grow = PolyVectorField([{(3,): 1.0}])
+    z = np.array([[0.5 + 0j], [1e160 + 0j]])
+    before = z.copy()
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
+        flow_step(grow, z, 1.0, out=z)
+    assert np.array_equal(z, before)
+
+
+def test_flow_step_and_evaluate_take_an_empty_batch():
+    f = example1_config().build_family()[1]
+    empty = np.zeros((0, 2), dtype=complex)
+    assert f.evaluate(empty).shape == (0, 2)
+    assert flow_step(f, empty, 0.01).shape == (0, 2)
+    scratch = FieldScratch(f, 0)
+    z = np.full((3, 2), 0.1 + 0j)
+    assert np.array_equal(flow_step(f, z, 0.01, scratch), flow_step(f, z, 0.01))
+    assert flow_step(f, empty, 0.01, scratch).shape == (0, 2)
+
+
+def test_flow_step_rejects_the_scratch_of_another_field():
+    f, g = example1_config().build_family()
+    with pytest.raises(ValueError, match="another field"):
+        flow_step(f, np.zeros((3, 2)), 0.01, FieldScratch(g, 3))
+
+
+def test_flow_step_with_a_scratch_allocates_no_batch_sized_array():
+    rng = np.random.default_rng(23)
+    f = example1_config().build_family()[1]
+    B = 2500
+    ZT = np.ascontiguousarray(polydisk_points(rng, 2, B, 0.9).T)
+    scratch = FieldScratch(f, B)
+    flow_step(f, ZT.T, 0.01, scratch, out=ZT.T)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(5):
+            flow_step(f, ZT.T, 0.01, scratch, out=ZT.T)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < ZT.nbytes / 4  # the finiteness mask is an eighth of the batch
 
 
 # bracket --------------------------------------------------------------------
