@@ -498,6 +498,30 @@ def convergence_check(epsilon, basis, rho):
     return ConvergenceResult(partial, tail, r, True)
 
 
+class ValueScratch:
+    """Work arrays of one caller's batched V evaluations at ``rows`` points
+    in dimension n with truncation degree N.
+
+    ``zh`` (rows, n) takes the points in flag coordinates (``hat``'s
+    ``out``), ``mod`` (rows, n) their moduli, which stay readable after
+    ``value_batch``; the (N + 1, n, rows) table holds |z_c|^(2p), and the
+    contraction runs in two real buffers of (N + 1)^(n - 1) and
+    (N + 1)^(n - 2) rows.  Whoever makes a scratch owns it: every
+    evaluation overwrites it, and the values ``value_batch`` returns are a
+    view into it.
+    """
+
+    def __init__(self, clf, rows):
+        n, N1 = clf.basis.dimension, clf._grid.shape[0]
+        self.rows = rows
+        self.zh = np.empty((rows, n), dtype=complex)
+        self.mod = np.empty((rows, n))
+        self.pows = np.empty((N1, n, rows))
+        self.pows[0] = 1.0
+        self.acc = np.empty((N1 ** (n - 1), rows))
+        self.spare = np.empty((N1 ** max(n - 2, 0), rows))
+
+
 class CommonLyapunovFunction:
     """Evaluator of V(z) = sum_k eps_k |(P^{-1} z)^{alpha(k)}|^2."""
 
@@ -512,36 +536,47 @@ class CommonLyapunovFunction:
         self._grid = np.zeros((N + 1,) * basis.dimension)
         self._grid[tuple(basis.exponents[1:].T)] = self.epsilon
 
-    def hat(self, z):
+    def hat(self, z, out=None):
+        """Flag coordinates P^{-1} z of one point (n,) or of a batch
+        (B, n), written to ``out`` when given."""
         z = np.asarray(z, dtype=complex)
         if z.ndim == 1:
-            return self.P_inv @ z
-        return z @ self.P_inv.T
+            return np.matmul(self.P_inv, z, out=out)
+        return np.matmul(z, self.P_inv.T, out=out)
 
-    def value_batch(self, Z, hat=False):
+    def value_batch(self, Z, hat=False, scratch=None):
         """V at a batch of points (B, n); set hat=True when Z is already
         in flag coordinates.
 
         The weight grid is contracted with the power tables |z_c|^(2p),
         p = 0..N, one coordinate axis at a time; for n = 2 this is
         rowsum((X_1 @ G) * X_2).  The tables are laid out (power, coord,
-        point) so every operation runs over contiguous rows of points.
+        point), and every operation runs over contiguous rows of points.
+        With a ``ValueScratch`` of B rows every array lives in it, the
+        moduli |z| are left in ``scratch.mod`` and the returned values are
+        a view into the scratch; without one, a scratch is made for the
+        call.
         """
         Z = np.asarray(Z, dtype=complex)
-        W = (np.abs(Z if hat else self.hat(Z)) ** 2).T  # (n, B) real
-        n, B = W.shape
-        G = self._grid
-        X = np.empty((G.shape[0], n, B))
-        X[0] = 1.0
-        X[1] = W
-        for p in range(2, G.shape[0]):
-            np.multiply(X[p - 1], W, out=X[p])
-        acc = G.reshape(G.shape[0], -1).T @ X[:, 0]
-        for c in range(1, n):
-            acc = acc.reshape(G.shape[0], -1, B)
+        B, n = Z.shape
+        own = scratch is None
+        if own:
+            scratch = ValueScratch(self, B)
+        elif scratch.rows != B:
+            raise ValueError(f"scratch holds {scratch.rows} rows, not {B}")
+        W = np.abs(Z if hat else self.hat(Z), out=scratch.mod).T  # (n, B)
+        X, G = scratch.pows, self._grid
+        np.multiply(W, W, out=X[1])
+        for p in range(2, len(X)):
+            np.multiply(X[p - 1], X[1], out=X[p])
+        acc = np.matmul(G.reshape(len(G), -1).T, X[:, 0], out=scratch.acc)
+        flat = scratch.acc.reshape(-1), scratch.spare.reshape(-1)
+        for c in range(1, n):  # the sums alternate between the two buffers
+            acc = acc.reshape(len(G), -1, B)
             acc *= X[:, c, None]
-            acc = acc.sum(axis=0)
-        return acc[0]
+            out = flat[c % 2][:acc[0].size].reshape(-1, B)
+            acc = np.add.reduce(acc, axis=0, out=out)
+        return acc[0].copy() if own else acc[0]
 
     def value(self, z):
         return float(self.value_batch(np.asarray(z, dtype=complex)[None, :])[0])

@@ -125,21 +125,18 @@ def cmd_simulate(parser, args):
     if signals < 1:
         parser.error("trials must be >= 1")
     family = cfg.build_family()
-    # overflow ends in NonFiniteStateError; numpy's warnings would only
-    # repeat it
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            summary = audit_certificate(
-                family,
-                report,
-                signals=signals,
-                points=args.points if args.points is not None else sim.points,
-                seed=seed,
-                dt=dt,
-                horizon=sim.horizon,
-                min_dwell=sim.min_dwell,
-                max_dwell=sim.max_dwell,
-            )
+        summary = audit_certificate(
+            family,
+            report,
+            signals=signals,
+            points=args.points if args.points is not None else sim.points,
+            seed=seed,
+            dt=dt,
+            horizon=sim.horizon,
+            min_dwell=sim.min_dwell,
+            max_dwell=sim.max_dwell,
+        )
     except ValueError as exc:
         parser.error(str(exc))
     except NonFiniteStateError as exc:
@@ -160,10 +157,7 @@ def cmd_simulate(parser, args):
             len(family), sim.horizon, sim.min_dwell, sim.max_dwell, seed=seed
         )
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                run = integrate_switched(
-                    family, sig, (report.P @ pts[0]), dt=dt, clf=clf
-                )
+            run = integrate_switched(family, sig, report.P @ pts[0], dt=dt, clf=clf)
         except NonFiniteStateError as exc:
             sys.stderr.write(f"trace failed: {exc}\n")
             return 5

@@ -10,11 +10,12 @@ recorded trajectory is the same kernel with one signal and one point.
 
 The kernel keeps the states points-last, as one contiguous (n, R) array
 ``ZT`` of R = signals x points columns, and hands ``flow_step`` and the
-certificate the (R, n) view ``ZT.T``.  Each integration makes one
-``FieldScratch`` per subsystem and owns it: every step of that subsystem
-reuses its arrays, the rows of a subsystem that holds only some of the
-states are gathered into it and scattered back, and so the step loop
-allocates no batch-sized array.
+certificate the (R, n) view ``ZT.T``.  Each integration owns one
+``FieldScratch`` over the whole family and one ``ValueScratch`` for V:
+a step is one ``flow_step`` of every live row, each under the subsystem
+its signal selects, and the flag coordinates, their moduli and V reuse
+the same arrays every step, so the step loop allocates no batch-sized
+array.
 """
 
 import math
@@ -23,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .certificate import CommonLyapunovFunction
+from .certificate import CommonLyapunovFunction, ValueScratch
 from .multiindex import build_basis
 from .vectorfield import (
     FieldScratch,
@@ -128,15 +129,22 @@ def _step_plan(signal, dt):
     return tuple(np.concatenate(column) for column in zip(*plan))
 
 
+# A mixed step evaluates every active subsystem's terms on every row and
+# keeps each row's own values, so a row may overflow in terms it never
+# uses; an overflow in its own terms ends in NonFiniteStateError.  Either
+# way numpy's warnings would add nothing.
+@np.errstate(over="ignore", invalid="ignore")
 def _integrate(family, plans, points, clf=None, record=False):
     """Integrate every point under every step plan as one (S*P, n) batch.
 
     Row s*P + p follows plans[s] from points[p] while that plan has steps
     left.  The states are stored points-last, ``Z`` being the view
-    ``ZT.T``.  A step gives each subsystem active on a live row one
-    ``flow_step`` over its rows, in place when it holds every row and
-    through its scratch's gather buffer otherwise; V and the escape test
-    then run once.
+    ``ZT.T``.  Each step is one ``flow_step`` over the family's scratch,
+    which knows each row's subsystem from the last regroup: in place on
+    every row while all plans run, and on the live rows, taken into the
+    scratch and scattered back, once some have ended.  Flag coordinates,
+    their moduli and V then fill the certificate's scratch, and the
+    escape test reads the same moduli.
     Returns the final states, escape flags and times, the largest relative
     one-step V increase, the largest rate (V_next - V) / (h V) with where
     it occurs, and with ``record`` the states and V after every step.
@@ -154,37 +162,67 @@ def _integrate(family, plans, points, clf=None, record=False):
     regroup[counts[counts < L]] = True
     ZT = np.tile(np.asarray(points, dtype=complex).T, (1, S))
     Z = ZT.T
-    scratch = [FieldScratch(field, len(Z)) for field in family]
-    Zh = Z if clf is None else clf.hat(Z)
-    v = None if clf is None else clf.value_batch(Zh, hat=True)
-    escape_time = np.where(np.abs(Zh).max(axis=1) >= 1.0 - ESCAPE_TOL, 0.0, np.nan)
+    R = len(Z)
+    fs = FieldScratch(family, R)
+    fs.stepping()  # the stage arrays too, before the first step
+    # per-row buffers: subsystem and step of every row, then the live
+    # rows' indices, subsystems and steps, and two for the V increments
+    signal_rows = np.arange(R).reshape(S, P)
+    live = signal_rows.ravel()
+    sub_all, sub_live, live_buf = np.empty((3, R), dtype=np.intp)
+    h_all, h_live, dv, rate_buf, v_prev = np.empty((5, R))
+    if clf is None:
+        mod = np.empty(Z.shape)
+        np.abs(Z, out=mod)
+    else:
+        vs = ValueScratch(clf, R)
+        v = clf.value_batch(clf.hat(Z, out=vs.zh), hat=True, scratch=vs)
+        mod = vs.mod
+    escape_time = np.where(mod.max(axis=1) >= 1.0 - ESCAPE_TOL, 0.0, np.nan)
     max_rel, worst, worst_at = 0.0, None, None
-    states, values = [Z.copy()], [v]
+    states, values = [Z.copy()], [None if clf is None else v.copy()]
     for l in range(L):
+        tail = l >= all_live
         if regroup[l]:
-            live = np.flatnonzero(np.repeat(counts > l, P))
-            rows = slice(None) if l < all_live else live
-            sub = SUB[l, live // P]
-            subs = np.unique(sub)  # a lone subsystem takes ``rows``, maybe a slice
-            groups = [(i, rows if len(subs) == 1 else live[sub == i]) for i in subs]
-        h = float(H[l, 0]) if one_h[l] else np.repeat(H[l], P)
-        for i, idx in groups:
-            dt = h if one_h[l] else h[idx, None]
-            if isinstance(idx, slice):
-                flow_step(family[i], Z, dt, scratch[i], out=Z)
+            sub_all.reshape(S, P)[:] = SUB[l, :, None]
+            if tail:
+                alive = np.flatnonzero(counts > l)
+                m = len(alive) * P
+                live = live_buf[:m]
+                signal_rows.take(alive, 0, live.reshape(-1, P), "wrap")
+                fs.select(sub_all.take(live, 0, sub_live[:m], "wrap"))
             else:
-                zg = ZT.take(idx, 1, scratch[i].shape_for(len(idx)).z, "wrap")
-                flow_step(family[i], zg.T, dt, scratch[i], out=zg.T)
-                ZT[:, idx] = zg
-        Zh = Z if clf is None else clf.hat(Z)
-        if np.abs(Zh).max() >= 1.0 - ESCAPE_TOL:
-            out = np.abs(Zh[rows]).max(axis=1) >= 1.0 - ESCAPE_TOL
+                fs.select(sub_all)
+        if one_h[l]:
+            h = float(H[l, 0])
+        else:
+            h_all.reshape(S, P)[:] = H[l, :, None]
+            h = h_all.take(live, 0, h_live[:m], "wrap") if tail else h_all
+        if tail:
+            zg = ZT.take(live, 1, fs.z, "wrap")
+            flow_step(family, zg.T, h[:, None], fs, out=zg.T)
+            ZT[:, live] = zg
+        else:
+            flow_step(family, Z, h if one_h[l] else h[:, None], fs, out=Z)
+        if clf is None:
+            np.abs(Z, out=mod)
+        else:
+            np.copyto(v_prev, v)
+            v = clf.value_batch(clf.hat(Z, out=vs.zh), hat=True, scratch=vs)
+        rows = live if tail else slice(None)
+        if mod.max() >= 1.0 - ESCAPE_TOL:
+            out = mod[rows].max(axis=1) >= 1.0 - ESCAPE_TOL
             new = live[out & np.isnan(escape_time[rows])]
             escape_time[new] = T[l, new // P]
         if clf is not None:
-            v, v_prev = clf.value_batch(Zh, hat=True), v
-            rel = (v[rows] - v_prev[rows]) / np.maximum(v_prev[rows], 1e-300)
-            rate = rel / (h if one_h[l] else h[rows])
+            now, before = v, v_prev
+            if tail:
+                now = v.take(live, 0, dv[:m], "wrap")
+                before = v_prev.take(live, 0, rate_buf[:m], "wrap")
+            rel = np.subtract(now, before, out=dv[:len(now)])
+            den = np.maximum(before, 1e-300, out=rate_buf[:len(now)])
+            rel = np.divide(rel, den, out=rel)
+            rate = np.divide(rel, h, out=den)
             i = int(rate.argmax())  # argmax stops at the first NaN
             s, p = divmod(int(live[i]), P)
             if not math.isfinite(rate[i]):
@@ -196,7 +234,7 @@ def _integrate(family, plans, points, clf=None, record=False):
                 )
         if record:
             states.append(Z.copy())
-            values.append(v)
+            values.append(None if clf is None else v.copy())
     return SimpleNamespace(
         Z=Z, escaped=~np.isnan(escape_time), escape_time=escape_time, max_rel=max_rel,
         worst_rate=worst, worst_at=worst_at,
@@ -373,14 +411,25 @@ def audit_certificate(
     coordinates), monitoring the certified function at every step.  The
     audit passes when V never increases beyond ``slack`` (relative) and no
     trajectory leaves the unit polydisk.  Raises NonFiniteStateError when
-    a state or a value of V stops being finite.  The report's P and P_inv
-    map between flag and original coordinates (``load_report`` supplies
-    the identity when a stored report has none).
+    a state or a value of V stops being finite, and ValueError when the
+    report is not certified or its dimension or subsystem count is not the
+    family's.  The report's P and P_inv map between flag and original
+    coordinates (``load_report`` supplies the identity when a stored
+    report has none).
     """
     if signals < 1 or points < 1:
         raise ValueError("signals and points must be >= 1")
     if report.epsilon is None or report.rho_certified is None or report.P is None:
         raise ValueError("report does not contain a usable certificate")
+    if report.certified is not True:
+        raise ValueError("report field 'certified' is not true")
+    for field, theirs in (("dimension", family.dimension),
+                          ("num_subsystems", len(family))):
+        ours = getattr(report, field)
+        if ours != theirs:
+            raise ValueError(
+                f"report field '{field}' is {ours!r}, the family's is {theirs}"
+            )
     n = report.dimension
     basis = build_basis(n, report.truncation_degree)
     clf = CommonLyapunovFunction(report.epsilon, report.P_inv, basis)

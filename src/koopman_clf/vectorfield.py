@@ -14,22 +14,28 @@ own row.
 Evaluation is points-last: a batch of B points is read as its (n, B)
 transpose, and every intermediate keeps the points along the last axis.
 The kernel fills one power-major (P + 1, n, B) table of coordinate powers
-up to the largest exponent P, one contiguous multiply per power; gathers
-each coordinate's factor of all K monomials as whole rows of that table;
-and contracts the (K, B) monomials with the coefficient matrix into the
+up to the largest exponent P, one contiguous multiply per power; forms
+each of the K monomials as a product of whole rows of that table; and
+contracts the (K, B) monomials with the coefficient matrix into the
 (n, B) values.  Every array it writes lives in a ``FieldScratch``, which
 also holds the stage input and the running sum of ``flow_step``'s four
-Runge-Kutta stages.  A scratch belongs to whoever made it, never to the
-field: ``evaluate`` and a plain ``flow_step`` call make their own, and an
-integration makes one per subsystem and reuses it every step, so a step
-allocates no batch-sized array and concurrent integrations of one field
-never share one.
+Runge-Kutta stages.  A scratch plans one field or a whole family: the
+family's terms are concatenated, each row is stepped by the field
+``select`` gives it, and a step forms the monomials of the fields that
+hold a row once and contracts each such field's slice of them.  The
+stage arrays are cut on the first step, so an evaluation alone never
+makes them.  A scratch belongs to whoever made it, never to a field:
+``evaluate`` and a plain ``flow_step`` call make their own, and an
+integration makes one over the family and reuses it every step, so a
+step allocates no batch-sized array and concurrent integrations of one
+family never share one.
 """
 
 import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -232,42 +238,113 @@ def _points_last(field, z):
     return z, z.reshape(-1, n).T
 
 
-class FieldScratch:
-    """Work arrays of one field's points-last evaluations and RK4 steps.
+def _cut(store, shapes, dtype):
+    """Views of the given shapes cut one after another from ``store``, a
+    flat array that is replaced by a larger one when it is too small.
+    Returns the store and the views."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if sum(sizes) > store.size:
+        store = np.empty(sum(sizes), dtype=dtype)
+    return store, [
+        store[end - size:end].reshape(shape)
+        for shape, size, end in zip(shapes, sizes, accumulate(sizes))
+    ]
 
-    For a batch of B points it holds the (P + 1, n, B) power table, the
-    (K, B) monomials and one coordinate's factors of them, the (n, B)
-    field values ``k`` and three more (n, B) arrays: a stage input, the
-    running Runge-Kutta sum and a contiguous copy of the points.  The
-    arrays are views into one store that grows to the largest batch seen;
-    ``shape_for`` re-cuts them when the batch size changes.  Whoever makes
-    a scratch owns it: every evaluation overwrites it.
+
+class FieldScratch:
+    """Field plan and work arrays of one caller's points-last evaluations
+    and RK4 steps, over one field or a whole family.
+
+    ``fields`` is a ``PolyVectorField`` or a sequence of them (a
+    ``SwitchedFamily``); a single field is a family of one.  The plan
+    lists the power-table rows of every field's K_i terms one field after
+    another, K terms in all; field i keeps its (n, K_i) coefficients and
+    its K-slice ``terms[i]``.  ``select`` says which field steps each row.
+
+    For a batch of B points the scratch holds the (P + 1, n, B) power
+    table up to the family's largest exponent P, the (K, B) monomials,
+    the (n, B) field values ``k``, one field's values in a mixed batch
+    and a contiguous copy of the points; in a mixed selection a boolean
+    (n, B) array per active field after the first holds its row mask.
+    ``stepping`` cuts the arrays only ``flow_step`` needs, on its first
+    step at a batch size: a stage input, the running Runge-Kutta sum and
+    per-row half, sixth and whole steps filled from one (3, B) row of
+    them.  The arrays are views into stores that grow to the largest
+    batch seen; ``shape_for`` re-cuts them when the batch size changes.
+    Whoever makes a scratch owns it: every evaluation overwrites it.
     """
 
-    def __init__(self, field, rows):
-        self.field = field
+    def __init__(self, fields, rows):
+        self.field = fields
+        fields = (fields,) if isinstance(fields, PolyVectorField) else tuple(fields)
+        self.fields = fields
+        sizes = [f._coeffs.shape[1] for f in fields]
+        self.terms = [slice(end - K, end) for K, end in zip(sizes, accumulate(sizes))]
+        # each term's power-table rows, over the whole family
+        self._factors = [rows for f in fields for rows in f._gather.T.tolist()]
         self.rows = None
         self._store = np.empty(0, dtype=complex)
+        self._step_store = np.empty(0, dtype=complex)
+        self._flags = np.empty(0, dtype=bool)
+        self.active, self.masks = ((0,) if len(fields) == 1 else ()), ()
         self.shape_for(rows)
 
     def shape_for(self, rows):
-        """Cut the arrays for ``rows`` points; returns the scratch."""
+        """Cut the arrays for ``rows`` points; returns the scratch.  A
+        per-row selection does not survive a new batch size."""
         if rows != self.rows:
-            n, K = self.field._gather.shape
-            shapes = [(self.field._max_pow + 1, n, rows)] + [(K, rows)] * 2
-            shapes += [(n, rows)] * 4
-            sizes = [math.prod(shape) for shape in shapes]
-            if sum(sizes) > self._store.size:
-                self._store = np.empty(sum(sizes), dtype=complex)
-            ends = np.cumsum(sizes).tolist()
-            (self.pows, self.mono, self.factor, self.k, self.stage, self.acc,
-             self.z) = (
-                self._store[end - size:end].reshape(shape)
-                for shape, size, end in zip(shapes, sizes, ends)
-            )
+            n, K = self.fields[0].dimension, len(self._factors)
+            top = max(f._max_pow for f in self.fields)
+            shapes = [(top + 1, n, rows), (K, rows)] + [(n, rows)] * 3
+            self._store, arrays = _cut(self._store, shapes, complex)
+            self.pows, self.mono, self.k, self.part, self.z = arrays
             self.pows[0] = 1
             self.table = self.pows.reshape(len(self.pows) * n, rows)
             self.rows = rows
+            self._steps = None
+            if len(self.active) > 1:
+                self.active, self.masks = (), ()
+            self._compile()
+        return self
+
+    def stepping(self):
+        """The stage input, the running sum and the (3, n, B) half, sixth
+        and whole per-row steps with their (3, B) real row, for
+        ``flow_step`` at the current batch size."""
+        if self._steps is None:
+            n, rows = self.k.shape
+            shapes = [(n, rows)] * 2 + [(3, n, rows), (3, rows)]
+            self._step_store, arrays = _cut(self._step_store, shapes, complex)
+            stage, acc, steps, steps_row = arrays
+            self._steps = stage, acc, steps, steps_row.real
+        return self._steps
+
+    def select(self, sub):
+        """Choose the field that steps each row: ``sub`` is one field index
+        for every row, or an integer array with one index per row, which
+        also sets the batch size.  Returns the scratch.
+
+        The step then evaluates only the fields that hold a row: their
+        monomials, and each one's contraction over the whole batch; in a
+        mixed batch each field after the first keeps, through the row
+        masks built here, the values of the rows it holds.
+        """
+        if np.ndim(sub) == 0:
+            active, masks = (int(sub),), ()
+        else:
+            self.shape_for(len(sub))
+            held = np.bincount(sub, minlength=len(self.fields))
+            active = tuple(np.flatnonzero(held).tolist())
+            self._flags, (masks,) = _cut(
+                self._flags, [(max(len(active) - 1, 0), *self.k.shape)], bool
+            )
+            for mask, i in zip(masks, active[1:]):
+                np.equal(sub, i, out=mask[0])  # row by row: no broadcast buffer
+                np.copyto(mask[1:], mask[0])
+        self.masks = masks
+        if active != self.active:
+            self.active = active
+            self._compile()
         return self
 
     def load(self, zT):
@@ -277,43 +354,71 @@ class FieldScratch:
         np.copyto(self.z, zT)
         return self.z
 
-    def evaluate(self, zT):
-        """F at the contiguous points-last batch ``zT`` (n, rows), written
-        to and returned as ``self.k``.
-
-        Row p * n + c of the power table holds z_c ** p, so each
-        coordinate's factor of all K monomials is one gather of whole
-        rows.  The gathers use mode "wrap": it changes nothing for these
-        in-range indices, and unlike the default mode it writes straight
-        into ``out`` instead of through a temporary copy.
-        """
-        field, pows, table, mono, factor = (
-            self.field, self.pows, self.table, self.mono, self.factor
+    def _compile(self):
+        """The selected fields' work as views of the current arrays: the
+        power table up to their largest exponent, each of their monomials
+        as the product of its coordinates' rows of that table, written
+        straight into its row of the monomials (a copy when n = 1), and
+        each field's contraction."""
+        if not self.active:
+            self._plan = None
+            return
+        table, pows, mono, products = self.table, self.pows, self.mono, []
+        for i in self.active:
+            terms = self.terms[i]
+            for t in range(terms.start, terms.stop):
+                head, *factors = [table[r] for r in self._factors[t]]
+                if factors:
+                    products.append((np.multiply, (head, factors[0], mono[t])))
+                else:
+                    products.append((np.copyto, (mono[t], head)))
+                products += [(np.multiply, (mono[t], f, mono[t])) for f in factors[1:]]
+        top = max(self.fields[i]._max_pow for i in self.active)
+        self._plan = (
+            list(zip(pows[:top], pows[1:top + 1])),
+            products,
+            [(self.fields[i]._coeffs, self.mono[self.terms[i]]) for i in self.active],
         )
-        for p in range(1, field._max_pow + 1):
-            np.multiply(pows[p - 1], zT, out=pows[p])
-        gather = field._gather
-        table.take(gather[0], 0, mono, "wrap")
-        for c in range(1, len(gather)):
-            table.take(gather[c], 0, factor, "wrap")
-            mono *= factor
-        return np.matmul(field._coeffs, mono, out=self.k)
+
+    def evaluate(self, zT, out=None):
+        """F at the contiguous points-last batch ``zT`` (n, rows), each row
+        under its selected field, written to and returned as ``out``
+        (``self.k`` when not given).
+
+        Row p * n + c of the power table holds z_c ** p, so every factor
+        of a monomial is a whole row of it.
+        """
+        if self._plan is None:
+            raise ValueError("no field is selected for these rows")
+        powers, products, parts = self._plan
+        for prev, pows in powers:
+            np.multiply(prev, zT, out=pows)
+        for op, args in products:
+            op(*args)
+        out = self.k if out is None else out
+        (coeffs, terms), *rest = parts
+        np.matmul(coeffs, terms, out=out)
+        for (coeffs, terms), mask in zip(rest, self.masks):
+            np.matmul(coeffs, terms, out=self.part)
+            np.putmask(out, mask, self.part)
+        return out
 
 
 def flow_step(field, z, dt, scratch=None, out=None):
     """One classical Runge-Kutta step of z' = F(z); works on batches.
 
-    ``z`` is one point (n,) or a batch (B, n); ``dt`` is a scalar or a
-    (B, 1) array of per-row steps.  The step runs points-last on ``z.T``
-    (copied once when it is not contiguous) inside ``scratch``, a
-    ``FieldScratch`` of ``field`` that is made for the call when none is
-    given: the four stages, their inputs and the weighted sum
-    ((k1 + 2 k2) + 2 k3 + k4) * (dt / 6) + z are all computed in place.
-    The new state is written to ``out`` (any array of z's shape, z itself
-    included) or to a new array, and returned; it never shares memory with
-    the scratch, and ``z`` is read only.  Raises NonFiniteStateError,
-    before anything is written to ``out``, when the new state is not
-    finite.
+    ``field`` is a ``PolyVectorField``, or a ``SwitchedFamily`` whose
+    ``scratch`` says which field steps each row.  ``z`` is one point (n,)
+    or a batch (B, n); ``dt`` is a scalar or a (B, 1) array of per-row
+    steps.  The step runs points-last on ``z.T`` (copied once when it is
+    not contiguous) inside ``scratch``, a ``FieldScratch`` of ``field``
+    that is made for the call when none is given: the four stages, their
+    inputs and the weighted sum ((k1 + 2 k2) + 2 k3 + k4) * (dt / 6) + z
+    are all computed in place.  The new state is written to ``out`` (any
+    array of z's shape, z itself included) or to a new array, and
+    returned; it never shares memory with the scratch, and ``z`` is read
+    only.  Raises NonFiniteStateError, before anything is written to
+    ``out``, when the new state is not finite.
     """
     z, zT = _points_last(field, z)
     if scratch is None:
@@ -321,12 +426,21 @@ def flow_step(field, z, dt, scratch=None, out=None):
     elif scratch.field is not field:
         raise ValueError("scratch belongs to another field")
     zT = scratch.shape_for(zT.shape[1]).load(zT)
+    F, k = scratch.evaluate, scratch.k
+    st, acc, steps, row = scratch.stepping()
     if isinstance(dt, np.ndarray):
-        dt = dt.T  # per-row steps run along the points axis
-    F, k, st, acc = scratch.evaluate, scratch.k, scratch.stage, scratch.acc
-    half = 0.5 * dt
-    np.copyto(acc, F(zT))
-    np.multiply(k, half, out=st)
+        # per-row steps run along the points axis.  They are held as the
+        # complex values the products would cast them to, in every row,
+        # so that no product casts or broadcasts them through a buffer.
+        h = dt.reshape(-1)
+        np.multiply(0.5, h, out=row[0])
+        np.divide(h, 6.0, out=row[1])
+        np.copyto(row[2], h)
+        np.copyto(steps, row[:, None])
+        half, sixth, step = steps
+    else:
+        half, sixth, step = 0.5 * dt, dt / 6.0, dt
+    np.multiply(F(zT, acc), half, out=st)
     st += zT
     F(st)
     np.multiply(k, half, out=st)
@@ -334,12 +448,12 @@ def flow_step(field, z, dt, scratch=None, out=None):
     k *= 2.0
     acc += k
     F(st)
-    np.multiply(k, dt, out=st)
+    np.multiply(k, step, out=st)
     st += zT
     k *= 2.0
     acc += k
     acc += F(st)
-    acc *= dt / 6.0
+    acc *= sixth
     acc += zT
     if not np.isfinite(acc.view(float)).all():
         raise NonFiniteStateError(
@@ -406,6 +520,7 @@ def boundary_invariance_check(field, rho, samples=8, margin=0.0):
         fill.append(rho * np.sqrt(h_mod) * np.exp(2j * np.pi * h_arg))
     worst = -np.inf
     worst_point = None
+    scratch = FieldScratch(field, count)  # one plan for every face
     for face in range(n):
         z = np.zeros((count, n), dtype=complex)
         phases = 2.0 * np.pi * np.arange(count) / count
@@ -413,7 +528,8 @@ def boundary_invariance_check(field, rho, samples=8, margin=0.0):
         others = [c for c in range(n) if c != face]
         for values, c in zip(fill, others):
             z[:, c] = values
-        vals = np.real(field.evaluate(z)[:, face] * np.conj(z[:, face]))
+        values = scratch.evaluate(scratch.load(z.T))[face]
+        vals = np.real(values * np.conj(z[:, face]))
         i = int(np.argmax(vals))
         if vals[i] > worst:
             worst = float(vals[i])

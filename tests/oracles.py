@@ -7,7 +7,8 @@ functions here compute the same quantities one entry, one column, one
 pair or one basis position at a time; the tests hold the library to them.
 The small constructors and lookups at the top are used only by tests.
 ``evaluate_batch`` is the field evaluator the library had before its
-points-last kernel, kept as that kernel's bit-exact reference.
+points-last kernel, and ``dense_value_batch`` the V evaluator it had
+before its scratch; each is kept as its successor's bit-exact reference.
 """
 
 import numpy as np
@@ -56,6 +57,28 @@ def evaluate_batch(field_, zb):
     for c in range(1, n):
         mono *= pows[field_._gather[c]]
     return np.ascontiguousarray(mono.T) @ np.ascontiguousarray(field_._coeffs.T)
+
+
+def dense_value_batch(clf, Z, hat=False):
+    """V at a (B, n) batch by the dense degree-grid contraction with fresh
+    arrays: the power tables |z_c|^(2p) built from (|z|^2).T, then the
+    grid contracted one coordinate axis at a time.  ``value_batch``'s
+    bit-exact reference."""
+    Z = np.asarray(Z, dtype=complex)
+    W = (np.abs(Z if hat else clf.hat(Z)) ** 2).T
+    n, B = W.shape
+    G = clf._grid
+    X = np.empty((G.shape[0], n, B))
+    X[0] = 1.0
+    X[1] = W
+    for p in range(2, G.shape[0]):
+        np.multiply(X[p - 1], W, out=X[p])
+    acc = G.reshape(G.shape[0], -1).T @ X[:, 0]
+    for c in range(1, n):
+        acc = acc.reshape(G.shape[0], -1, B)
+        acc *= X[:, c, None]
+        acc = acc.sum(axis=0)
+    return acc[0]
 
 
 def coefficient(field_, component, alpha):

@@ -7,6 +7,7 @@ from koopman_clf import analysis
 from koopman_clf.certificate import (
     EPSILON_FLOOR,
     CommonLyapunovFunction,
+    ValueScratch,
     WeightScheme,
     _extrapolate,
     _sup_by_degree,
@@ -25,6 +26,7 @@ from koopman_clf.vectorfield import PolyVectorField
 from oracles import (
     column_support,
     decay_ratio,
+    dense_value_batch,
     entry,
     field_from_linear,
     indices_of_degree,
@@ -741,3 +743,26 @@ def test_clf_degree_grid_matches_gathered_powers(n, N):
     for g, w in zip(got, want):
         assert g == pytest.approx(w, rel=1e-13)
     assert np.array_equal(clf.value_batch(clf.hat(Z), hat=True), got)
+
+
+@pytest.mark.parametrize("n,N", [(1, 12), (2, 12), (2, 30), (3, 7), (4, 5)])
+def test_clf_scratch_values_are_the_dense_contraction_bit_for_bit(n, N):
+    basis = build_basis(n, N)
+    rng = np.random.default_rng(500 + 10 * n + N)
+    eps = rng.uniform(0.01, 1.0, basis.size) * 10.0 ** rng.uniform(-14, 0, basis.size)
+    P_inv = np.eye(n) + np.triu(0.3 * rng.normal(size=(n, n)), 1)
+    clf = CommonLyapunovFunction(eps, P_inv, basis)
+    for B in (1, 2, 7, 150, 5000):
+        Z = 0.45 * (rng.normal(size=(B, n)) + 1j * rng.normal(size=(B, n)))
+        ZT = np.ascontiguousarray(Z.T)  # an integration's (B, n) view
+        scratch = ValueScratch(clf, B)
+        zh = clf.hat(ZT.T, out=scratch.zh)
+        assert zh is scratch.zh and np.array_equal(zh, clf.hat(ZT.T))
+        want = dense_value_batch(clf, zh, hat=True)
+        got = clf.value_batch(zh, hat=True, scratch=scratch)
+        assert np.shares_memory(got, scratch.acc) or np.shares_memory(got, scratch.spare)
+        assert np.array_equal(got, want)
+        assert np.array_equal(scratch.mod, np.abs(zh))
+        assert np.array_equal(clf.value_batch(ZT.T), dense_value_batch(clf, ZT.T))
+    with pytest.raises(ValueError, match="rows"):
+        clf.value_batch(Z[:3], scratch=scratch)

@@ -486,6 +486,50 @@ def test_cli_simulate_rejects_uncertified_report(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def _example1_config_and_report(tmp_path):
+    cfg = tmp_path / "sys.json"
+    main(["example1", "--out", str(cfg)])
+    rpt = tmp_path / "report.json"
+    assert main(["analyze", "--config", str(cfg), "--out", str(rpt)]) == 0
+    return cfg, rpt
+
+
+def _simulate_exit(argv, capsys):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return exc.value.code, err
+
+
+def test_cli_simulate_rejects_a_report_of_another_family(tmp_path, capsys):
+    cfg, rpt = _example1_config_and_report(tmp_path)
+    data = json.loads(cfg.read_text())
+    data["subsystems"].append(data["subsystems"][0])  # three subsystems
+    three = tmp_path / "three.json"
+    three.write_text(json.dumps(data))
+    out = tmp_path / "audit.json"
+    argv = ["simulate", "--config", str(three), "--report", str(rpt),
+            "--out", str(out), "--trials", "1", "--points", "1"]
+    code, err = _simulate_exit(argv, capsys)
+    assert code == 2 and "num_subsystems" in err
+    assert not out.exists()
+
+
+def test_cli_simulate_rejects_a_report_edited_to_uncertified(tmp_path, capsys):
+    cfg, rpt = _example1_config_and_report(tmp_path)
+    data = json.loads(rpt.read_text())
+    data["certified"] = False  # the weights and the radius stay in place
+    rpt.write_text(json.dumps(data))
+    out = tmp_path / "audit.json"
+    argv = ["simulate", "--config", str(cfg), "--report", str(rpt),
+            "--out", str(out), "--trials", "1", "--points", "1"]
+    code, err = _simulate_exit(argv, capsys)
+    assert code == 2 and "'certified'" in err
+    assert not out.exists()
+
+
 def test_cli_figure_rho_closed_form(tmp_path):
     out = tmp_path / "curve.csv"
     assert main(

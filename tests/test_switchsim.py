@@ -1,12 +1,14 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from koopman_clf import switchsim
 from koopman_clf.analysis import analyze_family
 from koopman_clf.certificate import CommonLyapunovFunction
 from koopman_clf.config import example1_config
@@ -16,6 +18,7 @@ from koopman_clf.switchsim import (
     AuditSummary,
     SwitchedRun,
     SwitchingSignal,
+    _integrate,
     _segment_steps,
     _step_plan,
     audit_certificate,
@@ -248,6 +251,24 @@ def test_audit_validates_inputs():
     rep.epsilon = None
     with pytest.raises(ValueError):
         audit_certificate(fam, rep)
+
+
+def test_audit_rejects_a_report_that_does_not_certify_the_family():
+    fam, rep = certified_linear_report()
+    kw = dict(signals=1, points=1, dt=0.01, horizon=0.1)
+    three = SwitchedFamily(list(fam) + [fam[0]])
+    with pytest.raises(ValueError, match="'num_subsystems' is 2, the family's is 3"):
+        audit_certificate(three, rep, **kw)
+    rep.dimension = 3
+    with pytest.raises(ValueError, match="'dimension' is 3, the family's is 2"):
+        audit_certificate(fam, rep, **kw)
+    rep.dimension = 2
+    for flag in (False, None, "true", 1):
+        rep.certified = flag
+        with pytest.raises(ValueError, match="'certified' is not true"):
+            audit_certificate(fam, rep, **kw)
+    rep.certified = True
+    assert audit_certificate(fam, rep, **kw).passed
 
 
 @pytest.mark.parametrize("name", ["dt", "horizon", "min_dwell", "max_dwell"])
@@ -533,6 +554,58 @@ def test_interleaved_audits_and_runs_match_each_alone():
     for _ in range(2):
         assert audit_certificate(fam, rep, **kw).to_json_dict() == alone_audit
         assert_runs_equal(integrate_switched(fam, sig, z0, dt=0.01, clf=clf), alone_run)
+
+
+def test_rows_whose_plan_has_ended_keep_their_state_bit_for_bit():
+    # plan 0 drives its rows to about 1e119 under the fast linear field
+    # and ends; its rows are then never stepped, so the cubic field, the
+    # padded subsystem 0 of the finished plan, never overflows on them
+    fam = SwitchedFamily(
+        [PolyVectorField([{(3,): -1.0}]), PolyVectorField([{(1,): 40.0}])]
+    )
+    plans = [
+        _step_plan(SwitchingSignal((7.8,), (1,), 7.8), 0.1),
+        _step_plan(SwitchingSignal((4.0, 6.0), (0, 1), 10.0), 0.1),
+    ]
+    pts = np.array([[0.5], [0.3]], dtype=complex)
+    run = _integrate(fam, plans, pts, record=True)
+    end = len(plans[0][0])
+    assert end < len(plans[1][0])
+    ended = run.states[end:, :2].view(np.uint64)
+    assert np.all(ended == ended[0]) and np.all(np.isfinite(run.states))
+    assert 1e100 < abs(run.Z[0, 0]) < 1e200
+    alone = _integrate(fam, plans[:1], pts)
+    assert np.array_equal(run.Z[:2], alone.Z)
+    assert run.escaped[:2].all() and run.escape_time[0] == alone.escape_time[0]
+
+
+def test_integration_steps_allocate_no_batch_sized_array(monkeypatch):
+    # criterion-8 sizes, 100 signals x 50 points: R = 5000 rows, and the
+    # plans end at different steps, so the padded tail runs too.  Memory
+    # is counted from the first step on; the set-up before it allocates
+    # the states and both scratches.
+    fam, rep = example1_report()
+    clf = CommonLyapunovFunction(rep.epsilon, rep.P_inv, build_basis(2, 12))
+    plans = plans_of(fam, 100, 2026, 0.01, 3.0)
+    assert len({len(p[0]) for p in plans}) > 1
+    pts = sample_initial_points(2, 0.9, 50, seed=1)
+    base = []
+
+    def counted_step(*args, **kwargs):
+        if not base:
+            base.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        return flow_step(*args, **kwargs)
+
+    monkeypatch.setattr(switchsim, "flow_step", counted_step)
+    tracemalloc.start()
+    try:
+        run = _integrate(fam, plans, pts, clf)
+        peak = tracemalloc.get_traced_memory()[1] - base[0]
+    finally:
+        tracemalloc.stop()
+    assert run.worst_rate < 0 and not run.escaped.any()
+    assert peak < run.Z.nbytes / 4  # the finiteness mask is an eighth
 
 
 # property: the batched audit is the sequential one ---------------------------

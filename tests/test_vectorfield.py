@@ -432,6 +432,106 @@ def test_flow_step_with_a_scratch_allocates_no_batch_sized_array():
     assert peak < ZT.nbytes / 4  # the finiteness mask is an eighth of the batch
 
 
+# one family step against per-subsystem steps -------------------------------
+
+
+def random_family(rng, S, n, degree, real):
+    fields = [random_complex_field(rng, n, degree) for _ in range(S)]
+    if real:
+        fields = [
+            PolyVectorField([{a: v.real for a, v in c.items()} for c in f.components])
+            for f in fields
+        ]
+    return SwitchedFamily(fields)
+
+
+def assert_family_step_is_per_subsystem_steps(family, rng, sizes, gathered_exact,
+                                              radius=0.9):
+    """One step over the whole family, for rows of mixed, lone and
+    one-row-per-subsystem selections, against ``flow_step`` of each
+    subsystem's own field, with one step for all rows and with per-row
+    steps; one scratch serves every batch.
+
+    On the whole batch, the subsystem's own step agrees bit for bit on
+    its rows.  On its rows alone it agrees bit for bit where
+    ``gathered_exact(rows)`` holds.  Elsewhere, with complex coefficients
+    or a one-row subsystem, it agrees only to 1e-13 of the step's sum of
+    absolute terms, |z| + h |F|(|z|) with |F| the field of absolute
+    coefficients, and the family step misses exact agreement with the
+    subsystem's step on its rows alone: BLAS rounds a complex K-term
+    product by the point's position in the batch, and a one-row batch is
+    a matrix-vector product.
+    """
+    S, n = len(family), family.dimension
+    absf = [
+        PolyVectorField([{a: abs(v) for a, v in c.items()} for c in f.components])
+        for f in family
+    ]
+    scratch = FieldScratch(family, 1)
+    for B in sizes:
+        Z = polydisk_points(rng, n, B, radius)
+        per_row = rng.uniform(0.001, 0.02, (B, 1))
+        for sub in (rng.integers(0, S, B), np.full(B, S - 1), np.arange(B) % S):
+            scratch.select(sub)
+            for dt in (0.01, per_row):
+                got = flow_step(family, Z, dt, scratch)
+                for i in range(S):
+                    rows = np.flatnonzero(sub == i)
+                    if not len(rows):
+                        continue
+                    whole = flow_step(family[i], Z, dt)[rows]
+                    assert np.array_equal(got[rows], whole)
+                    h = dt if np.ndim(dt) == 0 else dt[rows]
+                    alone = flow_step(family[i], Z[rows], h)
+                    if gathered_exact(rows):
+                        assert np.array_equal(got[rows], alone)
+                    else:
+                        modulus = np.abs(Z[rows])
+                        size = absf[i].evaluate(modulus.astype(complex)).real
+                        scale = modulus + np.abs(h) * size
+                        assert np.all(np.abs(got[rows] - alone) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("seed", [1, 2026])
+def test_family_step_is_the_per_subsystem_step_on_the_examples(seed):
+    rng = np.random.default_rng(seed)
+    sizes = (1, 2, 3, 7, 50, 150, 512, 2500)
+    for family in (example1_config().build_family(),
+                   example2_config(degree=20).build_family()):
+        for radius in (0.9, 1e-3):
+            assert_family_step_is_per_subsystem_steps(
+                family, rng, sizes, lambda rows: True, radius
+            )
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("n", [2, 3])
+def test_family_step_is_the_per_subsystem_step_on_random_families(n, real):
+    rng = np.random.default_rng(3000 + 10 * n + real)
+    for S in (2, 3, 2, 3):
+        family = random_family(rng, S, n, int(rng.integers(1, 9)), real)
+        sizes = (1, 2, 5, int(rng.integers(8, 160)), 2500)
+        assert_family_step_is_per_subsystem_steps(
+            family, rng, sizes, lambda rows: real and len(rows) > 1
+        )
+
+
+def test_family_scratch_needs_a_selection_for_every_batch_size():
+    family = example1_config().build_family()
+    Z = np.full((4, 2), 0.1 + 0j)
+    with pytest.raises(ValueError, match="no field is selected"):
+        flow_step(family, Z, 0.01)
+    scratch = FieldScratch(family, 4).select(np.array([0, 1, 1, 0]))
+    flow_step(family, Z, 0.01, scratch)
+    with pytest.raises(ValueError, match="no field is selected"):
+        flow_step(family, Z[:3], 0.01, scratch)  # the masks were for 4 rows
+    scratch.select(1)  # one field for every row holds at any size
+    assert np.array_equal(flow_step(family, Z[:3], 0.01, scratch),
+                          flow_step(family[1], Z[:3], 0.01))
+    with pytest.raises(ValueError, match="another field"):
+        flow_step(family[1], Z, 0.01, scratch)
+
+
 # bracket --------------------------------------------------------------------
 
 
