@@ -21,6 +21,7 @@ from .certificate import (
     dominance_xi_min,
     epsilon_sequence,
 )
+from .config import _json_float, _json_typed
 from .liealg import (
     NotSimultaneouslyTriangularizable,
     close_under_bracket,
@@ -331,43 +332,118 @@ def _cond_dict(cond):
 
 
 def load_report(data):
-    """Rebuild the fields of a serialized report needed downstream.
+    """Rebuild the fields of a serialized report that an audit reads.
 
     Accepts the dict form of ``to_json_dict``; returns a CertificateReport
-    with numeric arrays restored (epsilon, P, P_inv).  A report without a
-    triangularization gets the identity for P and P_inv.
+    with its sizes, scheme kind, verdict, radius and numeric arrays
+    (epsilon, P, P_inv).  A report without a triangularization gets the
+    identity for P and P_inv.  Raises
+    ValueError naming the field when one is missing, of the wrong JSON
+    type or out of range; the weight count is checked against the
+    dimension and degree before anything is sized by them.
     """
-    rep = CertificateReport(
-        dimension=data["dimension"],
-        truncation_degree=data["truncation_degree"],
-        basis_size=data["basis_size"],
-        num_subsystems=data["num_subsystems"],
-        scheme_kind=data["scheme"]["kind"],
+    _json_typed("report", data, dict, "an object")
+
+    def get(key, types, what, null=False, ok=lambda v: True):
+        if key not in data:
+            raise ValueError(f"report field '{key}' is missing")
+        value = data[key]
+        if value is None and null:
+            return None
+        # a bool is neither an integer nor a number
+        if (isinstance(value, bool) != (types is bool)
+                or not isinstance(value, types) or not ok(value)):
+            raise ValueError(f"report field '{key}' must be {what}, got {value!r}")
+        return value
+
+    n, N, size, subsystems = (
+        get(key, int, f"an integer >= {low}", ok=lambda v, low=low: v >= low)
+        for key, low in (("dimension", 1), ("truncation_degree", 2),
+                         ("basis_size", 1), ("num_subsystems", 1))
     )
-    rep.certified = data["certified"]
-    rep.failure = data["failure"]
-    rep.xi = data["scheme"]["xi"]
-    rep.kappa = data["scheme"]["kappa"]
-    rep.rho_certified = data["rho_certified"]
-    rep.convergence = data["convergence"]
-    rep.warnings = list(data.get("warnings", []))
-    if data.get("epsilon") is not None:
-        rep.epsilon = np.array(data["epsilon"], dtype=float)
-    tri = data.get("triangularization")
+    if _basis_size_up_to(n, N, size) != size:
+        raise ValueError(
+            f"report field 'basis_size' is {size}, not C(N + n, n) - 1 for "
+            f"dimension {n} and truncation_degree {N}"
+        )
+    eps = get("epsilon", list, "a list or null", null=True)
+    if eps is not None and len(eps) != size:
+        raise ValueError(
+            f"report field 'epsilon' holds {len(eps)} weights, not basis_size {size}"
+        )
+    scheme = get("scheme", dict, "an object")
+    rep = CertificateReport(
+        dimension=n,
+        truncation_degree=N,
+        basis_size=size,
+        num_subsystems=subsystems,
+        scheme_kind=_json_typed(
+            "report field 'scheme.kind'", scheme.get("kind"), str, "a string"
+        ),
+    )
+    rep.certified = get("certified", bool, "true or false")
+    rep.rho_certified = _report_float("rho_certified", get(
+        "rho_certified", (int, float), "a number in (0, 1] or null", null=True,
+        ok=lambda v: 0 < v <= 1,
+    ))
+    if eps is not None:
+        # null is a non-finite weight, which only a failed report holds
+        rep.epsilon = np.array([
+            math.nan if e is None else _report_float(f"epsilon[{i}]", e)
+            for i, e in enumerate(eps)
+        ])
+        if np.any(rep.epsilon < 0):
+            i = int(np.argmax(rep.epsilon < 0))
+            raise ValueError(f"report field 'epsilon[{i}]' is negative: {eps[i]!r}")
+    tri = get("triangularization", dict, "an object or null", null=True)
     if tri is None:
-        rep.P = rep.P_inv = np.eye(rep.dimension, dtype=complex)
+        rep.P = rep.P_inv = np.eye(n, dtype=complex)
     else:
-        rep.P = _mat_from(tri["P"])
-        rep.P_inv = _mat_from(tri["P_inv"])
-        rep.residual = tri["residual"]
-        rep.cond_P = tri["cond_P"]
+        rep.P, rep.P_inv = (
+            _report_matrix(f"triangularization.{key}", tri.get(key), n)
+            for key in ("P", "P_inv")
+        )
     return rep
 
 
-def _mat_from(rows):
-    return np.array(
-        [[complex(c["re"], c["im"]) for c in row] for row in rows], dtype=complex
-    )
+def _report_float(key, value):
+    """A finite JSON number of a report as a float; None stays None."""
+    if value is None:
+        return None
+    value = _json_float(f"report field '{key}'", value)
+    if not math.isfinite(value):
+        raise ValueError(f"report field '{key}' must be finite, got {value!r}")
+    return value
+
+
+def _report_matrix(key, rows, n):
+    """An n x n list of {"re", "im"} objects of a report as a complex array."""
+    if not (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(row, list) and len(row) == n for row in rows)):
+        raise ValueError(f"report field '{key}' must be {n} lists of {n} entries")
+    out = np.empty((n, n), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row):
+            where = f"{key}[{i}][{j}]"
+            if not (isinstance(c, dict) and c.get("re") is not None
+                    and c.get("im") is not None):
+                raise ValueError(
+                    f"report field '{where}' must be an object with numbers re and im"
+                )
+            out[i, j] = complex(_report_float(where + ".re", c["re"]),
+                                _report_float(where + ".im", c["im"]))
+    return out
+
+
+def _basis_size_up_to(n, N, cap):
+    """C(N + n, n) - 1, the basis size of dimension n up to degree N, or
+    cap + 1 as soon as it exceeds ``cap``."""
+    m, count = min(n, N), 1
+    for i in range(1, m + 1):
+        count = count * (N + n - m + i) // i  # C(N + n - m + i, i)
+        if count - 1 > cap:
+            return cap + 1
+    return count - 1
 
 
 def _linalg_failure(exc):
@@ -385,8 +461,6 @@ def analyze_family(
     kappa=None,
     eta=0.5,
     rho_request=None,
-    invariance_samples=8,
-    tol=1e-10,
 ):
     """Run the full certificate pipeline on a switched family.
 
@@ -418,8 +492,8 @@ def analyze_family(
 
     jac = family.jacobians_at_origin()
     try:
-        algebra = close_under_bracket(jac, tol)
-        solvable, dims = is_solvable(algebra, tol)
+        algebra = close_under_bracket(jac)
+        solvable, dims = is_solvable(algebra)
     except np.linalg.LinAlgError as exc:
         report.failure = _linalg_failure(exc)
         return report
@@ -436,7 +510,7 @@ def analyze_family(
         }
         return report
     try:
-        tri = simultaneous_triangularize(jac, tol)
+        tri = simultaneous_triangularize(jac)
     except NotSimultaneouslyTriangularizable as exc:
         report.failure = {
             "stage": "solvability",
@@ -610,7 +684,7 @@ def analyze_family(
 
     report.rho_certified = float(rho)
     for i, h in enumerate(hats):
-        br = boundary_invariance_check(h, rho, samples=invariance_samples)
+        br = boundary_invariance_check(h, rho)
         report.invariance.append(
             {
                 "subsystem": i,
@@ -619,7 +693,7 @@ def analyze_family(
                 "worst_value": float(br.worst_value),
                 "worst_point": _cvec(br.worst_point),
                 "samples": int(br.samples),
-                "margin": float(br.margin),
+                "margin": 0.0,
             }
         )
         if not br.holds:

@@ -345,18 +345,19 @@ def epsilon_sequence(scan, basis, eta=0.5, rho=1.0):
     positions with no incoming coupling receive a small positive floor
     tied to the previous degree's largest weight.
 
-    The recursion runs one dependency level at a time, levels ordered by
-    degree, then by the length of the longest chain of same-degree pairs
-    that ends at a position.  Every coupled pair has k < j, so deg k <=
-    deg j and each source lies in an earlier level; the floors of degree
-    d read only the finished weights of degree d - 1.  A level takes the
-    grouped max of eps_k Q_jk over its pairs with one
-    ``np.maximum.reduceat`` and sets all its weights in one assignment.
+    The recursion runs one degree at a time.  Every weight of degree d
+    starts at its floor, EPSILON_FLOOR times the largest weight of degree
+    d - 1 (1.0 at d = 1); then the pairs into degree d raise it, one
+    same-degree dependency level at a time, with ``np.maximum.at`` of
+    eps_k Q_jk (1 + eta_eff).  Every coupled pair has k < j, so deg k <=
+    deg j, and a level holds the pairs whose target ends a same-degree
+    chain of pairs of one length, so each source is final when it is read.
     The weights are exact, equal to a walk over the positions one at a
-    time: a maximum does not depend on the order of its terms, and a
-    degree is complete before its successor's floors are taken.  A NaN
-    ratio reaches its weight through ``np.maximum``, while the degree
-    maxima behind the floors skip NaN weights.
+    time: a maximum does not depend on the order of its terms, and since
+    multiplying by 1 + eta_eff > 0 and rounding are monotone, the max of
+    the scaled terms is the scaled max.  A NaN ratio reaches its weight
+    through ``np.maximum``, while the degree maxima behind the floors skip
+    NaN weights.
 
     The ratios Q_jk are those of ``scan`` (see ``coupling_scan``).
     Returns (epsilon, eta_effective, q_sup, q_by_degree).
@@ -380,35 +381,24 @@ def epsilon_sequence(scan, basis, eta=0.5, rho=1.0):
         if np.array_equal(reach, depth):
             break
         depth = reach
-    level = degree * (int(depth.max()) + 1) + depth
-    # each position j >= 2 also gets a zero-ratio pair from slot 0, which
-    # holds 0.0: the max's initial value, and no group is left empty
-    src = np.concatenate([scan.k, np.zeros(M - 1, dtype=np.int64)])
-    dst = np.concatenate([scan.j, np.arange(2, M + 1)])
-    order = np.lexsort((dst, level[dst]))
-    src, dst = src[order], dst[order]
-    q = np.concatenate([scan.q, np.zeros(M - 1)])[order]
-    group = np.flatnonzero(np.diff(dst, prepend=-1))  # first pair of each j
-    targets = dst[group]  # positions 2..M in level order
-    first = np.flatnonzero(np.diff(level[targets], prepend=-1))
-    # group starts relative to the first pair of their level
-    rel = group - np.repeat(group[first], np.diff(first, append=len(targets)))
-    lo = first.tolist()
-    a = group[first].tolist()
-    levels = zip(lo, lo[1:] + [len(targets)], a, a[1:] + [len(dst)],
-                 degree[targets[first]].tolist())
+    level = (degree * (int(depth.max()) + 1) + depth)[scan.j]
+    order = np.argsort(level, kind="stable")
+    src, dst, q, level = scan.k[order], scan.j[order], scan.q[order], level[order]
+    first = np.flatnonzero(np.diff(level, prepend=-1)).tolist()
+    levels = [[] for _ in range(basis.max_degree + 1)]  # pair slices per degree
+    for a, b in zip(first, first[1:] + [len(level)]):
+        levels[degree[dst[a]]].append(slice(a, b))
     grow = 1.0 + eta_eff
+    start = basis.degree_start
     eps = np.zeros(M + 1)
     eps[1] = 1.0  # first weight anchors the recursion
-    start = basis.degree_start
-    floor_degree = 0
-    for l0, l1, a0, a1, d in levels:
-        if d != floor_degree:  # degree d - 1 is complete
-            below = eps[start[d - 1]:start[d]]
-            top = 1.0 if d == 1 else np.fmax.reduce(below, initial=0.0)
-            floor, floor_degree = EPSILON_FLOOR * top, d
-        best = np.maximum.reduceat(eps[src[a0:a1]] * q[a0:a1], rel[l0:l1])
-        eps[targets[l0:l1]] = np.maximum(best * grow, floor)
+    top = 1.0
+    with np.errstate(invalid="ignore"):  # a NaN ratio gives a NaN weight
+        for d in range(1, basis.max_degree + 1):
+            eps[max(start[d], 2):start[d + 1]] = EPSILON_FLOOR * top
+            for at in levels[d]:
+                np.maximum.at(eps, dst[at], eps[src[at]] * q[at] * grow)
+            top = np.fmax.reduce(eps[start[d]:start[d + 1]], initial=0.0)
     return eps[1:], eta_eff, q_sup, q_by_degree
 
 
@@ -445,10 +435,6 @@ class ConvergenceResult:
     tail_bound: float
     ratio: float
     convergent: bool
-
-    @property
-    def total(self):
-        return self.partial_sum + self.tail_bound
 
 
 def convergence_check(epsilon, basis, rho):
@@ -577,6 +563,3 @@ class CommonLyapunovFunction:
             out = flat[c % 2][:acc[0].size].reshape(-1, B)
             acc = np.add.reduce(acc, axis=0, out=out)
         return acc[0].copy() if own else acc[0]
-
-    def value(self, z):
-        return float(self.value_batch(np.asarray(z, dtype=complex)[None, :])[0])

@@ -167,8 +167,10 @@ def cmd_simulate(parser, args):
 
 
 def cmd_figure_rho(parser, args):
-    if args.steps < 2 or args.mu_min <= 0 or args.mu_max < args.mu_min:
-        parser.error("need steps >= 2 and 0 < mu-min <= mu-max")
+    if args.steps < 2 or args.degree < 2:
+        parser.error("need steps >= 2 and degree >= 2")
+    if not (math.isfinite(args.mu_max) and 0 < args.mu_min <= args.mu_max):
+        parser.error("need finite mu with 0 < mu-min <= mu-max")
     rows = []
     c_plus = (math.cosh(2.0) + 1.0) / 2.0
     for s in range(args.steps):
@@ -176,12 +178,15 @@ def cmd_figure_rho(parser, args):
         closed = 1.0 / (1.0 + c_plus / mu)
         row = [repr(mu), repr(closed)]
         if args.certify:
-            cfg = example2_config(mu=mu, degree=args.degree)
-            report = analyze_family(
-                cfg.build_family(),
-                cfg.truncation_degree,
-                scheme_kind="diagonal_dominance",
-            )
+            try:
+                cfg = example2_config(mu=mu, degree=args.degree)
+                report = analyze_family(
+                    cfg.build_family(),
+                    cfg.truncation_degree,
+                    scheme_kind="diagonal_dominance",
+                )
+            except ValueError as exc:
+                parser.error(str(exc))
             row.append(
                 repr(report.rho_certified) if report.certified else ""
             )
@@ -196,10 +201,15 @@ def cmd_selftest(parser, args):
 
 
 def cmd_example(parser, args, which):
-    if which == 1:
-        cfg = example1_config(a=args.a, b=args.b, degree=args.degree)
-    else:
-        cfg = example2_config(mu=args.mu, degree=args.degree)
+    # the written config is read back as analyze would read it
+    try:
+        if which == 1:
+            cfg = example1_config(a=args.a, b=args.b, degree=args.degree)
+        else:
+            cfg = example2_config(mu=args.mu, degree=args.degree)
+        SystemConfig.from_json_dict(cfg.to_json_dict())
+    except ValueError as exc:
+        parser.error(f"invalid config: {exc}")
     _write_text(args.out, cfg.to_json())
     return 0
 

@@ -9,7 +9,7 @@ library is 0-based internally.
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields
 
 from .vectorfield import PolyVectorField, SwitchedFamily
 
@@ -55,6 +55,7 @@ class SimulationParams:
             value = _json_float(f"simulation.{name}", getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"simulation.{name} must be finite")
+            object.__setattr__(self, name, value)
         if self.dt <= 0 or self.horizon < 0:
             raise ValueError("need dt > 0 and horizon >= 0")
         if self.trials < 1 or self.points < 1:
@@ -63,15 +64,7 @@ class SimulationParams:
             raise ValueError("need 0 < min_dwell <= max_dwell")
 
     def to_json_dict(self):
-        return {
-            "dt": self.dt,
-            "horizon": self.horizon,
-            "trials": self.trials,
-            "points": self.points,
-            "seed": self.seed,
-            "min_dwell": self.min_dwell,
-            "max_dwell": self.max_dwell,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -194,19 +187,8 @@ class SystemConfig:
         )
         sim_raw = data.get("simulation", {}) or {}
         sim = SimulationParams(
-            **{
-                k: sim_raw[k]
-                for k in (
-                    "dt",
-                    "horizon",
-                    "trials",
-                    "points",
-                    "seed",
-                    "min_dwell",
-                    "max_dwell",
-                )
-                if k in sim_raw
-            }
+            **{f.name: sim_raw[f.name] for f in dc_fields(SimulationParams)
+               if f.name in sim_raw}
         )
         cfg = cls(
             dimension=n,

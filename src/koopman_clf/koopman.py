@@ -37,7 +37,6 @@ class KoopmanMatrix:
     """
 
     basis: object
-    field_ref: object
     k: np.ndarray
     j: np.ndarray
     v: np.ndarray
@@ -95,4 +94,4 @@ def build_matrix(field_, basis):
     keep = v != 0
     k, j = np.divmod(keys[keep], width)
     exact = max(0, basis.max_degree - field_.degree + 1)
-    return KoopmanMatrix(basis, field_, k, j, v[keep], exact)
+    return KoopmanMatrix(basis, k, j, v[keep], exact)

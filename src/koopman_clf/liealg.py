@@ -201,7 +201,7 @@ class TriangularizationResult:
     flag_basis: np.ndarray
 
 
-def simultaneous_triangularize(matrices, tol=1e-10):
+def simultaneous_triangularize(matrices):
     """Common upper-triangularization of a family of matrices.
 
     Works by iterated common-eigenvector extraction and unitary deflation.

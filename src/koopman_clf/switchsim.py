@@ -19,7 +19,7 @@ array.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +35,8 @@ from .vectorfield import (
 )
 
 ESCAPE_TOL = 1e-12
+V_SLACK = 1e-9  # largest relative one-step V increase the audit accepts
+CONVERGENCE_TOL = 1e-3  # final max-modulus counted as converged
 
 
 def _require_finite(**values):
@@ -164,7 +166,6 @@ def _integrate(family, plans, points, clf=None, record=False):
     Z = ZT.T
     R = len(Z)
     fs = FieldScratch(family, R)
-    fs.stepping()  # the stage arrays too, before the first step
     # per-row buffers: subsystem and step of every row, then the live
     # rows' indices, subsystems and steps, and two for the V increments
     signal_rows = np.arange(R).reshape(S, P)
@@ -361,34 +362,7 @@ class AuditSummary:
     passed: bool
 
     def to_json_dict(self):
-        at = self.worst_decay_at
-        return {
-            "kind": "audit_summary",
-            "signals": int(self.signals),
-            "points": int(self.points),
-            "dt": float(self.dt),
-            "horizon": float(self.horizon),
-            "seed": int(self.seed),
-            "rho": float(self.rho),
-            "sample_radius": float(self.sample_radius),
-            "max_v_increase": float(self.max_v_increase),
-            "worst_decay_rate": (
-                None if self.worst_decay_rate is None
-                else float(self.worst_decay_rate)
-            ),
-            "worst_decay_at": None if at is None else {
-                "signal": int(at["signal"]),
-                "point": int(at["point"]),
-                "time": float(at["time"]),
-                "subsystem": int(at["subsystem"]),
-            },
-            "final_norm_max": float(self.final_norm_max),
-            "fraction_converged": float(self.fraction_converged),
-            "escapes": int(self.escapes),
-            "slack": float(self.slack),
-            "convergence_tol": float(self.convergence_tol),
-            "passed": bool(self.passed),
-        }
+        return {"kind": "audit_summary", **asdict(self)}
 
 
 def audit_certificate(
@@ -401,16 +375,14 @@ def audit_certificate(
     horizon=20.0,
     min_dwell=0.05,
     max_dwell=1.0,
-    slack=1e-9,
-    convergence_tol=1e-3,
 ):
     """Simulation audit of a certificate over seeded switching signals.
 
     Integrates ``signals`` random schedules from ``points`` deterministic
     initial states inside the polydisk of radius 0.95 * rho (flag
     coordinates), monitoring the certified function at every step.  The
-    audit passes when V never increases beyond ``slack`` (relative) and no
-    trajectory leaves the unit polydisk.  Raises NonFiniteStateError when
+    audit passes when V never increases beyond ``V_SLACK`` (relative) and
+    no trajectory leaves the unit polydisk.  Raises NonFiniteStateError when
     a state or a value of V stops being finite, and ValueError when the
     report is not certified or its dimension or subsystem count is not the
     family's.  The report's P and P_inv map between flag and original
@@ -450,20 +422,20 @@ def audit_certificate(
     escapes = int(run.escaped.sum())
     final_norms = np.abs(run.Z).max(axis=1)
     return AuditSummary(
-        signals=signals,
-        points=points,
+        signals=int(signals),
+        points=int(points),
         dt=float(dt),
         horizon=float(horizon),
         seed=int(seed),
         rho=rho,
-        sample_radius=radius,
-        max_v_increase=run.max_rel,
+        sample_radius=float(radius),
+        max_v_increase=float(run.max_rel),
         worst_decay_rate=run.worst_rate,
         worst_decay_at=run.worst_at,
         final_norm_max=float(final_norms.max()),
-        fraction_converged=float(np.mean(final_norms < convergence_tol)),
+        fraction_converged=float(np.mean(final_norms < CONVERGENCE_TOL)),
         escapes=escapes,
-        slack=float(slack),
-        convergence_tol=float(convergence_tol),
-        passed=bool(run.max_rel <= slack and escapes == 0),
+        slack=V_SLACK,
+        convergence_tol=CONVERGENCE_TOL,
+        passed=bool(run.max_rel <= V_SLACK and escapes == 0),
     )

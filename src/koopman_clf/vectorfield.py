@@ -22,9 +22,8 @@ also holds the stage input and the running sum of ``flow_step``'s four
 Runge-Kutta stages.  A scratch plans one field or a whole family: the
 family's terms are concatenated, each row is stepped by the field
 ``select`` gives it, and a step forms the monomials of the fields that
-hold a row once and contracts each such field's slice of them.  The
-stage arrays are cut on the first step, so an evaluation alone never
-makes them.  A scratch belongs to whoever made it, never to a field:
+hold a row once and contracts each such field's slice of them.  A
+scratch belongs to whoever made it, never to a field:
 ``evaluate`` and a plain ``flow_step`` call make their own, and an
 integration makes one over the family and reuses it every step, so a
 step allocates no batch-sized array and concurrent integrations of one
@@ -263,14 +262,14 @@ class FieldScratch:
 
     For a batch of B points the scratch holds the (P + 1, n, B) power
     table up to the family's largest exponent P, the (K, B) monomials,
-    the (n, B) field values ``k``, one field's values in a mixed batch
-    and a contiguous copy of the points; in a mixed selection a boolean
-    (n, B) array per active field after the first holds its row mask.
-    ``stepping`` cuts the arrays only ``flow_step`` needs, on its first
-    step at a batch size: a stage input, the running Runge-Kutta sum and
-    per-row half, sixth and whole steps filled from one (3, B) row of
-    them.  The arrays are views into stores that grow to the largest
-    batch seen; ``shape_for`` re-cuts them when the batch size changes.
+    the (n, B) field values ``k``, one field's values in a mixed batch,
+    a contiguous copy of the points, and for ``flow_step`` a stage input
+    ``stage``, the running Runge-Kutta sum ``acc`` and per-row half,
+    sixth and whole steps ``steps`` filled from one (3, B) real row
+    ``steps_row``; in a mixed selection a boolean (n, B) array per active
+    field after the first holds its row mask.  The arrays are views into
+    stores that grow to the largest batch seen; ``shape_for`` re-cuts
+    them when the batch size changes.
     Whoever makes a scratch owns it: every evaluation overwrites it.
     """
 
@@ -284,7 +283,6 @@ class FieldScratch:
         self._factors = [rows for f in fields for rows in f._gather.T.tolist()]
         self.rows = None
         self._store = np.empty(0, dtype=complex)
-        self._step_store = np.empty(0, dtype=complex)
         self._flags = np.empty(0, dtype=bool)
         self.active, self.masks = ((0,) if len(fields) == 1 else ()), ()
         self.shape_for(rows)
@@ -295,29 +293,19 @@ class FieldScratch:
         if rows != self.rows:
             n, K = self.fields[0].dimension, len(self._factors)
             top = max(f._max_pow for f in self.fields)
-            shapes = [(top + 1, n, rows), (K, rows)] + [(n, rows)] * 3
+            shapes = ([(top + 1, n, rows), (K, rows)] + [(n, rows)] * 5
+                      + [(3, n, rows), (3, rows)])
             self._store, arrays = _cut(self._store, shapes, complex)
-            self.pows, self.mono, self.k, self.part, self.z = arrays
+            (self.pows, self.mono, self.k, self.part, self.z, self.stage,
+             self.acc, self.steps, steps_row) = arrays
+            self.steps_row = steps_row.real
             self.pows[0] = 1
             self.table = self.pows.reshape(len(self.pows) * n, rows)
             self.rows = rows
-            self._steps = None
             if len(self.active) > 1:
                 self.active, self.masks = (), ()
             self._compile()
         return self
-
-    def stepping(self):
-        """The stage input, the running sum and the (3, n, B) half, sixth
-        and whole per-row steps with their (3, B) real row, for
-        ``flow_step`` at the current batch size."""
-        if self._steps is None:
-            n, rows = self.k.shape
-            shapes = [(n, rows)] * 2 + [(3, n, rows), (3, rows)]
-            self._step_store, arrays = _cut(self._step_store, shapes, complex)
-            stage, acc, steps, steps_row = arrays
-            self._steps = stage, acc, steps, steps_row.real
-        return self._steps
 
     def select(self, sub):
         """Choose the field that steps each row: ``sub`` is one field index
@@ -426,8 +414,8 @@ def flow_step(field, z, dt, scratch=None, out=None):
     elif scratch.field is not field:
         raise ValueError("scratch belongs to another field")
     zT = scratch.shape_for(zT.shape[1]).load(zT)
-    F, k = scratch.evaluate, scratch.k
-    st, acc, steps, row = scratch.stepping()
+    F, k, st, acc = scratch.evaluate, scratch.k, scratch.stage, scratch.acc
+    steps, row = scratch.steps, scratch.steps_row
     if isinstance(dt, np.ndarray):
         # per-row steps run along the points axis.  They are held as the
         # complex values the products would cast them to, in every row,
@@ -490,27 +478,23 @@ class BoundaryReport:
     worst_value: float
     worst_point: np.ndarray
     samples: int
-    margin: float
     rho: float
 
 
-def boundary_invariance_check(field, rho, samples=8, margin=0.0):
+def boundary_invariance_check(field, rho):
     """Sample Re(F_l(z) conj(z_l)) on each face |z_l| = rho of the polydisk.
 
-    Every face is probed on a uniform phase grid of 64*samples points in
-    z_l, paired with a low-discrepancy fill (Halton moduli and phases) of
-    the remaining coordinates inside the polydisk.  The field points
-    inward at a sample when the tested value is negative; the report keeps
-    the worst (largest) value and the point attaining it.
+    Every face is probed on a uniform phase grid of 512 points in z_l,
+    paired with a low-discrepancy fill (Halton moduli and phases) of the
+    remaining coordinates inside the polydisk.  The field points inward at
+    a sample when the tested value is negative, and the check holds when
+    every sample does; the report keeps the worst (largest) value and the
+    point attaining it.
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
     n = field.dimension
-    count = 64 * samples
+    count = 512
     # the fill of the k-th other coordinate is the same on every face
     index = np.arange(1, count + 1)
     fill = []
@@ -535,11 +519,10 @@ def boundary_invariance_check(field, rho, samples=8, margin=0.0):
             worst = float(vals[i])
             worst_point = z[i].copy()
     return BoundaryReport(
-        holds=bool(worst < -margin),
+        holds=bool(worst < 0.0),
         worst_value=worst,
         worst_point=worst_point,
         samples=n * count,
-        margin=float(margin),
         rho=float(rho),
     )
 

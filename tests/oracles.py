@@ -161,12 +161,13 @@ def col_abs_sum(columns, j):
     return float(sum(abs(v) for _, v in columns.get(j, [])))
 
 
-def row_abs_sum(kmat, k):
-    """Absolute row sum sum_l alpha_l(k) ||F_l||_{l1} over the full basis."""
+def row_abs_sum(kmat, field, k):
+    """Absolute row sum sum_l alpha_l(k) ||F_l||_{l1} over the full basis,
+    for the matrix ``kmat`` of ``field``."""
     ak = kmat.basis.alpha(k)
     return float(
         sum(
-            ak[l] * kmat.field_ref.l1_norm(l)
+            ak[l] * field.l1_norm(l)
             for l in range(kmat.basis.dimension)
             if ak[l]
         )

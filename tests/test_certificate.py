@@ -627,7 +627,7 @@ def clf_evaluate(epsilon, P_inv, basis, z):
     zh = clf.hat(np.asarray(z, dtype=complex))
     if np.max(np.abs(zh)) >= 1.0:
         raise ValueError("point lies outside the unit polydisk in flag coordinates")
-    return clf.value(z), tail_estimate(clf, z)
+    return clf.value_batch(np.asarray(z, dtype=complex)[None])[0], tail_estimate(clf, z)
 
 
 def tail_estimate(clf, z):
@@ -666,7 +666,7 @@ def test_clf_value_matches_direct_series_sum():
             * abs(z[1]) ** (2 * basis.alpha(k)[1])
             for k in range(1, basis.size + 1)
         )
-        assert clf.value(z) == pytest.approx(want, rel=1e-12)
+        assert clf.value_batch(z[None])[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_clf_respects_flag_coordinates():
@@ -677,7 +677,9 @@ def test_clf_respects_flag_coordinates():
     z = np.array([0.4, -0.3 + 0.2j])
     zh = P_inv @ z
     direct = CommonLyapunovFunction(eps, np.eye(2, dtype=complex), basis)
-    assert clf.value(z) == pytest.approx(direct.value(zh), rel=1e-12)
+    assert clf.value_batch(z[None])[0] == pytest.approx(
+        direct.value_batch(zh[None])[0], rel=1e-12
+    )
 
 
 def test_clf_evaluate_tail_is_exact_for_geometric_weights():
@@ -711,7 +713,7 @@ def test_clf_batch_matches_scalar_values():
     Z = 0.5 * (rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2)))
     batch = clf.value_batch(Z)
     for i in range(9):
-        assert batch[i] == pytest.approx(clf.value(Z[i]), rel=1e-12)
+        assert batch[i] == pytest.approx(clf.value_batch(Z[i][None])[0], rel=1e-12)
 
 
 def gathered_power_values(clf, Z):

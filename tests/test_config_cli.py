@@ -530,6 +530,53 @@ def test_cli_simulate_rejects_a_report_edited_to_uncertified(tmp_path, capsys):
     assert not out.exists()
 
 
+def _set_entry(key, value):
+    def edit(data):
+        data["triangularization"]["P"][0][1][key] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,field",
+    [
+        (lambda d: d.update(truncation_degree=12.5), "'truncation_degree'"),
+        # the basis is never built: the weight count is checked first
+        (lambda d: d.update(truncation_degree=20000), "truncation_degree 20000"),
+        (lambda d: d.update(truncation_degree=10**15, dimension=10**15),
+         "truncation_degree 1000000000000000"),
+        (lambda d: d.update(dimension="2"), "'dimension'"),
+        (lambda d: d.update(num_subsystems=0), "'num_subsystems'"),
+        (lambda d: d.update(basis_size=91), "'basis_size'"),
+        (lambda d: d.update(rho_certified="0.5"), "'rho_certified'"),
+        (lambda d: d.update(rho_certified=1.5), "'rho_certified'"),
+        (lambda d: d.update(rho_certified=math.nan), "'rho_certified'"),
+        (lambda d: d.update(certified="true"), "'certified'"),
+        (lambda d: d.pop("certified"), "'certified' is missing"),
+        (lambda d: d.update(epsilon=d["epsilon"][:-1]), "'epsilon' holds 89"),
+        (lambda d: d["epsilon"].__setitem__(3, "0.5"), "'epsilon[3]'"),
+        (lambda d: d["epsilon"].__setitem__(3, -1.0), "'epsilon[3]'"),
+        (lambda d: d["scheme"].update(kind=None), "'scheme.kind'"),
+        (_set_entry("re", "0.0"), "'triangularization.P[0][1].re'"),
+        (_set_entry("im", math.inf), "'triangularization.P[0][1].im'"),
+        (lambda d: d["triangularization"].update(P_inv=[[1.0]]),
+         "'triangularization.P_inv'"),
+    ],
+)
+def test_cli_simulate_rejects_a_report_field_of_the_wrong_type_or_range(
+    tmp_path, capsys, edit, field
+):
+    cfg, rpt = _example1_config_and_report(tmp_path)
+    data = json.loads(rpt.read_text())
+    edit(data)
+    rpt.write_text(json.dumps(data))
+    out = tmp_path / "audit.json"
+    argv = ["simulate", "--config", str(cfg), "--report", str(rpt),
+            "--out", str(out), "--trials", "1", "--points", "1"]
+    code, err = _simulate_exit(argv, capsys)
+    assert code == 2 and "invalid report" in err and field in err
+    assert not out.exists()
+
+
 def test_cli_figure_rho_closed_form(tmp_path):
     out = tmp_path / "curve.csv"
     assert main(
@@ -571,6 +618,30 @@ def test_cli_figure_rho_certified_column(tmp_path):
     for line in lines[1:]:
         mu, closed, certified = (float(tok) for tok in line.split(","))
         assert 0.9 * closed <= certified <= closed + 1e-6
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["figure-rho", "--mu-min", "2", "--mu-max", "3", "--certify",
+          "--degree", "1"], "degree >= 2"),
+        (["figure-rho", "--mu-min", "nan", "--mu-max", "3"], "finite mu"),
+        (["figure-rho", "--mu-min", "2", "--mu-max", "inf"], "finite mu"),
+        (["example1", "--a", "-1"], "a must be positive"),
+        (["example2", "--mu", "0"], "mu must be positive"),
+        (["example1", "--degree", "1"], "truncation_degree"),
+        (["example1", "--b", "nan"], "not finite"),
+        (["example2", "--mu", "nan"], "not finite"),
+    ],
+)
+def test_cli_rejects_bad_numeric_arguments_with_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_selftest_passes_and_detects_mutation(capsys):

@@ -295,7 +295,7 @@ def test_row_sum_uses_exact_tail_norms():
         ak = basis.alpha(k)
         want = ak[0] * (1.0 + c_minus / mu) + ak[1] * 1.0
         assert abs(op.row_sums[k] - want) < 1e-14
-        assert abs(row_abs_sum(op.kmat, k) - want) < 1e-14
+        assert abs(row_abs_sum(op.kmat, f, k) - want) < 1e-14
 
 
 def test_diagonal_eigenvalues_match_exponent_weighted_spectrum():

@@ -177,8 +177,7 @@ def family(request):
     fields = make()
     basis = build_basis(2, degree)
     ops = [build_operator(f, basis) for f in fields]
-    jacs = [f.jacobian_at_origin() for f in fields]
-    return ops, basis, jacs
+    return ops, basis, fields
 
 
 # tests ----------------------------------------------------------------------
@@ -212,7 +211,8 @@ def test_poly_condition_matches_reference_scan(family):
 
 
 def test_dd_ratios_match_reference_scan(family):
-    ops, basis, jacs = family
+    ops, basis, fields = family
+    jacs = [f.jacobian_at_origin() for f in fields]
     same_value, cross_value = dd_values(basis, XI, KAPPA)
 
     def value(i, op, k, j, e):
@@ -252,12 +252,13 @@ def test_column_sums_match_the_per_column_sum(family):
 
 
 def test_operator_set_up_matches_the_per_row_formulas(family):
-    ops, basis, _ = family
+    ops, basis, fields = family
     positions = range(1, basis.size + 1)
-    for op in ops:
+    for op, f in zip(ops, fields):
         decay = [-stored_entry(op.kmat, k, k).real for k in positions]
         assert op.re_decay[1:].tolist() == decay
-        assert op.row_sums[1:].tolist() == [row_abs_sum(op.kmat, k) for k in positions]
+        want = [row_abs_sum(op.kmat, f, k) for k in positions]
+        assert op.row_sums[1:].tolist() == want
 
 
 @pytest.mark.parametrize(
