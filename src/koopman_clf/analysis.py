@@ -6,7 +6,7 @@ condition, weight recursion, series convergence, boundary evidence.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -24,6 +24,7 @@ from .certificate import (
 from .config import _json_float, _json_typed
 from .liealg import (
     NotSimultaneouslyTriangularizable,
+    TriangularizationResult,
     close_under_bracket,
     is_solvable,
     simultaneous_triangularize,
@@ -150,10 +151,7 @@ class CertificateReport:
     closure_dim: int = None
     P: np.ndarray = None
     P_inv: np.ndarray = None
-    T_list: tuple = None
-    eigenvalues: tuple = None
-    residual: float = None
-    cond_P: float = None
+    triangularization: TriangularizationResult = None
     term_counts: list = None
     poly_condition: dict = None
     dd_condition: dict = None
@@ -173,15 +171,15 @@ class CertificateReport:
         return STAGE_EXIT.get(self.failure["stage"], 1) if self.failure else 1
 
     def to_json_dict(self):
-        tri = None
-        if self.P is not None:
+        tri = self.triangularization
+        if tri is not None:
             tri = {
-                "P": _cmat(self.P),
-                "P_inv": _cmat(self.P_inv),
-                "T": [_cmat(T) for T in self.T_list],
-                "eigenvalues": [_cvec(e) for e in self.eigenvalues],
-                "residual": float(self.residual),
-                "cond_P": float(self.cond_P),
+                "P": _cmat(tri.P),
+                "P_inv": _cmat(tri.P_inv),
+                "T": [_cmat(T) for T in tri.T_list],
+                "eigenvalues": [_cvec(e) for e in tri.eigenvalues],
+                "residual": float(tri.residual),
+                "cond_P": float(tri.cond_P),
             }
         return {
             "certified": bool(self.certified),
@@ -310,25 +308,7 @@ def _degree_list(by_degree):
 def _cond_dict(cond):
     if cond is None:
         return None
-    out = {}
-    for key, val in cond.items():
-        if key == "by_degree":
-            out[key] = _degree_list(val)
-        elif key == "argmax":
-            out[key] = (
-                None
-                if val is None
-                else {k: int(v) for k, v in val.items()}
-            )
-        elif isinstance(val, bool):
-            out[key] = val
-        elif isinstance(val, (int, np.integer)):
-            out[key] = int(val)
-        elif isinstance(val, (float, np.floating)):
-            out[key] = float(val)
-        else:
-            out[key] = val
-    return out
+    return {**cond, "by_degree": _degree_list(cond["by_degree"])}
 
 
 def load_report(data):
@@ -446,11 +426,9 @@ def _basis_size_up_to(n, N, cap):
     return count - 1
 
 
-def _linalg_failure(exc):
-    return {
-        "stage": "solvability",
-        "message": f"linear algebra failed in the solvability analysis: {exc}",
-    }
+class _Failure(Exception):
+    """A hypothesis of the certificate that does not hold: raised with the
+    stage and the message that ``analyze_family`` records in the report."""
 
 
 def analyze_family(
@@ -469,6 +447,8 @@ def analyze_family(
     convergence) rather than raised, so the report always documents how
     far the analysis got.  A ``LinAlgError`` from the Lie closure, the
     solvability test or the triangularization is a solvability failure.
+    A derived dominance xi >= 1 is a scheme failure; a caller's xi or
+    kappa that the scheme refuses raises ValueError.
     """
     if isinstance(family, (list, tuple)):
         family = SwitchedFamily(family)
@@ -479,66 +459,60 @@ def analyze_family(
         raise ValueError(f"unknown scheme kind {scheme_kind!r}")
     if rho_request is not None and not 0 < rho_request <= 1:
         raise ValueError("rho_request must lie in (0, 1]")
-    n = family.dimension
-    basis = build_basis(n, truncation_degree)
+    basis = build_basis(family.dimension, truncation_degree)
     report = CertificateReport(
-        dimension=n,
+        dimension=family.dimension,
         truncation_degree=truncation_degree,
         basis_size=basis.size,
         num_subsystems=len(family),
         scheme_kind=kind,
         eta_requested=eta,
     )
+    try:
+        _certify(report, family, basis, xi, kappa, rho_request)
+    except _Failure as exc:
+        stage, message = exc.args
+        report.failure = {"stage": stage, "message": message}
+    return report
 
+
+def _certify(report, family, basis, xi, kappa, rho_request):
+    """The pipeline behind ``analyze_family``: fills ``report`` stage by
+    stage and raises _Failure at the first hypothesis that fails."""
+    n = family.dimension
+    kind = report.scheme_kind
+    eta = report.eta_requested
     jac = family.jacobians_at_origin()
     try:
         algebra = close_under_bracket(jac)
         solvable, dims = is_solvable(algebra)
-    except np.linalg.LinAlgError as exc:
-        report.failure = _linalg_failure(exc)
-        return report
-    report.solvable = bool(solvable)
-    report.derived_series_dims = [int(d) for d in dims]
-    report.closure_dim = int(algebra.dim)
-    if not solvable:
-        report.failure = {
-            "stage": "solvability",
-            "message": (
+        report.solvable = bool(solvable)
+        report.derived_series_dims = [int(d) for d in dims]
+        report.closure_dim = int(algebra.dim)
+        if not solvable:
+            raise _Failure(
+                "solvability",
                 "the Lie algebra generated by the Jacobians is not solvable: "
-                f"derived series dimensions {dims} do not reach zero"
-            ),
-        }
-        return report
-    try:
+                f"derived series dimensions {dims} do not reach zero",
+            )
         tri = simultaneous_triangularize(jac)
     except NotSimultaneouslyTriangularizable as exc:
-        report.failure = {
-            "stage": "solvability",
-            "message": (
-                "solvability holds numerically but no common flag was "
-                f"found: {exc}"
-            ),
-        }
-        return report
+        raise _Failure(
+            "solvability",
+            f"solvability holds numerically but no common flag was found: {exc}",
+        ) from None
     except np.linalg.LinAlgError as exc:
-        report.failure = _linalg_failure(exc)
-        return report
-    report.P = tri.P
-    report.P_inv = tri.P_inv
-    report.T_list = tri.T_list
-    report.eigenvalues = tri.eigenvalues
-    report.residual = tri.residual
-    report.cond_P = tri.cond_P
+        raise _Failure(
+            "solvability",
+            f"linear algebra failed in the solvability analysis: {exc}",
+        ) from None
+    report.P, report.P_inv, report.triangularization = tri.P, tri.P_inv, tri
     if any(np.any(lam.real >= 0) for lam in tri.eigenvalues):
-        report.failure = {
-            "stage": "stability",
-            "message": (
-                "a subsystem Jacobian has an eigenvalue with non-negative "
-                "real part; every subsystem must be exponentially stable "
-                "at the origin"
-            ),
-        }
-        return report
+        raise _Failure(
+            "stability",
+            "a subsystem Jacobian has an eigenvalue with non-negative real "
+            "part; every subsystem must be exponentially stable at the origin",
+        )
 
     identity = bool(np.array_equal(tri.P, np.eye(n, dtype=complex)))
     if identity:
@@ -569,57 +543,48 @@ def analyze_family(
     report.term_counts = [int(op.coupling_count) for op in ops]
 
     if kind == "polynomial":
-        xi_val = 0.99 if xi is None else float(xi)
-        scheme = WeightScheme("polynomial", xi_val)
-        report.xi = xi_val
-        scan = coupling_scan(ops, basis, scheme)
+        xi = 0.99 if xi is None else float(xi)
+    else:
+        xi_min = dominance_xi_min([h.jacobian_at_origin() for h in hats])
+        if xi is None:
+            xi = max(1.01 * xi_min, 1e-6)
+            if xi >= 1.0:
+                report.xi = xi
+                raise _Failure(
+                    "scheme",
+                    "no admissible xi: the dominance inequalities require "
+                    f"xi > {xi_min:.6g}",
+                )
+        else:
+            xi = float(xi)
+        kappa = 0.98 * (1.0 - xi) if kappa is None else float(kappa)
+    scheme = WeightScheme(kind, xi, kappa)
+    report.xi, report.kappa = scheme.xi, scheme.kappa
+    scan = coupling_scan(ops, basis, scheme)
+    if kind == "polynomial":
         cond = check_poly_condition(scan, basis)
         report.poly_condition = cond
-        if cond["pass"] and cond["extrapolated"] >= 1.0:
+        if not cond["pass"]:
+            raise _Failure(
+                "scheme",
+                "uniform-split condition failed: the xi-free coupling ratio "
+                f"reaches {cond['q_sup']:.6g} >= 1 at degree "
+                f"{basis.degree(cond['argmax']['j'])}",
+            )
+        if cond["extrapolated"] >= 1.0:
             report.warnings.append(
                 "per-degree ratio maxima extrapolate to a limit >= 1; the "
                 "certificate rests on the truncation-exact scan"
             )
-        if not cond["pass"]:
-            report.failure = {
-                "stage": "scheme",
-                "message": (
-                    "uniform-split condition failed: the xi-free coupling "
-                    f"ratio reaches {cond['q_sup']:.6g} >= 1 at degree "
-                    f"{basis.degree(cond['argmax']['j'])}"
-                ),
-            }
-            return report
         rho = 1.0
     else:
-        jac_hat = [h.jacobian_at_origin() for h in hats]
-        xi_min = dominance_xi_min(jac_hat)
-        if xi is None:
-            xi_val = max(1.01 * xi_min, 1e-6)
-        else:
-            xi_val = float(xi)
-        if xi_val >= 1.0:
-            report.xi = xi_val
-            report.failure = {
-                "stage": "scheme",
-                "message": (
-                    "no admissible xi: the dominance inequalities require "
-                    f"xi > {xi_min:.6g}"
-                ),
-            }
-            return report
-        kappa_val = 0.98 * (1.0 - xi_val) if kappa is None else float(kappa)
-        scheme = WeightScheme("diagonal_dominance", xi_val, kappa_val)
-        report.xi = xi_val
-        report.kappa = kappa_val
-        scan = coupling_scan(ops, basis, scheme)
-        rho_star, detail = certified_radius_dd(scan, basis, xi_min)
+        rho, detail = certified_radius_dd(scan, basis, xi_min)
         report.dd_condition = detail
-        if rho_star <= 0.0:
+        if rho <= 0.0:
             if not detail["dominance_ok"]:
                 msg = (
                     "diagonal-dominance inequalities fail at "
-                    f"xi={xi_val:.6g} (need xi > {detail['xi_min']:.6g})"
+                    f"xi={xi:.6g} (need xi > {detail['xi_min']:.6g})"
                 )
             elif detail["same_degree_sup"] >= 1.0:
                 msg = (
@@ -633,9 +598,7 @@ def analyze_family(
                     f"{detail['cross_sup']:.6g}, extrapolated "
                     f"{detail['extrapolated']:.6g}"
                 )
-            report.failure = {"stage": "scheme", "message": msg}
-            return report
-        rho = rho_star
+            raise _Failure("scheme", msg)
     if rho_request is not None:
         rho = min(rho, float(rho_request))
 
@@ -653,34 +616,23 @@ def analyze_family(
         )
 
     conv = convergence_check(eps, basis, rho)
-    report.convergence = {
-        "partial_sum": float(conv.partial_sum),
-        "tail_bound": float(conv.tail_bound),
-        "ratio": float(conv.ratio),
-        "convergent": bool(conv.convergent),
-    }
+    report.convergence = asdict(conv)
     if not conv.convergent:
-        report.failure = {
-            "stage": "convergence",
-            "message": (
-                f"weight series diverges at rho={rho:.6g}: per-degree decay "
-                f"ratio {conv.ratio:.6g} times rho^2 is not below one"
-            ),
-        }
-        return report
+        raise _Failure(
+            "convergence",
+            f"weight series diverges at rho={rho:.6g}: per-degree decay "
+            f"ratio {conv.ratio:.6g} times rho^2 is not below one",
+        )
     totals = (conv.partial_sum, conv.tail_bound, conv.ratio)
     finite = np.all(np.isfinite(eps)) and np.all(np.isfinite(totals))
     if not (finite and np.all(eps > 0)):
-        report.failure = {
-            "stage": "convergence",
-            "message": (
-                "weights or convergence numbers are not finite and positive: "
-                f"smallest weight {np.min(eps):.6g}, partial sum "
-                f"{conv.partial_sum:.6g}, tail bound {conv.tail_bound:.6g}, "
-                f"ratio {conv.ratio:.6g}"
-            ),
-        }
-        return report
+        raise _Failure(
+            "convergence",
+            "weights or convergence numbers are not finite and positive: "
+            f"smallest weight {np.min(eps):.6g}, partial sum "
+            f"{conv.partial_sum:.6g}, tail bound {conv.tail_bound:.6g}, "
+            f"ratio {conv.ratio:.6g}",
+        )
 
     report.rho_certified = float(rho)
     for i, h in enumerate(hats):
@@ -703,7 +655,6 @@ def analyze_family(
                 "is negative"
             )
     report.certified = True
-    return report
 
 
 def export_epsilon_csv(report, fh):

@@ -2,12 +2,14 @@ import dataclasses
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from koopman_clf import analysis
 from koopman_clf.cli import main
 from koopman_clf.config import (
     SimulationParams,
@@ -16,6 +18,7 @@ from koopman_clf.config import (
     example2_config,
 )
 from koopman_clf.koopman import build_matrix
+from koopman_clf.liealg import NotSimultaneouslyTriangularizable
 from koopman_clf.selftest import run_selftest
 
 
@@ -357,6 +360,195 @@ def test_cli_analyze_maps_a_linalg_error_to_a_solvability_failure(
     assert report["epsilon"] is None
 
 
+def _pair_config(first, second, scheme="polynomial", **kwargs):
+    """A planar pair of polynomial fields, each given as two coefficient
+    tables, truncated at degree 8."""
+    return SystemConfig(
+        dimension=2,
+        truncation_degree=8,
+        subsystems=[(first, None), (second, None)],
+        scheme_kind=scheme,
+        **kwargs,
+    )
+
+
+def _overflowing_dd_config():
+    # a finite coefficient whose squared coupling overflows a float
+    data = example1_config(degree=8).to_json_dict()
+    data["subsystems"][1]["coefficients"][1]["re"] = -1e160
+    data["scheme"]["kind"] = "diagonal_dominance"
+    return SystemConfig.from_json_dict(data)
+
+
+def _raising(exc):
+    def patch(real):
+        def fail(*args, **kwargs):
+            raise exc
+
+        return fail
+
+    return patch
+
+
+def _same_degree_sup(real):
+    def patched(*args, **kwargs):
+        _, detail = real(*args, **kwargs)
+        return 0.0, {**detail, "pass": False, "same_degree_sup": 2.0}
+
+    return patched
+
+
+def _spoiled_weights(spoil):
+    def patch(real):
+        def patched(*args, **kwargs):
+            eps, eta_eff, q_sup, q_by_degree = real(*args, **kwargs)
+            return spoil(eps.copy()), eta_eff, q_sup, q_by_degree
+
+        return patched
+
+    return patch
+
+
+def _nan_weight(eps):
+    eps[3] = math.nan
+    return eps
+
+
+_NUM = r"(?:[-+0-9.e]+|nan|inf)"
+_STABLE = [{(1, 0): -1.0}, {(0, 1): -1.0}]
+
+# one row per way analyze stops short of a certificate: (config,
+# (analysis global, patch of it) or None, stage, exit code, message pattern)
+FAILURES = {
+    "not-solvable": (
+        _pair_config([{(1, 0): -1.0, (0, 1): 1.0}, {(0, 1): -1.0}],
+                     [{(1, 0): -1.0}, {(1, 0): 1.0, (0, 1): -1.0}]),
+        None, "solvability", 2,
+        r"the Lie algebra generated by the Jacobians is not solvable: derived "
+        r"series dimensions \[[0-9, ]+\] do not reach zero",
+    ),
+    "no-common-flag": (
+        example1_config(degree=8),
+        ("simultaneous_triangularize",
+         _raising(NotSimultaneouslyTriangularizable("no common eigenvector"))),
+        "solvability", 2,
+        r"solvability holds numerically but no common flag was found: "
+        r"no common eigenvector",
+    ),
+    "unstable": (
+        _pair_config([{(1, 0): 1.0}, {(0, 1): -1.0}], _STABLE),
+        None, "stability", 3,
+        r"a subsystem Jacobian has an eigenvalue with non-negative real part; "
+        r"every subsystem must be exponentially stable at the origin",
+    ),
+    "polynomial-scheme": (
+        example1_config(b=0.5, degree=8), None, "scheme", 3,
+        rf"uniform-split condition failed: the xi-free coupling ratio reaches "
+        rf"{_NUM} >= 1 at degree [0-9]+",
+    ),
+    "derived-xi": (
+        _pair_config([{(1, 0): -1.0, (0, 1): 5.0}, {(0, 1): -1.0}], _STABLE,
+                     "diagonal_dominance"),
+        None, "scheme", 3,
+        r"no admissible xi: the dominance inequalities require xi > 5",
+    ),
+    "dominance-caller-xi": (
+        _pair_config([{(1, 0): -1.0, (0, 1): 0.5}, {(0, 1): -1.0}], _STABLE,
+                     "diagonal_dominance", xi=0.3),
+        None, "scheme", 3,
+        r"diagonal-dominance inequalities fail at xi=0.3 \(need xi > 0.5\)",
+    ),
+    "same-degree-sup": (
+        example2_config(mu=3.0, degree=8),
+        ("certified_radius_dd", _same_degree_sup), "scheme", 3,
+        r"same-degree coupling ratio reaches 2 >= 1",
+    ),
+    "non-finite-ratios": (
+        _overflowing_dd_config(), None, "scheme", 3,
+        rf"coupling ratios are not finite: same-degree sup {_NUM}, "
+        rf"cross-degree sup {_NUM}, extrapolated nan",
+    ),
+    "divergence": (
+        example1_config(degree=8),
+        ("epsilon_sequence", _spoiled_weights(np.ones_like)), "convergence", 4,
+        r"weight series diverges at rho=1: per-degree decay ratio 1 times "
+        r"rho\^2 is not below one",
+    ),
+    "non-finite-weight": (
+        example1_config(degree=8),
+        ("epsilon_sequence", _spoiled_weights(_nan_weight)), "convergence", 4,
+        rf"weights or convergence numbers are not finite and positive: smallest "
+        rf"weight nan, partial sum {_NUM}, tail bound {_NUM}, ratio {_NUM}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_cli_analyze_records_each_failure_stage(tmp_path, capsys, monkeypatch, case):
+    config, patch, stage, code, pattern = FAILURES[case]
+    if patch is not None:
+        name, make = patch
+        monkeypatch.setattr(analysis, name, make(getattr(analysis, name)))
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(config.to_json())
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == code
+    report = json.loads(out.read_text())
+    assert report["certified"] is False
+    assert report["failure"]["stage"] == stage
+    assert re.fullmatch(pattern, report["failure"]["message"])
+    assert capsys.readouterr().err == f"not certified: {report['failure']['message']}\n"
+
+
+def test_a_linalg_error_after_the_solvability_analysis_propagates(monkeypatch):
+    monkeypatch.setattr(
+        analysis, "check_poly_condition",
+        _raising(np.linalg.LinAlgError("lstsq did not converge"))(None),
+    )
+    with pytest.raises(np.linalg.LinAlgError, match="lstsq"):
+        analysis.analyze_family(example1_config(degree=6).build_family(), 6)
+
+
+def _analyze_refused(tmp_path, capsys, config, argv, message):
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(config.to_json())
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--config", str(cfg), "--out", str(out)] + argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "certified" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config,argv",
+    [
+        (example1_config(degree=8), ["--kappa", "0.5"]),
+        (example1_config(degree=8), ["--kappa", "nan"]),
+        (dataclasses.replace(example1_config(degree=8), kappa=0.5), []),
+    ],
+    ids=["option", "option-nan", "config"],
+)
+def test_cli_analyze_refuses_a_kappa_under_the_polynomial_scheme(
+    tmp_path, capsys, config, argv
+):
+    _analyze_refused(
+        tmp_path, capsys, config, argv, "polynomial scheme takes no kappa"
+    )
+
+
+@pytest.mark.parametrize("xi", ["1.5", "1.0", "0"])
+def test_cli_analyze_refuses_a_dominance_xi_outside_the_unit_interval(
+    tmp_path, capsys, xi
+):
+    _analyze_refused(
+        tmp_path, capsys, example2_config(mu=3.0, degree=8), ["--xi", xi],
+        "xi must lie in (0, 1)",
+    )
+
+
 def test_cli_analyze_reports_scheme_failure(tmp_path, capsys):
     cfg = tmp_path / "sys.json"
     assert main(["example1", "--b", "0.5", "--out", str(cfg)]) == 0
@@ -644,7 +836,7 @@ def test_cli_rejects_bad_numeric_arguments_with_exit_2(tmp_path, capsys, argv, m
     assert not out.exists()
 
 
-def test_cli_selftest_passes_and_detects_mutation(capsys):
+def test_cli_selftest_passes_and_detects_mutation(capsys, monkeypatch):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
@@ -657,8 +849,9 @@ def test_cli_selftest_passes_and_detects_mutation(capsys):
             kmat, v=np.where(kmat.j == kmat.k, kmat.v, -kmat.v)
         )
 
+    monkeypatch.setattr("koopman_clf.selftest.build_matrix", sign_flipped)
     out = io.StringIO()
-    assert run_selftest(build=sign_flipped, out=out) == 1
+    assert run_selftest(out=out) == 1
     assert "FAIL bracket-identity" in out.getvalue()
 
 
