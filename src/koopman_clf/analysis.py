@@ -448,7 +448,7 @@ def analyze_family(
     far the analysis got.  A ``LinAlgError`` from the Lie closure, the
     solvability test or the triangularization is a solvability failure.
     A derived dominance xi >= 1 is a scheme failure; a caller's xi or
-    kappa that the scheme refuses raises ValueError.
+    kappa that the scheme refuses raises ValueError before any analysis.
     """
     if isinstance(family, (list, tuple)):
         family = SwitchedFamily(family)
@@ -459,6 +459,11 @@ def analyze_family(
         raise ValueError(f"unknown scheme kind {scheme_kind!r}")
     if rho_request is not None and not 0 < rho_request <= 1:
         raise ValueError("rho_request must lie in (0, 1]")
+    # only a derived dominance xi waits for the flag coordinates; any other
+    # scheme checks the caller's xi and kappa before the analysis starts
+    scheme = None
+    if kind == "polynomial" or xi is not None:
+        scheme = _weight_scheme(kind, xi, kappa)
     basis = build_basis(family.dimension, truncation_degree)
     report = CertificateReport(
         dimension=family.dimension,
@@ -469,16 +474,28 @@ def analyze_family(
         eta_requested=eta,
     )
     try:
-        _certify(report, family, basis, xi, kappa, rho_request)
+        _certify(report, family, basis, scheme, kappa, rho_request)
     except _Failure as exc:
         stage, message = exc.args
         report.failure = {"stage": stage, "message": message}
     return report
 
 
-def _certify(report, family, basis, xi, kappa, rho_request):
+def _weight_scheme(kind, xi, kappa):
+    """``WeightScheme(kind, xi, kappa)`` with the defaults: polynomial xi
+    0.99, dominance kappa 0.98 (1 - xi)."""
+    if kind == "polynomial":
+        xi = 0.99 if xi is None else xi
+    elif kappa is None:
+        kappa = 0.98 * (1.0 - xi)
+    return WeightScheme(kind, float(xi), None if kappa is None else float(kappa))
+
+
+def _certify(report, family, basis, scheme, kappa, rho_request):
     """The pipeline behind ``analyze_family``: fills ``report`` stage by
-    stage and raises _Failure at the first hypothesis that fails."""
+    stage and raises _Failure at the first hypothesis that fails.  With
+    ``scheme`` None, the dominance xi is derived from the flag
+    coordinates' Jacobians and the scheme built with ``kappa``."""
     n = family.dimension
     kind = report.scheme_kind
     eta = report.eta_requested
@@ -542,23 +559,18 @@ def _certify(report, family, basis, xi, kappa, rho_request):
     ops = [build_operator(h, basis) for h in hats]
     report.term_counts = [int(op.coupling_count) for op in ops]
 
-    if kind == "polynomial":
-        xi = 0.99 if xi is None else float(xi)
-    else:
+    if kind == "diagonal_dominance":
         xi_min = dominance_xi_min([h.jacobian_at_origin() for h in hats])
-        if xi is None:
-            xi = max(1.01 * xi_min, 1e-6)
-            if xi >= 1.0:
-                report.xi = xi
-                raise _Failure(
-                    "scheme",
-                    "no admissible xi: the dominance inequalities require "
-                    f"xi > {xi_min:.6g}",
-                )
-        else:
-            xi = float(xi)
-        kappa = 0.98 * (1.0 - xi) if kappa is None else float(kappa)
-    scheme = WeightScheme(kind, xi, kappa)
+    if scheme is None:
+        xi = max(1.01 * xi_min, 1e-6)
+        if xi >= 1.0:
+            report.xi = xi
+            raise _Failure(
+                "scheme",
+                "no admissible xi: the dominance inequalities require "
+                f"xi > {xi_min:.6g}",
+            )
+        scheme = _weight_scheme(kind, xi, kappa)
     report.xi, report.kappa = scheme.xi, scheme.kappa
     scan = coupling_scan(ops, basis, scheme)
     if kind == "polynomial":
@@ -584,7 +596,7 @@ def _certify(report, family, basis, xi, kappa, rho_request):
             if not detail["dominance_ok"]:
                 msg = (
                     "diagonal-dominance inequalities fail at "
-                    f"xi={xi:.6g} (need xi > {detail['xi_min']:.6g})"
+                    f"xi={scheme.xi:.6g} (need xi > {detail['xi_min']:.6g})"
                 )
             elif detail["same_degree_sup"] >= 1.0:
                 msg = (

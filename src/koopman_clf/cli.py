@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -232,6 +233,7 @@ def build_parser():
     p.add_argument("--kappa", type=float, help="override scheme parameter kappa")
     p.add_argument("--rho", type=float, help="request a radius <= the certified one")
     p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.set_defaults(run=cmd_analyze)
 
     p = sub.add_parser("simulate", help="audit a certificate by simulation")
     p.add_argument("--config", required=True)
@@ -242,6 +244,7 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--dt", type=float)
     p.add_argument("--trace", help="write the first run's trace CSV here")
+    p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser(
         "figure-rho", help="certified-radius curve of the analytic example"
@@ -253,36 +256,30 @@ def build_parser():
     p.add_argument("--certify", action="store_true",
                    help="also run the pipeline at each mu")
     p.add_argument("--out", default="-")
+    p.set_defaults(run=cmd_figure_rho)
 
-    sub.add_parser("selftest", help="internal consistency checks")
+    p = sub.add_parser("selftest", help="internal consistency checks")
+    p.set_defaults(run=cmd_selftest)
 
     p = sub.add_parser("example1", help="write the polynomial pair config")
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--b", type=float, default=0.3)
     p.add_argument("--degree", type=int, default=12)
     p.add_argument("--out", default="-")
+    p.set_defaults(run=partial(cmd_example, which=1))
 
     p = sub.add_parser("example2", help="write the analytic pair config")
     p.add_argument("--mu", type=float, default=3.0)
     p.add_argument("--degree", type=int, default=20)
     p.add_argument("--out", default="-")
+    p.set_defaults(run=partial(cmd_example, which=2))
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "analyze":
-        return cmd_analyze(parser, args)
-    if args.command == "simulate":
-        return cmd_simulate(parser, args)
-    if args.command == "figure-rho":
-        return cmd_figure_rho(parser, args)
-    if args.command == "selftest":
-        return cmd_selftest(parser, args)
-    if args.command == "example1":
-        return cmd_example(parser, args, 1)
-    return cmd_example(parser, args, 2)
+    return args.run(parser, args)
 
 
 if __name__ == "__main__":

@@ -11,11 +11,13 @@ recorded trajectory is the same kernel with one signal and one point.
 The kernel keeps the states points-last, as one contiguous (n, R) array
 ``ZT`` of R = signals x points columns, and hands ``flow_step`` and the
 certificate the (R, n) view ``ZT.T``.  Each integration owns one
-``FieldScratch`` over the whole family and one ``ValueScratch`` for V:
-a step is one ``flow_step`` of every live row, each under the subsystem
-its signal selects, and the flag coordinates, their moduli and V reuse
-the same arrays every step, so the step loop allocates no batch-sized
-array.
+``FieldScratch`` over the whole family and one ``ValueScratch`` for V,
+both for all R rows: a step is one ``flow_step`` of every row, each
+under the subsystem its signal selects, and the flag coordinates, their
+moduli and V reuse the same arrays every step, so the step loop
+allocates no batch-sized array.  A signal whose steps run out before
+the longest one's takes zero-length steps, which leave its rows as they
+are.
 """
 
 import math
@@ -134,44 +136,44 @@ def _step_plan(signal, dt):
 # A mixed step evaluates every active subsystem's terms on every row and
 # keeps each row's own values, so a row may overflow in terms it never
 # uses; an overflow in its own terms ends in NonFiniteStateError.  Either
-# way numpy's warnings would add nothing.
+# way numpy's warnings would add nothing; nor would they for the 0 / 0
+# rate of a row whose plan has ended, which is replaced.
 @np.errstate(over="ignore", invalid="ignore")
 def _integrate(family, plans, points, clf=None, record=False):
     """Integrate every point under every step plan as one (S*P, n) batch.
 
-    Row s*P + p follows plans[s] from points[p] while that plan has steps
-    left.  The states are stored points-last, ``Z`` being the view
-    ``ZT.T``.  Each step is one ``flow_step`` over the family's scratch,
-    which knows each row's subsystem from the last regroup: in place on
-    every row while all plans run, and on the live rows, taken into the
-    scratch and scattered back, once some have ended.  Flag coordinates,
-    their moduli and V then fill the certificate's scratch, and the
-    escape test reads the same moduli.
+    Row s*P + p follows plans[s] from points[p].  Every row is stepped on
+    every step: a plan shorter than the longest is padded with
+    zero-length steps under its last subsystem, and a zero-length RK4
+    step gives back a finite state unchanged wherever its field is
+    finite.  The states are stored points-last, ``Z`` being the
+    view ``ZT.T``.  Each step is one ``flow_step`` of the whole batch, in
+    place, over the family's scratch, which knows each row's subsystem
+    from the last switch.  Flag coordinates, their moduli and V then fill
+    the certificate's scratch, and the escape test reads the same moduli.
     Returns the final states, escape flags and times, the largest relative
-    one-step V increase, the largest rate (V_next - V) / (h V) with where
-    it occurs, and with ``record`` the states and V after every step.
+    one-step V increase, the largest rate (V_next - V) / (h V) over the
+    steps of nonzero length with where it occurs, and with ``record`` the
+    states and V after every step.
     """
     S, P = len(plans), len(points)
-    counts = np.array([len(plan[0]) for plan in plans])
-    L, all_live = int(counts.max()), int(counts.min())
-    H, SUB, T = (  # each (L, S), padded with zeros
-        np.stack([np.pad(c, (0, L - len(c))) for c in column], axis=1)
-        for column in zip(*plans)
+    L = max(len(plan[0]) for plan in plans)
+    H, SUB, T = (  # each (L, S); H and T padded with zeros
+        np.stack([np.pad(c, (0, L - len(c)), mode) for c in column], axis=1)
+        for column, mode in zip(zip(*plans), ("constant", "edge", "constant"))
     )
     one_h = (H == H[:, :1]).all(axis=1).tolist()
-    # the rows of each subsystem change only at a switch or where a plan ends
+    # the rows of each subsystem change only at a switch
     regroup = np.r_[True, (SUB[1:] != SUB[:-1]).any(axis=1)]
-    regroup[counts[counts < L]] = True
     ZT = np.tile(np.asarray(points, dtype=complex).T, (1, S))
     Z = ZT.T
     R = len(Z)
     fs = FieldScratch(family, R)
-    # per-row buffers: subsystem and step of every row, then the live
-    # rows' indices, subsystems and steps, and two for the V increments
-    signal_rows = np.arange(R).reshape(S, P)
-    live = signal_rows.ravel()
-    sub_all, sub_live, live_buf = np.empty((3, R), dtype=np.intp)
-    h_all, h_live, dv, rate_buf, v_prev = np.empty((5, R))
+    # per-row buffers: subsystem, step and zero-step flag of every row,
+    # and three for the V increments
+    sub_all = np.empty(R, dtype=np.intp)
+    idle = np.empty(R, dtype=bool)
+    h_all, dv, rate_buf, v_prev = np.empty((4, R))
     if clf is None:
         mod = np.empty(Z.shape)
         np.abs(Z, out=mod)
@@ -183,49 +185,33 @@ def _integrate(family, plans, points, clf=None, record=False):
     max_rel, worst, worst_at = 0.0, None, None
     states, values = [Z.copy()], [None if clf is None else v.copy()]
     for l in range(L):
-        tail = l >= all_live
         if regroup[l]:
             sub_all.reshape(S, P)[:] = SUB[l, :, None]
-            if tail:
-                alive = np.flatnonzero(counts > l)
-                m = len(alive) * P
-                live = live_buf[:m]
-                signal_rows.take(alive, 0, live.reshape(-1, P), "wrap")
-                fs.select(sub_all.take(live, 0, sub_live[:m], "wrap"))
-            else:
-                fs.select(sub_all)
+            fs.select(sub_all)
         if one_h[l]:
             h = float(H[l, 0])
         else:
             h_all.reshape(S, P)[:] = H[l, :, None]
-            h = h_all.take(live, 0, h_live[:m], "wrap") if tail else h_all
-        if tail:
-            zg = ZT.take(live, 1, fs.z, "wrap")
-            flow_step(family, zg.T, h[:, None], fs, out=zg.T)
-            ZT[:, live] = zg
-        else:
-            flow_step(family, Z, h if one_h[l] else h[:, None], fs, out=Z)
+            h = h_all
+        flow_step(family, Z, h if one_h[l] else h[:, None], fs, out=Z)
         if clf is None:
             np.abs(Z, out=mod)
         else:
             np.copyto(v_prev, v)
             v = clf.value_batch(clf.hat(Z, out=vs.zh), hat=True, scratch=vs)
-        rows = live if tail else slice(None)
         if mod.max() >= 1.0 - ESCAPE_TOL:
-            out = mod[rows].max(axis=1) >= 1.0 - ESCAPE_TOL
-            new = live[out & np.isnan(escape_time[rows])]
+            out = mod.max(axis=1) >= 1.0 - ESCAPE_TOL
+            new = np.flatnonzero(out & np.isnan(escape_time))
             escape_time[new] = T[l, new // P]
         if clf is not None:
-            now, before = v, v_prev
-            if tail:
-                now = v.take(live, 0, dv[:m], "wrap")
-                before = v_prev.take(live, 0, rate_buf[:m], "wrap")
-            rel = np.subtract(now, before, out=dv[:len(now)])
-            den = np.maximum(before, 1e-300, out=rate_buf[:len(now)])
+            rel = np.subtract(v, v_prev, out=dv)
+            den = np.maximum(v_prev, 1e-300, out=rate_buf)
             rel = np.divide(rel, den, out=rel)
             rate = np.divide(rel, h, out=den)
+            if not one_h[l]:  # a row whose plan has ended has no rate
+                np.putmask(rate, np.equal(h, 0.0, out=idle), -np.inf)
             i = int(rate.argmax())  # argmax stops at the first NaN
-            s, p = divmod(int(live[i]), P)
+            s, p = divmod(i, P)
             if not math.isfinite(rate[i]):
                 raise NonFiniteStateError(f"non-finite V at t={float(T[l, s])!r}")
             max_rel = max(max_rel, float(rel.max()))

@@ -23,9 +23,10 @@ Runge-Kutta stages.  A scratch plans one field or a whole family: the
 family's terms are concatenated, each row is stepped by the field
 ``select`` gives it, and a step forms the monomials of the fields that
 hold a row once and contracts each such field's slice of them.  A
-scratch belongs to whoever made it, never to a field:
-``evaluate`` and a plain ``flow_step`` call make their own, and an
-integration makes one over the family and reuses it every step, so a
+scratch is made for a fixed number of rows and refuses any other batch
+size.  It belongs to whoever made it, never to a field: ``evaluate``
+and a plain ``flow_step`` call make their own, and an integration makes
+one over the family for all its rows and reuses it every step, so a
 step allocates no batch-sized array and concurrent integrations of one
 family never share one.
 """
@@ -165,7 +166,7 @@ class PolyVectorField:
         """Evaluate at one point (n,) or a batch (B, n)."""
         z, zT = _points_last(self, z)
         scratch = FieldScratch(self, zT.shape[1])
-        return scratch.evaluate(scratch.load(zT)).T.reshape(z.shape).copy()
+        return scratch.evaluate(np.ascontiguousarray(zT)).T.reshape(z.shape).copy()
 
     def __repr__(self):
         terms = sum(len(c) for c in self.components)
@@ -237,22 +238,9 @@ def _points_last(field, z):
     return z, z.reshape(-1, n).T
 
 
-def _cut(store, shapes, dtype):
-    """Views of the given shapes cut one after another from ``store``, a
-    flat array that is replaced by a larger one when it is too small.
-    Returns the store and the views."""
-    sizes = [math.prod(shape) for shape in shapes]
-    if sum(sizes) > store.size:
-        store = np.empty(sum(sizes), dtype=dtype)
-    return store, [
-        store[end - size:end].reshape(shape)
-        for shape, size, end in zip(shapes, sizes, accumulate(sizes))
-    ]
-
-
 class FieldScratch:
     """Field plan and work arrays of one caller's points-last evaluations
-    and RK4 steps, over one field or a whole family.
+    and RK4 steps of ``rows`` points, over one field or a whole family.
 
     ``fields`` is a ``PolyVectorField`` or a sequence of them (a
     ``SwitchedFamily``); a single field is a family of one.  The plan
@@ -260,17 +248,16 @@ class FieldScratch:
     another, K terms in all; field i keeps its (n, K_i) coefficients and
     its K-slice ``terms[i]``.  ``select`` says which field steps each row.
 
-    For a batch of B points the scratch holds the (P + 1, n, B) power
-    table up to the family's largest exponent P, the (K, B) monomials,
-    the (n, B) field values ``k``, one field's values in a mixed batch,
-    a contiguous copy of the points, and for ``flow_step`` a stage input
-    ``stage``, the running Runge-Kutta sum ``acc`` and per-row half,
-    sixth and whole steps ``steps`` filled from one (3, B) real row
-    ``steps_row``; in a mixed selection a boolean (n, B) array per active
-    field after the first holds its row mask.  The arrays are views into
-    stores that grow to the largest batch seen; ``shape_for`` re-cuts
-    them when the batch size changes.
-    Whoever makes a scratch owns it: every evaluation overwrites it.
+    The scratch holds the (P + 1, n, rows) power table up to the family's
+    largest exponent P, the (K, rows) monomials, the (n, rows) field
+    values ``k``, one field's values in a mixed batch, and for
+    ``flow_step`` a stage input ``stage``, the running Runge-Kutta sum
+    ``acc`` and per-row half, sixth and whole steps ``steps`` filled from
+    one (3, rows) real row ``steps_row``; in a mixed selection a boolean
+    (n, rows) array per active field after the first holds its row mask.
+    Every array is made once, here, and the scratch refuses a batch of any
+    other size.  Whoever makes a scratch owns it: every evaluation
+    overwrites it.
     """
 
     def __init__(self, fields, rows):
@@ -281,36 +268,28 @@ class FieldScratch:
         self.terms = [slice(end - K, end) for K, end in zip(sizes, accumulate(sizes))]
         # each term's power-table rows, over the whole family
         self._factors = [rows for f in fields for rows in f._gather.T.tolist()]
-        self.rows = None
-        self._store = np.empty(0, dtype=complex)
-        self._flags = np.empty(0, dtype=bool)
+        n, K = fields[0].dimension, len(self._factors)
+        top = max(f._max_pow for f in fields)
+        self.rows = rows
+        self.pows = np.empty((top + 1, n, rows), dtype=complex)
+        self.pows[0] = 1
+        self.table = self.pows.reshape((top + 1) * n, rows)
+        self.mono = np.empty((K, rows), dtype=complex)
+        self.k, self.part, self.stage, self.acc = np.empty((4, n, rows), dtype=complex)
+        self.steps = np.empty((3, n, rows), dtype=complex)
+        self.steps_row = np.empty((3, rows))
+        self._flags = np.empty((len(fields) - 1, n, rows), dtype=bool)
         self.active, self.masks = ((0,) if len(fields) == 1 else ()), ()
-        self.shape_for(rows)
+        self._compile()
 
-    def shape_for(self, rows):
-        """Cut the arrays for ``rows`` points; returns the scratch.  A
-        per-row selection does not survive a new batch size."""
+    def _require_rows(self, rows):
         if rows != self.rows:
-            n, K = self.fields[0].dimension, len(self._factors)
-            top = max(f._max_pow for f in self.fields)
-            shapes = ([(top + 1, n, rows), (K, rows)] + [(n, rows)] * 5
-                      + [(3, n, rows), (3, rows)])
-            self._store, arrays = _cut(self._store, shapes, complex)
-            (self.pows, self.mono, self.k, self.part, self.z, self.stage,
-             self.acc, self.steps, steps_row) = arrays
-            self.steps_row = steps_row.real
-            self.pows[0] = 1
-            self.table = self.pows.reshape(len(self.pows) * n, rows)
-            self.rows = rows
-            if len(self.active) > 1:
-                self.active, self.masks = (), ()
-            self._compile()
-        return self
+            raise ValueError(f"scratch holds {self.rows} rows, not {rows}")
 
     def select(self, sub):
         """Choose the field that steps each row: ``sub`` is one field index
-        for every row, or an integer array with one index per row, which
-        also sets the batch size.  Returns the scratch.
+        for every row, or an integer array with one index per row.
+        Returns the scratch.
 
         The step then evaluates only the fields that hold a row: their
         monomials, and each one's contraction over the whole batch; in a
@@ -320,12 +299,10 @@ class FieldScratch:
         if np.ndim(sub) == 0:
             active, masks = (int(sub),), ()
         else:
-            self.shape_for(len(sub))
+            self._require_rows(len(sub))
             held = np.bincount(sub, minlength=len(self.fields))
             active = tuple(np.flatnonzero(held).tolist())
-            self._flags, (masks,) = _cut(
-                self._flags, [(max(len(active) - 1, 0), *self.k.shape)], bool
-            )
+            masks = self._flags[:len(active[1:])]
             for mask, i in zip(masks, active[1:]):
                 np.equal(sub, i, out=mask[0])  # row by row: no broadcast buffer
                 np.copyto(mask[1:], mask[0])
@@ -334,13 +311,6 @@ class FieldScratch:
             self.active = active
             self._compile()
         return self
-
-    def load(self, zT):
-        """``zT`` when it is contiguous, else its copy in ``self.z``."""
-        if zT.flags.c_contiguous:
-            return zT
-        np.copyto(self.z, zT)
-        return self.z
 
     def _compile(self):
         """The selected fields' work as views of the current arrays: the
@@ -400,20 +370,23 @@ def flow_step(field, z, dt, scratch=None, out=None):
     or a batch (B, n); ``dt`` is a scalar or a (B, 1) array of per-row
     steps.  The step runs points-last on ``z.T`` (copied once when it is
     not contiguous) inside ``scratch``, a ``FieldScratch`` of ``field``
-    that is made for the call when none is given: the four stages, their
-    inputs and the weighted sum ((k1 + 2 k2) + 2 k3 + k4) * (dt / 6) + z
-    are all computed in place.  The new state is written to ``out`` (any
-    array of z's shape, z itself included) or to a new array, and
-    returned; it never shares memory with the scratch, and ``z`` is read
-    only.  Raises NonFiniteStateError, before anything is written to
-    ``out``, when the new state is not finite.
+    for B rows that is made for the call when none is given: the four
+    stages, their inputs and the weighted sum
+    ((k1 + 2 k2) + 2 k3 + k4) * (dt / 6) + z are all computed in place.
+    The new state is written to ``out`` (any array of z's shape, z itself
+    included) or to a new array, and returned; it never shares memory
+    with the scratch, and ``z`` is read only.  Raises ValueError when the
+    scratch belongs to another field or holds another number of rows, and
+    NonFiniteStateError, before anything is written to ``out``, when the
+    new state is not finite.
     """
     z, zT = _points_last(field, z)
     if scratch is None:
         scratch = FieldScratch(field, zT.shape[1])
     elif scratch.field is not field:
         raise ValueError("scratch belongs to another field")
-    zT = scratch.shape_for(zT.shape[1]).load(zT)
+    scratch._require_rows(zT.shape[1])
+    zT = np.ascontiguousarray(zT)
     F, k, st, acc = scratch.evaluate, scratch.k, scratch.stage, scratch.acc
     steps, row = scratch.steps, scratch.steps_row
     if isinstance(dt, np.ndarray):
@@ -506,18 +479,18 @@ def boundary_invariance_check(field, rho):
     worst_point = None
     scratch = FieldScratch(field, count)  # one plan for every face
     for face in range(n):
-        z = np.zeros((count, n), dtype=complex)
+        zT = np.zeros((n, count), dtype=complex)  # points-last
         phases = 2.0 * np.pi * np.arange(count) / count
-        z[:, face] = rho * np.exp(1j * phases)
+        zT[face] = rho * np.exp(1j * phases)
         others = [c for c in range(n) if c != face]
         for values, c in zip(fill, others):
-            z[:, c] = values
-        values = scratch.evaluate(scratch.load(z.T))[face]
-        vals = np.real(values * np.conj(z[:, face]))
+            zT[c] = values
+        values = scratch.evaluate(zT)[face]
+        vals = np.real(values * np.conj(zT[face]))
         i = int(np.argmax(vals))
         if vals[i] > worst:
             worst = float(vals[i])
-            worst_point = z[i].copy()
+            worst_point = zT[:, i].copy()
     return BoundaryReport(
         holds=bool(worst < 0.0),
         worst_value=worst,

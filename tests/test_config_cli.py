@@ -549,6 +549,28 @@ def test_cli_analyze_refuses_a_dominance_xi_outside_the_unit_interval(
     )
 
 
+@pytest.mark.parametrize(
+    "config,kw,message",
+    [
+        (example1_config(degree=8), dict(kappa=0.5), "takes no kappa"),
+        (example1_config(degree=8), dict(xi=1.5), "xi must lie in"),
+        (example2_config(mu=3.0, degree=8), dict(xi=0.5, kappa=0.6), "xi + kappa"),
+    ],
+    ids=["polynomial-kappa", "polynomial-xi", "dominance-xi-kappa"],
+)
+def test_a_refused_xi_or_kappa_raises_before_the_lie_closure(
+    monkeypatch, config, kw, message
+):
+    monkeypatch.setattr(
+        analysis, "close_under_bracket",
+        _raising(AssertionError("the Lie closure ran"))(None),
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        analysis.analyze_family(
+            config.build_family(), 8, scheme_kind=config.scheme_kind, **kw
+        )
+
+
 def test_cli_analyze_reports_scheme_failure(tmp_path, capsys):
     cfg = tmp_path / "sys.json"
     assert main(["example1", "--b", "0.5", "--out", str(cfg)]) == 0

@@ -558,30 +558,35 @@ def test_interleaved_audits_and_runs_match_each_alone():
 
 def test_rows_whose_plan_has_ended_keep_their_state_bit_for_bit():
     # plan 0 drives its rows to about 1e119 under the fast linear field
-    # and ends; its rows are then never stepped, so the cubic field, the
-    # padded subsystem 0 of the finished plan, never overflows on them
+    # and ends; its rows then take zero-length steps under that field in
+    # a mixed batch, while plan 1's rows run under the cubic field.  The
+    # cubic terms overflow on the ended rows, but each row keeps only its
+    # own field's values, so nothing raises
     fam = SwitchedFamily(
         [PolyVectorField([{(3,): -1.0}]), PolyVectorField([{(1,): 40.0}])]
     )
     plans = [
         _step_plan(SwitchingSignal((7.8,), (1,), 7.8), 0.1),
-        _step_plan(SwitchingSignal((4.0, 6.0), (0, 1), 10.0), 0.1),
+        _step_plan(SwitchingSignal((10.0,), (0,), 10.0), 0.1),
     ]
     pts = np.array([[0.5], [0.3]], dtype=complex)
     run = _integrate(fam, plans, pts, record=True)
     end = len(plans[0][0])
-    assert end < len(plans[1][0])
+    assert end < len(plans[1][0]) and plans[0][1][-1] == 1
+    assert np.all(plans[1][1][end:] == 0)
     ended = run.states[end:, :2].view(np.uint64)
     assert np.all(ended == ended[0]) and np.all(np.isfinite(run.states))
     assert 1e100 < abs(run.Z[0, 0]) < 1e200
     alone = _integrate(fam, plans[:1], pts)
     assert np.array_equal(run.Z[:2], alone.Z)
-    assert run.escaped[:2].all() and run.escape_time[0] == alone.escape_time[0]
+    assert run.escaped[:2].all()
+    assert np.array_equal(run.escape_time[:2], alone.escape_time)
+    assert not run.escaped[2:].any()
 
 
 def test_integration_steps_allocate_no_batch_sized_array(monkeypatch):
     # criterion-8 sizes, 100 signals x 50 points: R = 5000 rows, and the
-    # plans end at different steps, so the padded tail runs too.  Memory
+    # plans end at different steps, so zero-length steps run too.  Memory
     # is counted from the first step on; the set-up before it allocates
     # the states and both scratches.
     fam, rep = example1_report()

@@ -355,15 +355,16 @@ def test_flow_step_on_one_point_is_the_batch_of_one():
 def test_flow_step_results_do_not_alias_the_scratch():
     rng = np.random.default_rng(13)
     f = example2_config(degree=20).build_family()[1]
-    scratch = FieldScratch(f, 64)
     Z1, Z2 = polydisk_points(rng, 2, 64, 0.5), polydisk_points(rng, 2, 40, 0.5)
+    scratch, other = FieldScratch(f, 64), FieldScratch(f, 40)
     first = flow_step(f, Z1, 0.01, scratch)
     kept = first.copy()
-    second = flow_step(f, Z2, 0.02, scratch)  # a smaller batch re-cuts the arrays
-    flow_step(f, Z1[:7], 0.03, scratch)
+    second = flow_step(f, Z2, 0.02, other)
+    flow_step(f, Z1[::-1], 0.03, scratch)  # the next step overwrites the scratch
     assert np.array_equal(first, kept)
-    for out in (first, second):
-        assert not np.shares_memory(out, scratch._store)
+    for out, owner in ((first, scratch), (second, other)):
+        arrays = [a for a in vars(owner).values() if isinstance(a, np.ndarray)]
+        assert not any(np.shares_memory(out, a) for a in arrays)
     assert np.array_equal(first, flow_step(f, Z1, 0.01))
     assert np.array_equal(second, flow_step(f, Z2, 0.02))
 
@@ -374,7 +375,7 @@ def test_flow_step_never_writes_its_input():
     ZT = np.ascontiguousarray(polydisk_points(rng, 2, 50, 0.9).T)
     for Z in (ZT.T, np.ascontiguousarray(ZT.T), ZT.T[::3]):
         before = Z.copy()
-        for scratch in (None, FieldScratch(f, 50)):
+        for scratch in (None, FieldScratch(f, len(Z))):
             flow_step(f, Z, 0.01, scratch)
             flow_step(f, Z, np.full((len(Z), 1), 0.01), scratch)
             assert np.array_equal(Z, before)
@@ -400,10 +401,10 @@ def test_flow_step_and_evaluate_take_an_empty_batch():
     empty = np.zeros((0, 2), dtype=complex)
     assert f.evaluate(empty).shape == (0, 2)
     assert flow_step(f, empty, 0.01).shape == (0, 2)
-    scratch = FieldScratch(f, 0)
     z = np.full((3, 2), 0.1 + 0j)
-    assert np.array_equal(flow_step(f, z, 0.01, scratch), flow_step(f, z, 0.01))
-    assert flow_step(f, empty, 0.01, scratch).shape == (0, 2)
+    assert np.array_equal(flow_step(f, z, 0.01, FieldScratch(f, 3)),
+                          flow_step(f, z, 0.01))
+    assert flow_step(f, empty, 0.01, FieldScratch(f, 0)).shape == (0, 2)
 
 
 def test_flow_step_rejects_the_scratch_of_another_field():
@@ -448,7 +449,8 @@ def assert_family_step_is_per_subsystem_steps(family, rng, sizes, gathered_exact
     """One step over the whole family, for rows of mixed, lone and
     one-row-per-subsystem selections, against ``flow_step`` of each
     subsystem's own field, with one step for all rows and with per-row
-    steps; one scratch serves every batch.
+    steps; each batch size has its own scratch, which serves every
+    selection.
 
     On the whole batch, the subsystem's own step agrees bit for bit on
     its rows.  On its rows alone it agrees bit for bit where
@@ -465,8 +467,8 @@ def assert_family_step_is_per_subsystem_steps(family, rng, sizes, gathered_exact
         PolyVectorField([{a: abs(v) for a, v in c.items()} for c in f.components])
         for f in family
     ]
-    scratch = FieldScratch(family, 1)
     for B in sizes:
+        scratch = FieldScratch(family, B)
         Z = polydisk_points(rng, n, B, radius)
         per_row = rng.uniform(0.001, 0.02, (B, 1))
         for sub in (rng.integers(0, S, B), np.full(B, S - 1), np.arange(B) % S):
@@ -521,13 +523,29 @@ def test_family_scratch_needs_a_selection_for_every_batch_size():
         flow_step(family, Z, 0.01)
     scratch = FieldScratch(family, 4).select(np.array([0, 1, 1, 0]))
     flow_step(family, Z, 0.01, scratch)
+    small = FieldScratch(family, 3)
     with pytest.raises(ValueError, match="no field is selected"):
-        flow_step(family, Z[:3], 0.01, scratch)  # the masks were for 4 rows
-    scratch.select(1)  # one field for every row holds at any size
-    assert np.array_equal(flow_step(family, Z[:3], 0.01, scratch),
+        flow_step(family, Z[:3], 0.01, small)  # a new scratch has no selection
+    small.select(1)  # one field for every row
+    assert np.array_equal(flow_step(family, Z[:3], 0.01, small),
                           flow_step(family[1], Z[:3], 0.01))
     with pytest.raises(ValueError, match="another field"):
         flow_step(family[1], Z, 0.01, scratch)
+
+
+def test_scratch_refuses_a_batch_of_another_size():
+    family = example1_config().build_family()
+    Z = np.full((4, 2), 0.1 + 0j)
+    scratch = FieldScratch(family, 4).select(np.array([0, 1, 1, 0]))
+    want = flow_step(family, Z, 0.01, scratch)
+    with pytest.raises(ValueError, match=r"^scratch holds 4 rows, not 3$"):
+        flow_step(family, Z[:3], 0.01, scratch)
+    with pytest.raises(ValueError, match=r"^scratch holds 4 rows, not 5$"):
+        scratch.select(np.array([0, 1, 1, 0, 1]))
+    with pytest.raises(ValueError, match=r"^scratch holds 4 rows, not 1$"):
+        flow_step(family[0], Z[0], 0.01, FieldScratch(family[0], 4))
+    # the refusals leave the selection as it was
+    assert np.array_equal(flow_step(family, Z, 0.01, scratch), want)
 
 
 # bracket --------------------------------------------------------------------
