@@ -319,8 +319,10 @@ def load_report(data):
     (epsilon, P, P_inv).  A report without a triangularization gets the
     identity for P and P_inv.  Raises
     ValueError naming the field when one is missing, of the wrong JSON
-    type or out of range; the weight count is checked against the
-    dimension and degree before anything is sized by them.
+    type or out of range, or naming P and P_inv when they are not
+    inverses to 1e-9 in every entry of P_inv P - I; the weight count is
+    checked against the dimension and degree before anything is sized by
+    them.
     """
     _json_typed("report", data, dict, "an object")
 
@@ -383,6 +385,13 @@ def load_report(data):
             _report_matrix(f"triangularization.{key}", tri.get(key), n)
             for key in ("P", "P_inv")
         )
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails
+            gap = float(np.max(np.abs(rep.P_inv @ rep.P - np.eye(n))))
+        if not gap <= 1e-9:
+            raise ValueError(
+                "report fields 'triangularization.P' and 'triangularization.P_inv' "
+                f"are not inverses: max |P_inv P - I| is {gap!r}, above 1e-9"
+            )
     return rep
 
 

@@ -135,20 +135,6 @@ def _coupled_pairs(ops, basis):
     )
 
 
-def _square(x):
-    """``x ** 2`` elementwise with Python's float power, which differs from
-    ``x * x`` in the last bit for about one value in a thousand; inf where
-    that power overflows."""
-
-    def square(t):
-        try:
-            return t**2
-        except OverflowError:
-            return math.inf
-
-    return np.fromiter(map(square, x.tolist()), float, len(x))
-
-
 def coupling_scan(ops, basis, scheme):
     """The coupled pairs of ``ops`` with their ``scheme`` and the ratio
     Q_jk of every pair as ``q``: under the polynomial scheme r / xi^2 with
@@ -159,14 +145,18 @@ def coupling_scan(ops, basis, scheme):
     p = _coupled_pairs(ops, basis)
     p.scheme = scheme
     if scheme.kind == "polynomial":
-        p.r = _square(p.count * p.e) / (p.decay_j * p.decay_k)
+        t = p.count * p.e
+        with np.errstate(over="ignore"):  # an overflow is inf: the scan fails
+            p.r = t * t / (p.decay_j * p.decay_k)
         p.q = p.r / scheme.xi**2
         return p
     n = basis.dimension
     D = (n * n - n) / 2.0
     s, c = p.same, ~p.same
     p.q = np.empty(len(s))
-    p.q[s] = _square(D * p.e[s] / scheme.xi) / (p.decay_j[s] * p.decay_k[s])
+    t = D * p.e[s] / scheme.xi
+    with np.errstate(over="ignore"):
+        p.q[s] = t * t / (p.decay_j[s] * p.decay_k[s])
     p.q[c] = p.sums[c] / (scheme.kappa**2 * p.decay_j[c] * p.decay_k[c])
     return p
 

@@ -15,11 +15,13 @@ stderr, no summary).  Reports and summaries are strict JSON; a
 non-finite number in a failed report is written as null.  selftest
 returns 1 on failure.  Usage and config errors exit with 2 via the
 argument parser; these include non-finite coefficients, tail norms or
-simulation parameters, repeated coefficients and values of the wrong
-JSON type.
+simulation parameters, repeated coefficients, values of the wrong JSON
+type, a report whose P and P_inv are not inverses, and an output path
+that cannot be written.
 """
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -47,12 +49,24 @@ from .switchsim import (
 from .vectorfield import NonFiniteStateError
 
 
-def _write_text(path, text):
+def _write_text(parser, path, text):
+    """Write ``text`` to ``path``, or to stdout for '-'; a path that
+    cannot be written is a usage error (exit 2)."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _csv_text(export, data):
+    """What ``export(data, fh)`` writes, as a string."""
+    buf = io.StringIO()
+    export(data, buf)
+    return buf.getvalue()
 
 
 def _load_config(parser, path):
@@ -88,16 +102,16 @@ def cmd_analyze(parser, args):
     except ValueError as exc:
         parser.error(str(exc))
     if args.format == "json":
-        _write_text(args.out, report.to_json())
+        _write_text(parser, args.out, report.to_json())
     else:
         if report.epsilon is None:
             parser.error("analysis stopped before weights were computed; "
                          "no CSV to write")
         prefix = args.out if args.out not in (None, "-") else "report"
-        with open(prefix + ".epsilon.csv", "w") as fh:
-            export_epsilon_csv(report, fh)
-        with open(prefix + ".ratios.csv", "w") as fh:
-            export_ratios_csv(report, fh)
+        _write_text(parser, prefix + ".epsilon.csv",
+                    _csv_text(export_epsilon_csv, report))
+        _write_text(parser, prefix + ".ratios.csv",
+                    _csv_text(export_ratios_csv, report))
     if report.certified:
         sys.stderr.write(
             f"certified: rho={report.rho_certified!r} "
@@ -140,6 +154,7 @@ def cmd_simulate(parser, args):
         sys.stderr.write(f"audit failed: {exc}\n")
         return 5
     _write_text(
+        parser,
         args.out,
         json.dumps(summary.to_json_dict(), sort_keys=True, indent=2, allow_nan=False)
         + "\n",
@@ -158,8 +173,7 @@ def cmd_simulate(parser, args):
         except NonFiniteStateError as exc:
             sys.stderr.write(f"trace failed: {exc}\n")
             return 5
-        with open(args.trace, "w") as fh:
-            export_run_csv(run, fh)
+        _write_text(parser, args.trace, _csv_text(export_run_csv, run))
     return 0 if summary.passed else 5
 
 
@@ -189,7 +203,7 @@ def cmd_figure_rho(parser, args):
             )
         rows.append(",".join(row))
     header = "mu,rho_closed_form" + (",rho_certified" if args.certify else "")
-    _write_text(args.out, header + "\n" + "\n".join(rows) + "\n")
+    _write_text(parser, args.out, header + "\n" + "\n".join(rows) + "\n")
     return 0
 
 
@@ -207,7 +221,7 @@ def cmd_example(parser, args, which):
         SystemConfig.from_json_dict(cfg.to_json_dict())
     except ValueError as exc:
         parser.error(f"invalid config: {exc}")
-    _write_text(args.out, cfg.to_json())
+    _write_text(parser, args.out, cfg.to_json())
     return 0
 
 

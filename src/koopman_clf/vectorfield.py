@@ -5,37 +5,33 @@ per component.  Components may carry an optional exact l1 norm
 (``tail_l1``) covering coefficients beyond the stored truncation, which
 downstream absolute-sum operations use instead of the truncated sum.
 
-Each field is compiled once, at construction, into an evaluation plan
-over the K stored terms of all components together: an (n, K) index of
-the power-table rows whose product is each term's monomial, and an
-(n, K) coefficient matrix holding each component's coefficients in its
-own row.
-
+A field holds only its terms; a ``FieldScratch`` plans and runs its
+evaluation, and is the only code that knows the plan's layout.
 Evaluation is points-last: a batch of B points is read as its (n, B)
 transpose, and every intermediate keeps the points along the last axis.
-The kernel fills one power-major (P + 1, n, B) table of coordinate powers
-up to the largest exponent P, one contiguous multiply per power; forms
-each of the K monomials as a product of whole rows of that table; and
-contracts the (K, B) monomials with the coefficient matrix into the
-(n, B) values.  Every array it writes lives in a ``FieldScratch``, which
-also holds the stage input and the running sum of ``flow_step``'s four
-Runge-Kutta stages.  A scratch plans one field or a whole family: the
+The scratch fills one power-major (P + 1, n, B) table of coordinate
+powers up to the largest exponent P, one contiguous multiply per power;
+forms each of the K stored terms' monomials as a product of whole rows
+of that table; and contracts the (K, B) monomials with an (n, K)
+coefficient matrix, each component's coefficients in its own row, into
+the (n, B) values.  It holds every array it writes, with the stage
+input and the running sum of ``flow_step``'s four Runge-Kutta stages.
+A scratch plans one field or a whole family, once, when it is made: the
 family's terms are concatenated, each row is stepped by the field
-``select`` gives it, and a step forms the monomials of the fields that
-hold a row once and contracts each such field's slice of them.  A
-scratch is made for a fixed number of rows and refuses any other batch
-size.  It belongs to whoever made it, never to a field: ``evaluate``
-and a plain ``flow_step`` call make their own, and an integration makes
-one over the family for all its rows and reuses it every step, so a
-step allocates no batch-sized array and concurrent integrations of one
-family never share one.
+``select`` gives it (``select`` chooses and never re-plans), and a step
+forms the monomials of the fields that hold a row once and contracts
+each such field's slice of them.  A scratch is made for a fixed number
+of rows and refuses any other batch size.  It belongs to whoever made
+it, never to a field: ``evaluate`` and a plain ``flow_step`` call make
+their own, and an integration makes one over the family for all its
+rows and reuses it every step, so a step allocates no batch-sized array
+and concurrent integrations of one family never share one.
 """
 
 import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -107,21 +103,6 @@ class PolyVectorField:
         self.degree = max(
             (sum(a) for c in self.components for a in c), default=1
         )
-        # evaluation plan: the stored terms of all components in one list;
-        # term t is the product over coordinates c of the power-table
-        # rows _gather[c, t] (row p * n + c holds z_c ** p), and
-        # _coeffs[:, t] holds its coefficient in the row of its component
-        terms = [
-            (l, alpha, c[alpha])
-            for l, c in enumerate(self.components)
-            for alpha in sorted(c, key=order_key)
-        ]
-        exps = np.array([a for _, a, _ in terms], dtype=np.intp).reshape(-1, n)
-        self._max_pow = int(exps.max()) if terms else 0
-        self._gather = np.ascontiguousarray((exps * n + np.arange(n)).T)
-        self._coeffs = np.zeros((n, len(terms)), dtype=complex)
-        for t, (l, _, v) in enumerate(terms):
-            self._coeffs[l, t] = v
 
     def stored_abs_sum(self, component):
         return float(sum(abs(v) for v in self.components[component].values()))
@@ -243,10 +224,15 @@ class FieldScratch:
     and RK4 steps of ``rows`` points, over one field or a whole family.
 
     ``fields`` is a ``PolyVectorField`` or a sequence of them (a
-    ``SwitchedFamily``); a single field is a family of one.  The plan
-    lists the power-table rows of every field's K_i terms one field after
-    another, K terms in all; field i keeps its (n, K_i) coefficients and
-    its K-slice ``terms[i]``.  ``select`` says which field steps each row.
+    ``SwitchedFamily``); a single field is a family of one, selected
+    here.  The plan is compiled here, once, from each field's
+    ``components``: its K_i terms, by component and then in basis order,
+    get an (n, K_i) coefficient matrix, their largest exponent, and one
+    product of power-table rows per monomial (row p * n + c holds
+    z_c ** p), written into the field's K_i rows of the monomials; the
+    fields' rows follow one another, K in all.  ``select`` says which
+    field steps each row: it sets the row masks and the largest exponent
+    the step needs, and builds nothing.
 
     The scratch holds the (P + 1, n, rows) power table up to the family's
     largest exponent P, the (K, rows) monomials, the (n, rows) field
@@ -264,23 +250,45 @@ class FieldScratch:
         self.field = fields
         fields = (fields,) if isinstance(fields, PolyVectorField) else tuple(fields)
         self.fields = fields
-        sizes = [f._coeffs.shape[1] for f in fields]
-        self.terms = [slice(end - K, end) for K, end in zip(sizes, accumulate(sizes))]
-        # each term's power-table rows, over the whole family
-        self._factors = [rows for f in fields for rows in f._gather.T.tolist()]
-        n, K = fields[0].dimension, len(self._factors)
-        top = max(f._max_pow for f in fields)
+        n = fields[0].dimension
+        terms = [
+            [
+                (l, alpha, c[alpha])
+                for l, c in enumerate(f.components)
+                for alpha in sorted(c, key=order_key)
+            ]
+            for f in fields
+        ]
+        self._tops = [max((max(a) for _, a, _ in t), default=0) for t in terms]
         self.rows = rows
-        self.pows = np.empty((top + 1, n, rows), dtype=complex)
+        self.pows = np.empty((max(self._tops) + 1, n, rows), dtype=complex)
         self.pows[0] = 1
-        self.table = self.pows.reshape((top + 1) * n, rows)
-        self.mono = np.empty((K, rows), dtype=complex)
+        self.mono = np.empty((sum(map(len, terms)), rows), dtype=complex)
         self.k, self.part, self.stage, self.acc = np.empty((4, n, rows), dtype=complex)
         self.steps = np.empty((3, n, rows), dtype=complex)
         self.steps_row = np.empty((3, rows))
         self._flags = np.empty((len(fields) - 1, n, rows), dtype=bool)
-        self.active, self.masks = ((0,) if len(fields) == 1 else ()), ()
-        self._compile()
+        table = self.pows.reshape(len(self.pows) * n, rows)
+        self._powers = list(zip(self.pows[:-1], self.pows[1:]))
+        self._products, self._parts, start = [], [], 0
+        for field_terms in terms:
+            mono = self.mono[start:start + len(field_terms)]
+            start += len(field_terms)
+            coeffs = np.zeros((n, len(field_terms)), dtype=complex)
+            products = []
+            for t, ((l, alpha, v), m) in enumerate(zip(field_terms, mono)):
+                coeffs[l, t] = v
+                head, *factors = [table[p * n + c] for c, p in enumerate(alpha)]
+                if factors:
+                    products.append((np.multiply, (head, factors[0], m)))
+                else:
+                    products.append((np.copyto, (m, head)))
+                products += [(np.multiply, (m, f, m)) for f in factors[1:]]
+            self._products.append(products)
+            self._parts.append((coeffs, mono))
+        self.active, self.masks = (), ()
+        if len(fields) == 1:
+            self.select(0)
 
     def _require_rows(self, rows):
         if rows != self.rows:
@@ -306,58 +314,26 @@ class FieldScratch:
             for mask, i in zip(masks, active[1:]):
                 np.equal(sub, i, out=mask[0])  # row by row: no broadcast buffer
                 np.copyto(mask[1:], mask[0])
-        self.masks = masks
-        if active != self.active:
-            self.active = active
-            self._compile()
+        self._top = max((self._tops[i] for i in active), default=0)
+        self.active, self.masks = active, masks
         return self
-
-    def _compile(self):
-        """The selected fields' work as views of the current arrays: the
-        power table up to their largest exponent, each of their monomials
-        as the product of its coordinates' rows of that table, written
-        straight into its row of the monomials (a copy when n = 1), and
-        each field's contraction."""
-        if not self.active:
-            self._plan = None
-            return
-        table, pows, mono, products = self.table, self.pows, self.mono, []
-        for i in self.active:
-            terms = self.terms[i]
-            for t in range(terms.start, terms.stop):
-                head, *factors = [table[r] for r in self._factors[t]]
-                if factors:
-                    products.append((np.multiply, (head, factors[0], mono[t])))
-                else:
-                    products.append((np.copyto, (mono[t], head)))
-                products += [(np.multiply, (mono[t], f, mono[t])) for f in factors[1:]]
-        top = max(self.fields[i]._max_pow for i in self.active)
-        self._plan = (
-            list(zip(pows[:top], pows[1:top + 1])),
-            products,
-            [(self.fields[i]._coeffs, self.mono[self.terms[i]]) for i in self.active],
-        )
 
     def evaluate(self, zT, out=None):
         """F at the contiguous points-last batch ``zT`` (n, rows), each row
         under its selected field, written to and returned as ``out``
-        (``self.k`` when not given).
-
-        Row p * n + c of the power table holds z_c ** p, so every factor
-        of a monomial is a whole row of it.
-        """
-        if self._plan is None:
+        (``self.k`` when not given)."""
+        if not self.active:
             raise ValueError("no field is selected for these rows")
-        powers, products, parts = self._plan
-        for prev, pows in powers:
+        for prev, pows in self._powers[:self._top]:
             np.multiply(prev, zT, out=pows)
-        for op, args in products:
-            op(*args)
+        for i in self.active:
+            for op, args in self._products[i]:
+                op(*args)
         out = self.k if out is None else out
-        (coeffs, terms), *rest = parts
-        np.matmul(coeffs, terms, out=out)
-        for (coeffs, terms), mask in zip(rest, self.masks):
-            np.matmul(coeffs, terms, out=self.part)
+        first, *rest = self.active
+        np.matmul(*self._parts[first], out=out)
+        for i, mask in zip(rest, self.masks):
+            np.matmul(*self._parts[i], out=self.part)
             np.putmask(out, mask, self.part)
         return out
 

@@ -22,6 +22,7 @@ from koopman_clf.certificate import (
     coupling_scan,
     degree_maxima,
 )
+from koopman_clf.multiindex import order_key
 from koopman_clf.vectorfield import PolyVectorField
 
 
@@ -41,22 +42,34 @@ def field_from_linear(matrix):
 
 
 def evaluate_batch(field_, zb):
-    """F at a (B, n) complex batch by the field's compiled plan, points
-    first: the batch is copied once into a contiguous (n, B) array, a
-    power-major (P + 1, n, B) table is filled from it, the (K, B)
-    monomials are gathered by fancy indexing, copied to (B, K) and
+    """F at a (B, n) complex batch, points first: the stored terms are
+    listed by component, then in basis order; the batch is copied once
+    into a contiguous (n, B) array, a power-major (P + 1, n, B) table is
+    filled from it, the (K, B) monomials are gathered by fancy indexing
+    (row p * n + c of the table holds z_c ** p), copied to (B, K) and
     contracted as (B, K) @ (K, n) with the coefficient matrix."""
     B, n = zb.shape
+    terms = [
+        (l, alpha)
+        for l, c in enumerate(field_.components)
+        for alpha in sorted(c, key=order_key)
+    ]
+    exps = np.array([a for _, a in terms], dtype=np.intp).reshape(-1, n)
+    gather = (exps * n + np.arange(n)).T
+    coeffs = np.zeros((len(terms), n), dtype=complex)
+    for t, (l, alpha) in enumerate(terms):
+        coeffs[t, l] = field_.components[l][alpha]
+    top = int(exps.max()) if terms else 0
     zT = np.ascontiguousarray(zb.T)
-    pows = np.empty((field_._max_pow + 1, n, B), dtype=complex)
+    pows = np.empty((top + 1, n, B), dtype=complex)
     pows[0] = 1
-    for p in range(1, field_._max_pow + 1):
+    for p in range(1, top + 1):
         np.multiply(pows[p - 1], zT, out=pows[p])
     pows = pows.reshape(-1, B)
-    mono = pows[field_._gather[0]]
+    mono = pows[gather[0]]
     for c in range(1, n):
-        mono *= pows[field_._gather[c]]
-    return np.ascontiguousarray(mono.T) @ np.ascontiguousarray(field_._coeffs.T)
+        mono *= pows[gather[c]]
+    return np.ascontiguousarray(mono.T) @ coeffs
 
 
 def dense_value_batch(clf, Z, hat=False):
@@ -182,7 +195,8 @@ def q_value(op, scheme, j, k, include_scheme_factor=True):
     polynomial-scheme value is returned with the xi^2 factor removed,
     which is the scan quantity whose sup must stay below one.  The
     dominance forms are written as the condition rounds them: xi divides
-    the entry before squaring, and kappa^2 multiplies the decay product.
+    the entry before squaring, and kappa^2 multiplies the decay product;
+    every square is the product t * t, as the scan takes it.
     """
     if not 1 <= k < j <= op.kmat.size:
         raise ValueError("need basis positions 1 <= k < j <= size")
@@ -196,13 +210,14 @@ def q_value(op, scheme, j, k, include_scheme_factor=True):
     dj, dk = basis.degree(j), basis.degree(k)
     n = basis.dimension
     if scheme.kind == "polynomial":
-        q = (op.coupling_count * e) ** 2 / denom
+        t = op.coupling_count * e
+        q = t * t / denom
         return q / scheme.xi**2 if include_scheme_factor else q
     if dj == dk:
-        D = (n * n - n) / 2.0
+        t = (n * n - n) / 2.0 * e
         if include_scheme_factor:
-            return (D * e / scheme.xi) ** 2 / denom
-        return (D * e) ** 2 / denom
+            t /= scheme.xi
+        return t * t / denom
     sums = op.col_sums[j] * op.row_sums[k]
     if include_scheme_factor:
         return sums / (scheme.kappa**2 * op.re_decay[j] * op.re_decay[k])

@@ -708,7 +708,7 @@ def _example1_config_and_report(tmp_path):
     return cfg, rpt
 
 
-def _simulate_exit(argv, capsys):
+def _cli_exit(argv, capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -726,7 +726,7 @@ def test_cli_simulate_rejects_a_report_of_another_family(tmp_path, capsys):
     out = tmp_path / "audit.json"
     argv = ["simulate", "--config", str(three), "--report", str(rpt),
             "--out", str(out), "--trials", "1", "--points", "1"]
-    code, err = _simulate_exit(argv, capsys)
+    code, err = _cli_exit(argv, capsys)
     assert code == 2 and "num_subsystems" in err
     assert not out.exists()
 
@@ -739,7 +739,7 @@ def test_cli_simulate_rejects_a_report_edited_to_uncertified(tmp_path, capsys):
     out = tmp_path / "audit.json"
     argv = ["simulate", "--config", str(cfg), "--report", str(rpt),
             "--out", str(out), "--trials", "1", "--points", "1"]
-    code, err = _simulate_exit(argv, capsys)
+    code, err = _cli_exit(argv, capsys)
     assert code == 2 and "'certified'" in err
     assert not out.exists()
 
@@ -748,6 +748,18 @@ def _set_entry(key, value):
     def edit(data):
         data["triangularization"]["P"][0][1][key] = value
     return edit
+
+
+def _scale_matrix(key, factor):
+    def edit(data):
+        for row in data["triangularization"][key]:
+            for entry in row:
+                entry["re"] *= factor
+                entry["im"] *= factor
+    return edit
+
+
+NOT_INVERSES = "'triangularization.P' and 'triangularization.P_inv'"
 
 
 @pytest.mark.parametrize(
@@ -774,6 +786,11 @@ def _set_entry(key, value):
         (_set_entry("im", math.inf), "'triangularization.P[0][1].im'"),
         (lambda d: d["triangularization"].update(P_inv=[[1.0]]),
          "'triangularization.P_inv'"),
+        # each of these passed the audit unchecked: every start at the
+        # origin, V identically 0, or half the certified radius audited
+        (_scale_matrix("P", 0.0), NOT_INVERSES),
+        (_scale_matrix("P_inv", 0.0), NOT_INVERSES),
+        (_scale_matrix("P", 0.5), NOT_INVERSES),
     ],
 )
 def test_cli_simulate_rejects_a_report_field_of_the_wrong_type_or_range(
@@ -786,9 +803,33 @@ def test_cli_simulate_rejects_a_report_field_of_the_wrong_type_or_range(
     out = tmp_path / "audit.json"
     argv = ["simulate", "--config", str(cfg), "--report", str(rpt),
             "--out", str(out), "--trials", "1", "--points", "1"]
-    code, err = _simulate_exit(argv, capsys)
+    code, err = _cli_exit(argv, capsys)
     assert code == 2 and "invalid report" in err and field in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--config", "{cfg}", "--out", "{missing}/r.json"],
+        ["analyze", "--config", "{cfg}", "--format", "csv", "--out", "{missing}/p"],
+        ["simulate", "--config", "{cfg}", "--report", "{rpt}", "--trials", "1",
+         "--points", "1", "--out", "{missing}/audit.json"],
+        ["simulate", "--config", "{cfg}", "--report", "{rpt}", "--trials", "1",
+         "--points", "1", "--out", "{tmp}/audit.json", "--trace", "{missing}/t.csv"],
+        ["example1", "--out", "{missing}/c.json"],
+        ["example2", "--out", "{missing}/c.json"],
+        ["figure-rho", "--mu-min", "2", "--mu-max", "3", "--out", "{missing}/f.csv"],
+    ],
+    ids=["analyze", "analyze-csv", "simulate", "simulate-trace", "example1",
+         "example2", "figure-rho"],
+)
+def test_cli_exits_2_on_an_output_path_that_cannot_be_written(tmp_path, capsys, argv):
+    cfg, rpt = _example1_config_and_report(tmp_path)
+    missing = tmp_path / "missing"
+    argv = [a.format(cfg=cfg, rpt=rpt, tmp=tmp_path, missing=missing) for a in argv]
+    code, err = _cli_exit(argv, capsys)
+    assert code == 2 and f"cannot write {missing}" in err
 
 
 def test_cli_figure_rho_closed_form(tmp_path):

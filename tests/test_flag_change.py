@@ -1,6 +1,8 @@
 """The change to flag coordinates: the linear substitution, the clipping
 of sub-diagonal linear dust it leaves, and a family that needs it."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from koopman_clf import analysis
 from koopman_clf.analysis import (
     _clip_subdiagonal_linear,
     analyze_family,
+    load_report,
     substitute_linear,
 )
 from koopman_clf.config import example1_config, example2_config
@@ -101,3 +104,16 @@ def test_conjugated_family_reaches_the_scheme_with_triangular_operators(
         diagonal = kmat.k == kmat.j
         assert np.array_equal(kmat.k[diagonal], np.arange(1, kmat.size + 1))
         assert np.all(kmat.v[diagonal].real < 0)
+
+
+def test_a_complex_triangularization_round_trips_through_load_report():
+    # P_inv P - I of the loaded pair is about 1e-16 here, far inside the
+    # 1e-9 that load_report allows
+    S_c = np.array([[1.0, 0.4j], [-0.3, 1.0]])
+    S_c_inv = np.linalg.inv(S_c)
+    family = [substitute_linear(f, S_c_inv, S_c) for f in example1_split_pair()]
+    report = analyze_family(family, 8)
+    assert np.any(report.P.imag != 0) and not np.allclose(report.P, np.eye(2))
+    loaded = load_report(json.loads(report.to_json()))
+    assert np.array_equal(loaded.P, report.P)
+    assert np.array_equal(loaded.P_inv, report.P_inv)

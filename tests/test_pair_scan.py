@@ -79,7 +79,8 @@ def pair_values(ops, value_fn):
 
 
 def poly_value(i, op, k, j, e):
-    return (op.coupling_count * e) ** 2 / (op.re_decay[j] * op.re_decay[k])
+    t = op.coupling_count * e
+    return t * t / (op.re_decay[j] * op.re_decay[k])
 
 
 def dd_values(basis, xi, kappa):
@@ -89,7 +90,8 @@ def dd_values(basis, xi, kappa):
     def same_value(i, op, k, j, e):
         if basis.degree(j) != basis.degree(k):
             return 0.0
-        return (D * e / xi) ** 2 / (op.re_decay[j] * op.re_decay[k])
+        t = D * e / xi
+        return t * t / (op.re_decay[j] * op.re_decay[k])
 
     def cross_value(i, op, k, j, e):
         if basis.degree(j) == basis.degree(k):
