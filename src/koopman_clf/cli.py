@@ -24,6 +24,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 from functools import partial
 
@@ -60,6 +61,20 @@ def _write_text(parser, path, text):
             fh.write(text)
     except OSError as exc:
         parser.error(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _check_writable(parser, path):
+    """Exit 2 now, as ``_write_text`` would later, when ``path`` cannot be
+    written; a file that the check creates is removed again."""
+    if path is None or path == "-":
+        return
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        parser.error(f"cannot write {path}: {exc.strerror or exc}")
+    if not existed:
+        os.remove(path)
 
 
 def _csv_text(export, data):
@@ -131,6 +146,8 @@ def cmd_simulate(parser, args):
         parser.error(f"cannot read report: {exc}")
     except (KeyError, ValueError, TypeError) as exc:
         parser.error(f"invalid report: {exc}")
+    for path in (args.out, args.trace):  # before the audit, not after it
+        _check_writable(parser, path)
     sim = cfg.simulation
     signals = args.trials if args.trials is not None else sim.trials
     seed = args.seed if args.seed is not None else sim.seed

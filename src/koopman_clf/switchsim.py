@@ -11,13 +11,18 @@ recorded trajectory is the same kernel with one signal and one point.
 The kernel keeps the states points-last, as one contiguous (n, R) array
 ``ZT`` of R = signals x points columns, and hands ``flow_step`` and the
 certificate the (R, n) view ``ZT.T``.  Each integration owns one
-``FieldScratch`` over the whole family and one ``ValueScratch`` for V,
-both for all R rows: a step is one ``flow_step`` of every row, each
-under the subsystem its signal selects, and the flag coordinates, their
-moduli and V reuse the same arrays every step, so the step loop
-allocates no batch-sized array.  A signal whose steps run out before
-the longest one's takes zero-length steps, which leave its rows as they
-are.
+``FieldScratch`` over the whole family for all R rows, and the step loop
+does only what must follow every step: one ``flow_step`` of every row,
+each under the subsystem its signal selects, and one ``hat`` of the new
+states into the next slot of a block of C steps.  V, the escapes and the
+decay rates are computed per block: one ``value_batch`` over the block's
+C x R rows, in one ``ValueScratch`` of that size, then one vectorised
+pass.  C is as many steps as fit in ``BLOCK_ROWS`` rows, at least one
+and at most the step count; V of a point does not depend on the batch it
+is in, so the blocks give the values that one evaluation per step would.
+Every work array is made before the first step, so the step loop
+allocates no batch-sized array.  A signal whose steps run out before the
+longest one's takes zero-length steps, which leave its rows as they are.
 """
 
 import math
@@ -39,6 +44,7 @@ from .vectorfield import (
 ESCAPE_TOL = 1e-12
 V_SLACK = 1e-9  # largest relative one-step V increase the audit accepts
 CONVERGENCE_TOL = 1e-3  # final max-modulus counted as converged
+BLOCK_ROWS = 2048  # (step, row) pairs whose V one value_batch call evaluates
 
 
 def _require_finite(**values):
@@ -146,11 +152,21 @@ def _integrate(family, plans, points, clf=None, record=False):
     every step: a plan shorter than the longest is padded with
     zero-length steps under its last subsystem, and a zero-length RK4
     step gives back a finite state unchanged wherever its field is
-    finite.  The states are stored points-last, ``Z`` being the
-    view ``ZT.T``.  Each step is one ``flow_step`` of the whole batch, in
+    finite.  The states are stored points-last, ``Z`` being the view
+    ``ZT.T``.  Each step is one ``flow_step`` of the whole batch, in
     place, over the family's scratch, which knows each row's subsystem
-    from the last switch.  Flag coordinates, their moduli and V then fill
-    the certificate's scratch, and the escape test reads the same moduli.
+    from the last switch, and one ``hat`` of the new states into slot c
+    of a (C, R, n) block.
+
+    Once the block's C steps are taken, or the plans end, one
+    ``value_batch`` gives V at its C*R rows, and one pass over them finds
+    each row's first escaping step, the relative V increments and the
+    rates, a row whose plan has ended having none.  The last V of a block
+    is the previous V of the next block's first step, so V is evaluated
+    once per state.  A step whose new state is not finite ends its block
+    early: the steps before it are checked first, so that a non-finite V
+    at an earlier step is the error raised, with the time of that step.
+
     Returns the final states, escape flags and times, the largest relative
     one-step V increase, the largest rate (V_next - V) / (h V) over the
     steps of nonzero length with where it occurs, and with ``record`` the
@@ -158,6 +174,7 @@ def _integrate(family, plans, points, clf=None, record=False):
     """
     S, P = len(plans), len(points)
     L = max(len(plan[0]) for plan in plans)
+    shortest = min(len(plan[0]) for plan in plans)
     H, SUB, T = (  # each (L, S); H and T padded with zeros
         np.stack([np.pad(c, (0, L - len(c)), mode) for c in column], axis=1)
         for column, mode in zip(zip(*plans), ("constant", "edge", "constant"))
@@ -167,66 +184,83 @@ def _integrate(family, plans, points, clf=None, record=False):
     regroup = np.r_[True, (SUB[1:] != SUB[:-1]).any(axis=1)]
     ZT = np.tile(np.asarray(points, dtype=complex).T, (1, S))
     Z = ZT.T
-    R = len(Z)
+    R, n = Z.shape
+    C = max(1, min(BLOCK_ROWS // R, L))
     fs = FieldScratch(family, R)
-    # per-row buffers: subsystem, step and zero-step flag of every row,
-    # and three for the V increments
+    # the subsystem of every row, and per block: flag coordinates and
+    # moduli, then the step, previous V and its relative change and rate
+    # of every (step, row)
     sub_all = np.empty(R, dtype=np.intp)
-    idle = np.empty(R, dtype=bool)
-    h_all, dv, rate_buf, v_prev = np.empty((4, R))
     if clf is None:
-        mod = np.empty(Z.shape)
-        np.abs(Z, out=mod)
+        zh, mod = np.empty((C, R, n), dtype=complex), np.empty((C, R, n))
     else:
-        vs = ValueScratch(clf, R)
-        v = clf.value_batch(clf.hat(Z, out=vs.zh), hat=True, scratch=vs)
-        mod = vs.mod
-    escape_time = np.where(mod.max(axis=1) >= 1.0 - ESCAPE_TOL, 0.0, np.nan)
+        vs = ValueScratch(clf, C * R)
+        zh, mod = vs.zh.reshape(C, R, n), vs.mod.reshape(C, R, n)
+    h_all, v_prev, rel, rate = np.empty((4, C, R))
+    Zh = Z if clf is None else clf.hat(Z)
+    escape_time = np.where(np.abs(Zh).max(axis=1) >= 1.0 - ESCAPE_TOL, 0.0, np.nan)
+    if clf is not None:
+        v_prev[0] = clf.value_batch(Zh, hat=True)
     max_rel, worst, worst_at = 0.0, None, None
-    states, values = [Z.copy()], [None if clf is None else v.copy()]
-    for l in range(L):
-        if regroup[l]:
-            sub_all.reshape(S, P)[:] = SUB[l, :, None]
-            fs.select(sub_all)
-        if one_h[l]:
-            h = float(H[l, 0])
-        else:
-            h_all.reshape(S, P)[:] = H[l, :, None]
-            h = h_all
-        flow_step(family, Z, h if one_h[l] else h[:, None], fs, out=Z)
+    states, values = [Z.copy()], [v_prev[:1].copy()]
+    for l0 in range(0, L, C):
+        m, failure = min(C, L - l0), None
+        h_all.reshape(C, S, P)[:m] = H[l0:l0 + m, :, None]
+        try:
+            for c in range(m):
+                l = l0 + c
+                if regroup[l]:
+                    sub_all.reshape(S, P)[:] = SUB[l, :, None]
+                    fs.select(sub_all)
+                h = float(H[l, 0]) if one_h[l] else h_all[c, :, None]
+                flow_step(family, Z, h, fs, out=Z)
+                if clf is None:
+                    np.copyto(zh[c], Z)
+                else:
+                    clf.hat(Z, out=zh[c])
+                if record:
+                    states.append(Z.copy())
+        except NonFiniteStateError as exc:
+            if c == 0:
+                raise
+            m, failure = c, exc
         if clf is None:
-            np.abs(Z, out=mod)
+            np.abs(zh, out=mod)
         else:
-            np.copyto(v_prev, v)
-            v = clf.value_batch(clf.hat(Z, out=vs.zh), hat=True, scratch=vs)
-        if mod.max() >= 1.0 - ESCAPE_TOL:
-            out = mod.max(axis=1) >= 1.0 - ESCAPE_TOL
-            new = np.flatnonzero(out & np.isnan(escape_time))
-            escape_time[new] = T[l, new // P]
+            v = clf.value_batch(vs.zh, hat=True, scratch=vs).reshape(C, R)[:m]
+        if mod[:m].max() >= 1.0 - ESCAPE_TOL:
+            out = mod[:m].max(axis=2) >= 1.0 - ESCAPE_TOL
+            new = np.flatnonzero(out.any(axis=0) & np.isnan(escape_time))
+            escape_time[new] = T[l0 + out[:, new].argmax(axis=0), new // P]
         if clf is not None:
-            rel = np.subtract(v, v_prev, out=dv)
-            den = np.maximum(v_prev, 1e-300, out=rate_buf)
-            rel = np.divide(rel, den, out=rel)
-            rate = np.divide(rel, h, out=den)
-            if not one_h[l]:  # a row whose plan has ended has no rate
-                np.putmask(rate, np.equal(h, 0.0, out=idle), -np.inf)
-            i = int(rate.argmax())  # argmax stops at the first NaN
-            s, p = divmod(i, P)
-            if not math.isfinite(rate[i]):
-                raise NonFiniteStateError(f"non-finite V at t={float(T[l, s])!r}")
-            max_rel = max(max_rel, float(rel.max()))
-            if worst is None or rate[i] > worst:
-                worst, worst_at = float(rate[i]), dict(
-                    signal=s, point=p, time=float(T[l, s]), subsystem=int(SUB[l, s])
+            v_prev[1:m] = v[:-1]
+            dv = np.subtract(v, v_prev[:m], out=rel[:m])
+            dv /= np.maximum(v_prev[:m], 1e-300, out=v_prev[:m])
+            r = np.divide(dv, h_all[:m], out=rate[:m])
+            if l0 + m > shortest:  # a plan has ended: its rows have no rate
+                np.putmask(r, h_all[:m] == 0.0, -np.inf)
+            c, i = divmod(int(r.argmax()), R)  # argmax stops at the first NaN
+            if not math.isfinite(r[c, i]):  # the first step with a NaN or inf
+                c = int(np.argmin(np.isfinite(r.max(axis=1))))
+                s = int(r[c].argmax()) // P
+                raise NonFiniteStateError(f"non-finite V at t={float(T[l0 + c, s])!r}")
+            max_rel = max(max_rel, float(dv.max()))
+            if worst is None or r[c, i] > worst:
+                s, p = divmod(i, P)
+                worst, worst_at = float(r[c, i]), dict(
+                    signal=s, point=p, time=float(T[l0 + c, s]),
+                    subsystem=int(SUB[l0 + c, s]),
                 )
-        if record:
-            states.append(Z.copy())
-            values.append(None if clf is None else v.copy())
+            v_prev[0] = v[-1]
+            if record:
+                values.append(v.copy())
+        if failure is not None:
+            raise failure
     return SimpleNamespace(
         Z=Z, escaped=~np.isnan(escape_time), escape_time=escape_time, max_rel=max_rel,
         worst_rate=worst, worst_at=worst_at,
         states=np.array(states) if record else None,
-        values=np.array(values) if record and clf is not None else None,
+        values=np.concatenate(values) if record and clf is not None else None,
     )
 
 

@@ -76,8 +76,12 @@ def dense_value_batch(clf, Z, hat=False):
     """V at a (B, n) batch by the dense degree-grid contraction with fresh
     arrays: the power tables |z_c|^(2p) built from (|z|^2).T, then the
     grid contracted one coordinate axis at a time.  ``value_batch``'s
-    bit-exact reference."""
+    bit-exact reference: like it, a lone point is contracted as two equal
+    columns, and for n = 1 the grid as two equal rows, so that every
+    product is a matrix product."""
     Z = np.asarray(Z, dtype=complex)
+    if len(Z) == 1:
+        return dense_value_batch(clf, np.repeat(Z, 2, axis=0), hat)[:1]
     W = (np.abs(Z if hat else clf.hat(Z)) ** 2).T
     n, B = W.shape
     G = clf._grid
@@ -86,7 +90,8 @@ def dense_value_batch(clf, Z, hat=False):
     X[1] = W
     for p in range(2, G.shape[0]):
         np.multiply(X[p - 1], W, out=X[p])
-    acc = G.reshape(G.shape[0], -1).T @ X[:, 0]
+    lead = G.reshape(G.shape[0], -1).T
+    acc = (np.repeat(lead, 2, axis=0) if n == 1 else lead) @ X[:, 0]
     for c in range(1, n):
         acc = acc.reshape(G.shape[0], -1, B)
         acc *= X[:, c, None]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopman_clf import analysis
 from koopman_clf.certificate import (
@@ -768,3 +770,33 @@ def test_clf_scratch_values_are_the_dense_contraction_bit_for_bit(n, N):
         assert np.array_equal(clf.value_batch(ZT.T), dense_value_batch(clf, ZT.T))
     with pytest.raises(ValueError, match="rows"):
         clf.value_batch(Z[:3], scratch=scratch)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    N=st.integers(2, 8),
+    B=st.integers(2, 40),
+    k=st.integers(1, 39),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_v_of_a_point_does_not_depend_on_its_batch(n, N, B, k, seed):
+    # every row's V, and its flag coordinates, alone, in the whole batch
+    # and in batches of k rows (the last one maybe shorter) are one number
+    rng = np.random.default_rng(seed)
+    basis = build_basis(n, N)
+    eps = rng.uniform(0.01, 1.0, basis.size) * 10.0 ** rng.uniform(-14, 0, basis.size)
+    P_inv = np.eye(n) + np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+    clf = CommonLyapunovFunction(eps, P_inv, basis)
+    Z = 0.45 * (rng.normal(size=(B, n)) + 1j * rng.normal(size=(B, n)))
+    whole = clf.value_batch(Z)
+    alone = [clf.value_batch(Z[i:i + 1])[0] for i in range(B)]
+    chunks = np.concatenate([clf.value_batch(Z[i:i + k]) for i in range(0, B, k)])
+    assert np.array_equal(alone, whole) and np.array_equal(chunks, whole)
+    zh = clf.hat(Z)
+    assert all(np.array_equal(clf.hat(z), h) for z, h in zip(Z, zh))
+    scratch = ValueScratch(clf, 1)
+    for i in range(B):
+        clf.hat(Z[i:i + 1], out=scratch.zh)
+        assert np.array_equal(scratch.zh[0], zh[i])
+        assert clf.value_batch(scratch.zh, hat=True, scratch=scratch)[0] == whole[i]

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from koopman_clf import analysis
+from koopman_clf import analysis, cli
 from koopman_clf.cli import main
 from koopman_clf.config import (
     SimulationParams,
@@ -830,6 +830,29 @@ def test_cli_exits_2_on_an_output_path_that_cannot_be_written(tmp_path, capsys, 
     argv = [a.format(cfg=cfg, rpt=rpt, tmp=tmp_path, missing=missing) for a in argv]
     code, err = _cli_exit(argv, capsys)
     assert code == 2 and f"cannot write {missing}" in err
+
+
+@pytest.mark.parametrize(
+    "out,trace",
+    [("{missing}/audit.json", None), ("{tmp}/audit.json", "{missing}/t.csv"),
+     ("{tmp}/audit.json", "{tmp}")],
+    ids=["out", "trace", "trace-is-a-directory"],
+)
+def test_cli_simulate_checks_its_output_paths_before_the_audit(
+    tmp_path, capsys, monkeypatch, out, trace
+):
+    cfg, rpt = _example1_config_and_report(tmp_path)
+
+    def no_audit(*args, **kwargs):
+        raise AssertionError("the audit ran")
+
+    monkeypatch.setattr(cli, "audit_certificate", no_audit)
+    dirs = dict(tmp=tmp_path, missing=tmp_path / "missing")
+    out, trace = out.format(**dirs), trace and trace.format(**dirs)
+    argv = ["simulate", "--config", str(cfg), "--report", str(rpt), "--out", out]
+    code, err = _cli_exit(argv + (["--trace", trace] if trace else []), capsys)
+    assert code == 2 and f"cannot write {trace or out}" in err
+    assert not (tmp_path / "audit.json").exists()
 
 
 def test_cli_figure_rho_closed_form(tmp_path):

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,12 @@ from koopman_clf.switchsim import (
     random_signal,
     sample_initial_points,
 )
-from koopman_clf.vectorfield import PolyVectorField, SwitchedFamily, flow_step
+from koopman_clf.vectorfield import (
+    NonFiniteStateError,
+    PolyVectorField,
+    SwitchedFamily,
+    flow_step,
+)
 from oracles import field_from_linear
 
 
@@ -611,6 +617,117 @@ def test_integration_steps_allocate_no_batch_sized_array(monkeypatch):
         tracemalloc.stop()
     assert run.worst_rate < 0 and not run.escaped.any()
     assert peak < run.Z.nbytes / 4  # the finiteness mask is an eighth
+
+
+# blocks of steps -------------------------------------------------------------
+
+
+def block_steps(rows):
+    """Steps in one block of an integration of ``rows`` rows, before the
+    cap at the step count."""
+    return max(1, switchsim.BLOCK_ROWS // rows)
+
+
+@pytest.mark.parametrize("horizon", [1.0, 3.0])
+def test_blocked_audit_matches_sequential_audit_across_block_ends(horizon):
+    # 3 signals x 5 points are 15 rows, so a block holds 136 steps: a
+    # horizon of 1 takes fewer, one of 3 ends in a partial third block
+    fam, rep = certified_linear_report()
+    kw = dict(signals=3, points=5, seed=3, dt=0.01, horizon=horizon)
+    L, C = max(len(p[0]) for p in plans_of(fam, 3, 3, 0.01, horizon)), block_steps(15)
+    assert L < C if horizon == 1.0 else L > 2 * C and L % C
+    got = audit_certificate(fam, rep, **kw)
+    assert got.passed
+    assert got.to_json_dict() == sequential_audit(fam, rep, **kw).to_json_dict()
+
+
+def test_the_worst_decay_rate_is_its_first_occurrence_across_blocks():
+    # V stays 0 at the origin, so its rate is 0 at each of the 2000
+    # steps, above the other row's; 2 rows hold 1024 steps a block
+    fam = contraction_family()
+    basis = build_basis(2, 3)
+    clf = CommonLyapunovFunction(np.ones(basis.size), np.eye(2), basis)
+    plan = _step_plan(SwitchingSignal((2.0,), (0,), 2.0), 1e-3)
+    assert len(plan[0]) > block_steps(2)
+    run = _integrate(fam, [plan], np.array([[0.5, 0.1], [0.0, 0.0]]), clf)
+    assert run.worst_rate == 0.0
+    assert run.worst_at == dict(signal=0, point=1, time=float(plan[2][0]), subsystem=0)
+
+
+def growing_family():
+    # one term a component, so that a lone row's RK4 steps round as a batch's
+    return SwitchedFamily([
+        PolyVectorField([{(1, 0): 1.0}, {(0, 1): 0.5}]),
+        PolyVectorField([{(1, 0): 0.6}, {(0, 1): 1.1}]),
+    ])
+
+
+@pytest.mark.parametrize("with_clf", [True, False])
+def test_escapes_in_mid_block_match_sequential_integrate(with_clf):
+    # 3 signals x 4 points are 12 rows, 170 steps a block, and 600 steps;
+    # each row's states, V and escape time are its lone trajectory's
+    fam = growing_family()
+    basis = build_basis(2, 6)
+    clf = CommonLyapunovFunction(
+        np.ones(basis.size), np.array([[1.0, 0.3j], [0.0, 1.0]]), basis
+    ) if with_clf else None
+    signals = [random_signal(2, 6.0, seed=s) for s in range(3)]
+    pts = sample_initial_points(2, 0.9, 4, seed=2)
+    run = _integrate(fam, [_step_plan(sig, 0.01) for sig in signals], pts, clf,
+                     record=True)
+    C, escape_steps = block_steps(12), []
+    for s, sig in enumerate(signals):
+        for p, z0 in enumerate(pts):
+            want = sequential_integrate(fam, sig, z0, dt=0.01, clf=clf)
+            r, k = s * len(pts) + p, len(want.times)
+            assert np.array_equal(run.states[:k, r], want.states)
+            if with_clf:
+                assert np.array_equal(run.values[:k, r], want.v_values)
+            assert run.escaped[r] == want.escaped
+            if want.escaped:
+                assert run.escape_time[r] == want.escape_time
+                escape_steps.append(want.times.tolist().index(want.escape_time) - 1)
+    assert any(l > C and 0 < l % C < C - 1 for l in escape_steps)
+
+
+def test_a_lone_trajectory_across_block_ends_matches_sequential_rk4():
+    # one row: a block holds 2048 steps, and the runs take 3000 and 3500,
+    # the growing one escaping in mid-block of its second block
+    fam, rep = example1_report()
+    clf = CommonLyapunovFunction(rep.epsilon, rep.P_inv, build_basis(2, 12))
+    cases = [
+        (fam, random_signal(2, 3.0, seed=5), rep.P @ sample_initial_points(2, 0.9, 3, 5)[2]),
+        (growing_family(), SwitchingSignal((3.5,), (0,), 3.5), np.array([0.05, 0.01])),
+    ]
+    for family, sig, z0 in cases:
+        got = integrate_switched(family, sig, z0, dt=1e-3, clf=clf)
+        assert len(got.times) - 1 > block_steps(1) and (len(got.times) - 1) % block_steps(1)
+        assert_runs_equal(got, sequential_integrate(family, sig, z0, dt=1e-3, clf=clf))
+    assert got.escaped and got.escape_time > 2.048 + 0.1
+
+
+@pytest.mark.parametrize("rows", [2, 300])
+def test_a_non_finite_v_before_a_non_finite_state_is_the_error(rows):
+    # z' = 40 z grows 34-fold a step of 0.1: V of degree 12 passes the
+    # largest double at step 9 or so, the state about 190 steps later.
+    # With 2 rows a block holds all 300 steps, so both happen in one
+    # block; with 300 rows a block holds 6 steps.
+    fam = SwitchedFamily([PolyVectorField([{(1,): 40.0}])])
+    basis = build_basis(1, 12)
+    clf = CommonLyapunovFunction(np.ones(basis.size), np.eye(1), basis)
+    h, _, T = plan = _step_plan(SwitchingSignal((30.0,), (0,), 30.0), 0.1)
+    pts = np.array([[0.5]] * (rows - 1) + [[0.9]], dtype=complex)
+    z = pts[-1:]
+    with np.errstate(over="ignore"):
+        for dt, t in zip(h, T):  # the end of the first step with V not finite
+            z = flow_step(fam[0], z, dt)
+            if not np.isfinite(clf.value_batch(z)[0]):
+                break
+    assert rows > 2 or len(T) <= block_steps(rows)
+    with pytest.raises(NonFiniteStateError, match=re.escape(f"V at t={float(t)!r}")):
+        _integrate(fam, [plan], pts, clf)
+    with pytest.raises(NonFiniteStateError, match="non-finite state"):
+        _integrate(fam, [plan], pts)
 
 
 # property: the batched audit is the sequential one ---------------------------
