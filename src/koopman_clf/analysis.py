@@ -656,8 +656,7 @@ def _certify(report, family, basis, scheme, kappa, rho_request):
         )
 
     report.rho_certified = float(rho)
-    for i, h in enumerate(hats):
-        br = boundary_invariance_check(h, rho)
+    for i, br in enumerate(boundary_invariance_check(hats, rho)):
         report.invariance.append(
             {
                 "subsystem": i,

@@ -478,14 +478,15 @@ class ValueScratch:
     """Work arrays of one caller's batched V evaluations at ``rows`` points
     in dimension n with truncation degree N.
 
-    ``zh`` (rows, n) takes the points in flag coordinates (``hat``'s
-    ``out``), ``mod`` (rows, n) their moduli, which stay readable after
-    ``value_batch``; the (N + 1, n, cols) table holds |z_c|^(2p), and the
-    contraction runs in two real buffers of max((N + 1)^(n - 1), 2) and
-    (N + 1)^(n - 2) rows, all of cols = max(rows, 2) columns, since a lone
-    point is contracted as two equal columns.  Whoever makes a scratch
-    owns it: every evaluation overwrites it, and the values
-    ``value_batch`` returns are a view into it.
+    ``zh`` (rows, n) takes the points in flag coordinates (``value_batch``
+    writes its ``hat`` there), ``mod`` (rows, n) their moduli; both stay
+    readable after ``value_batch``.  The (N + 1, n, cols) table holds
+    |z_c|^(2p), and the contraction runs in two real buffers of
+    max((N + 1)^(n - 1), 2) and (N + 1)^(n - 2) rows, all of
+    cols = max(rows, 2) columns, since a lone point is contracted as two
+    equal columns.  Whoever makes a scratch owns it: every evaluation
+    overwrites it, and the values ``value_batch`` returns are a view into
+    it.
     """
 
     def __init__(self, clf, rows):
@@ -545,8 +546,9 @@ class CommonLyapunovFunction:
         rowsum((X_1 @ G) * X_2).  The tables are laid out (power, coord,
         point), and every operation runs over contiguous rows of points.
         With a ``ValueScratch`` of B rows every array lives in it, the
-        moduli |z| are left in ``scratch.mod`` and the returned values are
-        a view into the scratch; without one, a scratch is made for the
+        flag coordinates are left in ``scratch.zh`` (unless hat=True) and
+        the moduli |z| in ``scratch.mod``, and the returned values are a
+        view into the scratch; without one, a scratch is made for the
         call.  V of a point does not depend on the batch it is in: numpy
         multiplies a single row or column through its matrix-vector paths,
         which round differently from its matrix product, so a lone point
@@ -560,7 +562,7 @@ class CommonLyapunovFunction:
             scratch = ValueScratch(self, B)
         elif scratch.rows != B:
             raise ValueError(f"scratch holds {scratch.rows} rows, not {B}")
-        W = np.abs(Z if hat else self.hat(Z), out=scratch.mod).T  # (n, B)
+        W = np.abs(Z if hat else self.hat(Z, out=scratch.zh), out=scratch.mod).T
         X, G = scratch.pows, self._grid  # (N + 1, n, max(B, 2))
         cols = X.shape[2]
         np.multiply(W, W, out=X[1])  # a lone point fills both columns

@@ -36,17 +36,9 @@ from .analysis import (
     export_ratios_csv,
     load_report,
 )
-from .certificate import CommonLyapunovFunction
 from .config import SystemConfig, example1_config, example2_config
-from .multiindex import build_basis
 from .selftest import run_selftest
-from .switchsim import (
-    audit_certificate,
-    export_run_csv,
-    integrate_switched,
-    random_signal,
-    sample_initial_points,
-)
+from .switchsim import audit_certificate, export_run_csv
 from .vectorfield import NonFiniteStateError
 
 
@@ -149,18 +141,14 @@ def cmd_simulate(parser, args):
     for path in (args.out, args.trace):  # before the audit, not after it
         _check_writable(parser, path)
     sim = cfg.simulation
-    signals = args.trials if args.trials is not None else sim.trials
-    seed = args.seed if args.seed is not None else sim.seed
-    dt = args.dt if args.dt is not None else sim.dt
-    family = cfg.build_family()
     try:
         summary = audit_certificate(
-            family,
+            cfg.build_family(),
             report,
-            signals=signals,
+            signals=args.trials if args.trials is not None else sim.trials,
             points=args.points if args.points is not None else sim.points,
-            seed=seed,
-            dt=dt,
+            seed=args.seed if args.seed is not None else sim.seed,
+            dt=args.dt if args.dt is not None else sim.dt,
             horizon=sim.horizon,
             min_dwell=sim.min_dwell,
             max_dwell=sim.max_dwell,
@@ -177,20 +165,7 @@ def cmd_simulate(parser, args):
         + "\n",
     )
     if args.trace is not None:
-        basis = build_basis(report.dimension, report.truncation_degree)
-        clf = CommonLyapunovFunction(report.epsilon, report.P_inv, basis)
-        pts = sample_initial_points(
-            report.dimension, 0.95 * report.rho_certified, 1, seed
-        )
-        sig = random_signal(
-            len(family), sim.horizon, sim.min_dwell, sim.max_dwell, seed=seed
-        )
-        try:
-            run = integrate_switched(family, sig, report.P @ pts[0], dt=dt, clf=clf)
-        except NonFiniteStateError as exc:
-            sys.stderr.write(f"trace failed: {exc}\n")
-            return 5
-        _write_text(parser, args.trace, _csv_text(export_run_csv, run))
+        _write_text(parser, args.trace, _csv_text(export_run_csv, summary.run))
     return 0 if summary.passed else 5
 
 
@@ -274,7 +249,8 @@ def build_parser():
     p.add_argument("--points", type=int, help="initial states per signal")
     p.add_argument("--seed", type=int)
     p.add_argument("--dt", type=float)
-    p.add_argument("--trace", help="write the first run's trace CSV here")
+    p.add_argument("--trace", help="write the audit's first trajectory "
+                   "(signal 0 from point 0) as CSV here")
     p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser(

@@ -7,26 +7,30 @@ exactly.  One kernel integrates every signal from every initial point as
 a single batch; the audit runs it over many signals and checks that the
 certified function never increases along any trajectory, and a single
 recorded trajectory is the same kernel with one signal and one point.
+The kernel records the trajectory of its first row, signal 0 from point
+0, so the audit's summary carries its own first trajectory and no second
+integration is needed to trace it.
 
 The kernel keeps the states points-last, as one contiguous (n, R) array
-``ZT`` of R = signals x points columns, and hands ``flow_step`` and the
-certificate the (R, n) view ``ZT.T``.  Each integration owns one
-``FieldScratch`` over the whole family for all R rows, and the step loop
-does only what must follow every step: one ``flow_step`` of every row,
-each under the subsystem its signal selects, and one ``hat`` of the new
-states into the next slot of a block of C steps.  V, the escapes and the
-decay rates are computed per block: one ``value_batch`` over the block's
-C x R rows, in one ``ValueScratch`` of that size, then one vectorised
-pass.  C is as many steps as fit in ``BLOCK_ROWS`` rows, at least one
-and at most the step count; V of a point does not depend on the batch it
-is in, so the blocks give the values that one evaluation per step would.
-Every work array is made before the first step, so the step loop
-allocates no batch-sized array.  A signal whose steps run out before the
-longest one's takes zero-length steps, which leave its rows as they are.
+``ZT`` of R = signals x points columns, and hands ``flow_step`` the
+(R, n) view ``ZT.T``.  Each integration owns one ``FieldScratch`` over
+the whole family for all R rows, and the step loop does only what must
+follow every step: one ``flow_step`` of every row, each under the
+subsystem its signal selects, and one copy of the new states into the
+next slot of a block of C steps.  The flag coordinates, V, the escapes
+and the decay rates are computed per block: one ``value_batch`` over the
+block's C x R rows, in one ``ValueScratch`` of that size, then one
+vectorised pass.  C is as many steps as fit in ``BLOCK_ROWS`` rows, at
+least one and at most the step count; V of a point does not depend on
+the batch it is in, so the blocks give the values that one evaluation
+per step would.  Every work array is made before the first step, so the
+step loop allocates no batch-sized array.  A signal whose steps run out
+before the longest one's takes zero-length steps, which leave its rows
+as they are.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -145,7 +149,7 @@ def _step_plan(signal, dt):
 # way numpy's warnings would add nothing; nor would they for the 0 / 0
 # rate of a row whose plan has ended, which is replaced.
 @np.errstate(over="ignore", invalid="ignore")
-def _integrate(family, plans, points, clf=None, record=False):
+def _integrate(family, plans, points, clf=None):
     """Integrate every point under every step plan as one (S*P, n) batch.
 
     Row s*P + p follows plans[s] from points[p].  Every row is stepped on
@@ -155,22 +159,25 @@ def _integrate(family, plans, points, clf=None, record=False):
     finite.  The states are stored points-last, ``Z`` being the view
     ``ZT.T``.  Each step is one ``flow_step`` of the whole batch, in
     place, over the family's scratch, which knows each row's subsystem
-    from the last switch, and one ``hat`` of the new states into slot c
-    of a (C, R, n) block.
+    from the last switch, and one copy of the new states into slot c of
+    an (n, C, R) block, points-last like the states, whose transpose is
+    the (C*R, n) batch of the block's states.
 
     Once the block's C steps are taken, or the plans end, one
-    ``value_batch`` gives V at its C*R rows, and one pass over them finds
-    each row's first escaping step, the relative V increments and the
-    rates, a row whose plan has ended having none.  The last V of a block
-    is the previous V of the next block's first step, so V is evaluated
-    once per state.  A step whose new state is not finite ends its block
-    early: the steps before it are checked first, so that a non-finite V
-    at an earlier step is the error raised, with the time of that step.
+    ``value_batch`` gives the flag coordinates, their moduli and V at its
+    C*R rows (without a certificate, one ``abs`` gives the moduli), and
+    one pass over them finds each row's first escaping step, the relative
+    V increments and the rates, a row whose plan has ended having none.
+    The last V of a block is the previous V of the next block's first
+    step, so V is evaluated once per state.  A step whose new state is not
+    finite ends its block early: the steps before it are checked first, so
+    that a non-finite V at an earlier step is the error raised, with the
+    time of that step.
 
     Returns the final states, escape flags and times, the largest relative
     one-step V increase, the largest rate (V_next - V) / (h V) over the
-    steps of nonzero length with where it occurs, and with ``record`` the
-    states and V after every step.
+    steps of nonzero length with where it occurs, and row 0's states and
+    V (None without a certificate) after every step, padding included.
     """
     S, P = len(plans), len(points)
     L = max(len(plan[0]) for plan in plans)
@@ -187,22 +194,28 @@ def _integrate(family, plans, points, clf=None, record=False):
     R, n = Z.shape
     C = max(1, min(BLOCK_ROWS // R, L))
     fs = FieldScratch(family, R)
-    # the subsystem of every row, and per block: flag coordinates and
-    # moduli, then the step, previous V and its relative change and rate
-    # of every (step, row)
+    # the subsystem of every row, and per block: the states, points-last
+    # like ZT, and their moduli, then the step, previous V and its
+    # relative change and rate of every (step, row); row 0's states and V
+    # at every step
     sub_all = np.empty(R, dtype=np.intp)
+    block = np.zeros((n, C, R), dtype=complex)
+    Zb = block.reshape(n, C * R).T  # (C*R, n): row c*R + i is row i at step c
     if clf is None:
-        zh, mod = np.empty((C, R, n), dtype=complex), np.empty((C, R, n))
+        mod = np.empty((C, R, n))
     else:
         vs = ValueScratch(clf, C * R)
-        zh, mod = vs.zh.reshape(C, R, n), vs.mod.reshape(C, R, n)
+        mod = vs.mod.reshape(C, R, n)
     h_all, v_prev, rel, rate = np.empty((4, C, R))
+    states = np.empty((L + 1, n), dtype=complex)
+    values = None if clf is None else np.empty(L + 1)
+    states[0] = Z[0]
     Zh = Z if clf is None else clf.hat(Z)
     escape_time = np.where(np.abs(Zh).max(axis=1) >= 1.0 - ESCAPE_TOL, 0.0, np.nan)
     if clf is not None:
         v_prev[0] = clf.value_batch(Zh, hat=True)
+        values[0] = v_prev[0, 0]
     max_rel, worst, worst_at = 0.0, None, None
-    states, values = [Z.copy()], [v_prev[:1].copy()]
     for l0 in range(0, L, C):
         m, failure = min(C, L - l0), None
         h_all.reshape(C, S, P)[:m] = H[l0:l0 + m, :, None]
@@ -214,20 +227,16 @@ def _integrate(family, plans, points, clf=None, record=False):
                     fs.select(sub_all)
                 h = float(H[l, 0]) if one_h[l] else h_all[c, :, None]
                 flow_step(family, Z, h, fs, out=Z)
-                if clf is None:
-                    np.copyto(zh[c], Z)
-                else:
-                    clf.hat(Z, out=zh[c])
-                if record:
-                    states.append(Z.copy())
+                np.copyto(block[:, c], ZT)
         except NonFiniteStateError as exc:
             if c == 0:
                 raise
             m, failure = c, exc
+        states[l0 + 1:l0 + m + 1] = block[:, :m, 0].T
         if clf is None:
-            np.abs(zh, out=mod)
+            np.abs(Zb, out=mod.reshape(C * R, n))
         else:
-            v = clf.value_batch(vs.zh, hat=True, scratch=vs).reshape(C, R)[:m]
+            v = clf.value_batch(Zb, scratch=vs).reshape(C, R)[:m]
         if mod[:m].max() >= 1.0 - ESCAPE_TOL:
             out = mod[:m].max(axis=2) >= 1.0 - ESCAPE_TOL
             new = np.flatnonzero(out.any(axis=0) & np.isnan(escape_time))
@@ -252,15 +261,12 @@ def _integrate(family, plans, points, clf=None, record=False):
                     subsystem=int(SUB[l0 + c, s]),
                 )
             v_prev[0] = v[-1]
-            if record:
-                values.append(v.copy())
+            values[l0 + 1:l0 + m + 1] = v[:, 0]
         if failure is not None:
             raise failure
     return SimpleNamespace(
         Z=Z, escaped=~np.isnan(escape_time), escape_time=escape_time, max_rel=max_rel,
-        worst_rate=worst, worst_at=worst_at,
-        states=np.array(states) if record else None,
-        values=np.concatenate(values) if record and clf is not None else None,
+        worst_rate=worst, worst_at=worst_at, states=states, values=values,
     )
 
 
@@ -282,6 +288,26 @@ class SwitchedRun:
         return self.states[-1]
 
 
+def _first_run(signal, plan, run):
+    """Row 0 of the integration ``run`` (signal 0 from point 0) as a
+    ``SwitchedRun`` of ``signal``, whose step plan is ``plan``."""
+    _, sub, t = plan
+    k = len(t) + 1  # the samples of this plan; the rest are padding
+    v = None if run.values is None else run.values[:k]
+    return SwitchedRun(
+        signal=signal,
+        times=np.concatenate(([0.0], t)),
+        states=run.states[:k],
+        active=np.concatenate(([signal.subsystems[0] if len(signal) else 0], sub)),
+        v_values=v,
+        max_v_increase=None if v is None else float(
+            np.max(np.diff(v) / np.maximum(v[:-1], 1e-300), initial=0.0)
+        ),
+        escaped=bool(run.escaped[0]),
+        escape_time=float(run.escape_time[0]) if run.escaped[0] else None,
+    )
+
+
 def integrate_switched(family, signal, z0, dt=1e-3, clf=None):
     """Integrate the switched system along ``signal`` from ``z0``.
 
@@ -295,18 +321,8 @@ def integrate_switched(family, signal, z0, dt=1e-3, clf=None):
     z = np.asarray(z0, dtype=complex).reshape(1, -1)
     if z.shape[1] != family.dimension:
         raise ValueError("initial point dimension mismatch")
-    _, sub, t = plan = _step_plan(signal, dt)
-    run = _integrate(family, [plan], z, clf, record=True)
-    return SwitchedRun(
-        signal=signal,
-        times=np.concatenate(([0.0], t)),
-        states=run.states[:, 0],
-        active=np.concatenate(([signal.subsystems[0] if len(signal) else 0], sub)),
-        v_values=None if clf is None else run.values[:, 0],
-        max_v_increase=None if clf is None else run.max_rel,
-        escaped=bool(run.escaped[0]),
-        escape_time=float(run.escape_time[0]) if run.escaped[0] else None,
-    )
+    plan = _step_plan(signal, dt)
+    return _first_run(signal, plan, _integrate(family, [plan], z, clf))
 
 
 def export_run_csv(run, fh):
@@ -361,7 +377,9 @@ class AuditSummary:
     steps, so a negative value is the margin by which V decreased even at
     its slowest; ``worst_decay_at`` gives the signal index, point index,
     time at the end of that step and its subsystem.  Both are None when
-    the audit took no step.
+    the audit took no step.  ``run`` is the audit's own first trajectory,
+    signal 0 from point 0; it is not part of the summary's JSON, nor of
+    its equality.
     """
 
     signals: int
@@ -380,9 +398,12 @@ class AuditSummary:
     slack: float
     convergence_tol: float
     passed: bool
+    run: SwitchedRun = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self):
-        return {"kind": "audit_summary", **asdict(self)}
+        data = asdict(replace(self, run=None))
+        del data["run"]
+        return {"kind": "audit_summary", **data}
 
 
 def audit_certificate(
@@ -415,12 +436,12 @@ def audit_certificate(
         raise ValueError("report does not contain a usable certificate")
     if report.certified is not True:
         raise ValueError("report field 'certified' is not true")
-    for field, theirs in (("dimension", family.dimension),
-                          ("num_subsystems", len(family))):
-        ours = getattr(report, field)
+    for key, theirs in (("dimension", family.dimension),
+                        ("num_subsystems", len(family))):
+        ours = getattr(report, key)
         if ours != theirs:
             raise ValueError(
-                f"report field '{field}' is {ours!r}, the family's is {theirs}"
+                f"report field '{key}' is {ours!r}, the family's is {theirs}"
             )
     n = report.dimension
     basis = build_basis(n, report.truncation_degree)
@@ -428,15 +449,11 @@ def audit_certificate(
     rho = float(report.rho_certified)
     radius = 0.95 * rho
     pts = sample_initial_points(n, radius, points, seed)
-    plans = [
-        _step_plan(
-            random_signal(
-                len(family), horizon, min_dwell, max_dwell, seed=seed + 7919 * s
-            ),
-            dt,
-        )
+    schedules = [
+        random_signal(len(family), horizon, min_dwell, max_dwell, seed=seed + 7919 * s)
         for s in range(signals)
     ]
+    plans = [_step_plan(signal, dt) for signal in schedules]
     # flag samples back to original coordinates
     run = _integrate(family, plans, pts @ report.P.T, clf)
     escapes = int(run.escaped.sum())
@@ -458,4 +475,5 @@ def audit_certificate(
         slack=V_SLACK,
         convergence_tol=CONVERGENCE_TOL,
         passed=bool(run.max_rel <= V_SLACK and escapes == 0),
+        run=_first_run(schedules[0], plans[0], run),
     )

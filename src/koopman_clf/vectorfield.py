@@ -430,19 +430,21 @@ class BoundaryReport:
     rho: float
 
 
-def boundary_invariance_check(field, rho):
-    """Sample Re(F_l(z) conj(z_l)) on each face |z_l| = rho of the polydisk.
+def boundary_invariance_check(fields, rho):
+    """Sample Re(F_l(z) conj(z_l)) on each face |z_l| = rho of the polydisk,
+    for each of ``fields``; returns one ``BoundaryReport`` per field.
 
     Every face is probed on a uniform phase grid of 512 points in z_l,
     paired with a low-discrepancy fill (Halton moduli and phases) of the
-    remaining coordinates inside the polydisk.  The field points inward at
-    a sample when the tested value is negative, and the check holds when
-    every sample does; the report keeps the worst (largest) value and the
-    point attaining it.
+    remaining coordinates inside the polydisk.  The samples are built
+    once, and every field is evaluated on them through one scratch over
+    all the fields.  A field points inward at a sample when the tested
+    value is negative, and its check holds when every sample does; its
+    report keeps the worst (largest) value and the point attaining it.
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
-    n = field.dimension
+    n = fields[0].dimension
     count = 512
     # the fill of the k-th other coordinate is the same on every face
     index = np.arange(1, count + 1)
@@ -451,29 +453,30 @@ def boundary_invariance_check(field, rho):
         h_mod = halton(index, _PRIMES[(2 * slot) % len(_PRIMES)])
         h_arg = halton(index, _PRIMES[(2 * slot + 1) % len(_PRIMES)])
         fill.append(rho * np.sqrt(h_mod) * np.exp(2j * np.pi * h_arg))
-    worst = -np.inf
-    worst_point = None
-    scratch = FieldScratch(field, count)  # one plan for every face
-    for face in range(n):
-        zT = np.zeros((n, count), dtype=complex)  # points-last
-        phases = 2.0 * np.pi * np.arange(count) / count
+    faces = np.zeros((n, n, count), dtype=complex)  # face, then points-last
+    phases = 2.0 * np.pi * np.arange(count) / count
+    for face, zT in enumerate(faces):
         zT[face] = rho * np.exp(1j * phases)
-        others = [c for c in range(n) if c != face]
-        for values, c in zip(fill, others):
+        for values, c in zip(fill, [c for c in range(n) if c != face]):
             zT[c] = values
-        values = scratch.evaluate(zT)[face]
-        vals = np.real(values * np.conj(zT[face]))
-        i = int(np.argmax(vals))
-        if vals[i] > worst:
-            worst = float(vals[i])
-            worst_point = zT[:, i].copy()
-    return BoundaryReport(
-        holds=bool(worst < 0.0),
-        worst_value=worst,
-        worst_point=worst_point,
-        samples=n * count,
-        rho=float(rho),
-    )
+    scratch = FieldScratch(fields, count)
+    reports = []
+    for i in range(len(fields)):
+        scratch.select(i)
+        worst, worst_point = -np.inf, None
+        for face, zT in enumerate(faces):
+            vals = np.real(scratch.evaluate(zT)[face] * np.conj(zT[face]))
+            j = int(np.argmax(vals))
+            if vals[j] > worst:
+                worst, worst_point = float(vals[j]), zT[:, j].copy()
+        reports.append(BoundaryReport(
+            holds=bool(worst < 0.0),
+            worst_value=worst,
+            worst_point=worst_point,
+            samples=n * count,
+            rho=float(rho),
+        ))
+    return reports
 
 
 class SwitchedFamily:

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from koopman_clf import analysis, cli
+from koopman_clf import analysis, cli, switchsim
 from koopman_clf.cli import main
 from koopman_clf.config import (
     SimulationParams,
@@ -647,6 +647,45 @@ def test_cli_simulate_audits_and_traces(tmp_path):
     lines = trace.read_text().strip().split("\n")
     assert lines[0] == "t,re_z1,im_z1,re_z2,im_z2,V,active_subsystem"
     assert len(lines) > 10
+
+
+def test_cli_simulate_trace_is_the_audit_first_trajectory(tmp_path, monkeypatch):
+    # 3 signals x 4 points: the trace is row 0 of the audit's one
+    # integration, bit for bit, and no second integration runs
+    cfg = linear_nonnormal_config()
+    cfg_path, rpt = tmp_path / "sys.json", tmp_path / "report.json"
+    cfg_path.write_text(cfg.to_json())
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(rpt)]) == 0
+    out, trace = tmp_path / "audit.json", tmp_path / "trace.csv"
+    integrations = []
+
+    def counted(*args, **kwargs):
+        integrations.append(args)
+        return integrate(*args, **kwargs)
+
+    integrate = switchsim._integrate
+    monkeypatch.setattr(switchsim, "_integrate", counted)
+    assert main(["simulate", "--config", str(cfg_path), "--report", str(rpt),
+                 "--trials", "3", "--points", "4", "--seed", "11",
+                 "--out", str(out), "--trace", str(trace)]) == 0
+    assert len(integrations) == 1
+    sim = cfg.simulation
+    summary = switchsim.audit_certificate(
+        cfg.build_family(), analysis.load_report(json.loads(rpt.read_text())),
+        signals=3, points=4, seed=11, dt=sim.dt, horizon=sim.horizon,
+        min_dwell=sim.min_dwell, max_dwell=sim.max_dwell,
+    )
+    assert json.loads(out.read_text()) == summary.to_json_dict()
+    run = summary.run
+    want = np.column_stack([
+        run.times, run.states.real[:, 0], run.states.imag[:, 0],
+        run.states.real[:, 1], run.states.imag[:, 1], run.v_values, run.active,
+    ])
+    lines = trace.read_text().splitlines()
+    assert lines[0] == "t,re_z1,im_z1,re_z2,im_z2,V,active_subsystem"
+    got = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert got.shape == want.shape and len(got) > 100
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_cli_simulate_traces_a_report_without_a_triangularization(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -328,6 +329,51 @@ def test_audit_without_steps_reports_no_worst_decay():
     assert s.worst_decay_rate is None and s.worst_decay_at is None
     data = json.loads(json.dumps(s.to_json_dict(), allow_nan=False))
     assert data["worst_decay_rate"] is None and data["worst_decay_at"] is None
+    assert s.run.times.tolist() == [0.0] and s.run.max_v_increase == 0.0
+
+
+AUDIT_KEYS = {
+    "kind", "signals", "points", "dt", "horizon", "seed", "rho", "sample_radius",
+    "max_v_increase", "worst_decay_rate", "worst_decay_at", "final_norm_max",
+    "fraction_converged", "escapes", "slack", "convergence_tol", "passed",
+}
+
+
+def test_the_summary_keeps_its_run_out_of_its_json_and_its_equality():
+    fam, rep = certified_linear_report()
+    kw = dict(signals=2, points=3, seed=4, dt=0.01, horizon=2.0)
+    s = audit_certificate(fam, rep, **kw)
+    assert isinstance(s.run, SwitchedRun) and len(s.run.times) > 100
+    assert set(s.to_json_dict()) == AUDIT_KEYS
+    bare = dataclasses.replace(s, run=None)
+    assert s == bare and s.to_json_dict() == bare.to_json_dict()
+    other = audit_certificate(fam, rep, **dict(kw, horizon=1.0)).run
+    assert len(other.times) < len(s.run.times)
+    assert dataclasses.replace(s, run=other) == s
+    assert "run=" not in repr(s)
+
+
+def test_the_audit_run_is_row_0_of_its_integration():
+    # signal 0 from point 0, in the batch of all 12 rows; plan 0 is the
+    # shortest, so the run ends before the padding of row 0
+    fam, rep = example1_report()
+    s = audit_certificate(fam, rep, signals=3, points=4, seed=4, dt=0.01, horizon=3.0)
+    plans = plans_of(fam, 3, 4, 0.01, 3.0)
+    assert len(plans[0][0]) < max(len(p[0]) for p in plans)
+    clf = CommonLyapunovFunction(rep.epsilon, rep.P_inv, build_basis(2, 12))
+    pts = sample_initial_points(2, 0.95 * rep.rho_certified, 4, 4) @ rep.P.T
+    full = _integrate(fam, plans, pts, clf)
+    run = s.run
+    assert run.signal == random_signal(2, 3.0, seed=4)
+    assert np.array_equal(run.times, np.r_[0.0, plans[0][2]])
+    assert np.array_equal(run.active, np.r_[plans[0][1][:1], plans[0][1]])
+    assert np.array_equal(run.states, full.states[:len(run.times)])
+    assert np.array_equal(run.states[0], pts[0])
+    assert np.array_equal(run.states[-1], full.Z[0])
+    # V of a point does not depend on its batch
+    assert np.array_equal(run.v_values, clf.value_batch(run.states))
+    assert run.max_v_increase <= s.max_v_increase
+    assert not run.escaped and run.escape_time is None
 
 
 # batched kernel against the sequential loops --------------------------------
@@ -567,7 +613,8 @@ def test_rows_whose_plan_has_ended_keep_their_state_bit_for_bit():
     # and ends; its rows then take zero-length steps under that field in
     # a mixed batch, while plan 1's rows run under the cubic field.  The
     # cubic terms overflow on the ended rows, but each row keeps only its
-    # own field's values, so nothing raises
+    # own field's values, so nothing raises.  The integration records row
+    # 0, so each of plan 0's points is put first in turn
     fam = SwitchedFamily(
         [PolyVectorField([{(3,): -1.0}]), PolyVectorField([{(1,): 40.0}])]
     )
@@ -575,19 +622,21 @@ def test_rows_whose_plan_has_ended_keep_their_state_bit_for_bit():
         _step_plan(SwitchingSignal((7.8,), (1,), 7.8), 0.1),
         _step_plan(SwitchingSignal((10.0,), (0,), 10.0), 0.1),
     ]
-    pts = np.array([[0.5], [0.3]], dtype=complex)
-    run = _integrate(fam, plans, pts, record=True)
     end = len(plans[0][0])
     assert end < len(plans[1][0]) and plans[0][1][-1] == 1
     assert np.all(plans[1][1][end:] == 0)
-    ended = run.states[end:, :2].view(np.uint64)
-    assert np.all(ended == ended[0]) and np.all(np.isfinite(run.states))
-    assert 1e100 < abs(run.Z[0, 0]) < 1e200
-    alone = _integrate(fam, plans[:1], pts)
-    assert np.array_equal(run.Z[:2], alone.Z)
-    assert run.escaped[:2].all()
-    assert np.array_equal(run.escape_time[:2], alone.escape_time)
-    assert not run.escaped[2:].any()
+    for pts in ([[0.5], [0.3]], [[0.3], [0.5]]):
+        pts = np.array(pts, dtype=complex)
+        run = _integrate(fam, plans, pts)
+        ended = run.states[end:].view(np.uint64)
+        assert np.all(ended == ended[0]) and np.all(np.isfinite(run.states))
+        assert np.all(np.isfinite(run.Z))
+        assert 1e100 < abs(run.Z[0, 0]) < 1e200
+        alone = _integrate(fam, plans[:1], pts)
+        assert np.array_equal(run.Z[:2], alone.Z)
+        assert run.escaped[:2].all()
+        assert np.array_equal(run.escape_time[:2], alone.escape_time)
+        assert not run.escaped[2:].any()
 
 
 def test_integration_steps_allocate_no_batch_sized_array(monkeypatch):
@@ -665,27 +714,29 @@ def growing_family():
 @pytest.mark.parametrize("with_clf", [True, False])
 def test_escapes_in_mid_block_match_sequential_integrate(with_clf):
     # 3 signals x 4 points are 12 rows, 170 steps a block, and 600 steps;
-    # each row's states, V and escape time are its lone trajectory's
+    # each row's states, V and escape time are its lone trajectory's.  The
+    # integration records row 0, so the plans and points are rotated to
+    # put each row there in turn
     fam = growing_family()
     basis = build_basis(2, 6)
     clf = CommonLyapunovFunction(
         np.ones(basis.size), np.array([[1.0, 0.3j], [0.0, 1.0]]), basis
     ) if with_clf else None
     signals = [random_signal(2, 6.0, seed=s) for s in range(3)]
+    plans = [_step_plan(sig, 0.01) for sig in signals]
     pts = sample_initial_points(2, 0.9, 4, seed=2)
-    run = _integrate(fam, [_step_plan(sig, 0.01) for sig in signals], pts, clf,
-                     record=True)
     C, escape_steps = block_steps(12), []
     for s, sig in enumerate(signals):
         for p, z0 in enumerate(pts):
+            run = _integrate(fam, plans[s:] + plans[:s], np.roll(pts, -p, axis=0), clf)
             want = sequential_integrate(fam, sig, z0, dt=0.01, clf=clf)
-            r, k = s * len(pts) + p, len(want.times)
-            assert np.array_equal(run.states[:k, r], want.states)
+            k = len(want.times)
+            assert np.array_equal(run.states[:k], want.states)
             if with_clf:
-                assert np.array_equal(run.values[:k, r], want.v_values)
-            assert run.escaped[r] == want.escaped
+                assert np.array_equal(run.values[:k], want.v_values)
+            assert run.escaped[0] == want.escaped
             if want.escaped:
-                assert run.escape_time[r] == want.escape_time
+                assert run.escape_time[0] == want.escape_time
                 escape_steps.append(want.times.tolist().index(want.escape_time) - 1)
     assert any(l > C and 0 < l % C < C - 1 for l in escape_steps)
 

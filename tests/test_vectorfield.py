@@ -243,25 +243,64 @@ def test_compiled_evaluator_matches_reference_on_the_example_fields(seed):
                 assert_matches_reference(f, radius * pts[:B], 1e-14)
 
 
+def reference_boundary_check(field, rho):
+    """(holds, worst value, worst point) of the boundary check of one field:
+    the check's 512 samples per face, built here one face at a time, and
+    evaluated with ``reference_evaluate``."""
+    n, count = field.dimension, 512
+    index = np.arange(1, count + 1)
+    primes = (2, 3, 5, 7, 11, 13)
+    worst, worst_point = -np.inf, None
+    for face in range(n):
+        z = np.zeros((count, n), dtype=complex)
+        z[:, face] = rho * np.exp(1j * (2.0 * np.pi * np.arange(count) / count))
+        for slot, c in enumerate(c for c in range(n) if c != face):
+            h_mod = halton(index, primes[2 * slot])
+            h_arg = halton(index, primes[2 * slot + 1])
+            z[:, c] = rho * np.sqrt(h_mod) * np.exp(2j * np.pi * h_arg)
+        vals = np.real(reference_evaluate(field, z)[:, face] * np.conj(z[:, face]))
+        i = int(np.argmax(vals))
+        if vals[i] > worst:
+            worst, worst_point = float(vals[i]), z[i]
+    return worst < 0.0, worst, worst_point
+
+
+def three_dimensional_pair():
+    return SwitchedFamily([
+        PolyVectorField([
+            {(1, 0, 0): -1.0, (0, 1, 1): 0.2},
+            {(0, 1, 0): -1.2, (0, 0, 2): 0.1 - 0.2j},
+            {(0, 0, 1): -1.3},
+        ]),
+        PolyVectorField([
+            {(1, 0, 0): -1.1, (0, 2, 0): 0.3},
+            {(0, 1, 0): -1.0, (1, 0, 1): 0.2j},
+            {(0, 0, 1): -1.25, (0, 0, 3): 0.3},
+        ]),
+    ])
+
+
 @pytest.mark.parametrize(
-    "config,kind,rel",
-    [
-        (example1_config(degree=12), "polynomial", 0.0),
-        (example2_config(degree=20), "diagonal_dominance", 1e-14),
-    ],
+    "case,rel",
+    [("example1", 0.0), ("example2", 1e-14), ("three-dimensional", 1e-14)],
 )
-def test_boundary_check_matches_the_reference_evaluator(
-    config, kind, rel, monkeypatch
-):
-    family = config.build_family()
-    rho = analyze_family(family, config.truncation_degree, kind).rho_certified
-    got = [boundary_invariance_check(f, rho) for f in family]
-    monkeypatch.setattr(PolyVectorField, "evaluate", reference_evaluate)
-    want = [boundary_invariance_check(f, rho) for f in family]
-    for g, w in zip(got, want):
-        assert (g.holds, g.samples, g.rho) == (w.holds, w.samples, w.rho)
-        assert np.array_equal(g.worst_point, w.worst_point)
-        assert g.worst_value == pytest.approx(w.worst_value, rel=rel, abs=0.0)
+def test_boundary_check_matches_the_reference_evaluator(case, rel):
+    if case == "three-dimensional":
+        family, rho = three_dimensional_pair(), 0.8
+    else:
+        config, kind = {
+            "example1": (example1_config(degree=12), "polynomial"),
+            "example2": (example2_config(degree=20), "diagonal_dominance"),
+        }[case]
+        family = config.build_family()
+        rho = analyze_family(family, config.truncation_degree, kind).rho_certified
+    got = boundary_invariance_check(family, rho)
+    assert len(got) == len(family)
+    for g, f in zip(got, family):
+        holds, worst, worst_point = reference_boundary_check(f, rho)
+        assert (g.holds, g.samples, g.rho) == (holds, f.dimension * 512, rho)
+        assert np.array_equal(g.worst_point, worst_point)
+        assert g.worst_value == pytest.approx(worst, rel=rel, abs=0.0)
 
 
 # points-last kernel against the evaluator it replaced ----------------------
@@ -766,7 +805,7 @@ def test_halton_batch_matches_the_scalar_recursion(base):
 
 def test_boundary_inward_for_diagonal_contraction():
     f = PolyVectorField([{(1, 0): -1.0}, {(0, 1): -1.0}])
-    rep = boundary_invariance_check(f, 0.9)
+    [rep] = boundary_invariance_check([f], 0.9)
     assert rep.holds
     # Re(-z conj(z)) = -rho^2 on every sample of the tested face
     assert abs(rep.worst_value - (-0.81)) < 1e-14
@@ -775,7 +814,7 @@ def test_boundary_inward_for_diagonal_contraction():
 
 def test_boundary_detects_outward_component():
     f = PolyVectorField([{(1, 0): 1.0}, {(0, 1): -1.0}])
-    rep = boundary_invariance_check(f, 0.5)
+    [rep] = boundary_invariance_check([f], 0.5)
     assert not rep.holds
     assert abs(rep.worst_value - 0.25) < 1e-14
     assert abs(abs(rep.worst_point[0]) - 0.5) < 1e-14
@@ -784,9 +823,9 @@ def test_boundary_detects_outward_component():
 def test_boundary_rejects_bad_arguments():
     f = PolyVectorField([{(1, 0): -1.0}, {(0, 1): -1.0}])
     with pytest.raises(ValueError):
-        boundary_invariance_check(f, 1.5)
+        boundary_invariance_check([f], 1.5)
     with pytest.raises(ValueError):
-        boundary_invariance_check(f, 0.0)
+        boundary_invariance_check([f], 0.0)
 
 
 # family ---------------------------------------------------------------------
