@@ -10,22 +10,23 @@ evaluation, and is the only code that knows the plan's layout.
 Evaluation is points-last: a batch of B points is read as its (n, B)
 transpose, and every intermediate keeps the points along the last axis.
 The scratch fills one power-major (P + 1, n, B) table of coordinate
-powers up to the largest exponent P, one contiguous multiply per power;
-forms each of the K stored terms' monomials as a product of whole rows
-of that table; and contracts the (K, B) monomials with an (n, K)
-coefficient matrix, each component's coefficients in its own row, into
-the (n, B) values.  It holds every array it writes, with the stage
-input and the running sum of ``flow_step``'s four Runge-Kutta stages.
-A scratch plans one field or a whole family, once, when it is made: the
-family's terms are concatenated, each row is stepped by the field
-``select`` gives it (``select`` chooses and never re-plans), and a step
-forms the monomials of the fields that hold a row once and contracts
-each such field's slice of them.  A scratch is made for a fixed number
+powers up to the largest exponent P, the points themselves in row 1 and
+one contiguous multiply per higher power; forms each of the K stored
+terms' monomials as a product of whole rows of that table; and contracts
+the (K, B) monomials with an (n, K) coefficient matrix, each component's
+coefficients in its own row, into the (n, B) values.  It holds every
+array it writes, and runs the whole RK4 step of ``flow_step``: the four
+stages and their running sum.  A scratch compiles one field or a whole
+family, once, when it is made: the family's terms are concatenated, each
+row is stepped by the field ``select`` gives it, and ``select`` lists
+the evaluation's ufunc calls from the compiled pieces: the monomials of
+the fields that hold a row, formed once, and each such field's
+contraction of its slice of them.  A scratch is made for a fixed number
 of rows and refuses any other batch size.  It belongs to whoever made
 it, never to a field: ``evaluate`` and a plain ``flow_step`` call make
-their own, and an integration makes one over the family for all its
-rows and reuses it every step, so a step allocates no batch-sized array
-and concurrent integrations of one family never share one.
+their own, and an integration makes one over the family for all its rows
+and reuses it every step, so a step allocates no batch-sized array and
+concurrent integrations of one family never share one.
 """
 
 import cmath
@@ -146,8 +147,7 @@ class PolyVectorField:
     def evaluate(self, z):
         """Evaluate at one point (n,) or a batch (B, n)."""
         z, zT = _points_last(self, z)
-        scratch = FieldScratch(self, zT.shape[1])
-        return scratch.evaluate(np.ascontiguousarray(zT)).T.reshape(z.shape).copy()
+        return FieldScratch(self, zT.shape[1]).evaluate(zT).T.reshape(z.shape).copy()
 
     def __repr__(self):
         terms = sum(len(c) for c in self.components)
@@ -225,25 +225,32 @@ class FieldScratch:
 
     ``fields`` is a ``PolyVectorField`` or a sequence of them (a
     ``SwitchedFamily``); a single field is a family of one, selected
-    here.  The plan is compiled here, once, from each field's
+    here.  Each field's pieces are compiled here, once, from its
     ``components``: its K_i terms, by component and then in basis order,
     get an (n, K_i) coefficient matrix, their largest exponent, and one
     product of power-table rows per monomial (row p * n + c holds
     z_c ** p), written into the field's K_i rows of the monomials; the
     fields' rows follow one another, K in all.  ``select`` says which
-    field steps each row: it sets the row masks and the largest exponent
-    the step needs, and builds nothing.
+    field steps each row, and joins the pieces of the fields that hold a
+    row into the evaluation's flat list of ufunc calls; it makes no array.
 
-    The scratch holds the (P + 1, n, rows) power table up to the family's
-    largest exponent P, the (K, rows) monomials, the (n, rows) field
-    values ``k``, one field's values in a mixed batch, and for
-    ``flow_step`` a stage input ``stage``, the running Runge-Kutta sum
-    ``acc`` and per-row half, sixth and whole steps ``steps`` filled from
-    one (3, rows) real row ``steps_row``; in a mixed selection a boolean
-    (n, rows) array per active field after the first holds its row mask.
-    Every array is made once, here, and the scratch refuses a batch of any
-    other size.  Whoever makes a scratch owns it: every evaluation
-    overwrites it.
+    The scratch holds the (P + 1, n, cols) power table up to the family's
+    largest exponent P (at least 1), whose row 1 is the input ``stage`` of
+    an evaluation and of each Runge-Kutta stage; the (K, cols) monomials;
+    (n, cols) arrays for the field values ``k``, one field's values in a
+    mixed batch and the running Runge-Kutta sum ``acc``; per-row half,
+    sixth and whole steps ``steps``, filled from one (3, cols) real row
+    ``steps_row``; and a scalar step's three and the factor 2 as complex
+    0-d arrays, rewritten when the step changes.  In a mixed selection a
+    boolean (n, cols) array per active field after the first holds its
+    row mask, and a boolean (n, 2 cols) array takes the finiteness of the
+    new state.  ``cols`` is ``rows``, but at least two: a lone row gets a
+    padding column at the origin, which every field fixes, so that its
+    coefficient products run over two columns, and round as a larger
+    batch's do, instead of through numpy's matrix-vector path.  Every
+    array is made once, here, and the scratch refuses a batch of any other
+    size.  Whoever makes a scratch owns it: every evaluation overwrites
+    it.
     """
 
     def __init__(self, fields, rows):
@@ -261,15 +268,23 @@ class FieldScratch:
         ]
         self._tops = [max((max(a) for _, a, _ in t), default=0) for t in terms]
         self.rows = rows
-        self.pows = np.empty((max(self._tops) + 1, n, rows), dtype=complex)
+        cols = max(rows, 2)
+        # zeros, so that padding columns stay at the origin; the stage
+        # input is row 1 of the power table
+        self.pows = np.zeros((max(max(self._tops), 1) + 1, n, cols), dtype=complex)
         self.pows[0] = 1
-        self.mono = np.empty((sum(map(len, terms)), rows), dtype=complex)
-        self.k, self.part, self.stage, self.acc = np.empty((4, n, rows), dtype=complex)
-        self.steps = np.empty((3, n, rows), dtype=complex)
-        self.steps_row = np.empty((3, rows))
-        self._flags = np.empty((len(fields) - 1, n, rows), dtype=bool)
-        table = self.pows.reshape(len(self.pows) * n, rows)
-        self._powers = list(zip(self.pows[:-1], self.pows[1:]))
+        self.stage = self.pows[1]
+        self.mono = np.empty((sum(map(len, terms)), cols), dtype=complex)
+        self.k, self.part, self.acc = np.zeros((3, n, cols), dtype=complex)
+        self._padded = np.zeros((n, cols), dtype=complex) if cols > rows else None
+        self.steps = np.zeros((3, n, cols), dtype=complex)
+        self.steps_row = np.zeros((3, cols))
+        self._sizes = tuple(np.full((), x, dtype=complex) for x in (0, 0, 0, 2))
+        self._dt = None
+        self._finite = np.empty((n, 2 * cols), dtype=bool)
+        self._flags = np.empty((len(fields) - 1, n, cols), dtype=bool)
+        table = self.pows.reshape(len(self.pows) * n, cols)
+        self._powers = list(zip(self.pows[1:-1], self.pows[2:]))
         self._products, self._parts, start = [], [], 0
         for field_terms in terms:
             mono = self.mono[start:start + len(field_terms)]
@@ -286,7 +301,7 @@ class FieldScratch:
                 products += [(np.multiply, (m, f, m)) for f in factors[1:]]
             self._products.append(products)
             self._parts.append((coeffs, mono))
-        self.active, self.masks = (), ()
+        self.active, self._plans = (), ()
         if len(fields) == 1:
             self.select(0)
 
@@ -297,45 +312,137 @@ class FieldScratch:
     def select(self, sub):
         """Choose the field that steps each row: ``sub`` is one field index
         for every row, or an integer array with one index per row.
-        Returns the scratch.
+        Returns the scratch.  Raises ValueError, naming the index, when one
+        is not an integer in [0, len(fields)).
 
-        The step then evaluates only the fields that hold a row: their
-        monomials, and each one's contraction over the whole batch; in a
-        mixed batch each field after the first keeps, through the row
-        masks built here, the values of the rows it holds.
+        The evaluation is then one flat list of ufunc calls, planned here
+        from the compiled pieces of the fields that hold a row: the power
+        table up to their largest exponent, their monomials, and each
+        one's contraction over the whole batch; in a mixed batch each
+        field after the first is contracted into its own array and keeps,
+        through the row masks built here, the values of the rows it holds.
+        There are two such lists, which differ only in the array the
+        contraction writes: ``acc`` for a step's first stage, ``k`` for
+        the others and for ``evaluate``.
         """
-        if np.ndim(sub) == 0:
-            active, masks = (int(sub),), ()
+        index, count = np.asarray(sub), len(self.fields)
+        if index.ndim:
+            self._require_rows(len(index))
+        if index.size and (index.dtype.kind not in "iu"
+                           or index.min() < 0 or index.max() >= count):
+            bad = next(i for i in index.ravel().tolist()
+                       if type(i) is not int or not 0 <= i < count)
+            raise ValueError(
+                f"subsystem index {bad!r} is not an integer in [0, {count})"
+            )
+        if index.ndim == 0:
+            active, masks = (int(index),), ()
         else:
-            self._require_rows(len(sub))
-            held = np.bincount(sub, minlength=len(self.fields))
+            held = np.bincount(index, minlength=count)
             active = tuple(np.flatnonzero(held).tolist())
             masks = self._flags[:len(active[1:])]
             for mask, i in zip(masks, active[1:]):
-                np.equal(sub, i, out=mask[0])  # row by row: no broadcast buffer
+                np.equal(index, i, out=mask[0])  # row by row: no broadcast buffer
                 np.copyto(mask[1:], mask[0])
-        self._top = max((self._tops[i] for i in active), default=0)
-        self.active, self.masks = active, masks
+        self.active, self._plans = active, ()
+        if active:
+            top = max(self._tops[i] for i in active)
+            head = [
+                (np.multiply, (prev, self.stage, pows))
+                for prev, pows in self._powers[:max(top - 1, 0)]
+            ]
+            for i in active:
+                head += self._products[i]
+            first, *rest = active
+            self._plans = tuple(
+                head + [(np.matmul, (*self._parts[first], out))] + [
+                    call
+                    for i, mask in zip(rest, masks)
+                    for call in ((np.matmul, (*self._parts[i], self.part)),
+                                 (np.putmask, (out, mask, self.part)))
+                ]
+                for out in (self.acc, self.k)
+            )
         return self
 
-    def evaluate(self, zT, out=None):
-        """F at the contiguous points-last batch ``zT`` (n, rows), each row
-        under its selected field, written to and returned as ``out``
-        (``self.k`` when not given)."""
+    def _planned(self):
         if not self.active:
             raise ValueError("no field is selected for these rows")
-        for prev, pows in self._powers[:self._top]:
-            np.multiply(prev, zT, out=pows)
-        for i in self.active:
-            for op, args in self._products[i]:
-                op(*args)
-        out = self.k if out is None else out
-        first, *rest = self.active
-        np.matmul(*self._parts[first], out=out)
-        for i, mask in zip(rest, self.masks):
-            np.matmul(*self._parts[i], out=self.part)
-            np.putmask(out, mask, self.part)
-        return out
+        return self._plans
+
+    def evaluate(self, zT):
+        """F at the points-last batch ``zT`` (n, rows), each row under its
+        selected field: ``zT`` is copied into ``stage``, and the values are
+        returned as a view of ``k``."""
+        plan = self._planned()[1]
+        np.copyto(self.stage[:, :self.rows], zT)
+        for op, args in plan:
+            op(*args)
+        return self.k[:, :self.rows]
+
+    def _step_sizes(self, dt):
+        """Half, sixth and whole step and the factor 2, as the complex
+        operands the products would cast them to: per-row steps in the
+        rows of ``steps``, a scalar step in the 0-d arrays, which are
+        rewritten only when it changes."""
+        half, sixth, whole, two = self._sizes
+        if isinstance(dt, np.ndarray):
+            # per-row steps run along the points axis, and fill every row
+            # so that no product broadcasts them through a buffer
+            h, row = dt.reshape(-1), self.steps_row[:, :self.rows]
+            np.multiply(0.5, h, out=row[0])
+            np.divide(h, 6.0, out=row[1])
+            np.copyto(row[2], h)
+            np.copyto(self.steps, self.steps_row[:, None])
+            half, sixth, whole = self.steps
+        elif dt != self._dt or dt == 0:  # a zero step keeps its sign
+            self._dt = dt
+            half[()], sixth[()], whole[()] = 0.5 * dt, dt / 6.0, dt
+        return half, sixth, whole, two
+
+    def step(self, zT, dt):
+        """One classical Runge-Kutta step of the contiguous points-last
+        batch ``zT`` (n, rows), each row under its selected field, by
+        ``dt``, a scalar or a (rows, 1) array of per-row steps.  The four
+        stages, their inputs and the weighted sum
+        ((k1 + 2 k2) + 2 k3 + k4) * (dt / 6) + z are computed in place, in
+        that order.  Raises NonFiniteStateError when the new state is not
+        finite, and returns it otherwise, as a view of ``acc``."""
+        acc_plan, k_plan = self._planned()
+        if self._padded is not None:
+            np.copyto(self._padded[:, :self.rows], zT)
+            zT = self._padded
+        half, sixth, whole, two = self._step_sizes(dt)
+        st, k, acc = self.stage, self.k, self.acc
+        mul, add = np.multiply, np.add
+        np.copyto(st, zT)
+        for op, args in acc_plan:
+            op(*args)
+        mul(acc, half, st)
+        add(st, zT, st)
+        for op, args in k_plan:
+            op(*args)
+        mul(k, half, st)
+        add(st, zT, st)
+        mul(k, two, k)
+        add(acc, k, acc)
+        for op, args in k_plan:
+            op(*args)
+        mul(k, whole, st)
+        add(st, zT, st)
+        mul(k, two, k)
+        add(acc, k, acc)
+        for op, args in k_plan:
+            op(*args)
+        add(acc, k, acc)
+        mul(acc, sixth, acc)
+        add(acc, zT, acc)
+        np.isfinite(acc.view(float), self._finite)
+        if not np.logical_and.reduce(self._finite, axis=None):
+            raise NonFiniteStateError(
+                f"non-finite state after an RK4 step (dt up to {float(np.max(dt))!r})"
+            )
+        return acc[:, :self.rows]
 
 
 def flow_step(field, z, dt, scratch=None, out=None):
@@ -344,12 +451,10 @@ def flow_step(field, z, dt, scratch=None, out=None):
     ``field`` is a ``PolyVectorField``, or a ``SwitchedFamily`` whose
     ``scratch`` says which field steps each row.  ``z`` is one point (n,)
     or a batch (B, n); ``dt`` is a scalar or a (B, 1) array of per-row
-    steps.  The step runs points-last on ``z.T`` (copied once when it is
-    not contiguous) inside ``scratch``, a ``FieldScratch`` of ``field``
-    for B rows that is made for the call when none is given: the four
-    stages, their inputs and the weighted sum
-    ((k1 + 2 k2) + 2 k3 + k4) * (dt / 6) + z are all computed in place.
-    The new state is written to ``out`` (any array of z's shape, z itself
+    steps.  The step is ``FieldScratch.step`` of ``z.T`` (copied once when
+    it is not contiguous) in ``scratch``, a ``FieldScratch`` of ``field``
+    for B rows that is made for the call when none is given.  The new
+    state is written to ``out`` (any array of z's shape, z itself
     included) or to a new array, and returned; it never shares memory
     with the scratch, and ``z`` is read only.  Raises ValueError when the
     scratch belongs to another field or holds another number of rows, and
@@ -362,41 +467,7 @@ def flow_step(field, z, dt, scratch=None, out=None):
     elif scratch.field is not field:
         raise ValueError("scratch belongs to another field")
     scratch._require_rows(zT.shape[1])
-    zT = np.ascontiguousarray(zT)
-    F, k, st, acc = scratch.evaluate, scratch.k, scratch.stage, scratch.acc
-    steps, row = scratch.steps, scratch.steps_row
-    if isinstance(dt, np.ndarray):
-        # per-row steps run along the points axis.  They are held as the
-        # complex values the products would cast them to, in every row,
-        # so that no product casts or broadcasts them through a buffer.
-        h = dt.reshape(-1)
-        np.multiply(0.5, h, out=row[0])
-        np.divide(h, 6.0, out=row[1])
-        np.copyto(row[2], h)
-        np.copyto(steps, row[:, None])
-        half, sixth, step = steps
-    else:
-        half, sixth, step = 0.5 * dt, dt / 6.0, dt
-    np.multiply(F(zT, acc), half, out=st)
-    st += zT
-    F(st)
-    np.multiply(k, half, out=st)
-    st += zT
-    k *= 2.0
-    acc += k
-    F(st)
-    np.multiply(k, step, out=st)
-    st += zT
-    k *= 2.0
-    acc += k
-    acc += F(st)
-    acc *= sixth
-    acc += zT
-    if not np.isfinite(acc.view(float)).all():
-        raise NonFiniteStateError(
-            f"non-finite state after an RK4 step (dt up to {float(np.max(dt))!r})"
-        )
-    new = acc.T.reshape(z.shape)
+    new = scratch.step(np.ascontiguousarray(zT), dt).T.reshape(z.shape)
     if out is None:
         return new.copy()
     np.copyto(out, new)

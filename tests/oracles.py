@@ -9,6 +9,8 @@ The small constructors and lookups at the top are used only by tests.
 ``evaluate_batch`` is the field evaluator the library had before its
 points-last kernel, and ``dense_value_batch`` the V evaluator it had
 before its scratch; each is kept as its successor's bit-exact reference.
+``reference_rk4`` is the RK4 step of a family built on
+``evaluate_batch``, the reference of the step a scratch plans.
 """
 
 import numpy as np
@@ -70,6 +72,31 @@ def evaluate_batch(field_, zb):
     for c in range(1, n):
         mono *= pows[gather[c]]
     return np.ascontiguousarray(mono.T) @ coeffs
+
+
+def reference_rk4(fields, sub, Z, dt):
+    """One classical Runge-Kutta step of the (B, n) batch ``Z``, row i
+    under ``fields[sub[i]]``, by ``dt``, a scalar or a (B, 1) array of
+    per-row steps, with fresh arrays.  At each stage every field that
+    holds a row is evaluated by ``evaluate_batch`` on the whole stage
+    input, and each row keeps its own field's values; the stages are
+    summed as ((k1 + 2 k2) + 2 k3 + k4) * (dt / 6) + z."""
+    Z = np.asarray(Z, dtype=complex)
+    sub = np.broadcast_to(sub, len(Z))
+
+    def F(X):
+        out = np.empty_like(X)
+        for i in np.unique(sub):
+            rows = sub == i
+            out[rows] = evaluate_batch(fields[i], X)[rows]
+        return out
+
+    half, sixth = 0.5 * dt, dt / 6.0
+    k1 = F(Z)
+    k2 = F(k1 * half + Z)
+    k3 = F(k2 * half + Z)
+    k4 = F(k3 * dt + Z)
+    return ((k1 + k2 * 2.0) + k3 * 2.0 + k4) * sixth + Z
 
 
 def dense_value_batch(clf, Z, hat=False):

@@ -704,11 +704,59 @@ def test_the_worst_decay_rate_is_its_first_occurrence_across_blocks():
 
 
 def growing_family():
-    # one term a component, so that a lone row's RK4 steps round as a batch's
+    # the second field has two terms in a component: a lone row's RK4
+    # steps round as a batch's only since a lone row is contracted over a
+    # padding column
     return SwitchedFamily([
         PolyVectorField([{(1, 0): 1.0}, {(0, 1): 0.5}]),
-        PolyVectorField([{(1, 0): 0.6}, {(0, 1): 1.1}]),
+        PolyVectorField([{(1, 0): 0.6, (0, 1): 0.2}, {(0, 1): 1.1}]),
     ])
+
+
+def test_a_lone_integration_is_row_0_of_a_batch_bit_for_bit():
+    fam = growing_family()
+    signals = [random_signal(2, 3.0, seed=s) for s in range(3)]
+    plans = [_step_plan(sig, 0.01) for sig in signals]
+    assert set(plans[0][1].tolist()) == {0, 1}
+    pts = sample_initial_points(2, 0.05, 4, seed=2)
+    full = _integrate(fam, plans, pts)
+    one = integrate_switched(fam, signals[0], pts[0], dt=0.01)
+    k = len(one.times)
+    assert np.array_equal(one.states.view(np.uint64), full.states[:k].view(np.uint64))
+
+
+def test_a_one_row_audit_is_row_0_of_a_larger_audit_bit_for_bit():
+    # a linear pair conjugated by S, so that each component has two terms
+    S = np.array([[1.0, 0.4], [-0.3, 1.0]])
+    fam = SwitchedFamily([
+        field_from_linear(S @ np.array(A) @ np.linalg.inv(S))
+        for A in ([[-1.16, 0.36], [0.0, -0.9]], [[-1.46, -0.15], [0.0, -1.1]])
+    ])
+    rep = analyze_family(fam, 6)
+    assert rep.certified
+    one = audit_certificate(fam, rep, signals=1, points=1, seed=2026, dt=0.01,
+                            horizon=5.0).run
+    row = audit_certificate(fam, rep, signals=3, points=4, seed=2026, dt=0.01,
+                            horizon=5.0).run
+    assert np.array_equal(one.states.view(np.uint64), row.states.view(np.uint64))
+    assert np.array_equal(one.v_values.view(np.uint64), row.v_values.view(np.uint64))
+
+
+def test_each_step_is_one_flow_step_call_on_the_whole_batch(monkeypatch):
+    # benchmarks/tracer.py times the steps by wrapping switchsim.flow_step
+    # and counts the rows of its argument 1
+    batches = []
+
+    def counted_step(*args, **kwargs):
+        batches.append(args[1].shape)
+        return flow_step(*args, **kwargs)
+
+    monkeypatch.setattr(switchsim, "flow_step", counted_step)
+    fam, rep = example1_report()
+    plans = plans_of(fam, 3, 4, 0.01, 2.0)
+    clf = CommonLyapunovFunction(rep.epsilon, rep.P_inv, build_basis(2, 12))
+    _integrate(fam, plans, sample_initial_points(2, 0.5, 4, seed=1), clf)
+    assert batches == [(12, 2)] * max(len(p[0]) for p in plans)
 
 
 @pytest.mark.parametrize("with_clf", [True, False])

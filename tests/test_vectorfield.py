@@ -20,7 +20,7 @@ from koopman_clf.vectorfield import (
     lie_bracket,
     poly_mul,
 )
-from oracles import coefficient, evaluate_batch, field_from_linear
+from oracles import coefficient, evaluate_batch, field_from_linear, reference_rk4
 
 
 def random_int_field(rng, n=2, degree=3, span=3):
@@ -493,13 +493,12 @@ def assert_family_step_is_per_subsystem_steps(family, rng, sizes, gathered_exact
 
     On the whole batch, the subsystem's own step agrees bit for bit on
     its rows.  On its rows alone it agrees bit for bit where
-    ``gathered_exact(rows)`` holds.  Elsewhere, with complex coefficients
-    or a one-row subsystem, it agrees only to 1e-13 of the step's sum of
-    absolute terms, |z| + h |F|(|z|) with |F| the field of absolute
-    coefficients, and the family step misses exact agreement with the
-    subsystem's step on its rows alone: BLAS rounds a complex K-term
-    product by the point's position in the batch, and a one-row batch is
-    a matrix-vector product.
+    ``gathered_exact(rows)`` holds.  Elsewhere, with complex coefficients,
+    it agrees only to 1e-13 of the step's sum of absolute terms,
+    |z| + h |F|(|z|) with |F| the field of absolute coefficients, and the
+    family step misses exact agreement with the subsystem's step on its
+    rows alone: BLAS rounds a complex K-term product by the point's
+    position in the batch.
     """
     S, n = len(family), family.dimension
     absf = [
@@ -551,8 +550,82 @@ def test_family_step_is_the_per_subsystem_step_on_random_families(n, real):
         family = random_family(rng, S, n, int(rng.integers(1, 9)), real)
         sizes = (1, 2, 5, int(rng.integers(8, 160)), 2500)
         assert_family_step_is_per_subsystem_steps(
-            family, rng, sizes, lambda rows: real and len(rows) > 1
+            family, rng, sizes, lambda rows: real
         )
+
+
+def assert_steps_are_the_reference_rk4(family, rng, B, radius):
+    """Steps of one scratch of B rows equal ``reference_rk4`` bit for bit:
+    under one field for every row, given as an index and as an array,
+    and under mixed selections that change on the same scratch; each with
+    a scalar step, per-row steps and another scalar step."""
+    S, n = len(family), family.dimension
+    scratch = FieldScratch(family, B)
+    Z = polydisk_points(rng, n, B, radius)
+    per_row = rng.uniform(0.001, 0.02, (B, 1))
+    selections = [*range(S), np.full(B, S - 1), np.arange(B) % S,
+                  *(rng.integers(0, S, B) for _ in range(3))]
+    for sub in selections:
+        scratch.select(sub)
+        for dt in (0.01, per_row, 0.013):
+            want = reference_rk4(family, sub, Z, dt)
+            assert np.array_equal(flow_step(family, Z, dt, scratch), want)
+
+
+@pytest.mark.parametrize("seed", [1, 2026])
+def test_the_planned_step_is_the_reference_rk4_on_the_examples(seed):
+    rng = np.random.default_rng(seed)
+    for family in (example1_config().build_family(),
+                   example2_config(degree=20).build_family()):
+        for B in (2, 7, 150):
+            for radius in (0.9, 1e-3):
+                assert_steps_are_the_reference_rk4(family, rng, B, radius)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_planned_step_is_the_reference_rk4_on_random_real_families(n):
+    # real coefficients: BLAS rounds the scratch's (n, K) @ (K, B) product
+    # and the reference's (B, K) @ (K, n) one alike
+    rng = np.random.default_rng(4000 + n)
+    for S in (1, 2, 3):
+        family = random_family(rng, S, n, int(rng.integers(1, 9)), real=True)
+        for B in (2, 5, int(rng.integers(8, 160))):
+            assert_steps_are_the_reference_rk4(family, rng, B, 0.9)
+
+
+def test_a_lone_row_steps_as_it_does_inside_a_batch():
+    # a one-row scratch contracts over a padding column at the origin, so
+    # its coefficient product is not numpy's matrix-vector one, which
+    # rounds otherwise; each of 7 rows is stepped alone for 100 steps
+    f = PolyVectorField([{(1, 0): 0.6, (0, 1): 0.2}, {(0, 1): 1.1}])
+    rng = np.random.default_rng(29)
+    Z = polydisk_points(rng, 2, 7, 0.9)
+    for dt in (0.01, rng.uniform(0.001, 0.02, (7, 1))):
+        batch, alone = Z.copy(), Z.copy()
+        for _ in range(100):
+            batch = flow_step(f, batch, dt)
+            for i in range(7):
+                h = dt if np.ndim(dt) == 0 else dt[i:i + 1]
+                alone[i:i + 1] = flow_step(f, alone[i:i + 1], h)
+            assert np.array_equal(alone.view(np.uint64), batch.view(np.uint64))
+        assert np.array_equal(f.evaluate(Z[0]).view(np.uint64),
+                              f.evaluate(Z)[0].view(np.uint64))
+
+
+def test_select_refuses_what_is_not_a_subsystem_index():
+    family = example1_config().build_family()
+    Z = np.full((3, 2), 0.1 + 0j)
+    scratch = FieldScratch(family, 3).select(np.array([0, 1, 1]))
+    want = flow_step(family, Z, 0.01, scratch)
+    for sub, name in ((2, "2"), (-1, "-1"), (0.5, "0.5"), (True, "True"),
+                      (np.array([0, 2, 1]), "2"), (np.array([1, 0, -1]), "-1"),
+                      (np.array([1.0, 0.5, 0.0]), "1.0")):
+        with pytest.raises(ValueError, match=(
+            rf"^subsystem index {name} is not an integer in \[0, 2\)$"
+        )):
+            scratch.select(sub)
+    # the refusals leave the selection as it was
+    assert np.array_equal(flow_step(family, Z, 0.01, scratch), want)
 
 
 def test_family_scratch_needs_a_selection_for_every_batch_size():
