@@ -479,9 +479,9 @@ class ValueScratch:
     in dimension n with truncation degree N.
 
     ``zh`` (rows, n) takes the points in flag coordinates (``value_batch``
-    writes its ``hat`` there), ``mod`` (rows, n) their moduli; both stay
-    readable after ``value_batch``.  The (N + 1, n, cols) table holds
-    |z_c|^(2p), and the contraction runs in two real buffers of
+    writes its ``hat`` there), ``mod`` (rows, n) their moduli; every
+    ``value_batch`` leaves its batch's there.  The (N + 1, n, cols) table
+    holds |z_c|^(2p), and the contraction runs in two real buffers of
     max((N + 1)^(n - 1), 2) and (N + 1)^(n - 2) rows, all of
     cols = max(rows, 2) columns, since a lone point is contracted as two
     equal columns.  Whoever makes a scratch owns it: every evaluation
@@ -537,22 +537,21 @@ class CommonLyapunovFunction:
         np.copyto(out, one)
         return out
 
-    def value_batch(self, Z, hat=False, scratch=None):
-        """V at a batch of points (B, n); set hat=True when Z is already
-        in flag coordinates.
+    def value_batch(self, Z, scratch=None):
+        """V at a batch of points (B, n).
 
         The weight grid is contracted with the power tables |z_c|^(2p),
         p = 0..N, one coordinate axis at a time; for n = 2 this is
         rowsum((X_1 @ G) * X_2).  The tables are laid out (power, coord,
         point), and every operation runs over contiguous rows of points.
         With a ``ValueScratch`` of B rows every array lives in it, the
-        flag coordinates are left in ``scratch.zh`` (unless hat=True) and
-        the moduli |z| in ``scratch.mod``, and the returned values are a
-        view into the scratch; without one, a scratch is made for the
-        call.  V of a point does not depend on the batch it is in: numpy
-        multiplies a single row or column through its matrix-vector paths,
-        which round differently from its matrix product, so a lone point
-        is contracted as two equal columns (and for n = 1 the grid as two
+        flag coordinates are left in ``scratch.zh`` and the moduli |z| in
+        ``scratch.mod``, and the returned values are a view into the
+        scratch; without one, a scratch is made for the call.  V of a
+        point does not depend on the batch it is in: numpy multiplies a
+        single row or column through its matrix-vector paths, which round
+        differently from its matrix product, so a lone point is
+        contracted as two equal columns (and for n = 1 the grid as two
         equal rows).
         """
         Z = np.asarray(Z, dtype=complex)
@@ -562,7 +561,7 @@ class CommonLyapunovFunction:
             scratch = ValueScratch(self, B)
         elif scratch.rows != B:
             raise ValueError(f"scratch holds {scratch.rows} rows, not {B}")
-        W = np.abs(Z if hat else self.hat(Z, out=scratch.zh), out=scratch.mod).T
+        W = np.abs(self.hat(Z, out=scratch.zh), out=scratch.mod).T
         X, G = scratch.pows, self._grid  # (N + 1, n, max(B, 2))
         cols = X.shape[2]
         np.multiply(W, W, out=X[1])  # a lone point fills both columns

@@ -110,10 +110,7 @@ def cmd_analyze(parser, args):
         parser.error(str(exc))
     if args.format == "json":
         _write_text(parser, args.out, report.to_json())
-    else:
-        if report.epsilon is None:
-            parser.error("analysis stopped before weights were computed; "
-                         "no CSV to write")
+    elif report.epsilon is not None:  # else the analysis stopped before them
         prefix = args.out if args.out not in (None, "-") else "report"
         _write_text(parser, prefix + ".epsilon.csv",
                     _csv_text(export_epsilon_csv, report))

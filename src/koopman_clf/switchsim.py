@@ -168,11 +168,12 @@ def _integrate(family, plans, points, clf=None):
     C*R rows (without a certificate, one ``abs`` gives the moduli), and
     one pass over them finds each row's first escaping step, the relative
     V increments and the rates, a row whose plan has ended having none.
-    The last V of a block is the previous V of the next block's first
-    step, so V is evaluated once per state.  A step whose new state is not
-    finite ends its block early: the steps before it are checked first, so
-    that a non-finite V at an earlier step is the error raised, with the
-    time of that step.
+    The initial states get theirs from the same call over R rows, and a
+    non-finite V there is the error at t = 0.  The last V of a block is
+    the previous V of the next block's first step, so V is evaluated once
+    per state.  A step whose new state is not finite ends its block
+    early: the steps before it are checked first, so that a non-finite V
+    at an earlier step is the error raised, with the time of that step.
 
     Returns the final states, escape flags and times, the largest relative
     one-step V increase, the largest rate (V_next - V) / (h V) over the
@@ -189,7 +190,7 @@ def _integrate(family, plans, points, clf=None):
     one_h = (H == H[:, :1]).all(axis=1).tolist()
     # the rows of each subsystem change only at a switch
     regroup = np.r_[True, (SUB[1:] != SUB[:-1]).any(axis=1)]
-    ZT = np.tile(np.asarray(points, dtype=complex).T, (1, S))
+    ZT = np.ascontiguousarray(np.tile(np.asarray(points, dtype=complex).T, (1, S)))
     Z = ZT.T
     R, n = Z.shape
     C = max(1, min(BLOCK_ROWS // R, L))
@@ -210,11 +211,15 @@ def _integrate(family, plans, points, clf=None):
     states = np.empty((L + 1, n), dtype=complex)
     values = None if clf is None else np.empty(L + 1)
     states[0] = Z[0]
-    Zh = Z if clf is None else clf.hat(Z)
-    escape_time = np.where(np.abs(Zh).max(axis=1) >= 1.0 - ESCAPE_TOL, 0.0, np.nan)
-    if clf is not None:
-        v_prev[0] = clf.value_batch(Zh, hat=True)
-        values[0] = v_prev[0, 0]
+    if clf is None:
+        mod0 = np.abs(Z)
+    else:
+        vs0 = ValueScratch(clf, R)
+        v_prev[0] = clf.value_batch(Z, scratch=vs0)
+        if not np.isfinite(v_prev[0]).all():
+            raise NonFiniteStateError("non-finite V at t=0.0")
+        values[0], mod0 = v_prev[0, 0], vs0.mod
+    escape_time = np.where(mod0.max(axis=1) >= 1.0 - ESCAPE_TOL, 0.0, np.nan)
     max_rel, worst, worst_at = 0.0, None, None
     for l0 in range(0, L, C):
         m, failure = min(C, L - l0), None
@@ -226,7 +231,7 @@ def _integrate(family, plans, points, clf=None):
                     sub_all.reshape(S, P)[:] = SUB[l, :, None]
                     fs.select(sub_all)
                 h = float(H[l, 0]) if one_h[l] else h_all[c, :, None]
-                flow_step(family, Z, h, fs, out=Z)
+                flow_step(fs, Z, h, out=Z)
                 np.copyto(block[:, c], ZT)
         except NonFiniteStateError as exc:
             if c == 0:
@@ -425,10 +430,11 @@ def audit_certificate(
     audit passes when V never increases beyond ``V_SLACK`` (relative) and
     no trajectory leaves the unit polydisk.  Raises NonFiniteStateError when
     a state or a value of V stops being finite, and ValueError when the
-    report is not certified or its dimension or subsystem count is not the
-    family's.  The report's P and P_inv map between flag and original
-    coordinates (``load_report`` supplies the identity when a stored
-    report has none).
+    report is not certified, one of its weights is not finite and
+    positive, or its dimension or subsystem count is not the family's.
+    The report's P and P_inv map between flag and original coordinates
+    (``load_report`` supplies the identity when a stored report has
+    none).
     """
     if signals < 1 or points < 1:
         raise ValueError("signals and points must be >= 1")
@@ -446,6 +452,11 @@ def audit_certificate(
     n = report.dimension
     basis = build_basis(n, report.truncation_degree)
     clf = CommonLyapunovFunction(report.epsilon, report.P_inv, basis)
+    bad = ~(np.isfinite(clf.epsilon) & (clf.epsilon > 0))
+    if bad.any():  # analysis certifies no other weights
+        i = int(np.argmax(bad))
+        raise ValueError(f"report field 'epsilon[{i}]' is not finite and "
+                         f"positive: {float(clf.epsilon[i])!r}")
     rho = float(report.rho_certified)
     radius = 0.95 * rho
     pts = sample_initial_points(n, radius, points, seed)

@@ -23,8 +23,8 @@ the evaluation's ufunc calls from the compiled pieces: the monomials of
 the fields that hold a row, formed once, and each such field's
 contraction of its slice of them.  A scratch is made for a fixed number
 of rows and refuses any other batch size.  It belongs to whoever made
-it, never to a field: ``evaluate`` and a plain ``flow_step`` call make
-their own, and an integration makes one over the family for all its rows
+it, never to a field: ``evaluate`` makes its own, ``flow_step`` uses its
+caller's, and an integration makes one over the family for all its rows
 and reuses it every step, so a step allocates no batch-sized array and
 concurrent integrations of one family never share one.
 """
@@ -254,7 +254,6 @@ class FieldScratch:
     """
 
     def __init__(self, fields, rows):
-        self.field = fields
         fields = (fields,) if isinstance(fields, PolyVectorField) else tuple(fields)
         self.fields = fields
         n = fields[0].dimension
@@ -401,9 +400,9 @@ class FieldScratch:
         return half, sixth, whole, two
 
     def step(self, zT, dt):
-        """One classical Runge-Kutta step of the contiguous points-last
-        batch ``zT`` (n, rows), each row under its selected field, by
-        ``dt``, a scalar or a (rows, 1) array of per-row steps.  The four
+        """One classical Runge-Kutta step of the points-last batch ``zT``
+        (n, rows), of any memory layout, each row under its selected field,
+        by ``dt``, a scalar or a (rows, 1) array of per-row steps.  The four
         stages, their inputs and the weighted sum
         ((k1 + 2 k2) + 2 k3 + k4) * (dt / 6) + z are computed in place, in
         that order.  Raises NonFiniteStateError when the new state is not
@@ -445,29 +444,22 @@ class FieldScratch:
         return acc[:, :self.rows]
 
 
-def flow_step(field, z, dt, scratch=None, out=None):
+def flow_step(scratch, z, dt, out=None):
     """One classical Runge-Kutta step of z' = F(z); works on batches.
 
-    ``field`` is a ``PolyVectorField``, or a ``SwitchedFamily`` whose
-    ``scratch`` says which field steps each row.  ``z`` is one point (n,)
-    or a batch (B, n); ``dt`` is a scalar or a (B, 1) array of per-row
-    steps.  The step is ``FieldScratch.step`` of ``z.T`` (copied once when
-    it is not contiguous) in ``scratch``, a ``FieldScratch`` of ``field``
-    for B rows that is made for the call when none is given.  The new
+    ``scratch`` is a ``FieldScratch`` of B rows, whose selection says
+    which field steps each row.  ``z`` is one point (n,) or a batch
+    (B, n), of any memory layout; ``dt`` is a scalar or a (B, 1) array of
+    per-row steps.  The step is ``FieldScratch.step`` of ``z.T``.  The new
     state is written to ``out`` (any array of z's shape, z itself
     included) or to a new array, and returned; it never shares memory
     with the scratch, and ``z`` is read only.  Raises ValueError when the
-    scratch belongs to another field or holds another number of rows, and
-    NonFiniteStateError, before anything is written to ``out``, when the
-    new state is not finite.
+    scratch holds another number of rows, and NonFiniteStateError, before
+    anything is written to ``out``, when the new state is not finite.
     """
-    z, zT = _points_last(field, z)
-    if scratch is None:
-        scratch = FieldScratch(field, zT.shape[1])
-    elif scratch.field is not field:
-        raise ValueError("scratch belongs to another field")
+    z, zT = _points_last(scratch.fields[0], z)
     scratch._require_rows(zT.shape[1])
-    new = scratch.step(np.ascontiguousarray(zT), dt).T.reshape(z.shape)
+    new = scratch.step(zT, dt).T.reshape(z.shape)
     if out is None:
         return new.copy()
     np.copyto(out, new)

@@ -5,7 +5,9 @@ The library builds each truncated generator matrix once, as arrays
 (k, j, v) of its stored entries, and runs the certificate on them.  The
 functions here compute the same quantities one entry, one column, one
 pair or one basis position at a time; the tests hold the library to them.
-The small constructors and lookups at the top are used only by tests.
+The small constructors and lookups at the top are used only by tests;
+``field_step`` among them steps points under one field in a scratch of
+its own.
 ``evaluate_batch`` is the field evaluator the library had before its
 points-last kernel, and ``dense_value_batch`` the V evaluator it had
 before its scratch; each is kept as its successor's bit-exact reference.
@@ -25,7 +27,7 @@ from koopman_clf.certificate import (
     degree_maxima,
 )
 from koopman_clf.multiindex import order_key
-from koopman_clf.vectorfield import PolyVectorField
+from koopman_clf.vectorfield import FieldScratch, PolyVectorField, flow_step
 
 
 def field_from_linear(matrix):
@@ -41,6 +43,13 @@ def field_from_linear(matrix):
                 table[alpha] = A[l, r]
         comps.append(table)
     return PolyVectorField(comps)
+
+
+def field_step(field_, z, dt):
+    """``flow_step`` of one point (n,) or a batch (B, n) under one field,
+    in a new ``FieldScratch`` of the field for its rows."""
+    rows = len(z) if np.ndim(z) == 2 else 1
+    return flow_step(FieldScratch(field_, rows), z, dt)
 
 
 def evaluate_batch(field_, zb):
@@ -99,7 +108,7 @@ def reference_rk4(fields, sub, Z, dt):
     return ((k1 + k2 * 2.0) + k3 * 2.0 + k4) * sixth + Z
 
 
-def dense_value_batch(clf, Z, hat=False):
+def dense_value_batch(clf, Z):
     """V at a (B, n) batch by the dense degree-grid contraction with fresh
     arrays: the power tables |z_c|^(2p) built from (|z|^2).T, then the
     grid contracted one coordinate axis at a time.  ``value_batch``'s
@@ -108,8 +117,8 @@ def dense_value_batch(clf, Z, hat=False):
     product is a matrix product."""
     Z = np.asarray(Z, dtype=complex)
     if len(Z) == 1:
-        return dense_value_batch(clf, np.repeat(Z, 2, axis=0), hat)[:1]
-    W = (np.abs(Z if hat else clf.hat(Z)) ** 2).T
+        return dense_value_batch(clf, np.repeat(Z, 2, axis=0))[:1]
+    W = (np.abs(clf.hat(Z)) ** 2).T
     n, B = W.shape
     G = clf._grid
     X = np.empty((G.shape[0], n, B))

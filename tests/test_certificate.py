@@ -746,7 +746,6 @@ def test_clf_degree_grid_matches_gathered_powers(n, N):
     assert got.shape == (40,)
     for g, w in zip(got, want):
         assert g == pytest.approx(w, rel=1e-13)
-    assert np.array_equal(clf.value_batch(clf.hat(Z), hat=True), got)
 
 
 @pytest.mark.parametrize("n,N", [(1, 12), (2, 12), (2, 30), (3, 7), (4, 5)])
@@ -760,16 +759,31 @@ def test_clf_scratch_values_are_the_dense_contraction_bit_for_bit(n, N):
         Z = 0.45 * (rng.normal(size=(B, n)) + 1j * rng.normal(size=(B, n)))
         ZT = np.ascontiguousarray(Z.T)  # an integration's (B, n) view
         scratch = ValueScratch(clf, B)
-        zh = clf.hat(ZT.T, out=scratch.zh)
-        assert zh is scratch.zh and np.array_equal(zh, clf.hat(ZT.T))
-        want = dense_value_batch(clf, zh, hat=True)
-        got = clf.value_batch(zh, hat=True, scratch=scratch)
+        want = dense_value_batch(clf, ZT.T)
+        got = clf.value_batch(ZT.T, scratch=scratch)
         assert np.shares_memory(got, scratch.acc) or np.shares_memory(got, scratch.spare)
         assert np.array_equal(got, want)
-        assert np.array_equal(scratch.mod, np.abs(zh))
-        assert np.array_equal(clf.value_batch(ZT.T), dense_value_batch(clf, ZT.T))
+        assert np.array_equal(clf.value_batch(ZT.T), want)
     with pytest.raises(ValueError, match="rows"):
         clf.value_batch(Z[:3], scratch=scratch)
+
+
+def test_value_batch_leaves_the_flag_coordinates_and_moduli_of_its_points():
+    # for a lone point and for a batch, each call overwrites what the last
+    # one left in the scratch
+    basis = build_basis(2, 8)
+    rng = np.random.default_rng(41)
+    P_inv = np.array([[1.0, 0.4 - 0.3j], [0.0, 1.0]])
+    clf = CommonLyapunovFunction(rng.uniform(0.1, 1.0, basis.size), P_inv, basis)
+    for B in (1, 9):
+        scratch = ValueScratch(clf, B)
+        for _ in range(2):
+            Z = 0.45 * (rng.normal(size=(B, 2)) + 1j * rng.normal(size=(B, 2)))
+            clf.value_batch(Z, scratch=scratch)
+            zh = clf.hat(Z)
+            bits = (scratch.zh.view(np.uint64), scratch.mod.view(np.uint64))
+            assert np.array_equal(bits[0], zh.view(np.uint64))
+            assert np.array_equal(bits[1], np.abs(zh).view(np.uint64))
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -797,6 +811,5 @@ def test_v_of_a_point_does_not_depend_on_its_batch(n, N, B, k, seed):
     assert all(np.array_equal(clf.hat(z), h) for z, h in zip(Z, zh))
     scratch = ValueScratch(clf, 1)
     for i in range(B):
-        clf.hat(Z[i:i + 1], out=scratch.zh)
+        assert clf.value_batch(Z[i:i + 1], scratch=scratch)[0] == whole[i]
         assert np.array_equal(scratch.zh[0], zh[i])
-        assert clf.value_batch(scratch.zh, hat=True, scratch=scratch)[0] == whole[i]

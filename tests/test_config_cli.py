@@ -579,6 +579,24 @@ def test_cli_analyze_reports_scheme_failure(tmp_path, capsys):
     assert "not certified" in capsys.readouterr().err
 
 
+def test_cli_analyze_csv_of_an_analysis_without_weights_writes_nothing(
+    tmp_path, capsys
+):
+    # the scheme fails before the weights exist: the stage's exit code and
+    # the failure, as with --format json, and no CSV file
+    cfg = tmp_path / "sys.json"
+    main(["example1", "--b", "0.5", "--out", str(cfg)])
+    json_out = tmp_path / "r.json"
+    assert main(["analyze", "--config", str(cfg), "--out", str(json_out)]) == 3
+    message = json.loads(json_out.read_text())["failure"]["message"]
+    capsys.readouterr()
+    prefix = tmp_path / "run"
+    argv = ["analyze", "--config", str(cfg), "--format", "csv", "--out", str(prefix)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"not certified: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "sys.json"]
+
+
 def test_cli_analyze_csv_output(tmp_path):
     cfg = tmp_path / "sys.json"
     main(["example1", "--degree", "6", "--out", str(cfg)])
@@ -726,6 +744,30 @@ def test_cli_simulate_flags_tampered_certificate(tmp_path):
     summary = json.loads((tmp_path / "audit.json").read_text())
     assert summary["passed"] is False
     assert summary["max_v_increase"] > 1e-9
+
+
+@pytest.mark.parametrize("edits,named", [
+    ({5: None}, "'epsilon[5]' is not finite and positive: nan"),
+    ({0: 0.0}, "'epsilon[0]' is not finite and positive: 0.0"),
+    ({7: None, 2: 0.0}, "'epsilon[2]' is not finite and positive: 0.0"),
+], ids=["null", "zero", "first-of-two"])
+def test_cli_simulate_refuses_a_weight_that_is_not_finite_and_positive(
+    tmp_path, capsys, edits, named
+):
+    # analyze certifies no such weight (a null one is NaN); an edited
+    # report exits 2 naming the first one
+    cfg, rpt = _example1_config_and_report(tmp_path)
+    data = json.loads(rpt.read_text())
+    for index, value in edits.items():
+        data["epsilon"][index] = value
+    rpt.write_text(json.dumps(data))
+    out = tmp_path / "audit.json"
+    argv = ["simulate", "--config", str(cfg), "--report", str(rpt),
+            "--out", str(out), "--trials", "1", "--points", "1"]
+    code, err = _cli_exit(argv, capsys)
+    assert code == 2
+    assert f"report field {named}\n" in err
+    assert not out.exists()
 
 
 def test_cli_simulate_rejects_uncertified_report(tmp_path, capsys):

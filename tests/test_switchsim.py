@@ -35,7 +35,7 @@ from koopman_clf.vectorfield import (
     SwitchedFamily,
     flow_step,
 )
-from oracles import field_from_linear
+from oracles import field_from_linear, field_step
 
 
 def contraction_family(rates=(-1.0, -2.0)):
@@ -398,7 +398,7 @@ def sequential_integrate(family, signal, z0, dt=1e-3, clf=None):
         n_full, rem = _segment_steps(signal.durations[seg], dt)
         plan = [dt] * n_full + ([rem] if rem else [])
         for s, h in enumerate(plan):
-            z = flow_step(fld, z, h)
+            z = field_step(fld, z, h)
             t = end if s == len(plan) - 1 else t_start + (s + 1) * dt
             times.append(t)
             states.append(z[0].copy())
@@ -434,7 +434,7 @@ def sequential_audit_one_signal(family, clf, P, signal, points, dt):
     """
     Z = points @ P.T
     Zh = clf.hat(Z)
-    v_prev = clf.value_batch(Zh, hat=True)
+    v_prev = clf.value_batch(Z)
     max_rel, worst = 0.0, None
     escaped = np.abs(Zh).max(axis=1) >= 1.0 - ESCAPE_TOL
     step, t_start = 0, 0.0
@@ -444,9 +444,9 @@ def sequential_audit_one_signal(family, clf, P, signal, points, dt):
         n_full, rem = _segment_steps(signal.durations[seg], dt)
         plan = [dt] * n_full + ([rem] if rem else [])
         for s, h in enumerate(plan):
-            Z = flow_step(fld, Z, h)
+            Z = field_step(fld, Z, h)
             Zh = clf.hat(Z)
-            v = clf.value_batch(Zh, hat=True)
+            v = clf.value_batch(Z)
             rel = (v - v_prev) / np.maximum(v_prev, 1e-300)
             max_rel = max(max_rel, float(np.max(rel)))
             rate = rel / h
@@ -759,6 +759,23 @@ def test_each_step_is_one_flow_step_call_on_the_whole_batch(monkeypatch):
     assert batches == [(12, 2)] * max(len(p[0]) for p in plans)
 
 
+@pytest.mark.parametrize("signals", [1, 3])
+def test_every_step_reads_a_contiguous_points_last_batch(monkeypatch, signals):
+    # flow_step reads z.T as it is given; the states are kept points-last
+    # for one plan too, where np.tile would keep the points' own order
+    layouts = set()
+
+    def seen_step(*args, **kwargs):
+        layouts.add(args[1].T.flags.c_contiguous)
+        return flow_step(*args, **kwargs)
+
+    monkeypatch.setattr(switchsim, "flow_step", seen_step)
+    fam = contraction_family()
+    plans = plans_of(fam, signals, 4, 0.01, 0.5)
+    _integrate(fam, plans, sample_initial_points(2, 0.5, 5, seed=1))
+    assert layouts == {True}
+
+
 @pytest.mark.parametrize("with_clf", [True, False])
 def test_escapes_in_mid_block_match_sequential_integrate(with_clf):
     # 3 signals x 4 points are 12 rows, 170 steps a block, and 600 steps;
@@ -819,7 +836,7 @@ def test_a_non_finite_v_before_a_non_finite_state_is_the_error(rows):
     z = pts[-1:]
     with np.errstate(over="ignore"):
         for dt, t in zip(h, T):  # the end of the first step with V not finite
-            z = flow_step(fam[0], z, dt)
+            z = field_step(fam[0], z, dt)
             if not np.isfinite(clf.value_batch(z)[0]):
                 break
     assert rows > 2 or len(T) <= block_steps(rows)
@@ -827,6 +844,24 @@ def test_a_non_finite_v_before_a_non_finite_state_is_the_error(rows):
         _integrate(fam, [plan], pts, clf)
     with pytest.raises(NonFiniteStateError, match="non-finite state"):
         _integrate(fam, [plan], pts)
+
+
+def test_a_non_finite_v_at_the_initial_states_is_the_error_at_t_0():
+    # every weight 1e308: V overflows at the sample points themselves, not
+    # first after a step
+    fam = example1_config().build_family()
+    rep = analyze_family(fam, 6, scheme_kind="polynomial")
+    rep.epsilon[:] = 1e308
+    with pytest.raises(NonFiniteStateError, match=r"^non-finite V at t=0\.0$"):
+        audit_certificate(fam, rep, signals=2, points=3, seed=1, dt=0.01, horizon=1.0)
+    # one row overflowing among finite ones is enough
+    clf = CommonLyapunovFunction(rep.epsilon, np.eye(2), build_basis(2, 6))
+    plan = _step_plan(SwitchingSignal((1.0,), (0,), 1.0), 0.01)
+    pts = np.array([[1e-3, 0.0], [0.9, 0.9], [0.0, 1e-3]], dtype=complex)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(clf.value_batch(pts)).tolist() == [True, False, True]
+    with pytest.raises(NonFiniteStateError, match=r"^non-finite V at t=0\.0$"):
+        _integrate(fam, [plan], pts, clf)
 
 
 # property: the batched audit is the sequential one ---------------------------
