@@ -105,7 +105,7 @@ def build_operator(field_hat, basis):
         row_sums += basis.exponents[:, l] * field_hat.l1_norm(l)
     return SubsystemOperator(
         kmat=kmat,
-        coupling_count=field_hat.term_count(exclude_linear_diag=True),
+        coupling_count=field_hat.coupling_count(),
         re_decay=re_decay,
         col_sums=col_sums,
         row_sums=row_sums,

@@ -128,7 +128,9 @@ class SystemConfig:
                 _json_typed(key, data[key], int, "an integer")
                 for key in ("dimension", "truncation_degree")
             )
-            raw_subs = data["subsystems"]
+            raw_subs = _json_typed(
+                "subsystems", data["subsystems"], list, "a list of objects"
+            )
         except KeyError as exc:
             raise ValueError(f"config is missing required key {exc}") from None
         if n < 1:
@@ -139,9 +141,15 @@ class SystemConfig:
             raise ValueError("config needs at least one subsystem")
         subsystems = []
         for s, raw in enumerate(raw_subs):
+            raw = _json_typed(f"subsystems[{s}]", raw, dict, "an object")
             comps = [dict() for _ in range(n)]
-            for i, c in enumerate(raw.get("coefficients", [])):
+            coefficients = _json_typed(
+                f"subsystems[{s}].coefficients", raw.get("coefficients", []),
+                list, "a list of objects",
+            )
+            for i, c in enumerate(coefficients):
                 where = f"subsystems[{s}].coefficients[{i}]"
+                c = _json_typed(where, c, dict, "an object")
                 component = _json_typed(
                     f"{where}.component", c["component"], int, "an integer"
                 )
@@ -181,11 +189,14 @@ class SystemConfig:
         eta = _json_float("eta", data.get("eta", 0.5))
         if not (math.isfinite(eta) and eta > 0):
             raise ValueError(f"eta must be finite and positive, got {eta!r}")
-        scheme = _json_typed("scheme", data.get("scheme") or {}, dict, "an object")
+        scheme, sim_raw = (
+            {} if data.get(key) is None
+            else _json_typed(key, data[key], dict, "an object")
+            for key in ("scheme", "simulation")
+        )
         kind = _json_typed(
             "scheme.kind", scheme.get("kind", "polynomial"), str, "a string"
         )
-        sim_raw = data.get("simulation", {}) or {}
         sim = SimulationParams(
             **{f.name: sim_raw[f.name] for f in dc_fields(SimulationParams)
                if f.name in sim_raw}

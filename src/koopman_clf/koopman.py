@@ -26,9 +26,7 @@ class KoopmanMatrix:
 
     Entry ``v[t]`` sits at row ``k[t]``, column ``j[t]`` (basis positions
     1..size), sorted by (k, j); the stored support covers every (k, j)
-    pair inside the basis exactly, without exact zeros.  ``exact_degree``
-    is the largest d such that rows of total degree <= d lose no entries
-    to basis truncation.
+    pair inside the basis exactly, without exact zeros.
 
     ``rows`` remains only as a read-only split of the arrays into per-row
     views, for readers outside the package that walk the matrix row by
@@ -40,7 +38,6 @@ class KoopmanMatrix:
     k: np.ndarray
     j: np.ndarray
     v: np.ndarray
-    exact_degree: int
 
     @property
     def size(self):
@@ -93,5 +90,4 @@ def build_matrix(field_, basis):
     np.add.at(v, slot, np.concatenate(vs))
     keep = v != 0
     k, j = np.divmod(keys[keep], width)
-    exact = max(0, basis.max_degree - field_.degree + 1)
-    return KoopmanMatrix(basis, k, j, v[keep], exact)
+    return KoopmanMatrix(basis, k, j, v[keep])

@@ -32,14 +32,30 @@ def _orthonormal_rows(vectors, tol):
     return vh[:rank]
 
 
+def _bracket_span(rows, n, tol, keep=()):
+    """Orthonormal rows spanning the rows ``keep`` and the brackets of
+    every pair of the vectorised n x n matrices ``rows``."""
+    mats = [r.reshape(n, n) for r in rows]
+    brackets = [
+        _bracket(mats[i], mats[j]).ravel()
+        for i in range(len(mats))
+        for j in range(i + 1, len(mats))
+    ]
+    return _orthonormal_rows([*keep, *brackets], tol)
+
+
 @dataclass(frozen=True)
 class MatrixLieAlgebra:
-    """Bracket closure of a set of generator matrices."""
+    """Bracket closure of a set of generator matrices: ``rows`` is an
+    orthonormal basis of its vectorised size x size matrices, one per
+    row."""
 
-    generators: tuple
-    basis: tuple  # matrices whose vectorizations are orthonormal
-    dim: int
+    rows: np.ndarray
     size: int  # ambient matrix size n
+
+    @property
+    def dim(self):
+        return len(self.rows)
 
 
 def close_under_bracket(generators, tol=1e-10):
@@ -57,18 +73,10 @@ def close_under_bracket(generators, tol=1e-10):
         raise ValueError("generators must be square matrices of equal size")
     rows = _orthonormal_rows([g.ravel() for g in generators], tol)
     for _ in range(n * n + 1):
-        mats = [r.reshape(n, n) for r in rows]
-        new_rows = list(rows)
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                new_rows.append(_bracket(mats[i], mats[j]).ravel())
-        next_rows = _orthonormal_rows(new_rows, tol)
-        if next_rows.shape[0] == rows.shape[0]:
-            rows = next_rows
+        rows, dim = _bracket_span(rows, n, tol, keep=rows), len(rows)
+        if len(rows) == dim:
             break
-        rows = next_rows
-    basis = tuple(r.reshape(n, n) for r in rows)
-    return MatrixLieAlgebra(tuple(generators), basis, len(basis), n)
+    return MatrixLieAlgebra(rows, n)
 
 
 def is_solvable(algebra, tol=1e-10):
@@ -77,17 +85,10 @@ def is_solvable(algebra, tol=1e-10):
     Returns ``(verdict, dims)`` where dims lists the derived-series
     dimensions starting from the algebra itself.
     """
-    n = algebra.size
-    rows = np.array([b.ravel() for b in algebra.basis]).reshape(-1, n * n)
-    dims = [rows.shape[0]]
+    rows = algebra.rows
+    dims = [algebra.dim]
     while dims[-1] > 0:
-        mats = [r.reshape(n, n) for r in rows]
-        brackets = [
-            _bracket(mats[i], mats[j]).ravel()
-            for i in range(len(mats))
-            for j in range(i + 1, len(mats))
-        ]
-        rows = _orthonormal_rows(brackets, tol)
+        rows = _bracket_span(rows, algebra.size, tol)
         dims.append(rows.shape[0])
         if dims[-1] >= dims[-2] and dims[-1] > 0:
             return False, dims

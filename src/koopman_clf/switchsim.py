@@ -363,14 +363,13 @@ def sample_initial_points(dimension, radius, count, seed):
     pts = np.zeros((count, dimension), dtype=complex)
     n_real = (count + 1) // 2
     index = np.arange(1, n_real + 1)
-    h = [halton(index, _PRIMES[c % len(_PRIMES)]) for c in range(dimension)]
-    for c in range(dimension):
-        pts[:n_real, c] = radius * (2.0 * h[c] - 1.0)
-    for p in range(n_real, count):
-        for c in range(dimension):
-            pts[p, c] = radius * math.sqrt(h[c][p - n_real]) * np.exp(
-                2j * np.pi * rng.random()
-            )
+    h = np.array(
+        [halton(index, _PRIMES[c % len(_PRIMES)]) for c in range(dimension)]
+    ).T
+    pts[:n_real] = radius * (2.0 * h - 1.0)
+    # the phases are drawn point by point, coordinate by coordinate
+    phases = rng.random((count - n_real, dimension))
+    pts[n_real:] = radius * np.sqrt(h[:count - n_real]) * np.exp(2j * np.pi * phases)
     return pts
 
 

@@ -16,17 +16,18 @@ terms' monomials as a product of whole rows of that table; and contracts
 the (K, B) monomials with an (n, K) coefficient matrix, each component's
 coefficients in its own row, into the (n, B) values.  It holds every
 array it writes, and runs the whole RK4 step of ``flow_step``: the four
-stages and their running sum.  A scratch compiles one field or a whole
-family, once, when it is made: the family's terms are concatenated, each
-row is stepped by the field ``select`` gives it, and ``select`` lists
-the evaluation's ufunc calls from the compiled pieces: the monomials of
-the fields that hold a row, formed once, and each such field's
-contraction of its slice of them.  A scratch is made for a fixed number
-of rows and refuses any other batch size.  It belongs to whoever made
-it, never to a field: ``evaluate`` makes its own, ``flow_step`` uses its
-caller's, and an integration makes one over the family for all its rows
-and reuses it every step, so a step allocates no batch-sized array and
-concurrent integrations of one family never share one.
+stages and their running sum.  A scratch compiles a sequence of fields
+(a family, or one field as a family of one), once, when it is made: the
+fields' terms are concatenated, each row is stepped by the field
+``select`` gives it, one index per row, and ``select`` lists the
+evaluation's ufunc calls from the compiled pieces: the monomials of the
+fields that hold a row, formed once, and each such field's contraction
+of its slice of them.  A scratch is made for a fixed number of rows and
+refuses any other batch size.  It belongs to whoever made it, never to
+a field: ``flow_step`` uses its caller's, and an integration makes one
+over the family for all its rows and reuses it every step, so a step
+allocates no batch-sized array and concurrent integrations of one family
+never share one.
 """
 
 import cmath
@@ -120,20 +121,15 @@ class PolyVectorField:
             )
         return self.stored_abs_sum(component)
 
-    def term_count(self, exclude_linear_diag=False):
-        """Total number of stored coefficients.
-
-        With ``exclude_linear_diag`` the z_l term of component l does not
-        count, which is the coupling count used by the polynomial weight
-        scheme.
-        """
-        total = 0
-        for l, c in enumerate(self.components):
-            for alpha in c:
-                if exclude_linear_diag and sum(alpha) == 1 and alpha[l] == 1:
-                    continue
-                total += 1
-        return total
+    def coupling_count(self):
+        """Number of stored coefficients other than each component l's z_l
+        term: the coupling count of the polynomial weight scheme."""
+        return sum(
+            1
+            for l, c in enumerate(self.components)
+            for alpha in c
+            if not (sum(alpha) == 1 and alpha[l] == 1)
+        )
 
     def jacobian_at_origin(self):
         n = self.dimension
@@ -143,11 +139,6 @@ class PolyVectorField:
                 alpha = tuple(1 if s == r else 0 for s in range(n))
                 J[l, r] = self.components[l].get(alpha, 0j)
         return J
-
-    def evaluate(self, z):
-        """Evaluate at one point (n,) or a batch (B, n)."""
-        z, zT = _points_last(self, z)
-        return FieldScratch(self, zT.shape[1]).evaluate(zT).T.reshape(z.shape).copy()
 
     def __repr__(self):
         terms = sum(len(c) for c in self.components)
@@ -209,23 +200,13 @@ def lie_bracket(F, G):
     return PolyVectorField(comps)
 
 
-def _points_last(field, z):
-    """``z`` as a complex array and its points-last (n, B) view ``z.T``,
-    after checking that it is one point (n,) or a batch (B, n)."""
-    z = np.asarray(z, dtype=complex)
-    n = field.dimension
-    if z.ndim not in (1, 2) or z.shape[-1] != n:
-        raise ValueError("point dimension mismatch")
-    return z, z.reshape(-1, n).T
-
-
 class FieldScratch:
     """Field plan and work arrays of one caller's points-last evaluations
-    and RK4 steps of ``rows`` points, over one field or a whole family.
+    and RK4 steps of ``rows`` points, over a sequence of fields.
 
-    ``fields`` is a ``PolyVectorField`` or a sequence of them (a
-    ``SwitchedFamily``); a single field is a family of one, selected
-    here.  Each field's pieces are compiled here, once, from its
+    ``fields`` is a sequence of ``PolyVectorField`` (a ``SwitchedFamily``,
+    or a list of one field); a new scratch has no selection.  Each
+    field's pieces are compiled here, once, from its
     ``components``: its K_i terms, by component and then in basis order,
     get an (n, K_i) coefficient matrix, their largest exponent, and one
     product of power-table rows per monomial (row p * n + c holds
@@ -254,8 +235,7 @@ class FieldScratch:
     """
 
     def __init__(self, fields, rows):
-        fields = (fields,) if isinstance(fields, PolyVectorField) else tuple(fields)
-        self.fields = fields
+        self.fields = fields = tuple(fields)
         n = fields[0].dimension
         terms = [
             [
@@ -300,19 +280,17 @@ class FieldScratch:
                 products += [(np.multiply, (m, f, m)) for f in factors[1:]]
             self._products.append(products)
             self._parts.append((coeffs, mono))
-        self.active, self._plans = (), ()
-        if len(fields) == 1:
-            self.select(0)
+        self._plans = None  # until the first selection
 
     def _require_rows(self, rows):
         if rows != self.rows:
             raise ValueError(f"scratch holds {self.rows} rows, not {rows}")
 
     def select(self, sub):
-        """Choose the field that steps each row: ``sub`` is one field index
-        for every row, or an integer array with one index per row.
-        Returns the scratch.  Raises ValueError, naming the index, when one
-        is not an integer in [0, len(fields)).
+        """Choose the field that steps each row: ``sub`` is an integer
+        array with one field index per row.  Returns the scratch.  Raises
+        ValueError when ``sub`` is not one index per row, and, naming the
+        index, when one is not an integer in [0, len(fields)).
 
         The evaluation is then one flat list of ufunc calls, planned here
         from the compiled pieces of the fields that hold a row: the power
@@ -325,25 +303,27 @@ class FieldScratch:
         the others and for ``evaluate``.
         """
         index, count = np.asarray(sub), len(self.fields)
-        if index.ndim:
-            self._require_rows(len(index))
+        if index.ndim != 1:
+            raise ValueError(
+                "select takes a 1-d array of subsystem indices, one per row, "
+                f"not an array of shape {index.shape}"
+            )
+        self._require_rows(len(index))
         if index.size and (index.dtype.kind not in "iu"
                            or index.min() < 0 or index.max() >= count):
-            bad = next(i for i in index.ravel().tolist()
+            bad = next(i for i in index.tolist()
                        if type(i) is not int or not 0 <= i < count)
             raise ValueError(
                 f"subsystem index {bad!r} is not an integer in [0, {count})"
             )
-        if index.ndim == 0:
-            active, masks = (int(index),), ()
-        else:
-            held = np.bincount(index, minlength=count)
-            active = tuple(np.flatnonzero(held).tolist())
-            masks = self._flags[:len(active[1:])]
-            for mask, i in zip(masks, active[1:]):
-                np.equal(index, i, out=mask[0])  # row by row: no broadcast buffer
-                np.copyto(mask[1:], mask[0])
-        self.active, self._plans = active, ()
+        # an empty list of indices is a float array
+        held = np.bincount(index.astype(np.intp, copy=False), minlength=count)
+        active = tuple(np.flatnonzero(held).tolist())
+        masks = self._flags[:len(active[1:])]
+        for mask, i in zip(masks, active[1:]):
+            np.equal(index, i, out=mask[0])  # row by row: no broadcast buffer
+            np.copyto(mask[1:], mask[0])
+        self._plans = ((), ())  # a scratch of no rows has nothing to run
         if active:
             top = max(self._tops[i] for i in active)
             head = [
@@ -365,7 +345,7 @@ class FieldScratch:
         return self
 
     def _planned(self):
-        if not self.active:
+        if self._plans is None:
             raise ValueError("no field is selected for these rows")
         return self._plans
 
@@ -457,7 +437,11 @@ def flow_step(scratch, z, dt, out=None):
     scratch holds another number of rows, and NonFiniteStateError, before
     anything is written to ``out``, when the new state is not finite.
     """
-    z, zT = _points_last(scratch.fields[0], z)
+    z = np.asarray(z, dtype=complex)
+    n = scratch.fields[0].dimension
+    if z.ndim not in (1, 2) or z.shape[-1] != n:
+        raise ValueError("point dimension mismatch")
+    zT = z.reshape(-1, n).T
     scratch._require_rows(zT.shape[1])
     new = scratch.step(zT, dt).T.reshape(z.shape)
     if out is None:
@@ -525,7 +509,7 @@ def boundary_invariance_check(fields, rho):
     scratch = FieldScratch(fields, count)
     reports = []
     for i in range(len(fields)):
-        scratch.select(i)
+        scratch.select(np.full(count, i))
         worst, worst_point = -np.inf, None
         for face, zT in enumerate(faces):
             vals = np.real(scratch.evaluate(zT)[face] * np.conj(zT[face]))

@@ -6,8 +6,8 @@ The library builds each truncated generator matrix once, as arrays
 functions here compute the same quantities one entry, one column, one
 pair or one basis position at a time; the tests hold the library to them.
 The small constructors and lookups at the top are used only by tests;
-``field_step`` among them steps points under one field in a scratch of
-its own.
+``field_step`` and ``field_values`` among them step and evaluate points
+under one field in a scratch of its own.
 ``evaluate_batch`` is the field evaluator the library had before its
 points-last kernel, and ``dense_value_batch`` the V evaluator it had
 before its scratch; each is kept as its successor's bit-exact reference.
@@ -45,11 +45,26 @@ def field_from_linear(matrix):
     return PolyVectorField(comps)
 
 
+def field_scratch(field_, rows):
+    """A new ``FieldScratch`` of ``rows`` rows over the one field, every
+    row selected."""
+    return FieldScratch([field_], rows).select(np.zeros(rows, dtype=int))
+
+
 def field_step(field_, z, dt):
     """``flow_step`` of one point (n,) or a batch (B, n) under one field,
-    in a new ``FieldScratch`` of the field for its rows."""
+    in a new scratch of the field for its rows."""
     rows = len(z) if np.ndim(z) == 2 else 1
-    return flow_step(FieldScratch(field_, rows), z, dt)
+    return flow_step(field_scratch(field_, rows), z, dt)
+
+
+def field_values(field_, z):
+    """F at one point (n,) or a batch (B, n) under one field, in a new
+    scratch of the field for its rows; the values have the shape of z."""
+    z = np.asarray(z, dtype=complex)
+    zT = z.reshape(-1, field_.dimension).T
+    values = field_scratch(field_, zT.shape[1]).evaluate(zT)
+    return values.T.reshape(z.shape).copy()
 
 
 def evaluate_batch(field_, zb):
@@ -91,7 +106,6 @@ def reference_rk4(fields, sub, Z, dt):
     input, and each row keeps its own field's values; the stages are
     summed as ((k1 + 2 k2) + 2 k3 + k4) * (dt / 6) + z."""
     Z = np.asarray(Z, dtype=complex)
-    sub = np.broadcast_to(sub, len(Z))
 
     def F(X):
         out = np.empty_like(X)

@@ -279,7 +279,7 @@ def test_poly_condition_sup_matches_bruteforce_scan():
     cond = check_poly_condition(poly_scan(ops, basis), basis)
     brute = 0.0
     for f in (f1, f2):
-        K = f.term_count(exclude_linear_diag=True)
+        K = f.coupling_count()
         for j in range(1, basis.size + 1):
             for k in range(1, j):
                 e = abs(entry(f, basis, k, j))

@@ -20,6 +20,7 @@ from koopman_clf.config import (
 from koopman_clf.koopman import build_matrix
 from koopman_clf.liealg import NotSimultaneouslyTriangularizable
 from koopman_clf.selftest import run_selftest
+from oracles import field_values
 
 
 def linear_nonnormal_config(degree=6):
@@ -46,7 +47,7 @@ def test_config_json_round_trip_is_semantically_exact():
         fam, fam2 = cfg.build_family(), back.build_family()
         pts = np.array([[0.3 + 0.1j, -0.2], [0.05, 0.6j]])
         for f, g in zip(fam, fam2):
-            assert np.array_equal(f.evaluate(pts), g.evaluate(pts))
+            assert np.array_equal(field_values(f, pts), field_values(g, pts))
 
 
 def test_example1_config_structure():
@@ -796,6 +797,66 @@ def _cli_exit(argv, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     return exc.value.code, err
+
+
+# a config block of the wrong JSON type: (key path from the config root,
+# value, start of the message)
+NOT_OBJECTS = {
+    "subsystems-ints": (("subsystems",), [5], "subsystems[0] must be an object"),
+    "subsystems-string": (
+        ("subsystems",), "ab", "subsystems must be a list of objects"
+    ),
+    "subsystems-object": (
+        ("subsystems",), {"a": 1}, "subsystems must be a list of objects"
+    ),
+    "coefficients-ints": (
+        ("subsystems", 1, "coefficients"), [5],
+        "subsystems[1].coefficients[0] must be an object",
+    ),
+    "coefficients-object": (
+        ("subsystems", 1, "coefficients"), {"re": 1.0},
+        "subsystems[1].coefficients must be a list of objects",
+    ),
+    "simulation-string": (("simulation",), "x", "simulation must be an object"),
+    "simulation-list": (("simulation",), [1], "simulation must be an object"),
+    "simulation-zero": (("simulation",), 0, "simulation must be an object"),
+    "simulation-false": (("simulation",), False, "simulation must be an object"),
+    "scheme-list": (("scheme",), [], "scheme must be an object"),
+    "scheme-zero": (("scheme",), 0, "scheme must be an object"),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("case", [*NOT_OBJECTS])
+def test_cli_refuses_a_config_block_of_the_wrong_json_type(
+    tmp_path, capsys, command, case
+):
+    cfg, rpt = _example1_config_and_report(tmp_path)
+    path, value, message = NOT_OBJECTS[case]
+    data = json.loads(cfg.read_text())
+    owner = data
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    argv = ["--config", str(cfg), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--report", str(rpt)]
+    code, err = _cli_exit([command, *argv], capsys)
+    assert code == 2
+    assert f"invalid config: {message}, got " in err
+    assert not out.exists()
+
+
+def test_a_null_or_absent_scheme_or_simulation_keeps_the_defaults():
+    data = example1_config().to_json_dict()
+    assert data["scheme"] == {"kind": "polynomial", "xi": None, "kappa": None}
+    assert data["simulation"] == SimulationParams().to_json_dict()
+    for key in ("scheme", "simulation"):
+        absent = {k: v for k, v in data.items() if k != key}
+        for edited in (absent, {**data, key: None}):
+            assert SystemConfig.from_json_dict(edited).to_json_dict() == data
 
 
 def test_cli_simulate_rejects_a_report_of_another_family(tmp_path, capsys):

@@ -252,12 +252,13 @@ def test_exact_degree_accounts_for_field_degree():
     _, f2 = polynomial_pair()
     basis = build_basis(2, 8)
     kmat = build_matrix(f2, basis)
-    assert kmat.exact_degree == 8 - 3 + 1
-    # rows at or below exact_degree keep every infinite-matrix entry:
+    assert f2.degree == 3
+    exact = 8 - f2.degree + 1
+    # rows at or below N - degree + 1 keep every infinite-matrix entry:
     # check against a larger basis, where the same positions hold
     big = build_matrix(f2, big_basis := build_basis(2, 12))
-    low = basis.exponents.sum(axis=1)[kmat.k] <= kmat.exact_degree
-    low_big = big_basis.exponents.sum(axis=1)[big.k] <= kmat.exact_degree
+    low = basis.exponents.sum(axis=1)[kmat.k] <= exact
+    low_big = big_basis.exponents.sum(axis=1)[big.k] <= exact
     assert low.any()
     for mine, theirs in ((kmat.k, big.k), (kmat.j, big.j), (kmat.v, big.v)):
         assert np.array_equal(mine[low], theirs[low_big])

@@ -24,7 +24,9 @@ from oracles import (
     coefficient,
     evaluate_batch,
     field_from_linear,
+    field_scratch,
     field_step,
+    field_values,
     reference_rk4,
 )
 
@@ -50,7 +52,7 @@ def jacobian_fd(field, z, h=1e-5):
     for s in range(n):
         e = np.zeros(n, dtype=complex)
         e[s] = h
-        J[:, s] = (field.evaluate(z + e) - field.evaluate(z - e)) / (2 * h)
+        J[:, s] = (field_values(field, z + e) - field_values(field, z - e)) / (2 * h)
     return J
 
 
@@ -102,15 +104,16 @@ def test_from_linear_and_jacobian_roundtrip():
     f = field_from_linear(A)
     assert np.allclose(f.jacobian_at_origin(), A)
     z = np.array([0.3, -0.2 + 0.1j])
-    assert np.allclose(f.evaluate(z), A @ z)
+    assert np.allclose(field_values(f, z), A @ z)
 
 
-def test_term_count_excluding_linear_diagonal():
+def test_coupling_count_excludes_the_linear_diagonal():
     f = PolyVectorField(
-        [{(1, 0): -1.0, (2, 0): 0.3, (1, 2): -0.3}, {(0, 1): -1.0, (1, 1): 0.15}]
+        [{(1, 0): -1.0, (0, 1): 0.4, (2, 0): 0.3, (1, 2): -0.3},
+         {(0, 1): -1.0, (1, 1): 0.15}]
     )
-    assert f.term_count() == 5
-    assert f.term_count(exclude_linear_diag=True) == 3
+    assert sum(len(c) for c in f.components) == 6
+    assert f.coupling_count() == 4
 
 
 # evaluation -----------------------------------------------------------------
@@ -124,7 +127,7 @@ def test_evaluate_polynomial_pair_literal_point():
             {(0, 1): -a, (1, 1): b / 2},
         ]
     )
-    got = f.evaluate(np.array([0.2, 0.1]))
+    got = field_values(f, np.array([0.2, 0.1]))
     assert abs(got[0] - (-0.1886)) < 1e-15
     assert abs(got[1] - (-0.097)) < 1e-15
 
@@ -136,13 +139,7 @@ def test_evaluate_batch_matches_single_points():
     assert_matches_reference(f, Z, 1e-13)
     for i in range(7):
         assert_matches_reference(f, Z[i : i + 1], 1e-13)
-        assert np.array_equal(f.evaluate(Z[i]), f.evaluate(Z[i : i + 1])[0])
-
-
-def test_evaluate_rejects_wrong_dimension():
-    f = PolyVectorField([{(1, 0): -1.0}, {(0, 1): -1.0}])
-    with pytest.raises(ValueError):
-        f.evaluate(np.zeros(3))
+        assert np.array_equal(field_values(f, Z[i]), field_values(f, Z[i : i + 1])[0])
 
 
 # compiled evaluator against the per-component reference ---------------------
@@ -203,7 +200,7 @@ def assert_matches_reference(f, Z, rtol):
     """Compiled and reference values agree to ``rtol`` times the sum of the
     absolute terms, so cancellation in a component can neither hide nor
     fake a difference."""
-    got, want = f.evaluate(Z), reference_evaluate(f, Z)
+    got, want = field_values(f, Z), reference_evaluate(f, Z)
     assert got.shape == want.shape == Z.shape
     absf = PolyVectorField([{a: abs(v) for a, v in c.items()} for c in f.components])
     scale = reference_evaluate(absf, np.abs(Z).astype(complex)).real
@@ -347,9 +344,9 @@ def test_kernel_matches_the_old_evaluator_bitwise_on_the_example_fields(seed):
         for radius in (1.0, 0.3, 1e-3):
             Z = polydisk_points(rng, 2, 2500, radius)
             for B in (2, 3, 7, 50, 150, 512, 2500):
-                assert np.array_equal(f.evaluate(Z[:B]), evaluate_batch(f, Z[:B]))
+                assert np.array_equal(field_values(f, Z[:B]), evaluate_batch(f, Z[:B]))
             for view in layouts(Z[:150]):
-                assert np.array_equal(f.evaluate(view), evaluate_batch(f, view))
+                assert np.array_equal(field_values(f, view), evaluate_batch(f, view))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -373,13 +370,16 @@ def test_kernel_matches_the_old_evaluator_on_random_fields(n):
         for B in (1, 2, 3, 7, 512, 2500, int(rng.integers(2, 160))):
             Z = polydisk_points(rng, n, B, 1.0)
             scale = evaluate_batch(absf, np.abs(Z).astype(complex)).real
-            assert np.all(np.abs(f.evaluate(Z) - evaluate_batch(f, Z)) <= 1e-13 * scale)
+            diff = field_values(f, Z) - evaluate_batch(f, Z)
+            assert np.all(np.abs(diff) <= 1e-13 * scale)
             if n >= 2 and B >= 2:
-                assert np.array_equal(real.evaluate(Z), evaluate_batch(real, Z))
+                assert np.array_equal(field_values(real, Z), evaluate_batch(real, Z))
         Z = polydisk_points(rng, n, 150, 1.0)
         for g in (f, real):
             for view in layouts(Z):
-                assert np.array_equal(g.evaluate(view), g.evaluate(view.copy()))
+                assert np.array_equal(
+                    field_values(g, view), field_values(g, view.copy())
+                )
                 assert np.array_equal(
                     field_step(g, view, 0.01), field_step(g, view.copy(), 0.01)
                 )
@@ -391,7 +391,7 @@ def test_flow_step_on_one_point_is_the_batch_of_one():
     for f in fields:
         z = polydisk_points(rng, f.dimension, 1, 0.9)[0]
         assert np.array_equal(field_step(f, z, 0.01), field_step(f, z[None], 0.01)[0])
-        assert np.array_equal(f.evaluate(z), f.evaluate(z[None])[0])
+        assert np.array_equal(field_values(f, z), field_values(f, z[None])[0])
 
 
 # scratch ownership ----------------------------------------------------------
@@ -401,7 +401,7 @@ def test_flow_step_results_do_not_alias_the_scratch():
     rng = np.random.default_rng(13)
     f = example2_config(degree=20).build_family()[1]
     Z1, Z2 = polydisk_points(rng, 2, 64, 0.5), polydisk_points(rng, 2, 40, 0.5)
-    scratch, other = FieldScratch(f, 64), FieldScratch(f, 40)
+    scratch, other = field_scratch(f, 64), field_scratch(f, 40)
     first = flow_step(scratch, Z1, 0.01)
     kept = first.copy()
     second = flow_step(other, Z2, 0.02)
@@ -420,7 +420,7 @@ def test_flow_step_never_writes_its_input():
     ZT = np.ascontiguousarray(polydisk_points(rng, 2, 50, 0.9).T)
     for Z in (ZT.T, np.ascontiguousarray(ZT.T), ZT.T[::3]):
         before = Z.copy()
-        scratch = FieldScratch(f, len(Z))
+        scratch = field_scratch(f, len(Z))
         flow_step(scratch, Z, 0.01)
         flow_step(scratch, Z, np.full((len(Z), 1), 0.01))
         assert np.array_equal(Z, before)
@@ -431,21 +431,23 @@ def test_flow_step_writes_out_in_place_and_keeps_it_on_blowup():
     f = example1_config().build_family()[1]
     ZT = np.ascontiguousarray(polydisk_points(rng, 2, 30, 0.9).T)
     want = field_step(f, ZT.T, 0.01)
-    got = flow_step(FieldScratch(f, 30), ZT.T, 0.01, out=ZT.T)
+    got = flow_step(field_scratch(f, 30), ZT.T, 0.01, out=ZT.T)
     assert np.shares_memory(got, ZT) and np.array_equal(ZT.T, want)
     grow = PolyVectorField([{(3,): 1.0}])
     z = np.array([[0.5 + 0j], [1e160 + 0j]])
     before = z.copy()
     with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
-        flow_step(FieldScratch(grow, 2), z, 1.0, out=z)
+        flow_step(field_scratch(grow, 2), z, 1.0, out=z)
     assert np.array_equal(z, before)
 
 
 def test_flow_step_and_evaluate_take_an_empty_batch():
     f = example1_config().build_family()[1]
     empty = np.zeros((0, 2), dtype=complex)
-    assert f.evaluate(empty).shape == (0, 2)
-    assert flow_step(FieldScratch(f, 0), empty, 0.01).shape == (0, 2)
+    assert field_values(f, empty).shape == (0, 2)
+    assert flow_step(field_scratch(f, 0), empty, 0.01).shape == (0, 2)
+    scratch = FieldScratch(example1_config().build_family(), 0).select([])
+    assert flow_step(scratch, empty, 0.01).shape == (0, 2)
 
 
 def test_flow_step_with_a_scratch_allocates_no_batch_sized_array():
@@ -453,7 +455,7 @@ def test_flow_step_with_a_scratch_allocates_no_batch_sized_array():
     f = example1_config().build_family()[1]
     B = 2500
     ZT = np.ascontiguousarray(polydisk_points(rng, 2, B, 0.9).T)
-    scratch = FieldScratch(f, B)
+    scratch = field_scratch(f, B)
     flow_step(scratch, ZT.T, 0.01, out=ZT.T)
     tracemalloc.start()
     try:
@@ -521,7 +523,7 @@ def assert_family_step_is_per_subsystem_steps(family, rng, sizes, gathered_exact
                         assert np.array_equal(got[rows], alone)
                     else:
                         modulus = np.abs(Z[rows])
-                        size = absf[i].evaluate(modulus.astype(complex)).real
+                        size = field_values(absf[i], modulus.astype(complex)).real
                         scale = modulus + np.abs(h) * size
                         assert np.all(np.abs(got[rows] - alone) <= 1e-13 * scale)
 
@@ -552,14 +554,14 @@ def test_family_step_is_the_per_subsystem_step_on_random_families(n, real):
 
 def assert_steps_are_the_reference_rk4(family, rng, B, radius):
     """Steps of one scratch of B rows equal ``reference_rk4`` bit for bit:
-    under one field for every row, given as an index and as an array,
-    and under mixed selections that change on the same scratch; each with
-    a scalar step, per-row steps and another scalar step."""
+    under one field for every row and under mixed selections that change
+    on the same scratch; each with a scalar step, per-row steps and
+    another scalar step."""
     S, n = len(family), family.dimension
     scratch = FieldScratch(family, B)
     Z = polydisk_points(rng, n, B, radius)
     per_row = rng.uniform(0.001, 0.02, (B, 1))
-    selections = [*range(S), np.full(B, S - 1), np.arange(B) % S,
+    selections = [*(np.full(B, i) for i in range(S)), np.arange(B) % S,
                   *(rng.integers(0, S, B) for _ in range(3))]
     for sub in selections:
         scratch.select(sub)
@@ -604,8 +606,8 @@ def test_a_lone_row_steps_as_it_does_inside_a_batch():
                 h = dt if np.ndim(dt) == 0 else dt[i:i + 1]
                 alone[i:i + 1] = field_step(f, alone[i:i + 1], h)
             assert np.array_equal(alone.view(np.uint64), batch.view(np.uint64))
-        assert np.array_equal(f.evaluate(Z[0]).view(np.uint64),
-                              f.evaluate(Z)[0].view(np.uint64))
+        assert np.array_equal(field_values(f, Z[0]).view(np.uint64),
+                              field_values(f, Z)[0].view(np.uint64))
 
 
 def test_select_refuses_what_is_not_a_subsystem_index():
@@ -613,12 +615,22 @@ def test_select_refuses_what_is_not_a_subsystem_index():
     Z = np.full((3, 2), 0.1 + 0j)
     scratch = FieldScratch(family, 3).select(np.array([0, 1, 1]))
     want = flow_step(scratch, Z, 0.01)
-    for sub, name in ((2, "2"), (-1, "-1"), (0.5, "0.5"), (True, "True"),
-                      (np.array([0, 2, 1]), "2"), (np.array([1, 0, -1]), "-1"),
+    for sub, name in ((np.array([0, 2, 1]), "2"), (np.array([1, 0, -1]), "-1"),
+                      (np.array([0.5, 0, 1]), "0.5"),
+                      (np.array([True, False, True]), "True"),
                       (np.array([1.0, 0.5, 0.0]), "1.0")):
         with pytest.raises(ValueError, match=(
             rf"^subsystem index {name} is not an integer in \[0, 2\)$"
         )):
+            scratch.select(sub)
+    # one index per row: not a scalar, not another number of them
+    for sub in (1, np.int64(0), np.ones((3, 1), dtype=int)):
+        with pytest.raises(ValueError, match=(
+            r"^select takes a 1-d array of subsystem indices, one per row"
+        )):
+            scratch.select(sub)
+    for sub in (np.array([0, 1]), np.array([0, 1, 1, 0])):
+        with pytest.raises(ValueError, match=f"^scratch holds 3 rows, not {len(sub)}$"):
             scratch.select(sub)
     # the refusals leave the selection as it was
     assert np.array_equal(flow_step(scratch, Z, 0.01), want)
@@ -634,7 +646,7 @@ def test_family_scratch_needs_a_selection_for_every_batch_size():
     small = FieldScratch(family, 3)
     with pytest.raises(ValueError, match="no field is selected"):
         flow_step(small, Z[:3], 0.01)
-    small.select(1)  # one field for every row
+    small.select(np.full(3, 1))  # one field for every row
     assert np.array_equal(flow_step(small, Z[:3], 0.01),
                           field_step(family[1], Z[:3], 0.01))
 
@@ -649,7 +661,7 @@ def test_scratch_refuses_a_batch_of_another_size():
     with pytest.raises(ValueError, match=r"^scratch holds 4 rows, not 5$"):
         scratch.select(np.array([0, 1, 1, 0, 1]))
     with pytest.raises(ValueError, match=r"^scratch holds 4 rows, not 1$"):
-        flow_step(FieldScratch(family[0], 4), Z[0], 0.01)
+        flow_step(field_scratch(family[0], 4), Z[0], 0.01)
     # the refusals leave the selection as it was
     assert np.array_equal(flow_step(scratch, Z, 0.01), want)
 
@@ -689,8 +701,9 @@ def test_bracket_matches_finite_difference_jacobians():
         br = lie_bracket(F, G)
         for _ in range(3):
             z = 0.4 * (rng.normal(size=2) + 1j * rng.normal(size=2))
-            want = jacobian_fd(G, z) @ F.evaluate(z) - jacobian_fd(F, z) @ G.evaluate(z)
-            got = br.evaluate(z)
+            want = (jacobian_fd(G, z) @ field_values(F, z)
+                    - jacobian_fd(F, z) @ field_values(G, z))
+            got = field_values(br, z)
             scale = max(1.0, np.max(np.abs(want)))
             assert np.max(np.abs(got - want)) < 1e-6 * scale
 
@@ -719,7 +732,9 @@ def test_bracket_is_antisymmetric_and_bilinear():
         right_h = lie_bracket(H, G)
         z = 0.3 * (rng.normal(size=2) + 1j * rng.normal(size=2))
         assert np.allclose(
-            left.evaluate(z), fg.evaluate(z) + right_h.evaluate(z), atol=1e-12
+            field_values(left, z),
+            field_values(fg, z) + field_values(right_h, z),
+            atol=1e-12,
         )
 
 
@@ -734,7 +749,7 @@ def test_bracket_jacobi_identity():
         t3 = lie_bracket(H, lie_bracket(F, G))
         for _ in range(3):
             z = 0.3 * (rng.normal(size=2) + 1j * rng.normal(size=2))
-            s = t1.evaluate(z) + t2.evaluate(z) + t3.evaluate(z)
+            s = field_values(t1, z) + field_values(t2, z) + field_values(t3, z)
             assert np.max(np.abs(s)) < 1e-9
 
 
