@@ -2,7 +2,8 @@
 
 The pipeline: Jacobian Lie-algebra closure and solvability, common flag,
 change to flag coordinates, truncated generator matrices, scheme
-condition, weight recursion, series convergence, boundary evidence.
+condition, weight recursion, series convergence, and the face bounds
+that prove the certified polydisk forward invariant.
 """
 
 import math
@@ -161,7 +162,7 @@ class CertificateReport:
     eta_effective: float = None
     rho_certified: float = None
     convergence: dict = None
-    invariance: list = dc_field(default_factory=list)
+    region: dict = None
     warnings: list = dc_field(default_factory=list)
 
     @property
@@ -213,7 +214,7 @@ class CertificateReport:
             },
             "rho_certified": _opt_float(self.rho_certified),
             "convergence": self.convergence,
-            "invariance": self.invariance,
+            "region": self.region,
             "warnings": list(self.warnings),
         }
 
@@ -552,24 +553,20 @@ def _certify(report, family, basis, scheme, kappa, rho_request):
             )
         hats = [substitute_linear(f, tri.P, tri.P_inv) for f in family.fields]
     scale = max(1.0, max(float(np.max(np.abs(J))) for J in jac))
-    cleaned = []
-    clip_max = 0.0
-    for h in hats:
-        h2, clipped = _clip_subdiagonal_linear(h, 1e-9 * scale)
-        clip_max = max(clip_max, clipped)
-        cleaned.append(h2)
+    # hats keeps the dust, which the face bounds count
+    cleaned, clipped = zip(*(_clip_subdiagonal_linear(h, 1e-9 * scale) for h in hats))
+    clip_max = max(clipped)
     if clip_max > 0:
         report.warnings.append(
             f"sub-diagonal linear dust up to {clip_max:.3e} removed after "
             "the change to flag coordinates"
         )
-    hats = cleaned
 
-    ops = [build_operator(h, basis) for h in hats]
+    ops = [build_operator(h, basis) for h in cleaned]
     report.term_counts = [int(op.coupling_count) for op in ops]
 
     if kind == "diagonal_dominance":
-        xi_min = dominance_xi_min([h.jacobian_at_origin() for h in hats])
+        xi_min = dominance_xi_min([h.jacobian_at_origin() for h in cleaned])
     if scheme is None:
         xi = max(1.01 * xi_min, 1e-6)
         if xi >= 1.0:
@@ -656,25 +653,28 @@ def _certify(report, family, basis, scheme, kappa, rho_request):
         )
 
     report.rho_certified = float(rho)
-    for i, br in enumerate(boundary_invariance_check(hats, rho)):
-        report.invariance.append(
-            {
-                "subsystem": i,
-                "rho": float(rho),
-                "holds": bool(br.holds),
-                "worst_value": float(br.worst_value),
-                "worst_point": _cvec(br.worst_point),
-                "samples": int(br.samples),
-                "margin": 0.0,
-            }
-        )
-        if not br.holds:
-            report.warnings.append(
-                f"polydisk of radius {rho:.6g} shows an outward field "
-                f"sample for subsystem {i}; forward invariance evidence "
-                "is negative"
-            )
+    report.region = _region(boundary_invariance_check(hats, rho))
+    if not report.region["proved"]:
+        report.warnings.append(f"polydisk of radius {rho:.6g} is not proved "
+                               f"forward invariant: {report.region['reason']}")
     report.certified = True
+
+
+def _region(face_bounds):
+    """The report's ``region`` block from the face bounds of
+    ``boundary_invariance_check``: the first largest bound, and the first
+    face whose bound is not negative, or else the first subsystem with no
+    bounds, as the reason the polydisk is not proved invariant."""
+    faces = [(i, l, b) for i, bounds in enumerate(face_bounds)
+             for l, b in enumerate(bounds or ())]
+    worst = max(faces, key=lambda face: face[2], default=None)  # first of ties
+    reasons = [f"subsystem {i}, face {l}: bound {b!r} is not negative"
+               for i, l, b in faces if not b < 0]
+    reasons += [f"subsystem {i} is a truncated series with no tail_l1"
+                for i, bounds in enumerate(face_bounds) if bounds is None]
+    return {"face_bounds": face_bounds,
+            "worst": worst and dict(zip(("subsystem", "face", "bound"), worst)),
+            "proved": not reasons, "reason": reasons[0] if reasons else None}
 
 
 def export_epsilon_csv(report, fh):

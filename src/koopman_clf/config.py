@@ -9,7 +9,7 @@ library is 0-based internally.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields
+from dataclasses import asdict, dataclass, field as dc_field
 
 from .vectorfield import PolyVectorField, SwitchedFamily
 
@@ -32,6 +32,20 @@ def _json_float(name, value):
             f"{name} must be a number that fits a float, got an integer of "
             f"{len(str(abs(value)))} digits"
         ) from None
+
+
+def _json_object(name, value, required, optional):
+    """``value`` if it is a JSON object with every ``required`` key and no
+    key outside ``required`` and ``optional``; ``name`` is its path."""
+    _json_typed(name, value, dict, "an object")
+    prefix = "" if name == "config" else name + "."
+    for key in value:
+        if key not in required and key not in optional:
+            raise ValueError(f"unknown key {prefix}{key}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{prefix}{key} is missing")
+    return value
 
 
 def _optional_number(name, value):
@@ -123,16 +137,19 @@ class SystemConfig:
 
     @classmethod
     def from_json_dict(cls, data):
-        try:
-            n, degree = (
-                _json_typed(key, data[key], int, "an integer")
-                for key in ("dimension", "truncation_degree")
-            )
-            raw_subs = _json_typed(
-                "subsystems", data["subsystems"], list, "a list of objects"
-            )
-        except KeyError as exc:
-            raise ValueError(f"config is missing required key {exc}") from None
+        """Read the dict form of ``to_json_dict``.  Raises ValueError naming
+        the path of a missing, unknown, mistyped or out-of-range field."""
+        _json_object(
+            "config", data, ("dimension", "truncation_degree", "subsystems"),
+            ("scheme", "eta", "rho_request", "simulation"),
+        )
+        n, degree = (
+            _json_typed(key, data[key], int, "an integer")
+            for key in ("dimension", "truncation_degree")
+        )
+        raw_subs = _json_typed(
+            "subsystems", data["subsystems"], list, "a list of objects"
+        )
         if n < 1:
             raise ValueError("dimension must be >= 1")
         if degree < 2:
@@ -141,7 +158,7 @@ class SystemConfig:
             raise ValueError("config needs at least one subsystem")
         subsystems = []
         for s, raw in enumerate(raw_subs):
-            raw = _json_typed(f"subsystems[{s}]", raw, dict, "an object")
+            raw = _json_object(f"subsystems[{s}]", raw, (), ("coefficients", "tail_l1"))
             comps = [dict() for _ in range(n)]
             coefficients = _json_typed(
                 f"subsystems[{s}].coefficients", raw.get("coefficients", []),
@@ -149,7 +166,7 @@ class SystemConfig:
             )
             for i, c in enumerate(coefficients):
                 where = f"subsystems[{s}].coefficients[{i}]"
-                c = _json_typed(where, c, dict, "an object")
+                c = _json_object(where, c, ("component", "exponents", "re"), ("im",))
                 component = _json_typed(
                     f"{where}.component", c["component"], int, "an integer"
                 )
@@ -190,16 +207,12 @@ class SystemConfig:
         if not (math.isfinite(eta) and eta > 0):
             raise ValueError(f"eta must be finite and positive, got {eta!r}")
         scheme, sim_raw = (
-            {} if data.get(key) is None
-            else _json_typed(key, data[key], dict, "an object")
-            for key in ("scheme", "simulation")
+            {} if data.get(key) is None else _json_object(key, data[key], (), keys)
+            for key, keys in (("scheme", ("kind", "xi", "kappa")),
+                              ("simulation", SimulationParams().to_json_dict()))
         )
         kind = _json_typed(
             "scheme.kind", scheme.get("kind", "polynomial"), str, "a string"
-        )
-        sim = SimulationParams(
-            **{f.name: sim_raw[f.name] for f in dc_fields(SimulationParams)
-               if f.name in sim_raw}
         )
         cfg = cls(
             dimension=n,
@@ -210,7 +223,7 @@ class SystemConfig:
             kappa=_optional_number("scheme.kappa", scheme.get("kappa")),
             eta=eta,
             rho_request=_optional_number("rho_request", data.get("rho_request")),
-            simulation=sim,
+            simulation=SimulationParams(**sim_raw),
         )
         cfg.build_family()  # validate coefficients eagerly
         return cfg

@@ -41,14 +41,13 @@ from .vectorfield import (
     FieldScratch,
     NonFiniteStateError,
     flow_step,
-    halton,
-    _PRIMES,
 )
 
 ESCAPE_TOL = 1e-12
 V_SLACK = 1e-9  # largest relative one-step V increase the audit accepts
 CONVERGENCE_TOL = 1e-3  # final max-modulus counted as converged
 BLOCK_ROWS = 2048  # (step, row) pairs whose V one value_batch call evaluates
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _require_finite(**values):
@@ -348,6 +347,19 @@ def export_run_csv(run, fh):
         row.append("" if run.v_values is None else repr(float(run.v_values[s])))
         row.append(str(int(run.active[s])))
         fh.write(",".join(row) + "\n")
+
+
+def halton(index, base):
+    """Radical-inverse (van der Corput) values of an array of indices in
+    ``base``; every index runs through the same digit steps as the scalar
+    recursion, so the values do not depend on the batch."""
+    i = np.array(index, dtype=np.int64)
+    result, f = np.zeros(i.shape), 1.0
+    while np.any(i > 0):
+        f /= base
+        result += f * (i % base)
+        i //= base
+    return result
 
 
 def sample_initial_points(dimension, radius, count, seed):

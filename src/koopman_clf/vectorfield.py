@@ -28,12 +28,12 @@ a field: ``flow_step`` uses its caller's, and an integration makes one
 over the family for all its rows and reuses it every step, so a step
 allocates no batch-sized array and concurrent integrations of one family
 never share one.
+``boundary_invariance_check`` bounds the field on a polydisk's faces.
 """
 
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -450,80 +450,54 @@ def flow_step(scratch, z, dt, out=None):
     return out
 
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def halton(index, base):
-    """Radical-inverse (van der Corput) values of an array of indices in
-    ``base``; every index runs through the same digit steps as the scalar
-    recursion, so the values do not depend on the batch."""
-    i = np.array(index, dtype=np.int64)
-    result, f = np.zeros(i.shape), 1.0
-    while np.any(i > 0):
-        f /= base
-        result += f * (i % base)
-        i //= base
-    return result
-
-
-@dataclass(frozen=True)
-class BoundaryReport:
-    """Outcome of the inward-pointing test on one polydisk boundary."""
-
-    holds: bool
-    worst_value: float
-    worst_point: np.ndarray
-    samples: int
-    rho: float
-
-
 def boundary_invariance_check(fields, rho):
-    """Sample Re(F_l(z) conj(z_l)) on each face |z_l| = rho of the polydisk,
-    for each of ``fields``; returns one ``BoundaryReport`` per field.
+    """Closed-form upper bounds of Re(conj(w_l) F_l(w)) on the faces
+    |w_l| = rho of the polydisk of radius rho in (0, 1]: one list of n
+    bounds per field, or None for a truncated field with no ``tail_l1``.
+    A negative bound proves its face inward-pointing; when every face of
+    every field is, the closed polydisk is forward invariant under any
+    switching (Nagumo's condition; Blanchini, Automatica 35, 1999).
 
-    Every face is probed on a uniform phase grid of 512 points in z_l,
-    paired with a low-discrepancy fill (Halton moduli and phases) of the
-    remaining coordinates inside the polydisk.  The samples are built
-    once, and every field is evaluated on them through one scratch over
-    all the fields.  A field points inward at a sample when the tested
-    value is negative, and its check holds when every sample does; its
-    report keeps the worst (largest) value and the point attaining it.
+    On the face every |w_c| <= rho, so with c_l the coefficient of w_l in
+    F_l, and the unstored terms (of degree >= 1) counted at rho^2:
+
+        bound = rho^2 Re c_l + S_l,  S_l = sum_{beta != e_l}
+                |c_beta| rho^(|beta| + 1) + (tail_l1 - stored) rho^2.
+
+    The stored sum, an exact ``fsum`` of moduli within one ulp each scaled
+    by 1 - 2^-49, is below the true one.  Outward rounding, with u = 2^-53
+    and m_l the stored term count: relative to rho^2 |c_l| + S_l, each
+    summand carries at most 5u (a modulus and a power within one ulp each,
+    a product) and the four additions 4u, below the (2 m_l + 8) u that the
+    bound adds, (m_l + 4) 2^-52 (rho^2 |c_l| + S_l + 2^-1020).  Its 2^-1020
+    covers underflow: fewer than 8 (m_l + 4) operations each off by at
+    most 2^-1075.  It is taken relative to |c_l|, not |Re c_l|, so that a
+    float evaluation of the face value stays below the bound too: with c_l
+    imaginary that value is 0, but reads about 1e-17 |c_l| rho^2.
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
-    n = fields[0].dimension
-    count = 512
-    # the fill of the k-th other coordinate is the same on every face
-    index = np.arange(1, count + 1)
-    fill = []
-    for slot in range(n - 1):
-        h_mod = halton(index, _PRIMES[(2 * slot) % len(_PRIMES)])
-        h_arg = halton(index, _PRIMES[(2 * slot + 1) % len(_PRIMES)])
-        fill.append(rho * np.sqrt(h_mod) * np.exp(2j * np.pi * h_arg))
-    faces = np.zeros((n, n, count), dtype=complex)  # face, then points-last
-    phases = 2.0 * np.pi * np.arange(count) / count
-    for face, zT in enumerate(faces):
-        zT[face] = rho * np.exp(1j * phases)
-        for values, c in zip(fill, [c for c in range(n) if c != face]):
-            zT[c] = values
-    scratch = FieldScratch(fields, count)
-    reports = []
-    for i in range(len(fields)):
-        scratch.select(np.full(count, i))
-        worst, worst_point = -np.inf, None
-        for face, zT in enumerate(faces):
-            vals = np.real(scratch.evaluate(zT)[face] * np.conj(zT[face]))
-            j = int(np.argmax(vals))
-            if vals[j] > worst:
-                worst, worst_point = float(vals[j]), zT[:, j].copy()
-        reports.append(BoundaryReport(
-            holds=bool(worst < 0.0),
-            worst_value=worst,
-            worst_point=worst_point,
-            samples=n * count,
-            rho=float(rho),
-        ))
-    return reports
+    rho2 = rho * rho
+    bounds = []
+    for f in fields:
+        if f.truncated and f.tail_l1 is None:
+            bounds.append(None)
+            continue
+        faces = []
+        for l, comp in enumerate(f.components):
+            e_l = tuple(int(c == l) for c in range(f.dimension))
+            c_l = comp.get(e_l, 0j)
+            # fsum: one rounding, whatever the order of the terms
+            s = math.fsum(
+                abs(v) * rho ** (sum(a) + 1) for a, v in comp.items() if a != e_l
+            )
+            if f.tail_l1 is not None:
+                stored = math.fsum(abs(v) for v in comp.values()) * (1 - 2**-49)
+                s += max(f.tail_l1[l] - stored, 0.0) * rho2
+            rounding = (len(comp) + 4) * 2**-52 * (rho2 * abs(c_l) + s + 2**-1020)
+            faces.append(rho2 * c_l.real + s + rounding)
+        bounds.append(faces)
+    return bounds
 
 
 class SwitchedFamily:

@@ -59,3 +59,6 @@ def test_a_traced_analysis_and_audit_count_every_layer():
                  "koopman.stored_entries", "certificate.coupled_pairs",
                  "vectorfield.flow_step_calls"):
         assert metrics[name][0] > 0, name
+    # analysis calls the face bound through its module attribute, which the
+    # tracer wraps; a direct reference would leave this metric at 0
+    assert metrics["vectorfield.invariance_s"][0] > 0

@@ -799,6 +799,18 @@ def _cli_exit(argv, capsys):
     return exc.value.code, err
 
 
+def _set(owner, path, value):
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+
+
+def _drop(owner, path):
+    for key in path[:-1]:
+        owner = owner[key]
+    del owner[path[-1]]
+
+
 # a config block of the wrong JSON type: (key path from the config root,
 # value, start of the message)
 NOT_OBJECTS = {
@@ -834,10 +846,7 @@ def test_cli_refuses_a_config_block_of_the_wrong_json_type(
     cfg, rpt = _example1_config_and_report(tmp_path)
     path, value, message = NOT_OBJECTS[case]
     data = json.loads(cfg.read_text())
-    owner = data
-    for key in path[:-1]:
-        owner = owner[key]
-    owner[path[-1]] = value
+    _set(data, path, value)
     cfg.write_text(json.dumps(data))
     out = tmp_path / "out.json"
     argv = ["--config", str(cfg), "--out", str(out)]
@@ -847,6 +856,70 @@ def test_cli_refuses_a_config_block_of_the_wrong_json_type(
     assert code == 2
     assert f"invalid config: {message}, got " in err
     assert not out.exists()
+
+
+# a misspelt, missing or misplaced key: (key path from the config root,
+# its new value or None to delete it, and the message); the empty path
+# replaces the whole config
+BAD_KEYS = {
+    "simulation-trails": (
+        ("simulation", "trails"), 5, "unknown key simulation.trails"
+    ),
+    "scheme-kapa": (("scheme", "kapa"), 0.1, "unknown key scheme.kapa"),
+    "root-rho_requets": (("rho_requets",), 0.5, "unknown key rho_requets"),
+    "subsystem-tail": (
+        ("subsystems", 1, "tail"), [1.0, 1.0], "unknown key subsystems[1].tail"
+    ),
+    "coefficient-img": (
+        ("subsystems", 1, "coefficients", 2, "img"), 0.0,
+        "unknown key subsystems[1].coefficients[2].img",
+    ),
+    "coefficient-re": (
+        ("subsystems", 0, "coefficients", 0, "re"), None,
+        "subsystems[0].coefficients[0].re is missing",
+    ),
+    "coefficient-component": (
+        ("subsystems", 0, "coefficients", 0, "component"), None,
+        "subsystems[0].coefficients[0].component is missing",
+    ),
+    "coefficient-exponents": (
+        ("subsystems", 1, "coefficients", 1, "exponents"), None,
+        "subsystems[1].coefficients[1].exponents is missing",
+    ),
+    "root-dimension": (("dimension",), None, "dimension is missing"),
+    "root-list": ((), [1], "config must be an object, got [1]"),
+    "root-number": ((), 3, "config must be an object, got 3"),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("case", [*BAD_KEYS])
+def test_cli_names_an_unknown_or_missing_config_key(tmp_path, capsys, command, case):
+    cfg, rpt = _example1_config_and_report(tmp_path)
+    path, value, message = BAD_KEYS[case]
+    data = json.loads(cfg.read_text())
+    if not path:
+        data = value
+    elif value is None:
+        _drop(data, path)
+    else:
+        _set(data, path, value)
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    argv = ["--config", str(cfg), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--report", str(rpt)]
+    code, err = _cli_exit([command, *argv], capsys)
+    assert code == 2
+    assert err.rstrip().endswith(f"invalid config: {message}")
+    assert not out.exists()
+
+
+def test_every_key_a_config_writes_loads_again():
+    for cfg in (example1_config(), example2_config()):
+        data = cfg.to_json_dict()
+        data["rho_request"], data["scheme"]["xi"] = 0.5, 0.9
+        assert SystemConfig.from_json_dict(data).to_json_dict() == data
 
 
 def test_a_null_or_absent_scheme_or_simulation_keeps_the_defaults():

@@ -25,6 +25,7 @@ from koopman_clf.switchsim import (
     _step_plan,
     audit_certificate,
     export_run_csv,
+    halton,
     integrate_switched,
     random_signal,
     sample_initial_points,
@@ -215,6 +216,34 @@ def test_sample_points_validation_and_small_counts():
     one = sample_initial_points(3, 0.5, 1, seed=0)
     assert one.shape == (1, 3)
     assert np.all(one.imag == 0.0)
+
+
+# halton ---------------------------------------------------------------------
+
+
+def test_halton_base2_and_base3_prefixes():
+    assert [halton(i, 2) for i in (1, 2, 3, 4)] == [0.5, 0.25, 0.75, 0.125]
+    assert np.allclose(
+        [halton(i, 3) for i in (1, 2, 3)], [1 / 3, 2 / 3, 1 / 9]
+    )
+
+
+def scalar_halton(index, base):
+    result, f = 0.0, 1.0
+    i = index
+    while i > 0:
+        f /= base
+        result += f * (i % base)
+        i //= base
+    return result
+
+
+@pytest.mark.parametrize("base", [2, 3, 5, 7, 37])
+def test_halton_batch_matches_the_scalar_recursion(base):
+    index = np.arange(0, 3000)
+    want = [scalar_halton(int(i), base) for i in index]
+    assert halton(index, base).tolist() == want
+    assert halton(index[::-7], base).tolist() == want[::-7]
 
 
 # audit ----------------------------------------------------------------------
