@@ -30,7 +30,7 @@ from .liealg import (
     is_solvable,
     simultaneous_triangularize,
 )
-from .multiindex import build_basis
+from .multiindex import build_basis, checked_int
 from .vectorfield import (
     PolyVectorField,
     SwitchedFamily,
@@ -462,8 +462,7 @@ def analyze_family(
     """
     if isinstance(family, (list, tuple)):
         family = SwitchedFamily(family)
-    if truncation_degree < 2:
-        raise ValueError("truncation_degree must be at least 2")
+    truncation_degree = checked_int("truncation_degree", truncation_degree, 2)
     kind = _KIND_ALIASES.get(scheme_kind)
     if kind is None:
         raise ValueError(f"unknown scheme kind {scheme_kind!r}")

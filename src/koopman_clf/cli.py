@@ -227,7 +227,13 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="run the certificate pipeline")
     p.add_argument("--config", required=True, help="system config JSON")
-    p.add_argument("--out", default="-", help="report destination ('-' = stdout)")
+    p.add_argument(
+        "--out",
+        default="-",
+        help="report destination ('-' = stdout); with --format csv, the "
+        "PREFIX of PREFIX.epsilon.csv and PREFIX.ratios.csv, './report' "
+        "when omitted or '-'",
+    )
     p.add_argument("--degree", type=int, help="override truncation degree")
     p.add_argument(
         "--scheme", choices=["poly", "dd", "polynomial", "diagonal_dominance"]

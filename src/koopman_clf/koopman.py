@@ -11,13 +11,18 @@ and vanishes whenever |alpha(j)| < |alpha(k)|: the generator never lowers
 total degree, so the matrix is block upper triangular by degree.  Entries
 are exact sums of products of stored coefficients.
 
-The matrix is held as one set of coordinate arrays (k, j, v) with 1-based
-basis positions, built for every stored term of the field at once.
+A stored term a z^beta of F_l moves every monomial alpha to alpha + s,
+with the one shift s = beta - e_l.  So the matrix is a few shifted
+diagonals of the basis, one per distinct shift, and it is built that
+way: one row of a table per shift, one column per source, read out as
+coordinate arrays (k, j, v) with 1-based basis positions.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .multiindex import order_key
 
 
 @dataclass
@@ -58,36 +63,44 @@ class KoopmanMatrix:
 def build_matrix(field_, basis):
     """Assemble the truncated generator matrix of ``field_`` on ``basis``.
 
-    A stored term a z^beta of component l takes every source k with
-    alpha_l(k) > 0 to the target alpha(k) + beta - e_l, kept while its
-    degree stays within the basis, and contributes alpha_l(k) a there.
-    The contributions are laid out term after term, so those that meet at
-    one (k, j) come in the order of l, then of the component's stored
-    terms; ``np.add.at`` sums them from 0j in that order.  Exact-zero sums
-    are dropped.
+    The stored terms are grouped by their shift s = beta - e_l, each group
+    in the order of l, then of the component's stored terms.  Only terms
+    of one group meet at a (k, j): the target alpha(k) + s is injective in
+    s.  Group g fills row g of a zero (G, size + 1) table over the sources
+    k: a term of F_l adds alpha_l(k) a, one term at a time, so every entry
+    is summed from 0j in the order of l, then of the stored terms.  Where
+    alpha_l(k) = 0 the term adds a signed zero (coefficients are finite),
+    which leaves a sum from 0j bit for bit as it was.  The sources whose
+    target stays within degree N are the prefix
+    k < degree_start[N + 1 - |s|].
+
+    The shifts are sorted by ``order_key``.  For a fixed source the
+    targets alpha(k) + s then come in basis order too, since adding
+    alpha(k) keeps both the degree and the descending-slot comparison;
+    so the transposed (size + 1, G) table read row-major is in (k, j)
+    order.  Its exact zeros are dropped: cancelled sums, and the sources
+    no term reaches.
     """
     if field_.dimension != basis.dimension:
         raise ValueError("field and basis dimensions differ")
-    exps = basis.exponents
-    degree = exps.sum(axis=1)
-    # seeded with empty arrays: a field without terms gives an empty matrix
-    empty = np.zeros(0, np.int64)
-    ks, js, vs = [empty], [empty], [np.zeros(0, complex)]
-    for l in range(basis.dimension):
-        sources = np.flatnonzero(exps[:, l])
-        for beta, a in field_.components[l].items():
-            shift = np.array(beta, dtype=np.int64)
+    N = basis.max_degree
+    groups = {}
+    for l, component in enumerate(field_.components):
+        for beta, a in component.items():
+            shift = list(beta)
             shift[l] -= 1
-            k = sources[degree[sources] + shift.sum() <= basis.max_degree]
-            ks.append(k)
-            js.append(basis.positions(exps[k] + shift))
-            vs.append(exps[k, l] * a)
-    width = basis.size + 1
-    keys, slot = np.unique(
-        np.concatenate(ks) * width + np.concatenate(js), return_inverse=True
-    )
-    v = np.zeros(len(keys), dtype=complex)
-    np.add.at(v, slot, np.concatenate(vs))
-    keep = v != 0
-    k, j = np.divmod(keys[keep], width)
-    return KoopmanMatrix(basis, k, j, v[keep])
+            groups.setdefault(tuple(shift), []).append((l, a))
+    shifts = sorted(groups, key=order_key)
+    exps = basis.exponents
+    table = np.zeros((len(shifts), len(exps)), dtype=complex)
+    for row, shift in zip(table, shifts):
+        degree = sum(shift)
+        end = basis.degree_start[N + 1 - degree] if degree <= N else 0
+        for l, a in groups[shift]:
+            row[:end] += exps[:end, l] * a
+    flat = table.T.ravel()
+    keep = np.flatnonzero(flat)
+    k, g = np.divmod(keep, len(shifts))
+    moves = np.array(shifts, dtype=np.int64).reshape(-1, basis.dimension)
+    j = basis.positions(np.take(exps, k, axis=0) + np.take(moves, g, axis=0))
+    return KoopmanMatrix(basis, k, j, flat[keep])

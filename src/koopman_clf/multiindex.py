@@ -12,7 +12,10 @@ the sum of the last i exponents of alpha,
 
 The term i = n counts the indices of lower total degree; the term i < n
 counts those of the same degree and the same leading slots that come
-first because their exponent at slot n - i - 1 is larger.
+first because their exponent at slot n - i - 1 is larger.  So degree d
+starts at C(d + n - 1, n).  ``build_basis`` lists every index of degree
+at most N slot by slot, in no particular order, and writes each one to
+its position.
 """
 
 import math
@@ -26,14 +29,14 @@ def order_key(alpha):
     return (sum(alpha), tuple(-a for a in alpha))
 
 
-def _compositions(nslots, total):
-    # descending first slot, recursively: exactly the within-degree order
-    if nslots == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(nslots - 1, total - head):
-            yield (head,) + rest
+def checked_int(name, value, low):
+    """``value`` when it is an integer (a Python or numpy int, not a bool)
+    of at least ``low``; ValueError naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -77,9 +80,13 @@ class MultiIndexBasis:
     def positions(self, alphas):
         """Basis positions of an (m, n) integer array of multi-indices,
         each of total degree at most max_degree."""
-        suffix = np.cumsum(alphas[:, ::-1], axis=1)
-        i = np.arange(1, self.dimension + 1)
-        return self._binomial[suffix + i - 1, i].sum(axis=1)
+        n = self.dimension
+        suffix = alphas[:, n - 1].copy()
+        out = self._binomial[suffix, 1]
+        for i in range(2, n + 1):
+            suffix += alphas[:, n - i]
+            out += self._binomial[suffix + (i - 1), i]
+        return out
 
     def count_of_degree(self, d):
         """Number of monomials of exact total degree d (any d >= 0)."""
@@ -88,20 +95,28 @@ class MultiIndexBasis:
 
 def build_basis(dimension, max_degree):
     """Enumerate the basis for ``dimension`` variables up to ``max_degree``."""
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
-    rows = []
-    starts = [0]
-    for d in range(max_degree + 1):
-        rows.extend(_compositions(dimension, d))
-        starts.append(len(rows))
-    exps = np.array(rows, dtype=np.int64)
+    n = checked_int("dimension", dimension, 1)
+    N = checked_int("max_degree", max_degree, 1)
+    # partial indices over the slots so far, with the degree each has left:
+    # every partial index is repeated once per value 0..left of the next slot
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([N], dtype=np.int64)
+    for _ in range(n):
+        repeat = left + 1
+        parent = np.repeat(np.arange(len(left)), repeat)
+        value = np.arange(len(parent)) - np.repeat(np.cumsum(repeat) - repeat, repeat)
+        rows = np.column_stack([rows[parent], value])
+        left = left[parent] - value
     binomial = np.array(
-        [[math.comb(m, i) for i in range(dimension + 1)]
-         for m in range(max_degree + dimension)],
+        [[math.comb(m, i) for i in range(n + 1)] for m in range(N + n)],
         dtype=np.int64,
     )
-    return MultiIndexBasis(dimension, max_degree, exps, binomial, np.array(starts))
-
+    basis = MultiIndexBasis(
+        n,
+        N,
+        np.empty_like(rows),
+        binomial,
+        np.array([math.comb(d + n - 1, n) for d in range(N + 2)]),
+    )
+    basis.exponents[basis.positions(rows)] = rows
+    return basis

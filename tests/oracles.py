@@ -13,6 +13,8 @@ points-last kernel, and ``dense_value_batch`` the V evaluator it had
 before its scratch; each is kept as its successor's bit-exact reference.
 ``reference_rk4`` is the RK4 step of a family built on
 ``evaluate_batch``, the reference of the step a scratch plans.
+``sorted_build_matrix`` is the generator matrix builder the library had
+before its shift groups, kept as ``build_matrix``'s bit-exact reference.
 """
 
 import numpy as np
@@ -26,6 +28,7 @@ from koopman_clf.certificate import (
     coupling_scan,
     degree_maxima,
 )
+from koopman_clf.koopman import KoopmanMatrix
 from koopman_clf.multiindex import order_key
 from koopman_clf.vectorfield import FieldScratch, PolyVectorField, flow_step
 
@@ -120,6 +123,42 @@ def reference_rk4(fields, sub, Z, dt):
     k3 = F(k2 * half + Z)
     k4 = F(k3 * dt + Z)
     return ((k1 + k2 * 2.0) + k3 * 2.0 + k4) * sixth + Z
+
+
+def sorted_build_matrix(field_, basis):
+    """The truncated generator matrix of ``field_`` on ``basis`` from an
+    unordered coordinate list, one position lookup per stored term.
+
+    A stored term a z^beta of component l takes every source k with
+    alpha_l(k) > 0 to the target alpha(k) + beta - e_l, kept while its
+    degree stays within the basis, and contributes alpha_l(k) a there.
+    The contributions are laid out term after term, so those that meet at
+    one (k, j) come in the order of l, then of the component's stored
+    terms; ``np.unique`` sorts the (k, j) keys and ``np.add.at`` sums them
+    from 0j in that order.  Exact-zero sums are dropped.
+    """
+    exps = basis.exponents
+    degree = exps.sum(axis=1)
+    empty = np.zeros(0, np.int64)
+    ks, js, vs = [empty], [empty], [np.zeros(0, complex)]
+    for l in range(basis.dimension):
+        sources = np.flatnonzero(exps[:, l])
+        for beta, a in field_.components[l].items():
+            shift = np.array(beta, dtype=np.int64)
+            shift[l] -= 1
+            k = sources[degree[sources] + shift.sum() <= basis.max_degree]
+            ks.append(k)
+            js.append(basis.positions(exps[k] + shift))
+            vs.append(exps[k, l] * a)
+    width = basis.size + 1
+    keys, slot = np.unique(
+        np.concatenate(ks) * width + np.concatenate(js), return_inverse=True
+    )
+    v = np.zeros(len(keys), dtype=complex)
+    np.add.at(v, slot, np.concatenate(vs))
+    keep = v != 0
+    k, j = np.divmod(keys[keep], width)
+    return KoopmanMatrix(basis, k, j, v[keep])
 
 
 def dense_value_batch(clf, Z):

@@ -572,6 +572,18 @@ def test_a_refused_xi_or_kappa_raises_before_the_lie_closure(
         )
 
 
+@pytest.mark.parametrize("degree", [12.5, 12.0, np.float64(12), "12", True])
+def test_analyze_family_names_a_truncation_degree_that_is_not_an_integer(degree):
+    with pytest.raises(ValueError, match="^truncation_degree must be an integer"):
+        analysis.analyze_family(example1_config().build_family(), degree)
+
+
+def test_analyze_family_accepts_a_numpy_integer_degree():
+    family = example1_config().build_family()
+    report = analysis.analyze_family(family, np.int64(6))
+    assert report.to_json() == analysis.analyze_family(family, 6).to_json()
+
+
 def test_cli_analyze_reports_scheme_failure(tmp_path, capsys):
     cfg = tmp_path / "sys.json"
     assert main(["example1", "--b", "0.5", "--out", str(cfg)]) == 0
@@ -617,6 +629,19 @@ def test_cli_analyze_csv_output(tmp_path):
     for line in ratio_lines[1:]:
         d, v = line.split(",")
         assert 0.0 < float(v) < 1.0
+
+
+def test_cli_analyze_csv_without_out_writes_report_prefixed_files(
+    tmp_path, monkeypatch, capsys
+):
+    cfg = tmp_path / "sys.json"
+    main(["example1", "--degree", "6", "--out", str(cfg)])
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "--config", str(cfg), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "report.epsilon.csv", "report.ratios.csv", "sys.json"
+    ]
 
 
 def test_cli_analyze_runs_are_byte_identical(tmp_path):

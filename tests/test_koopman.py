@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from koopman_clf.certificate import build_operator
 from koopman_clf.koopman import build_matrix
@@ -14,6 +16,7 @@ from oracles import (
     entry,
     field_from_linear,
     row_abs_sum,
+    sorted_build_matrix,
     stored_entry,
 )
 
@@ -165,12 +168,16 @@ def test_build_matrix_agrees_with_entry_function():
         assert np.array_equal(kmat.to_dense(), dense_oracle(f, basis))
 
 
-def test_build_matrix_drops_contributions_that_cancel():
+def cancelling_pair():
     # at row (1, 1) the terms z1^2 of component 1 and z1 z2 of component 2
     # both land on (2, 1), with 1 * 1 + 1 * (-1) = 0
-    f = PolyVectorField(
+    return PolyVectorField(
         [{(1, 0): -1.0, (2, 0): 1.0}, {(0, 1): -1.0, (1, 1): -1.0}]
     )
+
+
+def test_build_matrix_drops_contributions_that_cancel():
+    f = cancelling_pair()
     basis = build_basis(2, 5)
     kmat = build_matrix(f, basis)
     k, j = basis.index_of((1, 1)), basis.index_of((2, 1))
@@ -178,6 +185,51 @@ def test_build_matrix_drops_contributions_that_cancel():
     assert not np.any((kmat.k == k) & (kmat.j == j))
     assert np.all(kmat.v != 0)
     assert np.array_equal(kmat.to_dense(), dense_oracle(f, basis))
+
+
+@st.composite
+def shift_sharing_fields(draw):
+    """A field on 1 to 3 variables with up to four terms per component, of
+    exponents up to 5 in each slot, real or complex coefficients, and for
+    n >= 2 a term in each of two or more components with one shift (three
+    terms of a shift are needed to see the order they are summed in)."""
+    n = draw(st.integers(1, 3))
+    coeff = (
+        st.sampled_from([1.0, -1.0, 0.5, -2.0])
+        | st.floats(-3.0, 3.0)
+        | st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+    )
+    exponents = st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(
+        lambda a: sum(a) >= 1
+    )
+    comps = [
+        {tuple(a): draw(coeff) for a in draw(st.lists(exponents, max_size=4))}
+        for _ in range(n)
+    ]
+    if n >= 2:
+        shift = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        sharing = draw(st.integers(2, n))
+        for l in draw(st.permutations(range(n)))[:sharing]:
+            beta = list(shift)
+            beta[l] += 1
+            comps[l][tuple(beta)] = draw(coeff)
+    return PolyVectorField(comps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_=shift_sharing_fields(), N=st.integers(2, 9))
+@example(field_=cancelling_pair(), N=5)
+# three terms of shift 0 meet on the diagonal: at (1, 1, 1) the sum
+# (0.1 + 0.2) + 0.3 differs from 0.1 + (0.2 + 0.3) in its last bit
+@example(field_=field_from_linear(np.diag([0.1, 0.2, 0.3])), N=3)
+def test_build_matrix_equals_the_sorted_coordinate_list_bit_for_bit(field_, N):
+    basis = build_basis(field_.dimension, N)
+    got, want = build_matrix(field_, basis), sorted_build_matrix(field_, basis)
+    for name in ("k", "j", "v"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+    assert np.array_equal(got.k, want.k)
+    assert np.array_equal(got.j, want.j)
+    assert np.array_equal(got.v.view(np.uint64), want.v.view(np.uint64))
 
 
 def test_rows_split_the_arrays_by_source_position():

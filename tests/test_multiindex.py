@@ -45,12 +45,17 @@ def test_order_3d_degree_2_table():
 
 
 def test_order_matches_sorted_enumeration():
-    for n in (1, 2, 3, 4):
-        for N in (1, 2, 5):
+    for n in range(1, 6):
+        for N in range(1, 9):
             b = build_basis(n, N)
             expect = brute_order(n, N)
-            got = [b.alpha(k) for k in range(b.size + 1)]
-            assert got == expect
+            assert b.exponents.dtype == np.int64
+            assert b.exponents.tolist() == [list(a) for a in expect]
+            counts = np.bincount([sum(a) for a in expect])
+            assert b.degree_start.tolist() == [0, *np.cumsum(counts).tolist()]
+            assert [b.index_of(b.alpha(k)) for k in range(b.size + 1)] == list(
+                range(b.size + 1)
+            )
 
 
 def test_size_counts_nonconstant_monomials():
@@ -142,3 +147,23 @@ def test_build_basis_validates_arguments():
         build_basis(0, 3)
     with pytest.raises(ValueError):
         build_basis(2, 0)
+
+
+@pytest.mark.parametrize(
+    "dimension, max_degree, name",
+    [(2, 5.0, "max_degree"), (2, 5.5, "max_degree"), (2, "5", "max_degree"),
+     (2, True, "max_degree"), (True, 3, "dimension"), (2.0, 3, "dimension"),
+     (np.float64(2), 3, "dimension"), (np.bool_(True), 3, "dimension")],
+)
+def test_build_basis_names_an_argument_that_is_not_an_integer(
+    dimension, max_degree, name
+):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        build_basis(dimension, max_degree)
+
+
+def test_build_basis_accepts_numpy_integers():
+    b = build_basis(np.int32(2), np.int64(5))
+    assert (b.dimension, b.max_degree) == (2, 5)
+    assert type(b.dimension) is int and type(b.max_degree) is int
+    assert np.array_equal(b.exponents, build_basis(2, 5).exponents)
