@@ -207,7 +207,7 @@ class CertificateReport:
             "q_by_degree": _degree_list(self.q_by_degree),
             "epsilon": None
             if self.epsilon is None
-            else [float(e) for e in self.epsilon],
+            else np.asarray(self.epsilon, dtype=float).tolist(),
             "eta": {
                 "requested": float(self.eta_requested),
                 "effective": _opt_float(self.eta_effective),
@@ -231,9 +231,41 @@ def _encode_json(obj, newline, emit):
     """Emit the text of ``json.dumps(obj, sort_keys=True, indent=2)`` in one
     pass, with every non-finite float written as null.  ``newline`` is a
     line break followed by the indent of ``obj``'s own line.  A list of
-    floats is joined in one call unless it holds a non-finite value (only
-    the reprs 'nan' and 'inf' contain an 'n')."""
-    if isinstance(obj, str):
+    floats (``_float_list``) and a record of numbers (``_number_record``)
+    are each written as one string."""
+    if isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = newline + "  "
+        items = sorted(obj.items())
+        text = _number_record(items, "," + inner)
+        if text is not None:
+            emit("{" + inner + text + newline + "}")
+            return
+        emit("{" + inner)
+        for i, (key, value) in enumerate(items):
+            if i:
+                emit("," + inner)
+            emit(encode_basestring_ascii(key) + ": ")
+            _encode_json(value, inner, emit)
+        emit(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + "  "
+        text = _float_list(obj, "," + inner)
+        if text is not None:
+            emit("[" + inner + text + newline + "]")
+            return
+        emit("[" + inner)
+        for i, value in enumerate(obj):
+            if i:
+                emit("," + inner)
+            _encode_json(value, inner, emit)
+        emit(newline + "]")
+    elif isinstance(obj, str):
         emit(encode_basestring_ascii(obj))
     elif obj is None:
         emit("null")
@@ -245,40 +277,49 @@ def _encode_json(obj, newline, emit):
         emit(int.__repr__(obj))
     elif isinstance(obj, float):
         emit(float.__repr__(obj) if math.isfinite(obj) else "null")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            emit("[]")
-            return
-        inner = newline + "  "
-        emit("[" + inner)
-        try:
-            text = ("," + inner).join(map(float.__repr__, obj))
-        except TypeError:  # not all floats
-            text = None
-        if text is not None and "n" not in text:
-            emit(text)
-        else:
-            for i, value in enumerate(obj):
-                if i:
-                    emit("," + inner)
-                _encode_json(value, inner, emit)
-        emit(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            emit("{}")
-            return
-        inner = newline + "  "
-        emit("{" + inner)
-        for i, (key, value) in enumerate(sorted(obj.items())):
-            if i:
-                emit("," + inner)
-            emit(encode_basestring_ascii(key) + ": ")
-            _encode_json(value, inner, emit)
-        emit(newline + "}")
     else:
         raise TypeError(
             f"Object of type {type(obj).__name__} is not JSON serializable"
         )
+
+
+def _float_list(values, sep):
+    """The reprs of ``values`` joined by ``sep`` (``_float_reprs``) when
+    every value is a finite ``float``; else None.  Only the reprs 'nan' and
+    'inf' contain an 'n', and a non-finite value is written as null."""
+    if set(map(type, values)) != {float}:
+        return None
+    text = sep.join(_float_reprs(values))
+    return None if "n" in text else text
+
+
+def _float_reprs(values):
+    """The reprs of a list of floats, one ``float.__repr__`` call per
+    distinct value.  A list that holds a zero gets one call per value,
+    since 0.0 == -0.0 would share one repr."""
+    distinct = dict.fromkeys(values)
+    if 0.0 in distinct:
+        return map(float.__repr__, values)
+    return map(dict(zip(distinct, map(float.__repr__, distinct))).__getitem__, values)
+
+
+_NUMBER_REPR = {int: int.__repr__, float: float.__repr__}
+
+
+def _number_record(items, sep):
+    """The ``"key": value`` lines of sorted dict items joined by ``sep``
+    when every value is a finite ``float`` or an ``int`` (not a bool);
+    else None."""
+    lines = []
+    for key, value in items:
+        number_repr = _NUMBER_REPR.get(type(value))
+        if number_repr is None:
+            return None
+        text = number_repr(value)
+        if "n" in text:  # inf or nan, written as null
+            return None
+        lines.append(encode_basestring_ascii(key) + ": " + text)
+    return sep.join(lines)
 
 
 def _opt_float(x):
@@ -679,10 +720,13 @@ def _region(face_bounds):
 def export_epsilon_csv(report, fh):
     """Weights indexed by basis position and exponent."""
     basis = build_basis(report.dimension, report.truncation_degree)
+    weights = _float_reprs(np.asarray(report.epsilon, dtype=float).tolist())
+    exponents = (" ".join(map(str, alpha)) for alpha in basis.exponents[1:].tolist())
     fh.write("index,exponents,epsilon\n")
-    for k in range(1, basis.size + 1):
-        alpha = " ".join(str(a) for a in basis.alpha(k))
-        fh.write(f"{k},{alpha},{float(report.epsilon[k - 1])!r}\n")
+    fh.write("".join(
+        f"{k},{alpha},{weight}\n"
+        for k, (alpha, weight) in enumerate(zip(exponents, weights, strict=True), 1)
+    ))
 
 
 def export_ratios_csv(report, fh):

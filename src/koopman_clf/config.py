@@ -261,6 +261,7 @@ def example2_config(mu=3.0, degree=20):
     Subsystem 1 is (-z1 + z1^2 sin^2(z1) z2 / mu, -z2), subsystem 2 the
     same with cos^2; coefficients are stored to the requested degree and
     the exact l1 norms ride along, so absolute-sum quantities are exact.
+    The simulation block takes criterion 8's step, dt = 0.01.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -281,4 +282,5 @@ def example2_config(mu=3.0, degree=20):
         truncation_degree=degree,
         subsystems=[(f1, tail1), (f2, tail2)],
         scheme_kind="diagonal_dominance",
+        simulation=SimulationParams(dt=0.01),  # criterion 8's step
     )

@@ -30,6 +30,7 @@ as they are.
 """
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from types import SimpleNamespace
 
@@ -127,10 +128,18 @@ def _segment_steps(duration, dt):
 
 
 def _step_plan(signal, dt):
-    """RK4 steps of ``signal`` as arrays: h, subsystem, time at step end."""
+    """RK4 steps of ``signal`` as arrays: h, subsystem, time at step end.
+    A ``dt`` whose plan has more steps than a list can index is refused
+    before anything is allocated."""
     _require_finite(dt=dt)
     if dt <= 0:
         raise ValueError("dt must be positive")
+    steps = sum(dur / dt for dur in signal.durations)  # inf if dur / dt overflows
+    if not steps < sys.maxsize:
+        raise ValueError(
+            f"dt {dt!r} plans {steps:.3g} RK4 steps, more than the "
+            f"{sys.maxsize} a list can index"
+        )
     plan, t_start = [(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))], 0.0
     for dur, sub, end in zip(signal.durations, signal.subsystems, signal.boundaries):
         n_full, rem = _segment_steps(dur, dt)

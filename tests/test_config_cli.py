@@ -77,6 +77,9 @@ def test_example2_config_coefficients_and_tails():
     assert tail1[0] == pytest.approx(1.0 + (math.cosh(2.0) - 1.0) / (2.0 * mu))
     assert tail2[0] == pytest.approx(1.0 + (math.cosh(2.0) + 1.0) / (2.0 * mu))
     assert tail1[1] == tail2[1] == 1.0
+    # criterion 8's step; the rest of the simulation block is the default
+    assert cfg.simulation == dataclasses.replace(SimulationParams(), dt=0.01)
+    assert example1_config().simulation == SimulationParams()
     with pytest.raises(ValueError):
         example2_config(mu=-1.0)
 
@@ -1252,6 +1255,15 @@ def test_cli_simulate_rejects_non_finite_dt_override(tmp_path, capsys, value):
         _simulate_with(tmp_path, {"trials": 1, "points": 1}, ["--dt", value])
     assert exc.value.code == 2
     assert "dt must be finite" in capsys.readouterr().err
+
+
+def test_cli_simulate_names_a_dt_too_small_to_plan(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _simulate_with(tmp_path, {"trials": 1, "points": 1}, ["--dt", "1e-300"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "dt 1e-300 plans" in err and "RK4 steps" in err
+    assert "Traceback" not in err
 
 
 def test_cli_simulate_blowup_exits_5_with_one_line(tmp_path):

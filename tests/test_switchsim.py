@@ -106,6 +106,13 @@ def test_segment_step_planning():
     assert n == 0 and rem == pytest.approx(0.05)
 
 
+def test_a_dt_whose_plan_no_list_can_index_is_refused_by_name():
+    # 20 / 1e-300 steps: refused before any list or array is made
+    signal = random_signal(2, 20.0, seed=1)
+    with pytest.raises(ValueError, match=r"dt 1e-300 plans 2e\+301 RK4 steps"):
+        _step_plan(signal, 1e-300)
+
+
 # integration ----------------------------------------------------------------
 
 
