@@ -22,7 +22,6 @@ condition, the certified radius and the weight recursion all read it.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -98,8 +97,7 @@ def build_operator(field_hat, basis):
     if np.any(re_decay[1:] <= 0):
         raise ValueError("generator diagonal must have negative real part")
     # each column adds up its entries in row order
-    col_sums = np.zeros(M + 1)
-    np.add.at(col_sums, j, np.hypot(v.real, v.imag))
+    col_sums = np.bincount(j, np.hypot(v.real, v.imag), M + 1)
     row_sums = np.zeros(M + 1)
     for l in range(basis.dimension):
         row_sums += basis.exponents[:, l] * field_hat.l1_norm(l)
@@ -115,23 +113,23 @@ def build_operator(field_hat, basis):
 def _coupled_pairs(ops, basis):
     """Coupled pairs k < j of every operator as arrays, with the inputs of
     their ratios, ordered by subsystem, then row k, then column j: a sup is
-    attributed to the first pair that reaches it in this order."""
-    coo = []
+    attributed to the first pair that reaches it in this order.  Each
+    operator's pairs read its own decay rates and sums; stored entries are
+    never exact zeros (see ``build_matrix``)."""
+    parts = []
     for i, op in enumerate(ops):
-        k, j, v = op.kmat.k, op.kmat.j, op.kmat.v
-        keep = (j > k) & (v != 0)
-        coo.append((np.full(keep.sum(), i), k[keep], j[keep], v[keep]))
-    i, k, j, v = (np.concatenate(a) for a in zip(*coo))
-    decay = np.array([op.re_decay for op in ops])
-    col_sums = np.array([op.col_sums for op in ops])
-    row_sums = np.array([op.row_sums for op in ops])
+        up = op.kmat.j > op.kmat.k
+        k, j, v = op.kmat.k[up], op.kmat.j[up], op.kmat.v[up]
+        parts.append((
+            np.full(len(k), i), k, j, np.hypot(v.real, v.imag),
+            np.full(len(k), op.coupling_count), op.re_decay[j], op.re_decay[k],
+            op.col_sums[j] * op.row_sums[k],
+        ))
+    i, k, j, e, count, decay_j, decay_k, sums = map(np.concatenate, zip(*parts))
     degree = basis.exponents.sum(axis=1)
     return SimpleNamespace(
-        i=i, k=k, j=j, e=np.hypot(v.real, v.imag),
-        count=np.array([op.coupling_count for op in ops])[i],
-        decay_j=decay[i, j], decay_k=decay[i, k],
-        sums=col_sums[i, j] * row_sums[i, k],
-        degree=degree[j], same=degree[j] == degree[k],
+        i=i, k=k, j=j, e=e, count=count, decay_j=decay_j, decay_k=decay_k,
+        sums=sums, degree=degree[j], same=degree[j] == degree[k],
     )
 
 
@@ -233,21 +231,14 @@ def dominance_xi_min(jacobians):
 
     Returns 0.0 when all off-diagonal entries vanish.
     """
-    n = jacobians[0].shape[0]
-    if n == 1:
-        return 0.0
-    D = (n * n - n) / 2.0
-    worst = 0.0
-    for J in jacobians:
-        for q in range(n):
-            for r in range(q + 1, n):
-                a = abs(J[q, r])
-                if a == 0:
-                    continue
-                req = abs(J[q, q].real)
-                rer = abs(J[r, r].real)
-                worst = max(worst, D * a / req, D * a / math.sqrt(req * rer))
-    return worst
+    J = np.asarray(jacobians, dtype=complex)
+    q, r = np.triu_indices(J.shape[1], 1)
+    D = float(len(q))  # (n^2 - n) / 2
+    a = np.hypot(J.real[:, q, r], J.imag[:, q, r])  # rounds as abs() does
+    on = a != 0
+    a, req, rer = a[on], np.abs(J[:, q, q].real)[on], np.abs(J[:, r, r].real)[on]
+    worst = np.maximum(D * a / req, D * a / np.sqrt(req * rer))
+    return float(np.max(worst, initial=0.0))
 
 
 def check_dd_condition(scan, basis, xi_min, rho):
@@ -262,7 +253,7 @@ def check_dd_condition(scan, basis, xi_min, rho):
     if scan.scheme.kind != "diagonal_dominance":
         raise ValueError("the dominance condition needs a dominance scan")
     dominance_ok = scan.scheme.xi > xi_min or xi_min == 0.0
-    same_sup, _, _ = _sup_by_degree(scan, np.where(scan.same, scan.q, 0.0), basis)
+    same_sup = float(np.max(scan.q, where=scan.same, initial=0.0))
     cross_sup, arg, by_degree = _sup_by_degree(
         scan, np.where(scan.same, 0.0, scan.q), basis
     )
@@ -431,12 +422,12 @@ def convergence_check(epsilon, basis, rho):
     """Summability test of sum_k |alpha(k)| eps_k rho^{2 |alpha(k)|}.
 
     The truncated part is summed exactly; the tail is bounded by carrying
-    the observed per-degree decay of the weight maxima past the
-    truncation degree.  A tail term is the direct product
-    count * d * m_N * r^(d-N) * rho^(2d) while its powers are normal
-    floats, and the same term regrouped as m_N rho^(2N) (r rho^2)^(d-N)
-    once r^(d-N) would overflow or rho^(2d) underflow (fast-growing weights
-    on a small radius); since r rho^2 < 1 that form stays finite.
+    the observed per-degree decay r of the weight maxima past the
+    truncation degree.  The term of degree d > N is
+    count_d * d * (m_N rho^(2N)) * (r rho^2)^(d-N), which stays finite
+    since r rho^2 < 1, also for fast-growing weights on a small radius;
+    count_d steps by the exact integer recurrence
+    C(d + n, n - 1) = C(d + n - 1, n - 1) (d + n) / (d + 1).
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
@@ -453,24 +444,15 @@ def convergence_check(epsilon, basis, rho):
     if not x < 1.0:
         return ConvergenceResult(partial, float("inf"), r, False)
     base = m_ref * rho ** (2 * N)  # the degree-N maximum, weighted at rho
+    count = basis.count_of_degree(N + 1)
     tail = 0.0
     scale = max(1.0, partial)
-    d = N + 1
-    while d < N + 200000:
-        count = basis.count_of_degree(d)
-        shrink = rho ** (2 * d)
-        try:
-            term = count * d * m_ref * r ** (d - N) * shrink
-        except OverflowError:
-            term = math.inf
-        if not (shrink >= sys.float_info.min and term < math.inf):
-            # r^(d-N) overflows, or rho^(2d) underflows, before the term
-            # does: take it as base * (r rho^2)^(d-N), which stays finite
-            term = count * d * base * x ** (d - N)
+    for d in range(N + 1, N + 200000):
+        term = count * d * base * x ** (d - N)
         tail += term
         if term < 1e-22 * scale and d > N + 4:
             break
-        d += 1
+        count = count * (d + basis.dimension) // (d + 1)
     return ConvergenceResult(partial, tail, r, True)
 
 

@@ -9,15 +9,16 @@ Subcommands: ``analyze`` (run the certificate pipeline on a config),
 Exit codes: analyze returns 0 on a certificate, 2 when the Jacobian
 algebra is unsolvable or its linear algebra fails, 3 when the scheme
 condition (or the stability assumption) fails, 4 when the weight series
-diverges.  simulate returns 5 when the audit flags a violation,
-including a state or a value of V that stops being finite (one line on
-stderr, no summary).  Reports and summaries are strict JSON; a
-non-finite number in a failed report is written as null.  selftest
-returns 1 on failure.  Usage and config errors exit with 2 via the
-argument parser; these include non-finite coefficients, tail norms or
-simulation parameters, repeated coefficients, values of the wrong JSON
-type, a report whose P and P_inv are not inverses, and an output path
-that cannot be written.
+diverges.  analyze, simulate and figure-rho exit 2 when memory runs out,
+naming the truncation degree and the basis size.  simulate returns 5
+when the audit flags a violation, including a state or a value of V
+that stops being finite (one line on stderr, no summary).  Reports and
+summaries are strict JSON; a non-finite number in a failed report is
+written as null.  selftest returns 1 on failure.  Usage and config
+errors exit with 2 via the argument parser; these include non-finite
+coefficients, tail norms or simulation parameters, repeated
+coefficients, values of the wrong JSON type, a report whose P and P_inv
+are not inverses, and an output path that cannot be written.
 """
 
 import argparse
@@ -40,6 +41,12 @@ from .config import SystemConfig, example1_config, example2_config
 from .selftest import run_selftest
 from .switchsim import audit_certificate, export_run_csv
 from .vectorfield import NonFiniteStateError
+
+# a basis too large for memory is a usage error (exit 2)
+OUT_OF_MEMORY = (
+    "out of memory: truncation degree {} gives a basis of {} monomials "
+    "in dimension {}"
+)
 
 
 def _write_text(parser, path, text):
@@ -108,6 +115,9 @@ def cmd_analyze(parser, args):
             )
     except ValueError as exc:
         parser.error(str(exc))
+    except MemoryError:
+        n = cfg.dimension
+        parser.error(OUT_OF_MEMORY.format(degree, math.comb(degree + n, n) - 1, n))
     if args.format == "json":
         _write_text(parser, args.out, report.to_json())
     elif report.epsilon is not None:  # else the analysis stopped before them
@@ -152,6 +162,10 @@ def cmd_simulate(parser, args):
         )
     except ValueError as exc:
         parser.error(str(exc))
+    except MemoryError:
+        parser.error(OUT_OF_MEMORY.format(
+            report.truncation_degree, report.basis_size, report.dimension
+        ))
     except NonFiniteStateError as exc:
         sys.stderr.write(f"audit failed: {exc}\n")
         return 5
@@ -187,6 +201,9 @@ def cmd_figure_rho(parser, args):
                 )
             except ValueError as exc:
                 parser.error(str(exc))
+            except MemoryError:
+                size = math.comb(args.degree + 2, 2) - 1
+                parser.error(OUT_OF_MEMORY.format(args.degree, size, 2))
             row.append(
                 repr(report.rho_certified) if report.certified else ""
             )

@@ -65,6 +65,8 @@ class SimulationParams:
     def __post_init__(self):
         for name in ("trials", "points", "seed"):
             _json_typed(f"simulation.{name}", getattr(self, name), int, "an integer")
+        if self.seed < 0:
+            raise ValueError(f"simulation.seed must be >= 0, got {self.seed}")
         for name in ("dt", "horizon", "min_dwell", "max_dwell"):
             value = _json_float(f"simulation.{name}", getattr(self, name))
             if not math.isfinite(value):
@@ -96,9 +98,14 @@ class SystemConfig:
     simulation: SimulationParams = dc_field(default_factory=SimulationParams)
 
     def build_family(self):
+        """The switched family; a field check that fails names the path of
+        its subsystem."""
         fields = []
-        for comps, tail in self.subsystems:
-            fields.append(PolyVectorField(comps, tail_l1=tail))
+        for s, (comps, tail) in enumerate(self.subsystems):
+            try:
+                fields.append(PolyVectorField(comps, tail_l1=tail))
+            except ValueError as exc:
+                raise ValueError(f"subsystems[{s}]: {exc}") from None
         return SwitchedFamily(fields)
 
     def to_json_dict(self):
@@ -173,7 +180,7 @@ class SystemConfig:
                 l = component - 1
                 if not 0 <= l < n:
                     raise ValueError(
-                        f"subsystem {s}: component {component} out of range"
+                        f"{where}.component must lie in 1..{n}, got {component}"
                     )
                 exponents = _json_typed(
                     f"{where}.exponents", c["exponents"], list, "a list"
@@ -184,11 +191,11 @@ class SystemConfig:
                 )
                 if len(alpha) != n:
                     raise ValueError(
-                        f"subsystem {s}: exponent list {alpha} has wrong length"
+                        f"{where}.exponents must have {n} entries, got {list(alpha)}"
                     )
                 if alpha in comps[l]:
                     raise ValueError(
-                        f"subsystem {s}: component {l + 1} lists exponents "
+                        f"{where}: component {l + 1} lists exponents "
                         f"{list(alpha)} twice"
                     )
                 comps[l][alpha] = complex(
@@ -269,7 +276,12 @@ def example2_config(mu=3.0, degree=20):
     c2 = {(1, 0): -1.0 + 0j, (2, 1): 1.0 / mu}
     p = 1
     while 2 * p + 3 <= degree:
-        coeff = 2.0 ** (2 * p - 1) / math.factorial(2 * p) / mu
+        if 2 * p <= 170:  # (2p)! fits a float
+            coeff = 2.0 ** (2 * p - 1) / math.factorial(2 * p) / mu
+        else:  # the exact integer quotient
+            coeff = 2 ** (2 * p - 1) / math.factorial(2 * p) / mu
+        if coeff == 0.0:  # so is every later one (from 2p = 206 at mu = 1)
+            break
         c1[(2 * p + 2, 1)] = (-1.0) ** (p + 1) * coeff
         c2[(2 * p + 2, 1)] = (-1.0) ** p * coeff
         p += 1

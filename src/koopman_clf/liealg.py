@@ -146,7 +146,16 @@ def _intersect(U, V, tol):
 
 
 def _common_eigenvector(mats, cluster_tol, angle_tol):
-    """A unit vector lying in one eigenspace of every matrix, or None."""
+    """A unit vector lying in one eigenspace of every matrix, or None.
+
+    When every matrix's first column is exactly zero below the diagonal,
+    the first axis is common and is kept, so coordinates that already
+    carry a common flag stay as they are; otherwise eigenvalue clusters
+    are searched in ascending real part.
+    """
+    d = mats[0].shape[0]
+    if not any(np.any(B[1:, 0]) for B in mats):
+        return np.eye(d, dtype=complex)[:, 0]
     cluster_sets = [_eig_clusters(B, cluster_tol) for B in mats]
 
     def search(depth, space):
@@ -161,7 +170,6 @@ def _common_eigenvector(mats, cluster_tol, angle_tol):
                 return got
         return None
 
-    d = mats[0].shape[0]
     v = search(0, np.eye(d, dtype=complex))
     if v is None:
         return None

@@ -37,7 +37,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .certificate import CommonLyapunovFunction, ValueScratch
-from .multiindex import build_basis
+from .multiindex import build_basis, checked_int
 from .vectorfield import (
     FieldScratch,
     NonFiniteStateError,
@@ -99,7 +99,7 @@ def random_signal(num_subsystems, horizon, min_dwell=0.05, max_dwell=1.0, seed=0
         raise ValueError("max_dwell must be >= min_dwell")
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(checked_int("seed", seed, 0)))
     if horizon == 0:
         return SwitchingSignal((), (), 0.0)
     durs, subs = [], []
@@ -380,7 +380,7 @@ def sample_initial_points(dimension, radius, count, seed):
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(checked_int("seed", seed, 0)))
     pts = np.zeros((count, dimension), dtype=complex)
     n_real = (count + 1) // 2
     index = np.arange(1, n_real + 1)
@@ -458,6 +458,7 @@ def audit_certificate(
     """
     if signals < 1 or points < 1:
         raise ValueError("signals and points must be >= 1")
+    seed = checked_int("seed", seed, 0)
     if report.epsilon is None or report.rho_certified is None or report.P is None:
         raise ValueError("report does not contain a usable certificate")
     if report.certified is not True:

@@ -15,13 +15,20 @@ before its scratch; each is kept as its successor's bit-exact reference.
 ``evaluate_batch``, the reference of the step a scratch plans.
 ``sorted_build_matrix`` is the generator matrix builder the library had
 before its shift groups, kept as ``build_matrix``'s bit-exact reference.
+``two_form_convergence_check`` and ``dominance_xi_min_loop`` are the
+convergence tail and the dominance bound the library had before its one
+tail formula and its array form.
 """
+
+import math
+import sys
 
 import numpy as np
 
 from koopman_clf.certificate import (
     EPSILON_FLOOR,
     ETA_FLOOR,
+    ConvergenceResult,
     _extrapolate,
     _maxima_ratio,
     _sup_by_degree,
@@ -360,3 +367,61 @@ def degree_maxima_walk(epsilon, basis):
         idx = indices_of_degree(basis, d)
         out[d] = max(epsilon[k - 1] for k in idx)
     return out[1:]
+
+
+def two_form_convergence_check(epsilon, basis, rho):
+    """The convergence check the library had before its one tail formula.
+
+    A tail term is the direct product count * d * m_N * r^(d-N) * rho^(2d)
+    while its powers are normal floats, and the same term regrouped as
+    m_N rho^(2N) (r rho^2)^(d-N) once r^(d-N) would overflow or rho^(2d)
+    underflow; each degree's count is its own binomial.
+    """
+    epsilon = np.asarray(epsilon, dtype=float)
+    degrees = basis.exponents[1:].sum(axis=1)
+    partial = float(np.sum(degrees * epsilon * rho ** (2.0 * degrees)))
+    m = degree_maxima(epsilon, basis)
+    r = _maxima_ratio(m)
+    N = basis.max_degree
+    m_ref = float(max(m[N - 1], m[N - 2] if N >= 2 else m[N - 1]))
+    x = r * rho * rho
+    if not x < 1.0:
+        return ConvergenceResult(partial, float("inf"), r, False)
+    base = m_ref * rho ** (2 * N)
+    tail = 0.0
+    scale = max(1.0, partial)
+    d = N + 1
+    while d < N + 200000:
+        count = basis.count_of_degree(d)
+        shrink = rho ** (2 * d)
+        try:
+            term = count * d * m_ref * r ** (d - N) * shrink
+        except OverflowError:
+            term = math.inf
+        if not (shrink >= sys.float_info.min and term < math.inf):
+            term = count * d * base * x ** (d - N)
+        tail += term
+        if term < 1e-22 * scale and d > N + 4:
+            break
+        d += 1
+    return ConvergenceResult(partial, tail, r, True)
+
+
+def dominance_xi_min_loop(jacobians):
+    """``dominance_xi_min`` as the library had it: a Python walk over every
+    subsystem and every upper pair (q, r) of its Jacobian."""
+    n = jacobians[0].shape[0]
+    if n == 1:
+        return 0.0
+    D = (n * n - n) / 2.0
+    worst = 0.0
+    for J in jacobians:
+        for q in range(n):
+            for r in range(q + 1, n):
+                a = abs(J[q, r])
+                if a == 0:
+                    continue
+                req = abs(J[q, q].real)
+                rer = abs(J[r, r].real)
+                worst = max(worst, D * a / req, D * a / math.sqrt(req * rer))
+    return worst

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koopman_clf import analysis
@@ -29,11 +29,13 @@ from oracles import (
     column_support,
     decay_ratio,
     dense_value_batch,
+    dominance_xi_min_loop,
     entry,
     field_from_linear,
     indices_of_degree,
     q_value,
     stored_entry,
+    two_form_convergence_check,
 )
 
 POLY = WeightScheme("polynomial", 0.99)
@@ -301,6 +303,33 @@ def test_dominance_xi_min_hand_values():
     assert dominance_xi_min([J2]) == pytest.approx(0.6)  # first inequality binds
     assert dominance_xi_min([np.diag([-1.0, -2.0])]) == 0.0
     assert dominance_xi_min([np.array([[-2.0]])]) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    count=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    complex_entries=st.booleans(),
+)
+def test_dominance_xi_min_equals_its_loop_over_every_pair(
+    n, count, seed, complex_entries
+):
+    # about a third of the upper entries are exact zeros, which both forms
+    # skip; the lower triangle is ignored by both
+    rng = np.random.default_rng(seed)
+    jacs = []
+    for _ in range(count):
+        J = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.7)
+        if complex_entries:
+            J = J + 1j * rng.normal(size=(n, n))
+        J[np.diag_indices(n)] = -rng.uniform(0.1, 5.0, n) + (
+            1j * rng.normal(size=n) if complex_entries else 0.0
+        )
+        jacs.append(J)
+    got = dominance_xi_min(jacs)
+    assert type(got) is float
+    assert got == dominance_xi_min_loop(jacs)
 
 
 def test_dd_on_linear_family_certifies_full_disk():
@@ -605,6 +634,38 @@ def test_report_is_certified_only_with_finite_positive_weights(monkeypatch, bad)
     assert report.failure["stage"] == "convergence"
     assert report.exit_code == 4
     assert report.rho_certified is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    N=st.integers(2, 14),
+    log_growth=st.floats(math.log(1e-3), math.log(1e4)),
+    x=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, N=12, log_growth=math.log(1e4), x=0.99, seed=0)
+@example(n=2, N=40, log_growth=math.log(4000.0), x=0.5, seed=1)
+@example(n=3, N=6, log_growth=math.log(0.5), x=0.9, seed=2)
+def test_one_form_tail_agrees_with_the_two_form_tail(n, N, log_growth, x, seed):
+    # the weights grow by a factor g per degree, each jittered down by up
+    # to e; the radius puts g rho^2 at x, so g = 1e4 meets rho = 0.01, where
+    # the direct product's r^(d - N) overflows; g <= x gives rho = 1
+    basis = build_basis(n, N)
+    g = math.exp(log_growth)
+    degree = basis.exponents[1:].sum(axis=1)
+    rng = np.random.default_rng(seed)
+    eps = g ** degree * np.exp(-rng.random(basis.size))
+    rho = min(1.0, math.sqrt(x / g))
+    got = convergence_check(eps, basis, rho)
+    want = two_form_convergence_check(eps, basis, rho)
+    assert (got.partial_sum, got.ratio, got.convergent) == (
+        want.partial_sum, want.ratio, want.convergent
+    )
+    if rho == 1.0:  # the two forms are one product
+        assert got.tail_bound == want.tail_bound
+    else:
+        assert got.tail_bound == pytest.approx(want.tail_bound, rel=1e-13)
 
 
 def test_convergence_check_validates_input():

@@ -1295,3 +1295,151 @@ def test_cli_simulate_summary_is_strict_json_with_worst_decay(tmp_path):
     summary = json.loads(out.read_text(), parse_constant=reject)
     assert summary["worst_decay_rate"] < 0
     assert set(summary["worst_decay_at"]) == {"signal", "point", "time", "subsystem"}
+
+
+# example2 at high degrees ---------------------------------------------------
+
+
+def test_example2_config_keeps_its_coefficients_below_degree_175():
+    # while (2p)! fits a float, each coefficient is the float quotient
+    mu = 3.0
+    (c1, _), (c2, _) = example2_config(mu=mu, degree=174).subsystems
+    for p in range(1, 86):
+        coeff = 2.0 ** (2 * p - 1) / math.factorial(2 * p) / mu
+        assert c1[0][(2 * p + 2, 1)] == (-1.0) ** (p + 1) * coeff
+        assert c2[0][(2 * p + 2, 1)] == (-1.0) ** p * coeff
+    assert len(c1[0]) == 1 + 85 and len(c2[0]) == 2 + 85
+
+
+def test_example2_config_builds_and_analyzes_at_degree_200(tmp_path, capsys):
+    cfg = example2_config(degree=200)
+    (c1, _), _ = cfg.subsystems
+    # past 2p = 170 the coefficients are exact integer quotients
+    assert c1[0][(174, 1)] == -(2**171) / math.factorial(172) / 3.0
+    assert c1[0][(198, 1)] == -(2**195) / math.factorial(196) / 3.0
+    report = analysis.analyze_family(cfg.build_family(), 200, scheme_kind="dd")
+    assert report.certified
+    assert report.region["proved"]
+    assert main(["example2", "--degree", "175", "--out", str(tmp_path / "e.json")]) == 0
+    assert SystemConfig.from_json((tmp_path / "e.json").read_text()).truncation_degree == 175
+
+
+def test_example2_config_stops_at_the_first_zero_coefficient():
+    # 2^(2p - 1) / (2p)! / 3 is 0.0 from 2p = 206 on, the term of z1^208 z2
+    (c1, _), (c2, _) = example2_config(degree=1000).subsystems
+    assert max(alpha[0] for alpha in c1[0]) == 206
+    assert abs(c1[0][(206, 1)]) == 5e-324
+    assert 0.0 not in c1[0].values() and 0.0 not in c2[0].values()
+
+
+# out of memory --------------------------------------------------------------
+
+
+def _no_memory(*args, **kwargs):
+    raise MemoryError
+
+
+def test_cli_analyze_names_a_basis_too_large_for_memory(tmp_path, capsys, monkeypatch):
+    cfg = example1_config()
+    cfg.truncation_degree = 100000
+    path = tmp_path / "sys.json"
+    path.write_text(cfg.to_json())
+    monkeypatch.setattr(cli, "analyze_family", _no_memory)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--config", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("out of memory: truncation degree 100000 gives a basis of "
+            "5000150000 monomials in dimension 2") in err
+    assert "Traceback" not in err
+
+
+def test_cli_simulate_names_a_basis_too_large_for_memory(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "audit_certificate", _no_memory)
+    with pytest.raises(SystemExit) as exc:
+        _simulate_with(tmp_path, {"trials": 1, "points": 1})
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("out of memory: truncation degree 6 gives a basis of 27 monomials "
+            "in dimension 2") in err
+
+
+def test_cli_figure_rho_names_a_basis_too_large_for_memory(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "analyze_family", _no_memory)
+    with pytest.raises(SystemExit) as exc:
+        main(["figure-rho", "--mu-min", "2", "--mu-max", "3", "--certify",
+              "--degree", "3000"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("out of memory: truncation degree 3000 gives a basis of 4504500 "
+            "monomials in dimension 2") in err
+
+
+# seeds ----------------------------------------------------------------------
+
+
+def test_a_negative_seed_is_refused_by_name(tmp_path, capsys):
+    with pytest.raises(ValueError, match=r"simulation\.seed must be >= 0, got -5"):
+        SimulationParams(seed=-5)
+    data = linear_nonnormal_config().to_json_dict()
+    data["simulation"]["seed"] = -5
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--config", str(path)])
+    assert exc.value.code == 2
+    assert "simulation.seed must be >= 0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        _simulate_with(tmp_path, {"trials": 1, "points": 1}, ["--seed", "-5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err and "Traceback" not in err
+
+
+def test_the_seeded_draws_refuse_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        switchsim.random_signal(2, 1.0, seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        switchsim.sample_initial_points(2, 0.5, 3, seed=-1)
+    family = linear_nonnormal_config().build_family()
+    report = analysis.analyze_family(family, 6)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        switchsim.audit_certificate(family, report, signals=1, points=1, seed=-1)
+
+
+# paths in field errors ------------------------------------------------------
+
+
+def _example1_with(edit):
+    data = example1_config().to_json_dict()
+    edit(data["subsystems"][1])
+    return data
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda s: s["coefficients"][0].update(exponents=[-1, 2]),
+         "subsystems[1]: negative exponent in (-1, 2)"),
+        (lambda s: s["coefficients"][0].update(exponents=[0, 0]),
+         "subsystems[1]: constant terms are not allowed; fields fix the origin"),
+        (lambda s: s.update(tail_l1=[0.1, 1.0]),
+         "subsystems[1]: tail_l1[0]=0.1 is below the stored coefficient sum 1.6"),
+        (lambda s: s.update(tail_l1=[2.0]),
+         "subsystems[1]: tail_l1 must have one entry per component"),
+        (lambda s: s["coefficients"][2].update(component=3),
+         "subsystems[1].coefficients[2].component must lie in 1..2, got 3"),
+        (lambda s: s["coefficients"][2].update(exponents=[1, 0, 0]),
+         "subsystems[1].coefficients[2].exponents must have 2 entries, got "
+         "[1, 0, 0]"),
+        (lambda s: s["coefficients"].append(dict(s["coefficients"][2])),
+         "subsystems[1].coefficients[5]: component 1 lists exponents [2, 0] "
+         "twice"),
+    ],
+    ids=["negative-exponent", "constant", "tail-below-sum", "tail-length",
+         "component", "exponent-count", "repeat"],
+)
+def test_field_errors_name_the_path_of_their_subsystem(edit, message):
+    with pytest.raises(ValueError) as exc:
+        SystemConfig.from_json_dict(_example1_with(edit))
+    assert str(exc.value) == message

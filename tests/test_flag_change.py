@@ -117,3 +117,38 @@ def test_a_complex_triangularization_round_trips_through_load_report():
     loaded = load_report(json.loads(report.to_json()))
     assert np.array_equal(loaded.P, report.P)
     assert np.array_equal(loaded.P_inv, report.P_inv)
+
+
+def example2_split_pair():
+    """example2 (mu = 3, N = 20) with both second diagonals at -2 and the
+    second tail norms at 2.0: each Jacobian is diag(-1, -2), so the
+    coordinates already carry the common flag, in the order the
+    eigenvalues do not sort."""
+    cfg = example2_config(mu=3.0, degree=20)
+    for comps, tail in cfg.subsystems:
+        comps[1][(0, 1)] = -2.0 + 0j
+        tail[1] = 2.0
+    return cfg.build_family()
+
+
+@pytest.mark.parametrize("scheme", ["polynomial", "diagonal_dominance"])
+def test_coordinates_that_carry_a_common_flag_are_kept(scheme):
+    # the eigenvalue search alone would take the axis of -1.2 first and
+    # swap the coordinates
+    report = analyze_family(example1_split_pair(), 12, scheme_kind=scheme)
+    assert report.certified
+    assert np.array_equal(report.P, np.eye(2))
+    assert np.array_equal(report.P_inv, np.eye(2))
+
+
+def test_kept_coordinates_keep_the_tail_norms():
+    # swapped coordinates would drop the tail norms in substitute_linear,
+    # whose truncated fields warn ``tail_l1 missing``: an error under this
+    # suite's warning filter
+    report = analyze_family(example2_split_pair(), 20, scheme_kind="dd")
+    assert report.certified
+    assert np.array_equal(report.P, np.eye(2))
+    assert report.region["proved"]
+    assert report.rho_certified == 0.5482607357943946
+    assert len(report.warnings) == 1
+    assert report.warnings[0].startswith("headroom eta reduced")

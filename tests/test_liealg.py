@@ -148,6 +148,17 @@ def test_already_triangular_family_keeps_identity_flag():
     assert tri.residual == 0.0
 
 
+def test_triangular_family_with_an_unsorted_diagonal_keeps_identity_flag():
+    # the first axis is common at every stage; so is the second axis, whose
+    # eigenvalue comes first in ascending real part
+    T1 = np.array([[-1.0, 0.0, 0.3], [0.0, -2.0, 0.7], [0.0, 0.0, -5.0]])
+    T2 = np.array([[-1.5, 0.0, 0.2j], [0.0, -1.2, 0.0], [0.0, 0.0, -4.0]])
+    tri = simultaneous_triangularize([T1, T2])
+    assert np.array_equal(tri.P, np.eye(3, dtype=complex))
+    assert np.array_equal(tri.T_list[0], T1) and np.array_equal(tri.T_list[1], T2)
+    assert tri.residual == 0.0
+
+
 def test_single_matrix_triangularization_recovers_spectrum():
     rng = np.random.default_rng(19)
     A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
