@@ -23,6 +23,7 @@ condition, the certified radius and the weight recursion all read it.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -427,7 +428,10 @@ def convergence_check(epsilon, basis, rho):
     count_d * d * (m_N rho^(2N)) * (r rho^2)^(d-N), which stays finite
     since r rho^2 < 1, also for fast-growing weights on a small radius;
     count_d steps by the exact integer recurrence
-    C(d + n, n - 1) = C(d + n - 1, n - 1) (d + n) / (d + 1).
+    C(d + n, n - 1) = C(d + n - 1, n - 1) (d + n) / (d + 1).  The power
+    carries the rounding delta of x = r rho^2 to first order,
+    x^k (1 + k delta), since a rounded x alone is off by k ulp at power k,
+    up to 5e-13 relative on a tail whose x is near 1.
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
@@ -443,12 +447,15 @@ def convergence_check(epsilon, basis, rho):
     x = r * rho * rho
     if not x < 1.0:
         return ConvergenceResult(partial, float("inf"), r, False)
+    exact = Fraction(r) * Fraction(rho) ** 2
+    delta = float(exact / Fraction(x) - 1) if x else 0.0
     base = m_ref * rho ** (2 * N)  # the degree-N maximum, weighted at rho
     count = basis.count_of_degree(N + 1)
     tail = 0.0
     scale = max(1.0, partial)
     for d in range(N + 1, N + 200000):
-        term = count * d * base * x ** (d - N)
+        k = d - N
+        term = count * d * base * x ** k * (1.0 + k * delta)
         tail += term
         if term < 1e-22 * scale and d > N + 4:
             break

@@ -22,6 +22,7 @@ tail formula and its array form.
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -375,7 +376,11 @@ def two_form_convergence_check(epsilon, basis, rho):
     A tail term is the direct product count * d * m_N * r^(d-N) * rho^(2d)
     while its powers are normal floats, and the same term regrouped as
     m_N rho^(2N) (r rho^2)^(d-N) once r^(d-N) would overflow or rho^(2d)
-    underflow; each degree's count is its own binomial.
+    underflow; each degree's count is its own binomial.  The regrouped
+    term carries the rounding delta of r rho^2 to first order, as the
+    library's one form does: the library had the rounded power alone,
+    which is off by (d - N) ulp and so differs from any accurate tail by
+    up to 5e-13 relative where r rho^2 is near 1.
     """
     epsilon = np.asarray(epsilon, dtype=float)
     degrees = basis.exponents[1:].sum(axis=1)
@@ -388,6 +393,7 @@ def two_form_convergence_check(epsilon, basis, rho):
     if not x < 1.0:
         return ConvergenceResult(partial, float("inf"), r, False)
     base = m_ref * rho ** (2 * N)
+    delta = float(Fraction(r) * Fraction(rho) ** 2 / Fraction(x) - 1) if x else 0.0
     tail = 0.0
     scale = max(1.0, partial)
     d = N + 1
@@ -399,7 +405,7 @@ def two_form_convergence_check(epsilon, basis, rho):
         except OverflowError:
             term = math.inf
         if not (shrink >= sys.float_info.min and term < math.inf):
-            term = count * d * base * x ** (d - N)
+            term = count * d * base * x ** (d - N) * (1.0 + (d - N) * delta)
         tail += term
         if term < 1e-22 * scale and d > N + 4:
             break
