@@ -45,7 +45,7 @@ basis = build_basis(2, 12)
 clf = CommonLyapunovFunction(report.epsilon, report.P_inv, basis)
 sig = random_signal(len(family), 6.0, 0.05, 1.0, seed=42)
 z0 = sample_initial_points(2, 0.9, 8, seed=42)[5]
-run = integrate_switched(family, sig, z0, dt=0.01, clf=clf)
+run = integrate_switched(family, sig, z0, clf, dt=0.01)
 print(f"\none schedule, {len(sig)} segments, start {np.round(z0, 3)}:")
 for t_switch, idx in zip(sig.boundaries, sig.subsystems):
     print(f"  until t = {t_switch:5.2f}: subsystem {idx + 1}")

@@ -13,6 +13,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .certificate import (
+    TAIL_DEGREE_CAP,
     WeightScheme,
     build_operator,
     certified_radius_dd,
@@ -676,10 +677,14 @@ def _certify(report, family, basis, scheme, kappa, rho_request):
     conv = convergence_check(eps, basis, rho)
     report.convergence = asdict(conv)
     if not conv.convergent:
+        if conv.ratio * rho * rho < 1.0:
+            reason = (f"the tail's term ratio is not below one at the "
+                      f"{TAIL_DEGREE_CAP}-degree cap")
+        else:
+            reason = (f"per-degree decay ratio {conv.ratio:.6g} times rho^2 "
+                      "is not below one")
         raise _Failure(
-            "convergence",
-            f"weight series diverges at rho={rho:.6g}: per-degree decay "
-            f"ratio {conv.ratio:.6g} times rho^2 is not below one",
+            "convergence", f"weight series diverges at rho={rho:.6g}: {reason}"
         )
     totals = (conv.partial_sum, conv.tail_bound, conv.ratio)
     finite = np.all(np.isfinite(eps)) and np.all(np.isfinite(totals))

@@ -32,6 +32,7 @@ from .koopman import build_matrix
 
 EPSILON_FLOOR = 1e-12
 ETA_FLOOR = 1e-9
+TAIL_DEGREE_CAP = 200000  # degrees past N that the convergence tail sums
 
 
 @dataclass(frozen=True)
@@ -432,6 +433,12 @@ def convergence_check(epsilon, basis, rho):
     carries the rounding delta of x = r rho^2 to first order,
     x^k (1 + k delta), since a rounded x alone is off by k ulp at power k,
     up to 5e-13 relative on a tail whose x is near 1.
+
+    The sum stops once a term is below 1e-22 of the partial sum, or at
+    the ``TAIL_DEGREE_CAP``-th degree D past N.  The ratio of consecutive
+    terms, x (d + n) / d times that of the delta factors, falls with d, so
+    at the cap the rest is at most term_D q / (1 - q) with q its value at
+    D; a q that is not below 1 fails the series, as x >= 1 does.
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
@@ -453,13 +460,18 @@ def convergence_check(epsilon, basis, rho):
     count = basis.count_of_degree(N + 1)
     tail = 0.0
     scale = max(1.0, partial)
-    for d in range(N + 1, N + 200000):
+    for d in range(N + 1, N + TAIL_DEGREE_CAP):
         k = d - N
         term = count * d * base * x ** k * (1.0 + k * delta)
         tail += term
         if term < 1e-22 * scale and d > N + 4:
             break
         count = count * (d + basis.dimension) // (d + 1)
+    else:
+        q = x * (d + basis.dimension) / d * (1.0 + max(delta, 0.0))
+        if not q < 1.0:
+            return ConvergenceResult(partial, float("inf"), r, False)
+        tail += term * q / (1.0 - q)
     return ConvergenceResult(partial, tail, r, True)
 
 

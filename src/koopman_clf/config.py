@@ -72,12 +72,16 @@ class SimulationParams:
             if not math.isfinite(value):
                 raise ValueError(f"simulation.{name} must be finite")
             object.__setattr__(self, name, value)
-        if self.dt <= 0 or self.horizon < 0:
-            raise ValueError("need dt > 0 and horizon >= 0")
-        if self.trials < 1 or self.points < 1:
-            raise ValueError("trials and points must be >= 1")
-        if self.min_dwell <= 0 or self.max_dwell < self.min_dwell:
-            raise ValueError("need 0 < min_dwell <= max_dwell")
+        for name, bad, bound in (
+            ("trials", self.trials < 1, ">= 1"), ("points", self.points < 1, ">= 1"),
+            ("dt", self.dt <= 0, "> 0"), ("horizon", self.horizon < 0, ">= 0"),
+            ("min_dwell", self.min_dwell <= 0, "> 0"),
+            ("max_dwell", self.max_dwell < self.min_dwell,
+             f">= simulation.min_dwell {self.min_dwell!r}"),
+        ):
+            if bad:
+                raise ValueError(f"simulation.{name} must be {bound}, "
+                                 f"got {getattr(self, name)!r}")
 
     def to_json_dict(self):
         return asdict(self)

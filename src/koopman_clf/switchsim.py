@@ -4,9 +4,10 @@ Switching signals are piecewise-constant subsystem selections with dwell
 times drawn from a seeded generator.  Integration uses fixed-step RK4,
 shortening the last step of each segment so switch instants are hit
 exactly.  One kernel integrates every signal from every initial point as
-a single batch; the audit runs it over many signals and checks that the
-certified function never increases along any trajectory, and a single
-recorded trajectory is the same kernel with one signal and one point.
+a single batch, always under a certificate whose V it monitors; the audit
+runs it over many signals and checks that the certified function never
+increases along any trajectory, and a single recorded trajectory is the
+same kernel with one signal and one point.
 The kernel records the trajectory of its first row, signal 0 from point
 0, so the audit's summary carries its own first trajectory and no second
 integration is needed to trace it.
@@ -88,7 +89,9 @@ def random_signal(num_subsystems, horizon, min_dwell=0.05, max_dwell=1.0, seed=0
 
     Dwell draws are capped so the remaining horizon always admits a final
     segment of at least min_dwell; when the bounds make an exact split
-    impossible the final segment absorbs the remainder.
+    impossible the final segment absorbs the remainder.  A horizon of more
+    than 2**52 min_dwell is refused: past it a dwell can be below the
+    spacing of doubles near t, and the time would stop advancing.
     """
     if num_subsystems < 1:
         raise ValueError("need at least one subsystem")
@@ -99,6 +102,11 @@ def random_signal(num_subsystems, horizon, min_dwell=0.05, max_dwell=1.0, seed=0
         raise ValueError("max_dwell must be >= min_dwell")
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
+    if horizon / min_dwell > 2**52:
+        raise ValueError(
+            f"horizon {horizon!r} is {horizon / min_dwell:.3g} times min_dwell "
+            f"{min_dwell!r}, more than the 2**52 dwells a signal can time"
+        )
     rng = np.random.Generator(np.random.PCG64(checked_int("seed", seed, 0)))
     if horizon == 0:
         return SwitchingSignal((), (), 0.0)
@@ -127,19 +135,25 @@ def _segment_steps(duration, dt):
     return n_full, rem
 
 
+def _require_step_count(dt, horizon):
+    """Refuse a ``dt`` that is not finite and positive, or that plans more
+    RK4 steps over ``horizon`` than a list can index."""
+    _require_finite(dt=dt)
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    steps = horizon / dt  # inf if it overflows
+    if not steps < sys.maxsize:
+        raise ValueError(
+            f"dt {dt!r} plans {steps:.3g} RK4 steps over horizon {horizon!r}, "
+            f"more than the {sys.maxsize} a list can index"
+        )
+
+
 def _step_plan(signal, dt):
     """RK4 steps of ``signal`` as arrays: h, subsystem, time at step end.
     A ``dt`` whose plan has more steps than a list can index is refused
     before anything is allocated."""
-    _require_finite(dt=dt)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    steps = sum(dur / dt for dur in signal.durations)  # inf if dur / dt overflows
-    if not steps < sys.maxsize:
-        raise ValueError(
-            f"dt {dt!r} plans {steps:.3g} RK4 steps, more than the "
-            f"{sys.maxsize} a list can index"
-        )
+    _require_step_count(dt, math.fsum(signal.durations))
     plan, t_start = [(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))], 0.0
     for dur, sub, end in zip(signal.durations, signal.subsystems, signal.boundaries):
         n_full, rem = _segment_steps(dur, dt)
@@ -157,7 +171,7 @@ def _step_plan(signal, dt):
 # way numpy's warnings would add nothing; nor would they for the 0 / 0
 # rate of a row whose plan has ended, which is replaced.
 @np.errstate(over="ignore", invalid="ignore")
-def _integrate(family, plans, points, clf=None):
+def _integrate(family, plans, points, clf):
     """Integrate every point under every step plan as one (S*P, n) batch.
 
     Row s*P + p follows plans[s] from points[p].  Every row is stepped on
@@ -173,9 +187,9 @@ def _integrate(family, plans, points, clf=None):
 
     Once the block's C steps are taken, or the plans end, one
     ``value_batch`` gives the flag coordinates, their moduli and V at its
-    C*R rows (without a certificate, one ``abs`` gives the moduli), and
-    one pass over them finds each row's first escaping step, the relative
-    V increments and the rates, a row whose plan has ended having none.
+    C*R rows, and one pass over them finds each row's first escaping
+    step, the relative V increments and the rates, a row whose plan has
+    ended having none.
     The initial states get theirs from the same call over R rows, and a
     non-finite V there is the error at t = 0.  The last V of a block is
     the previous V of the next block's first step, so V is evaluated once
@@ -186,7 +200,7 @@ def _integrate(family, plans, points, clf=None):
     Returns the final states, escape flags and times, the largest relative
     one-step V increase, the largest rate (V_next - V) / (h V) over the
     steps of nonzero length with where it occurs, and row 0's states and
-    V (None without a certificate) after every step, padding included.
+    V after every step, padding included.
     """
     S, P = len(plans), len(points)
     L = max(len(plan[0]) for plan in plans)
@@ -210,24 +224,17 @@ def _integrate(family, plans, points, clf=None):
     sub_all = np.empty(R, dtype=np.intp)
     block = np.zeros((n, C, R), dtype=complex)
     Zb = block.reshape(n, C * R).T  # (C*R, n): row c*R + i is row i at step c
-    if clf is None:
-        mod = np.empty((C, R, n))
-    else:
-        vs = ValueScratch(clf, C * R)
-        mod = vs.mod.reshape(C, R, n)
+    vs = ValueScratch(clf, C * R)
+    mod = vs.mod.reshape(C, R, n)
     h_all, v_prev, rel, rate = np.empty((4, C, R))
-    states = np.empty((L + 1, n), dtype=complex)
-    values = None if clf is None else np.empty(L + 1)
+    states, values = np.empty((L + 1, n), dtype=complex), np.empty(L + 1)
     states[0] = Z[0]
-    if clf is None:
-        mod0 = np.abs(Z)
-    else:
-        vs0 = ValueScratch(clf, R)
-        v_prev[0] = clf.value_batch(Z, scratch=vs0)
-        if not np.isfinite(v_prev[0]).all():
-            raise NonFiniteStateError("non-finite V at t=0.0")
-        values[0], mod0 = v_prev[0, 0], vs0.mod
-    escape_time = np.where(mod0.max(axis=1) >= 1.0 - ESCAPE_TOL, 0.0, np.nan)
+    vs0 = ValueScratch(clf, R)
+    v_prev[0] = clf.value_batch(Z, scratch=vs0)
+    if not np.isfinite(v_prev[0]).all():
+        raise NonFiniteStateError("non-finite V at t=0.0")
+    values[0] = v_prev[0, 0]
+    escape_time = np.where(vs0.mod.max(axis=1) >= 1.0 - ESCAPE_TOL, 0.0, np.nan)
     max_rel, worst, worst_at = 0.0, None, None
     for l0 in range(0, L, C):
         m, failure = min(C, L - l0), None
@@ -246,35 +253,31 @@ def _integrate(family, plans, points, clf=None):
                 raise
             m, failure = c, exc
         states[l0 + 1:l0 + m + 1] = block[:, :m, 0].T
-        if clf is None:
-            np.abs(Zb, out=mod.reshape(C * R, n))
-        else:
-            v = clf.value_batch(Zb, scratch=vs).reshape(C, R)[:m]
+        v = clf.value_batch(Zb, scratch=vs).reshape(C, R)[:m]
         if mod[:m].max() >= 1.0 - ESCAPE_TOL:
             out = mod[:m].max(axis=2) >= 1.0 - ESCAPE_TOL
             new = np.flatnonzero(out.any(axis=0) & np.isnan(escape_time))
             escape_time[new] = T[l0 + out[:, new].argmax(axis=0), new // P]
-        if clf is not None:
-            v_prev[1:m] = v[:-1]
-            dv = np.subtract(v, v_prev[:m], out=rel[:m])
-            dv /= np.maximum(v_prev[:m], 1e-300, out=v_prev[:m])
-            r = np.divide(dv, h_all[:m], out=rate[:m])
-            if l0 + m > shortest:  # a plan has ended: its rows have no rate
-                np.putmask(r, h_all[:m] == 0.0, -np.inf)
-            c, i = divmod(int(r.argmax()), R)  # argmax stops at the first NaN
-            if not math.isfinite(r[c, i]):  # the first step with a NaN or inf
-                c = int(np.argmin(np.isfinite(r.max(axis=1))))
-                s = int(r[c].argmax()) // P
-                raise NonFiniteStateError(f"non-finite V at t={float(T[l0 + c, s])!r}")
-            max_rel = max(max_rel, float(dv.max()))
-            if worst is None or r[c, i] > worst:
-                s, p = divmod(i, P)
-                worst, worst_at = float(r[c, i]), dict(
-                    signal=s, point=p, time=float(T[l0 + c, s]),
-                    subsystem=int(SUB[l0 + c, s]),
-                )
-            v_prev[0] = v[-1]
-            values[l0 + 1:l0 + m + 1] = v[:, 0]
+        v_prev[1:m] = v[:-1]
+        dv = np.subtract(v, v_prev[:m], out=rel[:m])
+        dv /= np.maximum(v_prev[:m], 1e-300, out=v_prev[:m])
+        r = np.divide(dv, h_all[:m], out=rate[:m])
+        if l0 + m > shortest:  # a plan has ended: its rows have no rate
+            np.putmask(r, h_all[:m] == 0.0, -np.inf)
+        c, i = divmod(int(r.argmax()), R)  # argmax stops at the first NaN
+        if not math.isfinite(r[c, i]):  # the first step with a NaN or inf
+            c = int(np.argmin(np.isfinite(r.max(axis=1))))
+            s = int(r[c].argmax()) // P
+            raise NonFiniteStateError(f"non-finite V at t={float(T[l0 + c, s])!r}")
+        max_rel = max(max_rel, float(dv.max()))
+        if worst is None or r[c, i] > worst:
+            s, p = divmod(i, P)
+            worst, worst_at = float(r[c, i]), dict(
+                signal=s, point=p, time=float(T[l0 + c, s]),
+                subsystem=int(SUB[l0 + c, s]),
+            )
+        v_prev[0] = v[-1]
+        values[l0 + 1:l0 + m + 1] = v[:, 0]
         if failure is not None:
             raise failure
     return SimpleNamespace(
@@ -285,14 +288,14 @@ def _integrate(family, plans, points, clf=None):
 
 @dataclass
 class SwitchedRun:
-    """One integrated trajectory with optional certificate values."""
+    """One integrated trajectory with its certificate values."""
 
     signal: SwitchingSignal
     times: np.ndarray
     states: np.ndarray           # (samples, n)
     active: np.ndarray           # subsystem index at each sample
-    v_values: np.ndarray = None
-    max_v_increase: float = None  # largest relative step increase of V
+    v_values: np.ndarray         # V at each sample
+    max_v_increase: float        # largest relative step increase of V
     escaped: bool = False
     escape_time: float = None
 
@@ -306,14 +309,14 @@ def _first_run(signal, plan, run):
     ``SwitchedRun`` of ``signal``, whose step plan is ``plan``."""
     _, sub, t = plan
     k = len(t) + 1  # the samples of this plan; the rest are padding
-    v = None if run.values is None else run.values[:k]
+    v = run.values[:k]
     return SwitchedRun(
         signal=signal,
         times=np.concatenate(([0.0], t)),
         states=run.states[:k],
         active=np.concatenate(([signal.subsystems[0] if len(signal) else 0], sub)),
         v_values=v,
-        max_v_increase=None if v is None else float(
+        max_v_increase=float(
             np.max(np.diff(v) / np.maximum(v[:-1], 1e-300), initial=0.0)
         ),
         escaped=bool(run.escaped[0]),
@@ -321,15 +324,14 @@ def _first_run(signal, plan, run):
     )
 
 
-def integrate_switched(family, signal, z0, dt=1e-3, clf=None):
+def integrate_switched(family, signal, z0, clf, dt=1e-3):
     """Integrate the switched system along ``signal`` from ``z0``.
 
     Samples at every RK4 step and at every switch instant (hit exactly by
-    shortening the last step of each segment).  When a certificate
-    evaluator is passed, V is recorded along the run and its largest
-    relative one-step increase reported.  Leaving the unit polydisk (in
-    flag coordinates when the certificate provides them) sets ``escaped``
-    instead of raising.
+    shortening the last step of each segment).  The certificate evaluator
+    ``clf`` gives V along the run, whose largest relative one-step increase
+    is reported.  Leaving the unit polydisk in the certificate's flag
+    coordinates sets ``escaped`` instead of raising.
     """
     z = np.asarray(z0, dtype=complex).reshape(1, -1)
     if z.shape[1] != family.dimension:
@@ -353,7 +355,7 @@ def export_run_csv(run, fh):
                 repr(float(run.states[s, c].real)),
                 repr(float(run.states[s, c].imag)),
             ]
-        row.append("" if run.v_values is None else repr(float(run.v_values[s])))
+        row.append(repr(float(run.v_values[s])))
         row.append(str(int(run.active[s])))
         fh.write(",".join(row) + "\n")
 
@@ -480,6 +482,8 @@ def audit_certificate(
                          f"positive: {float(clf.epsilon[i])!r}")
     rho = float(report.rho_certified)
     radius = 0.95 * rho
+    _require_finite(horizon=horizon)
+    _require_step_count(dt, horizon)  # before any signal is drawn
     pts = sample_initial_points(n, radius, points, seed)
     schedules = [
         random_signal(len(family), horizon, min_dwell, max_dwell, seed=seed + 7919 * s)

@@ -5,29 +5,29 @@ per component.  Components may carry an optional exact l1 norm
 (``tail_l1``) covering coefficients beyond the stored truncation, which
 downstream absolute-sum operations use instead of the truncated sum.
 
-A field holds only its terms; a ``FieldScratch`` plans and runs its
-evaluation, and is the only code that knows the plan's layout.
-Evaluation is points-last: a batch of B points is read as its (n, B)
-transpose, and every intermediate keeps the points along the last axis.
-The scratch fills one power-major (P + 1, n, B) table of coordinate
-powers up to the largest exponent P, the points themselves in row 1 and
-one contiguous multiply per higher power; forms each of the K stored
+A field holds only its terms; a ``FieldScratch`` plans and runs its RK4
+steps, and is the only code that knows the plan's layout.  A step is
+points-last: a batch of B points is read as its (n, B) transpose, and
+every intermediate keeps the points along the last axis.  Each of the
+four stage evaluations fills one power-major (P + 1, n, B) table of
+coordinate powers up to the largest exponent P, the stage input in row 1
+and one contiguous multiply per higher power; forms each of the K stored
 terms' monomials as a product of whole rows of that table; and contracts
 the (K, B) monomials with an (n, K) coefficient matrix, each component's
-coefficients in its own row, into the (n, B) values.  It holds every
-array it writes, and runs the whole RK4 step of ``flow_step``: the four
-stages and their running sum.  A scratch compiles a sequence of fields
-(a family, or one field as a family of one), once, when it is made: the
-fields' terms are concatenated, each row is stepped by the field
-``select`` gives it, one index per row, and ``select`` lists the
-evaluation's ufunc calls from the compiled pieces: the monomials of the
-fields that hold a row, formed once, and each such field's contraction
-of its slice of them.  A scratch is made for a fixed number of rows and
-refuses any other batch size.  It belongs to whoever made it, never to
-a field: ``flow_step`` uses its caller's, and an integration makes one
-over the family for all its rows and reuses it every step, so a step
-allocates no batch-sized array and concurrent integrations of one family
-never share one.
+coefficients in its own row, into the (n, B) values.  The scratch holds
+every array it writes, and runs the whole RK4 step of ``flow_step``: the
+four stages and their running sum.  A scratch compiles a sequence of
+fields (a family, or one field as a family of one), once, when it is
+made: the fields' terms are concatenated, each row is stepped by the
+field ``select`` gives it, one index per row, and ``select`` lists one
+stage evaluation's ufunc calls from the compiled pieces: the monomials of
+the fields that hold a row, formed once, and each such field's
+contraction of its slice of them.  A scratch is made for a fixed number
+of rows and refuses any other batch size.  It belongs to whoever made
+it, never to a field: ``flow_step`` uses its caller's, and an
+integration makes one over the family for all its rows and reuses it
+every step, so a step allocates no batch-sized array and concurrent
+integrations of one family never share one.
 ``boundary_invariance_check`` bounds the field on a polydisk's faces.
 """
 
@@ -201,8 +201,8 @@ def lie_bracket(F, G):
 
 
 class FieldScratch:
-    """Field plan and work arrays of one caller's points-last evaluations
-    and RK4 steps of ``rows`` points, over a sequence of fields.
+    """Field plan and work arrays of one caller's points-last RK4 steps of
+    ``rows`` points, over a sequence of fields.
 
     ``fields`` is a sequence of ``PolyVectorField`` (a ``SwitchedFamily``,
     or a list of one field); a new scratch has no selection.  Each
@@ -213,11 +213,11 @@ class FieldScratch:
     z_c ** p), written into the field's K_i rows of the monomials; the
     fields' rows follow one another, K in all.  ``select`` says which
     field steps each row, and joins the pieces of the fields that hold a
-    row into the evaluation's flat list of ufunc calls; it makes no array.
+    row into a stage's flat list of ufunc calls; it makes no array.
 
     The scratch holds the (P + 1, n, cols) power table up to the family's
     largest exponent P (at least 1), whose row 1 is the input ``stage`` of
-    an evaluation and of each Runge-Kutta stage; the (K, cols) monomials;
+    each Runge-Kutta stage; the (K, cols) monomials;
     (n, cols) arrays for the field values ``k``, one field's values in a
     mixed batch and the running Runge-Kutta sum ``acc``; per-row half,
     sixth and whole steps ``steps``, filled from one (3, cols) real row
@@ -230,8 +230,7 @@ class FieldScratch:
     coefficient products run over two columns, and round as a larger
     batch's do, instead of through numpy's matrix-vector path.  Every
     array is made once, here, and the scratch refuses a batch of any other
-    size.  Whoever makes a scratch owns it: every evaluation overwrites
-    it.
+    size.  Whoever makes a scratch owns it: every step overwrites it.
     """
 
     def __init__(self, fields, rows):
@@ -280,7 +279,7 @@ class FieldScratch:
                 products += [(np.multiply, (m, f, m)) for f in factors[1:]]
             self._products.append(products)
             self._parts.append((coeffs, mono))
-        self._plans = None  # until the first selection
+        self._plan = None  # until the first selection
 
     def _require_rows(self, rows):
         if rows != self.rows:
@@ -292,15 +291,12 @@ class FieldScratch:
         ValueError when ``sub`` is not one index per row, and, naming the
         index, when one is not an integer in [0, len(fields)).
 
-        The evaluation is then one flat list of ufunc calls, planned here
-        from the compiled pieces of the fields that hold a row: the power
-        table up to their largest exponent, their monomials, and each
-        one's contraction over the whole batch; in a mixed batch each
+        A stage is then one flat list of ufunc calls, planned here from
+        the compiled pieces of the fields that hold a row: the power table
+        up to their largest exponent, their monomials, and each one's
+        contraction over the whole batch into ``k``; in a mixed batch each
         field after the first is contracted into its own array and keeps,
         through the row masks built here, the values of the rows it holds.
-        There are two such lists, which differ only in the array the
-        contraction writes: ``acc`` for a step's first stage, ``k`` for
-        the others and for ``evaluate``.
         """
         index, count = np.asarray(sub), len(self.fields)
         if index.ndim != 1:
@@ -323,41 +319,21 @@ class FieldScratch:
         for mask, i in zip(masks, active[1:]):
             np.equal(index, i, out=mask[0])  # row by row: no broadcast buffer
             np.copyto(mask[1:], mask[0])
-        self._plans = ((), ())  # a scratch of no rows has nothing to run
+        self._plan = []  # a scratch of no rows has nothing to run
         if active:
             top = max(self._tops[i] for i in active)
-            head = [
+            self._plan = [
                 (np.multiply, (prev, self.stage, pows))
                 for prev, pows in self._powers[:max(top - 1, 0)]
             ]
             for i in active:
-                head += self._products[i]
+                self._plan += self._products[i]
             first, *rest = active
-            self._plans = tuple(
-                head + [(np.matmul, (*self._parts[first], out))] + [
-                    call
-                    for i, mask in zip(rest, masks)
-                    for call in ((np.matmul, (*self._parts[i], self.part)),
-                                 (np.putmask, (out, mask, self.part)))
-                ]
-                for out in (self.acc, self.k)
-            )
+            self._plan.append((np.matmul, (*self._parts[first], self.k)))
+            for i, mask in zip(rest, masks):
+                self._plan += [(np.matmul, (*self._parts[i], self.part)),
+                               (np.putmask, (self.k, mask, self.part))]
         return self
-
-    def _planned(self):
-        if self._plans is None:
-            raise ValueError("no field is selected for these rows")
-        return self._plans
-
-    def evaluate(self, zT):
-        """F at the points-last batch ``zT`` (n, rows), each row under its
-        selected field: ``zT`` is copied into ``stage``, and the values are
-        returned as a view of ``k``."""
-        plan = self._planned()[1]
-        np.copyto(self.stage[:, :self.rows], zT)
-        for op, args in plan:
-            op(*args)
-        return self.k[:, :self.rows]
 
     def _step_sizes(self, dt):
         """Half, sixth and whole step and the factor 2, as the complex
@@ -385,9 +361,12 @@ class FieldScratch:
         by ``dt``, a scalar or a (rows, 1) array of per-row steps.  The four
         stages, their inputs and the weighted sum
         ((k1 + 2 k2) + 2 k3 + k4) * (dt / 6) + z are computed in place, in
-        that order.  Raises NonFiniteStateError when the new state is not
+        that order, the first stage's values copied from ``k`` into
+        ``acc``.  Raises NonFiniteStateError when the new state is not
         finite, and returns it otherwise, as a view of ``acc``."""
-        acc_plan, k_plan = self._planned()
+        plan = self._plan
+        if plan is None:
+            raise ValueError("no field is selected for these rows")
         if self._padded is not None:
             np.copyto(self._padded[:, :self.rows], zT)
             zT = self._padded
@@ -395,23 +374,24 @@ class FieldScratch:
         st, k, acc = self.stage, self.k, self.acc
         mul, add = np.multiply, np.add
         np.copyto(st, zT)
-        for op, args in acc_plan:
+        for op, args in plan:
             op(*args)
-        mul(acc, half, st)
+        np.copyto(acc, k)
+        mul(k, half, st)
         add(st, zT, st)
-        for op, args in k_plan:
+        for op, args in plan:
             op(*args)
         mul(k, half, st)
         add(st, zT, st)
         mul(k, two, k)
         add(acc, k, acc)
-        for op, args in k_plan:
+        for op, args in plan:
             op(*args)
         mul(k, whole, st)
         add(st, zT, st)
         mul(k, two, k)
         add(acc, k, acc)
-        for op, args in k_plan:
+        for op, args in plan:
             op(*args)
         add(acc, k, acc)
         mul(acc, sixth, acc)
@@ -425,25 +405,25 @@ class FieldScratch:
 
 
 def flow_step(scratch, z, dt, out=None):
-    """One classical Runge-Kutta step of z' = F(z); works on batches.
+    """One classical Runge-Kutta step of z' = F(z) for a batch of points.
 
     ``scratch`` is a ``FieldScratch`` of B rows, whose selection says
-    which field steps each row.  ``z`` is one point (n,) or a batch
-    (B, n), of any memory layout; ``dt`` is a scalar or a (B, 1) array of
-    per-row steps.  The step is ``FieldScratch.step`` of ``z.T``.  The new
-    state is written to ``out`` (any array of z's shape, z itself
-    included) or to a new array, and returned; it never shares memory
-    with the scratch, and ``z`` is read only.  Raises ValueError when the
+    which field steps each row.  ``z`` is a batch (B, n), of any memory
+    layout; ``dt`` is a scalar or a (B, 1) array of per-row steps.  The
+    step is ``FieldScratch.step`` of ``z.T``.  The new state is written to
+    ``out`` (any (B, n) array, z itself included) or to a new array, and
+    returned; it never shares memory with the scratch, and ``z`` is read
+    only.  Raises ValueError when ``z`` is not a (B, n) batch or the
     scratch holds another number of rows, and NonFiniteStateError, before
     anything is written to ``out``, when the new state is not finite.
     """
     z = np.asarray(z, dtype=complex)
     n = scratch.fields[0].dimension
-    if z.ndim not in (1, 2) or z.shape[-1] != n:
-        raise ValueError("point dimension mismatch")
-    zT = z.reshape(-1, n).T
-    scratch._require_rows(zT.shape[1])
-    new = scratch.step(zT, dt).T.reshape(z.shape)
+    if z.ndim != 2 or z.shape[1] != n:
+        raise ValueError(f"flow_step takes a (B, {n}) batch of points, "
+                         f"not an array of shape {z.shape}")
+    scratch._require_rows(len(z))
+    new = scratch.step(z.T, dt).T
     if out is None:
         return new.copy()
     np.copyto(out, new)

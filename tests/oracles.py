@@ -5,9 +5,10 @@ The library builds each truncated generator matrix once, as arrays
 (k, j, v) of its stored entries, and runs the certificate on them.  The
 functions here compute the same quantities one entry, one column, one
 pair or one basis position at a time; the tests hold the library to them.
-The small constructors and lookups at the top are used only by tests;
-``field_step`` and ``field_values`` among them step and evaluate points
-under one field in a scratch of its own.
+The small constructors and lookups at the top are used only by tests:
+``field_step`` steps a batch under one field in a scratch of its own,
+``field_values`` evaluates one field by ``evaluate_batch``, and
+``unit_clf`` is the certificate whose V is |z|^2.
 ``evaluate_batch`` is the field evaluator the library had before its
 points-last kernel, and ``dense_value_batch`` the V evaluator it had
 before its scratch; each is kept as its successor's bit-exact reference.
@@ -29,6 +30,7 @@ import numpy as np
 from koopman_clf.certificate import (
     EPSILON_FLOOR,
     ETA_FLOOR,
+    CommonLyapunovFunction,
     ConvergenceResult,
     _extrapolate,
     _maxima_ratio,
@@ -37,7 +39,7 @@ from koopman_clf.certificate import (
     degree_maxima,
 )
 from koopman_clf.koopman import KoopmanMatrix
-from koopman_clf.multiindex import order_key
+from koopman_clf.multiindex import build_basis, order_key
 from koopman_clf.vectorfield import FieldScratch, PolyVectorField, flow_step
 
 
@@ -63,19 +65,23 @@ def field_scratch(field_, rows):
 
 
 def field_step(field_, z, dt):
-    """``flow_step`` of one point (n,) or a batch (B, n) under one field,
-    in a new scratch of the field for its rows."""
-    rows = len(z) if np.ndim(z) == 2 else 1
-    return flow_step(field_scratch(field_, rows), z, dt)
+    """``flow_step`` of a batch (B, n) under one field, in a new scratch of
+    the field for its rows."""
+    return flow_step(field_scratch(field_, len(z)), z, dt)
 
 
 def field_values(field_, z):
-    """F at one point (n,) or a batch (B, n) under one field, in a new
-    scratch of the field for its rows; the values have the shape of z."""
+    """F at one point (n,) or a batch (B, n) under one field, by
+    ``evaluate_batch``; the values have the shape of z."""
     z = np.asarray(z, dtype=complex)
-    zT = z.reshape(-1, field_.dimension).T
-    values = field_scratch(field_, zT.shape[1]).evaluate(zT)
-    return values.T.reshape(z.shape).copy()
+    return evaluate_batch(field_, z.reshape(-1, field_.dimension)).reshape(z.shape)
+
+
+def unit_clf(n):
+    """The certificate V(z) = |z|^2 in dimension n: unit weights at degree
+    1 and P = I.  Its flag coordinates of a finite state are the state,
+    so the moduli it leaves are |z| bit for bit."""
+    return CommonLyapunovFunction(np.ones(n), np.eye(n), build_basis(n, 1))
 
 
 def evaluate_batch(field_, zb):
@@ -102,7 +108,7 @@ def evaluate_batch(field_, zb):
     pows[0] = 1
     for p in range(1, top + 1):
         np.multiply(pows[p - 1], zT, out=pows[p])
-    pows = pows.reshape(-1, B)
+    pows = pows.reshape((top + 1) * n, B)
     mono = pows[gather[0]]
     for c in range(1, n):
         mono *= pows[gather[c]]

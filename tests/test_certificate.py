@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from koopman_clf import analysis
 from koopman_clf.certificate import (
+    TAIL_DEGREE_CAP,
     EPSILON_FLOOR,
     CommonLyapunovFunction,
     ValueScratch,
@@ -666,6 +668,50 @@ def test_one_form_tail_agrees_with_the_two_form_tail(n, N, log_growth, x, seed):
         assert got.tail_bound == want.tail_bound
     else:
         assert got.tail_bound == pytest.approx(want.tail_bound, rel=1e-13)
+
+
+@pytest.mark.parametrize("r", [0.9, 0.999, 1 - 1e-5])
+def test_the_tail_of_one_variable_against_its_closed_form(r):
+    # n = 1, weights r^d at rho = 1: the tail sums base (N + k) x^k over
+    # k >= 1, base the larger of the last two degrees' weights and x the
+    # decay ratio, which is base (N x / (1 - x) + x / (1 - x)^2).  Below
+    # 1 - 1e-5 the sum ends before its cap, and agrees within its
+    # rounding; at 1 - 1e-5 it reaches the cap, and the geometric bound of
+    # the rest makes it an upper bound
+    N = 12
+    basis = build_basis(1, N)
+    eps = np.array([r**d for d in range(1, N + 1)])
+    conv = convergence_check(eps, basis, 1.0)
+    assert conv.convergent
+    x, base = Fraction(conv.ratio), Fraction(float(max(eps[-2:])))
+    exact = base * (N * x / (1 - x) + x / (1 - x) ** 2)
+    if r < 1 - 1e-5:
+        assert conv.tail_bound == pytest.approx(float(exact), rel=1e-12)
+    else:
+        assert exact <= Fraction(conv.tail_bound) < Fraction(6, 5) * exact
+
+
+def test_a_tail_whose_term_ratio_is_not_below_one_at_the_cap_diverges():
+    # x = 1 - 1e-6 is below one, but x (D + 1) / D is not at the cap D
+    basis = build_basis(1, 12)
+    eps = np.array([(1 - 1e-6) ** d for d in range(1, 13)])
+    conv = convergence_check(eps, basis, 1.0)
+    assert conv.ratio < 1.0
+    assert not conv.convergent and conv.tail_bound == math.inf
+
+
+def test_the_convergence_stage_names_the_tail_cap(monkeypatch):
+    def slow(scan, basis, **kwargs):
+        eps = (1 - 1e-6) ** basis.exponents[1:].sum(axis=1).astype(float)
+        return eps, 0.5, 0.5, {}
+
+    monkeypatch.setattr(analysis, "epsilon_sequence", slow)
+    report = analysis.analyze_family([PolyVectorField([{(1,): -1.0}])], 12)
+    assert not report.certified and report.exit_code == 4
+    assert report.failure["stage"] == "convergence"
+    assert report.failure["message"].endswith(
+        f"term ratio is not below one at the {TAIL_DEGREE_CAP}-degree cap"
+    )
 
 
 def test_convergence_check_validates_input():

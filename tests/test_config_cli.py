@@ -115,14 +115,32 @@ def test_config_rejects_a_repeated_coefficient():
 
 
 def test_simulation_params_validation():
-    with pytest.raises(ValueError):
-        SimulationParams(dt=0.0)
-    with pytest.raises(ValueError):
-        SimulationParams(trials=0)
-    with pytest.raises(ValueError):
-        SimulationParams(min_dwell=0.5, max_dwell=0.4)
+    for kwargs, message in (
+        (dict(dt=0.0), "simulation.dt must be > 0, got 0.0"),
+        (dict(dt=-1.0), "simulation.dt must be > 0, got -1.0"),
+        (dict(horizon=-0.5), "simulation.horizon must be >= 0, got -0.5"),
+        (dict(trials=0), "simulation.trials must be >= 1, got 0"),
+        (dict(points=-2), "simulation.points must be >= 1, got -2"),
+        (dict(min_dwell=0.0), "simulation.min_dwell must be > 0, got 0.0"),
+        (dict(min_dwell=0.5, max_dwell=0.4),
+         "simulation.max_dwell must be >= simulation.min_dwell 0.5, got 0.4"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimulationParams(**kwargs)
     p = SimulationParams()
     assert p.to_json_dict()["horizon"] == 20.0
+
+
+@pytest.mark.parametrize("name, value", [("trials", 0), ("points", 0), ("dt", -0.01),
+                                         ("horizon", -1.0), ("min_dwell", 0.0),
+                                         ("max_dwell", 0.01)])
+def test_cli_simulate_names_the_field_out_of_range(tmp_path, capsys, name, value):
+    with pytest.raises(SystemExit) as exc:
+        _simulate_with(tmp_path, {"trials": 1, "points": 1, name: value})
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"invalid config: simulation.{name} must be " in err
+    assert f"got {value!r}" in err and "Traceback" not in err
 
 
 # cli ------------------------------------------------------------------------
@@ -1264,6 +1282,22 @@ def test_cli_simulate_names_a_dt_too_small_to_plan(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "dt 1e-300 plans" in err and "RK4 steps" in err
     assert "Traceback" not in err
+
+
+def test_cli_simulate_refuses_a_horizon_it_cannot_plan_before_drawing_signals(tmp_path):
+    # 1e300 / 0.01 steps: the signals alone would never finish
+    code, out = _simulate_with(tmp_path, {"trials": 1, "points": 1})
+    assert code == 0
+    data = json.loads((tmp_path / "sys.json").read_text())
+    data["simulation"]["horizon"] = 1e300
+    (tmp_path / "sys.json").write_text(json.dumps(data))
+    argv = [sys.executable, "-m", "koopman_clf", "simulate",
+            "--config", str(tmp_path / "sys.json"),
+            "--report", str(tmp_path / "report.json"), "--out", str(out),
+            "--trials", "1", "--points", "1", "--dt", "0.01"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "dt 0.01 plans 1e+302 RK4 steps over horizon 1e+300" in proc.stderr
 
 
 def test_cli_simulate_blowup_exits_5_with_one_line(tmp_path):

@@ -1,0 +1,128 @@
+"""The reports and audit outputs keep their bytes: their sha256 digests are
+committed in ``tests/data/output_digests.json``.
+
+Float rounding can depend on numpy, its BLAS and the processor, so the
+manifest records the machine its digests were taken on, and on any other
+the test skips and names the difference.  When a change moves an output on
+purpose, print the new manifest with
+
+    PYTHONPATH=src python tests/test_output_digests.py
+
+and commit it together with the old and new digests in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import platform
+import sys
+import tempfile
+
+import numpy as np
+import pytest
+
+from koopman_clf.analysis import analyze_family
+from koopman_clf.cli import main
+from koopman_clf.config import example1_config, example2_config
+from koopman_clf.multiindex import build_basis
+from koopman_clf.switchsim import audit_certificate
+from koopman_clf.vectorfield import PolyVectorField, SwitchedFamily
+
+MANIFEST = pathlib.Path(__file__).parent / "data" / "output_digests.json"
+
+
+def machine():
+    """What float rounding may depend on: numpy, its BLAS, the processor."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version')}"
+    except (TypeError, KeyError, AttributeError):
+        blas = None
+    cpu = platform.processor() or None
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"numpy": np.__version__, "blas": blas,
+            "machine": f"{platform.machine()} {cpu}"}
+
+
+def report_text(cfg, degree=None):
+    """``to_json()`` of the config's analysis, at ``degree`` if given."""
+    return analyze_family(
+        cfg.build_family(), degree or cfg.truncation_degree,
+        scheme_kind=cfg.scheme_kind, xi=cfg.xi, kappa=cfg.kappa, eta=cfg.eta,
+        rho_request=cfg.rho_request,
+    ).to_json()
+
+
+def tampered_summary():
+    """The audit of the linear pair with one weight set to 1e-12, as
+    ``simulate --out`` writes it."""
+    pair = SwitchedFamily([
+        PolyVectorField([{(1, 0): -1.0, (0, 1): 0.6}, {(0, 1): -1.0}]),
+        PolyVectorField([{(1, 0): -1.0}, {(0, 1): -1.5}]),
+    ])
+    report = analyze_family(pair, 6)
+    report.epsilon[build_basis(2, 6).index_of((0, 1)) - 1] = 1e-12
+    summary = audit_certificate(pair, report, signals=10, points=10, seed=3,
+                                dt=0.01, horizon=20.0)
+    assert not summary.passed
+    return json.dumps(summary.to_json_dict(), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
+def simulate_files(folder):
+    """``simulate --out`` and ``--trace`` of example1's certificate, 3
+    signals x 7 points, seed 5, dt 0.01, through the command line."""
+    cfg, rpt, out, trace = (str(folder / name) for name in
+                            ("sys.json", "report.json", "audit.json", "trace.csv"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["example1", "--out", cfg]) == 0
+        assert main(["analyze", "--config", cfg, "--out", rpt]) == 0
+        assert main(["simulate", "--config", cfg, "--report", rpt, "--trials", "3",
+                     "--points", "7", "--seed", "5", "--dt", "0.01",
+                     "--out", out, "--trace", trace]) == 0
+    return {"simulate.example1.summary": pathlib.Path(out).read_bytes(),
+            "simulate.example1.trace": pathlib.Path(trace).read_bytes()}
+
+
+def outputs(folder):
+    """Every committed output of this tree, by name, as bytes."""
+    texts = {}
+    for degree in (12, 30, 60):
+        texts[f"report.example1.N{degree}"] = report_text(example1_config(), degree)
+    for degree in (12, 16, 20):
+        texts[f"report.example2.dd.N{degree}"] = report_text(example2_config(), degree)
+    texts["report.example1.b0.5"] = report_text(example1_config(b=0.5))
+    texts["audit.tampered.summary"] = tampered_summary()
+    data = {name: text.encode() for name, text in texts.items()}
+    return {**data, **simulate_files(folder)}
+
+
+def digests(folder):
+    return {name: hashlib.sha256(data).hexdigest()
+            for name, data in sorted(outputs(folder).items())}
+
+
+def test_outputs_keep_their_committed_digests(tmp_path):
+    manifest = json.loads(MANIFEST.read_text())
+    here = machine()
+    moved = [f"{key} {manifest['machine'].get(key)!r}, here {value!r}"
+             for key, value in here.items() if manifest["machine"].get(key) != value]
+    if moved:
+        pytest.skip("digests were taken on another machine: " + "; ".join(moved))
+    got, want = digests(tmp_path), manifest["sha256"]
+    assert got.keys() == want.keys()
+    moved = [name for name in want if got[name] != want[name]]
+    assert not moved, "outputs moved: " + ", ".join(moved)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as folder:
+        manifest = {"machine": machine(), "sha256": digests(pathlib.Path(folder))}
+    sys.stdout.write(json.dumps(manifest, indent=2) + "\n")

@@ -36,7 +36,7 @@ from koopman_clf.vectorfield import (
     SwitchedFamily,
     flow_step,
 )
-from oracles import field_from_linear, field_step
+from oracles import field_from_linear, field_step, unit_clf
 
 
 def contraction_family(rates=(-1.0, -2.0)):
@@ -98,6 +98,18 @@ def test_random_signal_edge_cases():
         random_signal(2, -1.0)
 
 
+def test_a_horizon_of_more_than_2_52_dwells_is_refused_by_name():
+    # past 2**52 min_dwell a dwell can fall below the spacing of doubles
+    # near t, and t += d would stop advancing
+    with pytest.raises(ValueError, match=(
+        r"^horizon 1e\+300 is 2e\+301 times min_dwell 0\.05, more than the "
+        r"2\*\*52 dwells a signal can time$"
+    )):
+        random_signal(2, 1e300)
+    assert len(random_signal(2, 2.0**52 * 0.0625, min_dwell=0.0625,
+                             max_dwell=0.0625 * 2**52)) == 1
+
+
 def test_segment_step_planning():
     assert _segment_steps(0.25, 0.1) == (2, pytest.approx(0.05))
     n, rem = _segment_steps(0.3, 0.1)
@@ -119,7 +131,7 @@ def test_a_dt_whose_plan_no_list_can_index_is_refused_by_name():
 def test_constant_signal_matches_exponential_decay():
     fam = contraction_family()
     sig = SwitchingSignal((2.0,), (0,), 2.0)
-    run = integrate_switched(fam, sig, np.array([0.5, -0.25]), dt=1e-3)
+    run = integrate_switched(fam, sig, np.array([0.5, -0.25]), unit_clf(2), dt=1e-3)
     assert np.max(np.abs(run.final_state - np.exp(-2.0) * np.array([0.5, -0.25]))) < 1e-9
     assert run.times[-1] == 2.0
     assert not run.escaped
@@ -128,7 +140,7 @@ def test_constant_signal_matches_exponential_decay():
 def test_switch_instants_are_sampled_exactly():
     fam = contraction_family()
     sig = SwitchingSignal((0.123, 0.456, 0.421), (0, 1, 0), 1.0)
-    run = integrate_switched(fam, sig, np.array([0.4, 0.1]), dt=0.01)
+    run = integrate_switched(fam, sig, np.array([0.4, 0.1]), unit_clf(2), dt=0.01)
     for b in sig.boundaries:
         assert np.min(np.abs(run.times - b)) == 0.0
     # active subsystem recorded at every sample
@@ -140,7 +152,7 @@ def test_switch_instants_are_sampled_exactly():
 def test_cross_segment_decay_against_closed_form():
     fam = contraction_family(rates=(-1.0, -2.0))
     sig = SwitchingSignal((0.5, 0.5), (0, 1), 1.0)
-    run = integrate_switched(fam, sig, np.array([0.8, 0.2]), dt=1e-3)
+    run = integrate_switched(fam, sig, np.array([0.8, 0.2]), unit_clf(2), dt=1e-3)
     factor = np.exp(-0.5) * np.exp(-1.0)
     assert np.max(np.abs(run.final_state - factor * np.array([0.8, 0.2]))) < 1e-9
 
@@ -148,7 +160,7 @@ def test_cross_segment_decay_against_closed_form():
 def test_dt_larger_than_segment_still_lands_on_switch():
     fam = contraction_family()
     sig = SwitchingSignal((0.03, 0.07), (0, 1), 0.1)
-    run = integrate_switched(fam, sig, np.array([0.5, 0.5]), dt=0.05)
+    run = integrate_switched(fam, sig, np.array([0.5, 0.5]), unit_clf(2), dt=0.05)
     assert 0.03 in run.times.tolist()
     assert run.times[-1] == pytest.approx(0.1)
 
@@ -160,7 +172,7 @@ def test_certificate_values_recorded_and_monotone_for_contraction():
         np.ones(basis.size), np.eye(2, dtype=complex), basis
     )
     sig = SwitchingSignal((0.5, 0.5), (0, 1), 1.0)
-    run = integrate_switched(fam, sig, np.array([0.4, -0.2]), dt=0.01, clf=clf)
+    run = integrate_switched(fam, sig, np.array([0.4, -0.2]), clf, dt=0.01)
     assert run.v_values is not None
     assert len(run.v_values) == len(run.times)
     assert run.max_v_increase == 0.0
@@ -172,7 +184,7 @@ def test_escape_is_flagged_not_raised():
         [PolyVectorField([{(1, 0): 1.0}, {(0, 1): 1.0}])]
     )
     sig = SwitchingSignal((0.2,), (0,), 0.2)
-    run = integrate_switched(fam, sig, np.array([0.9, 0.0]), dt=1e-3)
+    run = integrate_switched(fam, sig, np.array([0.9, 0.0]), unit_clf(2), dt=1e-3)
     assert run.escaped
     assert 0.09 < run.escape_time < 0.13  # exp growth from 0.9 crosses 1
     assert run.times[-1] == pytest.approx(0.2)  # integration continues
@@ -182,15 +194,15 @@ def test_integrate_switched_validates_arguments():
     fam = contraction_family()
     sig = SwitchingSignal((1.0,), (0,), 1.0)
     with pytest.raises(ValueError):
-        integrate_switched(fam, sig, np.array([0.1, 0.1]), dt=0.0)
+        integrate_switched(fam, sig, np.array([0.1, 0.1]), unit_clf(2), dt=0.0)
     with pytest.raises(ValueError):
-        integrate_switched(fam, sig, np.array([0.1, 0.1, 0.1]))
+        integrate_switched(fam, sig, np.array([0.1, 0.1, 0.1]), unit_clf(2))
 
 
 def test_run_csv_layout():
     fam = contraction_family()
     sig = SwitchingSignal((0.1,), (0,), 0.1)
-    run = integrate_switched(fam, sig, np.array([0.3, 0.2]), dt=0.05)
+    run = integrate_switched(fam, sig, np.array([0.3, 0.2]), unit_clf(2), dt=0.05)
     buf = io.StringIO()
     export_run_csv(run, buf)
     lines = buf.getvalue().strip().split("\n")
@@ -198,7 +210,7 @@ def test_run_csv_layout():
     assert len(lines) == len(run.times) + 1
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
-    assert first[5] == ""  # no certificate attached
+    assert first[5] == repr(float(run.v_values[0])) == repr(0.3**2 + 0.2**2)
     assert first[6] == "0"
 
 
@@ -324,12 +336,26 @@ def test_audit_rejects_non_finite_parameters(name, value):
         audit_certificate(fam, rep, **kw)
 
 
+def test_audit_refuses_a_horizon_it_cannot_plan_before_drawing_signals(monkeypatch):
+    fam, rep = certified_linear_report()
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("a signal was drawn")
+
+    monkeypatch.setattr(switchsim, "random_signal", drawn)
+    for horizon, dt, steps in ((1e300, 0.01, "1e+302"), (20.0, 1e-300, "2e+301")):
+        with pytest.raises(ValueError, match=re.escape(
+            f"dt {dt!r} plans {steps} RK4 steps over horizon {horizon!r}"
+        )):
+            audit_certificate(fam, rep, signals=1, points=1, dt=dt, horizon=horizon)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_integrate_and_signals_reject_non_finite_values(value):
     fam = contraction_family()
     sig = SwitchingSignal((1.0,), (0,), 1.0)
     with pytest.raises(ValueError, match="dt"):
-        integrate_switched(fam, sig, np.array([0.1, 0.1]), dt=value)
+        integrate_switched(fam, sig, np.array([0.1, 0.1]), unit_clf(2), dt=value)
     with pytest.raises(ValueError, match="horizon"):
         random_signal(2, value)
     with pytest.raises(ValueError, match="max_dwell"):
@@ -415,16 +441,15 @@ def test_the_audit_run_is_row_0_of_its_integration():
 # batched kernel against the sequential loops --------------------------------
 
 
-def sequential_integrate(family, signal, z0, dt=1e-3, clf=None):
+def sequential_integrate(family, signal, z0, clf, dt=1e-3):
     """Reference for integrate_switched: one RK4 step and one sample at a time."""
     z = np.asarray(z0, dtype=complex).reshape(1, -1)
-    hat = (lambda Z: clf.hat(Z)) if clf is not None else (lambda Z: Z)
     times = [0.0]
     states = [z[0].copy()]
     active = [signal.subsystems[0] if len(signal) else 0]
-    v_values = [float(clf.value_batch(z)[0])] if clf is not None else None
-    max_rel = 0.0 if clf is not None else None
-    escaped = bool(np.max(np.abs(hat(z))) >= 1.0 - ESCAPE_TOL)
+    v_values = [float(clf.value_batch(z)[0])]
+    max_rel = 0.0
+    escaped = bool(np.max(np.abs(clf.hat(z))) >= 1.0 - ESCAPE_TOL)
     escape_time = 0.0 if escaped else None
     boundaries = signal.boundaries
     t_start = 0.0
@@ -439,12 +464,11 @@ def sequential_integrate(family, signal, z0, dt=1e-3, clf=None):
             times.append(t)
             states.append(z[0].copy())
             active.append(signal.subsystems[seg])
-            if clf is not None:
-                v = float(clf.value_batch(z)[0])
-                rel = (v - v_values[-1]) / max(v_values[-1], 1e-300)
-                max_rel = max(max_rel, rel)
-                v_values.append(v)
-            if not escaped and np.max(np.abs(hat(z))) >= 1.0 - ESCAPE_TOL:
+            v = float(clf.value_batch(z)[0])
+            rel = (v - v_values[-1]) / max(v_values[-1], 1e-300)
+            max_rel = max(max_rel, rel)
+            v_values.append(v)
+            if not escaped and np.max(np.abs(clf.hat(z))) >= 1.0 - ESCAPE_TOL:
                 escaped = True
                 escape_time = t
         t_start = end
@@ -453,7 +477,7 @@ def sequential_integrate(family, signal, z0, dt=1e-3, clf=None):
         times=np.array(times),
         states=np.array(states),
         active=np.array(active, dtype=int),
-        v_values=None if v_values is None else np.array(v_values),
+        v_values=np.array(v_values),
         max_v_increase=max_rel,
         escaped=escaped,
         escape_time=escape_time,
@@ -600,10 +624,7 @@ def assert_runs_equal(got, want):
     assert np.array_equal(got.times, want.times)
     assert np.array_equal(got.states, want.states)
     assert np.array_equal(got.active, want.active)
-    if want.v_values is None:
-        assert got.v_values is None
-    else:
-        assert np.array_equal(got.v_values, want.v_values)
+    assert np.array_equal(got.v_values, want.v_values)
     assert got.max_v_increase == want.max_v_increase
     assert got.escaped == want.escaped
     assert got.escape_time == want.escape_time
@@ -614,18 +635,18 @@ def test_integrate_switched_matches_sequential_rk4():
     clf = CommonLyapunovFunction(rep.epsilon, rep.P_inv, build_basis(2, 12))
     sig = random_signal(2, 3.0, seed=5)
     z0 = rep.P @ sample_initial_points(2, 0.9, 3, seed=5)[2]
-    for c in (clf, None):
+    for c in (clf, unit_clf(2)):
         assert_runs_equal(
-            integrate_switched(fam, sig, z0, dt=0.013, clf=c),
-            sequential_integrate(fam, sig, z0, dt=0.013, clf=c),
+            integrate_switched(fam, sig, z0, c, dt=0.013),
+            sequential_integrate(fam, sig, z0, c, dt=0.013),
         )
     # an escaping run, and a step longer than every segment
     grow = SwitchedFamily([PolyVectorField([{(1, 0): 1.0}, {(0, 1): 0.5}])] * 2)
     sig = SwitchingSignal((0.03, 0.2, 0.07), (0, 1, 0), 0.3)
     for dt in (1e-3, 0.5):
         assert_runs_equal(
-            integrate_switched(grow, sig, np.array([0.9, 0.1]), dt=dt),
-            sequential_integrate(grow, sig, np.array([0.9, 0.1]), dt=dt),
+            integrate_switched(grow, sig, np.array([0.9, 0.1]), unit_clf(2), dt=dt),
+            sequential_integrate(grow, sig, np.array([0.9, 0.1]), unit_clf(2), dt=dt),
         )
 
 
@@ -638,10 +659,10 @@ def test_interleaved_audits_and_runs_match_each_alone():
     sig = random_signal(3, 2.0, seed=8)
     z0 = sample_initial_points(2, 0.5, 1, seed=1)[0]
     alone_audit = audit_certificate(fam, rep, **kw).to_json_dict()
-    alone_run = integrate_switched(fam, sig, z0, dt=0.01, clf=clf)
+    alone_run = integrate_switched(fam, sig, z0, clf, dt=0.01)
     for _ in range(2):
         assert audit_certificate(fam, rep, **kw).to_json_dict() == alone_audit
-        assert_runs_equal(integrate_switched(fam, sig, z0, dt=0.01, clf=clf), alone_run)
+        assert_runs_equal(integrate_switched(fam, sig, z0, clf, dt=0.01), alone_run)
 
 
 def test_rows_whose_plan_has_ended_keep_their_state_bit_for_bit():
@@ -663,12 +684,12 @@ def test_rows_whose_plan_has_ended_keep_their_state_bit_for_bit():
     assert np.all(plans[1][1][end:] == 0)
     for pts in ([[0.5], [0.3]], [[0.3], [0.5]]):
         pts = np.array(pts, dtype=complex)
-        run = _integrate(fam, plans, pts)
+        run = _integrate(fam, plans, pts, unit_clf(1))
         ended = run.states[end:].view(np.uint64)
         assert np.all(ended == ended[0]) and np.all(np.isfinite(run.states))
         assert np.all(np.isfinite(run.Z))
         assert 1e100 < abs(run.Z[0, 0]) < 1e200
-        alone = _integrate(fam, plans[:1], pts)
+        alone = _integrate(fam, plans[:1], pts, unit_clf(1))
         assert np.array_equal(run.Z[:2], alone.Z)
         assert run.escaped[:2].all()
         assert np.array_equal(run.escape_time[:2], alone.escape_time)
@@ -755,8 +776,8 @@ def test_a_lone_integration_is_row_0_of_a_batch_bit_for_bit():
     plans = [_step_plan(sig, 0.01) for sig in signals]
     assert set(plans[0][1].tolist()) == {0, 1}
     pts = sample_initial_points(2, 0.05, 4, seed=2)
-    full = _integrate(fam, plans, pts)
-    one = integrate_switched(fam, signals[0], pts[0], dt=0.01)
+    full = _integrate(fam, plans, pts, unit_clf(2))
+    one = integrate_switched(fam, signals[0], pts[0], unit_clf(2), dt=0.01)
     k = len(one.times)
     assert np.array_equal(one.states.view(np.uint64), full.states[:k].view(np.uint64))
 
@@ -808,12 +829,13 @@ def test_every_step_reads_a_contiguous_points_last_batch(monkeypatch, signals):
     monkeypatch.setattr(switchsim, "flow_step", seen_step)
     fam = contraction_family()
     plans = plans_of(fam, signals, 4, 0.01, 0.5)
-    _integrate(fam, plans, sample_initial_points(2, 0.5, 5, seed=1))
+    _integrate(fam, plans, sample_initial_points(2, 0.5, 5, seed=1), unit_clf(2))
     assert layouts == {True}
 
 
-@pytest.mark.parametrize("with_clf", [True, False])
-def test_escapes_in_mid_block_match_sequential_integrate(with_clf):
+@pytest.mark.parametrize("flag_change", [True, False])
+def test_escapes_in_mid_block_match_sequential_integrate(flag_change):
+    # V in flag coordinates that are not the state's, or V = |z|^2
     # 3 signals x 4 points are 12 rows, 170 steps a block, and 600 steps;
     # each row's states, V and escape time are its lone trajectory's.  The
     # integration records row 0, so the plans and points are rotated to
@@ -822,7 +844,7 @@ def test_escapes_in_mid_block_match_sequential_integrate(with_clf):
     basis = build_basis(2, 6)
     clf = CommonLyapunovFunction(
         np.ones(basis.size), np.array([[1.0, 0.3j], [0.0, 1.0]]), basis
-    ) if with_clf else None
+    ) if flag_change else unit_clf(2)
     signals = [random_signal(2, 6.0, seed=s) for s in range(3)]
     plans = [_step_plan(sig, 0.01) for sig in signals]
     pts = sample_initial_points(2, 0.9, 4, seed=2)
@@ -830,11 +852,10 @@ def test_escapes_in_mid_block_match_sequential_integrate(with_clf):
     for s, sig in enumerate(signals):
         for p, z0 in enumerate(pts):
             run = _integrate(fam, plans[s:] + plans[:s], np.roll(pts, -p, axis=0), clf)
-            want = sequential_integrate(fam, sig, z0, dt=0.01, clf=clf)
+            want = sequential_integrate(fam, sig, z0, clf, dt=0.01)
             k = len(want.times)
             assert np.array_equal(run.states[:k], want.states)
-            if with_clf:
-                assert np.array_equal(run.values[:k], want.v_values)
+            assert np.array_equal(run.values[:k], want.v_values)
             assert run.escaped[0] == want.escaped
             if want.escaped:
                 assert run.escape_time[0] == want.escape_time
@@ -852,34 +873,39 @@ def test_a_lone_trajectory_across_block_ends_matches_sequential_rk4():
         (growing_family(), SwitchingSignal((3.5,), (0,), 3.5), np.array([0.05, 0.01])),
     ]
     for family, sig, z0 in cases:
-        got = integrate_switched(family, sig, z0, dt=1e-3, clf=clf)
+        got = integrate_switched(family, sig, z0, clf, dt=1e-3)
         assert len(got.times) - 1 > block_steps(1) and (len(got.times) - 1) % block_steps(1)
-        assert_runs_equal(got, sequential_integrate(family, sig, z0, dt=1e-3, clf=clf))
+        assert_runs_equal(got, sequential_integrate(family, sig, z0, clf, dt=1e-3))
     assert got.escaped and got.escape_time > 2.048 + 0.1
 
 
 @pytest.mark.parametrize("rows", [2, 300])
 def test_a_non_finite_v_before_a_non_finite_state_is_the_error(rows):
     # z' = 40 z grows 34-fold a step of 0.1: V of degree 12 passes the
-    # largest double at step 9 or so, the state about 190 steps later.
-    # With 2 rows a block holds all 300 steps, so both happen in one
-    # block; with 300 rows a block holds 6 steps.
+    # largest double at step 9 or so, V = |z|^2 at step 101, the state
+    # about 190 steps later.  With 2 rows a block holds all 300 steps, so
+    # both happen in one block; with 300 rows a block holds 6 steps.
     fam = SwitchedFamily([PolyVectorField([{(1,): 40.0}])])
     basis = build_basis(1, 12)
-    clf = CommonLyapunovFunction(np.ones(basis.size), np.eye(1), basis)
     h, _, T = plan = _step_plan(SwitchingSignal((30.0,), (0,), 30.0), 0.1)
     pts = np.array([[0.5]] * (rows - 1) + [[0.9]], dtype=complex)
-    z = pts[-1:]
-    with np.errstate(over="ignore"):
-        for dt, t in zip(h, T):  # the end of the first step with V not finite
-            z = field_step(fam[0], z, dt)
-            if not np.isfinite(clf.value_batch(z)[0]):
-                break
     assert rows > 2 or len(T) <= block_steps(rows)
-    with pytest.raises(NonFiniteStateError, match=re.escape(f"V at t={float(t)!r}")):
-        _integrate(fam, [plan], pts, clf)
+    for clf in (CommonLyapunovFunction(np.ones(basis.size), np.eye(1), basis),
+                unit_clf(1)):
+        z = pts[-1:]
+        with np.errstate(over="ignore"):
+            for dt, t in zip(h, T):  # the end of the first step with V not finite
+                z = field_step(fam[0], z, dt)
+                if not np.isfinite(clf.value_batch(z)[0]):
+                    break
+        assert np.isfinite(z).all()
+        with pytest.raises(NonFiniteStateError, match=re.escape(f"V at t={float(t)!r}")):
+            _integrate(fam, [plan], pts, clf)
+    # z' = z^3 steps the row from 0.9 to |z| = 4.7e11 at its seventh step,
+    # where V = |z|^2 is finite, and to a non-finite state at its eighth
+    cubic = SwitchedFamily([PolyVectorField([{(3,): 1.0}])])
     with pytest.raises(NonFiniteStateError, match="non-finite state"):
-        _integrate(fam, [plan], pts)
+        _integrate(cubic, [plan], pts, unit_clf(1))
 
 
 def test_a_non_finite_v_at_the_initial_states_is_the_error_at_t_0():

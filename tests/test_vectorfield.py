@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -382,16 +383,25 @@ def layouts(Z):
     return Z[::2], np.asfortranarray(Z), Z[:, ::-1]
 
 
+def one_field_rk4(field_, Z, dt):
+    """``reference_rk4`` of the batch Z under the one field."""
+    return reference_rk4([field_], np.zeros(len(Z), dtype=int), Z, dt)
+
+
 @pytest.mark.parametrize("seed", [1, 2026])
 def test_kernel_matches_the_old_evaluator_bitwise_on_the_example_fields(seed):
+    # the step's four evaluations are the old evaluator's, bit for bit, on
+    # batches of every size and on views of any layout
     rng = np.random.default_rng(seed)
     for f in example_fields():
         for radius in (1.0, 0.3, 1e-3):
             Z = polydisk_points(rng, 2, 2500, radius)
             for B in (2, 3, 7, 50, 150, 512, 2500):
-                assert np.array_equal(field_values(f, Z[:B]), evaluate_batch(f, Z[:B]))
+                assert np.array_equal(field_step(f, Z[:B], 0.01),
+                                      one_field_rk4(f, Z[:B], 0.01))
             for view in layouts(Z[:150]):
-                assert np.array_equal(field_values(f, view), evaluate_batch(f, view))
+                assert np.array_equal(field_step(f, view, 0.01),
+                                      one_field_rk4(f, view, 0.01))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -399,11 +409,13 @@ def test_kernel_matches_the_old_evaluator_on_random_fields(n):
     # The power table and the monomials are the old evaluator's, operation
     # for operation; only the contraction differs, (n, K) @ (K, B) against
     # (B, K) @ (K, n).  BLAS sums both in the same order when the
-    # coefficients are real, n >= 2 and B >= 2, so those values are equal
+    # coefficients are real, n >= 2 and B >= 2, so those steps are equal
     # bit for bit.  Complex coefficients change the order in which it adds
-    # the real and imaginary partial products, and n = 1 or B = 1 is a
+    # the real and imaginary partial products, and n = 1 is a
     # matrix-vector product in another orientation; those agree within
-    # the rounding of a K-term sum.
+    # the rounding of the step's sum of absolute terms, |z| + h |F|(|z|).
+    # A step reads its batch as it is given: strided, Fortran-ordered and
+    # column-reversed views step as their contiguous copies do.
     rng = np.random.default_rng(2000 + n)
     for f in random_fields(n):
         real = PolyVectorField(
@@ -414,29 +426,19 @@ def test_kernel_matches_the_old_evaluator_on_random_fields(n):
         )
         for B in (1, 2, 3, 7, 512, 2500, int(rng.integers(2, 160))):
             Z = polydisk_points(rng, n, B, 1.0)
-            scale = evaluate_batch(absf, np.abs(Z).astype(complex)).real
-            diff = field_values(f, Z) - evaluate_batch(f, Z)
+            modulus = np.abs(Z)
+            scale = modulus + 0.01 * evaluate_batch(absf, modulus.astype(complex)).real
+            diff = field_step(f, Z, 0.01) - one_field_rk4(f, Z, 0.01)
             assert np.all(np.abs(diff) <= 1e-13 * scale)
             if n >= 2 and B >= 2:
-                assert np.array_equal(field_values(real, Z), evaluate_batch(real, Z))
+                assert np.array_equal(field_step(real, Z, 0.01),
+                                      one_field_rk4(real, Z, 0.01))
         Z = polydisk_points(rng, n, 150, 1.0)
         for g in (f, real):
             for view in layouts(Z):
                 assert np.array_equal(
-                    field_values(g, view), field_values(g, view.copy())
-                )
-                assert np.array_equal(
                     field_step(g, view, 0.01), field_step(g, view.copy(), 0.01)
                 )
-
-
-def test_flow_step_on_one_point_is_the_batch_of_one():
-    rng = np.random.default_rng(9)
-    fields = example_fields() + random_fields(2)[::5] + random_fields(3)[::5]
-    for f in fields:
-        z = polydisk_points(rng, f.dimension, 1, 0.9)[0]
-        assert np.array_equal(field_step(f, z, 0.01), field_step(f, z[None], 0.01)[0])
-        assert np.array_equal(field_values(f, z), field_values(f, z[None])[0])
 
 
 # scratch ownership ----------------------------------------------------------
@@ -651,8 +653,6 @@ def test_a_lone_row_steps_as_it_does_inside_a_batch():
                 h = dt if np.ndim(dt) == 0 else dt[i:i + 1]
                 alone[i:i + 1] = field_step(f, alone[i:i + 1], h)
             assert np.array_equal(alone.view(np.uint64), batch.view(np.uint64))
-        assert np.array_equal(field_values(f, Z[0]).view(np.uint64),
-                              field_values(f, Z)[0].view(np.uint64))
 
 
 def test_select_refuses_what_is_not_a_subsystem_index():
@@ -706,7 +706,7 @@ def test_scratch_refuses_a_batch_of_another_size():
     with pytest.raises(ValueError, match=r"^scratch holds 4 rows, not 5$"):
         scratch.select(np.array([0, 1, 1, 0, 1]))
     with pytest.raises(ValueError, match=r"^scratch holds 4 rows, not 1$"):
-        flow_step(field_scratch(family[0], 4), Z[0], 0.01)
+        flow_step(field_scratch(family[0], 4), Z[:1], 0.01)
     # the refusals leave the selection as it was
     assert np.array_equal(flow_step(scratch, Z, 0.01), want)
 
@@ -811,16 +811,17 @@ def test_bracket_of_linear_fields_is_matrix_commutator():
 
 
 def integrate_flow(field, z0, t_final, dt=1e-3):
-    """Integrate a single field to t_final; the last step is shortened."""
+    """Integrate a single field from the point z0 to t_final; the last
+    step is shortened."""
     if t_final < 0 or dt <= 0:
         raise ValueError("need t_final >= 0 and dt > 0")
-    z = np.asarray(z0, dtype=complex)
+    z = np.asarray(z0, dtype=complex)[None]
     t = 0.0
     while t < t_final - 1e-15:
         h = min(dt, t_final - t)
         z = field_step(field, z, h)
         t += h
-    return z
+    return z[0]
 
 
 def test_rk4_matches_exponential_decay():
@@ -884,19 +885,23 @@ def test_flow_step_does_not_depend_on_the_memory_layout():
 
 def test_flow_step_checks_the_point_dimension():
     f = PolyVectorField([{(1, 0): -1.0}, {(0, 1): -1.0, (1, 1): 0.5}])
-    for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2)), np.zeros(())):
-        with pytest.raises(ValueError, match="dimension"):
-            field_step(f, bad, 0.01)
     z = np.array([0.3 + 0.1j, -0.2j])
-    one = field_step(f, z, 0.01)
-    assert one.shape == (2,)
-    assert np.array_equal(one, field_step(f, z[None, :], 0.01)[0])
+    # a lone point (n,) is no batch: it is stepped as the batch z[None]
+    for bad in (np.zeros((4, 3)), np.zeros((2, 2, 2)), z, np.zeros(3)):
+        with pytest.raises(ValueError, match=re.escape(
+            f"flow_step takes a (B, 2) batch of points, not an array of shape "
+            f"{bad.shape}"
+        )):
+            flow_step(field_scratch(f, len(bad)), bad, 0.01)
+    with pytest.raises(ValueError, match=re.escape("not an array of shape ()")):
+        flow_step(field_scratch(f, 1), np.zeros(()), 0.01)
+    assert field_step(f, z[None, :], 0.01).shape == (1, 2)
 
 
 def test_flow_step_raises_on_blowup():
     f = PolyVectorField([{(3,): 1.0}])
     with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
-        field_step(f, np.array([1e160 + 0j]), 1.0)
+        field_step(f, np.array([[1e160 + 0j]]), 1.0)
 
 
 # boundary test --------------------------------------------------------------
