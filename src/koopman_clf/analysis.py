@@ -15,6 +15,7 @@ import numpy as np
 from .certificate import (
     TAIL_DEGREE_CAP,
     WeightScheme,
+    _square_scaled_up,
     build_operator,
     certified_radius_dd,
     check_poly_condition,
@@ -677,7 +678,7 @@ def _certify(report, family, basis, scheme, kappa, rho_request):
     conv = convergence_check(eps, basis, rho)
     report.convergence = asdict(conv)
     if not conv.convergent:
-        if conv.ratio * rho * rho < 1.0:
+        if _square_scaled_up(conv.ratio, rho) < 1.0:  # as convergence_check
             reason = (f"the tail's term ratio is not below one at the "
                       f"{TAIL_DEGREE_CAP}-degree cap")
         else:

@@ -23,12 +23,12 @@ condition, the certified radius and the weight recursion all read it.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 
 from .koopman import build_matrix
+from .rounding import upper
 
 EPSILON_FLOOR = 1e-12
 ETA_FLOOR = 1e-9
@@ -178,10 +178,11 @@ def _sup_by_degree(p, q, basis):
 def _extrapolate(by_degree):
     """Limit estimate of an eventually-increasing per-degree max sequence.
 
-    Fits value = a + b / degree on the trailing window and keeps the fit
-    only when it exceeds the computed maximum; returns (estimate, source)
-    with source either "computed" or "extrapolated".  The estimate is NaN
-    when some maximum is not finite.
+    Fits value = a + b / degree on the trailing window by least squares,
+    centred and summed with ``math.fsum`` so that no BLAS kernel rounds
+    it, and keeps the fit only when it exceeds the computed maximum;
+    returns (estimate, source) with source either "computed" or
+    "extrapolated".  The estimate is NaN when some maximum is not finite.
     """
     items = [(d, v) for d, v in sorted(by_degree.items()) if d >= 2]
     if not all(math.isfinite(v) for _, v in items):
@@ -193,13 +194,12 @@ def _extrapolate(by_degree):
     vals = [v for _, v in window]
     if any(b < a - 1e-12 * max(1.0, abs(a)) for a, b in zip(vals, vals[1:])):
         return computed, "computed"
-    A = np.array([[1.0, 1.0 / d] for d, _ in window])
-    y = np.array(vals)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    est = float(coef[0])
-    if est > computed:
-        return est, "extrapolated"
-    return computed, "computed"
+    t = [1.0 / d for d, _ in window]
+    t_mean, v_mean = math.fsum(t) / len(t), math.fsum(vals) / len(t)
+    dt = [s - t_mean for s in t]
+    slope = math.fsum(a * (v - v_mean) for a, v in zip(dt, vals))
+    est = v_mean - slope / math.fsum(a * a for a in dt) * t_mean
+    return (est, "extrapolated") if est > computed else (computed, "computed")
 
 
 def check_poly_condition(scan, basis):
@@ -275,31 +275,33 @@ def check_dd_condition(scan, basis, xi_min, rho):
     return _dd_at_radius(record, rho)
 
 
+def _square_scaled_up(a, rho):
+    """a rho^2 for a >= 0, rounded up: two roundings (``rounding``)."""
+    return upper(a * rho * rho, a * rho * rho, 2)
+
+
 def _dd_at_radius(record, rho):
     """The dominance record with its verdict and slack at radius ``rho``.
 
-    A non-finite sup or estimate fails its clause.  The slack
-    1/rho^2 - est is computed as (1 - est rho^2) / rho^2, whose sign
-    always agrees with the verdict of est rho^2 < 1.
+    A non-finite sup or estimate fails its clause.  The radius clause is
+    p < 1 for p = est rho^2 rounded up, and the slack 1/rho^2 - est is
+    computed as (1 - p) / rho^2, so its sign always agrees with the verdict.
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
-    est = record["extrapolated"]
-    ok = (
-        record["dominance_ok"]
-        and record["same_degree_sup"] < 1.0
-        and est * rho * rho < 1.0
-    )
-    return {**record, "pass": bool(ok), "rho_slack": (1.0 - est * rho * rho) / rho**2}
+    p = _square_scaled_up(record["extrapolated"], rho)
+    ok = record["dominance_ok"] and record["same_degree_sup"] < 1.0 and p < 1.0
+    return {**record, "pass": bool(ok), "rho_slack": (1.0 - p) / rho**2}
 
 
 def certified_radius_dd(scan, basis, xi_min):
     """Largest radius accepted by the dominance scheme, and its record.
 
-    Only the clause est * rho^2 < 1 depends on rho, so one scan at rho = 1
-    settles the others and rho is the largest float r <= 1 with
-    est * r * r < 1.  When another clause fails or a ratio is not finite,
-    rho is 0.0 and the record is the failing one at rho = 1.
+    Only the radius clause depends on rho, so one scan at rho = 1 settles
+    the others and rho is the largest float r <= 1 whose outward-rounded
+    est r^2 is below one (see ``_dd_at_radius``).  When another clause
+    fails or a ratio is not finite, rho is 0.0 and the record is the
+    failing one at rho = 1.
     """
     detail = check_dd_condition(scan, basis, xi_min, 1.0)
     if detail["pass"]:
@@ -308,9 +310,9 @@ def certified_radius_dd(scan, basis, xi_min):
     if not (math.isfinite(est) and est >= 1.0):
         return 0.0, detail
     r = 1.0 / math.sqrt(est)
-    while est * r * r >= 1.0:
+    while _square_scaled_up(est, r) >= 1.0:
         r = math.nextafter(r, 0.0)
-    while est * (up := math.nextafter(r, 2.0)) * up < 1.0:
+    while _square_scaled_up(est, up := math.nextafter(r, 2.0)) < 1.0:
         r = up
     at_r = _dd_at_radius(detail, r)
     if not at_r["pass"]:
@@ -426,19 +428,15 @@ def convergence_check(epsilon, basis, rho):
     The truncated part is summed exactly; the tail is bounded by carrying
     the observed per-degree decay r of the weight maxima past the
     truncation degree.  The term of degree d > N is
-    count_d * d * (m_N rho^(2N)) * (r rho^2)^(d-N), which stays finite
-    since r rho^2 < 1, also for fast-growing weights on a small radius;
-    count_d steps by the exact integer recurrence
-    C(d + n, n - 1) = C(d + n - 1, n - 1) (d + n) / (d + 1).  The power
-    carries the rounding delta of x = r rho^2 to first order,
-    x^k (1 + k delta), since a rounded x alone is off by k ulp at power k,
-    up to 5e-13 relative on a tail whose x is near 1.
-
-    The sum stops once a term is below 1e-22 of the partial sum, or at
-    the ``TAIL_DEGREE_CAP``-th degree D past N.  The ratio of consecutive
-    terms, x (d + n) / d times that of the delta factors, falls with d, so
-    at the cap the rest is at most term_D q / (1 - q) with q its value at
-    D; a q that is not below 1 fails the series, as x >= 1 does.
+    count_d d (m_N rho^(2N)) x^(d-N), x = r rho^2 rounded up, finite since
+    x < 1, also for fast-growing weights on a small radius; count_d steps
+    by C(d + n, n - 1) = C(d + n - 1, n - 1) (d + n) / (d + 1).  The sum
+    stops at the degree D whose term is below 1e-18 of the running sum, or
+    at the ``TAIL_DEGREE_CAP``-th past N.  The term ratio q = x (d + n) / d
+    falls with d, so the rest is at most term_D q / (1 - q), q at D rounded
+    up; a q not below 1 fails the series, as x >= 1 does.  The terms and
+    the rest are summed by ``math.fsum`` and rounded up (``rounding``): ten
+    roundings on a path at most, while m_N rho^(2N) is a normal float.
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
@@ -449,30 +447,27 @@ def convergence_check(epsilon, basis, rho):
     partial = float(np.sum(degrees * epsilon * rho ** (2.0 * degrees)))
     m = degree_maxima(epsilon, basis)
     r = _maxima_ratio(m)
-    N = basis.max_degree
+    N, n = basis.max_degree, basis.dimension
     m_ref = float(max(m[N - 1], m[N - 2] if N >= 2 else m[N - 1]))
-    x = r * rho * rho
+    x = _square_scaled_up(r, rho)
     if not x < 1.0:
         return ConvergenceResult(partial, float("inf"), r, False)
-    exact = Fraction(r) * Fraction(rho) ** 2
-    delta = float(exact / Fraction(x) - 1) if x else 0.0
     base = m_ref * rho ** (2 * N)  # the degree-N maximum, weighted at rho
-    count = basis.count_of_degree(N + 1)
-    tail = 0.0
-    scale = max(1.0, partial)
-    for d in range(N + 1, N + TAIL_DEGREE_CAP):
-        k = d - N
-        term = count * d * base * x ** k * (1.0 + k * delta)
-        tail += term
-        if term < 1e-22 * scale and d > N + 4:
+    count, d, terms, total = basis.count_of_degree(N + 1), N + 1, [], 0.0
+    while True:
+        term = count * d * base * x ** (d - N)
+        terms.append(term)
+        total += term
+        if term <= 1e-18 * total or d - N == TAIL_DEGREE_CAP:
             break
-        count = count * (d + basis.dimension) // (d + 1)
-    else:
-        q = x * (d + basis.dimension) / d * (1.0 + max(delta, 0.0))
-        if not q < 1.0:
-            return ConvergenceResult(partial, float("inf"), r, False)
-        tail += term * q / (1.0 - q)
-    return ConvergenceResult(partial, tail, r, True)
+        count = count * (d + n) // (d + 1)
+        d += 1
+    q = x * (d + n) / d
+    q = upper(q, q, 2)
+    if not q < 1.0:
+        return ConvergenceResult(partial, float("inf"), r, False)
+    tail = math.fsum(terms) + term * q / (1.0 - q)
+    return ConvergenceResult(partial, upper(tail, tail, 6), r, True)
 
 
 class ValueScratch:

@@ -5,29 +5,9 @@ per component.  Components may carry an optional exact l1 norm
 (``tail_l1``) covering coefficients beyond the stored truncation, which
 downstream absolute-sum operations use instead of the truncated sum.
 
-A field holds only its terms; a ``FieldScratch`` plans and runs its RK4
-steps, and is the only code that knows the plan's layout.  A step is
-points-last: a batch of B points is read as its (n, B) transpose, and
-every intermediate keeps the points along the last axis.  Each of the
-four stage evaluations fills one power-major (P + 1, n, B) table of
-coordinate powers up to the largest exponent P, the stage input in row 1
-and one contiguous multiply per higher power; forms each of the K stored
-terms' monomials as a product of whole rows of that table; and contracts
-the (K, B) monomials with an (n, K) coefficient matrix, each component's
-coefficients in its own row, into the (n, B) values.  The scratch holds
-every array it writes, and runs the whole RK4 step of ``flow_step``: the
-four stages and their running sum.  A scratch compiles a sequence of
-fields (a family, or one field as a family of one), once, when it is
-made: the fields' terms are concatenated, each row is stepped by the
-field ``select`` gives it, one index per row, and ``select`` lists one
-stage evaluation's ufunc calls from the compiled pieces: the monomials of
-the fields that hold a row, formed once, and each such field's
-contraction of its slice of them.  A scratch is made for a fixed number
-of rows and refuses any other batch size.  It belongs to whoever made
-it, never to a field: ``flow_step`` uses its caller's, and an
-integration makes one over the family for all its rows and reuses it
-every step, so a step allocates no batch-sized array and concurrent
-integrations of one family never share one.
+A field holds only its terms.  A ``FieldScratch`` compiles a family of
+fields once and runs the points-last RK4 steps of ``flow_step`` in arrays
+it holds and its maker owns (see its docstring).
 ``boundary_invariance_check`` bounds the field on a polydisk's faces.
 """
 
@@ -38,6 +18,7 @@ import warnings
 import numpy as np
 
 from .multiindex import order_key
+from .rounding import lower, upper
 
 
 class NonFiniteStateError(RuntimeError):
@@ -65,18 +46,12 @@ def _validate_component(table, dimension):
 class PolyVectorField:
     """Sparse polynomial (or truncated analytic) vector field on C^n.
 
-    Parameters
-    ----------
-    components : sequence of mappings
-        One dict per component, multi-index tuple -> complex coefficient.
-        Zero coefficients are dropped; constant terms are rejected.
-    tail_l1 : sequence of float, optional
-        Exact per-component l1 coefficient norms of the full (untruncated)
-        series.  Must dominate the stored absolute sums.
-    truncated : bool
-        Mark the stored table as a truncation of an analytic series.  When
-        set without tail_l1, absolute-sum queries warn that they return
-        truncated values.
+    ``components`` holds one dict per component, multi-index tuple ->
+    complex coefficient; zero coefficients are dropped, constant terms
+    rejected.  ``tail_l1``, optional, holds the exact l1 coefficient norm
+    of each component's full series, at least its stored absolute sum.
+    ``truncated`` marks the table as a truncated analytic series: without
+    ``tail_l1``, absolute-sum queries then warn that they are truncated.
     """
 
     def __init__(self, components, tail_l1=None, truncated=False):
@@ -444,16 +419,13 @@ def boundary_invariance_check(fields, rho):
         bound = rho^2 Re c_l + S_l,  S_l = sum_{beta != e_l}
                 |c_beta| rho^(|beta| + 1) + (tail_l1 - stored) rho^2.
 
-    The stored sum, an exact ``fsum`` of moduli within one ulp each scaled
-    by 1 - 2^-49, is below the true one.  Outward rounding, with u = 2^-53
-    and m_l the stored term count: relative to rho^2 |c_l| + S_l, each
-    summand carries at most 5u (a modulus and a power within one ulp each,
-    a product) and the four additions 4u, below the (2 m_l + 8) u that the
-    bound adds, (m_l + 4) 2^-52 (rho^2 |c_l| + S_l + 2^-1020).  Its 2^-1020
-    covers underflow: fewer than 8 (m_l + 4) operations each off by at
-    most 2^-1075.  It is taken relative to |c_l|, not |Re c_l|, so that a
-    float evaluation of the face value stays below the bound too: with c_l
-    imaginary that value is 0, but reads about 1e-17 |c_l| rho^2.
+    Both round outward by ``rounding``: the stored sum, an ``fsum`` of
+    moduli, down by ``lower`` with 8, and the bound up by ``upper`` with
+    m_l + 4 >= 5 for m_l stored terms, against six roundings on a path at
+    most (a modulus or a power, two each, a product, the ``fsum`` and two
+    additions), relative to rho^2 |c_l| + S_l, not rho^2 |Re c_l| + S_l, so
+    that a float evaluation of the face value stays below the bound too:
+    with c_l imaginary that value is 0, but reads about 1e-17 |c_l| rho^2.
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
@@ -472,10 +444,10 @@ def boundary_invariance_check(fields, rho):
                 abs(v) * rho ** (sum(a) + 1) for a, v in comp.items() if a != e_l
             )
             if f.tail_l1 is not None:
-                stored = math.fsum(abs(v) for v in comp.values()) * (1 - 2**-49)
-                s += max(f.tail_l1[l] - stored, 0.0) * rho2
-            rounding = (len(comp) + 4) * 2**-52 * (rho2 * abs(c_l) + s + 2**-1020)
-            faces.append(rho2 * c_l.real + s + rounding)
+                stored = math.fsum(abs(v) for v in comp.values())
+                s += max(f.tail_l1[l] - lower(stored, stored, 8), 0.0) * rho2
+            size = rho2 * abs(c_l) + s
+            faces.append(upper(rho2 * c_l.real + s, size, len(comp) + 4))
         bounds.append(faces)
     return bounds
 

@@ -18,9 +18,11 @@ before its scratch; each is kept as its successor's bit-exact reference.
 before its shift groups, kept as ``build_matrix``'s bit-exact reference.
 ``two_form_convergence_check`` and ``dominance_xi_min_loop`` are the
 convergence tail and the dominance bound the library had before its one
-tail formula and its array form.
+tail formula and its array form, and ``decimal_tail`` is the series that
+the library's tail bounds, summed to 50 digits.
 """
 
+import decimal
 import math
 import sys
 from fractions import Fraction
@@ -30,6 +32,7 @@ import numpy as np
 from koopman_clf.certificate import (
     EPSILON_FLOOR,
     ETA_FLOOR,
+    TAIL_DEGREE_CAP,
     CommonLyapunovFunction,
     ConvergenceResult,
     _extrapolate,
@@ -383,10 +386,9 @@ def two_form_convergence_check(epsilon, basis, rho):
     while its powers are normal floats, and the same term regrouped as
     m_N rho^(2N) (r rho^2)^(d-N) once r^(d-N) would overflow or rho^(2d)
     underflow; each degree's count is its own binomial.  The regrouped
-    term carries the rounding delta of r rho^2 to first order, as the
-    library's one form does: the library had the rounded power alone,
-    which is off by (d - N) ulp and so differs from any accurate tail by
-    up to 5e-13 relative where r rho^2 is near 1.
+    term carries the rounding delta of r rho^2 to first order, since the
+    rounded power alone is off by (d - N) ulp, up to 5e-13 relative where
+    r rho^2 is near 1.  At the degree cap it gives the library's verdict.
     """
     epsilon = np.asarray(epsilon, dtype=float)
     degrees = basis.exponents[1:].sum(axis=1)
@@ -414,9 +416,43 @@ def two_form_convergence_check(epsilon, basis, rho):
             term = count * d * base * x ** (d - N) * (1.0 + (d - N) * delta)
         tail += term
         if term < 1e-22 * scale and d > N + 4:
-            break
+            return ConvergenceResult(partial, tail, r, True)
         d += 1
-    return ConvergenceResult(partial, tail, r, True)
+    # at the cap, a term ratio not below one fails the series, as it does
+    # in the library
+    q = x * (d + basis.dimension) / d
+    return ConvergenceResult(partial, tail if q < 1 else math.inf, r, q < 1)
+
+
+def decimal_tail(epsilon, basis, rho):
+    """The series that ``convergence_check``'s ``tail_bound`` bounds, in
+    50-digit ``decimal``: sum over d > N of count_d d m_N rho^(2N)
+    (r rho^2)^(d - N), with the library's decay ratio r and degree-N
+    maximum m_N taken exactly.  Each term is the last times its ratio
+    q = r rho^2 (d + n) / d, and the sum stops once the geometric bound
+    of the rest, term q / (1 - q), is below 1e-40 of it.  Returns the sum
+    and that bound at the ``TAIL_DEGREE_CAP``-th degree past N, where
+    the library's sum ends at the latest (0 when this one ends first)."""
+    m = degree_maxima(np.asarray(epsilon, dtype=float), basis)
+    r = _maxima_ratio(m)
+    N, n = basis.max_degree, basis.dimension
+    m_ref = float(max(m[N - 1], m[N - 2] if N >= 2 else m[N - 1]))
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 50, 10**6, -(10**6)
+        x = D(r) * D(rho) * D(rho)
+        assert x < 1, "the series diverges"
+        base = D(m_ref) * D(rho) ** (2 * N)
+        term = basis.count_of_degree(N + 1) * (N + 1) * base * x
+        total, d, beyond_cap = D(0), N + 1, D(0)
+        while True:
+            total += term
+            q = x * (d + n) / d
+            if d - N == TAIL_DEGREE_CAP:
+                beyond_cap = term * q / (1 - q)
+            if q < 1 and term * q < D("1e-40") * (1 - q) * total:
+                return total, beyond_cap
+            term, d = term * q, d + 1
 
 
 def dominance_xi_min_loop(jacobians):

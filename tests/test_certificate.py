@@ -1,18 +1,21 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from koopman_clf import analysis
+from koopman_clf import analysis, certificate, config
 from koopman_clf.certificate import (
     TAIL_DEGREE_CAP,
     EPSILON_FLOOR,
     CommonLyapunovFunction,
     ValueScratch,
     WeightScheme,
+    _dd_at_radius,
     _extrapolate,
     _sup_by_degree,
     build_operator,
@@ -30,6 +33,7 @@ from koopman_clf.vectorfield import PolyVectorField
 from oracles import (
     column_support,
     decay_ratio,
+    decimal_tail,
     dense_value_batch,
     dominance_xi_min_loop,
     entry,
@@ -399,6 +403,38 @@ def test_dd_radius_is_the_last_float_that_passes(mu, degree):
     assert above["rho_slack"] <= 0.0
 
 
+@pytest.mark.parametrize("example, degree", [
+    ("example1", 12), ("example1", 30),
+    ("example2", 12), ("example2", 16), ("example2", 20),
+])
+def test_dd_radius_of_the_examples_passes_in_exact_arithmetic(example, degree):
+    cfg = getattr(config, f"{example}_config")()
+    report = analysis.analyze_family(cfg.build_family(), degree, scheme_kind="dd")
+    assert report.certified and report.rho_certified < 1.0
+    est, rho = report.dd_condition["extrapolated"], report.rho_certified
+    assert Fraction(est) * Fraction(rho) ** 2 < 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(est=st.floats(0.0, 1e300))
+@example(est=3.3500242069799673)
+@example(est=3.3500242069799646)
+@example(est=1.0)
+@example(est=math.nextafter(1.0, 0.0))
+def test_dd_radius_passes_in_exact_arithmetic(est):
+    # the radius of a record whose other clauses hold, for any estimate
+    record = {"dominance_ok": True, "same_degree_sup": 0.0, "extrapolated": est}
+    with mock.patch.object(certificate, "check_dd_condition",
+                           lambda scan, basis, xi_min, rho: _dd_at_radius(record, rho)):
+        rho, detail = certified_radius_dd(None, None, 0.0)
+    assert detail["pass"] == (rho > 0.0)
+    if rho > 0.0:
+        assert Fraction(est) * Fraction(rho) ** 2 < 1
+        assert detail["rho_slack"] > 0.0
+        if rho < 1.0:  # and the next float up fails
+            assert not _dd_at_radius(record, math.nextafter(rho, 2.0))["pass"]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_dd_radius_fails_closed_on_non_finite_ratios(bad):
     # a stored same-degree coupling entry feeds the same-degree ratio
@@ -649,25 +685,51 @@ def test_report_is_certified_only_with_finite_positive_weights(monkeypatch, bad)
 @example(n=2, N=12, log_growth=math.log(1e4), x=0.99, seed=0)
 @example(n=2, N=40, log_growth=math.log(4000.0), x=0.5, seed=1)
 @example(n=3, N=6, log_growth=math.log(0.5), x=0.9, seed=2)
+@example(n=3, N=8, log_growth=0.0, x=0.965515774343017, seed=139864)  # the cap
 def test_one_form_tail_agrees_with_the_two_form_tail(n, N, log_growth, x, seed):
     # the weights grow by a factor g per degree, each jittered down by up
     # to e; the radius puts g rho^2 at x, so g = 1e4 meets rho = 0.01, where
     # the direct product's r^(d - N) overflows; g <= x gives rho = 1
-    basis = build_basis(n, N)
-    g = math.exp(log_growth)
-    degree = basis.exponents[1:].sum(axis=1)
-    rng = np.random.default_rng(seed)
-    eps = g ** degree * np.exp(-rng.random(basis.size))
-    rho = min(1.0, math.sqrt(x / g))
+    basis, eps, rho = growing_weights(n, N, log_growth, x, seed)
     got = convergence_check(eps, basis, rho)
     want = two_form_convergence_check(eps, basis, rho)
     assert (got.partial_sum, got.ratio, got.convergent) == (
         want.partial_sum, want.ratio, want.convergent
     )
-    if rho == 1.0:  # the two forms are one product
-        assert got.tail_bound == want.tail_bound
-    else:
-        assert got.tail_bound == pytest.approx(want.tail_bound, rel=1e-13)
+    if not got.convergent:
+        return
+    # the tail bounds the series from above, and is tight: x = r rho^2 is
+    # rounded up, from at most 1.5 ulp below its exact value to at most 4
+    # above, 5.5 ulp or 2.75 2^-52 x in all, and the tail's relative change
+    # with x is its mean degree past N times that, the mean below
+    # (n + 1) x / (1 - x), so 1e-13 grows near x = 1; a sum that reaches
+    # the degree cap adds the geometric bound of the rest
+    exact, beyond_cap = decimal_tail(eps, basis, rho)
+    x = float(Decimal(got.ratio) * Decimal(rho) ** 2)
+    slack = 1e-13 + 3 * 2**-52 * (n + 1) / (1 - x)
+    tail = Decimal(got.tail_bound)
+    assert exact <= tail <= exact * Decimal(1 + slack) + beyond_cap
+
+
+def growing_weights(n, N, log_growth, x, seed):
+    """The basis, weights and radius of the tail property: weights that
+    grow by g = exp(log_growth) per degree, each jittered down by up to
+    e, on the radius that puts g rho^2 at x."""
+    basis = build_basis(n, N)
+    g = math.exp(log_growth)
+    degree = basis.exponents[1:].sum(axis=1)
+    rng = np.random.default_rng(seed)
+    eps = g ** degree * np.exp(-rng.random(basis.size))
+    return basis, eps, min(1.0, math.sqrt(x / g))
+
+
+def test_the_tail_bounds_its_series_where_a_running_sum_fell_short():
+    # r rho^2 = 0.99962: a forward running sum of the terms lost 1.8e-13
+    # relative here, and so fell below the series it bounds
+    basis, eps, rho = growing_weights(1, 9, 0.0, 0.98046875, 321)
+    conv = convergence_check(eps, basis, rho)
+    assert conv.convergent
+    assert Decimal(conv.tail_bound) >= decimal_tail(eps, basis, rho)[0]
 
 
 @pytest.mark.parametrize("r", [0.9, 0.999, 1 - 1e-5])
@@ -712,6 +774,19 @@ def test_the_convergence_stage_names_the_tail_cap(monkeypatch):
     assert report.failure["message"].endswith(
         f"term ratio is not below one at the {TAIL_DEGREE_CAP}-degree cap"
     )
+
+
+def test_the_convergence_stage_names_the_ratio_that_rounds_up_to_one(monkeypatch):
+    # r rho^2 one ulp below one, rounded up, is not below one: the series
+    # fails on its ratio, before any tail term
+    def near_one(scan, basis, **kwargs):
+        r = math.nextafter(1.0, 0.0)
+        return r ** basis.exponents[1:].sum(axis=1).astype(float), 0.5, 0.5, {}
+
+    monkeypatch.setattr(analysis, "epsilon_sequence", near_one)
+    report = analysis.analyze_family([PolyVectorField([{(1,): -1.0}])], 12)
+    assert report.failure["stage"] == "convergence"
+    assert report.failure["message"].endswith("times rho^2 is not below one")
 
 
 def test_convergence_check_validates_input():

@@ -8,15 +8,20 @@ purpose, print the new manifest with
 
     PYTHONPATH=src python tests/test_output_digests.py
 
-and commit it together with the old and new digests in CHANGES.md.
+and commit it, naming the moved outputs and values in CHANGES.md.  The
+reports, unlike the audit outputs, must not depend on the BLAS kernel or
+numpy's SIMD level, on any machine: a second test checks that in child
+processes.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import platform
+import subprocess
 import sys
 import tempfile
 
@@ -91,22 +96,30 @@ def simulate_files(folder):
             "simulate.example1.trace": pathlib.Path(trace).read_bytes()}
 
 
-def outputs(folder):
-    """Every committed output of this tree, by name, as bytes."""
+def reports():
+    """The committed ``analyze`` reports, by name, as bytes."""
     texts = {}
     for degree in (12, 30, 60):
         texts[f"report.example1.N{degree}"] = report_text(example1_config(), degree)
     for degree in (12, 16, 20):
         texts[f"report.example2.dd.N{degree}"] = report_text(example2_config(), degree)
     texts["report.example1.b0.5"] = report_text(example1_config(b=0.5))
-    texts["audit.tampered.summary"] = tampered_summary()
-    data = {name: text.encode() for name, text in texts.items()}
-    return {**data, **simulate_files(folder)}
+    return {name: text.encode() for name, text in texts.items()}
+
+
+def outputs(folder):
+    """Every committed output of this tree, by name, as bytes."""
+    audit = {"audit.tampered.summary": tampered_summary().encode()}
+    return {**reports(), **audit, **simulate_files(folder)}
+
+
+def sha256(named):
+    return {name: hashlib.sha256(data).hexdigest()
+            for name, data in sorted(named.items())}
 
 
 def digests(folder):
-    return {name: hashlib.sha256(data).hexdigest()
-            for name, data in sorted(outputs(folder).items())}
+    return sha256(outputs(folder))
 
 
 def test_outputs_keep_their_committed_digests(tmp_path):
@@ -120,6 +133,40 @@ def test_outputs_keep_their_committed_digests(tmp_path):
     assert got.keys() == want.keys()
     moved = [name for name in want if got[name] != want[name]]
     assert not moved, "outputs moved: " + ", ".join(moved)
+
+
+# numpy's SIMD dispatch and the BLAS kernel are chosen when a process
+# starts, so a child process can run another of each on this machine
+KERNELS = {
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "numpy-sse": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the kernels named are x86 ones")
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_reports_do_not_depend_on_the_blas_kernel_or_simd_level(kernel):
+    """The reports keep their bytes under another OpenBLAS kernel and
+    under numpy's SSE-only dispatch, on any machine: each is recomputed
+    in a child process and its digest compared with this process's.
+
+    The audit outputs are not compared; their digests stay per-machine.
+    The trace maps flag coordinates back through a BLAS product, which
+    wrote a zero as -0.0 under one kernel and 0.0 under another, and the
+    SSE-only dispatch moved the summary's ``final_norm_max`` in its last
+    bit.
+    """
+    tests = pathlib.Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    env = {**os.environ, **KERNELS[kernel], "PYTHONPATH": path}
+    child = subprocess.run(
+        [sys.executable, "-c", "import json, test_output_digests as t; "
+         "print(json.dumps(t.sha256(t.reports())))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(child.stdout) == sha256(reports())
 
 
 if __name__ == "__main__":
