@@ -3,8 +3,7 @@
 Subcommands: ``analyze`` (run the certificate pipeline on a config),
 ``simulate`` (audit a certificate by seeded switched simulation),
 ``figure-rho`` (certified-radius curve of the built-in analytic family),
-``selftest`` (internal consistency checks), ``example1``/``example2``
-(write ready-made configs).
+``example1``/``example2`` (write ready-made configs).
 
 Exit codes: analyze returns 0 on a certificate, 2 when the Jacobian
 algebra is unsolvable or its linear algebra fails, 3 when the scheme
@@ -14,11 +13,11 @@ naming the truncation degree and the basis size.  simulate returns 5
 when the audit flags a violation, including a state or a value of V
 that stops being finite (one line on stderr, no summary).  Reports and
 summaries are strict JSON; a non-finite number in a failed report is
-written as null.  selftest returns 1 on failure.  Usage and config
-errors exit with 2 via the argument parser; these include non-finite
-coefficients, tail norms or simulation parameters, repeated
-coefficients, values of the wrong JSON type, a report whose P and P_inv
-are not inverses, and an output path that cannot be written.
+written as null.  Usage and config errors exit with 2 via the argument
+parser; these include non-finite coefficients, tail norms or simulation
+parameters, repeated coefficients, exponents past 2**63 - 1, values of
+the wrong JSON type, a report whose P and P_inv are not inverses, and an
+output path that cannot be written.
 """
 
 import argparse
@@ -38,7 +37,6 @@ from .analysis import (
     load_report,
 )
 from .config import SystemConfig, example1_config, example2_config
-from .selftest import run_selftest
 from .switchsim import audit_certificate, export_run_csv
 from .vectorfield import NonFiniteStateError
 
@@ -213,10 +211,6 @@ def cmd_figure_rho(parser, args):
     return 0
 
 
-def cmd_selftest(parser, args):
-    return run_selftest(out=sys.stdout)
-
-
 def cmd_example(parser, args, which):
     # the written config is read back as analyze would read it
     try:
@@ -284,9 +278,6 @@ def build_parser():
                    help="also run the pipeline at each mu")
     p.add_argument("--out", default="-")
     p.set_defaults(run=cmd_figure_rho)
-
-    p = sub.add_parser("selftest", help="internal consistency checks")
-    p.set_defaults(run=cmd_selftest)
 
     p = sub.add_parser("example1", help="write the polynomial pair config")
     p.add_argument("--a", type=float, default=1.0)

@@ -189,7 +189,7 @@ def _integrate(family, plans, points, clf):
     ``value_batch`` gives the flag coordinates, their moduli and V at its
     C*R rows, and one pass over them finds each row's first escaping
     step, the relative V increments and the rates, a row whose plan has
-    ended having none.
+    ended, or whose previous V is exactly 0, having none.
     The initial states get theirs from the same call over R rows, and a
     non-finite V there is the error at t = 0.  The last V of a block is
     the previous V of the next block's first step, so V is evaluated once
@@ -199,8 +199,8 @@ def _integrate(family, plans, points, clf):
 
     Returns the final states, escape flags and times, the largest relative
     one-step V increase, the largest rate (V_next - V) / (h V) over the
-    steps of nonzero length with where it occurs, and row 0's states and
-    V after every step, padding included.
+    steps that have one, with where it occurs (None when none has), and
+    row 0's states and V after every step, padding included.
     """
     S, P = len(plans), len(points)
     L = max(len(plan[0]) for plan in plans)
@@ -235,7 +235,7 @@ def _integrate(family, plans, points, clf):
         raise NonFiniteStateError("non-finite V at t=0.0")
     values[0] = v_prev[0, 0]
     escape_time = np.where(vs0.mod.max(axis=1) >= 1.0 - ESCAPE_TOL, 0.0, np.nan)
-    max_rel, worst, worst_at = 0.0, None, None
+    max_rel, worst, worst_at = 0.0, -math.inf, None
     for l0 in range(0, L, C):
         m, failure = min(C, L - l0), None
         h_all.reshape(C, S, P)[:m] = H[l0:l0 + m, :, None]
@@ -259,18 +259,20 @@ def _integrate(family, plans, points, clf):
             new = np.flatnonzero(out.any(axis=0) & np.isnan(escape_time))
             escape_time[new] = T[l0 + out[:, new].argmax(axis=0), new // P]
         v_prev[1:m] = v[:-1]
+        no_rate = v_prev[:m] == 0.0  # V = 0 has no relative rate
         dv = np.subtract(v, v_prev[:m], out=rel[:m])
         dv /= np.maximum(v_prev[:m], 1e-300, out=v_prev[:m])
         r = np.divide(dv, h_all[:m], out=rate[:m])
         if l0 + m > shortest:  # a plan has ended: its rows have no rate
-            np.putmask(r, h_all[:m] == 0.0, -np.inf)
+            no_rate |= h_all[:m] == 0.0
+        np.putmask(r, no_rate, -np.inf)
         c, i = divmod(int(r.argmax()), R)  # argmax stops at the first NaN
-        if not math.isfinite(r[c, i]):  # the first step with a NaN or inf
-            c = int(np.argmin(np.isfinite(r.max(axis=1))))
+        if not r[c, i] < math.inf:  # the first step with a NaN or +inf
+            c = int(np.argmin(r.max(axis=1) < math.inf))
             s = int(r[c].argmax()) // P
             raise NonFiniteStateError(f"non-finite V at t={float(T[l0 + c, s])!r}")
         max_rel = max(max_rel, float(dv.max()))
-        if worst is None or r[c, i] > worst:
+        if r[c, i] > worst:
             s, p = divmod(i, P)
             worst, worst_at = float(r[c, i]), dict(
                 signal=s, point=p, time=float(T[l0 + c, s]),
@@ -282,7 +284,8 @@ def _integrate(family, plans, points, clf):
             raise failure
     return SimpleNamespace(
         Z=Z, escaped=~np.isnan(escape_time), escape_time=escape_time, max_rel=max_rel,
-        worst_rate=worst, worst_at=worst_at, states=states, values=values,
+        worst_rate=worst if worst_at else None, worst_at=worst_at,
+        states=states, values=values,
     )
 
 
@@ -403,10 +406,11 @@ class AuditSummary:
     ``worst_decay_rate`` is the largest (V_next - V) / (h V) over all
     steps, so a negative value is the margin by which V decreased even at
     its slowest; ``worst_decay_at`` gives the signal index, point index,
-    time at the end of that step and its subsystem.  Both are None when
-    the audit took no step.  ``run`` is the audit's own first trajectory,
-    signal 0 from point 0; it is not part of the summary's JSON, nor of
-    its equality.
+    time at the end of that step and its subsystem.  A step from V = 0,
+    as from the origin, has no rate; both are None when no step has one,
+    as when the audit took no step.  ``run`` is the audit's own first
+    trajectory, signal 0 from point 0; it is not part of the summary's
+    JSON, nor of its equality.
     """
 
     signals: int

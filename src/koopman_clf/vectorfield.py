@@ -33,6 +33,8 @@ def _validate_component(table, dimension):
             raise ValueError(f"exponent {alpha} has wrong length for n={dimension}")
         if any(a < 0 for a in alpha):
             raise ValueError(f"negative exponent in {alpha}")
+        if max(alpha) >= 2**63:  # the matrices index in int64
+            raise ValueError(f"exponent in {alpha} is above 2**63 - 1")
         if sum(alpha) == 0:
             raise ValueError("constant terms are not allowed; fields fix the origin")
         value = complex(value)

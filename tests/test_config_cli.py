@@ -1,7 +1,8 @@
+import argparse
 import dataclasses
-import io
 import json
 import math
+import pathlib
 import re
 import subprocess
 import sys
@@ -19,7 +20,6 @@ from koopman_clf.config import (
 )
 from koopman_clf.koopman import build_matrix
 from koopman_clf.liealg import NotSimultaneouslyTriangularizable
-from koopman_clf.selftest import run_selftest
 from oracles import field_values
 
 
@@ -1183,23 +1183,33 @@ def test_cli_rejects_bad_numeric_arguments_with_exit_2(tmp_path, capsys, argv, m
     assert not out.exists()
 
 
-def test_cli_selftest_passes_and_detects_mutation(capsys, monkeypatch):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 4
-    assert "FAIL" not in out
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (lambda kmat: dataclasses.replace(kmat, v=-kmat.v),
+         "generator diagonal must have negative real part"),
+        (lambda kmat: dataclasses.replace(kmat, k=kmat.j, j=kmat.k),
+         "generator matrix has entries below the diagonal; the field's "
+         "Jacobian is not upper triangular"),
+    ],
+    ids=["sign-flip", "transpose"],
+)
+def test_cli_analyze_refuses_a_corrupted_generator_matrix(
+    tmp_path, capsys, monkeypatch, mutate, message
+):
+    """``analyze`` checks the generator matrices of the user's own family:
+    a matrix with every sign flipped, or transposed, ends in exit 2.
 
-    def sign_flipped(field_, basis):
-        # every off-diagonal entry with the wrong sign
-        kmat = build_matrix(field_, basis)
-        return dataclasses.replace(
-            kmat, v=np.where(kmat.j == kmat.k, kmat.v, -kmat.v)
-        )
-
-    monkeypatch.setattr("koopman_clf.selftest.build_matrix", sign_flipped)
-    out = io.StringIO()
-    assert run_selftest(out=out) == 1
-    assert "FAIL bracket-identity" in out.getvalue()
+    A flip of the off-diagonal signs alone is not caught here: the schemes
+    read only the entries' moduli, so the reports keep their bytes.
+    ``test_koopman.py::test_matrix_commutator_represents_bracket_field``
+    is the test that catches it.
+    """
+    monkeypatch.setattr(
+        "koopman_clf.certificate.build_matrix",
+        lambda field_, basis: mutate(build_matrix(field_, basis)),
+    )
+    _analyze_refused(tmp_path, capsys, example1_config(), [], message)
 
 
 def test_cli_example2_round_trips(tmp_path):
@@ -1212,14 +1222,44 @@ def test_cli_example2_round_trips(tmp_path):
     )
 
 
-def test_module_entry_point_runs_selftest():
+def test_module_entry_point_writes_a_config():
     proc = subprocess.run(
-        [sys.executable, "-m", "koopman_clf", "selftest"],
+        [sys.executable, "-m", "koopman_clf", "example1"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
-    assert proc.stdout.count("PASS") == 4
+    assert SystemConfig.from_json(proc.stdout).to_json() == example1_config().to_json()
+
+
+def test_cli_analyze_refuses_an_exponent_past_int64(tmp_path, capsys):
+    data = example1_config().to_json_dict()
+    data["subsystems"][1]["coefficients"].append(
+        {"component": 1, "exponents": [10**30, 0], "re": 0.1}
+    )
+    assert _analyze_exit(tmp_path, data) == 2
+    err = capsys.readouterr().err
+    assert (f"invalid config: subsystems[1]: exponent in ({10**30}, 0) is above "
+            "2**63 - 1") in err
+    assert "Traceback" not in err
+
+
+def test_the_selftest_command_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'selftest'" in capsys.readouterr().err
+
+
+def test_the_readme_lists_every_subcommand_once():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    listed = [line.split()[1] for line in block.splitlines()
+              if line.startswith("koopman-clf ")]
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert sorted(listed) == sorted(sub.choices)
 
 
 def _simulate_with(tmp_path, simulation, extra=()):

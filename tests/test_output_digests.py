@@ -28,11 +28,11 @@ import tempfile
 import numpy as np
 import pytest
 
-from koopman_clf.analysis import analyze_family
+from koopman_clf.analysis import analyze_family, substitute_linear
 from koopman_clf.cli import main
 from koopman_clf.config import example1_config, example2_config
 from koopman_clf.multiindex import build_basis
-from koopman_clf.switchsim import audit_certificate
+from koopman_clf.switchsim import audit_certificate, sample_initial_points
 from koopman_clf.vectorfield import PolyVectorField, SwitchedFamily
 
 MANIFEST = pathlib.Path(__file__).parent / "data" / "output_digests.json"
@@ -63,6 +63,19 @@ def report_text(cfg, degree=None):
         scheme_kind=cfg.scheme_kind, xi=cfg.xi, kappa=cfg.kappa, eta=cfg.eta,
         rho_request=cfg.rho_request,
     ).to_json()
+
+
+def conjugated_report(scheme_kind):
+    """The report of example1 conjugated by S = [[1, 0.4], [-0.3, 1]], at
+    N = 12.  Both linear parts stay -I, but S mixes the higher terms: the
+    polynomial scheme fails, the dominance scheme certifies.  S^-1 is
+    written out, as LAPACK's inverse moves in its last bit with the BLAS
+    kernel."""
+    S = np.array([[1.0, 0.4], [-0.3, 1.0]])
+    S_inv = np.array([[1.0, -0.4], [0.3, 1.0]]) / 1.12
+    family = [substitute_linear(f, S_inv, S)
+              for f in example1_config().build_family()]
+    return analyze_family(family, 12, scheme_kind=scheme_kind).to_json()
 
 
 def tampered_summary():
@@ -104,13 +117,18 @@ def reports():
     for degree in (12, 16, 20):
         texts[f"report.example2.dd.N{degree}"] = report_text(example2_config(), degree)
     texts["report.example1.b0.5"] = report_text(example1_config(b=0.5))
+    for scheme_kind in ("polynomial", "diagonal_dominance"):
+        texts[f"report.example1.conjugated.{scheme_kind}"] = conjugated_report(
+            scheme_kind)
     return {name: text.encode() for name, text in texts.items()}
 
 
 def outputs(folder):
     """Every committed output of this tree, by name, as bytes."""
     audit = {"audit.tampered.summary": tampered_summary().encode()}
-    return {**reports(), **audit, **simulate_files(folder)}
+    points = {f"points.n{n}": sample_initial_points(n, 0.95, 50, 2026).tobytes()
+              for n in (1, 2, 3)}
+    return {**reports(), **audit, **points, **simulate_files(folder)}
 
 
 def sha256(named):

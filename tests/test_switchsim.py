@@ -490,7 +490,8 @@ def sequential_audit_one_signal(family, clf, P, signal, points, dt):
     Returns the largest relative V increase, the escape count, the final
     norms, and the worst decay rate as (rate, step, point, time,
     subsystem); among equal rates the earliest step and the lowest point
-    win.
+    win.  A step from V = 0 has no rate; the worst is None when no step
+    has one.
     """
     Z = points @ P.T
     Zh = clf.hat(Z)
@@ -509,9 +510,9 @@ def sequential_audit_one_signal(family, clf, P, signal, points, dt):
             v = clf.value_batch(Z)
             rel = (v - v_prev) / np.maximum(v_prev, 1e-300)
             max_rel = max(max_rel, float(np.max(rel)))
-            rate = rel / h
+            rate = np.where(v_prev == 0.0, -np.inf, rel / h)
             p = int(np.argmax(rate))
-            if worst is None or rate[p] > worst[0]:
+            if rate[p] > (-np.inf if worst is None else worst[0]):
                 t = end if s == len(plan) - 1 else t_start + (s + 1) * dt
                 worst = (float(rate[p]), step, p, t, signal.subsystems[seg])
             v_prev = v
@@ -546,8 +547,13 @@ def sequential_audit(family, report, signals, points, seed, dt, horizon,
     escapes = sum(r[1] for r in results)
     final_norms = np.concatenate([r[2] for r in results])
     # the largest rate; among equal rates the earliest step, then the lowest signal
-    best = min(range(signals), key=lambda s: (-results[s][3][0], results[s][3][1], s))
-    rate, _, point, time, sub = results[best][3]
+    rated = [s for s in range(signals) if results[s][3] is not None]
+    best = min(rated, key=lambda s: (-results[s][3][0], results[s][3][1], s),
+               default=None)
+    rate, at = None, None
+    if best is not None:
+        rate, _, point, time, sub = results[best][3]
+        at = {"signal": best, "point": point, "time": time, "subsystem": sub}
     return AuditSummary(
         signals=signals,
         points=points,
@@ -558,8 +564,7 @@ def sequential_audit(family, report, signals, points, seed, dt, horizon,
         sample_radius=0.95 * rho,
         max_v_increase=max_rel,
         worst_decay_rate=rate,
-        worst_decay_at={"signal": best, "point": point, "time": time,
-                        "subsystem": sub},
+        worst_decay_at=at,
         final_norm_max=float(final_norms.max()),
         fraction_converged=float(np.mean(final_norms < convergence_tol)),
         escapes=escapes,
@@ -748,16 +753,45 @@ def test_blocked_audit_matches_sequential_audit_across_block_ends(horizon):
 
 
 def test_the_worst_decay_rate_is_its_first_occurrence_across_blocks():
-    # V stays 0 at the origin, so its rate is 0 at each of the 2000
-    # steps, above the other row's; 2 rows hold 1024 steps a block
-    fam = contraction_family()
+    # the field leaves z2 alone, so the point (0, 0.5) stays where it is
+    # and V stays positive there: its rate is 0 at each of the 2000 steps,
+    # above the other row's; 2 rows hold 1024 steps a block
+    fam = SwitchedFamily([PolyVectorField([{(1, 0): -1.0}, {}])])
     basis = build_basis(2, 3)
     clf = CommonLyapunovFunction(np.ones(basis.size), np.eye(2), basis)
     plan = _step_plan(SwitchingSignal((2.0,), (0,), 2.0), 1e-3)
     assert len(plan[0]) > block_steps(2)
-    run = _integrate(fam, [plan], np.array([[0.5, 0.1], [0.0, 0.0]]), clf)
+    run = _integrate(fam, [plan], np.array([[0.5, 0.1], [0.0, 0.5]]), clf)
     assert run.worst_rate == 0.0
     assert run.worst_at == dict(signal=0, point=1, time=float(plan[2][0]), subsystem=0)
+
+
+def scalar_pair():
+    return SwitchedFamily([
+        PolyVectorField([{(1,): -1.0, (2,): 0.2}]),
+        PolyVectorField([{(1,): -2.0, (3,): 0.3 + 0.1j}]),
+    ])
+
+
+@pytest.mark.parametrize("scheme", ["polynomial", "diagonal_dominance"])
+def test_a_step_from_the_origin_has_no_decay_rate(scheme):
+    # in dimension 1 the first sample point is the origin, where V stays
+    # 0: its steps have no relative rate, so the worst rate is another
+    # point's, and a lone origin sample leaves none at all
+    fam = scalar_pair()
+    rep = analyze_family(fam, 6, scheme_kind=scheme)
+    assert rep.certified
+    kw = dict(seed=7, dt=0.05, horizon=2.0)
+    assert sample_initial_points(1, 0.95 * rep.rho_certified, 3, 7)[0, 0] == 0
+    got = audit_certificate(fam, rep, signals=2, points=3, **kw)
+    assert got.passed and got.worst_decay_rate < 0
+    assert got.worst_decay_at["point"] != 0
+    assert got.to_json_dict() == sequential_audit(
+        fam, rep, signals=2, points=3, **kw).to_json_dict()
+    lone = audit_certificate(fam, rep, signals=1, points=1, **kw)
+    assert lone.worst_decay_rate is None and lone.worst_decay_at is None
+    assert lone.to_json_dict() == sequential_audit(
+        fam, rep, signals=1, points=1, **kw).to_json_dict()
 
 
 def growing_family():

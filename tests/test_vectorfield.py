@@ -66,6 +66,18 @@ def test_constant_terms_rejected():
         PolyVectorField([{(0, 0): 1.0}, {(0, 1): -1.0}])
 
 
+@pytest.mark.parametrize("component", [0, 1])
+def test_exponents_past_int64_are_rejected(component):
+    # the generator matrix holds its index shifts in int64
+    comps = [{(1, 0): -1.0}, {(0, 1): -1.0}]
+    comps[component][(2**63 - 1, 0)] = 0.1
+    assert len(PolyVectorField(comps).components[component]) == 2
+    comps[component][(2**63, 0)] = 0.1
+    with pytest.raises(ValueError, match=r"^exponent in \(9223372036854775808, 0\) "
+                       r"is above 2\*\*63 - 1$"):
+        PolyVectorField(comps)
+
+
 def test_zero_coefficients_dropped_and_merged():
     f = PolyVectorField([{(1, 0): 0.0, (2, 0): 1.0}, {(0, 1): 2.0, (0, 1): 2.0}])
     assert f.components[0] == {(2, 0): 1.0}
