@@ -21,6 +21,7 @@ import json
 import os
 import pathlib
 import platform
+import random
 import subprocess
 import sys
 import tempfile
@@ -56,13 +57,18 @@ def machine():
             "machine": f"{platform.machine()} {cpu}"}
 
 
-def report_text(cfg, degree=None):
-    """``to_json()`` of the config's analysis, at ``degree`` if given."""
+def config_report(cfg, degree=None):
+    """The config's analysis, at ``degree`` if given."""
     return analyze_family(
         cfg.build_family(), degree or cfg.truncation_degree,
         scheme_kind=cfg.scheme_kind, xi=cfg.xi, kappa=cfg.kappa, eta=cfg.eta,
         rho_request=cfg.rho_request,
-    ).to_json()
+    )
+
+
+def report_text(cfg, degree=None):
+    """``to_json()`` of the config's analysis, at ``degree`` if given."""
+    return config_report(cfg, degree).to_json()
 
 
 def conjugated_report(scheme_kind):
@@ -92,6 +98,47 @@ def tampered_summary():
     assert not summary.passed
     return json.dumps(summary.to_json_dict(), sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
+
+
+def summary_text(summary):
+    """An audit summary as ``benchmarks/run.py`` renders it."""
+    return json.dumps(summary.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def benchmark_audits():
+    """The benchmark's ``audit`` workload: example1's N = 12 certificate,
+    1, 2 and 3 signals x 50 points, dt 0.01, horizon 20, dwell 0.05-1,
+    for the default seed 2026 and the held-out seed 7; each size's audit
+    seed is the next ``randrange(2**31)`` of ``random.Random(seed)``."""
+    family = example1_config().build_family()
+    report = analyze_family(family, 12)
+    texts = {}
+    for seed in (2026, 7):
+        rng = random.Random(seed)
+        for signals in (1, 2, 3):
+            summary = audit_certificate(
+                family, report, signals=signals, points=50,
+                seed=rng.randrange(2**31), dt=0.01, horizon=20.0,
+                min_dwell=0.05, max_dwell=1.0)
+            texts[f"audit.example1.{signals}x50.seed{seed}"] = summary_text(summary)
+    return texts
+
+
+def criterion8_summary():
+    """Acceptance criterion 8's audit: 100 signals x 50 points, seed 2026."""
+    family = example1_config().build_family()
+    report = analyze_family(family, 12, scheme_kind="polynomial")
+    return summary_text(audit_certificate(family, report, signals=100, points=50,
+                                          seed=2026, dt=0.01, horizon=20.0))
+
+
+def example2_summary():
+    """A short audit of example2's certificate: 2 signals x 10 points,
+    seed 2026, dt 0.01, horizon 2."""
+    cfg = example2_config()
+    return summary_text(audit_certificate(
+        cfg.build_family(), config_report(cfg), signals=2, points=10, seed=2026,
+        dt=0.01, horizon=2.0))
 
 
 def simulate_files(folder):
@@ -125,7 +172,11 @@ def reports():
 
 def outputs(folder):
     """Every committed output of this tree, by name, as bytes."""
-    audit = {"audit.tampered.summary": tampered_summary().encode()}
+    audit = {"audit.tampered.summary": tampered_summary(),
+             "audit.example1.criterion8": criterion8_summary(),
+             "audit.example2.2x10.horizon2": example2_summary(),
+             **benchmark_audits()}
+    audit = {name: text.encode() for name, text in audit.items()}
     points = {f"points.n{n}": sample_initial_points(n, 0.95, 50, 2026).tobytes()
               for n in (1, 2, 3)}
     return {**reports(), **audit, **points, **simulate_files(folder)}
