@@ -15,7 +15,10 @@ integration is needed to trace it.
 The kernel keeps the states points-last, as one contiguous (n, R) array
 ``ZT`` of R = signals x points columns, and hands ``flow_step`` the
 (R, n) view ``ZT.T``.  Each integration owns one ``FieldScratch`` over
-the whole family for all R rows, and the step loop does only what must
+the whole family for all R rows, selected anew at each switch; a set of
+subsystems it has stepped before reuses its plan, in which each RK4
+stage is one contraction of the active subsystems' monomials (one
+stacked product in a mixed batch).  The step loop does only what must
 follow every step: one ``flow_step`` of every row, each under the
 subsystem its signal selects, and one copy of the new states into the
 next slot of a block of C steps.  The flag coordinates, V, the escapes

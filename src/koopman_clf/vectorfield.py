@@ -182,27 +182,46 @@ class FieldScratch:
     ``rows`` points, over a sequence of fields.
 
     ``fields`` is a sequence of ``PolyVectorField`` (a ``SwitchedFamily``,
-    or a list of one field); a new scratch has no selection.  Each
-    field's pieces are compiled here, once, from its
-    ``components``: its K_i terms, by component and then in basis order,
-    get an (n, K_i) coefficient matrix, their largest exponent, and one
-    product of power-table rows per monomial (row p * n + c holds
-    z_c ** p), written into the field's K_i rows of the monomials; the
-    fields' rows follow one another, K in all.  ``select`` says which
-    field steps each row, and joins the pieces of the fields that hold a
-    row into a stage's flat list of ufunc calls; it makes no array.
+    or a list of one field); a new scratch has no selection.  Each field
+    is compiled here, once, from its ``components``, into its own slice of
+    one (A, K, cols) monomial array ``mono``, A fields in all.  A slice
+    starts with the n stage rows z_0 .. z_{n-1}, so a linear term takes no
+    product; then come the field's monomials of degree >= 2, each once
+    however many components use it, in basis order, each the product of
+    its non-zero factors only; the rows past the field's own stay zero.
+    Factors of exponent 1 are the slice's stage rows, higher ones rows of
+    one power table ``pows``, (P - 1, n, cols), whose row p - 2 holds
+    z ** p up to the family's largest exponent P, shared by the fields; a
+    pure power is copied from it.  A field of K_i = n + (its monomials)
+    rows has an (n, K_i) coefficient matrix C, held zero-padded to K
+    columns in an (A, n, K) stack, and its double 2C, made by doubling
+    every real and imaginary part.  Doubling is exact barring overflow,
+    and so is every product and sum of a contraction with 2C, which is
+    therefore twice the contraction with C, bit for bit; halving a step is
+    exact too, so the second and third stages contract with 2C and build
+    the next stage input with dt/4 and dt/2 (see ``step``).
 
-    The scratch holds the (P + 1, n, cols) power table up to the family's
-    largest exponent P (at least 1), whose row 1 is the input ``stage`` of
-    each Runge-Kutta stage; the (K, cols) monomials;
-    (n, cols) arrays for the field values ``k``, one field's values in a
-    mixed batch and the running Runge-Kutta sum ``acc``; per-row half,
-    sixth and whole steps ``steps``, filled from one (3, cols) real row
-    ``steps_row``; and a scalar step's three and the factor 2 as complex
-    0-d arrays, rewritten when the step changes.  In a mixed selection a
-    boolean (n, cols) array per active field after the first holds its
-    row mask, and a boolean (n, 2 cols) array takes the finiteness of the
-    new state.  ``cols`` is ``rows``, but at least two: a lone row gets a
+    ``select`` says which field steps each row, and plans one contraction
+    per stage for the set of fields that hold a row, or takes the plan it
+    made for that set before.  For a lone field it is one
+    (n, K_i) @ (K_i, cols) product of its slice, whose stage rows are the
+    stage input ``stage``.  In a mixed batch ``stage`` is the first active
+    slice's stage rows, which the plan copies into every other active
+    slice; one stacked product over the slices from the first active field
+    to the last then writes (m, n, cols) values ``out``, and each row takes
+    its own field's values through the flat indices ``index``, which
+    ``select`` fills for the rows it is given.  An inactive slice in that
+    range is zeroed there, so that no value a field left in an earlier
+    selection meets its coefficients.  No coefficient ever multiplies
+    another field's monomial, but an active field's monomials are formed
+    on every row, and may overflow on rows it does not hold.
+
+    The scratch also holds (n, cols) arrays for the field values ``k`` and
+    the running Runge-Kutta sum ``acc``; per-row half, quarter and sixth
+    steps ``steps``, filled from one (3, cols) real row ``steps_row``; and
+    a scalar step's three as complex 0-d arrays, rewritten when the step
+    changes.  A boolean (n, 2 cols) array takes the finiteness of the new
+    state.  ``cols`` is ``rows``, but at least two: a lone row gets a
     padding column at the origin, which every field fixes, so that its
     coefficient products run over two columns, and round as a larger
     batch's do, instead of through numpy's matrix-vector path.  Every
@@ -213,49 +232,52 @@ class FieldScratch:
     def __init__(self, fields, rows):
         self.fields = fields = tuple(fields)
         n = fields[0].dimension
-        terms = [
-            [
-                (l, alpha, c[alpha])
-                for l, c in enumerate(f.components)
-                for alpha in sorted(c, key=order_key)
-            ]
+        monos = [
+            sorted({a for c in f.components for a in c if sum(a) > 1}, key=order_key)
             for f in fields
         ]
-        self._tops = [max((max(a) for _, a, _ in t), default=0) for t in terms]
+        self._tops = [max((max(a) for c in f.components for a in c), default=1)
+                      for f in fields]
         self.rows = rows
         cols = max(rows, 2)
-        # zeros, so that padding columns stay at the origin; the stage
-        # input is row 1 of the power table
-        self.pows = np.zeros((max(max(self._tops), 1) + 1, n, cols), dtype=complex)
-        self.pows[0] = 1
-        self.stage = self.pows[1]
-        self.mono = np.empty((sum(map(len, terms)), cols), dtype=complex)
-        self.k, self.part, self.acc = np.zeros((3, n, cols), dtype=complex)
+        K, A = n + max(map(len, monos)), len(fields)
+        # zeros, so that padding columns stay at the origin and the rows
+        # past a field's own monomials add nothing
+        self.mono = np.zeros((A, K, cols), dtype=complex)
+        self.pows = np.zeros((max(max(self._tops) - 1, 0), n, cols), dtype=complex)
+        self.out = np.zeros((A, n, cols), dtype=complex)
+        self.index = np.zeros((n, cols), dtype=np.intp)
+        self._cells = np.arange(n * cols).reshape(n, cols)
+        self._offsets = np.zeros(cols, dtype=np.intp)  # padding columns: 0
+        self.k, self.acc = np.zeros((2, n, cols), dtype=complex)
         self._padded = np.zeros((n, cols), dtype=complex) if cols > rows else None
         self.steps = np.zeros((3, n, cols), dtype=complex)
         self.steps_row = np.zeros((3, cols))
-        self._sizes = tuple(np.full((), x, dtype=complex) for x in (0, 0, 0, 2))
+        self._sizes = tuple(np.full((), 0, dtype=complex) for _ in range(3))
         self._dt = None
         self._finite = np.empty((n, 2 * cols), dtype=bool)
-        self._flags = np.empty((len(fields) - 1, n, cols), dtype=bool)
-        table = self.pows.reshape(len(self.pows) * n, cols)
-        self._powers = list(zip(self.pows[1:-1], self.pows[2:]))
-        self._products, self._parts, start = [], [], 0
-        for field_terms in terms:
-            mono = self.mono[start:start + len(field_terms)]
-            start += len(field_terms)
-            coeffs = np.zeros((n, len(field_terms)), dtype=complex)
+        self._coeffs = np.zeros((2, A, n, K), dtype=complex)  # C and 2C
+        self._widths, self._products = [], []
+        for f, field_monos, slice_, coeffs in zip(
+                fields, monos, self.mono, self._coeffs[0]):
+            column = {a: n + t for t, a in enumerate(field_monos)}
+            for l, c in enumerate(f.components):
+                for alpha, v in c.items():
+                    coeffs[l, alpha.index(1) if sum(alpha) == 1 else column[alpha]] = v
             products = []
-            for t, ((l, alpha, v), m) in enumerate(zip(field_terms, mono)):
-                coeffs[l, t] = v
-                head, *factors = [table[p * n + c] for c, p in enumerate(alpha)]
+            for alpha, m in zip(field_monos, slice_[n:]):
+                head, *factors = [slice_[c] if p == 1 else self.pows[p - 2, c]
+                                  for c, p in enumerate(alpha) if p]
                 if factors:
                     products.append((np.multiply, (head, factors[0], m)))
                 else:
                     products.append((np.copyto, (m, head)))
                 products += [(np.multiply, (m, f, m)) for f in factors[1:]]
+            self._widths.append(n + len(field_monos))
             self._products.append(products)
-            self._parts.append((coeffs, mono))
+        flat = self._coeffs.view(float)
+        np.multiply(flat[0], 2.0, out=flat[1])
+        self._plans = {}  # by the tuple of active fields
         self._plan = None  # until the first selection
 
     def _require_rows(self, rows):
@@ -268,12 +290,13 @@ class FieldScratch:
         ValueError when ``sub`` is not one index per row, and, naming the
         index, when one is not an integer in [0, len(fields)).
 
-        A stage is then one flat list of ufunc calls, planned here from
-        the compiled pieces of the fields that hold a row: the power table
-        up to their largest exponent, their monomials, and each one's
-        contraction over the whole batch into ``k``; in a mixed batch each
-        field after the first is contracted into its own array and keeps,
-        through the row masks built here, the values of the rows it holds.
+        A stage is then one flat list of ufunc calls, planned for the
+        fields that hold a row, or taken from the plans made for the same
+        set of fields before: the power table up to their largest
+        exponent, their monomials, and the one contraction, into ``acc``
+        with C at the first stage, into ``k`` with 2C at the second and
+        third, and into ``k`` with C at the fourth.  A mixed selection
+        also fills ``index`` and zeroes the inactive slices in its range.
         """
         index, count = np.asarray(sub), len(self.fields)
         if index.ndim != 1:
@@ -290,47 +313,73 @@ class FieldScratch:
                 f"subsystem index {bad!r} is not an integer in [0, {count})"
             )
         # an empty list of indices is a float array
-        held = np.bincount(index.astype(np.intp, copy=False), minlength=count)
+        index = index.astype(np.intp, copy=False)
+        held = np.bincount(index, minlength=count)
         active = tuple(np.flatnonzero(held).tolist())
-        masks = self._flags[:len(active[1:])]
-        for mask, i in zip(masks, active[1:]):
-            np.equal(index, i, out=mask[0])  # row by row: no broadcast buffer
-            np.copyto(mask[1:], mask[0])
-        self._plan = []  # a scratch of no rows has nothing to run
-        if active:
-            top = max(self._tops[i] for i in active)
-            self._plan = [
-                (np.multiply, (prev, self.stage, pows))
-                for prev, pows in self._powers[:max(top - 1, 0)]
-            ]
-            for i in active:
-                self._plan += self._products[i]
-            first, *rest = active
-            self._plan.append((np.matmul, (*self._parts[first], self.k)))
-            for i, mask in zip(rest, masks):
-                self._plan += [(np.matmul, (*self._parts[i], self.part)),
-                               (np.putmask, (self.k, mask, self.part))]
+        if active not in self._plans:
+            self._plans[active] = self._plan_stages(active)
+        self.stage, self._plan = self._plans[active]
+        if len(active) > 1:
+            lo, hi = active[0], active[-1] + 1
+            # row j of field i takes cell i - lo of the stacked values; a
+            # padding column takes field lo's
+            offsets = self._offsets[:len(index)]
+            np.subtract(index, lo, out=offsets)
+            np.multiply(offsets, self.index.size, out=offsets)
+            np.add(self._cells, self._offsets, out=self.index)
+            for i in range(lo, hi):
+                if not held[i]:
+                    self.mono[i].fill(0)
         return self
 
+    def _plan_stages(self, active):
+        """The stage input and the first, middle and last stage's calls of
+        the fields ``active``, by their indices in increasing order."""
+        n = self.k.shape[0]
+        if not active:  # a scratch of no rows has nothing to run
+            return self.mono[0, :n], ([], [], [])
+        lo, hi = active[0], active[-1] + 1
+        stage = self.mono[lo, :n]
+        prep = [(np.copyto, (self.mono[i, :n], stage)) for i in active[1:]]
+        top = max(self._tops[i] for i in active)
+        for p in range(2, top + 1):
+            prep.append((np.multiply, (self.pows[p - 3] if p > 2 else stage, stage,
+                                       self.pows[p - 2])))
+        for i in active:
+            prep += self._products[i]
+        stages = []
+        C, C2 = self._coeffs
+        for coeffs, target in ((C, self.acc), (C2, self.k), (C, self.k)):
+            if len(active) == 1:
+                width = self._widths[lo]
+                calls = [(np.matmul, (np.ascontiguousarray(coeffs[lo, :, :width]),
+                                      self.mono[lo, :width], target))]
+            else:
+                out = self.out[:hi - lo]
+                calls = [(np.matmul, (coeffs[lo:hi], self.mono[lo:hi], out)),
+                         (out.take, (self.index, None, target, "clip"))]
+            stages.append(prep + calls)
+        return stage, tuple(stages)
+
     def _step_sizes(self, dt):
-        """Half, sixth and whole step and the factor 2, as the complex
-        operands the products would cast them to: per-row steps in the
-        rows of ``steps``, a scalar step in the 0-d arrays, which are
-        rewritten only when it changes."""
-        half, sixth, whole, two = self._sizes
+        """Half, quarter and sixth step, as the complex operands the
+        products would cast them to: per-row steps in the rows of
+        ``steps``, a scalar step in the 0-d arrays, which are rewritten
+        only when it changes."""
+        half, quarter, sixth = self._sizes
         if isinstance(dt, np.ndarray):
             # per-row steps run along the points axis, and fill every row
             # so that no product broadcasts them through a buffer
             h, row = dt.reshape(-1), self.steps_row[:, :self.rows]
             np.multiply(0.5, h, out=row[0])
-            np.divide(h, 6.0, out=row[1])
-            np.copyto(row[2], h)
+            np.multiply(0.25, h, out=row[1])
+            np.divide(h, 6.0, out=row[2])
             np.copyto(self.steps, self.steps_row[:, None])
-            half, sixth, whole = self.steps
+            half, quarter, sixth = self.steps
         elif dt != self._dt or dt == 0:  # a zero step keeps its sign
             self._dt = dt
-            half[()], sixth[()], whole[()] = 0.5 * dt, dt / 6.0, dt
-        return half, sixth, whole, two
+            half[()], quarter[()], sixth[()] = 0.5 * dt, 0.25 * dt, dt / 6.0
+        return half, quarter, sixth
 
     def step(self, zT, dt):
         """One classical Runge-Kutta step of the points-last batch ``zT``
@@ -338,37 +387,38 @@ class FieldScratch:
         by ``dt``, a scalar or a (rows, 1) array of per-row steps.  The four
         stages, their inputs and the weighted sum
         ((k1 + 2 k2) + 2 k3 + k4) * (dt / 6) + z are computed in place, in
-        that order, the first stage's values copied from ``k`` into
-        ``acc``.  Raises NonFiniteStateError when the new state is not
+        that order: k1 straight into ``acc``, 2 k2 and 2 k3 into ``k`` by
+        the doubled coefficients, so that their stage inputs take a
+        quarter and a half step, and k4 into ``k``.  Halving dt is exact,
+        so (2 k2) (dt / 4) is k2 (dt / 2) and (2 k3) (dt / 2) is k3 dt, bit
+        for bit.  Raises NonFiniteStateError when the new state is not
         finite, and returns it otherwise, as a view of ``acc``."""
         plan = self._plan
         if plan is None:
             raise ValueError("no field is selected for these rows")
+        first, doubled, last = plan
         if self._padded is not None:
             np.copyto(self._padded[:, :self.rows], zT)
             zT = self._padded
-        half, sixth, whole, two = self._step_sizes(dt)
+        half, quarter, sixth = self._step_sizes(dt)
         st, k, acc = self.stage, self.k, self.acc
         mul, add = np.multiply, np.add
         np.copyto(st, zT)
-        for op, args in plan:
+        for op, args in first:
             op(*args)
-        np.copyto(acc, k)
+        mul(acc, half, st)
+        add(st, zT, st)
+        for op, args in doubled:
+            op(*args)
+        mul(k, quarter, st)
+        add(st, zT, st)
+        add(acc, k, acc)
+        for op, args in doubled:
+            op(*args)
         mul(k, half, st)
         add(st, zT, st)
-        for op, args in plan:
-            op(*args)
-        mul(k, half, st)
-        add(st, zT, st)
-        mul(k, two, k)
         add(acc, k, acc)
-        for op, args in plan:
-            op(*args)
-        mul(k, whole, st)
-        add(st, zT, st)
-        mul(k, two, k)
-        add(acc, k, acc)
-        for op, args in plan:
+        for op, args in last:
             op(*args)
         add(acc, k, acc)
         mul(acc, sixth, acc)

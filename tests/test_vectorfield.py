@@ -667,6 +667,87 @@ def test_a_lone_row_steps_as_it_does_inside_a_batch():
             assert np.array_equal(alone.view(np.uint64), batch.view(np.uint64))
 
 
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_the_field_slices_step_as_the_reference_after_an_overflow():
+    # three fields, the middle one zero: selections {0, 2} (an inactive
+    # slice inside the stacked product), {1, 2} and all three, each stepped
+    # right after a selection under which an inactive field overflowed in
+    # its monomials, and again on its cached plan; under pytest a warning
+    # from the stale slices is an error too
+    family = SwitchedFamily([
+        PolyVectorField([{(1, 0): -1.0, (7, 0): 0.1, (1, 1): 0.2},
+                         {(0, 1): -0.5, (2, 0): 0.3, (1, 1): -0.4}]),
+        PolyVectorField([{}, {}]),
+        PolyVectorField([{(1, 0): -0.7, (1, 1): 0.3}, {(0, 1): -1.2, (2, 0): -0.1}]),
+    ])
+    rng = np.random.default_rng(37)
+    B = 12
+    Z = polydisk_points(rng, 2, B, 0.9)
+    per_row = rng.uniform(0.001, 0.02, (B, 1))
+    huge = np.full((B, 2), 1e45 + 1e45j)
+    huge[0] = 0.1
+    # field 0's z^7 overflows on field 2's rows, whose own step is finite
+    quiet = np.r_[0, np.full(B - 1, 2)]
+    with np.errstate(all="ignore"):
+        unused = FieldScratch(family, B).select(quiet)
+        assert np.isfinite(flow_step(unused, huge, 1e-50)).all()
+        assert not np.isfinite(unused.mono[0]).all()
+    targets = [np.arange(B) % 2 * 2, np.arange(B) % 2 + 1, np.arange(B) % 3]
+    for target in targets:
+        for prior in ("quiet", "blowup"):
+            scratch = FieldScratch(family, B)
+            with np.errstate(all="ignore"):
+                if prior == "quiet":
+                    flow_step(scratch.select(quiet), huge, 1e-50)
+                else:  # every slice, the zero field's stage rows too
+                    with pytest.raises(NonFiniteStateError):
+                        flow_step(scratch.select(np.arange(B) % 3), huge, 1.0)
+            scratch.select(target)
+            for dt in (0.01, per_row):
+                want = bits(reference_rk4(family, target, Z, dt))
+                assert np.array_equal(bits(flow_step(scratch, Z, dt)), want)
+                # the stacked product met no stale value: the zero field's
+                # stage rows held NaN, which multiplies its zeros silently
+                span = target.max() - target.min() + 1
+                assert np.isfinite(scratch.out[:span]).all()
+            for other in targets:  # the other plans, then this one again
+                flow_step(scratch.select(other), Z, 0.01)
+            scratch.select(target)
+            assert np.array_equal(bits(flow_step(scratch, Z, per_row)),
+                                  bits(reference_rk4(family, target, Z, per_row)))
+
+
+def test_the_doubled_stages_step_as_the_reference():
+    # zero-length rows, the padding of an ended plan, keep their state bit
+    # for bit under every selection, beside rows that step
+    rng = np.random.default_rng(41)
+    family = example1_config().build_family()
+    B = 9
+    Z = polydisk_points(rng, 2, B, 0.9)
+    h = rng.uniform(0.001, 0.02, (B, 1))
+    h[[1, 4, 5]] = 0.0
+    scratch = FieldScratch(family, B)
+    for sub in (np.zeros(B, int), np.ones(B, int), np.arange(B) % 2):
+        scratch.select(sub)
+        got = flow_step(scratch, Z, h)
+        assert np.array_equal(bits(got), bits(reference_rk4(family, sub, Z, h)))
+        assert np.array_equal(bits(got[[1, 4, 5]]), bits(Z[[1, 4, 5]]))
+    # row 1's k2 is finite, but 2 k2 is not: the step fails as it did when
+    # k2 was doubled after its contraction
+    f = PolyVectorField([{(1,): 1.0}])
+    z = np.array([[0.5 + 0j], [1e308 + 0j]])
+    with np.errstate(all="ignore"):
+        k2 = field_values(f, z + 0.0005 * field_values(f, z))
+        assert np.isfinite(k2).all() and not np.isfinite(2.0 * k2).all()
+        with pytest.raises(NonFiniteStateError, match=re.escape(
+            "non-finite state after an RK4 step (dt up to 0.001)"
+        )):
+            field_step(f, z, 0.001)
+
+
 def test_select_refuses_what_is_not_a_subsystem_index():
     family = example1_config().build_family()
     Z = np.full((3, 2), 0.1 + 0j)
