@@ -10,14 +10,15 @@ algebra is unsolvable or its linear algebra fails, 3 when the scheme
 condition (or the stability assumption) fails, 4 when the weight series
 diverges.  analyze, simulate and figure-rho exit 2 when memory runs out,
 naming the truncation degree and the basis size.  simulate returns 5
-when the audit flags a violation, including a state or a value of V
-that stops being finite (one line on stderr, no summary).  Reports and
-summaries are strict JSON; a non-finite number in a failed report is
-written as null.  Usage and config errors exit with 2 via the argument
-parser; these include non-finite coefficients, tail norms or simulation
-parameters, repeated coefficients, exponents past 2**63 - 1, values of
-the wrong JSON type, a report whose P and P_inv are not inverses, and an
-output path that cannot be written.
+when the audit flags a violation, including a value of V, or of its
+rate, that stops being finite, as V does wherever a state does (one
+line on stderr, no summary).  Reports and summaries are strict JSON; a
+non-finite number in a failed report is written as null.  Usage and
+config errors exit with 2 via the argument parser; these include
+non-finite coefficients, tail norms or simulation parameters, repeated
+coefficients, exponents past 2**63 - 1, values of the wrong JSON type, a
+report whose P and P_inv are not inverses, and an output path that
+cannot be written.
 """
 
 import argparse
@@ -37,8 +38,7 @@ from .analysis import (
     load_report,
 )
 from .config import SystemConfig, example1_config, example2_config
-from .switchsim import audit_certificate, export_run_csv
-from .vectorfield import NonFiniteStateError
+from .switchsim import NonFiniteStateError, audit_certificate, export_run_csv
 
 # a basis too large for memory is a usage error (exit 2)
 OUT_OF_MEMORY = (

@@ -21,16 +21,17 @@ stage is one contraction of the active subsystems' monomials (one
 stacked product in a mixed batch).  The step loop does only what must
 follow every step: one ``flow_step`` of every row, each under the
 subsystem its signal selects, and one copy of the new states into the
-next slot of a block of C steps.  The flag coordinates, V, the escapes
-and the decay rates are computed per block: one ``value_batch`` over the
-block's C x R rows, in one ``ValueScratch`` of that size, then one
-vectorised pass.  C is as many steps as fit in ``BLOCK_ROWS`` rows, at
-least one and at most the step count; V of a point does not depend on
-the batch it is in, so the blocks give the values that one evaluation
-per step would.  Every work array is made before the first step, so the
-step loop allocates no batch-sized array.  A signal whose steps run out
-before the longest one's takes zero-length steps, which leave its rows
-as they are.
+next slot of a block of C steps; it tests nothing.  The flag
+coordinates, V, the escapes and the decay rates are computed per block:
+one ``value_batch`` over the block's C x R rows, in one ``ValueScratch``
+of that size, then one vectorised pass, which is also the one test of a
+blow-up, since a state that is not finite has a V that is not.  C is as
+many steps as fit in ``BLOCK_ROWS`` rows, at least one and at most the
+step count; V of a point does not depend on the batch it is in, so the
+blocks give the values that one evaluation per step would.  Every work
+array is made before the first step, so the step loop allocates no
+batch-sized array.  A signal whose steps run out before the longest
+one's takes zero-length steps, which leave its rows as they are.
 """
 
 import math
@@ -42,17 +43,17 @@ import numpy as np
 
 from .certificate import CommonLyapunovFunction, ValueScratch
 from .multiindex import build_basis, checked_int
-from .vectorfield import (
-    FieldScratch,
-    NonFiniteStateError,
-    flow_step,
-)
+from .vectorfield import FieldScratch, flow_step
 
 ESCAPE_TOL = 1e-12
 V_SLACK = 1e-9  # largest relative one-step V increase the audit accepts
 CONVERGENCE_TOL = 1e-3  # final max-modulus counted as converged
 BLOCK_ROWS = 2048  # (step, row) pairs whose V one value_batch call evaluates
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+class NonFiniteStateError(RuntimeError):
+    """Raised when V, or its rate, stops being finite along a trajectory."""
 
 
 def _require_finite(**values):
@@ -170,9 +171,10 @@ def _step_plan(signal, dt):
 
 # A mixed step evaluates every active subsystem's terms on every row and
 # keeps each row's own values, so a row may overflow in terms it never
-# uses; an overflow in its own terms ends in NonFiniteStateError.  Either
-# way numpy's warnings would add nothing; nor would they for the 0 / 0
-# rate of a row whose plan has ended, which is replaced.
+# uses; an overflow in its own terms makes its state, and so its V, not
+# finite, and NonFiniteStateError follows once its block is stepped.
+# Either way numpy's warnings would add nothing; nor would they for the
+# 0 / 0 rate of a row whose plan has ended, which is replaced.
 @np.errstate(over="ignore", invalid="ignore")
 def _integrate(family, plans, points, clf):
     """Integrate every point under every step plan as one (S*P, n) batch.
@@ -196,9 +198,10 @@ def _integrate(family, plans, points, clf):
     The initial states get theirs from the same call over R rows, and a
     non-finite V there is the error at t = 0.  The last V of a block is
     the previous V of the next block's first step, so V is evaluated once
-    per state.  A step whose new state is not finite ends its block
-    early: the steps before it are checked first, so that a non-finite V
-    at an earlier step is the error raised, with the time of that step.
+    per state.  The first (step, row) whose V is not finite is the error,
+    at the end of that step: a state that is not finite has a flag
+    coordinate that is not (P^-1 is invertible), and so a V that is not.
+    Next comes an increment or rate that overflows between finite values.
 
     Returns the final states, escape flags and times, the largest relative
     one-step V increase, the largest rate (V_next - V) / (h V) over the
@@ -240,23 +243,22 @@ def _integrate(family, plans, points, clf):
     escape_time = np.where(vs0.mod.max(axis=1) >= 1.0 - ESCAPE_TOL, 0.0, np.nan)
     max_rel, worst, worst_at = 0.0, -math.inf, None
     for l0 in range(0, L, C):
-        m, failure = min(C, L - l0), None
+        m = min(C, L - l0)
         h_all.reshape(C, S, P)[:m] = H[l0:l0 + m, :, None]
-        try:
-            for c in range(m):
-                l = l0 + c
-                if regroup[l]:
-                    sub_all.reshape(S, P)[:] = SUB[l, :, None]
-                    fs.select(sub_all)
-                h = float(H[l, 0]) if one_h[l] else h_all[c, :, None]
-                flow_step(fs, Z, h, out=Z)
-                np.copyto(block[:, c], ZT)
-        except NonFiniteStateError as exc:
-            if c == 0:
-                raise
-            m, failure = c, exc
+        for c in range(m):
+            l = l0 + c
+            if regroup[l]:
+                sub_all.reshape(S, P)[:] = SUB[l, :, None]
+                fs.select(sub_all)
+            h = float(H[l, 0]) if one_h[l] else h_all[c, :, None]
+            flow_step(fs, Z, h, out=Z)
+            np.copyto(block[:, c], ZT)
         states[l0 + 1:l0 + m + 1] = block[:, :m, 0].T
         v = clf.value_batch(Zb, scratch=vs).reshape(C, R)[:m]
+        finite = np.isfinite(v)
+        if not finite.all():  # the first (step, row) whose V is not
+            c, i = divmod(int(finite.argmin()), R)
+            raise NonFiniteStateError(f"non-finite V at t={float(T[l0 + c, i // P])!r}")
         if mod[:m].max() >= 1.0 - ESCAPE_TOL:
             out = mod[:m].max(axis=2) >= 1.0 - ESCAPE_TOL
             new = np.flatnonzero(out.any(axis=0) & np.isnan(escape_time))
@@ -269,12 +271,14 @@ def _integrate(family, plans, points, clf):
         if l0 + m > shortest:  # a plan has ended: its rows have no rate
             no_rate |= h_all[:m] == 0.0
         np.putmask(r, no_rate, -np.inf)
-        c, i = divmod(int(r.argmax()), R)  # argmax stops at the first NaN
-        if not r[c, i] < math.inf:  # the first step with a NaN or +inf
-            c = int(np.argmin(r.max(axis=1) < math.inf))
-            s = int(r[c].argmax()) // P
-            raise NonFiniteStateError(f"non-finite V at t={float(T[l0 + c, s])!r}")
-        max_rel = max(max_rel, float(dv.max()))
+        c, i = divmod(int(r.argmax()), R)
+        top = float(dv.max())
+        if not (r[c, i] < math.inf and top < math.inf):  # V is finite: no NaN here
+            c, i = divmod(int(np.argmax((r == math.inf) | (dv == math.inf))), R)
+            raise NonFiniteStateError(
+                f"non-finite rate of V at t={float(T[l0 + c, i // P])!r}"
+            )
+        max_rel = max(max_rel, top)
         if r[c, i] > worst:
             s, p = divmod(i, P)
             worst, worst_at = float(r[c, i]), dict(
@@ -283,8 +287,6 @@ def _integrate(family, plans, points, clf):
             )
         v_prev[0] = v[-1]
         values[l0 + 1:l0 + m + 1] = v[:, 0]
-        if failure is not None:
-            raise failure
     return SimpleNamespace(
         Z=Z, escaped=~np.isnan(escape_time), escape_time=escape_time, max_rel=max_rel,
         worst_rate=worst if worst_at else None, worst_at=worst_at,
@@ -458,7 +460,7 @@ def audit_certificate(
     coordinates), monitoring the certified function at every step.  The
     audit passes when V never increases beyond ``V_SLACK`` (relative) and
     no trajectory leaves the unit polydisk.  Raises NonFiniteStateError when
-    a state or a value of V stops being finite, and ValueError when the
+    V, or its rate, stops being finite, and ValueError when the
     report is not certified, one of its weights is not finite and
     positive, or its dimension or subsystem count is not the family's.
     The report's P and P_inv map between flag and original coordinates

@@ -18,8 +18,18 @@ from koopman_clf.config import (
     example1_config,
     example2_config,
 )
+from koopman_clf.certificate import CommonLyapunovFunction
 from koopman_clf.koopman import build_matrix
-from koopman_clf.liealg import NotSimultaneouslyTriangularizable
+from koopman_clf.liealg import (
+    NotSimultaneouslyTriangularizable,
+    simultaneous_triangularize,
+)
+from koopman_clf.multiindex import build_basis
+from koopman_clf.vectorfield import (
+    PolyVectorField,
+    boundary_invariance_check,
+    lie_bracket,
+)
 from oracles import field_values
 
 
@@ -591,6 +601,114 @@ def test_a_refused_xi_or_kappa_raises_before_the_lie_closure(
         analysis.analyze_family(
             config.build_family(), 8, scheme_kind=config.scheme_kind, **kw
         )
+
+
+def _report_text(tmp_path, config, *argv):
+    cfg, out = tmp_path / "sys.json", tmp_path / "r.json"
+    cfg.write_text(config.to_json())
+    assert main(["analyze", "--config", str(cfg), "--out", str(out), *argv]) == 0
+    return out.read_text()
+
+
+def test_a_rho_request_caps_the_certified_radius(tmp_path):
+    # example1 at N = 12 certifies rho 1 with eta 0.105; asked for 0.5, by
+    # the config key or by --rho, it certifies 0.5 with eta 0.5, and its
+    # face bounds and partial sum are those of the radius 0.5
+    config = example1_config(degree=12)
+    full = json.loads(_report_text(tmp_path, config))
+    asked = _report_text(tmp_path, dataclasses.replace(config, rho_request=0.5))
+    assert asked == _report_text(tmp_path, config, "--rho", "0.5")
+    capped = json.loads(asked)
+    assert full["certified"] and capped["certified"]
+    assert full["rho_certified"] == 1.0
+    assert full["eta"]["effective"] == 0.1050000000000001
+    assert (capped["rho_certified"], capped["eta"]["effective"]) == (0.5, 0.5)
+    assert capped["region"]["face_bounds"] == boundary_invariance_check(
+        config.build_family(), 0.5
+    )
+    assert full["convergence"]["partial_sum"] == pytest.approx(16.235, abs=1e-3)
+    assert capped["convergence"]["partial_sum"] == pytest.approx(0.3907, abs=1e-4)
+
+
+def test_a_rho_request_above_the_certified_radius_changes_nothing(tmp_path):
+    # example2 at N = 20 certifies 0.5464 under the dominance scheme
+    config = example2_config(degree=20)
+    plain = _report_text(tmp_path, config)
+    assert json.loads(plain)["rho_certified"] == pytest.approx(0.5464, abs=1e-4)
+    assert _report_text(tmp_path, dataclasses.replace(config, rho_request=0.9)) == plain
+
+
+@pytest.mark.parametrize(
+    "config,argv,message",
+    [
+        *((dataclasses.replace(example1_config(degree=8), rho_request=rho), [],
+           "rho_request must lie in (0, 1]") for rho in (0, 1.5, math.nan)),
+        (example1_config(degree=8), ["--rho", "0"], "rho_request must lie in (0, 1]"),
+        (dataclasses.replace(example1_config(degree=8), scheme_kind="foo"), [],
+         "unknown scheme kind 'foo'"),
+    ],
+    ids=["rho-0", "rho-1.5", "rho-nan", "option-rho-0", "scheme-foo"],
+)
+def test_cli_analyze_refuses_a_rho_request_or_scheme_it_cannot_take(
+    tmp_path, capsys, config, argv, message
+):
+    _analyze_refused(tmp_path, capsys, config, argv, message)
+
+
+def _analyze_config_with(tmp_path, key, value):
+    data = example1_config(degree=6).to_json_dict()
+    data[key] = value
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps(data))
+    main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+
+
+def _line(n):
+    return PolyVectorField([{tuple(int(c == l) for c in range(n)): -1.0}
+                            for l in range(n)])
+
+
+# a public entry point given what it refuses, and its message
+REFUSALS = {
+    "build-matrix-dimensions": (
+        lambda tmp: build_matrix(_line(1), build_basis(2, 3)),
+        "field and basis dimensions differ",
+    ),
+    "field-no-component": (
+        lambda tmp: PolyVectorField([]), "need at least one component"
+    ),
+    "field-exponent-length": (
+        lambda tmp: PolyVectorField([{(1,): -1.0}, {(0, 1): -1.0}]),
+        "exponent (1,) has wrong length for n=2",
+    ),
+    "bracket-dimensions": (
+        lambda tmp: lie_bracket(_line(1), _line(2)), "fields live on different spaces"
+    ),
+    "triangularize-shapes": (
+        lambda tmp: simultaneous_triangularize([np.eye(2), np.eye(3)]),
+        "matrices must be square and of equal size",
+    ),
+    "clf-weights": (
+        lambda tmp: CommonLyapunovFunction(np.ones(3), np.eye(2), build_basis(2, 2)),
+        "weight vector does not match the basis",
+    ),
+    "config-dimension-0": (
+        lambda tmp: _analyze_config_with(tmp, "dimension", 0),
+        "invalid config: dimension must be >= 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_each_public_refusal_names_its_problem(tmp_path, capsys, case):
+    call, message = REFUSALS[case]
+    with pytest.raises((ValueError, SystemExit)) as exc:
+        call(tmp_path)
+    if exc.type is SystemExit:  # a config error is a usage error
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    else:
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("degree", [12.5, 12.0, np.float64(12), "12", True])

@@ -18,6 +18,7 @@ from koopman_clf.multiindex import build_basis
 from koopman_clf.switchsim import (
     ESCAPE_TOL,
     AuditSummary,
+    NonFiniteStateError,
     SwitchedRun,
     SwitchingSignal,
     _integrate,
@@ -30,12 +31,7 @@ from koopman_clf.switchsim import (
     random_signal,
     sample_initial_points,
 )
-from koopman_clf.vectorfield import (
-    NonFiniteStateError,
-    PolyVectorField,
-    SwitchedFamily,
-    flow_step,
-)
+from koopman_clf.vectorfield import PolyVectorField, SwitchedFamily, flow_step
 from oracles import field_from_linear, field_step, unit_clf
 
 
@@ -936,10 +932,55 @@ def test_a_non_finite_v_before_a_non_finite_state_is_the_error(rows):
         with pytest.raises(NonFiniteStateError, match=re.escape(f"V at t={float(t)!r}")):
             _integrate(fam, [plan], pts, clf)
     # z' = z^3 steps the row from 0.9 to |z| = 4.7e11 at its seventh step,
-    # where V = |z|^2 is finite, and to a non-finite state at its eighth
+    # where V = |z|^2 is finite, and to a non-finite state at its eighth,
+    # whose V is the error
     cubic = SwitchedFamily([PolyVectorField([{(3,): 1.0}])])
-    with pytest.raises(NonFiniteStateError, match="non-finite state"):
+    with pytest.raises(NonFiniteStateError, match=r"^non-finite V at t=0\.8$"):
         _integrate(cubic, [plan], pts, unit_clf(1))
+
+
+def test_a_blowup_on_the_first_step_of_a_later_block_is_the_error_at_its_end():
+    # signal 1 runs z' = z^3 with a step shortened to 0.05 at a switch to
+    # the same field, and takes its last point, 0.9, to a non-finite state
+    # at its ninth step; 2 x 120 rows make blocks of 8 steps, so that step
+    # opens the second block, and ends near 0.85 on signal 1, not at 0.9 as
+    # signal 0's ninth step does
+    fam = SwitchedFamily([PolyVectorField([{(1,): -1.0}]),
+                          PolyVectorField([{(3,): 1.0}])])
+    signals = [SwitchingSignal((30.0,), (0,), 30.0),
+               SwitchingSignal((0.25, 29.75), (1, 1), 30.0)]
+    plans = [_step_plan(sig, 0.1) for sig in signals]
+    pts = np.array([[0.5]] * 119 + [[0.9]], dtype=complex)
+    clf, (h, _, T) = unit_clf(1), plans[1]
+    z = pts[-1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l, (dt, t) in enumerate(zip(h, T)):
+            z = field_step(fam[1], z, dt)
+            if not np.isfinite(z).all():
+                break
+    assert l == block_steps(240) == 8 and t != plans[0][2][l]
+    message = f"non-finite V at t={float(t)!r}"
+    with pytest.raises(NonFiniteStateError, match=f"^{re.escape(message)}$"):
+        _integrate(fam, plans, pts, clf)
+
+
+@pytest.mark.parametrize("rate,z0", [(5.9e20, 0.1), (5.1e20, 0.1), (1e60, 1e-170)])
+def test_an_infinite_rate_between_finite_values_of_v_is_the_error(rate, z0):
+    # z' = rate z takes V = |z|^2 + |z|^4 to a finite V in one step of 0.1:
+    # from 0.0101 to 6.498e306 at 5.9e20, whose relative increment
+    # overflows, and to 6.314e305 at 5.1e20, whose increment is finite and
+    # its rate not; and from 0, which has no rate, to 3.014e258, whose
+    # increment over the floor 1e-300 overflows all the same
+    fam = SwitchedFamily([PolyVectorField([{(1,): rate}])])
+    clf = CommonLyapunovFunction(np.ones(2), np.eye(1), build_basis(1, 2))
+    plan = _step_plan(SwitchingSignal((0.1,), (0,), 0.1), 0.1)
+    z = np.array([[z0 + 0j]])
+    with np.errstate(over="ignore"):
+        v0, v1 = clf.value_batch(z)[0], clf.value_batch(field_step(fam[0], z, 0.1))[0]
+        assert math.isfinite(v0) and math.isfinite(v1)
+        assert not math.isfinite((v1 - v0) / max(v0, 1e-300) / 0.1)
+    with pytest.raises(NonFiniteStateError, match=r"^non-finite rate of V at t=0\.1$"):
+        _integrate(fam, [plan], z, clf)
 
 
 def test_a_non_finite_v_at_the_initial_states_is_the_error_at_t_0():

@@ -11,10 +11,15 @@ from scipy.linalg import expm
 from koopman_clf.analysis import _region, analyze_family, substitute_linear
 from koopman_clf.config import example1_config, example2_config
 from koopman_clf.multiindex import order_key
-from koopman_clf.switchsim import halton, sample_initial_points
+from koopman_clf.switchsim import (
+    NonFiniteStateError,
+    SwitchingSignal,
+    halton,
+    integrate_switched,
+    sample_initial_points,
+)
 from koopman_clf.vectorfield import (
     FieldScratch,
-    NonFiniteStateError,
     PolyVectorField,
     SwitchedFamily,
     boundary_invariance_check,
@@ -30,6 +35,7 @@ from oracles import (
     field_step,
     field_values,
     reference_rk4,
+    unit_clf,
 )
 
 
@@ -485,19 +491,25 @@ def test_flow_step_never_writes_its_input():
         assert np.array_equal(Z, before)
 
 
-def test_flow_step_writes_out_in_place_and_keeps_it_on_blowup():
+def test_flow_step_writes_out_in_place_on_a_blowup_too():
     rng = np.random.default_rng(19)
     f = example1_config().build_family()[1]
     ZT = np.ascontiguousarray(polydisk_points(rng, 2, 30, 0.9).T)
     want = field_step(f, ZT.T, 0.01)
     got = flow_step(field_scratch(f, 30), ZT.T, 0.01, out=ZT.T)
     assert np.shares_memory(got, ZT) and np.array_equal(ZT.T, want)
+    # a row that blows up is written as it comes out, beside a finite one;
+    # the scratch then holds inf and NaN, and its next step none of them
     grow = PolyVectorField([{(3,): 1.0}])
+    scratch = field_scratch(grow, 2)
     z = np.array([[0.5 + 0j], [1e160 + 0j]])
-    before = z.copy()
-    with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
-        flow_step(field_scratch(grow, 2), z, 1.0, out=z)
-    assert np.array_equal(z, before)
+    with np.errstate(all="ignore"):
+        assert flow_step(scratch, z, 1.0, out=z) is z
+    assert np.array_equal(bits(z[:1]), bits(field_step(grow, [[0.5]], 1.0)))
+    assert not np.isfinite(z[1]).any() and not np.isfinite(scratch.pows).all()
+    w = np.array([[0.5 + 0j], [-0.25j]])
+    assert np.array_equal(bits(flow_step(scratch, w, 1.0)),
+                          bits(reference_rk4([grow], np.zeros(2, int), w, 1.0)))
 
 
 def test_flow_step_and_evaluate_take_an_empty_batch():
@@ -703,8 +715,13 @@ def test_the_field_slices_step_as_the_reference_after_an_overflow():
                 if prior == "quiet":
                     flow_step(scratch.select(quiet), huge, 1e-50)
                 else:  # every slice, the zero field's stage rows too
-                    with pytest.raises(NonFiniteStateError):
-                        flow_step(scratch.select(np.arange(B) % 3), huge, 1.0)
+                    blown = flow_step(scratch.select(np.arange(B) % 3), huge, 1.0)
+                    # the zero field's rows 1, 4, .. keep their state, and
+                    # every other row but row 0, at 0.1, blows up
+                    assert np.array_equal(blown[1::3], huge[1::3])
+                    assert (np.isfinite(blown).all(axis=1).tolist()
+                            == [i % 3 == 1 or i == 0 for i in range(B)])
+                    assert np.isnan(scratch.mono[1, :2]).any()
             scratch.select(target)
             for dt in (0.01, per_row):
                 want = bits(reference_rk4(family, target, Z, dt))
@@ -735,17 +752,17 @@ def test_the_doubled_stages_step_as_the_reference():
         got = flow_step(scratch, Z, h)
         assert np.array_equal(bits(got), bits(reference_rk4(family, sub, Z, h)))
         assert np.array_equal(bits(got[[1, 4, 5]]), bits(Z[[1, 4, 5]]))
-    # row 1's k2 is finite, but 2 k2 is not: the step fails as it did when
-    # k2 was doubled after its contraction
+    # row 1's k2 is finite, but 2 k2 is not: the doubled stage gives a
+    # non-finite row where the reference's sum with 2 k2 does
     f = PolyVectorField([{(1,): 1.0}])
     z = np.array([[0.5 + 0j], [1e308 + 0j]])
     with np.errstate(all="ignore"):
         k2 = field_values(f, z + 0.0005 * field_values(f, z))
         assert np.isfinite(k2).all() and not np.isfinite(2.0 * k2).all()
-        with pytest.raises(NonFiniteStateError, match=re.escape(
-            "non-finite state after an RK4 step (dt up to 0.001)"
-        )):
-            field_step(f, z, 0.001)
+        got = field_step(f, z, 0.001)
+        want = reference_rk4([f], np.zeros(2, int), z, 0.001)
+    assert np.isfinite(got).tolist() == np.isfinite(want).tolist() == [[True], [False]]
+    assert np.array_equal(bits(got[:1]), bits(want[:1]))
 
 
 def test_select_refuses_what_is_not_a_subsystem_index():
@@ -991,10 +1008,16 @@ def test_flow_step_checks_the_point_dimension():
     assert field_step(f, z[None, :], 0.01).shape == (1, 2)
 
 
-def test_flow_step_raises_on_blowup():
+def test_flow_step_returns_a_blowup_and_the_integration_raises_it():
+    # z' = z^3 from 1e100: V = |z|^2 is finite at t = 0, the state after
+    # one step of 1 is not, and neither is its V
     f = PolyVectorField([{(3,): 1.0}])
-    with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
-        field_step(f, np.array([[1e160 + 0j]]), 1.0)
+    z = np.array([[1e100 + 0j]])
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(field_step(f, z, 1.0)).any()
+    with pytest.raises(NonFiniteStateError, match=r"^non-finite V at t=1\.0$"):
+        integrate_switched(SwitchedFamily([f]), SwitchingSignal((1.0,), (0,), 1.0),
+                           z[0], unit_clf(1), dt=1.0)
 
 
 # boundary test --------------------------------------------------------------
