@@ -38,7 +38,6 @@ from .analysis import (
     load_report,
 )
 from .config import SystemConfig, example1_config, example2_config
-from .switchsim import NonFiniteStateError, audit_certificate, export_run_csv
 
 # a basis too large for memory is a usage error (exit 2)
 OUT_OF_MEMORY = (
@@ -135,6 +134,9 @@ def cmd_analyze(parser, args):
 
 
 def cmd_simulate(parser, args):
+    # the audit layer loads here only, so no other command compiles it
+    from .switchsim import NonFiniteStateError, audit_certificate, export_run_csv
+
     cfg = _load_config(parser, args.config)
     try:
         with open(args.report) as fh:

@@ -96,9 +96,10 @@ def random_signal(num_subsystems, horizon, min_dwell=0.05, max_dwell=1.0, seed=0
     impossible the final segment absorbs the remainder.  A horizon of more
     than 2**52 min_dwell is refused: past it a dwell can be below the
     spacing of doubles near t, and the time would stop advancing.
+    ``num_subsystems`` must be an integer >= 1 and ``seed`` one >= 0, not
+    bools.
     """
-    if num_subsystems < 1:
-        raise ValueError("need at least one subsystem")
+    num_subsystems = checked_int("num_subsystems", num_subsystems, 1)
     _require_finite(horizon=horizon, min_dwell=min_dwell, max_dwell=max_dwell)
     if min_dwell <= 0:
         raise ValueError("min_dwell must be positive")
@@ -387,9 +388,9 @@ def sample_initial_points(dimension, radius, count, seed):
     The first half lies on the real section (Halton fill of the cube);
     the rest get Halton moduli with phases from the seeded generator, so
     both purely real and genuinely complex states are exercised.
+    ``count`` must be an integer >= 1 and ``seed`` one >= 0, not bools.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = checked_int("count", count, 1)
     rng = np.random.Generator(np.random.PCG64(checked_int("seed", seed, 0)))
     pts = np.zeros((count, dimension), dtype=complex)
     n_real = (count + 1) // 2
@@ -460,15 +461,17 @@ def audit_certificate(
     coordinates), monitoring the certified function at every step.  The
     audit passes when V never increases beyond ``V_SLACK`` (relative) and
     no trajectory leaves the unit polydisk.  Raises NonFiniteStateError when
-    V, or its rate, stops being finite, and ValueError when the
-    report is not certified, one of its weights is not finite and
-    positive, or its dimension or subsystem count is not the family's.
+    V, or its rate, stops being finite, and ValueError when ``signals``,
+    ``points`` or ``seed`` is not an integer (bools refused) of at least 1,
+    1 and 0, when the report is not certified, one of its weights is not
+    finite and positive, or its dimension or subsystem count is not the
+    family's.
     The report's P and P_inv map between flag and original coordinates
     (``load_report`` supplies the identity when a stored report has
     none).
     """
-    if signals < 1 or points < 1:
-        raise ValueError("signals and points must be >= 1")
+    signals = checked_int("signals", signals, 1)
+    points = checked_int("points", points, 1)
     seed = checked_int("seed", seed, 0)
     if report.epsilon is None or report.rho_certified is None or report.P is None:
         raise ValueError("report does not contain a usable certificate")
@@ -504,11 +507,11 @@ def audit_certificate(
     escapes = int(run.escaped.sum())
     final_norms = np.abs(run.Z).max(axis=1)
     return AuditSummary(
-        signals=int(signals),
-        points=int(points),
+        signals=signals,
+        points=points,
         dt=float(dt),
         horizon=float(horizon),
-        seed=int(seed),
+        seed=seed,
         rho=rho,
         sample_radius=float(radius),
         max_v_increase=float(run.max_rel),

@@ -186,16 +186,18 @@ class FieldScratch:
     however many components use it, in basis order, each the product of
     its non-zero factors only; the rows past the field's own stay zero.
     Factors of exponent 1 are the slice's stage rows, higher ones rows of
-    one power table ``pows``, (P - 1, n, cols), whose row p - 2 holds
-    z ** p up to the family's largest exponent P, shared by the fields; a
-    pure power is copied from it.  A field of K_i = n + (its monomials)
-    rows has an (n, K_i) coefficient matrix C, held zero-padded to K
-    columns in an (A, n, K) stack, and its double 2C, made by doubling
-    every real and imaginary part.  Doubling is exact barring overflow,
-    and so is every product and sum of a contraction with 2C, which is
-    therefore twice the contraction with C, bit for bit; halving a step is
-    exact too, so the second and third stages contract with 2C and build
-    the next stage input with dt/4 and dt/2 (see ``step``).
+    one power table ``pows``, (P - 1, n, cols), shared by the fields,
+    whose row p - 2 holds z ** p for p up to the family's largest exponent
+    P; a plan fills it over the components that its fields raise to p or
+    more only, and a pure power is copied from it.  A field of
+    K_i = n + (its monomials) rows has an (n, K_i) coefficient matrix C,
+    held zero-padded to K columns in an (A, n, K) stack, and its double
+    2C, made by doubling every real and imaginary part.  Doubling is exact
+    barring overflow, and so is every product and sum of a contraction
+    with 2C, which is therefore twice the contraction with C, bit for bit;
+    halving a step is exact too, so the second and third stages contract
+    with 2C and build the next stage input with dt/4 and dt/2 (see
+    ``step``).
 
     ``select`` says which field steps each row, and plans one contraction
     per stage for the set of fields that hold a row, or takes the plan it
@@ -233,15 +235,17 @@ class FieldScratch:
             sorted({a for c in f.components for a in c if sum(a) > 1}, key=order_key)
             for f in fields
         ]
-        self._tops = [max((max(a) for c in f.components for a in c), default=1)
-                      for f in fields]
+        # each field's largest exponent of each component
+        self._tops = [[max((a[c] for comp in f.components for a in comp), default=0)
+                       for c in range(n)] for f in fields]
         self.rows = rows
         cols = max(rows, 2)
         K, A = n + max(map(len, monos)), len(fields)
         # zeros, so that padding columns stay at the origin and the rows
         # past a field's own monomials add nothing
         self.mono = np.zeros((A, K, cols), dtype=complex)
-        self.pows = np.zeros((max(max(self._tops) - 1, 0), n, cols), dtype=complex)
+        top = max(map(max, self._tops))
+        self.pows = np.zeros((max(top - 1, 0), n, cols), dtype=complex)
         self.out = np.zeros((A, n, cols), dtype=complex)
         self.index = np.zeros((n, cols), dtype=np.intp)
         self._cells = np.arange(n * cols).reshape(n, cols)
@@ -288,8 +292,9 @@ class FieldScratch:
 
         A stage is then one flat list of ufunc calls, planned for the
         fields that hold a row, or taken from the plans made for the same
-        set of fields before: the power table up to their largest
-        exponent, their monomials, and the one contraction, into ``acc``
+        set of fields before: each power p, as one product over the range
+        of components that one of these fields raises to p or more, their
+        monomials, and the one contraction, into ``acc``
         with C at the first stage, into ``k`` with 2C at the second and
         third, and into ``k`` with C at the fourth.  A mixed selection
         also fills ``index`` and zeroes the inactive slices in its range.
@@ -337,10 +342,13 @@ class FieldScratch:
         lo, hi = active[0], active[-1] + 1
         stage = self.mono[lo, :n]
         prep = [(np.copyto, (self.mono[i, :n], stage)) for i in active[1:]]
-        top = max(self._tops[i] for i in active)
-        for p in range(2, top + 1):
-            prep.append((np.multiply, (self.pows[p - 3] if p > 2 else stage, stage,
-                                       self.pows[p - 2])))
+        tops = [max(t) for t in zip(*(self._tops[i] for i in active))]
+        for p in range(2, max(tops) + 1):
+            # z ** p of the components an active field raises to p or more
+            raised = [c for c, t in enumerate(tops) if t >= p]
+            part = slice(raised[0], raised[-1] + 1)
+            prev = self.pows[p - 3] if p > 2 else stage
+            prep.append((np.multiply, (prev[part], stage[part], self.pows[p - 2, part])))
         for i in active:
             prep += self._products[i]
         stages = []

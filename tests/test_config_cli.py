@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -1211,6 +1212,51 @@ def test_cli_exits_2_on_an_output_path_that_cannot_be_written(tmp_path, capsys, 
     assert code == 2 and f"cannot write {missing}" in err
 
 
+# The analysis path in a fresh interpreter: the audit layer loads on the
+# first audit only.
+LAZY_AUDIT_CHILD = """
+import io, json, sys
+import koopman_clf
+from koopman_clf import cli
+from koopman_clf.analysis import analyze_family, export_epsilon_csv
+
+def loaded():
+    return "koopman_clf.switchsim" in sys.modules
+
+folder = sys.argv[1]
+seen = {"import": loaded()}
+family = koopman_clf.example1_config().build_family()
+report = analyze_family(family, 6)
+report.to_json()
+export_epsilon_csv(report, io.StringIO())
+seen["analyze_family"] = loaded()
+cli.main(["example1", "--out", folder + "/sys.json"])
+cli.main(["example2", "--out", folder + "/sys2.json"])
+cli.main(["analyze", "--config", folder + "/sys.json", "--out", folder + "/r.json"])
+cli.main(["figure-rho", "--mu-min", "2", "--mu-max", "3", "--steps", "2",
+          "--certify", "--degree", "6", "--out", folder + "/rho.csv"])
+seen["cli"] = loaded()
+kw = dict(signals=2, points=3, seed=4, dt=0.01, horizon=0.5)
+summary = koopman_clf.audit_certificate(family, report, **kw)
+seen["audit"] = loaded()
+direct = koopman_clf.switchsim.audit_certificate(family, report, **kw)
+print(json.dumps({"seen": seen, "equal": summary == direct}))
+"""
+
+
+def test_the_analysis_path_never_loads_the_audit_layer(tmp_path):
+    src = pathlib.Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    child = subprocess.run(
+        [sys.executable, "-c", LAZY_AUDIT_CHILD, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    out = json.loads(child.stdout.splitlines()[-1])
+    assert out["seen"] == {"import": False, "analyze_family": False,
+                           "cli": False, "audit": True}
+    assert out["equal"]
+
+
 @pytest.mark.parametrize(
     "out,trace",
     [("{missing}/audit.json", None), ("{tmp}/audit.json", "{missing}/t.csv"),
@@ -1225,7 +1271,7 @@ def test_cli_simulate_checks_its_output_paths_before_the_audit(
     def no_audit(*args, **kwargs):
         raise AssertionError("the audit ran")
 
-    monkeypatch.setattr(cli, "audit_certificate", no_audit)
+    monkeypatch.setattr(switchsim, "audit_certificate", no_audit)
     dirs = dict(tmp=tmp_path, missing=tmp_path / "missing")
     out, trace = out.format(**dirs), trace and trace.format(**dirs)
     argv = ["simulate", "--config", str(cfg), "--report", str(rpt), "--out", out]
@@ -1547,7 +1593,7 @@ def test_cli_analyze_names_a_basis_too_large_for_memory(tmp_path, capsys, monkey
 
 
 def test_cli_simulate_names_a_basis_too_large_for_memory(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "audit_certificate", _no_memory)
+    monkeypatch.setattr(switchsim, "audit_certificate", _no_memory)
     with pytest.raises(SystemExit) as exc:
         _simulate_with(tmp_path, {"trials": 1, "points": 1})
     assert exc.value.code == 2

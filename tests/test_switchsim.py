@@ -304,6 +304,34 @@ def test_audit_validates_inputs():
         audit_certificate(fam, rep)
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(signals=2.5), "signals must be an integer, got 2.5"),
+        (dict(signals=True), "signals must be an integer, got True"),
+        (dict(signals=np.int64(0)), "signals must be >= 1"),
+        (dict(points=2.5), "points must be an integer, got 2.5"),
+        (dict(points="3"), "points must be an integer, got '3'"),
+        (dict(points=False), "points must be an integer, got False"),
+        (dict(points=0), "points must be >= 1"),
+        (dict(count=2.5), "count must be an integer, got 2.5"),
+        (dict(count=True), "count must be an integer, got True"),
+        (dict(count=0), "count must be >= 1"),
+        (dict(num_subsystems=2.5), "num_subsystems must be an integer, got 2.5"),
+        (dict(num_subsystems=True), "num_subsystems must be an integer, got True"),
+    ],
+)
+def test_audit_counts_must_be_integers_and_name_themselves(kw, message):
+    fam, rep = certified_linear_report()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if "count" in kw:
+            sample_initial_points(2, 0.5, kw["count"], 0)
+        elif "num_subsystems" in kw:
+            random_signal(kw["num_subsystems"], 1.0)
+        else:
+            audit_certificate(fam, rep, dt=0.01, horizon=0.1, **kw)
+
+
 def test_audit_rejects_a_report_that_does_not_certify_the_family():
     fam, rep = certified_linear_report()
     kw = dict(signals=1, points=1, dt=0.01, horizon=0.1)

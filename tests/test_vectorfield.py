@@ -662,6 +662,44 @@ def test_the_planned_step_is_the_reference_rk4_on_random_real_families(n):
             assert_steps_are_the_reference_rk4(family, rng, B, 0.9)
 
 
+def test_each_power_is_filled_only_over_the_components_raised_to_it():
+    # the largest exponent of each component, per field: power p is one
+    # product over the range of components that an active field raises to
+    # p or more, so a fresh scratch leaves the rest of its table at zero
+    tops = [(4, 1, 2), (1, 3, 5), (1, 1, 1)]
+    family = SwitchedFamily([
+        PolyVectorField([{(1, 0, 0): -1.0, (4, 1, 0): 0.2},
+                         {(0, 1, 0): -1.0, (2, 0, 0): 0.1},
+                         {(0, 0, 1): -1.0, (1, 0, 2): 0.3}]),
+        PolyVectorField([{(1, 0, 0): -0.8, (0, 3, 0): 0.1},
+                         {(0, 1, 0): -1.0},
+                         {(0, 0, 1): -1.5, (0, 0, 5): 0.05}]),
+        PolyVectorField([{(1, 0, 0): -1.0}, {(0, 1, 0): -0.5}, {(0, 0, 1): -2.0}]),
+    ])
+    rng = np.random.default_rng(43)
+    B = 7
+    Z = polydisk_points(rng, 3, B, 0.9)
+    per_row = rng.uniform(0.001, 0.02, (B, 1))
+    selections = [np.full(B, 0), np.full(B, 1), np.full(B, 2), np.arange(B) % 2,
+                  np.arange(B) % 2 * 2, np.arange(B) % 2 + 1, np.arange(B) % 3]
+    shared = FieldScratch(family, B)
+    for sub in selections * 2:
+        fresh = FieldScratch(family, B).select(sub)
+        want = bits(reference_rk4(family, sub, Z, 0.01))
+        assert np.array_equal(bits(flow_step(fresh, Z, 0.01)), want)
+        need = np.max([tops[i] for i in set(sub.tolist())], axis=0)
+        for p in range(2, 6):
+            raised = np.flatnonzero(need >= p)
+            filled = np.zeros(3, dtype=bool)
+            if len(raised):
+                filled[raised[0]:raised[-1] + 1] = True
+            assert (fresh.pows[p - 2] != 0).any(axis=1).tolist() == filled.tolist()
+        shared.select(sub)
+        for dt in (0.01, per_row):
+            want = bits(reference_rk4(family, sub, Z, dt))
+            assert np.array_equal(bits(flow_step(shared, Z, dt)), want)
+
+
 def test_a_lone_row_steps_as_it_does_inside_a_batch():
     # a one-row scratch contracts over a padding column at the origin, so
     # its coefficient product is not numpy's matrix-vector one, which
