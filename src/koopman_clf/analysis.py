@@ -24,7 +24,6 @@ from .certificate import (
     dominance_xi_min,
     epsilon_sequence,
 )
-from .config import _json_float, _json_typed
 from .liealg import (
     NotSimultaneouslyTriangularizable,
     TriangularizationResult,
@@ -41,7 +40,9 @@ from .vectorfield import (
     poly_mul,
 )
 
-STAGE_EXIT = {"solvability": 2, "stability": 3, "scheme": 3, "convergence": 4}
+STAGE_EXIT = {
+    "solvability": 2, "stability": 3, "scheme": 3, "convergence": 4, "region": 3,
+}
 
 _KIND_ALIASES = {
     "poly": "polynomial",
@@ -221,12 +222,18 @@ class CertificateReport:
         }
 
     def to_json(self):
-        """Strict JSON of ``to_json_dict``; a non-finite float, which only
-        a failed report holds, is written as null."""
-        chunks = []
-        _encode_json(self.to_json_dict(), "\n", chunks.append)
-        chunks.append("\n")
-        return "".join(chunks)
+        """``strict_json`` of ``to_json_dict``; a non-finite float, which
+        only a failed report holds, is written as null."""
+        return strict_json(self.to_json_dict())
+
+
+def strict_json(obj):
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)`` and a line
+    break, with every non-finite float written as null."""
+    chunks = []
+    _encode_json(obj, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def _encode_json(obj, newline, emit):
@@ -355,130 +362,6 @@ def _cond_dict(cond):
     return {**cond, "by_degree": _degree_list(cond["by_degree"])}
 
 
-def load_report(data):
-    """Rebuild the fields of a serialized report that an audit reads.
-
-    Accepts the dict form of ``to_json_dict``; returns a CertificateReport
-    with its sizes, scheme kind, verdict, radius and numeric arrays
-    (epsilon, P, P_inv).  A report without a triangularization gets the
-    identity for P and P_inv.  Raises
-    ValueError naming the field when one is missing, of the wrong JSON
-    type or out of range, or naming P and P_inv when they are not
-    inverses to 1e-9 in every entry of P_inv P - I; the weight count is
-    checked against the dimension and degree before anything is sized by
-    them.
-    """
-    _json_typed("report", data, dict, "an object")
-
-    def get(key, types, what, null=False, ok=lambda v: True):
-        if key not in data:
-            raise ValueError(f"report field '{key}' is missing")
-        value = data[key]
-        if value is None and null:
-            return None
-        # a bool is neither an integer nor a number
-        if (isinstance(value, bool) != (types is bool)
-                or not isinstance(value, types) or not ok(value)):
-            raise ValueError(f"report field '{key}' must be {what}, got {value!r}")
-        return value
-
-    n, N, size, subsystems = (
-        get(key, int, f"an integer >= {low}", ok=lambda v, low=low: v >= low)
-        for key, low in (("dimension", 1), ("truncation_degree", 2),
-                         ("basis_size", 1), ("num_subsystems", 1))
-    )
-    if _basis_size_up_to(n, N, size) != size:
-        raise ValueError(
-            f"report field 'basis_size' is {size}, not C(N + n, n) - 1 for "
-            f"dimension {n} and truncation_degree {N}"
-        )
-    eps = get("epsilon", list, "a list or null", null=True)
-    if eps is not None and len(eps) != size:
-        raise ValueError(
-            f"report field 'epsilon' holds {len(eps)} weights, not basis_size {size}"
-        )
-    scheme = get("scheme", dict, "an object")
-    rep = CertificateReport(
-        dimension=n,
-        truncation_degree=N,
-        basis_size=size,
-        num_subsystems=subsystems,
-        scheme_kind=_json_typed(
-            "report field 'scheme.kind'", scheme.get("kind"), str, "a string"
-        ),
-    )
-    rep.certified = get("certified", bool, "true or false")
-    rep.rho_certified = _report_float("rho_certified", get(
-        "rho_certified", (int, float), "a number in (0, 1] or null", null=True,
-        ok=lambda v: 0 < v <= 1,
-    ))
-    if eps is not None:
-        # null is a non-finite weight, which only a failed report holds
-        rep.epsilon = np.array([
-            math.nan if e is None else _report_float(f"epsilon[{i}]", e)
-            for i, e in enumerate(eps)
-        ])
-        if np.any(rep.epsilon < 0):
-            i = int(np.argmax(rep.epsilon < 0))
-            raise ValueError(f"report field 'epsilon[{i}]' is negative: {eps[i]!r}")
-    tri = get("triangularization", dict, "an object or null", null=True)
-    if tri is None:
-        rep.P = rep.P_inv = np.eye(n, dtype=complex)
-    else:
-        rep.P, rep.P_inv = (
-            _report_matrix(f"triangularization.{key}", tri.get(key), n)
-            for key in ("P", "P_inv")
-        )
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails
-            gap = float(np.max(np.abs(rep.P_inv @ rep.P - np.eye(n))))
-        if not gap <= 1e-9:
-            raise ValueError(
-                "report fields 'triangularization.P' and 'triangularization.P_inv' "
-                f"are not inverses: max |P_inv P - I| is {gap!r}, above 1e-9"
-            )
-    return rep
-
-
-def _report_float(key, value):
-    """A finite JSON number of a report as a float; None stays None."""
-    if value is None:
-        return None
-    value = _json_float(f"report field '{key}'", value)
-    if not math.isfinite(value):
-        raise ValueError(f"report field '{key}' must be finite, got {value!r}")
-    return value
-
-
-def _report_matrix(key, rows, n):
-    """An n x n list of {"re", "im"} objects of a report as a complex array."""
-    if not (isinstance(rows, list) and len(rows) == n
-            and all(isinstance(row, list) and len(row) == n for row in rows)):
-        raise ValueError(f"report field '{key}' must be {n} lists of {n} entries")
-    out = np.empty((n, n), dtype=complex)
-    for i, row in enumerate(rows):
-        for j, c in enumerate(row):
-            where = f"{key}[{i}][{j}]"
-            if not (isinstance(c, dict) and c.get("re") is not None
-                    and c.get("im") is not None):
-                raise ValueError(
-                    f"report field '{where}' must be an object with numbers re and im"
-                )
-            out[i, j] = complex(_report_float(where + ".re", c["re"]),
-                                _report_float(where + ".im", c["im"]))
-    return out
-
-
-def _basis_size_up_to(n, N, cap):
-    """C(N + n, n) - 1, the basis size of dimension n up to degree N, or
-    cap + 1 as soon as it exceeds ``cap``."""
-    m, count = min(n, N), 1
-    for i in range(1, m + 1):
-        count = count * (N + n - m + i) // i  # C(N + n - m + i, i)
-        if count - 1 > cap:
-            return cap + 1
-    return count - 1
-
-
 class _Failure(Exception):
     """A hypothesis of the certificate that does not hold: raised with the
     stage and the message that ``analyze_family`` records in the report."""
@@ -496,10 +379,12 @@ def analyze_family(
     """Run the full certificate pipeline on a switched family.
 
     Returns a CertificateReport; certification failures are recorded in
-    ``report.failure`` (stage: solvability, stability, scheme, or
-    convergence) rather than raised, so the report always documents how
-    far the analysis got.  A ``LinAlgError`` from the Lie closure, the
-    solvability test or the triangularization is a solvability failure.
+    ``report.failure`` (stage: solvability, stability, scheme,
+    convergence, or region) rather than raised, so the report always
+    documents how far the analysis got.  A polydisk whose face bounds do
+    not prove it forward invariant is a region failure.  A ``LinAlgError``
+    from the Lie closure, the solvability test or the triangularization is
+    a solvability failure.
     A derived dominance xi >= 1 is a scheme failure; a caller's xi or
     kappa that the scheme refuses raises ValueError before any analysis.
     """
@@ -698,11 +583,11 @@ def _certify(report, family, basis, scheme, kappa, rho_request):
             f"ratio {conv.ratio:.6g}",
         )
 
-    report.rho_certified = float(rho)
     report.region = _region(boundary_invariance_check(hats, rho))
     if not report.region["proved"]:
-        report.warnings.append(f"polydisk of radius {rho:.6g} is not proved "
-                               f"forward invariant: {report.region['reason']}")
+        raise _Failure("region", f"polydisk of radius {rho:.6g} is not proved "
+                                 f"forward invariant: {report.region['reason']}")
+    report.rho_certified = float(rho)
     report.certified = True
 
 

@@ -5,11 +5,17 @@ Subcommands: ``analyze`` (run the certificate pipeline on a config),
 ``figure-rho`` (certified-radius curve of the built-in analytic family),
 ``example1``/``example2`` (write ready-made configs).
 
+analyze writes the config it ran, with its overrides, into the report as
+``config``.  simulate reads that block alone: it runs the same analysis
+again and audits that certificate, and it exits 2 when the rest of the
+report differs from it, naming the first path where they differ.
+
 Exit codes: analyze returns 0 on a certificate, 2 when the Jacobian
-algebra is unsolvable or its linear algebra fails, 3 when the scheme
-condition (or the stability assumption) fails, 4 when the weight series
-diverges.  analyze, simulate and figure-rho exit 2 when memory runs out,
-naming the truncation degree and the basis size.  simulate returns 5
+algebra is unsolvable or its linear algebra fails, 3 when the stability
+assumption, the scheme condition or the proof that the certified
+polydisk is forward invariant fails, 4 when the weight series diverges.
+analyze, simulate and figure-rho exit 2 when memory runs out, naming the
+truncation degree and the basis size.  simulate returns 5
 when the audit flags a violation, including a value of V, or of its
 rate, that stops being finite, as V does wherever a state does (one
 line on stderr, no summary).  Reports and summaries are strict JSON; a
@@ -17,11 +23,12 @@ non-finite number in a failed report is written as null.  Usage and
 config errors exit with 2 via the argument parser; these include
 non-finite coefficients, tail norms or simulation parameters, repeated
 coefficients, exponents past 2**63 - 1, values of the wrong JSON type, a
-report whose P and P_inv are not inverses, and an output path that
-cannot be written.
+report without a config block, and an output path that cannot be
+written.
 """
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -35,7 +42,7 @@ from .analysis import (
     analyze_family,
     export_epsilon_csv,
     export_ratios_csv,
-    load_report,
+    strict_json,
 )
 from .config import SystemConfig, example1_config, example2_config
 
@@ -80,43 +87,85 @@ def _csv_text(export, data):
     return buf.getvalue()
 
 
-def _load_config(parser, path):
+def _read_json(parser, path, what):
+    """The JSON value in the file ``path``; a file that cannot be read or
+    parsed is a usage error (exit 2)."""
     try:
         with open(path) as fh:
-            return SystemConfig.from_json(fh.read())
+            return json.load(fh)
     except OSError as exc:
-        parser.error(f"cannot read config: {exc}")
+        parser.error(f"cannot read {what}: {exc}")
+    except ValueError as exc:
+        parser.error(f"invalid {what}: {exc}")
+
+
+def _config(parser, data):
+    """The config of the dict ``data``; an invalid one is a usage error."""
+    try:
+        return SystemConfig.from_json_dict(data)
     except (ValueError, KeyError, TypeError) as exc:
         parser.error(f"invalid config: {exc}")
 
 
-def cmd_analyze(parser, args):
-    cfg = _load_config(parser, args.config)
-    degree = args.degree if args.degree is not None else cfg.truncation_degree
-    scheme = args.scheme if args.scheme is not None else cfg.scheme_kind
-    xi = args.xi if args.xi is not None else cfg.xi
-    kappa = args.kappa if args.kappa is not None else cfg.kappa
-    rho_request = args.rho if args.rho is not None else cfg.rho_request
+def _analysis(parser, cfg):
+    """The report of ``cfg``, as ``analyze`` writes it and ``simulate``
+    re-derives it; a parameter that the analysis refuses and a basis too
+    large for memory are usage errors."""
     # an overflowing ratio ends as inf and fails the scheme; numpy's
     # warnings would only repeat it
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            report = analyze_family(
+            return analyze_family(
                 cfg.build_family(),
-                degree,
-                scheme_kind=scheme,
-                xi=xi,
-                kappa=kappa,
+                cfg.truncation_degree,
+                scheme_kind=cfg.scheme_kind,
+                xi=cfg.xi,
+                kappa=cfg.kappa,
                 eta=cfg.eta,
-                rho_request=rho_request,
+                rho_request=cfg.rho_request,
             )
     except ValueError as exc:
         parser.error(str(exc))
     except MemoryError:
-        n = cfg.dimension
+        n, degree = cfg.dimension, cfg.truncation_degree
         parser.error(OUT_OF_MEMORY.format(degree, math.comb(degree + n, n) - 1, n))
+
+
+def _first_difference(ours, theirs, path=""):
+    """The path of the first value, in sorted key order, at which two
+    parsed JSON values differ, or None when they are equal.  Numbers
+    compare by value; a bool is not a number."""
+    if isinstance(ours, dict) and isinstance(theirs, dict):
+        for key in sorted(ours.keys() | theirs.keys()):
+            where = f"{path}.{key}" if path else key
+            if key not in ours or key not in theirs:
+                return where
+            found = _first_difference(ours[key], theirs[key], where)
+            if found is not None:
+                return found
+        return None
+    if isinstance(ours, list) and isinstance(theirs, list) and len(ours) == len(theirs):
+        for i, (mine, other) in enumerate(zip(ours, theirs)):
+            found = _first_difference(mine, other, f"{path}[{i}]")
+            if found is not None:
+                return found
+        return None
+    same = isinstance(ours, bool) == isinstance(theirs, bool) and ours == theirs
+    return None if same else path
+
+
+def cmd_analyze(parser, args):
+    cfg = _config(parser, _read_json(parser, args.config, "config"))
+    overrides = {"truncation_degree": args.degree, "scheme_kind": args.scheme,
+                 "xi": args.xi, "kappa": args.kappa, "rho_request": args.rho}
+    cfg = dataclasses.replace(
+        cfg, **{key: value for key, value in overrides.items() if value is not None}
+    )
+    report = _analysis(parser, cfg)
     if args.format == "json":
-        _write_text(parser, args.out, report.to_json())
+        # the config that ran: simulate re-derives the report from it
+        text = strict_json({**report.to_json_dict(), "config": cfg.to_json_dict()})
+        _write_text(parser, args.out, text)
     elif report.epsilon is not None:  # else the analysis stopped before them
         prefix = args.out if args.out not in (None, "-") else "report"
         _write_text(parser, prefix + ".epsilon.csv",
@@ -137,14 +186,17 @@ def cmd_simulate(parser, args):
     # the audit layer loads here only, so no other command compiles it
     from .switchsim import NonFiniteStateError, audit_certificate, export_run_csv
 
-    cfg = _load_config(parser, args.config)
-    try:
-        with open(args.report) as fh:
-            report = load_report(json.load(fh))
-    except OSError as exc:
-        parser.error(f"cannot read report: {exc}")
-    except (KeyError, ValueError, TypeError) as exc:
-        parser.error(f"invalid report: {exc}")
+    data = _read_json(parser, args.report, "report")
+    if not isinstance(data, dict) or "config" not in data:
+        parser.error("report has no config block: write it with "
+                     "'koopman-clf analyze'")
+    cfg = _config(parser, data.pop("config"))
+    # the certificate audited is the config's own analysis, never the file's
+    report = _analysis(parser, cfg)
+    where = _first_difference(json.loads(report.to_json()), data)
+    if where is not None:
+        parser.error("report does not match the analysis of its config: "
+                     f"first difference at {where}")
     for path in (args.out, args.trace):  # before the audit, not after it
         _check_writable(parser, path)
     sim = cfg.simulation
@@ -258,8 +310,8 @@ def build_parser():
     p.set_defaults(run=cmd_analyze)
 
     p = sub.add_parser("simulate", help="audit a certificate by simulation")
-    p.add_argument("--config", required=True)
-    p.add_argument("--report", required=True, help="report JSON from analyze")
+    p.add_argument("--report", required=True,
+                   help="report JSON from analyze; its config block is re-analyzed")
     p.add_argument("--out", default="-")
     p.add_argument("--trials", type=int, help="number of switching signals")
     p.add_argument("--points", type=int, help="initial states per signal")

@@ -213,7 +213,9 @@ class SystemConfig:
                     _json_float(name, t)
                     for t in _json_typed(name, tail, list, "a list or null")
                 ]
-            subsystems.append((comps, tail))
+            # in exponent order, as to_json_dict writes them, so that the
+            # analysis does not depend on the order a file lists them in
+            subsystems.append(([dict(sorted(c.items())) for c in comps], tail))
         eta = _json_float("eta", data.get("eta", 0.5))
         if not (math.isfinite(eta) and eta > 0):
             raise ValueError(f"eta must be finite and positive, got {eta!r}")

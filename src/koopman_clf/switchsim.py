@@ -466,9 +466,9 @@ def audit_certificate(
     1 and 0, when the report is not certified, one of its weights is not
     finite and positive, or its dimension or subsystem count is not the
     family's.
-    The report's P and P_inv map between flag and original coordinates
-    (``load_report`` supplies the identity when a stored report has
-    none).
+    The report's P and P_inv map between flag and original coordinates.
+    The checks guard direct library calls: ``koopman-clf simulate`` passes
+    the ``analyze_family`` report of a stored report's config block.
     """
     signals = checked_int("signals", signals, 1)
     points = checked_int("points", points, 1)

@@ -145,34 +145,6 @@ def poly_mul(a, b):
     )
 
 
-def _poly_diff(table, slot):
-    out = {}
-    for alpha, v in table.items():
-        if alpha[slot] == 0:
-            continue
-        beta = list(alpha)
-        beta[slot] -= 1
-        out[tuple(beta)] = v * alpha[slot]
-    return out
-
-
-def lie_bracket(F, G):
-    """Bracket [F, G] = JG . F - JF . G, computed on exact coefficients."""
-    if F.dimension != G.dimension:
-        raise ValueError("fields live on different spaces")
-    n = F.dimension
-    comps = []
-    for l in range(n):
-        acc = {}
-        for s in range(n):
-            plus = poly_mul(_poly_diff(G.components[l], s), F.components[s])
-            minus = poly_mul(_poly_diff(F.components[l], s), G.components[s])
-            add_terms(acc, plus.items())
-            add_terms(acc, ((k, -v) for k, v in minus.items()))
-        comps.append(acc)
-    return PolyVectorField(comps)
-
-
 class FieldScratch:
     """Field plan and work arrays of one caller's points-last RK4 steps of
     ``rows`` points, over a sequence of fields.

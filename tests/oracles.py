@@ -7,8 +7,9 @@ functions here compute the same quantities one entry, one column, one
 pair or one basis position at a time; the tests hold the library to them.
 The small constructors and lookups at the top are used only by tests:
 ``field_step`` steps a batch under one field in a scratch of its own,
-``field_values`` evaluates one field by ``evaluate_batch``, and
-``unit_clf`` is the certificate whose V is |z|^2.
+``field_values`` evaluates one field by ``evaluate_batch``,
+``unit_clf`` is the certificate whose V is |z|^2, and ``lie_bracket`` is
+the bracket of two fields on their exact coefficients.
 ``evaluate_batch`` is the field evaluator the library had before its
 points-last kernel, and ``dense_value_batch`` the V evaluator it had
 before its scratch; each is kept as its successor's bit-exact reference.
@@ -43,7 +44,13 @@ from koopman_clf.certificate import (
 )
 from koopman_clf.koopman import KoopmanMatrix
 from koopman_clf.multiindex import build_basis, order_key
-from koopman_clf.vectorfield import FieldScratch, PolyVectorField, flow_step
+from koopman_clf.vectorfield import (
+    FieldScratch,
+    PolyVectorField,
+    add_terms,
+    flow_step,
+    poly_mul,
+)
 
 
 def field_from_linear(matrix):
@@ -58,6 +65,34 @@ def field_from_linear(matrix):
                 alpha = tuple(1 if s == r else 0 for s in range(n))
                 table[alpha] = A[l, r]
         comps.append(table)
+    return PolyVectorField(comps)
+
+
+def _poly_diff(table, slot):
+    out = {}
+    for alpha, v in table.items():
+        if alpha[slot] == 0:
+            continue
+        beta = list(alpha)
+        beta[slot] -= 1
+        out[tuple(beta)] = v * alpha[slot]
+    return out
+
+
+def lie_bracket(F, G):
+    """Bracket [F, G] = JG . F - JF . G, computed on exact coefficients."""
+    if F.dimension != G.dimension:
+        raise ValueError("fields live on different spaces")
+    n = F.dimension
+    comps = []
+    for l in range(n):
+        acc = {}
+        for s in range(n):
+            plus = poly_mul(_poly_diff(G.components[l], s), F.components[s])
+            minus = poly_mul(_poly_diff(F.components[l], s), G.components[s])
+            add_terms(acc, plus.items())
+            add_terms(acc, ((k, -v) for k, v in minus.items()))
+        comps.append(acc)
     return PolyVectorField(comps)
 
 

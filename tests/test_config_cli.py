@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -26,12 +27,8 @@ from koopman_clf.liealg import (
     simultaneous_triangularize,
 )
 from koopman_clf.multiindex import build_basis
-from koopman_clf.vectorfield import (
-    PolyVectorField,
-    boundary_invariance_check,
-    lie_bracket,
-)
-from oracles import field_values
+from koopman_clf.vectorfield import PolyVectorField, boundary_invariance_check
+from oracles import field_values, lie_bracket
 
 
 def linear_nonnormal_config(degree=6):
@@ -170,6 +167,35 @@ def test_cli_example1_analyze_certifies(tmp_path, capsys):
     assert data["scheme"]["kind"] == "polynomial"
     assert len(data["epsilon"]) == data["basis_size"]
     assert data["epsilon"][0] == 1.0
+
+
+@pytest.mark.parametrize("example,argv,overrides", [
+    ("example1", [], {}),
+    ("example2", ["--degree", "12", "--scheme", "dd", "--xi", "0.5", "--kappa",
+                  "0.25", "--rho", "0.4"],
+     dict(truncation_degree=12, scheme_kind="dd", xi=0.5, kappa=0.25,
+          rho_request=0.4)),
+], ids=["example1", "example2-overrides"])
+def test_cli_analyze_writes_the_config_it_ran_into_the_report(
+    tmp_path, example, argv, overrides
+):
+    # the report without its config block is the library's report of the
+    # config with the overrides folded in, and that config is the block
+    cfg_path, rpt = tmp_path / "sys.json", tmp_path / "report.json"
+    assert main([example, "--out", str(cfg_path)]) == 0
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(rpt),
+                 *argv]) == 0
+    ran = dataclasses.replace(
+        SystemConfig.from_json(cfg_path.read_text()), **overrides
+    )
+    written = json.loads(rpt.read_text())
+    assert written.pop("config") == ran.to_json_dict()
+    library = analysis.analyze_family(
+        ran.build_family(), ran.truncation_degree, scheme_kind=ran.scheme_kind,
+        xi=ran.xi, kappa=ran.kappa, eta=ran.eta, rho_request=ran.rho_request,
+    )
+    assert written == json.loads(library.to_json())
+    assert written["certified"] is True
 
 
 def _reject_constant(token):
@@ -447,8 +473,28 @@ def _nan_weight(eps):
     return eps
 
 
+def _stored_term_above_n_config():
+    """example1 at N = 12 with 10 z1^13 in subsystem 0's first component:
+    the scan never sees the term, the face bound does."""
+    cfg = example1_config(degree=12)
+    cfg.subsystems[0][0][0][(13, 0)] = 10.0
+    return cfg
+
+
+def _declared_tail_config():
+    """example1 at N = 12 with every tail_l1 10 above its stored sum."""
+    cfg = example1_config(degree=12)
+    cfg.subsystems = [
+        (comps, [sum(map(abs, table.values())) + 10.0 for table in comps])
+        for comps, _ in cfg.subsystems
+    ]
+    return cfg
+
+
 _NUM = r"(?:[-+0-9.e]+|nan|inf)"
 _STABLE = [{(1, 0): -1.0}, {(0, 1): -1.0}]
+_NOT_INVARIANT = (r"polydisk of radius 1 is not proved forward invariant: "
+                  rf"subsystem 0, face 0: bound {_NUM} is not negative")
 
 # one row per way analyze stops short of a certificate: (config,
 # (analysis global, patch of it) or None, stage, exit code, message pattern)
@@ -512,6 +558,13 @@ FAILURES = {
         ("epsilon_sequence", _spoiled_weights(_nan_weight)), "convergence", 4,
         rf"weights or convergence numbers are not finite and positive: smallest "
         rf"weight nan, partial sum {_NUM}, tail bound {_NUM}, ratio {_NUM}",
+    ),
+    # both pass the scheme at rho = 1; their face bounds read +9.0 and +9.6
+    "region-stored-term": (
+        _stored_term_above_n_config(), None, "region", 3, _NOT_INVARIANT,
+    ),
+    "region-declared-tail": (
+        _declared_tail_config(), None, "region", 3, _NOT_INVARIANT,
     ),
 }
 
@@ -633,10 +686,16 @@ def test_a_rho_request_caps_the_certified_radius(tmp_path):
 
 def test_a_rho_request_above_the_certified_radius_changes_nothing(tmp_path):
     # example2 at N = 20 certifies 0.5464 under the dominance scheme
+    # but the request itself, which the config block records
     config = example2_config(degree=20)
-    plain = _report_text(tmp_path, config)
-    assert json.loads(plain)["rho_certified"] == pytest.approx(0.5464, abs=1e-4)
-    assert _report_text(tmp_path, dataclasses.replace(config, rho_request=0.9)) == plain
+    plain = json.loads(_report_text(tmp_path, config))
+    assert plain["rho_certified"] == pytest.approx(0.5464, abs=1e-4)
+    asked = json.loads(
+        _report_text(tmp_path, dataclasses.replace(config, rho_request=0.9))
+    )
+    assert asked.pop("config")["rho_request"] == 0.9
+    plain.pop("config")
+    assert asked == plain
 
 
 @pytest.mark.parametrize(
@@ -815,13 +874,7 @@ def test_cli_simulate_audits_and_traces(tmp_path):
     out = tmp_path / "audit.json"
     trace = tmp_path / "trace.csv"
     code = main(
-        [
-            "simulate",
-            "--config", str(cfg_path),
-            "--report", str(rpt),
-            "--out", str(out),
-            "--trace", str(trace),
-        ]
+        ["simulate", "--report", str(rpt), "--out", str(out), "--trace", str(trace)]
     )
     assert code == 0
     summary = json.loads(out.read_text())
@@ -849,13 +902,13 @@ def test_cli_simulate_trace_is_the_audit_first_trajectory(tmp_path, monkeypatch)
 
     integrate = switchsim._integrate
     monkeypatch.setattr(switchsim, "_integrate", counted)
-    assert main(["simulate", "--config", str(cfg_path), "--report", str(rpt),
+    assert main(["simulate", "--report", str(rpt),
                  "--trials", "3", "--points", "4", "--seed", "11",
                  "--out", str(out), "--trace", str(trace)]) == 0
     assert len(integrations) == 1
     sim = cfg.simulation
     summary = switchsim.audit_certificate(
-        cfg.build_family(), analysis.load_report(json.loads(rpt.read_text())),
+        cfg.build_family(), analysis.analyze_family(cfg.build_family(), 6),
         signals=3, points=4, seed=11, dt=sim.dt, horizon=sim.horizon,
         min_dwell=sim.min_dwell, max_dwell=sim.max_dwell,
     )
@@ -872,70 +925,6 @@ def test_cli_simulate_trace_is_the_audit_first_trajectory(tmp_path, monkeypatch)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_cli_simulate_traces_a_report_without_a_triangularization(tmp_path):
-    cfg_path = tmp_path / "sys.json"
-    cfg_path.write_text(linear_nonnormal_config().to_json())
-    rpt = tmp_path / "report.json"
-    assert main(["analyze", "--config", str(cfg_path), "--out", str(rpt)]) == 0
-    data = json.loads(rpt.read_text())
-    data["triangularization"] = None  # P is the identity
-    rpt.write_text(json.dumps(data))
-    trace = tmp_path / "trace.csv"
-    argv = ["simulate", "--config", str(cfg_path), "--report", str(rpt),
-            "--out", str(tmp_path / "audit.json"), "--trace", str(trace)]
-    assert main(argv) == 0
-    lines = trace.read_text().strip().split("\n")
-    assert lines[0] == "t,re_z1,im_z1,re_z2,im_z2,V,active_subsystem"
-    assert len(lines) > 10
-
-
-def test_cli_simulate_flags_tampered_certificate(tmp_path):
-    cfg_path = tmp_path / "sys.json"
-    cfg_path.write_text(linear_nonnormal_config().to_json())
-    rpt = tmp_path / "report.json"
-    main(["analyze", "--config", str(cfg_path), "--out", str(rpt)])
-    data = json.loads(rpt.read_text())
-    assert data["epsilon"][1] == pytest.approx(0.5509641873278237, rel=1e-12)
-    data["epsilon"][1] = 1e-12  # weight of the z2 monomial
-    rpt.write_text(json.dumps(data))
-    code = main(
-        [
-            "simulate",
-            "--config", str(cfg_path),
-            "--report", str(rpt),
-            "--out", str(tmp_path / "audit.json"),
-        ]
-    )
-    assert code == 5
-    summary = json.loads((tmp_path / "audit.json").read_text())
-    assert summary["passed"] is False
-    assert summary["max_v_increase"] > 1e-9
-
-
-@pytest.mark.parametrize("edits,named", [
-    ({5: None}, "'epsilon[5]' is not finite and positive: nan"),
-    ({0: 0.0}, "'epsilon[0]' is not finite and positive: 0.0"),
-    ({7: None, 2: 0.0}, "'epsilon[2]' is not finite and positive: 0.0"),
-], ids=["null", "zero", "first-of-two"])
-def test_cli_simulate_refuses_a_weight_that_is_not_finite_and_positive(
-    tmp_path, capsys, edits, named
-):
-    # analyze certifies no such weight (a null one is NaN); an edited
-    # report exits 2 naming the first one
-    cfg, rpt = _example1_config_and_report(tmp_path)
-    data = json.loads(rpt.read_text())
-    for index, value in edits.items():
-        data["epsilon"][index] = value
-    rpt.write_text(json.dumps(data))
-    out = tmp_path / "audit.json"
-    argv = ["simulate", "--config", str(cfg), "--report", str(rpt),
-            "--out", str(out), "--trials", "1", "--points", "1"]
-    code, err = _cli_exit(argv, capsys)
-    assert code == 2
-    assert f"report field {named}\n" in err
-    assert not out.exists()
-
-
 def test_cli_simulate_rejects_uncertified_report(tmp_path, capsys):
     cfg = tmp_path / "sys.json"
     main(["example1", "--b", "0.5", "--out", str(cfg)])
@@ -943,8 +932,9 @@ def test_cli_simulate_rejects_uncertified_report(tmp_path, capsys):
     main(["analyze", "--config", str(cfg), "--out", str(rpt)])
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--config", str(cfg), "--report", str(rpt)])
+        main(["simulate", "--report", str(rpt)])
     assert exc.value.code == 2
+    assert "report does not contain a usable certificate" in capsys.readouterr().err
 
 
 def _example1_config_and_report(tmp_path):
@@ -962,6 +952,22 @@ def _cli_exit(argv, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     return exc.value.code, err
+
+
+def _edited_config_argv(tmp_path, command, edit):
+    """``command``'s argv on example1 with its config edited in place by
+    ``edit``, or replaced by what ``edit`` returns: for analyze the config
+    file, for simulate the config block of the report."""
+    cfg, rpt = _example1_config_and_report(tmp_path)
+    out = tmp_path / "out.json"
+    if command == "analyze":
+        data = json.loads(cfg.read_text())
+        cfg.write_text(json.dumps(edit(data) or data))
+        return ["analyze", "--config", str(cfg), "--out", str(out)], out
+    data = json.loads(rpt.read_text())
+    data["config"] = edit(data["config"]) or data["config"]
+    rpt.write_text(json.dumps(data))
+    return ["simulate", "--report", str(rpt), "--out", str(out)], out
 
 
 def _set(owner, path, value):
@@ -1008,16 +1014,11 @@ NOT_OBJECTS = {
 def test_cli_refuses_a_config_block_of_the_wrong_json_type(
     tmp_path, capsys, command, case
 ):
-    cfg, rpt = _example1_config_and_report(tmp_path)
     path, value, message = NOT_OBJECTS[case]
-    data = json.loads(cfg.read_text())
-    _set(data, path, value)
-    cfg.write_text(json.dumps(data))
-    out = tmp_path / "out.json"
-    argv = ["--config", str(cfg), "--out", str(out)]
-    if command == "simulate":
-        argv += ["--report", str(rpt)]
-    code, err = _cli_exit([command, *argv], capsys)
+    argv, out = _edited_config_argv(
+        tmp_path, command, lambda data: _set(data, path, value)
+    )
+    code, err = _cli_exit(argv, capsys)
     assert code == 2
     assert f"invalid config: {message}, got " in err
     assert not out.exists()
@@ -1060,21 +1061,18 @@ BAD_KEYS = {
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
 @pytest.mark.parametrize("case", [*BAD_KEYS])
 def test_cli_names_an_unknown_or_missing_config_key(tmp_path, capsys, command, case):
-    cfg, rpt = _example1_config_and_report(tmp_path)
     path, value, message = BAD_KEYS[case]
-    data = json.loads(cfg.read_text())
-    if not path:
-        data = value
-    elif value is None:
-        _drop(data, path)
-    else:
-        _set(data, path, value)
-    cfg.write_text(json.dumps(data))
-    out = tmp_path / "out.json"
-    argv = ["--config", str(cfg), "--out", str(out)]
-    if command == "simulate":
-        argv += ["--report", str(rpt)]
-    code, err = _cli_exit([command, *argv], capsys)
+
+    def edit(data):
+        if not path:
+            return value
+        if value is None:
+            _drop(data, path)
+        else:
+            _set(data, path, value)
+
+    argv, out = _edited_config_argv(tmp_path, command, edit)
+    code, err = _cli_exit(argv, capsys)
     assert code == 2
     assert err.rstrip().endswith(f"invalid config: {message}")
     assert not out.exists()
@@ -1097,33 +1095,6 @@ def test_a_null_or_absent_scheme_or_simulation_keeps_the_defaults():
             assert SystemConfig.from_json_dict(edited).to_json_dict() == data
 
 
-def test_cli_simulate_rejects_a_report_of_another_family(tmp_path, capsys):
-    cfg, rpt = _example1_config_and_report(tmp_path)
-    data = json.loads(cfg.read_text())
-    data["subsystems"].append(data["subsystems"][0])  # three subsystems
-    three = tmp_path / "three.json"
-    three.write_text(json.dumps(data))
-    out = tmp_path / "audit.json"
-    argv = ["simulate", "--config", str(three), "--report", str(rpt),
-            "--out", str(out), "--trials", "1", "--points", "1"]
-    code, err = _cli_exit(argv, capsys)
-    assert code == 2 and "num_subsystems" in err
-    assert not out.exists()
-
-
-def test_cli_simulate_rejects_a_report_edited_to_uncertified(tmp_path, capsys):
-    cfg, rpt = _example1_config_and_report(tmp_path)
-    data = json.loads(rpt.read_text())
-    data["certified"] = False  # the weights and the radius stay in place
-    rpt.write_text(json.dumps(data))
-    out = tmp_path / "audit.json"
-    argv = ["simulate", "--config", str(cfg), "--report", str(rpt),
-            "--out", str(out), "--trials", "1", "--points", "1"]
-    code, err = _cli_exit(argv, capsys)
-    assert code == 2 and "'certified'" in err
-    assert not out.exists()
-
-
 def _set_entry(key, value):
     def edit(data):
         data["triangularization"]["P"][0][1][key] = value
@@ -1139,53 +1110,151 @@ def _scale_matrix(key, factor):
     return edit
 
 
-NOT_INVERSES = "'triangularization.P' and 'triangularization.P_inv'"
+def _set_weights(edits):
+    def edit(data):
+        for index, value in edits.items():
+            data["epsilon"][index] = value
+    return edit
 
 
-@pytest.mark.parametrize(
-    "edit,field",
-    [
-        (lambda d: d.update(truncation_degree=12.5), "'truncation_degree'"),
-        # the basis is never built: the weight count is checked first
-        (lambda d: d.update(truncation_degree=20000), "truncation_degree 20000"),
-        (lambda d: d.update(truncation_degree=10**15, dimension=10**15),
-         "truncation_degree 1000000000000000"),
-        (lambda d: d.update(dimension="2"), "'dimension'"),
-        (lambda d: d.update(num_subsystems=0), "'num_subsystems'"),
-        (lambda d: d.update(basis_size=91), "'basis_size'"),
-        (lambda d: d.update(rho_certified="0.5"), "'rho_certified'"),
-        (lambda d: d.update(rho_certified=1.5), "'rho_certified'"),
-        (lambda d: d.update(rho_certified=math.nan), "'rho_certified'"),
-        (lambda d: d.update(certified="true"), "'certified'"),
-        (lambda d: d.pop("certified"), "'certified' is missing"),
-        (lambda d: d.update(epsilon=d["epsilon"][:-1]), "'epsilon' holds 89"),
-        (lambda d: d["epsilon"].__setitem__(3, "0.5"), "'epsilon[3]'"),
-        (lambda d: d["epsilon"].__setitem__(3, -1.0), "'epsilon[3]'"),
-        (lambda d: d["scheme"].update(kind=None), "'scheme.kind'"),
-        (_set_entry("re", "0.0"), "'triangularization.P[0][1].re'"),
-        (_set_entry("im", math.inf), "'triangularization.P[0][1].im'"),
-        (lambda d: d["triangularization"].update(P_inv=[[1.0]]),
-         "'triangularization.P_inv'"),
-        # each of these passed the audit unchecked: every start at the
-        # origin, V identically 0, or half the certified radius audited
-        (_scale_matrix("P", 0.0), NOT_INVERSES),
-        (_scale_matrix("P_inv", 0.0), NOT_INVERSES),
-        (_scale_matrix("P", 0.5), NOT_INVERSES),
-    ],
-)
-def test_cli_simulate_rejects_a_report_field_of_the_wrong_type_or_range(
-    tmp_path, capsys, edit, field
+# an edit of example1's report and the first path at which it no longer
+# matches the analysis of its config block
+MISMATCHES = {
+    "weight-tampered": (_set_weights({2: 1e-12}), "epsilon[2]"),
+    "weight-null": (_set_weights({5: None}), "epsilon[5]"),
+    "weight-zero": (_set_weights({0: 0.0}), "epsilon[0]"),
+    "weight-first-of-two": (_set_weights({7: None, 2: 0.0}), "epsilon[2]"),
+    "weight-string": (_set_weights({3: "0.5"}), "epsilon[3]"),
+    "weight-negative": (_set_weights({3: -1.0}), "epsilon[3]"),
+    "weights-short": (lambda d: d.update(epsilon=d["epsilon"][:-1]), "epsilon"),
+    "certified-false": (lambda d: d.update(certified=False), "certified"),
+    "certified-string": (lambda d: d.update(certified="true"), "certified"),
+    "certified-missing": (lambda d: d.pop("certified"), "certified"),
+    "degree-float": (lambda d: d.update(truncation_degree=12.5), "truncation_degree"),
+    "degree-large": (lambda d: d.update(truncation_degree=20000), "truncation_degree"),
+    "degree-and-dimension": (
+        lambda d: d.update(truncation_degree=10**15, dimension=10**15), "dimension"
+    ),
+    "dimension-string": (lambda d: d.update(dimension="2"), "dimension"),
+    "num-subsystems": (lambda d: d.update(num_subsystems=0), "num_subsystems"),
+    "basis-size": (lambda d: d.update(basis_size=91), "basis_size"),
+    "rho-string": (lambda d: d.update(rho_certified="0.5"), "rho_certified"),
+    "rho-large": (lambda d: d.update(rho_certified=1.5), "rho_certified"),
+    "rho-nan": (lambda d: d.update(rho_certified=math.nan), "rho_certified"),
+    "scheme-kind": (lambda d: d["scheme"].update(kind=None), "scheme.kind"),
+    "triangularization-null": (
+        lambda d: d.update(triangularization=None), "triangularization"
+    ),
+    "entry-string": (_set_entry("re", "0.0"), "triangularization.P[0][1].re"),
+    "entry-inf": (_set_entry("im", math.inf), "triangularization.P[0][1].im"),
+    "p-inv-shape": (lambda d: d["triangularization"].update(P_inv=[[1.0]]),
+                    "triangularization.P_inv"),
+    "p-zeroed": (_scale_matrix("P", 0.0), "triangularization.P[0][0].re"),
+    "p-inv-zeroed": (_scale_matrix("P_inv", 0.0), "triangularization.P_inv[0][0].re"),
+    "p-halved": (_scale_matrix("P", 0.5), "triangularization.P[0][0].re"),
+    "extra-key": (lambda d: d.update(note="edited"), "note"),
+}
+
+
+@pytest.mark.parametrize("case", list(MISMATCHES))
+def test_cli_simulate_refuses_a_report_that_is_not_its_configs_analysis(
+    tmp_path, capsys, case
 ):
-    cfg, rpt = _example1_config_and_report(tmp_path)
+    # simulate audits the analysis of the config block; a report that
+    # differs from it anywhere is refused, naming the first path
+    edit, path = MISMATCHES[case]
+    _, rpt = _example1_config_and_report(tmp_path)
     data = json.loads(rpt.read_text())
     edit(data)
     rpt.write_text(json.dumps(data))
     out = tmp_path / "audit.json"
-    argv = ["simulate", "--config", str(cfg), "--report", str(rpt),
-            "--out", str(out), "--trials", "1", "--points", "1"]
+    argv = ["simulate", "--report", str(rpt), "--out", str(out),
+            "--trials", "1", "--points", "1"]
     code, err = _cli_exit(argv, capsys)
-    assert code == 2 and "invalid report" in err and field in err
+    assert code == 2
+    assert err.endswith("error: report does not match the analysis of its "
+                        f"config: first difference at {path}\n")
     assert not out.exists()
+
+
+def _swap_in(config):
+    def edit(data):
+        data["config"] = config.to_json_dict()
+    return edit
+
+
+def _third_subsystem(data):
+    data["config"]["subsystems"].append(data["config"]["subsystems"][0])
+
+
+@pytest.mark.parametrize("edit,path", [
+    # both planar pairs: their reports first differ in the basis size
+    (_swap_in(example2_config()), "basis_size"),
+    (_third_subsystem, "num_subsystems"),
+    (_swap_in(example1_config(degree=10)), "basis_size"),
+    # same sizes and verdict: the first number that differs is the sum
+    (_swap_in(example1_config(b=0.25)), "convergence.partial_sum"),
+], ids=["example2", "three-subsystems", "degree", "coupling"])
+def test_cli_simulate_refuses_a_report_whose_config_block_was_swapped(
+    tmp_path, capsys, edit, path
+):
+    _, rpt = _example1_config_and_report(tmp_path)
+    data = json.loads(rpt.read_text())
+    edit(data)
+    rpt.write_text(json.dumps(data))
+    out = tmp_path / "audit.json"
+    argv = ["simulate", "--report", str(rpt), "--out", str(out),
+            "--trials", "1", "--points", "1"]
+    code, err = _cli_exit(argv, capsys)
+    assert code == 2
+    assert err.endswith(f"first difference at {path}\n")
+    assert not out.exists()
+
+
+def test_cli_simulate_refuses_a_report_without_a_config_block(tmp_path, capsys):
+    _, rpt = _example1_config_and_report(tmp_path)
+    data = json.loads(rpt.read_text())
+    del data["config"]
+    for written in (data, [data]):
+        rpt.write_text(json.dumps(written))
+        code, err = _cli_exit(["simulate", "--report", str(rpt)], capsys)
+        assert code == 2
+        assert err.endswith("error: report has no config block: write it with "
+                            "'koopman-clf analyze'\n")
+
+
+def test_cli_simulate_accepts_a_config_file_that_lists_its_terms_out_of_order(
+    tmp_path,
+):
+    # the analysis of a conjugated pair moves in its last bits with the
+    # order of its terms; a config takes them in exponent order, as the
+    # report's config block lists them, so simulate re-derives the report
+    S = np.array([[1.0, 0.4], [-0.3, 1.0]])
+    S_inv = np.array([[1.0, -0.4], [0.3, 1.0]]) / 1.12
+    split = example1_config()
+    split.subsystems[1][0][1][(0, 1)] = -1.2
+    family = [analysis.substitute_linear(f, S_inv, S) for f in split.build_family()]
+    data = SystemConfig(
+        dimension=2, truncation_degree=12,
+        subsystems=[(f.components, None) for f in family],
+        scheme_kind="diagonal_dominance",
+        simulation=SimulationParams(dt=0.01, horizon=1.0, trials=1, points=2),
+    ).to_json_dict()
+    for subsystem in data["subsystems"]:
+        subsystem["coefficients"].reverse()
+    cfg, rpt = tmp_path / "sys.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["analyze", "--config", str(cfg), "--out", str(rpt)]) == 0
+    out = tmp_path / "audit.json"
+    assert main(["simulate", "--report", str(rpt), "--out", str(out)]) == 0
+
+
+def test_cli_simulate_no_longer_takes_a_config(tmp_path, capsys):
+    cfg, rpt = _example1_config_and_report(tmp_path)
+    code, err = _cli_exit(
+        ["simulate", "--config", str(cfg), "--report", str(rpt)], capsys
+    )
+    assert code == 2 and "unrecognized arguments: --config" in err
 
 
 @pytest.mark.parametrize(
@@ -1193,9 +1262,9 @@ def test_cli_simulate_rejects_a_report_field_of_the_wrong_type_or_range(
     [
         ["analyze", "--config", "{cfg}", "--out", "{missing}/r.json"],
         ["analyze", "--config", "{cfg}", "--format", "csv", "--out", "{missing}/p"],
-        ["simulate", "--config", "{cfg}", "--report", "{rpt}", "--trials", "1",
+        ["simulate", "--report", "{rpt}", "--trials", "1",
          "--points", "1", "--out", "{missing}/audit.json"],
-        ["simulate", "--config", "{cfg}", "--report", "{rpt}", "--trials", "1",
+        ["simulate", "--report", "{rpt}", "--trials", "1",
          "--points", "1", "--out", "{tmp}/audit.json", "--trace", "{missing}/t.csv"],
         ["example1", "--out", "{missing}/c.json"],
         ["example2", "--out", "{missing}/c.json"],
@@ -1274,7 +1343,7 @@ def test_cli_simulate_checks_its_output_paths_before_the_audit(
     monkeypatch.setattr(switchsim, "audit_certificate", no_audit)
     dirs = dict(tmp=tmp_path, missing=tmp_path / "missing")
     out, trace = out.format(**dirs), trace and trace.format(**dirs)
-    argv = ["simulate", "--config", str(cfg), "--report", str(rpt), "--out", out]
+    argv = ["simulate", "--report", str(rpt), "--out", out]
     code, err = _cli_exit(argv + (["--trace", trace] if trace else []), capsys)
     assert code == 2 and f"cannot write {trace or out}" in err
     assert not (tmp_path / "audit.json").exists()
@@ -1419,28 +1488,33 @@ def test_the_readme_lists_every_subcommand_once():
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
     section = readme.split("## Command line", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-    listed = [line.split()[1] for line in block.splitlines()
-              if line.startswith("koopman-clf ")]
-    sub = next(action for action in cli.build_parser()._actions
+    lines = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+             if line.startswith("koopman-clf ")]
+    parser = cli.build_parser()
+    sub = next(action for action in parser._actions
                if isinstance(action, argparse._SubParsersAction))
-    assert sorted(listed) == sorted(sub.choices)
+    assert sorted(argv[0] for argv in lines) == sorted(sub.choices)
+    for argv in lines:  # an option that the parser lacks exits 2
+        parser.parse_args(argv)
 
 
 def _simulate_with(tmp_path, simulation, extra=()):
-    """Analyze the linear pair, then run simulate with the given
-    simulation block (written as JSON, NaN and Infinity allowed)."""
-    cfg = linear_nonnormal_config()
+    """Analyze the linear pair, then run simulate on its report with the
+    given simulation block (written as JSON, NaN and Infinity allowed)."""
     cfg_path = tmp_path / "sys.json"
-    cfg_path.write_text(cfg.to_json())
+    cfg_path.write_text(linear_nonnormal_config().to_json())
     rpt = tmp_path / "report.json"
     assert main(["analyze", "--config", str(cfg_path), "--out", str(rpt)]) == 0
-    data = cfg.to_json_dict()
-    data["simulation"].update(simulation)
-    cfg_path.write_text(json.dumps(data))
+    _edit_simulation(rpt, simulation)
     out = tmp_path / "audit.json"
-    argv = ["simulate", "--config", str(cfg_path), "--report", str(rpt),
-            "--out", str(out), *extra]
-    return main(argv), out
+    return main(["simulate", "--report", str(rpt), "--out", str(out), *extra]), out
+
+
+def _edit_simulation(rpt, simulation):
+    """Update the simulation block in the report's config block."""
+    data = json.loads(rpt.read_text())
+    data["config"]["simulation"].update(simulation)
+    rpt.write_text(json.dumps(data))
 
 
 @pytest.mark.parametrize("name", ["dt", "horizon", "min_dwell", "max_dwell"])
@@ -1492,11 +1566,8 @@ def test_cli_simulate_refuses_a_horizon_it_cannot_plan_before_drawing_signals(tm
     # 1e300 / 0.01 steps: the signals alone would never finish
     code, out = _simulate_with(tmp_path, {"trials": 1, "points": 1})
     assert code == 0
-    data = json.loads((tmp_path / "sys.json").read_text())
-    data["simulation"]["horizon"] = 1e300
-    (tmp_path / "sys.json").write_text(json.dumps(data))
+    _edit_simulation(tmp_path / "report.json", {"horizon": 1e300})
     argv = [sys.executable, "-m", "koopman_clf", "simulate",
-            "--config", str(tmp_path / "sys.json"),
             "--report", str(tmp_path / "report.json"), "--out", str(out),
             "--trials", "1", "--points", "1", "--dt", "0.01"]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
@@ -1514,7 +1585,6 @@ def test_cli_simulate_blowup_exits_5_with_one_line(tmp_path):
     assert code == 5
     assert not out.exists()
     argv = [sys.executable, "-m", "koopman_clf", "simulate",
-            "--config", str(tmp_path / "sys.json"),
             "--report", str(tmp_path / "report.json"), "--out", str(out)]
     proc = subprocess.run(argv, capture_output=True, text=True)
     assert proc.returncode == 5

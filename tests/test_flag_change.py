@@ -10,10 +10,15 @@ from koopman_clf import analysis
 from koopman_clf.analysis import (
     _clip_subdiagonal_linear,
     analyze_family,
-    load_report,
     substitute_linear,
 )
-from koopman_clf.config import example1_config, example2_config
+from koopman_clf.cli import main
+from koopman_clf.config import (
+    SimulationParams,
+    SystemConfig,
+    example1_config,
+    example2_config,
+)
 from koopman_clf.vectorfield import PolyVectorField
 
 S = np.array([[1.0, 0.4], [-0.3, 1.0]], dtype=complex)
@@ -106,17 +111,27 @@ def test_conjugated_family_reaches_the_scheme_with_triangular_operators(
         assert np.all(kmat.v[diagonal].real < 0)
 
 
-def test_a_complex_triangularization_round_trips_through_load_report():
-    # P_inv P - I of the loaded pair is about 1e-16 here, far inside the
-    # 1e-9 that load_report allows
+def test_a_complex_triangularization_round_trips_through_simulate(tmp_path):
+    # simulate re-derives the report from its config block, LAPACK's flag
+    # change included, and finds it equal to the one analyze wrote
     S_c = np.array([[1.0, 0.4j], [-0.3, 1.0]])
     S_c_inv = np.linalg.inv(S_c)
     family = [substitute_linear(f, S_c_inv, S_c) for f in example1_split_pair()]
-    report = analyze_family(family, 8)
-    assert np.any(report.P.imag != 0) and not np.allclose(report.P, np.eye(2))
-    loaded = load_report(json.loads(report.to_json()))
-    assert np.array_equal(loaded.P, report.P)
-    assert np.array_equal(loaded.P_inv, report.P_inv)
+    cfg = SystemConfig(
+        dimension=2, truncation_degree=8,
+        subsystems=[(f.components, None) for f in family],
+        scheme_kind="diagonal_dominance",
+        simulation=SimulationParams(dt=0.01, horizon=1.0, trials=1, points=2),
+    )
+    cfg_path, rpt, out = (tmp_path / name for name in ("sys.json", "r.json", "a.json"))
+    cfg_path.write_text(cfg.to_json())
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(rpt)]) == 0
+    data = json.loads(rpt.read_text())
+    P = np.array([[complex(c["re"], c["im"]) for c in row]
+                  for row in data["triangularization"]["P"]])
+    assert np.any(P.imag != 0) and not np.allclose(P, np.eye(2))
+    assert main(["simulate", "--report", str(rpt), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"] is True
 
 
 def example2_split_pair():

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from koopman_clf.certificate import build_operator
 from koopman_clf.koopman import build_matrix
 from koopman_clf.multiindex import build_basis
-from koopman_clf.vectorfield import PolyVectorField, lie_bracket
+from koopman_clf.vectorfield import PolyVectorField
 from oracles import (
     col_abs_sum,
     column_support,
     entry,
     field_from_linear,
+    lie_bracket,
     row_abs_sum,
     sorted_build_matrix,
     stored_entry,

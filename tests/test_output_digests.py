@@ -150,7 +150,7 @@ def simulate_files(folder):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["example1", "--out", cfg]) == 0
         assert main(["analyze", "--config", cfg, "--out", rpt]) == 0
-        assert main(["simulate", "--config", cfg, "--report", rpt, "--trials", "3",
+        assert main(["simulate", "--report", rpt, "--trials", "3",
                      "--points", "7", "--seed", "5", "--dt", "0.01",
                      "--out", out, "--trace", trace]) == 0
     return {"simulate.example1.summary": pathlib.Path(out).read_bytes(),

@@ -410,4 +410,6 @@ def test_fast_growing_weights_on_a_small_radius_keep_a_finite_tail(tmp_path, cap
     assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
     err = capsys.readouterr().err
     assert err.startswith("certified: ") and "Traceback" not in err
-    assert json.loads(out.read_text()) == json.loads(report.to_json())
+    written = json.loads(out.read_text())
+    assert written.pop("config") == cfg.to_json_dict()
+    assert written == json.loads(report.to_json())

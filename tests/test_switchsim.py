@@ -350,6 +350,21 @@ def test_audit_rejects_a_report_that_does_not_certify_the_family():
     assert audit_certificate(fam, rep, **kw).passed
 
 
+@pytest.mark.parametrize("edits,named", [
+    ({5: math.nan}, "'epsilon[5]' is not finite and positive: nan"),
+    ({0: 0.0}, "'epsilon[0]' is not finite and positive: 0.0"),
+    ({7: math.inf, 2: -1.0}, "'epsilon[2]' is not finite and positive: -1.0"),
+], ids=["nan", "zero", "first-of-two"])
+def test_audit_refuses_a_weight_that_is_not_finite_and_positive(edits, named):
+    # analysis certifies no such weight; a caller's edited report is
+    # refused naming the first one
+    fam, rep = certified_linear_report()
+    for index, value in edits.items():
+        rep.epsilon[index] = value
+    with pytest.raises(ValueError, match=re.escape(f"report field {named}")):
+        audit_certificate(fam, rep, signals=1, points=1, dt=0.01, horizon=0.1)
+
+
 @pytest.mark.parametrize("name", ["dt", "horizon", "min_dwell", "max_dwell"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_audit_rejects_non_finite_parameters(name, value):

@@ -24,7 +24,6 @@ from koopman_clf.vectorfield import (
     SwitchedFamily,
     boundary_invariance_check,
     flow_step,
-    lie_bracket,
     poly_mul,
 )
 from oracles import (
@@ -34,6 +33,7 @@ from oracles import (
     field_scratch,
     field_step,
     field_values,
+    lie_bracket,
     reference_rk4,
     unit_clf,
 )
@@ -1142,16 +1142,20 @@ def test_a_family_whose_flag_change_drops_its_tails_has_no_proved_region():
     ]
     with pytest.warns(UserWarning, match="tail_l1 missing"):
         report = analyze_family(family, 8, "diagonal_dominance")
-    assert report.certified and not np.allclose(report.P, np.eye(2))
+    assert not np.allclose(report.P, np.eye(2))
     assert report.warnings[0].startswith("tail_l1 norms dropped")
     reason = "subsystem 0 is a truncated series with no tail_l1"
     assert report.region == {
         "face_bounds": [None, None], "worst": None, "proved": False,
         "reason": reason,
     }
-    assert report.warnings[-1] == (
-        f"polydisk of radius {report.rho_certified:.6g} is not proved forward "
-        f"invariant: {reason}"
+    # with no proved region there is no certificate
+    assert not report.certified and report.exit_code == 3
+    assert report.rho_certified is None
+    assert report.failure["stage"] == "region"
+    assert re.fullmatch(
+        rf"polydisk of radius 0\.[0-9]+ is not proved forward invariant: {reason}",
+        report.failure["message"],
     )
 
 
