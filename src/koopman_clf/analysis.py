@@ -32,6 +32,7 @@ from .liealg import (
     simultaneous_triangularize,
 )
 from .multiindex import build_basis, checked_int
+from .rounding import upper
 from .vectorfield import (
     PolyVectorField,
     SwitchedFamily,
@@ -385,8 +386,11 @@ def analyze_family(
     not prove it forward invariant is a region failure.  A ``LinAlgError``
     from the Lie closure, the solvability test or the triangularization is
     a solvability failure.
-    A derived dominance xi >= 1 is a scheme failure; a caller's xi or
-    kappa that the scheme refuses raises ValueError before any analysis.
+    A derived dominance xi >= 1 is a scheme failure, and so, under the
+    polynomial scheme, is a field in flag coordinates that stores a term
+    above the truncation degree or declares a ``tail_l1`` above its stored
+    sum.  A caller's xi or kappa that the scheme refuses raises ValueError
+    before any analysis.
     """
     if isinstance(family, (list, tuple)):
         family = SwitchedFamily(family)
@@ -505,6 +509,8 @@ def _certify(report, family, basis, scheme, kappa, rho_request):
             )
         scheme = _weight_scheme(kind, xi, kappa)
     report.xi, report.kappa = scheme.xi, scheme.kappa
+    if kind == "polynomial":
+        _require_scanned(hats, basis.max_degree)
     scan = coupling_scan(ops, basis, scheme)
     if kind == "polynomial":
         cond = check_poly_condition(scan, basis)
@@ -589,6 +595,28 @@ def _certify(report, family, basis, scheme, kappa, rho_request):
                                  f"forward invariant: {report.region['reason']}")
     report.rho_certified = float(rho)
     report.certified = True
+
+
+def _require_scanned(fields, degree):
+    """Raise a scheme failure unless the polynomial scheme's scan, which
+    reads the stored terms of degree <= ``degree`` only, sees all of each
+    field: no stored term above it, and no declared ``tail_l1`` above the
+    stored sum (an ``fsum``, rounded up as the face bound rounds it down)."""
+    for i, f in enumerate(fields):
+        for l, comp in enumerate(f.components):
+            top = max(map(sum, comp), default=0)
+            reason = None
+            if top > degree:
+                reason = f"stores a term of degree {top}"
+            elif f.tail_l1 is not None:
+                stored = math.fsum(abs(v) for v in comp.values())
+                if f.tail_l1[l] > upper(stored, stored, 8):
+                    reason = (f"declares tail_l1 {f.tail_l1[l]!r} above its "
+                              f"stored sum {stored!r}")
+            if reason is not None:
+                raise _Failure("scheme", "the polynomial scheme scans the stored "
+                               f"terms up to degree {degree} only: subsystem {i}, "
+                               f"component {l} {reason}")
 
 
 def _region(face_bounds):

@@ -244,21 +244,8 @@ def cmd_figure_rho(parser, args):
         closed = 1.0 / (1.0 + c_plus / mu)
         row = [repr(mu), repr(closed)]
         if args.certify:
-            try:
-                cfg = example2_config(mu=mu, degree=args.degree)
-                report = analyze_family(
-                    cfg.build_family(),
-                    cfg.truncation_degree,
-                    scheme_kind="diagonal_dominance",
-                )
-            except ValueError as exc:
-                parser.error(str(exc))
-            except MemoryError:
-                size = math.comb(args.degree + 2, 2) - 1
-                parser.error(OUT_OF_MEMORY.format(args.degree, size, 2))
-            row.append(
-                repr(report.rho_certified) if report.certified else ""
-            )
+            report = _analysis(parser, example2_config(mu=mu, degree=args.degree))
+            row.append(repr(report.rho_certified) if report.certified else "")
         rows.append(",".join(row))
     header = "mu,rho_closed_form" + (",rho_certified" if args.certify else "")
     _write_text(parser, args.out, header + "\n" + "\n".join(rows) + "\n")

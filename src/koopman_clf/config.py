@@ -148,8 +148,9 @@ class SystemConfig:
 
     @classmethod
     def from_json_dict(cls, data):
-        """Read the dict form of ``to_json_dict``.  Raises ValueError naming
-        the path of a missing, unknown, mistyped or out-of-range field."""
+        """Read the dict form of ``to_json_dict``, its coefficients in any
+        order.  Raises ValueError naming the path of a missing, unknown,
+        mistyped or out-of-range field."""
         _json_object(
             "config", data, ("dimension", "truncation_degree", "subsystems"),
             ("scheme", "eta", "rho_request", "simulation"),
@@ -213,9 +214,7 @@ class SystemConfig:
                     _json_float(name, t)
                     for t in _json_typed(name, tail, list, "a list or null")
                 ]
-            # in exponent order, as to_json_dict writes them, so that the
-            # analysis does not depend on the order a file lists them in
-            subsystems.append(([dict(sorted(c.items())) for c in comps], tail))
+            subsystems.append((comps, tail))
         eta = _json_float("eta", data.get("eta", 0.5))
         if not (math.isfinite(eta) and eta > 0):
             raise ValueError(f"eta must be finite and positive, got {eta!r}")
@@ -240,10 +239,6 @@ class SystemConfig:
         )
         cfg.build_family()  # validate coefficients eagerly
         return cfg
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
 
 
 def example1_config(a=1.0, b=0.3, degree=12):

@@ -63,15 +63,14 @@ class KoopmanMatrix:
 def build_matrix(field_, basis):
     """Assemble the truncated generator matrix of ``field_`` on ``basis``.
 
-    The stored terms are grouped by their shift s = beta - e_l, each group
-    in the order of l, then of the component's stored terms.  Only terms
-    of one group meet at a (k, j): the target alpha(k) + s is injective in
-    s.  Group g fills row g of a zero (G, size + 1) table over the sources
-    k: a term of F_l adds alpha_l(k) a, one term at a time, so every entry
-    is summed from 0j in the order of l, then of the stored terms.  Where
-    alpha_l(k) = 0 the term adds a signed zero (coefficients are finite),
-    which leaves a sum from 0j bit for bit as it was.  The sources whose
-    target stays within degree N are the prefix
+    The stored terms are grouped by their shift s = beta - e_l, one per
+    component at most, as s and l fix beta.  Only terms of one group meet
+    at a (k, j): the target alpha(k) + s is injective in s.  Group g fills
+    row g of a zero (G, size + 1) table over the sources k: a term of F_l
+    adds alpha_l(k) a, so every entry is summed from 0j in the order of l.
+    Where alpha_l(k) = 0 the term adds a signed zero (coefficients are
+    finite), which leaves a sum from 0j bit for bit as it was.  The
+    sources whose target stays within degree N are the prefix
     k < degree_start[N + 1 - |s|].
 
     The shifts are sorted by ``order_key``.  For a fixed source the

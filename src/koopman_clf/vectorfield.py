@@ -38,16 +38,17 @@ def _validate_component(table, dimension):
             raise ValueError(f"coefficient {value!r} of {alpha} is not finite")
         if value != 0:
             clean[alpha] = clean.get(alpha, 0) + value
-    return {a: v for a, v in clean.items() if v != 0}
+    return {a: clean[a] for a in sorted(clean) if clean[a] != 0}
 
 
 class PolyVectorField:
     """Sparse polynomial (or truncated analytic) vector field on C^n.
 
     ``components`` holds one dict per component, multi-index tuple ->
-    complex coefficient; zero coefficients are dropped, constant terms
-    rejected.  ``tail_l1``, optional, holds the exact l1 coefficient norm
-    of each component's full series, at least its stored absolute sum.
+    complex coefficient, in ascending exponent order whatever the caller's
+    order; zero coefficients are dropped, constant terms rejected.
+    ``tail_l1``, optional, holds the exact l1 coefficient norm of each
+    component's full series, at least its stored absolute sum.
     ``truncated`` marks the table as a truncated analytic series: without
     ``tail_l1``, absolute-sum queries then warn that they are truncated.
     """

@@ -50,7 +50,7 @@ def linear_nonnormal_config(degree=6):
 
 def test_config_json_round_trip_is_semantically_exact():
     for cfg in (example1_config(), example2_config(mu=2.4), linear_nonnormal_config()):
-        back = SystemConfig.from_json(cfg.to_json())
+        back = SystemConfig.from_json_dict(json.loads(cfg.to_json()))
         assert back.to_json_dict() == cfg.to_json_dict()
         fam, fam2 = cfg.build_family(), back.build_family()
         pts = np.array([[0.3 + 0.1j, -0.2], [0.05, 0.6j]])
@@ -186,7 +186,7 @@ def test_cli_analyze_writes_the_config_it_ran_into_the_report(
     assert main(["analyze", "--config", str(cfg_path), "--out", str(rpt),
                  *argv]) == 0
     ran = dataclasses.replace(
-        SystemConfig.from_json(cfg_path.read_text()), **overrides
+        SystemConfig.from_json_dict(json.loads(cfg_path.read_text())), **overrides
     )
     written = json.loads(rpt.read_text())
     assert written.pop("config") == ran.to_json_dict()
@@ -473,28 +473,31 @@ def _nan_weight(eps):
     return eps
 
 
-def _stored_term_above_n_config():
-    """example1 at N = 12 with 10 z1^13 in subsystem 0's first component:
-    the scan never sees the term, the face bound does."""
+def _stored_term_above_n_config(coefficient=10.0, scheme_kind="polynomial"):
+    """example1 at N = 12 with ``coefficient`` z1^13 in subsystem 0's first
+    component: the scan never sees the term, the face bound does."""
     cfg = example1_config(degree=12)
-    cfg.subsystems[0][0][0][(13, 0)] = 10.0
-    return cfg
+    cfg.subsystems[0][0][0][(13, 0)] = coefficient
+    return dataclasses.replace(cfg, scheme_kind=scheme_kind)
 
 
-def _declared_tail_config():
-    """example1 at N = 12 with every tail_l1 10 above its stored sum."""
+def _declared_tail_config(excess=10.0, scheme_kind="polynomial"):
+    """example1 at N = 12 with every tail_l1 ``excess`` above its stored
+    sum."""
     cfg = example1_config(degree=12)
     cfg.subsystems = [
-        (comps, [sum(map(abs, table.values())) + 10.0 for table in comps])
+        (comps, [sum(map(abs, table.values())) + excess for table in comps])
         for comps, _ in cfg.subsystems
     ]
-    return cfg
+    return dataclasses.replace(cfg, scheme_kind=scheme_kind)
 
 
 _NUM = r"(?:[-+0-9.e]+|nan|inf)"
 _STABLE = [{(1, 0): -1.0}, {(0, 1): -1.0}]
-_NOT_INVARIANT = (r"polydisk of radius 1 is not proved forward invariant: "
+_NOT_INVARIANT = (r"polydisk of radius {} is not proved forward invariant: "
                   rf"subsystem 0, face 0: bound {_NUM} is not negative")
+_UNSCANNED = (r"the polynomial scheme scans the stored terms up to degree 12 "
+              r"only: subsystem 0, component 0 ")
 
 # one row per way analyze stops short of a certificate: (config,
 # (analysis global, patch of it) or None, stage, exit code, message pattern)
@@ -559,12 +562,31 @@ FAILURES = {
         rf"weights or convergence numbers are not finite and positive: smallest "
         rf"weight nan, partial sum {_NUM}, tail bound {_NUM}, ratio {_NUM}",
     ),
-    # both pass the scheme at rho = 1; their face bounds read +9.0 and +9.6
+    # the polynomial scheme's scan sees neither a term above N nor a
+    # declared tail, so it refuses both however small: the worst face
+    # bounds read +9.0 and +9.6 in the first two rows, -0.40 and -0.39 in
+    # the next two, whose region is proved
     "region-stored-term": (
-        _stored_term_above_n_config(), None, "region", 3, _NOT_INVARIANT,
+        _stored_term_above_n_config(), None, "scheme", 3,
+        _UNSCANNED + "stores a term of degree 13",
     ),
     "region-declared-tail": (
-        _declared_tail_config(), None, "region", 3, _NOT_INVARIANT,
+        _declared_tail_config(), None, "scheme", 3,
+        _UNSCANNED + r"declares tail_l1 11\.0 above its stored sum 1\.0",
+    ),
+    "poly-stored-term": (
+        _stored_term_above_n_config(0.5), None, "scheme", 3,
+        _UNSCANNED + "stores a term of degree 13",
+    ),
+    "poly-declared-tail": (
+        _declared_tail_config(0.01), None, "scheme", 3,
+        _UNSCANNED + r"declares tail_l1 1\.01 above its stored sum 1\.0",
+    ),
+    # the dominance scheme reads the tails and passes at a smaller radius,
+    # which the face bound does not prove invariant
+    "region-declared-tail-dd": (
+        _declared_tail_config(scheme_kind="diagonal_dominance"), None, "region", 3,
+        _NOT_INVARIANT.format(r"0\.227477"),
     ),
 }
 
@@ -954,6 +976,21 @@ def _cli_exit(argv, capsys):
     return exc.value.code, err
 
 
+@pytest.mark.parametrize("content", [b'{"dimension": 2,', b"\xff\xfe"],
+                         ids=["truncated", "not-utf8"])
+@pytest.mark.parametrize("command,flag,what", [("analyze", "--config", "config"),
+                                               ("simulate", "--report", "report")])
+def test_cli_exits_2_on_a_file_that_is_not_json(
+    tmp_path, capsys, content, command, flag, what
+):
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_bytes(content)
+    code, err = _cli_exit([command, flag, str(path), "--out", str(out)], capsys)
+    assert code == 2
+    assert re.search(rf"^koopman-clf: error: invalid {what}: \S", err, re.M)
+    assert not out.exists()
+
+
 def _edited_config_argv(tmp_path, command, edit):
     """``command``'s argv on example1 with its config edited in place by
     ``edit``, or replaced by what ``edit`` returns: for analyze the config
@@ -1281,19 +1318,24 @@ def test_cli_exits_2_on_an_output_path_that_cannot_be_written(tmp_path, capsys, 
     assert code == 2 and f"cannot write {missing}" in err
 
 
-# The analysis path in a fresh interpreter: the audit layer loads on the
-# first audit only.
+# The analysis path in a fresh interpreter: the audit layer, and with it
+# numpy.random (switchsim's PCG64 generators), loads on the first audit
+# only.  numpy before 2.0 loads numpy.random itself; the child records
+# whether ``import numpy`` did.
 LAZY_AUDIT_CHILD = """
 import io, json, sys
+import numpy
+
+def loaded():
+    return ["koopman_clf.switchsim" in sys.modules, "numpy.random" in sys.modules]
+
+seen = {"numpy": loaded()}
 import koopman_clf
 from koopman_clf import cli
 from koopman_clf.analysis import analyze_family, export_epsilon_csv
 
-def loaded():
-    return "koopman_clf.switchsim" in sys.modules
-
 folder = sys.argv[1]
-seen = {"import": loaded()}
+seen["import"] = loaded()
 family = koopman_clf.example1_config().build_family()
 report = analyze_family(family, 6)
 report.to_json()
@@ -1321,8 +1363,10 @@ def test_the_analysis_path_never_loads_the_audit_layer(tmp_path):
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     out = json.loads(child.stdout.splitlines()[-1])
-    assert out["seen"] == {"import": False, "analyze_family": False,
-                           "cli": False, "audit": True}
+    by_numpy = out["seen"]["numpy"][1]
+    assert out["seen"] == {"numpy": [False, by_numpy], "import": [False, by_numpy],
+                           "analyze_family": [False, by_numpy],
+                           "cli": [False, by_numpy], "audit": [True, True]}
     assert out["equal"]
 
 
@@ -1448,7 +1492,7 @@ def test_cli_analyze_refuses_a_corrupted_generator_matrix(
 def test_cli_example2_round_trips(tmp_path):
     cfg_path = tmp_path / "sys2.json"
     assert main(["example2", "--mu", "6.0", "--out", str(cfg_path)]) == 0
-    cfg = SystemConfig.from_json(cfg_path.read_text())
+    cfg = SystemConfig.from_json_dict(json.loads(cfg_path.read_text()))
     assert cfg.scheme_kind == "diagonal_dominance"
     assert cfg.subsystems[1][1][0] == pytest.approx(
         1.0 + (math.cosh(2.0) + 1.0) / 12.0
@@ -1462,7 +1506,8 @@ def test_module_entry_point_writes_a_config():
         text=True,
     )
     assert proc.returncode == 0
-    assert SystemConfig.from_json(proc.stdout).to_json() == example1_config().to_json()
+    assert (SystemConfig.from_json_dict(json.loads(proc.stdout)).to_json()
+            == example1_config().to_json())
 
 
 def test_cli_analyze_refuses_an_exponent_past_int64(tmp_path, capsys):
@@ -1629,7 +1674,8 @@ def test_example2_config_builds_and_analyzes_at_degree_200(tmp_path, capsys):
     assert report.certified
     assert report.region["proved"]
     assert main(["example2", "--degree", "175", "--out", str(tmp_path / "e.json")]) == 0
-    assert SystemConfig.from_json((tmp_path / "e.json").read_text()).truncation_degree == 175
+    written = json.loads((tmp_path / "e.json").read_text())
+    assert SystemConfig.from_json_dict(written).truncation_degree == 175
 
 
 def test_example2_config_stops_at_the_first_zero_coefficient():
