@@ -24,7 +24,9 @@ print(f"basis size (constant excluded): {basis.size}")
 # corner of the generator matrix of the perturbed subsystem: the diagonal
 # carries -a |alpha|, couplings sit strictly above it
 M = build_matrix(family[1], basis)
-corner = M.to_dense()[:9, :9]
+corner = np.zeros((9, 9), dtype=complex)
+top = (M.k <= 9) & (M.j <= 9)
+corner[M.k[top] - 1, M.j[top] - 1] = M.v[top]
 print("\ngenerator matrix of subsystem 2, degrees 1..3:")
 with np.printoptions(precision=3, suppress=True, linewidth=100):
     print(corner.real)

@@ -7,7 +7,7 @@ that prove the certified polydisk forward invariant.
 """
 
 import math
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -472,7 +472,7 @@ def _certify(report, family, basis, scheme, kappa, rho_request):
             "part; every subsystem must be exponentially stable at the origin",
         )
 
-    identity = bool(np.array_equal(tri.P, np.eye(n, dtype=complex)))
+    identity = tri.P.tolist() == [[float(i == j) for j in range(n)] for i in range(n)]
     if identity:
         hats = list(family.fields)
     else:
@@ -497,7 +497,9 @@ def _certify(report, family, basis, scheme, kappa, rho_request):
     report.term_counts = [int(op.coupling_count) for op in ops]
 
     if kind == "diagonal_dominance":
-        xi_min = dominance_xi_min([h.jacobian_at_origin() for h in cleaned])
+        if not (identity and clip_max == 0):
+            jac = [h.jacobian_at_origin() for h in cleaned]
+        xi_min = dominance_xi_min(jac)
     if scheme is None:
         xi = max(1.01 * xi_min, 1e-6)
         if xi >= 1.0:
@@ -567,7 +569,7 @@ def _certify(report, family, basis, scheme, kappa, rho_request):
         )
 
     conv = convergence_check(eps, basis, rho)
-    report.convergence = asdict(conv)
+    report.convergence = conv._asdict()
     if not conv.convergent:
         if _square_scaled_up(conv.ratio, rho) < 1.0:  # as convergence_check
             reason = (f"the tail's term ratio is not below one at the "

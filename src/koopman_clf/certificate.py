@@ -24,6 +24,7 @@ condition, the certified radius and the weight recursion all read it.
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -231,16 +232,33 @@ def dominance_xi_min(jacobians):
         |J_qr|  < (2 xi / (n^2 - n)) |Re J_qq|
         |J_qr|^2 < (2 xi / (n^2 - n))^2 |Re J_qq| |Re J_rr|
 
-    Returns 0.0 when all off-diagonal entries vanish.
+    Returns 0.0 when all off-diagonal entries vanish.  The pairs are
+    walked in Python, in subsystem then row-major order, with numpy's
+    float rules: a zero denominator gives inf, and a nan propagates
+    through every maximum.
     """
-    J = np.asarray(jacobians, dtype=complex)
-    q, r = np.triu_indices(J.shape[1], 1)
-    D = float(len(q))  # (n^2 - n) / 2
-    a = np.hypot(J.real[:, q, r], J.imag[:, q, r])  # rounds as abs() does
-    on = a != 0
-    a, req, rer = a[on], np.abs(J[:, q, q].real)[on], np.abs(J[:, r, r].real)[on]
-    worst = np.maximum(D * a / req, D * a / np.sqrt(req * rer))
-    return float(np.max(worst, initial=0.0))
+    worst = 0.0
+    for J in np.asarray(jacobians, dtype=complex).tolist():
+        D = len(J) * (len(J) - 1) / 2
+        for q, row in enumerate(J):
+            req = abs(row[q].real)
+            for r in range(q + 1, len(J)):
+                try:
+                    a = abs(row[r])  # hypot, as np.hypot rounds it
+                except OverflowError:
+                    a = math.inf
+                if a == 0:
+                    continue
+                w = _quotient(D * a, req)
+                w2 = _quotient(D * a, math.sqrt(req * abs(J[r][r].real)))
+                w = w if w >= w2 or w != w else w2  # as np.maximum
+                worst = worst if worst >= w or worst != worst else w
+    return worst
+
+
+def _quotient(x, y):
+    """x / y as numpy divides floats: x / 0 is inf, or nan for a nan x."""
+    return x / y if y else x * math.inf
 
 
 def check_dd_condition(scan, basis, xi_min, rho):
@@ -414,8 +432,7 @@ def _maxima_ratio(m):
     return float((m[N - 1] / m[N - 1 - w]) ** (1.0 / w))
 
 
-@dataclass(frozen=True)
-class ConvergenceResult:
+class ConvergenceResult(NamedTuple):
     partial_sum: float
     tail_bound: float
     ratio: float

@@ -54,11 +54,6 @@ class KoopmanMatrix:
         cuts = np.searchsorted(self.k, np.arange(2, self.size + 1))
         return tuple(zip(np.split(self.j, cuts), np.split(self.v, cuts)))
 
-    def to_dense(self):
-        out = np.zeros((self.size, self.size), dtype=complex)
-        out[self.k - 1, self.j - 1] = self.v
-        return out
-
 
 def build_matrix(field_, basis):
     """Assemble the truncated generator matrix of ``field_`` on ``basis``.

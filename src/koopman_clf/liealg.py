@@ -7,6 +7,7 @@ eigenvector and deflating.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -24,8 +25,7 @@ def _orthonormal_rows(vectors, tol):
     if len(vectors) == 0:
         return np.zeros((0, 0), dtype=complex)
     M = np.asarray(vectors, dtype=complex)
-    scale = np.linalg.norm(M)
-    if scale == 0:
+    if not M.any():
         return M[:0]
     _, s, vh = np.linalg.svd(M, full_matrices=False)
     rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
@@ -73,6 +73,8 @@ def close_under_bracket(generators, tol=1e-10):
         raise ValueError("generators must be square matrices of equal size")
     rows = _orthonormal_rows([g.ravel() for g in generators], tol)
     for _ in range(n * n + 1):
+        if len(rows) < 2:  # one matrix brackets to zero with itself
+            break
         rows, dim = _bracket_span(rows, n, tol, keep=rows), len(rows)
         if len(rows) == dim:
             break
@@ -148,14 +150,9 @@ def _intersect(U, V, tol):
 def _common_eigenvector(mats, cluster_tol, angle_tol):
     """A unit vector lying in one eigenspace of every matrix, or None.
 
-    When every matrix's first column is exactly zero below the diagonal,
-    the first axis is common and is kept, so coordinates that already
-    carry a common flag stay as they are; otherwise eigenvalue clusters
-    are searched in ascending real part.
+    Eigenvalue clusters are searched in ascending real part.
     """
     d = mats[0].shape[0]
-    if not any(np.any(B[1:, 0]) for B in mats):
-        return np.eye(d, dtype=complex)[:, 0]
     cluster_sets = [_eig_clusters(B, cluster_tol) for B in mats]
 
     def search(depth, space):
@@ -210,10 +207,26 @@ class TriangularizationResult:
     flag_basis: np.ndarray
 
 
+@cache
+def _below_diagonal(n):
+    """Row and column indices of the strict lower triangle of n x n."""
+    return np.tril_indices(n, -1)
+
+
+def _inf_norm(A):
+    """``np.linalg.norm(A, np.inf)``: the largest row sum of |A|, added in
+    the same order, without the dispatch."""
+    return np.abs(A).sum(axis=1).max(initial=0)
+
+
 def simultaneous_triangularize(matrices):
     """Common upper-triangularization of a family of matrices.
 
     Works by iterated common-eigenvector extraction and unitary deflation.
+    A stage whose blocks all have an exactly zero first column below the
+    diagonal keeps its basis: its first axis is common, so coordinates
+    that already carry a common flag stay as they are, and a family of
+    upper triangular matrices comes back as it went in.
     Raises NotSimultaneouslyTriangularizable when some deflation stage
     admits no common eigenvector (e.g. a family generating sl2).
     """
@@ -221,12 +234,14 @@ def simultaneous_triangularize(matrices):
     n = mats[0].shape[0]
     if any(A.shape != (n, n) for A in mats):
         raise ValueError("matrices must be square and of equal size")
-    scale = max(1.0, max(np.linalg.norm(A, np.inf) for A in mats))
-    U_total = np.eye(n, dtype=complex)
-    work = [A.copy() for A in mats]
+    scale = max(1.0, max(_inf_norm(A) for A in mats))
+    flag = None  # the identity until a stage rotates
+    work = mats
     for stage in range(n - 1):
         d = n - stage
         blocks = [A[stage:, stage:] for A in work]
+        if not any(B[1:, 0].any() for B in blocks):
+            continue
         v = _common_eigenvector(blocks, cluster_tol=1e-8, angle_tol=1e-8)
         if v is None:
             raise NotSimultaneouslyTriangularizable(
@@ -240,23 +255,27 @@ def simultaneous_triangularize(matrices):
             U = _extend_to_unitary(v)
         full = np.eye(n, dtype=complex)
         full[stage:, stage:] = U
-        U_total = U_total @ full
+        flag = (np.eye(n, dtype=complex) if flag is None else flag) @ full
         work = [full.conj().T @ A @ full for A in work]
+    below = _below_diagonal(n)
     residual = 0.0
     T_list = []
     for A in work:
         T = A.copy()
-        low = np.tril(T, -1)
-        residual = max(residual, float(np.max(np.abs(low))) if n > 1 else 0.0)
-        T_list.append(np.triu(T))
+        if n > 1:
+            residual = max(residual, float(np.abs(T[below]).max()))
+        T[below] = 0
+        T_list.append(T)
     if residual > 1e-6 * scale:
         raise NotSimultaneouslyTriangularizable(
             f"deflation left a sub-diagonal residual {residual:.3e} "
             f"(matrix scale {scale:.3e}); flag construction is inconsistent"
         )
-    eigs = tuple(np.diag(T).copy() for T in T_list)
-    flag = U_total
-    c = float(np.linalg.norm(flag.conj().T, np.inf))  # = ||flag^{-1}||_inf
+    eigs = tuple(T.diagonal().copy() for T in T_list)
+    if flag is None:
+        flag, c = np.eye(n, dtype=complex), 1.0
+    else:
+        c = float(_inf_norm(flag.T))  # = ||flag^{-1}||_inf
     P = c * flag
     P_inv = flag.conj().T / c
     return TriangularizationResult(

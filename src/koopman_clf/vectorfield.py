@@ -24,6 +24,9 @@ from .rounding import lower, upper
 def _validate_component(table, dimension):
     clean = {}
     for alpha, value in table.items():
+        for a in alpha:
+            if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
+                raise ValueError(f"exponent {alpha} must hold integers, got {a!r}")
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != dimension:
             raise ValueError(f"exponent {alpha} has wrong length for n={dimension}")

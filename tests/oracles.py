@@ -8,8 +8,9 @@ pair or one basis position at a time; the tests hold the library to them.
 The small constructors and lookups at the top are used only by tests:
 ``field_step`` steps a batch under one field in a scratch of its own,
 ``field_values`` evaluates one field by ``evaluate_batch``,
-``unit_clf`` is the certificate whose V is |z|^2, and ``lie_bracket`` is
-the bracket of two fields on their exact coefficients.
+``unit_clf`` is the certificate whose V is |z|^2, ``lie_bracket`` is
+the bracket of two fields on their exact coefficients, and ``to_dense``
+spreads a generator matrix's (k, j, v) arrays into a dense array.
 ``evaluate_batch`` is the field evaluator the library had before its
 points-last kernel, and ``dense_value_batch`` the V evaluator it had
 before its scratch; each is kept as its successor's bit-exact reference.
@@ -17,10 +18,10 @@ before its scratch; each is kept as its successor's bit-exact reference.
 ``evaluate_batch``, the reference of the step a scratch plans.
 ``sorted_build_matrix`` is the generator matrix builder the library had
 before its shift groups, kept as ``build_matrix``'s bit-exact reference.
-``two_form_convergence_check`` and ``dominance_xi_min_loop`` are the
+``two_form_convergence_check`` and ``dominance_xi_min_array`` are the
 convergence tail and the dominance bound the library had before its one
-tail formula and its array form, and ``decimal_tail`` is the series that
-the library's tail bounds, summed to 50 digits.
+tail formula and its walk over the pairs, and ``decimal_tail`` is the
+series that the library's tail bounds, summed to 50 digits.
 """
 
 import decimal
@@ -175,6 +176,13 @@ def reference_rk4(fields, sub, Z, dt):
     k3 = F(k2 * half + Z)
     k4 = F(k3 * dt + Z)
     return ((k1 + k2 * 2.0) + k3 * 2.0 + k4) * sixth + Z
+
+
+def to_dense(kmat):
+    """The truncated generator matrix ``kmat`` as a dense complex array."""
+    out = np.zeros((kmat.size, kmat.size), dtype=complex)
+    out[kmat.k - 1, kmat.j - 1] = kmat.v
+    return out
 
 
 def sorted_build_matrix(field_, basis):
@@ -490,21 +498,15 @@ def decimal_tail(epsilon, basis, rho):
             term, d = term * q, d + 1
 
 
-def dominance_xi_min_loop(jacobians):
-    """``dominance_xi_min`` as the library had it: a Python walk over every
+def dominance_xi_min_array(jacobians):
+    """``dominance_xi_min`` as the library had it: one array pass over every
     subsystem and every upper pair (q, r) of its Jacobian."""
-    n = jacobians[0].shape[0]
-    if n == 1:
-        return 0.0
-    D = (n * n - n) / 2.0
-    worst = 0.0
-    for J in jacobians:
-        for q in range(n):
-            for r in range(q + 1, n):
-                a = abs(J[q, r])
-                if a == 0:
-                    continue
-                req = abs(J[q, q].real)
-                rer = abs(J[r, r].real)
-                worst = max(worst, D * a / req, D * a / math.sqrt(req * rer))
-    return worst
+    J = np.asarray(jacobians, dtype=complex)
+    q, r = np.triu_indices(J.shape[1], 1)
+    D = float(len(q))  # (n^2 - n) / 2
+    a = np.hypot(J.real[:, q, r], J.imag[:, q, r])
+    on = a != 0
+    a, req, rer = a[on], np.abs(J[:, q, q].real)[on], np.abs(J[:, r, r].real)[on]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        worst = np.maximum(D * a / req, D * a / np.sqrt(req * rer))
+    return float(np.max(worst, initial=0.0))

@@ -26,7 +26,7 @@ from koopman_clf.liealg import (
 from koopman_clf.multiindex import build_basis
 from koopman_clf.switchsim import audit_certificate
 from koopman_clf.vectorfield import PolyVectorField, SwitchedFamily
-from oracles import lie_bracket
+from oracles import lie_bracket, to_dense
 
 
 def _verdict(capfd, num, name, problems, note=None):
@@ -170,9 +170,9 @@ def test_criterion_4_bracket_commutator_identity(capfd):
     for trial in range(50):
         F = _random_quadratic_field(rng)
         G = _random_quadratic_field(rng)
-        MF = build_matrix(F, basis).to_dense()
-        MG = build_matrix(G, basis).to_dense()
-        MB = build_matrix(lie_bracket(F, G), basis).to_dense()
+        MF = to_dense(build_matrix(F, basis))
+        MG = to_dense(build_matrix(G, basis))
+        MB = to_dense(build_matrix(lie_bracket(F, G), basis))
         C = MG @ MF - MF @ MG
         err = float(np.max(np.abs((MB - C)[:, [j - 1 for j in exact_cols]])))
         worst = max(worst, err)
@@ -194,7 +194,7 @@ def test_criterion_5_triangularity_is_exact(capfd):
     for trial in range(50):
         n = int(rng.integers(2, 4))
         field_ = _random_triangular_jacobian_field(rng, n)
-        M = build_matrix(field_, basis := build_basis(n, 6)).to_dense()
+        M = to_dense(build_matrix(field_, basis := build_basis(n, 6)))
         if np.any(np.tril(M, -1) != 0):
             problems.append(f"trial {trial}: nonzero entry below diagonal")
             break
@@ -205,7 +205,7 @@ def test_criterion_5_triangularity_is_exact(capfd):
         # couple the last component to the first variable
         alpha = tuple(1 if c == 0 else 0 for c in range(n))
         comps[n - 1][alpha] = 1.0 + 0j
-        M = build_matrix(PolyVectorField(comps), build_basis(n, 6)).to_dense()
+        M = to_dense(build_matrix(PolyVectorField(comps), build_basis(n, 6)))
         if not np.any(np.tril(M, -1) != 0):
             problems.append(f"lower-coupled trial {trial}: matrix still triangular")
             break

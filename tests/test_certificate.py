@@ -35,7 +35,7 @@ from oracles import (
     decay_ratio,
     decimal_tail,
     dense_value_batch,
-    dominance_xi_min_loop,
+    dominance_xi_min_array,
     entry,
     field_from_linear,
     indices_of_degree,
@@ -311,18 +311,30 @@ def test_dominance_xi_min_hand_values():
     assert dominance_xi_min([np.array([[-2.0]])]) == 0.0
 
 
-@settings(max_examples=200, deadline=None)
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(1, 4),
     count=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
     complex_entries=st.booleans(),
+    special=st.sampled_from(
+        [None, math.inf, -math.inf, math.nan, 1e308, 1e-320, 0.0, -0.0]
+    ),
 )
-def test_dominance_xi_min_equals_its_loop_over_every_pair(
-    n, count, seed, complex_entries
+@example(n=2, count=1, seed=0, complex_entries=False, special=math.inf)
+@example(n=2, count=1, seed=0, complex_entries=True, special=math.nan)
+@example(n=3, count=2, seed=1, complex_entries=False, special=0.0)
+def test_dominance_xi_min_equals_its_array_form(
+    n, count, seed, complex_entries, special
 ):
     # about a third of the upper entries are exact zeros, which both forms
-    # skip; the lower triangle is ignored by both
+    # skip; the lower triangle is ignored by both.  ``special`` replaces one
+    # entry anywhere, a diagonal one included: an infinite or nan entry, an
+    # overflowing modulus, a subnormal one, or a zero decay rate
     rng = np.random.default_rng(seed)
     jacs = []
     for _ in range(count):
@@ -333,9 +345,15 @@ def test_dominance_xi_min_equals_its_loop_over_every_pair(
             1j * rng.normal(size=n) if complex_entries else 0.0
         )
         jacs.append(J)
+    if special is not None:
+        k = rng.integers(count)
+        J = jacs[k] = jacs[k].astype(complex)
+        q, r = rng.integers(n, size=2)
+        J[q, r] = complex(special, special) if complex_entries else special
     got = dominance_xi_min(jacs)
+    want = dominance_xi_min_array(jacs)
     assert type(got) is float
-    assert got == dominance_xi_min_loop(jacs)
+    assert _bits(got) == _bits(want)  # nan bits too
 
 
 def test_dd_on_linear_family_certifies_full_disk():

@@ -19,6 +19,7 @@ from oracles import (
     row_abs_sum,
     sorted_build_matrix,
     stored_entry,
+    to_dense,
 )
 
 
@@ -43,7 +44,7 @@ def dense_oracle(field_, basis):
 
 
 def is_upper_triangular(kmat):
-    return not np.any(np.tril(kmat.to_dense(), -1) != 0)
+    return not np.any(np.tril(to_dense(kmat), -1) != 0)
 
 
 def diagonal_eigenvalues(kmat, linear_diag):
@@ -56,7 +57,7 @@ def diagonal_eigenvalues(kmat, linear_diag):
     """
     lam = np.asarray(linear_diag, dtype=complex)
     values = kmat.basis.exponents[1:] @ lam
-    stored = np.diag(kmat.to_dense())
+    stored = np.diag(to_dense(kmat))
     scale = max(1.0, float(np.max(np.abs(values))))
     err = float(np.max(np.abs(values - stored)))
     if err > 1e-12 * scale:
@@ -75,7 +76,7 @@ def _fmt_complex(z):
 
 def export_dense_csv(kmat, fh):
     """Write the dense matrix as CSV with entries formatted 're+imi'."""
-    dense = kmat.to_dense()
+    dense = to_dense(kmat)
     M = kmat.size
     header = ["row_index"] + [
         "m" + "_".join(str(a) for a in kmat.basis.alpha(j))
@@ -166,7 +167,7 @@ def test_build_matrix_agrees_with_entry_function():
     for _ in range(5):
         f = random_int_field(rng)
         kmat = build_matrix(f, basis)
-        assert np.array_equal(kmat.to_dense(), dense_oracle(f, basis))
+        assert np.array_equal(to_dense(kmat), dense_oracle(f, basis))
 
 
 def cancelling_pair():
@@ -185,7 +186,7 @@ def test_build_matrix_drops_contributions_that_cancel():
     assert entry(f, basis, k, j) == 0
     assert not np.any((kmat.k == k) & (kmat.j == j))
     assert np.all(kmat.v != 0)
-    assert np.array_equal(kmat.to_dense(), dense_oracle(f, basis))
+    assert np.array_equal(to_dense(kmat), dense_oracle(f, basis))
 
 
 @st.composite
@@ -254,7 +255,7 @@ def test_matrix_entry_lookup_and_column_support():
     k = basis.index_of((1, 1))
     assert stored_entry(kmat, k, j) == support[k]
     assert stored_entry(kmat, j, j) == -3.0
-    assert kmat.to_dense()[k - 1, j - 1] == support[k]
+    assert to_dense(kmat)[k - 1, j - 1] == support[k]
 
 
 def test_triangularity_is_exact_for_triangular_jacobians():
@@ -291,9 +292,9 @@ def test_matrix_commutator_represents_bracket_field():
     for _ in range(5):
         F = random_int_field(rng)
         G = random_int_field(rng)
-        LF = build_matrix(F, basis).to_dense()
-        LG = build_matrix(G, basis).to_dense()
-        LB = build_matrix(lie_bracket(F, G), basis).to_dense()
+        LF = to_dense(build_matrix(F, basis))
+        LG = to_dense(build_matrix(G, basis))
+        LB = to_dense(build_matrix(lie_bracket(F, G), basis))
         comm = LG @ LF - LF @ LG
         cols = [j for j in range(1, basis.size + 1) if basis.degree(j) <= 5]
         idx = np.array(cols) - 1

@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from koopman_clf import liealg
 from koopman_clf.liealg import (
     NotSimultaneouslyTriangularizable,
     close_under_bracket,
@@ -157,6 +162,68 @@ def test_triangular_family_with_an_unsorted_diagonal_keeps_identity_flag():
     assert np.array_equal(tri.P, np.eye(3, dtype=complex))
     assert np.array_equal(tri.T_list[0], T1) and np.array_equal(tri.T_list[1], T2)
     assert tri.residual == 0.0
+
+
+_SIGNED = st.sampled_from([0.0, -0.0, 1.5, -2.25, 0.5e-300, -3e200])
+
+
+@st.composite
+def upper_triangular_families(draw):
+    n, count = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    family = []
+    for _ in range(count):
+        J = np.array([[complex(draw(_SIGNED), draw(_SIGNED)) for _ in range(n)]
+                      for _ in range(n)])
+        J[np.tril_indices(n, -1)] = complex(draw(st.sampled_from([0.0, -0.0])),
+                                            draw(st.sampled_from([0.0, -0.0])))
+        family.append(J)
+    return family
+
+
+@settings(max_examples=150, deadline=None)
+@given(upper_triangular_families())
+def test_upper_triangular_family_comes_back_as_it_went_in(family):
+    # every stage keeps its basis: no eigenvector is sought, and each T is
+    # its Jacobian bit for bit, signed zeros included, with +0.0 below the
+    # diagonal
+    n = family[0].shape[0]
+    given_bits = [J.tobytes() for J in family]
+    with mock.patch.object(liealg, "_common_eigenvector", side_effect=AssertionError):
+        tri = simultaneous_triangularize(family)
+    assert [J.tobytes() for J in family] == given_bits
+    assert np.array_equal(tri.P, np.eye(n)) and np.array_equal(tri.P_inv, np.eye(n))
+    for J, T, lam in zip(family, tri.T_list, tri.eigenvalues):
+        want = J.copy()
+        want[np.tril_indices(n, -1)] = 0.0
+        assert T.view(float).tobytes() == want.view(float).tobytes()
+        assert lam.tobytes() == np.diagonal(J).tobytes()
+    assert tri.residual == 0.0 and type(tri.residual) is float
+    assert tri.cond_P == 1.0
+
+
+def test_a_kept_first_axis_leaves_a_rotating_second_stage_exact():
+    # the first columns are zero below the diagonal, so stage 0 keeps its
+    # basis; the lower right blocks commute but are not triangular, so
+    # stage 1 rotates
+    B = np.array([[-2.0, 0.0], [1.0, -3.0]])
+    A1 = np.zeros((3, 3), dtype=complex)
+    A1[0] = [-1.0, 0.4, 0.3j]
+    A1[1:, 1:] = B
+    A2 = np.zeros((3, 3), dtype=complex)
+    A2[0] = [-0.5, 0.0, 1.0]
+    A2[1:, 1:] = B @ B - 7.0 * B
+    with mock.patch.object(liealg, "_common_eigenvector",
+                           wraps=liealg._common_eigenvector) as search:
+        tri = simultaneous_triangularize([A1, A2])
+    assert search.call_count == 1
+    assert [b.shape for b in search.call_args.args[0]] == [(2, 2), (2, 2)]
+    assert np.array_equal(tri.flag_basis[:, 0], [1, 0, 0])
+    assert np.array_equal(tri.flag_basis[0], [1, 0, 0])
+    assert not np.allclose(tri.P, np.eye(3))
+    for A, T in zip([A1, A2], tri.T_list):
+        assert np.all(T[np.tril_indices(3, -1)] == 0)
+        assert np.max(np.abs(tri.P_inv @ A @ tri.P - T)) < 1e-12
+    assert tri.residual < 1e-12
 
 
 def test_single_matrix_triangularization_recovers_spectrum():

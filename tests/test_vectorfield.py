@@ -84,6 +84,18 @@ def test_exponents_past_int64_are_rejected(component):
         PolyVectorField(comps)
 
 
+@pytest.mark.parametrize("exponent", [2.9, True, 2.0])
+def test_exponents_that_are_not_integers_are_rejected(exponent):
+    # int() would store 2.9 and 2.0 as 2, True as 1, each summed into any
+    # term already there; numpy integers are accepted
+    comps = [{(1, 0): -1.0, (np.int64(2), 1): 0.5}, {(0, 1): -1.0}]
+    assert PolyVectorField(comps).components[0] == {(1, 0): -1.0, (2, 1): 0.5}
+    comps[0][(1, exponent)] = 0.25
+    with pytest.raises(ValueError, match=re.escape(
+            f"exponent (1, {exponent!r}) must hold integers, got {exponent!r}")):
+        PolyVectorField(comps)
+
+
 def test_zero_coefficients_dropped_and_merged():
     f = PolyVectorField([{(1, 0): 0.0, (2, 0): 1.0}, {(0, 1): 2.0, (0, 1): 2.0}])
     assert f.components[0] == {(2, 0): 1.0}
