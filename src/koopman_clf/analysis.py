@@ -7,7 +7,6 @@ that prove the certified polydisk forward invariant.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -137,9 +136,14 @@ def _clip_subdiagonal_linear(field_, tol):
     )
 
 
-@dataclass
 class CertificateReport:
-    """Everything the pipeline established, JSON-serializable."""
+    """Everything the pipeline established, JSON-serializable.
+
+    The five fields the constructor requires come first; every other
+    field is a class attribute holding its default until a keyword of
+    the constructor or a stage of the pipeline sets it.  Each report has
+    its own ``warnings`` list.
+    """
 
     dimension: int
     truncation_degree: int
@@ -167,7 +171,22 @@ class CertificateReport:
     rho_certified: float = None
     convergence: dict = None
     region: dict = None
-    warnings: list = dc_field(default_factory=list)
+    warnings: list
+
+    def __init__(self, dimension, truncation_degree, basis_size, num_subsystems,
+                 scheme_kind, **optional):
+        self.dimension = dimension
+        self.truncation_degree = truncation_degree
+        self.basis_size = basis_size
+        self.num_subsystems = num_subsystems
+        self.scheme_kind = scheme_kind
+        self.warnings = []
+        for key, value in optional.items():
+            if key not in CertificateReport.__annotations__:
+                raise TypeError(
+                    f"CertificateReport got an unexpected keyword argument {key!r}"
+                )
+            setattr(self, key, value)
 
     @property
     def exit_code(self):

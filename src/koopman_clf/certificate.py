@@ -22,7 +22,6 @@ condition, the certified radius and the weight recursion all read it.
 """
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -36,7 +35,6 @@ ETA_FLOOR = 1e-9
 TAIL_DEGREE_CAP = 200000  # degrees past N that the convergence tail sums
 
 
-@dataclass(frozen=True)
 class WeightScheme:
     """Diagonal-budget splitting rule with its parameters.
 
@@ -47,27 +45,23 @@ class WeightScheme:
     absolute row or column sum.
     """
 
-    kind: str
-    xi: float
-    kappa: float = None
-
-    def __post_init__(self):
-        if self.kind not in ("polynomial", "diagonal_dominance"):
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if not 0 < self.xi < 1:
+    def __init__(self, kind, xi, kappa=None):
+        if kind not in ("polynomial", "diagonal_dominance"):
+            raise ValueError(f"unknown scheme kind {kind!r}")
+        if not 0 < xi < 1:
             raise ValueError("xi must lie in (0, 1)")
-        if self.kind == "polynomial":
-            if self.kappa is not None:
+        if kind == "polynomial":
+            if kappa is not None:
                 raise ValueError("polynomial scheme takes no kappa")
         else:
-            if self.kappa is None or not 0 < self.kappa < 1:
+            if kappa is None or not 0 < kappa < 1:
                 raise ValueError("diagonal_dominance needs kappa in (0, 1)")
-            if self.xi + self.kappa >= 1:
+            if xi + kappa >= 1:
                 raise ValueError("need xi + kappa < 1")
+        self.kind, self.xi, self.kappa = kind, xi, kappa
 
 
-@dataclass
-class SubsystemOperator:
+class SubsystemOperator(NamedTuple):
     """One subsystem's truncated generator with cached absolute sums."""
 
     kmat: object

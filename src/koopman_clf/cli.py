@@ -28,7 +28,6 @@ written.
 """
 
 import argparse
-import dataclasses
 import io
 import json
 import math
@@ -158,8 +157,8 @@ def cmd_analyze(parser, args):
     cfg = _config(parser, _read_json(parser, args.config, "config"))
     overrides = {"truncation_degree": args.degree, "scheme_kind": args.scheme,
                  "xi": args.xi, "kappa": args.kappa, "rho_request": args.rho}
-    cfg = dataclasses.replace(
-        cfg, **{key: value for key, value in overrides.items() if value is not None}
+    cfg = cfg._replace(
+        **{key: value for key, value in overrides.items() if value is not None}
     )
     report = _analysis(parser, cfg)
     if args.format == "json":

@@ -9,7 +9,7 @@ library is 0-based internally.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field as dc_field
+from typing import NamedTuple
 
 from .vectorfield import PolyVectorField, SwitchedFamily
 
@@ -52,8 +52,7 @@ def _optional_number(name, value):
     return None if value is None else _json_float(name, value)
 
 
-@dataclass(frozen=True)
-class SimulationParams:
+class _SimulationFields(NamedTuple):
     dt: float = 1e-3
     horizon: float = 20.0
     trials: int = 100
@@ -62,16 +61,26 @@ class SimulationParams:
     min_dwell: float = 0.05
     max_dwell: float = 1.0
 
-    def __post_init__(self):
+
+class SimulationParams(_SimulationFields):
+    """The audit's simulation block.  Every construction, ``_replace``
+    included, checks the fields and stores the four times as floats."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        raw = super().__new__(cls, *args, **kwargs)
         for name in ("trials", "points", "seed"):
-            _json_typed(f"simulation.{name}", getattr(self, name), int, "an integer")
-        if self.seed < 0:
-            raise ValueError(f"simulation.seed must be >= 0, got {self.seed}")
+            _json_typed(f"simulation.{name}", getattr(raw, name), int, "an integer")
+        if raw.seed < 0:
+            raise ValueError(f"simulation.seed must be >= 0, got {raw.seed}")
+        floats = {}
         for name in ("dt", "horizon", "min_dwell", "max_dwell"):
-            value = _json_float(f"simulation.{name}", getattr(self, name))
+            value = _json_float(f"simulation.{name}", getattr(raw, name))
             if not math.isfinite(value):
                 raise ValueError(f"simulation.{name} must be finite")
-            object.__setattr__(self, name, value)
+            floats[name] = value
+        self = super().__new__(cls, **{**raw._asdict(), **floats})
         for name, bad, bound in (
             ("trials", self.trials < 1, ">= 1"), ("points", self.points < 1, ">= 1"),
             ("dt", self.dt <= 0, "> 0"), ("horizon", self.horizon < 0, ">= 0"),
@@ -82,13 +91,17 @@ class SimulationParams:
             if bad:
                 raise ValueError(f"simulation.{name} must be {bound}, "
                                  f"got {getattr(self, name)!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def to_json_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
-class SystemConfig:
+class SystemConfig(NamedTuple):
     """Declarative description of one analysis problem."""
 
     dimension: int
@@ -99,7 +112,7 @@ class SystemConfig:
     kappa: float = None
     eta: float = 0.5
     rho_request: float = None
-    simulation: SimulationParams = dc_field(default_factory=SimulationParams)
+    simulation: SimulationParams = SimulationParams()
 
     def build_family(self):
         """The switched family; a field check that fails names the path of

@@ -18,15 +18,14 @@ way: one row of a table per shift, one column per source, read out as
 coordinate arrays (k, j, v) with 1-based basis positions.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .multiindex import order_key
 
 
-@dataclass
-class KoopmanMatrix:
+class KoopmanMatrix(NamedTuple):
     """Truncated generator matrix as coordinate arrays.
 
     Entry ``v[t]`` sits at row ``k[t]``, column ``j[t]`` (basis positions

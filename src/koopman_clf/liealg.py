@@ -6,8 +6,8 @@ by a unitary change of basis, found here by repeatedly extracting a common
 eigenvector and deflating.
 """
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ def _bracket_span(rows, n, tol, keep=()):
     return _orthonormal_rows([*keep, *brackets], tol)
 
 
-@dataclass(frozen=True)
-class MatrixLieAlgebra:
+class MatrixLieAlgebra(NamedTuple):
     """Bracket closure of a set of generator matrices: ``rows`` is an
     orthonormal basis of its vectorised size x size matrices, one per
     row."""
@@ -189,8 +188,7 @@ def _extend_to_unitary(v):
     return U
 
 
-@dataclass(frozen=True)
-class TriangularizationResult:
+class TriangularizationResult(NamedTuple):
     """Common flag data: T_i = P^{-1} A_i P upper triangular.
 
     P is a positive multiple of a unitary matrix, scaled so that the

@@ -19,7 +19,7 @@ its position.
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ def checked_int(name, value, low):
     return int(value)
 
 
-@dataclass(frozen=True)
-class MultiIndexBasis:
+class MultiIndexBasis(NamedTuple):
     """All multi-indices with |alpha| <= max_degree in basis order.
 
     Row 0 of ``exponents`` is the zero index (constant monomial); the
@@ -50,7 +49,7 @@ class MultiIndexBasis:
     dimension: int
     max_degree: int
     exponents: np.ndarray
-    _binomial: np.ndarray = field(repr=False)  # C(m, i), m < N + n, i <= n
+    binomial: np.ndarray  # C(m, i), m < N + n, i <= n
     degree_start: np.ndarray
 
     @property
@@ -65,7 +64,12 @@ class MultiIndexBasis:
         return int(self.exponents[k].sum())
 
     def index_of(self, alpha):
-        """Basis position of ``alpha``, or None when |alpha| > max_degree."""
+        """Basis position of ``alpha``, or None when |alpha| > max_degree.
+        Every exponent must be an int or a numpy integer, not a bool."""
+        alpha = tuple(alpha)
+        for a in alpha:
+            if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
+                raise ValueError(f"multi-index {alpha} must hold integers, got {a!r}")
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.dimension:
             raise ValueError(
@@ -82,10 +86,10 @@ class MultiIndexBasis:
         each of total degree at most max_degree."""
         n = self.dimension
         suffix = alphas[:, n - 1].copy()
-        out = self._binomial[suffix, 1]
+        out = self.binomial[suffix, 1]
         for i in range(2, n + 1):
             suffix += alphas[:, n - i]
-            out += self._binomial[suffix + (i - 1), i]
+            out += self.binomial[suffix + (i - 1), i]
         return out
 
     def count_of_degree(self, d):

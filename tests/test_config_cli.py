@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -86,7 +85,7 @@ def test_example2_config_coefficients_and_tails():
     assert tail2[0] == pytest.approx(1.0 + (math.cosh(2.0) + 1.0) / (2.0 * mu))
     assert tail1[1] == tail2[1] == 1.0
     # criterion 8's step; the rest of the simulation block is the default
-    assert cfg.simulation == dataclasses.replace(SimulationParams(), dt=0.01)
+    assert cfg.simulation == SimulationParams()._replace(dt=0.01)
     assert example1_config().simulation == SimulationParams()
     with pytest.raises(ValueError):
         example2_config(mu=-1.0)
@@ -137,6 +136,27 @@ def test_simulation_params_validation():
             SimulationParams(**kwargs)
     p = SimulationParams()
     assert p.to_json_dict()["horizon"] == 20.0
+    with pytest.raises(ValueError, match=r"^simulation\.trials must be >= 1, got 0$"):
+        p._replace(trials=0)
+
+
+def test_simulation_params_compare_by_value_and_store_floats():
+    first, second = SimulationParams(dt=1, horizon=2), SimulationParams(dt=1, horizon=2)
+    assert first == second and hash(first) == hash(second)
+    assert first != SimulationParams(dt=2, horizon=2)
+    assert type(first.dt) is float and type(first.horizon) is float
+    assert first.to_json_dict() == {
+        "dt": 1.0, "horizon": 2.0, "trials": 100, "points": 50, "seed": 7,
+        "min_dwell": 0.05, "max_dwell": 1.0,
+    }
+
+
+def test_simulation_params_cannot_be_assigned_to():
+    p = SimulationParams()
+    for name in ("dt", "seed", "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 1)
+    assert p == SimulationParams()
 
 
 @pytest.mark.parametrize("name, value", [("trials", 0), ("points", 0), ("dt", -0.01),
@@ -185,8 +205,8 @@ def test_cli_analyze_writes_the_config_it_ran_into_the_report(
     assert main([example, "--out", str(cfg_path)]) == 0
     assert main(["analyze", "--config", str(cfg_path), "--out", str(rpt),
                  *argv]) == 0
-    ran = dataclasses.replace(
-        SystemConfig.from_json_dict(json.loads(cfg_path.read_text())), **overrides
+    ran = SystemConfig.from_json_dict(json.loads(cfg_path.read_text()))._replace(
+        **overrides
     )
     written = json.loads(rpt.read_text())
     assert written.pop("config") == ran.to_json_dict()
@@ -478,18 +498,20 @@ def _stored_term_above_n_config(coefficient=10.0, scheme_kind="polynomial"):
     component: the scan never sees the term, the face bound does."""
     cfg = example1_config(degree=12)
     cfg.subsystems[0][0][0][(13, 0)] = coefficient
-    return dataclasses.replace(cfg, scheme_kind=scheme_kind)
+    return cfg._replace(scheme_kind=scheme_kind)
 
 
 def _declared_tail_config(excess=10.0, scheme_kind="polynomial"):
     """example1 at N = 12 with every tail_l1 ``excess`` above its stored
     sum."""
     cfg = example1_config(degree=12)
-    cfg.subsystems = [
-        (comps, [sum(map(abs, table.values())) + excess for table in comps])
-        for comps, _ in cfg.subsystems
-    ]
-    return dataclasses.replace(cfg, scheme_kind=scheme_kind)
+    return cfg._replace(
+        subsystems=[
+            (comps, [sum(map(abs, table.values())) + excess for table in comps])
+            for comps, _ in cfg.subsystems
+        ],
+        scheme_kind=scheme_kind,
+    )
 
 
 _NUM = r"(?:[-+0-9.e]+|nan|inf)"
@@ -635,7 +657,7 @@ def _analyze_refused(tmp_path, capsys, config, argv, message):
     [
         (example1_config(degree=8), ["--kappa", "0.5"]),
         (example1_config(degree=8), ["--kappa", "nan"]),
-        (dataclasses.replace(example1_config(degree=8), kappa=0.5), []),
+        (example1_config(degree=8)._replace(kappa=0.5), []),
     ],
     ids=["option", "option-nan", "config"],
 )
@@ -692,7 +714,7 @@ def test_a_rho_request_caps_the_certified_radius(tmp_path):
     # face bounds and partial sum are those of the radius 0.5
     config = example1_config(degree=12)
     full = json.loads(_report_text(tmp_path, config))
-    asked = _report_text(tmp_path, dataclasses.replace(config, rho_request=0.5))
+    asked = _report_text(tmp_path, config._replace(rho_request=0.5))
     assert asked == _report_text(tmp_path, config, "--rho", "0.5")
     capped = json.loads(asked)
     assert full["certified"] and capped["certified"]
@@ -713,7 +735,7 @@ def test_a_rho_request_above_the_certified_radius_changes_nothing(tmp_path):
     plain = json.loads(_report_text(tmp_path, config))
     assert plain["rho_certified"] == pytest.approx(0.5464, abs=1e-4)
     asked = json.loads(
-        _report_text(tmp_path, dataclasses.replace(config, rho_request=0.9))
+        _report_text(tmp_path, config._replace(rho_request=0.9))
     )
     assert asked.pop("config")["rho_request"] == 0.9
     plain.pop("config")
@@ -723,10 +745,10 @@ def test_a_rho_request_above_the_certified_radius_changes_nothing(tmp_path):
 @pytest.mark.parametrize(
     "config,argv,message",
     [
-        *((dataclasses.replace(example1_config(degree=8), rho_request=rho), [],
+        *((example1_config(degree=8)._replace(rho_request=rho), [],
            "rho_request must lie in (0, 1]") for rho in (0, 1.5, math.nan)),
         (example1_config(degree=8), ["--rho", "0"], "rho_request must lie in (0, 1]"),
-        (dataclasses.replace(example1_config(degree=8), scheme_kind="foo"), [],
+        (example1_config(degree=8)._replace(scheme_kind="foo"), [],
          "unknown scheme kind 'foo'"),
     ],
     ids=["rho-0", "rho-1.5", "rho-nan", "option-rho-0", "scheme-foo"],
@@ -1321,7 +1343,8 @@ def test_cli_exits_2_on_an_output_path_that_cannot_be_written(tmp_path, capsys, 
 # The analysis path in a fresh interpreter: the audit layer, and with it
 # numpy.random (switchsim's PCG64 generators), loads on the first audit
 # only.  numpy before 2.0 loads numpy.random itself; the child records
-# whether ``import numpy`` did.
+# whether ``import numpy`` did.  It records apart whether each stage has
+# loaded ``dataclasses``, which no class on the analysis path uses.
 LAZY_AUDIT_CHILD = """
 import io, json, sys
 import numpy
@@ -1329,45 +1352,67 @@ import numpy
 def loaded():
     return ["koopman_clf.switchsim" in sys.modules, "numpy.random" in sys.modules]
 
-seen = {"numpy": loaded()}
+def stage(name):
+    seen[name] = loaded()
+    dataclasses[name] = "dataclasses" in sys.modules
+
+seen, dataclasses = {}, {}
+stage("numpy")
 import koopman_clf
 from koopman_clf import cli
 from koopman_clf.analysis import analyze_family, export_epsilon_csv
 
 folder = sys.argv[1]
-seen["import"] = loaded()
+stage("import")
 family = koopman_clf.example1_config().build_family()
 report = analyze_family(family, 6)
 report.to_json()
 export_epsilon_csv(report, io.StringIO())
-seen["analyze_family"] = loaded()
+stage("analyze_family")
 cli.main(["example1", "--out", folder + "/sys.json"])
 cli.main(["example2", "--out", folder + "/sys2.json"])
 cli.main(["analyze", "--config", folder + "/sys.json", "--out", folder + "/r.json"])
+cli.main(["analyze", "--config", folder + "/sys2.json", "--format", "csv",
+          "--degree", "8", "--out", folder + "/r2"])
 cli.main(["figure-rho", "--mu-min", "2", "--mu-max", "3", "--steps", "2",
           "--certify", "--degree", "6", "--out", folder + "/rho.csv"])
-seen["cli"] = loaded()
+stage("cli")
 kw = dict(signals=2, points=3, seed=4, dt=0.01, horizon=0.5)
 summary = koopman_clf.audit_certificate(family, report, **kw)
-seen["audit"] = loaded()
+stage("audit")
 direct = koopman_clf.switchsim.audit_certificate(family, report, **kw)
-print(json.dumps({"seen": seen, "equal": summary == direct}))
+print(json.dumps({"seen": seen, "dataclasses": dataclasses,
+                  "equal": summary == direct}))
 """
 
 
-def test_the_analysis_path_never_loads_the_audit_layer(tmp_path):
+@pytest.fixture(scope="module")
+def lazy_child(tmp_path_factory):
+    """The last line of LAZY_AUDIT_CHILD's output, parsed."""
     src = pathlib.Path(__file__).parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     child = subprocess.run(
-        [sys.executable, "-c", LAZY_AUDIT_CHILD, str(tmp_path)],
+        [sys.executable, "-c", LAZY_AUDIT_CHILD, str(tmp_path_factory.mktemp("lazy"))],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    out = json.loads(child.stdout.splitlines()[-1])
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def test_the_analysis_path_never_loads_the_audit_layer(lazy_child):
+    out = lazy_child
     by_numpy = out["seen"]["numpy"][1]
     assert out["seen"] == {"numpy": [False, by_numpy], "import": [False, by_numpy],
                            "analyze_family": [False, by_numpy],
                            "cli": [False, by_numpy], "audit": [True, True]}
     assert out["equal"]
+
+
+def test_the_analysis_path_never_loads_dataclasses(lazy_child):
+    # the audit may load it: switchsim's records are dataclasses
+    dataclasses = lazy_child["dataclasses"]
+    assert dataclasses.pop("audit") in (True, False)
+    assert dataclasses == {"numpy": False, "import": False,
+                           "analyze_family": False, "cli": False}
 
 
 @pytest.mark.parametrize(
@@ -1463,9 +1508,9 @@ def test_cli_rejects_bad_numeric_arguments_with_exit_2(tmp_path, capsys, argv, m
 @pytest.mark.parametrize(
     "mutate,message",
     [
-        (lambda kmat: dataclasses.replace(kmat, v=-kmat.v),
+        (lambda kmat: kmat._replace(v=-kmat.v),
          "generator diagonal must have negative real part"),
-        (lambda kmat: dataclasses.replace(kmat, k=kmat.j, j=kmat.k),
+        (lambda kmat: kmat._replace(k=kmat.j, j=kmat.k),
          "generator matrix has entries below the diagonal; the field's "
          "Jacobian is not upper triangular"),
     ],
@@ -1694,8 +1739,7 @@ def _no_memory(*args, **kwargs):
 
 
 def test_cli_analyze_names_a_basis_too_large_for_memory(tmp_path, capsys, monkeypatch):
-    cfg = example1_config()
-    cfg.truncation_degree = 100000
+    cfg = example1_config()._replace(truncation_degree=100000)
     path = tmp_path / "sys.json"
     path.write_text(cfg.to_json())
     monkeypatch.setattr(cli, "analyze_family", _no_memory)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,21 @@ def test_index_of_rejects_bad_input():
         b.index_of((1, 2, 3))
     with pytest.raises(ValueError):
         b.index_of((-1, 0))
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [(2.9, 0), (True, 0), (1, 1.5), (np.float64(1.0), 0), (1, False), ("1", 0)],
+    ids=["float", "bool", "fraction", "numpy-float", "bool-last", "string"],
+)
+def test_index_of_refuses_an_exponent_that_is_not_an_integer(alpha):
+    with pytest.raises(ValueError, match=re.escape(f"multi-index {alpha}")):
+        build_basis(2, 4).index_of(alpha)
+
+
+def test_index_of_accepts_numpy_integers():
+    b = build_basis(2, 4)
+    assert b.index_of((np.int64(1), np.int32(1))) == b.index_of((1, 1)) == 4
 
 
 def test_degree_slices_partition_the_basis():

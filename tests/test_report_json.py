@@ -95,6 +95,28 @@ def test_report_with_empty_lists_and_dicts_matches():
     assert text == reference_json(report.to_json_dict())
 
 
+def _bare_report(**optional):
+    return CertificateReport(
+        dimension=2, truncation_degree=2, basis_size=5, num_subsystems=1,
+        scheme_kind="polynomial", **optional,
+    )
+
+
+def test_report_refuses_an_unknown_field():
+    with pytest.raises(TypeError, match="bogus"):
+        _bare_report(bogus=1)
+    report = _bare_report(xi=0.5, certified=True)
+    assert (report.xi, report.certified, report.kappa) == (0.5, True, None)
+
+
+def test_reports_never_share_a_warnings_list():
+    first, second = _bare_report(), _bare_report()
+    first.warnings.append("first only")
+    assert second.warnings == [] and _bare_report().warnings == []
+    family = example1_config(degree=4).build_family()
+    assert analyze_family(family, 4).warnings is not analyze_family(family, 4).warnings
+
+
 def test_encoder_covers_every_json_type():
     doc = {
         "z": [1.0, math.nan, -2.5e-300, math.inf],
