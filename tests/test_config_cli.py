@@ -1408,9 +1408,8 @@ def test_the_analysis_path_never_loads_the_audit_layer(lazy_child):
 
 
 def test_the_analysis_path_never_loads_dataclasses(lazy_child):
-    # the audit may load it: switchsim's records are dataclasses
-    dataclasses = lazy_child["dataclasses"]
-    assert dataclasses.pop("audit") in (True, False)
+    dataclasses = dict(lazy_child["dataclasses"])
+    del dataclasses["audit"]  # the audit may load it: switchsim's records are
     assert dataclasses == {"numpy": False, "import": False,
                            "analyze_family": False, "cli": False}
 
