@@ -11,8 +11,8 @@ non-normal pair and shows the audit catching it.
 import numpy as np
 
 from koopman_clf.analysis import analyze_family
-from koopman_clf.certificate import CommonLyapunovFunction
 from koopman_clf.config import example1_config
+from koopman_clf.kernels import CommonLyapunovFunction
 from koopman_clf.multiindex import build_basis
 from koopman_clf.switchsim import (
     audit_certificate,

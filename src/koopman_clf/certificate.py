@@ -19,6 +19,8 @@ fields (``polynomial``) and a sum-proportional one for analytic fields
 One analysis scans the coupled pairs once: ``coupling_scan`` computes
 every pair's ratio with its scheme's one formula, and the scheme
 condition, the certified radius and the weight recursion all read it.
+V's evaluator, ``CommonLyapunovFunction``, runs in the audit only and
+lives in ``kernels``.
 """
 
 import math
@@ -481,104 +483,11 @@ def convergence_check(epsilon, basis, rho):
     return ConvergenceResult(partial, upper(tail, tail, 6), r, True)
 
 
-class ValueScratch:
-    """Work arrays of one caller's batched V evaluations at ``rows`` points
-    in dimension n with truncation degree N.
+# benchmarks/tracer.py wraps the evaluator's methods through this module, so
+# its name resolves here; ``kernels`` loads on that first access only.
+def __getattr__(name):
+    if name == "CommonLyapunovFunction":
+        from .kernels import CommonLyapunovFunction
 
-    ``zh`` (rows, n) takes the points in flag coordinates (``value_batch``
-    writes its ``hat`` there), ``mod`` (rows, n) their moduli; every
-    ``value_batch`` leaves its batch's there.  The (N + 1, n, cols) table
-    holds |z_c|^(2p), and the contraction runs in two real buffers of
-    max((N + 1)^(n - 1), 2) and (N + 1)^(n - 2) rows, all of
-    cols = max(rows, 2) columns, since a lone point is contracted as two
-    equal columns.  Whoever makes a scratch owns it: every evaluation
-    overwrites it, and the values ``value_batch`` returns are a view into
-    it.
-    """
-
-    def __init__(self, clf, rows):
-        n, N1 = clf.basis.dimension, clf._grid.shape[0]
-        cols = max(rows, 2)
-        self.rows = rows
-        self.zh = np.empty((rows, n), dtype=complex)
-        self.mod = np.empty((rows, n))
-        self.pows = np.empty((N1, n, cols))
-        self.pows[0] = 1.0
-        self.acc = np.empty((len(clf._lead), cols))
-        self.spare = np.empty((N1 ** max(n - 2, 0), cols))
-
-
-class CommonLyapunovFunction:
-    """Evaluator of V(z) = sum_k eps_k |(P^{-1} z)^{alpha(k)}|^2."""
-
-    def __init__(self, epsilon, P_inv, basis):
-        self.epsilon = np.asarray(epsilon, dtype=float)
-        if self.epsilon.shape[0] != basis.size:
-            raise ValueError("weight vector does not match the basis")
-        self.P_inv = np.asarray(P_inv, dtype=complex)
-        self.basis = basis
-        # degree grid: G[alpha] = eps_k at alpha = alpha(k), zero elsewhere
-        N = basis.max_degree
-        self._grid = np.zeros((N + 1,) * basis.dimension)
-        self._grid[tuple(basis.exponents[1:].T)] = self.epsilon
-        # the grid as the matrix of the first contraction; for n = 1 its one
-        # row is doubled, so that numpy multiplies it as a matrix
-        lead = self._grid.reshape(N + 1, -1).T
-        self._lead = np.repeat(lead, 2, axis=0) if len(lead) == 1 else lead
-
-    def hat(self, z, out=None):
-        """Flag coordinates P^{-1} z of one point (n,) or of a batch
-        (B, n), written to ``out`` when given.
-
-        A point's coordinates do not depend on the batch it is in: numpy's
-        matrix-vector product rounds differently from its matrix product,
-        so a lone point is multiplied as two equal rows.
-        """
-        z = np.asarray(z, dtype=complex)
-        if z.ndim == 2 and len(z) != 1:
-            return np.matmul(z, self.P_inv.T, out=out)
-        pair = np.matmul(np.stack((z.reshape(-1),) * 2), self.P_inv.T)
-        one = pair[:1].reshape(z.shape)
-        if out is None:
-            return one
-        np.copyto(out, one)
-        return out
-
-    def value_batch(self, Z, scratch=None):
-        """V at a batch of points (B, n).
-
-        The weight grid is contracted with the power tables |z_c|^(2p),
-        p = 0..N, one coordinate axis at a time; for n = 2 this is
-        rowsum((X_1 @ G) * X_2).  The tables are laid out (power, coord,
-        point), and every operation runs over contiguous rows of points.
-        With a ``ValueScratch`` of B rows every array lives in it, the
-        flag coordinates are left in ``scratch.zh`` and the moduli |z| in
-        ``scratch.mod``, and the returned values are a view into the
-        scratch; without one, a scratch is made for the call.  V of a
-        point does not depend on the batch it is in: numpy multiplies a
-        single row or column through its matrix-vector paths, which round
-        differently from its matrix product, so a lone point is
-        contracted as two equal columns (and for n = 1 the grid as two
-        equal rows).
-        """
-        Z = np.asarray(Z, dtype=complex)
-        B, n = Z.shape
-        own = scratch is None
-        if own:
-            scratch = ValueScratch(self, B)
-        elif scratch.rows != B:
-            raise ValueError(f"scratch holds {scratch.rows} rows, not {B}")
-        W = np.abs(self.hat(Z, out=scratch.zh), out=scratch.mod).T
-        X, G = scratch.pows, self._grid  # (N + 1, n, max(B, 2))
-        cols = X.shape[2]
-        np.multiply(W, W, out=X[1])  # a lone point fills both columns
-        for p in range(2, len(X)):
-            np.multiply(X[p - 1], X[1], out=X[p])
-        acc = np.matmul(self._lead, X[:, 0], out=scratch.acc)
-        flat = scratch.acc.reshape(-1), scratch.spare.reshape(-1)
-        for c in range(1, n):  # the sums alternate between the two buffers
-            acc = acc.reshape(len(G), -1, cols)
-            acc *= X[:, c, None]
-            out = flat[c % 2][:acc[0].size].reshape(-1, cols)
-            acc = np.add.reduce(acc, axis=0, out=out)
-        return acc[0, :B].copy() if own else acc[0, :B]
+        return CommonLyapunovFunction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

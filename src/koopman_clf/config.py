@@ -164,6 +164,12 @@ class SystemConfig(NamedTuple):
         """Read the dict form of ``to_json_dict``, its coefficients in any
         order.  Raises ValueError naming the path of a missing, unknown,
         mistyped or out-of-range field."""
+        return cls.from_json_dict_with_family(data)[0]
+
+    @classmethod
+    def from_json_dict_with_family(cls, data):
+        """``from_json_dict``, and the switched family that it builds to
+        check the coefficients: ``(config, family)``."""
         _json_object(
             "config", data, ("dimension", "truncation_degree", "subsystems"),
             ("scheme", "eta", "rho_request", "simulation"),
@@ -250,8 +256,7 @@ class SystemConfig(NamedTuple):
             rho_request=_optional_number("rho_request", data.get("rho_request")),
             simulation=SimulationParams(**sim_raw),
         )
-        cfg.build_family()  # validate coefficients eagerly
-        return cfg
+        return cfg, cfg.build_family()
 
 
 def example1_config(a=1.0, b=0.3, degree=12):

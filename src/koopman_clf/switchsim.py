@@ -12,7 +12,10 @@ The kernel records the trajectory of its first row, signal 0 from point
 0, so the audit's summary carries its own first trajectory and no second
 integration is needed to trace it.
 
-The kernel keeps the states points-last, as one contiguous (n, R) array
+Its kernels, ``FieldScratch`` and ``flow_step`` for the steps and
+``ValueScratch`` and ``CommonLyapunovFunction`` for V, come from
+``kernels``, which loads with this module only.  The kernel keeps the
+states points-last, as one contiguous (n, R) array
 ``ZT`` of R = signals x points columns, and hands ``flow_step`` the
 (R, n) view ``ZT.T``.  Each integration owns one ``FieldScratch`` over
 the whole family for all R rows, selected anew at each switch; a set of
@@ -41,9 +44,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .certificate import CommonLyapunovFunction, ValueScratch
+from .kernels import CommonLyapunovFunction, FieldScratch, ValueScratch, flow_step
 from .multiindex import build_basis, checked_int
-from .vectorfield import FieldScratch, flow_step
 
 ESCAPE_TOL = 1e-12
 V_SLACK = 1e-9  # largest relative one-step V increase the audit accepts

@@ -35,7 +35,6 @@ from koopman_clf.certificate import (
     EPSILON_FLOOR,
     ETA_FLOOR,
     TAIL_DEGREE_CAP,
-    CommonLyapunovFunction,
     ConvergenceResult,
     _extrapolate,
     _maxima_ratio,
@@ -43,15 +42,10 @@ from koopman_clf.certificate import (
     coupling_scan,
     degree_maxima,
 )
+from koopman_clf.kernels import CommonLyapunovFunction, FieldScratch, flow_step
 from koopman_clf.koopman import KoopmanMatrix
 from koopman_clf.multiindex import build_basis, order_key
-from koopman_clf.vectorfield import (
-    FieldScratch,
-    PolyVectorField,
-    add_terms,
-    flow_step,
-    poly_mul,
-)
+from koopman_clf.vectorfield import PolyVectorField, add_terms, poly_mul
 
 
 def field_from_linear(matrix):

@@ -62,3 +62,7 @@ def test_a_traced_analysis_and_audit_count_every_layer():
     # analysis calls the face bound through its module attribute, which the
     # tracer wraps; a direct reference would leave this metric at 0
     assert metrics["vectorfield.invariance_s"][0] > 0
+    # the tracer wraps V's methods on certificate.CommonLyapunovFunction,
+    # which must be the class the audit makes, from kernels
+    assert metrics["certificate.clf_value_s"][0] > 0
+    assert metrics["certificate.clf_hat_s"][0] > 0

@@ -12,8 +12,6 @@ from koopman_clf import analysis, certificate, config
 from koopman_clf.certificate import (
     TAIL_DEGREE_CAP,
     EPSILON_FLOOR,
-    CommonLyapunovFunction,
-    ValueScratch,
     WeightScheme,
     _dd_at_radius,
     _extrapolate,
@@ -28,6 +26,7 @@ from koopman_clf.certificate import (
     dominance_xi_min,
     epsilon_sequence,
 )
+from koopman_clf.kernels import CommonLyapunovFunction, ValueScratch
 from koopman_clf.multiindex import build_basis
 from koopman_clf.vectorfield import PolyVectorField
 from oracles import (

@@ -19,7 +19,7 @@ from koopman_clf.config import (
     example1_config,
     example2_config,
 )
-from koopman_clf.certificate import CommonLyapunovFunction
+from koopman_clf.kernels import CommonLyapunovFunction
 from koopman_clf.koopman import build_matrix
 from koopman_clf.liealg import (
     NotSimultaneouslyTriangularizable,
@@ -1344,7 +1344,8 @@ def test_cli_exits_2_on_an_output_path_that_cannot_be_written(tmp_path, capsys, 
 # numpy.random (switchsim's PCG64 generators), loads on the first audit
 # only.  numpy before 2.0 loads numpy.random itself; the child records
 # whether ``import numpy`` did.  It records apart whether each stage has
-# loaded ``dataclasses``, which no class on the analysis path uses.
+# loaded ``dataclasses``, which no class on the analysis path uses, and
+# ``koopman_clf.kernels``, the audit's step and V kernels.
 LAZY_AUDIT_CHILD = """
 import io, json, sys
 import numpy
@@ -1355,8 +1356,9 @@ def loaded():
 def stage(name):
     seen[name] = loaded()
     dataclasses[name] = "dataclasses" in sys.modules
+    kernels[name] = "koopman_clf.kernels" in sys.modules
 
-seen, dataclasses = {}, {}
+seen, dataclasses, kernels = {}, {}, {}
 stage("numpy")
 import koopman_clf
 from koopman_clf import cli
@@ -1381,7 +1383,7 @@ kw = dict(signals=2, points=3, seed=4, dt=0.01, horizon=0.5)
 summary = koopman_clf.audit_certificate(family, report, **kw)
 stage("audit")
 direct = koopman_clf.switchsim.audit_certificate(family, report, **kw)
-print(json.dumps({"seen": seen, "dataclasses": dataclasses,
+print(json.dumps({"seen": seen, "dataclasses": dataclasses, "kernels": kernels,
                   "equal": summary == direct}))
 """
 
@@ -1412,6 +1414,12 @@ def test_the_analysis_path_never_loads_dataclasses(lazy_child):
     del dataclasses["audit"]  # the audit may load it: switchsim's records are
     assert dataclasses == {"numpy": False, "import": False,
                            "analyze_family": False, "cli": False}
+
+
+def test_the_analysis_path_never_loads_the_kernels(lazy_child):
+    assert lazy_child["kernels"] == {"numpy": False, "import": False,
+                                     "analyze_family": False, "cli": False,
+                                     "audit": True}
 
 
 @pytest.mark.parametrize(
@@ -1564,6 +1572,30 @@ def test_cli_analyze_refuses_an_exponent_past_int64(tmp_path, capsys):
     assert (f"invalid config: subsystems[1]: exponent in ({10**30}, 0) is above "
             "2**63 - 1") in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_a_command_builds_each_field_once(tmp_path, monkeypatch, command):
+    # reading the config builds its family to check the coefficients; the
+    # analysis and the audit take that family instead of building their own
+    cfg_path, rpt = tmp_path / "sys.json", tmp_path / "report.json"
+    cfg_path.write_text(example1_config().to_json())
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(rpt)]) == 0
+    built, init = [], PolyVectorField.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolyVectorField, "__init__", counted)
+    out = str(tmp_path / "out.json")
+    if command == "analyze":
+        argv = ["analyze", "--config", str(cfg_path), "--out", out]
+    else:
+        argv = ["simulate", "--report", str(rpt), "--out", out,
+                "--trials", "1", "--points", "2", "--dt", "0.01"]
+    assert main(argv) == 0
+    assert len(built) == 2  # example1 has two subsystems
 
 
 def test_the_selftest_command_is_gone(capsys):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from koopman_clf import switchsim
 from koopman_clf.analysis import analyze_family
-from koopman_clf.certificate import CommonLyapunovFunction
 from koopman_clf.config import example1_config
+from koopman_clf.kernels import CommonLyapunovFunction, flow_step
 from koopman_clf.multiindex import build_basis
 from koopman_clf.switchsim import (
     ESCAPE_TOL,
@@ -31,7 +31,7 @@ from koopman_clf.switchsim import (
     random_signal,
     sample_initial_points,
 )
-from koopman_clf.vectorfield import PolyVectorField, SwitchedFamily, flow_step
+from koopman_clf.vectorfield import PolyVectorField, SwitchedFamily
 from oracles import field_from_linear, field_step, unit_clf
 
 

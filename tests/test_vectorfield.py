@@ -10,6 +10,7 @@ from scipy.linalg import expm
 
 from koopman_clf.analysis import _region, analyze_family, substitute_linear
 from koopman_clf.config import example1_config, example2_config
+from koopman_clf.kernels import FieldScratch, flow_step
 from koopman_clf.multiindex import order_key
 from koopman_clf.switchsim import (
     NonFiniteStateError,
@@ -19,11 +20,9 @@ from koopman_clf.switchsim import (
     sample_initial_points,
 )
 from koopman_clf.vectorfield import (
-    FieldScratch,
     PolyVectorField,
     SwitchedFamily,
     boundary_invariance_check,
-    flow_step,
     poly_mul,
 )
 from oracles import (
