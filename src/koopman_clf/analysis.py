@@ -419,6 +419,8 @@ def analyze_family(
         raise ValueError(f"unknown scheme kind {scheme_kind!r}")
     if rho_request is not None and not 0 < rho_request <= 1:
         raise ValueError("rho_request must lie in (0, 1]")
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and positive, got {eta!r}")
     # only a derived dominance xi waits for the flag coordinates; any other
     # scheme checks the caller's xi and kappa before the analysis starts
     scheme = None
@@ -630,7 +632,7 @@ def _require_scanned(fields, degree):
             if top > degree:
                 reason = f"stores a term of degree {top}"
             elif f.tail_l1 is not None:
-                stored = math.fsum(abs(v) for v in comp.values())
+                stored = f.stored_l1[l]
                 if f.tail_l1[l] > upper(stored, stored, 8):
                     reason = (f"declares tail_l1 {f.tail_l1[l]!r} above its "
                               f"stored sum {stored!r}")

@@ -457,7 +457,10 @@ def convergence_check(epsilon, basis, rho):
     if epsilon.shape[0] != basis.size:
         raise ValueError("weight vector does not match the basis")
     degrees = basis.exponents[1:].sum(axis=1)
-    partial = float(np.sum(degrees * epsilon * rho ** (2.0 * degrees)))
+    # one libm power per degree: numpy's array power moves in its last bit
+    # with numpy's SIMD level
+    powers = np.array([rho ** (2 * d) for d in range(basis.max_degree + 1)])
+    partial = float(np.sum(degrees * epsilon * powers[degrees]))
     m = degree_maxima(epsilon, basis)
     r = _maxima_ratio(m)
     N, n = basis.max_degree, basis.dimension

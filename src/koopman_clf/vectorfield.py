@@ -48,8 +48,11 @@ class PolyVectorField:
     ``components`` holds one dict per component, multi-index tuple ->
     complex coefficient, in ascending exponent order whatever the caller's
     order; zero coefficients are dropped, constant terms rejected.
-    ``tail_l1``, optional, holds the exact l1 coefficient norm of each
-    component's full series, at least its stored absolute sum.
+    ``stored_l1`` holds each component's stored absolute sum, an ``fsum``
+    of its moduli (one rounding, whatever their order).  ``tail_l1``,
+    optional, holds the exact l1 coefficient norm of each component's full
+    series; one below ``stored_l1`` by more than the sum's rounding
+    (``rounding.lower`` with 8) is refused.
     ``truncated`` marks the table as a truncated analytic series: without
     ``tail_l1``, absolute-sum queries then warn that they are truncated.
     """
@@ -63,16 +66,18 @@ class PolyVectorField:
         self.components = tuple(
             _validate_component(dict(c), n) for c in components
         )
+        self.stored_l1 = tuple(
+            math.fsum(abs(v) for v in c.values()) for c in self.components
+        )
         self.truncated = bool(truncated) or tail_l1 is not None
         if tail_l1 is not None:
             tail_l1 = tuple(float(t) for t in tail_l1)
             if len(tail_l1) != n:
                 raise ValueError("tail_l1 must have one entry per component")
-            for l, t in enumerate(tail_l1):
+            for l, (t, stored) in enumerate(zip(tail_l1, self.stored_l1)):
                 if not math.isfinite(t):
                     raise ValueError(f"tail_l1[{l}]={t} is not finite")
-                stored = sum(abs(v) for v in self.components[l].values())
-                if t < stored - 1e-12 * max(1.0, stored):
+                if t < lower(stored, stored, 8):
                     raise ValueError(
                         f"tail_l1[{l}]={t} is below the stored coefficient sum {stored}"
                     )
@@ -81,20 +86,19 @@ class PolyVectorField:
             (sum(a) for c in self.components for a in c), default=1
         )
 
-    def stored_abs_sum(self, component):
-        return float(sum(abs(v) for v in self.components[component].values()))
-
     def l1_norm(self, component):
-        """Exact l1 norm when available, else the stored (truncated) sum."""
+        """Exact l1 norm when available, else the stored (truncated) sum;
+        never below the stored sum."""
+        stored = self.stored_l1[component]
         if self.tail_l1 is not None:
-            return self.tail_l1[component]
+            return max(self.tail_l1[component], stored)
         if self.truncated:
             warnings.warn(
                 "tail_l1 missing for a truncated field; "
                 "returning the truncated coefficient sum",
                 stacklevel=2,
             )
-        return self.stored_abs_sum(component)
+        return stored
 
     def coupling_count(self):
         """Number of stored coefficients other than each component l's z_l
@@ -186,7 +190,7 @@ def boundary_invariance_check(fields, rho):
                 abs(v) * rho ** (sum(a) + 1) for a, v in comp.items() if a != e_l
             )
             if f.tail_l1 is not None:
-                stored = math.fsum(abs(v) for v in comp.values())
+                stored = f.stored_l1[l]
                 s += max(f.tail_l1[l] - lower(stored, stored, 8), 0.0) * rho2
             size = rho2 * abs(c_l) + s
             faces.append(upper(rho2 * c_l.real + s, size, len(comp) + 4))

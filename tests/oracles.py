@@ -429,7 +429,8 @@ def two_form_convergence_check(epsilon, basis, rho):
     """
     epsilon = np.asarray(epsilon, dtype=float)
     degrees = basis.exponents[1:].sum(axis=1)
-    partial = float(np.sum(degrees * epsilon * rho ** (2.0 * degrees)))
+    powers = np.array([rho ** (2 * d) for d in range(basis.max_degree + 1)])
+    partial = float(np.sum(degrees * epsilon * powers[degrees]))
     m = degree_maxima(epsilon, basis)
     r = _maxima_ratio(m)
     N = basis.max_degree

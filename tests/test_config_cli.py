@@ -685,8 +685,11 @@ def test_cli_analyze_refuses_a_dominance_xi_outside_the_unit_interval(
         (example1_config(degree=8), dict(kappa=0.5), "takes no kappa"),
         (example1_config(degree=8), dict(xi=1.5), "xi must lie in"),
         (example2_config(mu=3.0, degree=8), dict(xi=0.5, kappa=0.6), "xi + kappa"),
+        (example1_config(degree=8), dict(eta=math.nan), "eta must be finite"),
+        (example1_config(b=0.5, degree=8), dict(eta=math.nan), "eta must be finite"),
     ],
-    ids=["polynomial-kappa", "polynomial-xi", "dominance-xi-kappa"],
+    ids=["polynomial-kappa", "polynomial-xi", "dominance-xi-kappa", "eta-nan",
+         "eta-nan-uncertified"],
 )
 def test_a_refused_xi_or_kappa_raises_before_the_lie_closure(
     monkeypatch, config, kw, message

@@ -165,6 +165,8 @@ def reports():
     for degree in (12, 16, 20):
         texts[f"report.example2.dd.N{degree}"] = report_text(example2_config(), degree)
     texts["report.example1.b0.5"] = report_text(example1_config(b=0.5))
+    texts["report.example1.b0.5.dd.N16"] = report_text(
+        example1_config(b=0.5)._replace(scheme_kind="diagonal_dominance"), 16)
     for scheme_kind in ("polynomial", "diagonal_dominance"):
         texts[f"report.example1.conjugated.{scheme_kind}"] = conjugated_report(
             scheme_kind)

@@ -360,7 +360,7 @@ def triangular_fields(draw):
     ))
     if extra is None:
         return field
-    tail = [field.stored_abs_sum(l) + e for l, e in enumerate(extra)]
+    tail = [field.stored_l1[l] + e for l, e in enumerate(extra)]
     return PolyVectorField(comps, tail_l1=tail)
 
 
@@ -1112,11 +1112,11 @@ def test_a_tail_equal_to_the_stored_sum_still_counts_its_rounding():
     comps = [{(1, 0): -1.0, (0, 1): 0.1 + 0.2j, (2, 1): 0.3 - 0.7j},
              {(0, 1): -1.0, (1, 1): 0.1j}]
     plain = PolyVectorField(comps)
-    tailed = PolyVectorField(comps, tail_l1=[plain.stored_abs_sum(l) for l in (0, 1)])
+    tailed = PolyVectorField(comps, tail_l1=[plain.stored_l1[l] for l in (0, 1)])
     rho = 0.7
     [got], [base] = (boundary_invariance_check([f], rho) for f in (tailed, plain))
     for l in (0, 1):
-        assert got[l] - base[l] >= 2**-53 * plain.stored_abs_sum(l) * rho * rho
+        assert got[l] - base[l] >= 2**-53 * plain.stored_l1[l] * rho * rho
 
 
 @pytest.mark.parametrize(
@@ -1147,7 +1147,7 @@ def test_a_family_whose_flag_change_drops_its_tails_has_no_proved_region():
     ]
     family = [
         PolyVectorField(f.components, tail_l1=[
-            f.stored_abs_sum(l) for l in range(f.dimension)
+            f.stored_l1[l] for l in range(f.dimension)
         ])
         for f in conjugated
     ]

@@ -50,6 +50,15 @@ def test_the_focus_pair_radius_does_not_grow_when_n_falls():
     assert radius[20] <= radius[80]
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: the polynomial scheme certifies "
+                   "rho = 1 on the computed q_sup 0.9537, below its limit "
+                   "1.0404")
+def test_example1_at_b_0_34_is_not_certified_on_the_unit_polydisk():
+    report = analyze_family(zoo.example1_b034(), 12)
+    assert not (report.certified and report.rho_certified == 1.0)
+
+
 def test_the_split_example1_is_certified_by_the_polynomial_scheme():
     report = analyze_family(zoo.split_example1(), 12)
     assert report.certified and report.rho_certified == 1.0

@@ -71,6 +71,14 @@ def conjugated_split_example1():
     return conjugate(split_example1())
 
 
+def example1_b034():
+    """example1 with b = 0.34: the polynomial scheme's limit 9 b^2 / a^2 =
+    1.0404 is above one, so the pair must not be certified on the unit
+    polydisk at any N; at N = 12 the computed sup reads 0.9537 and it is
+    (item 3, the polynomial twin of the focus pair)."""
+    return example1_config(b=0.34).build_family()
+
+
 def non_solvable_pair():
     """Jacobians [[-1, 1], [0, -1]] and [[-1, 0], [1, -1]]: they generate
     all of gl(2), whose derived series [4, 3, 3] does not reach zero, so
@@ -100,6 +108,7 @@ ZOO = {
     "focus-pair": focus_pair,
     "split-example1": split_example1,
     "conjugated-split-example1": conjugated_split_example1,
+    "example1-b0.34": example1_b034,
     "non-solvable-pair": non_solvable_pair,
     "three-dimensional-pair": three_dimensional_pair,
 }
