@@ -7,6 +7,7 @@ that prove the certified polydisk forward invariant.
 """
 
 import math
+import numbers
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -17,6 +18,7 @@ from .certificate import (
     _square_scaled_up,
     build_operator,
     certified_radius_dd,
+    check_kappa,
     check_poly_condition,
     convergence_check,
     coupling_scan,
@@ -30,7 +32,7 @@ from .liealg import (
     is_solvable,
     simultaneous_triangularize,
 )
-from .multiindex import build_basis, checked_int
+from .multiindex import build_basis, checked_int, checked_type
 from .rounding import upper
 from .vectorfield import (
     PolyVectorField,
@@ -408,8 +410,9 @@ def analyze_family(
     A derived dominance xi >= 1 is a scheme failure, and so, under the
     polynomial scheme, is a field in flag coordinates that stores a term
     above the truncation degree or declares a ``tail_l1`` above its stored
-    sum.  A caller's xi or kappa that the scheme refuses raises ValueError
-    before any analysis.
+    sum.  A caller's xi, kappa, eta or rho_request that is refused raises
+    ValueError before any analysis; only the dominance scheme's
+    ``xi + kappa < 1`` waits for a derived xi.
     """
     if isinstance(family, (list, tuple)):
         family = SwitchedFamily(family)
@@ -417,15 +420,20 @@ def analyze_family(
     kind = _KIND_ALIASES.get(scheme_kind)
     if kind is None:
         raise ValueError(f"unknown scheme kind {scheme_kind!r}")
-    if rho_request is not None and not 0 < rho_request <= 1:
-        raise ValueError("rho_request must lie in (0, 1]")
+    if rho_request is not None:
+        checked_type("rho_request", rho_request, numbers.Real, "a number")
+        if not 0 < rho_request <= 1:
+            raise ValueError("rho_request must lie in (0, 1]")
+    eta = float(checked_type("eta", eta, numbers.Real, "a number"))
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be finite and positive, got {eta!r}")
-    # only a derived dominance xi waits for the flag coordinates; any other
-    # scheme checks the caller's xi and kappa before the analysis starts
+    # a derived dominance xi, and with it the check of xi + kappa, waits
+    # for the flag coordinates; every other check of xi and kappa runs here
     scheme = None
     if kind == "polynomial" or xi is not None:
         scheme = _weight_scheme(kind, xi, kappa)
+    elif kappa is not None:
+        check_kappa(kappa)
     basis = build_basis(family.dimension, truncation_degree)
     report = CertificateReport(
         dimension=family.dimension,

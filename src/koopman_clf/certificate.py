@@ -56,11 +56,16 @@ class WeightScheme:
             if kappa is not None:
                 raise ValueError("polynomial scheme takes no kappa")
         else:
-            if kappa is None or not 0 < kappa < 1:
-                raise ValueError("diagonal_dominance needs kappa in (0, 1)")
+            check_kappa(kappa)
             if xi + kappa >= 1:
                 raise ValueError("need xi + kappa < 1")
         self.kind, self.xi, self.kappa = kind, xi, kappa
+
+
+def check_kappa(kappa):
+    """Refuse a dominance ``kappa`` outside (0, 1), or None."""
+    if kappa is None or not 0 < kappa < 1:
+        raise ValueError("diagonal_dominance needs kappa in (0, 1)")
 
 
 class SubsystemOperator(NamedTuple):
@@ -361,8 +366,6 @@ def epsilon_sequence(scan, basis, eta=0.5, rho=1.0):
     The ratios Q_jk are those of ``scan`` (see ``coupling_scan``).
     Returns (epsilon, eta_effective, q_sup, q_by_degree).
     """
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValueError(f"eta must be finite and positive, got {eta!r}")
     M = basis.size
     q_sup, _, q_by_degree = _sup_by_degree(scan, scan.q, basis)
     q_est, _ = _extrapolate(q_by_degree)

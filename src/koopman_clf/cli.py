@@ -99,25 +99,23 @@ def _read_json(parser, path, what):
 
 
 def _config(parser, data):
-    """The config of the dict ``data`` and its family, which reading it
-    builds; an invalid one is a usage error."""
+    """The config of the dict ``data``; an invalid one is a usage error."""
     try:
-        return SystemConfig.from_json_dict_with_family(data)
+        return SystemConfig.from_json_dict(data)
     except (ValueError, KeyError, TypeError) as exc:
         parser.error(f"invalid config: {exc}")
 
 
-def _analysis(parser, cfg, family=None):
+def _analysis(parser, cfg):
     """The report of ``cfg``, as ``analyze`` writes it and ``simulate``
-    re-derives it, on ``family`` when the caller has built it; a field or
-    parameter that the analysis refuses and a basis too large for memory
-    are usage errors."""
+    re-derives it; a field or parameter that the analysis refuses and a
+    basis too large for memory are usage errors."""
     # an overflowing ratio ends as inf and fails the scheme; numpy's
     # warnings would only repeat it
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return analyze_family(
-                cfg.build_family() if family is None else family,
+                cfg.family,
                 cfg.truncation_degree,
                 scheme_kind=cfg.scheme_kind,
                 xi=cfg.xi,
@@ -156,13 +154,13 @@ def _first_difference(ours, theirs, path=""):
 
 
 def cmd_analyze(parser, args):
-    cfg, family = _config(parser, _read_json(parser, args.config, "config"))
+    cfg = _config(parser, _read_json(parser, args.config, "config"))
     overrides = {"truncation_degree": args.degree, "scheme_kind": args.scheme,
                  "xi": args.xi, "kappa": args.kappa, "rho_request": args.rho}
     cfg = cfg._replace(
         **{key: value for key, value in overrides.items() if value is not None}
     )
-    report = _analysis(parser, cfg, family)
+    report = _analysis(parser, cfg)
     if args.format == "json":
         # the config that ran: simulate re-derives the report from it
         text = strict_json({**report.to_json_dict(), "config": cfg.to_json_dict()})
@@ -191,9 +189,9 @@ def cmd_simulate(parser, args):
     if not isinstance(data, dict) or "config" not in data:
         parser.error("report has no config block: write it with "
                      "'koopman-clf analyze'")
-    cfg, family = _config(parser, data.pop("config"))
+    cfg = _config(parser, data.pop("config"))
     # the certificate audited is the config's own analysis, never the file's
-    report = _analysis(parser, cfg, family)
+    report = _analysis(parser, cfg)
     where = _first_difference(json.loads(report.to_json()), data)
     if where is not None:
         parser.error("report does not match the analysis of its config: "
@@ -203,7 +201,7 @@ def cmd_simulate(parser, args):
     sim = cfg.simulation
     try:
         summary = audit_certificate(
-            family,
+            cfg.family,
             report,
             signals=args.trials if args.trials is not None else sim.trials,
             points=args.points if args.points is not None else sim.points,

@@ -1,30 +1,23 @@
 """System configuration: JSON schema, validation, example generators.
 
-A config bundles the switched family (sparse complex coefficients, one
-list per subsystem), the analysis choices (truncation degree, weight
-scheme, optional radius request) and the simulation parameters used by
-the audit.  Components are 1-based in the JSON for readability; the
-library is 0-based internally.
+A config bundles the switched family (one checked ``PolyVectorField``
+per subsystem, built as the config is read or made), the analysis
+choices (truncation degree, weight scheme, optional radius request) and
+the simulation parameters used by the audit.  Components are 1-based in
+the JSON for readability; the library is 0-based internally.
 """
 
 import json
 import math
 from typing import NamedTuple
 
+from .multiindex import checked_int, checked_type
 from .vectorfield import PolyVectorField, SwitchedFamily
-
-
-def _json_typed(name, value, types, what):
-    """``value`` if it has one of the JSON ``types``; a bool is neither an
-    integer nor a number."""
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return value
 
 
 def _json_float(name, value):
     """``value`` as a float if it is a JSON number that fits one."""
-    value = _json_typed(name, value, (int, float), "a number")
+    value = checked_type(name, value, (int, float), "a number")
     try:
         return float(value)
     except OverflowError:
@@ -37,7 +30,7 @@ def _json_float(name, value):
 def _json_object(name, value, required, optional):
     """``value`` if it is a JSON object with every ``required`` key and no
     key outside ``required`` and ``optional``; ``name`` is its path."""
-    _json_typed(name, value, dict, "an object")
+    checked_type(name, value, dict, "an object")
     prefix = "" if name == "config" else name + "."
     for key in value:
         if key not in required and key not in optional:
@@ -71,7 +64,7 @@ class SimulationParams(_SimulationFields):
     def __new__(cls, *args, **kwargs):
         raw = super().__new__(cls, *args, **kwargs)
         for name in ("trials", "points", "seed"):
-            _json_typed(f"simulation.{name}", getattr(raw, name), int, "an integer")
+            checked_type(f"simulation.{name}", getattr(raw, name), int, "an integer")
         if raw.seed < 0:
             raise ValueError(f"simulation.seed must be >= 0, got {raw.seed}")
         floats = {}
@@ -101,12 +94,20 @@ class SimulationParams(_SimulationFields):
         return self._asdict()
 
 
-class SystemConfig(NamedTuple):
-    """Declarative description of one analysis problem."""
+def _field(s, comps, tail):
+    """The field of ``subsystems[s]``; a check that fails names that path."""
+    try:
+        return PolyVectorField(comps, tail_l1=tail)
+    except ValueError as exc:
+        raise ValueError(f"subsystems[{s}]: {exc}") from None
 
-    dimension: int
+
+class SystemConfig(NamedTuple):
+    """Declarative description of one analysis problem: the checked
+    switched family, the analysis choices and the audit's simulation."""
+
     truncation_degree: int
-    subsystems: list  # list of (coefficient dict list per component, tail_l1)
+    family: SwitchedFamily
     scheme_kind: str = "polynomial"
     xi: float = None
     kappa: float = None
@@ -114,24 +115,20 @@ class SystemConfig(NamedTuple):
     rho_request: float = None
     simulation: SimulationParams = SimulationParams()
 
+    @property
+    def dimension(self):
+        return self.family.dimension
+
     def build_family(self):
-        """The switched family; a field check that fails names the path of
-        its subsystem."""
-        fields = []
-        for s, (comps, tail) in enumerate(self.subsystems):
-            try:
-                fields.append(PolyVectorField(comps, tail_l1=tail))
-            except ValueError as exc:
-                raise ValueError(f"subsystems[{s}]: {exc}") from None
-        return SwitchedFamily(fields)
+        """The switched family, ``family``."""
+        return self.family
 
     def to_json_dict(self):
         subs = []
-        for comps, tail in self.subsystems:
+        for f in self.family:
             coeffs = []
-            for l, table in enumerate(comps):
-                for alpha in sorted(table):
-                    v = complex(table[alpha])
+            for l, table in enumerate(f.components):
+                for alpha, v in table.items():
                     coeffs.append(
                         {
                             "component": l + 1,
@@ -143,7 +140,7 @@ class SystemConfig(NamedTuple):
             subs.append(
                 {
                     "coefficients": coeffs,
-                    "tail_l1": None if tail is None else list(tail),
+                    "tail_l1": None if f.tail_l1 is None else list(f.tail_l1),
                 }
             )
         return {
@@ -162,43 +159,32 @@ class SystemConfig(NamedTuple):
     @classmethod
     def from_json_dict(cls, data):
         """Read the dict form of ``to_json_dict``, its coefficients in any
-        order.  Raises ValueError naming the path of a missing, unknown,
-        mistyped or out-of-range field."""
-        return cls.from_json_dict_with_family(data)[0]
-
-    @classmethod
-    def from_json_dict_with_family(cls, data):
-        """``from_json_dict``, and the switched family that it builds to
-        check the coefficients: ``(config, family)``."""
+        order, building each subsystem's field as it reads it.  Raises
+        ValueError naming the path of a missing, unknown, mistyped or
+        out-of-range field."""
         _json_object(
             "config", data, ("dimension", "truncation_degree", "subsystems"),
             ("scheme", "eta", "rho_request", "simulation"),
         )
-        n, degree = (
-            _json_typed(key, data[key], int, "an integer")
-            for key in ("dimension", "truncation_degree")
-        )
-        raw_subs = _json_typed(
+        n = checked_int("dimension", data["dimension"], 1)
+        degree = checked_int("truncation_degree", data["truncation_degree"], 2)
+        raw_subs = checked_type(
             "subsystems", data["subsystems"], list, "a list of objects"
         )
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        if degree < 2:
-            raise ValueError("truncation_degree must be >= 2")
         if not raw_subs:
             raise ValueError("config needs at least one subsystem")
-        subsystems = []
+        fields = []
         for s, raw in enumerate(raw_subs):
             raw = _json_object(f"subsystems[{s}]", raw, (), ("coefficients", "tail_l1"))
             comps = [dict() for _ in range(n)]
-            coefficients = _json_typed(
+            coefficients = checked_type(
                 f"subsystems[{s}].coefficients", raw.get("coefficients", []),
                 list, "a list of objects",
             )
             for i, c in enumerate(coefficients):
                 where = f"subsystems[{s}].coefficients[{i}]"
                 c = _json_object(where, c, ("component", "exponents", "re"), ("im",))
-                component = _json_typed(
+                component = checked_type(
                     f"{where}.component", c["component"], int, "an integer"
                 )
                 l = component - 1
@@ -206,11 +192,11 @@ class SystemConfig(NamedTuple):
                     raise ValueError(
                         f"{where}.component must lie in 1..{n}, got {component}"
                     )
-                exponents = _json_typed(
+                exponents = checked_type(
                     f"{where}.exponents", c["exponents"], list, "a list"
                 )
                 alpha = tuple(
-                    _json_typed(f"{where}.exponents", a, int, "a list of integers")
+                    checked_type(f"{where}.exponents", a, int, "a list of integers")
                     for a in exponents
                 )
                 if len(alpha) != n:
@@ -231,9 +217,9 @@ class SystemConfig(NamedTuple):
                 name = f"subsystems[{s}].tail_l1"
                 tail = [
                     _json_float(name, t)
-                    for t in _json_typed(name, tail, list, "a list or null")
+                    for t in checked_type(name, tail, list, "a list or null")
                 ]
-            subsystems.append((comps, tail))
+            fields.append(_field(s, comps, tail))
         eta = _json_float("eta", data.get("eta", 0.5))
         if not (math.isfinite(eta) and eta > 0):
             raise ValueError(f"eta must be finite and positive, got {eta!r}")
@@ -242,13 +228,12 @@ class SystemConfig(NamedTuple):
             for key, keys in (("scheme", ("kind", "xi", "kappa")),
                               ("simulation", SimulationParams().to_json_dict()))
         )
-        kind = _json_typed(
+        kind = checked_type(
             "scheme.kind", scheme.get("kind", "polynomial"), str, "a string"
         )
-        cfg = cls(
-            dimension=n,
+        return cls(
             truncation_degree=degree,
-            subsystems=subsystems,
+            family=SwitchedFamily(fields),
             scheme_kind=kind,
             xi=_optional_number("scheme.xi", scheme.get("xi")),
             kappa=_optional_number("scheme.kappa", scheme.get("kappa")),
@@ -256,7 +241,6 @@ class SystemConfig(NamedTuple):
             rho_request=_optional_number("rho_request", data.get("rho_request")),
             simulation=SimulationParams(**sim_raw),
         )
-        return cfg, cfg.build_family()
 
 
 def example1_config(a=1.0, b=0.3, degree=12):
@@ -274,9 +258,8 @@ def example1_config(a=1.0, b=0.3, degree=12):
         {(0, 1): -a, (1, 1): b / 2.0},
     ]
     return SystemConfig(
-        dimension=2,
         truncation_degree=degree,
-        subsystems=[(f1, None), (f2, None)],
+        family=SwitchedFamily([_field(0, f1, None), _field(1, f2, None)]),
         scheme_kind="polynomial",
     )
 
@@ -309,9 +292,8 @@ def example2_config(mu=3.0, degree=20):
     f1 = [c1, {(0, 1): -1.0 + 0j}]
     f2 = [c2, {(0, 1): -1.0 + 0j}]
     return SystemConfig(
-        dimension=2,
         truncation_degree=degree,
-        subsystems=[(f1, tail1), (f2, tail2)],
+        family=SwitchedFamily([_field(0, f1, tail1), _field(1, f2, tail2)]),
         scheme_kind="diagonal_dominance",
         simulation=SimulationParams(dt=0.01),  # criterion 8's step
     )

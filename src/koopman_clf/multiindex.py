@@ -29,11 +29,18 @@ def order_key(alpha):
     return (sum(alpha), tuple(-a for a in alpha))
 
 
+def checked_type(name, value, types, what):
+    """``value`` if it has one of the ``types``, a bool being neither an
+    integer nor a number; ValueError naming ``name`` and ``what`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def checked_int(name, value, low):
     """``value`` when it is an integer (a Python or numpy int, not a bool)
     of at least ``low``; ValueError naming ``name`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    checked_type(name, value, (int, np.integer), "an integer")
     if value < low:
         raise ValueError(f"{name} must be >= {low}")
     return int(value)

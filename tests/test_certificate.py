@@ -588,13 +588,6 @@ def test_epsilon_eta_capped_when_growth_would_diverge():
     assert conv.convergent
 
 
-def test_epsilon_sequence_validates_eta():
-    basis = build_basis(1, 4)
-    op = build_operator(PolyVectorField([{(1,): -1.0}]), basis)
-    with pytest.raises(ValueError):
-        epsilon_sequence(poly_scan([op], basis), basis, eta=0.0)
-
-
 def test_scheme_ratio_scan_matches_per_pair_maximum():
     basis = build_basis(2, 6)
     ops = polynomial_pair_ops(basis)
@@ -661,14 +654,6 @@ def test_convergence_check_fails_closed_on_non_finite_weights():
     conv = convergence_check(np.full(basis.size, np.nan), basis, 0.9)
     assert not conv.convergent
     assert conv.tail_bound == math.inf
-
-
-@pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -1.0])
-def test_epsilon_sequence_rejects_non_finite_or_non_positive_eta(eta):
-    basis = build_basis(2, 4)
-    ops = polynomial_pair_ops(basis)
-    with pytest.raises(ValueError, match="eta must be finite and positive"):
-        epsilon_sequence(poly_scan(ops, basis), basis, eta=eta)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])

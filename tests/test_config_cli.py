@@ -26,17 +26,22 @@ from koopman_clf.liealg import (
     simultaneous_triangularize,
 )
 from koopman_clf.multiindex import build_basis
-from koopman_clf.vectorfield import PolyVectorField, boundary_invariance_check
+from koopman_clf.vectorfield import (
+    PolyVectorField,
+    SwitchedFamily,
+    boundary_invariance_check,
+)
 from oracles import field_values, lie_bracket
+import zoo
+from zoo import family_of, split_example1, with_terms
 
 
 def linear_nonnormal_config(degree=6):
     f1 = [{(1, 0): -1.0, (0, 1): 0.6}, {(0, 1): -1.0}]
     f2 = [{(1, 0): -1.0}, {(0, 1): -1.5}]
     return SystemConfig(
-        dimension=2,
         truncation_degree=degree,
-        subsystems=[(f1, None), (f2, None)],
+        family=family_of(f1, f2),
         scheme_kind="polynomial",
         simulation=SimulationParams(
             dt=0.01, horizon=3.0, trials=3, points=4, seed=5
@@ -57,13 +62,38 @@ def test_config_json_round_trip_is_semantically_exact():
             assert np.array_equal(field_values(f, pts), field_values(g, pts))
 
 
+@pytest.mark.parametrize("name", ["example1", "example2", *zoo.ZOO])
+def test_a_config_round_trips_its_family_exactly(name):
+    # the config holds the checked fields and writes what they store, so
+    # reading that back gives the same fields and the same text
+    if name in zoo.ZOO:
+        cfg = SystemConfig(truncation_degree=12, family=zoo.ZOO[name]())
+    else:
+        cfg = {"example1": example1_config, "example2": example2_config}[name]()
+    back = SystemConfig.from_json_dict(cfg.to_json_dict())
+    assert back.to_json() == cfg.to_json()
+    for f, g in zip(cfg.family, back.family, strict=True):
+        assert (g.components, g.tail_l1) == (f.components, f.tail_l1)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: example1_config(b=math.nan),
+     "subsystems[1]: coefficient (nan+0j) of (2, 0) is not finite"),
+    (lambda: example2_config(mu=math.nan),
+     "subsystems[0]: coefficient (nan+0j) of (4, 1) is not finite"),
+], ids=["example1-b-nan", "example2-mu-nan"])
+def test_an_example_config_refuses_a_field_when_it_is_made(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_example1_config_structure():
     cfg = example1_config(a=1.0, b=0.3, degree=12)
     assert cfg.dimension == 2
     assert cfg.truncation_degree == 12
     assert cfg.scheme_kind == "polynomial"
-    assert len(cfg.subsystems) == 2
-    comps, tail = cfg.subsystems[1]
+    assert len(cfg.family) == 2
+    comps, tail = cfg.family[1].components, cfg.family[1].tail_l1
     assert tail is None
     assert comps[0][(2, 0)] == 0.3
     assert comps[1][(1, 1)] == 0.15
@@ -75,7 +105,7 @@ def test_example2_config_coefficients_and_tails():
     mu = 3.0
     cfg = example2_config(mu=mu, degree=20)
     assert cfg.scheme_kind == "diagonal_dominance"
-    (c1, tail1), (c2, tail2) = cfg.subsystems
+    (c1, tail1), (c2, tail2) = ((f.components, f.tail_l1) for f in cfg.family)
     # leading interaction terms of z1^2 sin^2(z1) z2 / mu and the cos^2 twin
     assert c1[0][(4, 1)] == pytest.approx(1.0 / mu)
     assert c1[0][(6, 1)] == pytest.approx(-1.0 / (3.0 * mu))
@@ -443,9 +473,8 @@ def _pair_config(first, second, scheme="polynomial", **kwargs):
     """A planar pair of polynomial fields, each given as two coefficient
     tables, truncated at degree 8."""
     return SystemConfig(
-        dimension=2,
         truncation_degree=8,
-        subsystems=[(first, None), (second, None)],
+        family=family_of(first, second),
         scheme_kind=scheme,
         **kwargs,
     )
@@ -497,8 +526,10 @@ def _stored_term_above_n_config(coefficient=10.0, scheme_kind="polynomial"):
     """example1 at N = 12 with ``coefficient`` z1^13 in subsystem 0's first
     component: the scan never sees the term, the face bound does."""
     cfg = example1_config(degree=12)
-    cfg.subsystems[0][0][0][(13, 0)] = coefficient
-    return cfg._replace(scheme_kind=scheme_kind)
+    return cfg._replace(
+        family=with_terms(cfg.family, 0, 0, {(13, 0): coefficient}),
+        scheme_kind=scheme_kind,
+    )
 
 
 def _declared_tail_config(excess=10.0, scheme_kind="polynomial"):
@@ -506,10 +537,14 @@ def _declared_tail_config(excess=10.0, scheme_kind="polynomial"):
     sum."""
     cfg = example1_config(degree=12)
     return cfg._replace(
-        subsystems=[
-            (comps, [sum(map(abs, table.values())) + excess for table in comps])
-            for comps, _ in cfg.subsystems
-        ],
+        family=SwitchedFamily(
+            PolyVectorField(
+                f.components,
+                tail_l1=[sum(map(abs, table.values())) + excess
+                         for table in f.components],
+            )
+            for f in cfg.family
+        ),
         scheme_kind=scheme_kind,
     )
 
@@ -685,11 +720,31 @@ def test_cli_analyze_refuses_a_dominance_xi_outside_the_unit_interval(
         (example1_config(degree=8), dict(kappa=0.5), "takes no kappa"),
         (example1_config(degree=8), dict(xi=1.5), "xi must lie in"),
         (example2_config(mu=3.0, degree=8), dict(xi=0.5, kappa=0.6), "xi + kappa"),
+        # with xi derived, the range of kappa is still checked up front
+        (example2_config(mu=3.0, degree=8), dict(kappa=math.nan),
+         "diagonal_dominance needs kappa in (0, 1)"),
+        (example2_config(mu=3.0, degree=8), dict(kappa=1.5),
+         "diagonal_dominance needs kappa in (0, 1)"),
+        (example2_config(mu=3.0, degree=8), dict(kappa=-1.0),
+         "diagonal_dominance needs kappa in (0, 1)"),
         (example1_config(degree=8), dict(eta=math.nan), "eta must be finite"),
         (example1_config(b=0.5, degree=8), dict(eta=math.nan), "eta must be finite"),
+        (example1_config(degree=8), dict(eta=math.inf), "eta must be finite"),
+        (example1_config(degree=8), dict(eta=0.0), "eta must be finite"),
+        (example1_config(degree=8), dict(eta=-1.0), "eta must be finite"),
+        # a bool or a string is not a number, as for the degree
+        (example1_config(degree=8), dict(eta=True), "eta must be a number, got True"),
+        (example1_config(degree=8), dict(eta="0.5"),
+         "eta must be a number, got '0.5'"),
+        (example1_config(degree=8), dict(rho_request=True),
+         "rho_request must be a number, got True"),
+        (example1_config(degree=8), dict(rho_request="0.5"),
+         "rho_request must be a number, got '0.5'"),
     ],
-    ids=["polynomial-kappa", "polynomial-xi", "dominance-xi-kappa", "eta-nan",
-         "eta-nan-uncertified"],
+    ids=["polynomial-kappa", "polynomial-xi", "dominance-xi-kappa",
+         "dominance-kappa-nan", "dominance-kappa-1.5", "dominance-kappa--1.0",
+         "eta-nan", "eta-nan-uncertified", "eta-inf", "eta-0", "eta--1",
+         "eta-bool", "eta-string", "rho-bool", "rho-string"],
 )
 def test_a_refused_xi_or_kappa_raises_before_the_lie_closure(
     monkeypatch, config, kw, message
@@ -1293,12 +1348,9 @@ def test_cli_simulate_accepts_a_config_file_that_lists_its_terms_out_of_order(
     # report's config block lists them, so simulate re-derives the report
     S = np.array([[1.0, 0.4], [-0.3, 1.0]])
     S_inv = np.array([[1.0, -0.4], [0.3, 1.0]]) / 1.12
-    split = example1_config()
-    split.subsystems[1][0][1][(0, 1)] = -1.2
-    family = [analysis.substitute_linear(f, S_inv, S) for f in split.build_family()]
+    family = [analysis.substitute_linear(f, S_inv, S) for f in split_example1()]
     data = SystemConfig(
-        dimension=2, truncation_degree=12,
-        subsystems=[(f.components, None) for f in family],
+        truncation_degree=12, family=SwitchedFamily(family),
         scheme_kind="diagonal_dominance",
         simulation=SimulationParams(dt=0.01, horizon=1.0, trials=1, points=2),
     ).to_json_dict()
@@ -1549,7 +1601,7 @@ def test_cli_example2_round_trips(tmp_path):
     assert main(["example2", "--mu", "6.0", "--out", str(cfg_path)]) == 0
     cfg = SystemConfig.from_json_dict(json.loads(cfg_path.read_text()))
     assert cfg.scheme_kind == "diagonal_dominance"
-    assert cfg.subsystems[1][1][0] == pytest.approx(
+    assert cfg.family[1].tail_l1[0] == pytest.approx(
         1.0 + (math.cosh(2.0) + 1.0) / 12.0
     )
 
@@ -1735,7 +1787,7 @@ def test_cli_simulate_summary_is_strict_json_with_worst_decay(tmp_path):
 def test_example2_config_keeps_its_coefficients_below_degree_175():
     # while (2p)! fits a float, each coefficient is the float quotient
     mu = 3.0
-    (c1, _), (c2, _) = example2_config(mu=mu, degree=174).subsystems
+    c1, c2 = (f.components for f in example2_config(mu=mu, degree=174).family)
     for p in range(1, 86):
         coeff = 2.0 ** (2 * p - 1) / math.factorial(2 * p) / mu
         assert c1[0][(2 * p + 2, 1)] == (-1.0) ** (p + 1) * coeff
@@ -1745,7 +1797,7 @@ def test_example2_config_keeps_its_coefficients_below_degree_175():
 
 def test_example2_config_builds_and_analyzes_at_degree_200(tmp_path, capsys):
     cfg = example2_config(degree=200)
-    (c1, _), _ = cfg.subsystems
+    c1 = cfg.family[0].components
     # past 2p = 170 the coefficients are exact integer quotients
     assert c1[0][(174, 1)] == -(2**171) / math.factorial(172) / 3.0
     assert c1[0][(198, 1)] == -(2**195) / math.factorial(196) / 3.0
@@ -1759,7 +1811,7 @@ def test_example2_config_builds_and_analyzes_at_degree_200(tmp_path, capsys):
 
 def test_example2_config_stops_at_the_first_zero_coefficient():
     # 2^(2p - 1) / (2p)! / 3 is 0.0 from 2p = 206 on, the term of z1^208 z2
-    (c1, _), (c2, _) = example2_config(degree=1000).subsystems
+    c1, c2 = (f.components for f in example2_config(degree=1000).family)
     assert max(alpha[0] for alpha in c1[0]) == 206
     assert abs(c1[0][(206, 1)]) == 5e-324
     assert 0.0 not in c1[0].values() and 0.0 not in c2[0].values()

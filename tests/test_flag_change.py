@@ -16,29 +16,18 @@ from koopman_clf.cli import main
 from koopman_clf.config import (
     SimulationParams,
     SystemConfig,
-    example1_config,
     example2_config,
 )
-from koopman_clf.vectorfield import PolyVectorField
+from koopman_clf.vectorfield import PolyVectorField, SwitchedFamily
+from zoo import split_example1
 
 S = np.array([[1.0, 0.4], [-0.3, 1.0]], dtype=complex)
 S_INV = np.linalg.inv(S)
 
 
-def example1_split_pair():
-    """example1 with the second diagonal entry of subsystem 2 at -1.2.
-
-    With both Jacobians equal to -I every flag is common and the tool
-    keeps P = I; distinct eigenvalues make the flag unique up to order.
-    """
-    cfg = example1_config()
-    cfg.subsystems[1][0][1][(0, 1)] = -1.2
-    return cfg.build_family()
-
-
 @pytest.mark.parametrize(
     "field_",
-    [example1_split_pair()[1], example2_config(mu=3.0, degree=8).build_family()[1]],
+    [split_example1()[1], example2_config(mu=3.0, degree=8).build_family()[1]],
     ids=["example1", "example2"],
 )
 def test_substitute_linear_round_trip_recovers_every_coefficient(field_):
@@ -77,7 +66,7 @@ def test_clip_subdiagonal_linear_rejects_coefficients_above_the_tolerance():
 
 
 def test_clip_subdiagonal_linear_returns_the_same_field_when_clean():
-    field_ = example1_split_pair()[1]
+    field_ = split_example1()[1]
     same, size = _clip_subdiagonal_linear(field_, 1e-10)
     assert same is field_
     assert size == 0.0
@@ -87,7 +76,7 @@ def test_conjugated_family_reaches_the_scheme_with_triangular_operators(
     monkeypatch,
 ):
     # conjugate by S: z -> S F(S^-1 z); the certificate verdict is left open
-    family = [substitute_linear(f, S_INV, S) for f in example1_split_pair()]
+    family = [substitute_linear(f, S_INV, S) for f in split_example1()]
     built, build = [], analysis.build_operator
 
     def spy(field_hat, basis):
@@ -116,10 +105,9 @@ def test_a_complex_triangularization_round_trips_through_simulate(tmp_path):
     # change included, and finds it equal to the one analyze wrote
     S_c = np.array([[1.0, 0.4j], [-0.3, 1.0]])
     S_c_inv = np.linalg.inv(S_c)
-    family = [substitute_linear(f, S_c_inv, S_c) for f in example1_split_pair()]
+    family = [substitute_linear(f, S_c_inv, S_c) for f in split_example1()]
     cfg = SystemConfig(
-        dimension=2, truncation_degree=8,
-        subsystems=[(f.components, None) for f in family],
+        truncation_degree=8, family=SwitchedFamily(family),
         scheme_kind="diagonal_dominance",
         simulation=SimulationParams(dt=0.01, horizon=1.0, trials=1, points=2),
     )
@@ -139,18 +127,18 @@ def example2_split_pair():
     second tail norms at 2.0: each Jacobian is diag(-1, -2), so the
     coordinates already carry the common flag, in the order the
     eigenvalues do not sort."""
-    cfg = example2_config(mu=3.0, degree=20)
-    for comps, tail in cfg.subsystems:
-        comps[1][(0, 1)] = -2.0 + 0j
-        tail[1] = 2.0
-    return cfg.build_family()
+    return SwitchedFamily(
+        PolyVectorField([f.components[0], {(0, 1): -2.0 + 0j}],
+                        tail_l1=[f.tail_l1[0], 2.0])
+        for f in example2_config(mu=3.0, degree=20).family
+    )
 
 
 @pytest.mark.parametrize("scheme", ["polynomial", "diagonal_dominance"])
 def test_coordinates_that_carry_a_common_flag_are_kept(scheme):
     # the eigenvalue search alone would take the axis of -1.2 first and
     # swap the coordinates
-    report = analyze_family(example1_split_pair(), 12, scheme_kind=scheme)
+    report = analyze_family(split_example1(), 12, scheme_kind=scheme)
     assert report.certified
     assert np.array_equal(report.P, np.eye(2))
     assert np.array_equal(report.P_inv, np.eye(2))

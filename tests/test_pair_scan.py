@@ -36,7 +36,7 @@ from koopman_clf.certificate import (
 from koopman_clf.cli import main
 from koopman_clf.config import SystemConfig, example1_config, example2_config
 from koopman_clf.multiindex import build_basis
-from koopman_clf.vectorfield import PolyVectorField
+from koopman_clf.vectorfield import PolyVectorField, SwitchedFamily
 from oracles import col_abs_sum, column_support, q_value, row_abs_sum, stored_entry
 
 XI, KAPPA = 0.3, 0.6
@@ -400,9 +400,8 @@ def test_fast_growing_weights_on_a_small_radius_keep_a_finite_tail(tmp_path, cap
     basis = build_basis(2, degree)
     assert conv["tail_bound"] == pytest.approx(log_tail(report, basis), rel=1e-9)
     cfg = SystemConfig(
-        dimension=2,
         truncation_degree=degree,
-        subsystems=[(list(f.components), None) for f in family],
+        family=SwitchedFamily(family),
         scheme_kind="diagonal_dominance",
     )
     path, out = tmp_path / "sys.json", tmp_path / "r.json"

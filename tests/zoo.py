@@ -15,8 +15,19 @@ S = np.array([[1.0, 0.4], [-0.3, 1.0]])
 S_INV = np.array([[1.0, -0.4], [0.3, 1.0]]) / 1.12  # det S = 1.12
 
 
-def _family(*fields):
+def family_of(*fields):
+    """The family of fields given by their coefficient tables."""
     return SwitchedFamily(PolyVectorField(components) for components in fields)
+
+
+def with_terms(family, s, l, terms):
+    """``family`` with the coefficients ``terms`` (exponents -> value) set
+    in component ``l`` of subsystem ``s``, whose tail_l1 is kept."""
+    fields = list(family)
+    comps = list(fields[s].components)
+    comps[l] = {**comps[l], **terms}
+    fields[s] = PolyVectorField(comps, tail_l1=fields[s].tail_l1)
+    return SwitchedFamily(fields)
 
 
 def conjugate(family):
@@ -29,8 +40,8 @@ def diagonal_pair():
     """(-z1, -z2) and (-2 z1, -1.5 z2): |z|^2 decreases on all of C^2, so
     the pair is certified at rho = 1 for every N (ROADMAP item 6: its
     weight floors underflow, and N = 30 exits 4)."""
-    return _family([{(1, 0): -1.0}, {(0, 1): -1.0}],
-                   [{(1, 0): -2.0}, {(0, 1): -1.5}])
+    return family_of([{(1, 0): -1.0}, {(0, 1): -1.0}],
+                    [{(1, 0): -2.0}, {(0, 1): -1.5}])
 
 
 def trap_family():
@@ -38,9 +49,7 @@ def trap_family():
     subsystem.  On the z1 axis that subsystem is z1' = -z1 + 10 z1^13, with
     equilibria at |z1| = 0.1^(1/12) = 0.825, so the unit polydisk is not
     forward invariant and must not be certified at any N (item 20)."""
-    cfg = example1_config()
-    cfg.subsystems[0][0][0][(13, 0)] = 10.0
-    return cfg.build_family()
+    return with_terms(example1_config().family, 0, 0, {(13, 0): 10.0})
 
 
 def focus_pair():
@@ -48,7 +57,7 @@ def focus_pair():
     + 0.1 z2^2): commuting linear parts with eigenvalues -1 +- 2i and
     -1.5 +- 3i.  The dominance radius rests on an extrapolated sup that
     larger N take back, so it grows when N falls (item 3)."""
-    return _family(
+    return family_of(
         [{(1, 0): -1.0, (0, 1): 2.0, (2, 0): 0.2}, {(1, 0): -2.0, (0, 1): -1.0}],
         [{(1, 0): -1.5, (0, 1): 3.0},
          {(1, 0): -3.0, (0, 1): -1.5, (0, 2): 0.1}],
@@ -59,9 +68,7 @@ def split_example1():
     """example1 with subsystem 2's second diagonal at -1.2.  Its Jacobians
     are diagonal and distinct, so the flag is unique up to order and the
     tool keeps P = I; the polynomial scheme certifies it."""
-    cfg = example1_config()
-    cfg.subsystems[1][0][1][(0, 1)] = -1.2
-    return cfg.build_family()
+    return with_terms(example1_config().family, 1, 1, {(0, 1): -1.2})
 
 
 def conjugated_split_example1():
@@ -83,8 +90,8 @@ def non_solvable_pair():
     """Jacobians [[-1, 1], [0, -1]] and [[-1, 0], [1, -1]]: they generate
     all of gl(2), whose derived series [4, 3, 3] does not reach zero, so
     the analysis stops at solvability (exit 2)."""
-    return _family([{(1, 0): -1.0, (0, 1): 1.0}, {(0, 1): -1.0}],
-                   [{(1, 0): -1.0}, {(1, 0): 1.0, (0, 1): -1.0}])
+    return family_of([{(1, 0): -1.0, (0, 1): 1.0}, {(0, 1): -1.0}],
+                    [{(1, 0): -1.0}, {(1, 0): 1.0, (0, 1): -1.0}])
 
 
 def three_dimensional_pair():
@@ -92,7 +99,7 @@ def three_dimensional_pair():
     + 0.2 z2^2, -z2 - 0.2 z2 z3, -1.1 z3), upper triangular linear parts:
     the polynomial scheme certifies rho = 1 on a sup it computes rather
     than extrapolates (item 19)."""
-    return _family(
+    return family_of(
         [{(1, 0, 0): -1.0, (0, 1, 1): 0.2},
          {(0, 1, 0): -1.1, (0, 0, 2): 0.2},
          {(0, 0, 1): -1.2}],
