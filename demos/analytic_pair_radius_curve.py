@@ -26,7 +26,7 @@ for mu in mus:
     closed = 1.0 / (1.0 + c_plus / mu)
     cfg = example2_config(mu=mu, degree=20)
     report = analyze_family(
-        cfg.build_family(), cfg.truncation_degree, scheme_kind="diagonal_dominance"
+        cfg.family, cfg.truncation_degree, scheme_kind="diagonal_dominance"
     )
     assert report.certified, report.failure
     rho = report.rho_certified
@@ -43,7 +43,7 @@ print(f"\nwrote {out}")
 
 # weak coupling: the certified radius tends to the full polydisk
 weak = analyze_family(
-    example2_config(mu=200.0).build_family(), 20, scheme_kind="diagonal_dominance"
+    example2_config(mu=200.0).family, 20, scheme_kind="diagonal_dominance"
 )
 print(f"mu = 200 certifies rho = {weak.rho_certified:.6f} "
       f"(closed form {1.0 / (1.0 + c_plus / 200.0):.6f})")

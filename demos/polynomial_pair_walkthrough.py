@@ -15,7 +15,7 @@ from koopman_clf.multiindex import build_basis
 
 a, b, degree = 1.0, 0.3, 12
 cfg = example1_config(a=a, b=b, degree=degree)
-family = cfg.build_family()
+family = cfg.family
 basis = build_basis(2, degree)
 
 print(f"family: {len(family)} subsystems, dimension 2, truncation degree {degree}")
@@ -52,6 +52,6 @@ print(f"tail ratio of the weight series: {report.convergence['ratio']:.6f}")
 
 # pushing the coupling past the a > 3 b threshold makes the scheme refuse
 strong = example1_config(a=a, b=0.5, degree=degree)
-refused = analyze_family(strong.build_family(), degree, scheme_kind="polynomial")
+refused = analyze_family(strong.family, degree, scheme_kind="polynomial")
 assert not refused.certified
 print(f"\nb = 0.5 is refused: {refused.failure['message']}")

@@ -22,7 +22,7 @@ from koopman_clf.switchsim import (
 )
 from koopman_clf.vectorfield import PolyVectorField, SwitchedFamily
 
-family = example1_config().build_family()
+family = example1_config().family
 report = analyze_family(family, 12, scheme_kind="polynomial")
 assert report.certified
 

@@ -420,10 +420,11 @@ def analyze_family(
     kind = _KIND_ALIASES.get(scheme_kind)
     if kind is None:
         raise ValueError(f"unknown scheme kind {scheme_kind!r}")
-    if rho_request is not None:
-        checked_type("rho_request", rho_request, numbers.Real, "a number")
-        if not 0 < rho_request <= 1:
-            raise ValueError("rho_request must lie in (0, 1]")
+    for name, value in (("xi", xi), ("kappa", kappa), ("rho_request", rho_request)):
+        if value is not None:
+            checked_type(name, value, numbers.Real, "a number")
+    if rho_request is not None and not 0 < rho_request <= 1:
+        raise ValueError("rho_request must lie in (0, 1]")
     eta = float(checked_type("eta", eta, numbers.Real, "a number"))
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be finite and positive, got {eta!r}")

@@ -740,11 +740,15 @@ def test_cli_analyze_refuses_a_dominance_xi_outside_the_unit_interval(
          "rho_request must be a number, got True"),
         (example1_config(degree=8), dict(rho_request="0.5"),
          "rho_request must be a number, got '0.5'"),
+        (example1_config(degree=8), dict(xi="0.5"), "xi must be a number, got '0.5'"),
+        (example2_config(mu=3.0, degree=8), dict(kappa="0.5"),
+         "kappa must be a number, got '0.5'"),
     ],
     ids=["polynomial-kappa", "polynomial-xi", "dominance-xi-kappa",
          "dominance-kappa-nan", "dominance-kappa-1.5", "dominance-kappa--1.0",
          "eta-nan", "eta-nan-uncertified", "eta-inf", "eta-0", "eta--1",
-         "eta-bool", "eta-string", "rho-bool", "rho-string"],
+         "eta-bool", "eta-string", "rho-bool", "rho-string", "xi-string",
+         "kappa-string"],
 )
 def test_a_refused_xi_or_kappa_raises_before_the_lie_closure(
     monkeypatch, config, kw, message
