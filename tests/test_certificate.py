@@ -656,6 +656,21 @@ def test_convergence_check_fails_closed_on_non_finite_weights():
     assert conv.tail_bound == math.inf
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -1.0])
+def test_epsilon_sequence_rejects_non_finite_or_non_positive_eta(monkeypatch, eta):
+    # epsilon_sequence takes eta as given: analyze_family, which runs it on
+    # every path, refuses such an eta before the Lie closure or the sequence
+    def fail(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(analysis, "close_under_bracket", fail)
+    monkeypatch.setattr(analysis, "epsilon_sequence", fail)
+    f1 = PolyVectorField([{(1, 0): -1.0}, {(0, 1): -1.0}])
+    f2 = PolyVectorField([{(1, 0): -1.0, (2, 0): 0.3}, {(0, 1): -1.0}])
+    with pytest.raises(ValueError, match="eta must be finite and positive"):
+        analysis.analyze_family([f1, f2], 4, eta=eta)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
 def test_report_is_certified_only_with_finite_positive_weights(monkeypatch, bad):
     real = analysis.epsilon_sequence
