@@ -7,7 +7,6 @@ that prove the certified polydisk forward invariant.
 """
 
 import math
-import numbers
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -32,7 +31,7 @@ from .liealg import (
     is_solvable,
     simultaneous_triangularize,
 )
-from .multiindex import build_basis, checked_int, checked_type
+from .multiindex import build_basis, checked_float, checked_int
 from .rounding import upper
 from .vectorfield import (
     PolyVectorField,
@@ -422,10 +421,10 @@ def analyze_family(
         raise ValueError(f"unknown scheme kind {scheme_kind!r}")
     for name, value in (("xi", xi), ("kappa", kappa), ("rho_request", rho_request)):
         if value is not None:
-            checked_type(name, value, numbers.Real, "a number")
+            checked_float(name, value)
     if rho_request is not None and not 0 < rho_request <= 1:
         raise ValueError("rho_request must lie in (0, 1]")
-    eta = float(checked_type("eta", eta, numbers.Real, "a number"))
+    eta = checked_float("eta", eta)
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be finite and positive, got {eta!r}")
     # a derived dominance xi, and with it the check of xi + kappa, waits

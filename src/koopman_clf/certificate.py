@@ -351,17 +351,17 @@ def epsilon_sequence(scan, basis, eta=0.5, rho=1.0):
 
     The recursion runs one degree at a time.  Every weight of degree d
     starts at its floor, EPSILON_FLOOR times the largest weight of degree
-    d - 1 (1.0 at d = 1); then the pairs into degree d raise it, one
-    same-degree dependency level at a time, with ``np.maximum.at`` of
-    eps_k Q_jk (1 + eta_eff).  Every coupled pair has k < j, so deg k <=
-    deg j, and a level holds the pairs whose target ends a same-degree
-    chain of pairs of one length, so each source is final when it is read.
-    The weights are exact, equal to a walk over the positions one at a
-    time: a maximum does not depend on the order of its terms, and since
-    multiplying by 1 + eta_eff > 0 and rounding are monotone, the max of
-    the scaled terms is the scaled max.  A NaN ratio reaches its weight
-    through ``np.maximum``, while the degree maxima behind the floors skip
-    NaN weights.
+    d - 1 (1.0 at d = 1); then eps_k Q_jk (1 + eta_eff) raises it, over
+    the pairs from lower degrees in one ``np.maximum.at``, and over the
+    same-degree pairs, where the degree has any, in a Python walk in
+    target order.  Every coupled pair has k < j, so a source of lower
+    degree, or of the same degree at an earlier position, is final when
+    read.  The weights are exact, equal to a walk over the positions one
+    at a time: a maximum does not depend on the order of its terms, and
+    since multiplying by 1 + eta_eff > 0 and rounding are monotone, the max
+    of the scaled terms is the scaled max.  A NaN ratio reaches its weight
+    by ``np.maximum``'s rule, a NaN wins, while the degree maxima behind
+    the floors skip NaN weights.
 
     The ratios Q_jk are those of ``scan`` (see ``coupling_scan``).
     Returns (epsilon, eta_effective, q_sup, q_by_degree).
@@ -374,33 +374,31 @@ def epsilon_sequence(scan, basis, eta=0.5, rho=1.0):
         eta_eff = min(eta, max(ETA_FLOOR, 0.5 * (1.0 / bound - 1.0)))
     else:
         eta_eff = eta
-    degree = basis.exponents.sum(axis=1)
-    depth = np.zeros(M + 1, dtype=np.int64)
-    ks, js = scan.k[scan.same], scan.j[scan.same]
-    while True:  # longest same-degree chain of pairs ending at each position
-        reach = np.zeros_like(depth)
-        np.maximum.at(reach, js, depth[ks] + 1)
-        if np.array_equal(reach, depth):
-            break
-        depth = reach
-    level = (degree * (int(depth.max()) + 1) + depth)[scan.j]
-    order = np.argsort(level, kind="stable")
-    src, dst, q, level = scan.k[order], scan.j[order], scan.q[order], level[order]
-    first = np.flatnonzero(np.diff(level, prepend=-1)).tolist()
-    levels = [[] for _ in range(basis.max_degree + 1)]  # pair slices per degree
-    for a, b in zip(first, first[1:] + [len(level)]):
-        levels[degree[dst[a]]].append(slice(a, b))
+    key = 2 * scan.degree + scan.same  # into d: 2d from below, 2d + 1 within
+    order = np.lexsort((scan.j, key))
+    src, dst, q = scan.k[order], scan.j[order], scan.q[order]
+    cut = np.searchsorted(key[order], np.arange(2 * basis.max_degree + 3)).tolist()
     grow = 1.0 + eta_eff
-    start = basis.degree_start
+    start = basis.degree_start.tolist()
     eps = np.zeros(M + 1)
     eps[1] = 1.0  # first weight anchors the recursion
     top = 1.0
     with np.errstate(invalid="ignore"):  # a NaN ratio gives a NaN weight
         for d in range(1, basis.max_degree + 1):
-            eps[max(start[d], 2):start[d + 1]] = EPSILON_FLOOR * top
-            for at in levels[d]:
-                np.maximum.at(eps, dst[at], eps[src[at]] * q[at] * grow)
-            top = np.fmax.reduce(eps[start[d]:start[d + 1]], initial=0.0)
+            a, b = start[d], start[d + 1]
+            eps[max(a, 2):b] = EPSILON_FLOOR * top
+            low = slice(cut[2 * d], cut[2 * d + 1])
+            np.maximum.at(eps, dst[low], eps[src[low]] * q[low] * grow)
+            same = slice(cut[2 * d + 1], cut[2 * d + 2])
+            if same.start < same.stop:  # walk the same-degree pairs by target
+                w = eps[a:b].tolist()
+                ks, js = (src[same] - a).tolist(), (dst[same] - a).tolist()
+                for k, j, r in zip(ks, js, q[same].tolist()):
+                    v = w[k] * r * grow
+                    if v > w[j] or v != v:  # np.maximum's rule: a NaN wins
+                        w[j] = v
+                eps[a:b] = w
+            top = np.fmax.reduce(eps[a:b], initial=0.0)
     return eps[1:], eta_eff, q_sup, q_by_degree
 
 

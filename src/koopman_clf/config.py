@@ -11,20 +11,8 @@ import json
 import math
 from typing import NamedTuple
 
-from .multiindex import checked_int, checked_type
+from .multiindex import checked_float, checked_int, checked_type
 from .vectorfield import PolyVectorField, SwitchedFamily
-
-
-def _json_float(name, value):
-    """``value`` as a float if it is a JSON number that fits one."""
-    value = checked_type(name, value, (int, float), "a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(
-            f"{name} must be a number that fits a float, got an integer of "
-            f"{len(str(abs(value)))} digits"
-        ) from None
 
 
 def _json_object(name, value, required, optional):
@@ -42,7 +30,7 @@ def _json_object(name, value, required, optional):
 
 
 def _optional_number(name, value):
-    return None if value is None else _json_float(name, value)
+    return None if value is None else checked_float(name, value)
 
 
 class _SimulationFields(NamedTuple):
@@ -69,7 +57,7 @@ class SimulationParams(_SimulationFields):
             raise ValueError(f"simulation.seed must be >= 0, got {raw.seed}")
         floats = {}
         for name in ("dt", "horizon", "min_dwell", "max_dwell"):
-            value = _json_float(f"simulation.{name}", getattr(raw, name))
+            value = checked_float(f"simulation.{name}", getattr(raw, name))
             if not math.isfinite(value):
                 raise ValueError(f"simulation.{name} must be finite")
             floats[name] = value
@@ -209,18 +197,18 @@ class SystemConfig(NamedTuple):
                         f"{list(alpha)} twice"
                     )
                 comps[l][alpha] = complex(
-                    _json_float(f"{where}.re", c["re"]),
-                    _json_float(f"{where}.im", c.get("im", 0.0)),
+                    checked_float(f"{where}.re", c["re"]),
+                    checked_float(f"{where}.im", c.get("im", 0.0)),
                 )
             tail = raw.get("tail_l1")
             if tail is not None:
                 name = f"subsystems[{s}].tail_l1"
                 tail = [
-                    _json_float(name, t)
+                    checked_float(name, t)
                     for t in checked_type(name, tail, list, "a list or null")
                 ]
             fields.append(_field(s, comps, tail))
-        eta = _json_float("eta", data.get("eta", 0.5))
+        eta = checked_float("eta", data.get("eta", 0.5))
         if not (math.isfinite(eta) and eta > 0):
             raise ValueError(f"eta must be finite and positive, got {eta!r}")
         scheme, sim_raw = (

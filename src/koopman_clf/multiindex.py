@@ -19,6 +19,7 @@ its position.
 """
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +36,16 @@ def checked_type(name, value, types, what):
     if isinstance(value, bool) or not isinstance(value, types):
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return value
+
+
+def checked_float(name, value):
+    """``value`` as a float when it is a real number (not a bool) that fits
+    one; ValueError naming ``name`` otherwise."""
+    try:
+        return float(checked_type(name, value, numbers.Real, "a number"))
+    except OverflowError:
+        raise ValueError(f"{name} must be a number that fits a float, got an "
+                         f"integer of {len(str(abs(value)))} digits") from None
 
 
 def checked_int(name, value, low):

@@ -45,7 +45,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .kernels import CommonLyapunovFunction, FieldScratch, ValueScratch, flow_step
-from .multiindex import build_basis, checked_int
+from .multiindex import build_basis, checked_float, checked_int
 
 ESCAPE_TOL = 1e-12
 V_SLACK = 1e-9  # largest relative one-step V increase the audit accepts
@@ -60,7 +60,7 @@ class NonFiniteStateError(RuntimeError):
 
 def _require_finite(**values):
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not math.isfinite(checked_float(name, value)):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 

@@ -16,6 +16,7 @@ import warnings
 
 import numpy as np
 
+from .multiindex import checked_float
 from .rounding import lower, upper
 
 
@@ -71,7 +72,9 @@ class PolyVectorField:
         )
         self.truncated = bool(truncated) or tail_l1 is not None
         if tail_l1 is not None:
-            tail_l1 = tuple(float(t) for t in tail_l1)
+            tail_l1 = tuple(
+                checked_float(f"tail_l1[{l}]", t) for l, t in enumerate(tail_l1)
+            )
             if len(tail_l1) != n:
                 raise ValueError("tail_l1 must have one entry per component")
             for l, (t, stored) in enumerate(zip(tail_l1, self.stored_l1)):

@@ -740,12 +740,26 @@ def test_cli_analyze_refuses_a_dominance_xi_outside_the_unit_interval(
         (example1_config(degree=8), dict(xi="0.5"), "xi must be a number, got '0.5'"),
         (example2_config(mu=3.0, degree=8), dict(kappa="0.5"),
          "kappa must be a number, got '0.5'"),
+        # an integer too large for a float is refused by name, not overflowed
+        (example1_config(degree=8), dict(eta=10**400),
+         "eta must be a number that fits a float, got an integer of 401 digits"),
+        (example1_config(degree=8), dict(xi=10**400),
+         "xi must be a number that fits a float"),
+        (example2_config(mu=3.0, degree=8), dict(xi=10**400),
+         "xi must be a number that fits a float"),
+        (example2_config(mu=3.0, degree=8), dict(xi=0.5, kappa=10**400),
+         "kappa must be a number that fits a float"),
+        (example2_config(mu=3.0, degree=8), dict(kappa=10**400),
+         "kappa must be a number that fits a float"),
+        (example1_config(degree=8), dict(rho_request=10**400),
+         "rho_request must be a number that fits a float"),
     ],
     ids=["polynomial-kappa", "polynomial-xi", "dominance-xi-kappa",
          "dominance-kappa-nan", "dominance-kappa-1.5", "dominance-kappa--1.0",
          "eta-nan", "eta-nan-uncertified",
          "eta-bool", "eta-string", "rho-bool", "rho-string", "xi-string",
-         "kappa-string"],
+         "kappa-string", "eta-huge", "polynomial-xi-huge", "dominance-xi-huge",
+         "dominance-kappa-huge", "dominance-derived-xi-kappa-huge", "rho-huge"],
 )
 def test_a_refused_xi_or_kappa_raises_before_the_lie_closure(
     monkeypatch, config, kw, message

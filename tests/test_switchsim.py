@@ -366,7 +366,9 @@ def test_audit_refuses_a_weight_that_is_not_finite_and_positive(edits, named):
 
 
 @pytest.mark.parametrize("name", ["dt", "horizon", "min_dwell", "max_dwell"])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, 10**400, True], ids=["nan", "inf", "huge", "bool"]
+)
 def test_audit_rejects_non_finite_parameters(name, value):
     fam, rep = certified_linear_report()
     kw = dict(signals=1, points=1, dt=0.01, horizon=1.0)
@@ -389,7 +391,10 @@ def test_audit_refuses_a_horizon_it_cannot_plan_before_drawing_signals(monkeypat
             audit_certificate(fam, rep, signals=1, points=1, dt=dt, horizon=horizon)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, 10**400, True],
+    ids=["nan", "inf", "-inf", "huge", "bool"],
+)
 def test_integrate_and_signals_reject_non_finite_values(value):
     fam = contraction_family()
     sig = SwitchingSignal((1.0,), (0,), 1.0)

@@ -118,9 +118,19 @@ def test_non_finite_coefficients_are_rejected(bad):
         PolyVectorField([{(1, 0): -1.0, (2, 0): bad}, {(0, 1): -1.0}])
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_non_finite_tail_l1_is_rejected(bad):
-    with pytest.raises(ValueError, match="not finite"):
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (math.nan, "not finite"),
+        (math.inf, "not finite"),
+        # a string or an integer too large for a float is refused by name
+        ("1.5", "tail_l1[0] must be a number, got '1.5'"),
+        (10**400, "tail_l1[0] must be a number that fits a float"),
+    ],
+    ids=["nan", "inf", "string", "huge"],
+)
+def test_non_finite_tail_l1_is_rejected(bad, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         PolyVectorField([{(1,): -1.0, (3,): 0.5}], tail_l1=[bad])
 
 

@@ -1,10 +1,12 @@
-"""The level-scheduled weight recursion against its position-by-position
+"""The degree-by-degree weight recursion against its position-by-position
 walk, and the per-degree weight maxima against a Python max per degree.
 
-``epsilon_sequence`` sets all weights of one dependency level at once;
+``epsilon_sequence`` raises a degree's weights from lower degrees in one
+``np.maximum.at`` and walks only its same-degree pairs;
 ``oracles.epsilon_walk`` sets one basis position at a time.  The two must
-agree exactly, NaN for NaN, on the paper's examples, on a pair whose
-linear parts couple within a degree, and on random triangular pairs.
+agree exactly, NaN for NaN, on the paper's examples, on pairs whose
+linear parts couple within a degree in two, three and four dimensions,
+and on random triangular pairs.
 """
 
 import math
@@ -27,6 +29,7 @@ from koopman_clf.config import example1_config, example2_config
 from koopman_clf.multiindex import build_basis
 from koopman_clf.vectorfield import PolyVectorField
 from oracles import degree_maxima_walk, epsilon_walk
+from zoo import three_dimensional_pair
 
 POLY = WeightScheme("polynomial", 0.99)
 
@@ -40,6 +43,33 @@ def off_diagonal_pair():
             [
                 {(1, 0): -1.0, (0, 1): 0.2, (2, 0): 0.3},
                 {(0, 1): -1.2, (1, 1): 0.1},
+            ]
+        ),
+    ]
+
+
+def upper_triangular_pair_4d():
+    """Pair on C^4 with dense upper triangular linear parts: every slot
+    couples into every earlier one, so each degree carries many chains of
+    same-degree pairs."""
+    return [
+        PolyVectorField(
+            [
+                {(1, 0, 0, 0): -1.0, (0, 1, 0, 0): 0.3, (0, 0, 1, 0): 0.2,
+                 (0, 0, 0, 1): 0.1, (0, 1, 0, 1): 0.2},
+                {(0, 1, 0, 0): -1.1, (0, 0, 1, 0): 0.2, (0, 0, 0, 1): 0.1,
+                 (0, 0, 2, 0): 0.1},
+                {(0, 0, 1, 0): -1.2, (0, 0, 0, 1): 0.3},
+                {(0, 0, 0, 1): -0.9},
+            ]
+        ),
+        PolyVectorField(
+            [
+                {(1, 0, 0, 0): -1.3, (0, 1, 0, 0): 0.1, (0, 0, 0, 1): 0.2,
+                 (0, 0, 1, 1): 0.1},
+                {(0, 1, 0, 0): -1.0, (0, 0, 1, 0): 0.3, (0, 0, 0, 1): 0.2},
+                {(0, 0, 1, 0): -0.8, (0, 0, 0, 1): 0.2, (0, 0, 0, 2): 0.1},
+                {(0, 0, 0, 1): -1.2},
             ]
         ),
     ]
@@ -86,12 +116,47 @@ def test_level_recursion_matches_the_walk_on_example2():
     [POLY, WeightScheme("diagonal_dominance", 0.3, 0.6)],
     ids=["polynomial", "diagonal_dominance"],
 )
-@pytest.mark.parametrize("degree", [5, 30])
-def test_level_recursion_matches_the_walk_on_same_degree_chains(scheme, degree):
-    basis = build_basis(2, degree)
-    ops = [build_operator(f, basis) for f in off_diagonal_pair()]
+@pytest.mark.parametrize(
+    "fields,degree",
+    [
+        (off_diagonal_pair, 5),
+        (off_diagonal_pair, 30),
+        (off_diagonal_pair, 60),
+        (lambda: three_dimensional_pair().fields, 12),
+        (upper_triangular_pair_4d, 8),
+    ],
+    ids=["5", "30", "60", "three_dimensional_pair-12", "upper_triangular_4d-8"],
+)
+def test_level_recursion_matches_the_walk_on_same_degree_chains(
+    scheme, fields, degree
+):
+    fields = fields()
+    basis = build_basis(fields[0].dimension, degree)
+    ops = [build_operator(f, basis) for f in fields]
     assert _coupled_pairs(ops, basis).same.sum() > basis.size // 2
     assert_same_recursion(ops, basis, scheme, rho=0.7)
+
+
+def test_a_nan_ratio_within_a_degree_reaches_every_weight_fed_from_it():
+    basis = build_basis(2, 8)
+    ops = [build_operator(f, basis) for f in off_diagonal_pair()]
+    k, j = basis.index_of((2, 0)), basis.index_of((1, 1))
+    kmat = ops[0].kmat
+    hit = (kmat.k == k) & (kmat.j == j)
+    assert hit.sum() == 1
+    kmat.v[hit] = math.nan
+    eps = assert_same_recursion(ops, basis, POLY, rho=0.7)
+    # the weights fed from j: j itself and every target reached from it
+    # along coupled pairs; the floors skip NaN weights, so no other
+    scan = coupling_scan(ops, basis, POLY)
+    fed = np.zeros(basis.size + 1, dtype=bool)
+    fed[j] = True
+    for src, dst in sorted(zip(scan.k.tolist(), scan.j.tolist()), key=lambda p: p[1]):
+        fed[dst] |= fed[src]
+    assert np.array_equal(np.isnan(eps), fed[1:])
+    # within the degree, and across degrees through the quadratic terms
+    assert fed[basis.index_of((0, 2))] and fed[basis.index_of((2, 1))]
+    assert not fed[basis.index_of((3, 0))]
 
 
 def test_level_recursion_matches_the_walk_with_a_nan_ratio():
