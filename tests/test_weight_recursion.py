@@ -65,8 +65,8 @@ def upper_triangular_pair_4d():
         ),
         PolyVectorField(
             [
-                {(1, 0, 0, 0): -1.3, (0, 1, 0, 0): 0.1, (0, 0, 0, 1): 0.2,
-                 (0, 0, 1, 1): 0.1},
+                {(1, 0, 0, 0): -1.3, (0, 1, 0, 0): 0.1, (0, 0, 1, 0): 0.1,
+                 (0, 0, 0, 1): 0.2, (0, 0, 1, 1): 0.1},
                 {(0, 1, 0, 0): -1.0, (0, 0, 1, 0): 0.3, (0, 0, 0, 1): 0.2},
                 {(0, 0, 1, 0): -0.8, (0, 0, 0, 1): 0.2, (0, 0, 0, 2): 0.1},
                 {(0, 0, 0, 1): -1.2},
